@@ -15,7 +15,7 @@ from enslab import ens_jl, ens_sr
 from enslab.grid import Grid, divergence, face_norm, scalar_norm
 from enslab.heat_oracle import divergence_state, heat_run
 from enslab.reference import step_nse_projection
-from enslab.scenarios import eigen_lift, stream_vortex
+from enslab.scenarios import eigen_lift, march, stream_vortex
 
 
 def main() -> None:
@@ -25,16 +25,17 @@ def main() -> None:
     print("=== 1. Solenoidal start: every route is a plain flow solver ===")
     u0 = stream_vortex(grid)
     nsteps = 100
-    runs = {
-        "no-slip, decomposed   ": ens_jl.integrate(
-            ens_jl.jl_state(u0, nu), dt, nsteps),
-        "no-slip, direct       ": ens_jl.integrate(
-            ens_jl.jl_state(u0, nu, decomposed=False), dt, nsteps, "direct"),
-        "open-wall, constructive": ens_sr.integrate_sr(
-            ens_sr.sr_state(u0, 1.0, nu), dt, nsteps),
-        "open-wall, direct      ": ens_sr.integrate_sr(
-            ens_sr.sr_state(u0, 1.0, nu, decomposed=False), dt, nsteps, "direct"),
+    starts = {
+        "no-slip, decomposed   ": (ens_jl.step_decomposed, ens_jl.jl_state(u0, nu)),
+        "no-slip, direct       ": (ens_jl.step_direct,
+                                   ens_jl.jl_state(u0, nu, decomposed=False)),
+        "open-wall, constructive": (ens_sr.step_constructive,
+                                    ens_sr.sr_state(u0, 1.0, nu)),
+        "open-wall, direct      ": (ens_sr.step_direct_sr,
+                                    ens_sr.sr_state(u0, 1.0, nu, decomposed=False)),
     }
+    runs = {label: list(march(step, s0, dt, nsteps))
+            for label, (step, s0) in starts.items()}
     uref = u0
     for k in range(nsteps):
         uref = step_nse_projection(uref, k * dt, dt, nu)
@@ -49,7 +50,7 @@ def main() -> None:
     g0, z0 = eigen_lift(grid, "jl", eps=0.05, mode=1)
     u0 = stream_vortex(grid) + z0
     nsteps = 200
-    hist = ens_jl.integrate(ens_jl.jl_state(u0, nu), dt, nsteps)
+    hist = list(march(ens_jl.step_decomposed, ens_jl.jl_state(u0, nu), dt, nsteps))
     oracle = heat_run(divergence_state(g0, "neumann", nu), dt, nsteps)
     print("     t      ||div u||     heat oracle    rel gap")
     for k in (0, 50, 100, 200):

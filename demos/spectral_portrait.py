@@ -15,7 +15,7 @@ import numpy as np
 
 from enslab import ens_jl, galerkin
 from enslab.grid import Grid, face_norm
-from enslab.scenarios import stream_vortex
+from enslab.scenarios import march, stream_vortex
 
 
 def main() -> None:
@@ -46,8 +46,8 @@ def main() -> None:
         shared = galerkin.reconstruct(b, start)
         traj = galerkin.integrate_galerkin(b, start, nu, dt, horizon)
         spectral = galerkin.reconstruct(b, traj[-1])
-        full = ens_jl.integrate(ens_jl.jl_state(shared, nu), dt,
-                                round(horizon / dt))[-1].u
+        full = list(march(ens_jl.step_decomposed, ens_jl.jl_state(shared, nu),
+                          dt, round(horizon / dt)))[-1].u
         rel = face_norm(spectral - full) / face_norm(full)
         print(f"  k = {k:2d}: relative end-state gap = {rel:.4f}")
 

@@ -4,6 +4,13 @@ Every subcommand reads one config file, writes artifacts under the output
 directory (per-step CSV, final field dumps, a margin summary), and maps
 failures to exit codes: 1 config, 2 solver (including step-size guards),
 3 check failure.  A check failure still writes whatever artifacts exist.
+
+Field runs step through scenarios.march and fold each state as it comes
+into diagnostics rows and the energy ledger, so only the current state (and
+the ledger's previous one) is held.  Studies run their sub-runs one after
+another; compare steps its two routes in lockstep in one thread.
+ENSLAB_THREADS sizes nothing, but a value that is not an integer >= 1 is
+still a config error.
 """
 
 from __future__ import annotations
@@ -12,8 +19,8 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -49,7 +56,8 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
-def _thread_cap(n_tasks: int) -> int:
+def _check_thread_setting() -> None:
+    """Reject an ENSLAB_THREADS that is not an integer >= 1 (it sizes nothing)."""
     raw = os.environ.get("ENSLAB_THREADS", "")
     if raw.strip():
         try:
@@ -58,17 +66,6 @@ def _thread_cap(n_tasks: int) -> int:
             raise ConfigError(f"ENSLAB_THREADS must be an integer, got {raw!r}")
         if cap < 1:
             raise ConfigError(f"ENSLAB_THREADS must be at least 1, got {cap}")
-        return min(cap, n_tasks)
-    return min(os.cpu_count() or 1, n_tasks)
-
-
-def _fan_out(tasks):
-    """Run thunks in parallel (ENSLAB_THREADS caps width); re-raise first error."""
-    if len(tasks) == 1:
-        return [tasks[0]()]
-    with ThreadPoolExecutor(max_workers=_thread_cap(len(tasks))) as pool:
-        futures = [pool.submit(t) for t in tasks]
-        return [f.result() for f in futures]
 
 
 def _initial_velocity(cfg: Config, grid: Grid):
@@ -99,51 +96,41 @@ def _field_metrics(cfg: Config, state) -> dict:
     return m
 
 
-def _simulate_field(cfg: Config, u0=None):
-    """Step the configured system; returns (history, failure message or None).
-
-    Solver errors (step-size guard, linear solver breakdown) propagate;
-    runtime check failures are caught so artifacts can still be written.
-    """
-    grid = Grid(cfg.grid)
-    if u0 is None:
-        u0 = _initial_velocity(cfg, grid)
+def _field_states(cfg: Config, u0):
+    """The configured route's states: the initial one, then one per step."""
     fspec = scenarios.forcing_spec(cfg.forcing, cfg.forcing_amplitude, cfg.nu)
     decomposed = cfg.route == "decomposed"
-    history = []
-    try:
-        if cfg.system == "jl":
-            state = ens_jl.jl_state(u0, cfg.nu, fspec, decomposed=decomposed)
-            stepper = ens_jl.step_decomposed if decomposed else ens_jl.step_direct
-        else:
-            state = ens_sr.sr_state(u0, cfg.lam, cfg.nu, fspec, decomposed=decomposed)
-            stepper = ens_sr.step_constructive if decomposed else ens_sr.step_direct_sr
-        history.append(state)
-        for _ in range(cfg.nsteps):
-            history.append(stepper(history[-1], cfg.dt))
-    except CheckFailure as exc:
-        return history, f"{type(exc).__name__}: {exc}"
-    return history, None
+    if cfg.system == "jl":
+        state = ens_jl.jl_state(u0, cfg.nu, fspec, decomposed=decomposed)
+        step = ens_jl.step_decomposed if decomposed else ens_jl.step_direct
+    else:
+        state = ens_sr.sr_state(u0, cfg.lam, cfg.nu, fspec, decomposed=decomposed)
+        step = ens_sr.step_constructive if decomposed else ens_sr.step_direct_sr
+    return scenarios.march(step, state, cfg.dt, cfg.nsteps)
 
 
-def _field_margins(cfg: Config, history, rows, failure) -> list:
+def _field_margins(cfg: Config, rows, failure, ledger) -> list:
     entries = [("run_completed", 0.0 if failure else 1.0, failure is None)]
     if not rows:
         return entries
     if cfg.ic in _DIV_FREE_PRESETS:
         worst = max(m["div_linf"] for _, m in rows)
         entries.append(("divergence_ceiling", 1e-9 - worst, worst <= 1e-9))
-    if cfg.system == "jl" and cfg.route == "decomposed" and not failure and len(history) >= 2:
-        rec = ens_jl.check_energy_bound(history)
-        scale = max(rec["envelope_final"], rec["energy_initial"], 1.0)
-        margin = rec["envelope_margin_min"]
-        entries.append(("energy_envelope_min", margin, passes(margin, scale)))
+    if ledger is not None and not failure and len(rows) >= 2:
+        try:
+            rec = ledger.record()
+        except CheckFailure as exc:
+            print(f"check failure: {exc}", file=sys.stderr)
+            entries.append(("energy_envelope_min", -math.inf, False))
+        else:
+            scale = max(rec["envelope_final"], rec["energy_initial"], 1.0)
+            margin = rec["envelope_margin_min"]
+            entries.append(("energy_envelope_min", margin, passes(margin, scale)))
     if cfg.system == "sr":
         gaps = [abs(m["solvability_gap"]) for _, m in rows]
         decay = math.exp(-cfg.lam * cfg.dt)
         excess = max(g - gaps[0] * decay ** n for n, g in enumerate(gaps))
-        g0 = history[0].g.g if history else None
-        scale = max(1.0, scalar_norm(g0), rows[0][1]["h_linf"]) if g0 is not None else 1.0
+        scale = max(1.0, rows[0][1]["g_l2"], rows[0][1]["h_linf"])
         entries.append(("gap_decay_excess", 1e-9 * scale - excess,
                         excess <= 1e-9 * scale))
         worst_wall = max(m["wall_gap_linf"] for _, m in rows)
@@ -153,31 +140,60 @@ def _field_margins(cfg: Config, history, rows, failure) -> list:
     return entries
 
 
-def _write_run_artifacts(cfg: Config, out_dir: str, history, rows, entries,
-                         failure) -> int:
-    fieldio.ensure_dir(out_dir)
-    if rows:
-        fieldio.write_csv(os.path.join(out_dir, "diagnostics.csv"), rows)
-    if history:
-        final = history[-1]
-        fieldio.write_vector(os.path.join(out_dir, "final_u"), final.u, final.time)
-        if hasattr(final, "g"):
-            fieldio.write_scalar(os.path.join(out_dir, "final_g.ensf"),
-                                 final.g.g, final.time)
-    ok = fieldio.write_summary(os.path.join(out_dir, "summary.txt"), entries)
-    if failure or not ok:
-        return EXIT_CHECK
-    return EXIT_OK
+class _FieldRun:
+    """One field run, folded a state at a time into rows and the energy ledger.
+
+    Holds the final state, not the history.  Solver errors (step-size guard,
+    linear solver breakdown) propagate; a CheckFailure ends the stepping and
+    is kept, so that finish() still writes the artifacts.
+    """
+
+    def __init__(self, cfg: Config):
+        self.cfg = cfg
+        self.rows = []
+        self.final = None
+        self.failure = None
+        self.code = None
+        jl_decomposed = cfg.system == "jl" and cfg.route == "decomposed"
+        self.ledger = ens_jl.EnergyLedger() if jl_decomposed else None
+
+    def states(self, u0):
+        """Yield each state as it is stepped, after folding it in."""
+        try:
+            for state in _field_states(self.cfg, u0):
+                self.rows.append((state.time, _field_metrics(self.cfg, state)))
+                if self.ledger is not None:
+                    self.ledger.add(state)
+                self.final = state
+                yield state
+        except CheckFailure as exc:
+            self.failure = f"{type(exc).__name__}: {exc}"
+
+    def finish(self) -> int:
+        """Write the margins and artifacts under cfg.out; returns the exit code."""
+        out_dir = self.cfg.out
+        entries = _field_margins(self.cfg, self.rows, self.failure, self.ledger)
+        fieldio.ensure_dir(out_dir)
+        if self.rows:
+            fieldio.write_csv(os.path.join(out_dir, "diagnostics.csv"), self.rows)
+        if self.final is not None:
+            s = self.final
+            fieldio.write_vector(os.path.join(out_dir, "final_u"), s.u, s.time)
+            fieldio.write_scalar(os.path.join(out_dir, "final_g.ensf"), s.g.g, s.time)
+        ok = fieldio.write_summary(os.path.join(out_dir, "summary.txt"), entries)
+        if self.failure:
+            print(f"check failure: {self.failure}", file=sys.stderr)
+        self.code = EXIT_CHECK if (self.failure or not ok) else EXIT_OK
+        return self.code
 
 
-def _run_field(cfg: Config, out_dir: str, u0=None) -> int:
-    history, failure = _simulate_field(cfg, u0=u0)
-    rows = [(s.time, _field_metrics(cfg, s)) for s in history]
-    entries = _field_margins(cfg, history, rows, failure)
-    code = _write_run_artifacts(cfg, out_dir, history, rows, entries, failure)
-    if failure:
-        print(f"check failure: {failure}", file=sys.stderr)
-    return code
+def _run_field(cfg: Config, u0) -> _FieldRun:
+    """Step one field run to its end and write its artifacts."""
+    run = _FieldRun(cfg)
+    for _ in run.states(u0):
+        pass
+    run.finish()
+    return run
 
 
 def _build_basis_checked(grid: Grid, modes: int):
@@ -239,7 +255,7 @@ def cmd_run(cfg: Config, quiet: bool) -> int:
     if cfg.route == "galerkin":
         code = _run_galerkin(cfg, out_dir)
     else:
-        code = _run_field(cfg, out_dir)
+        code = _run_field(cfg, _initial_velocity(cfg, Grid(cfg.grid))).code
     _say(quiet, f"artifacts in {out_dir} ({'PASS' if code == EXIT_OK else 'FAIL'})")
     return code
 
@@ -255,19 +271,13 @@ def cmd_convergence(cfg: Config, quiet: bool) -> int:
     sub_cfgs = [replace(cfg, grid=n, dt=cfg.dt * cfg.grid / n, out=d)
                 for n, d in zip(grids, subdirs)]
 
-    def one(sub: Config):
-        history, failure = _simulate_field(sub)
-        rows = [(s.time, _field_metrics(sub, s)) for s in history]
-        entries = _field_margins(sub, history, rows, failure)
-        code = _write_run_artifacts(sub, sub.out, history, rows, entries, failure)
-        if failure:
-            return code, float("nan")
-        exact = scenarios.mms_velocity(Grid(sub.grid))
-        return code, face_norm(history[-1].u - exact)
-
-    results = _fan_out([lambda s=s: one(s) for s in sub_cfgs])
-    codes = [c for c, _ in results]
-    errors = [e for _, e in results]
+    codes, errors = [], []
+    for sub in sub_cfgs:
+        grid = Grid(sub.grid)
+        run = _run_field(sub, _initial_velocity(sub, grid))
+        codes.append(run.code)
+        errors.append(float("nan") if run.failure
+                      else face_norm(run.final.u - scenarios.mms_velocity(grid)))
     fieldio.ensure_dir(cfg.out)
     fieldio.write_csv(os.path.join(cfg.out, "errors.csv"),
                       [(float(n), {"h": 1.0 / n, "error_l2": e})
@@ -285,24 +295,17 @@ def cmd_convergence(cfg: Config, quiet: bool) -> int:
 
 
 def cmd_compare(cfg: Config, quiet: bool) -> int:
-    cfg_a = replace(cfg, route="decomposed", out=os.path.join(cfg.out, "route_a"))
-    cfg_b = replace(cfg, route="direct", out=os.path.join(cfg.out, "route_b"))
-
-    def one(sub: Config):
-        history, failure = _simulate_field(sub)
-        rows = [(s.time, _field_metrics(sub, s)) for s in history]
-        entries = _field_margins(sub, history, rows, failure)
-        code = _write_run_artifacts(sub, sub.out, history, rows, entries, failure)
-        return code, history
-
-    (code_a, hist_a), (code_b, hist_b) = _fan_out(
-        [lambda: one(cfg_a), lambda: one(cfg_b)])
-    n = min(len(hist_a), len(hist_b))
+    u0 = _initial_velocity(cfg, Grid(cfg.grid))
+    run_a = _FieldRun(replace(cfg, route="decomposed", out=os.path.join(cfg.out, "route_a")))
+    run_b = _FieldRun(replace(cfg, route="direct", out=os.path.join(cfg.out, "route_b")))
     rows = []
-    for sa, sb in zip(hist_a[:n], hist_b[:n]):
-        gap = face_norm(sa.u - sb.u)
-        ref = max(face_norm(sa.u), 1e-300)
-        rows.append((sa.time, {"gap_l2": gap, "gap_rel": gap / ref}))
+    # Lockstep; a route that fails yields None from then on while the other goes on.
+    for sa, sb in zip_longest(run_a.states(u0), run_b.states(u0)):
+        if sa is not None and sb is not None:
+            gap = face_norm(sa.u - sb.u)
+            ref = max(face_norm(sa.u), 1e-300)
+            rows.append((sa.time, {"gap_l2": gap, "gap_rel": gap / ref}))
+    code_a, code_b = run_a.finish(), run_b.finish()
     fieldio.ensure_dir(cfg.out)
     if rows:
         fieldio.write_csv(os.path.join(cfg.out, "compare.csv"), rows)
@@ -324,26 +327,17 @@ def cmd_stability(cfg: Config, quiet: bool) -> int:
     direction = scenarios.perturbation_field(grid)
     labels = ["base"] + [f"eps_{i}" for i in range(len(_STABILITY_EPS))]
     fields = [base_u0] + [base_u0 + direction * e for e in _STABILITY_EPS]
-
-    def one(label, u0):
-        sub = replace(cfg, out=os.path.join(cfg.out, label))
-        history, failure = _simulate_field(sub, u0=u0)
-        rows = [(s.time, _field_metrics(sub, s)) for s in history]
-        entries = _field_margins(sub, history, rows, failure)
-        code = _write_run_artifacts(sub, sub.out, history, rows, entries, failure)
-        return code, history
-
-    results = _fan_out([lambda la=la, u=u: one(la, u)
-                        for la, u in zip(labels, fields)])
-    codes = [c for c, _ in results]
-    base_hist = results[0][1]
+    codes, finals = [], []
+    for label, u0 in zip(labels, fields):
+        run = _run_field(replace(cfg, out=os.path.join(cfg.out, label)), u0)
+        codes.append(run.code)
+        finals.append(run.final)
     entries = [("runs_completed", 1.0 if max(codes) == EXIT_OK else 0.0,
                 max(codes) == EXIT_OK)]
     fieldio.ensure_dir(cfg.out)
     if max(codes) == EXIT_OK:
-        ratios = []
-        for eps, (_, hist) in zip(_STABILITY_EPS, results[1:]):
-            ratios.append(face_norm(hist[-1].u - base_hist[-1].u) / eps)
+        ratios = [face_norm(s.u - finals[0].u) / eps
+                  for eps, s in zip(_STABILITY_EPS, finals[1:])]
         fieldio.write_csv(os.path.join(cfg.out, "ratios.csv"),
                           [(e, {"gap_ratio": r})
                            for e, r in zip(_STABILITY_EPS, ratios)])
@@ -486,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_thread_setting()
         cfg = load_config(args.config, out=args.out, seed=args.seed)
         return _DISPATCH[args.command](cfg, args.quiet)
     except ConfigError as exc:

@@ -16,6 +16,10 @@ The energy checker certifies, per step, the exact discrete ledger
 and accumulates a Gronwall-style envelope from measured per-step constants;
 every inequality used in the envelope holds for the measured quantities, so
 the envelope is a true bound for the computed trajectory, not a fit.
+
+The steppers map one state to the next; a run is
+scenarios.march(step_decomposed, jl_state(u, nu), dt, nsteps), which yields
+the states one at a time, and the energy check folds them pair by pair.
 """
 
 from __future__ import annotations
@@ -60,8 +64,8 @@ __all__ = [
     "jl_state",
     "step_decomposed",
     "step_direct",
-    "integrate",
     "check_energy_bound",
+    "EnergyLedger",
     "coercivity_probe",
     "stokes_pressure",
     "check_stokes_pressure",
@@ -196,21 +200,7 @@ def step_direct(s: JLState, dt: float) -> JLState:
     return JLState(s.time + dt, y + gphi, gp, s.nu, s.forcing)
 
 
-def integrate(state: JLState, dt: float, nsteps: int, route: str = "decomposed") -> list[JLState]:
-    """Advance nsteps and return the full history including the initial state."""
-    if route == "decomposed":
-        step = step_decomposed
-    elif route == "direct":
-        step = step_direct
-    else:
-        raise ValueError(f"unknown route {route!r} (expected 'decomposed' or 'direct')")
-    history = [state]
-    for _ in range(nsteps):
-        history.append(step(history[-1], dt))
-    return history
-
-
-def check_energy_bound(history: list[JLState]) -> DiagnosticsRecord:
+def check_energy_bound(history) -> DiagnosticsRecord:
     """Per-step energy ledger and a measured-constant Gronwall envelope.
 
     For each step the exact identity
@@ -228,83 +218,89 @@ def check_energy_bound(history: list[JLState]) -> DiagnosticsRecord:
     uses only measured quantities and a proven lower bound lambda_P for the
     gradient energy, so energies satisfy E_n <= B_n exactly (up to round-off
     of the recursion itself).
+
+    history is any iterable of decomposed-route states in time order, such
+    as a list or a march(); it is folded by an EnergyLedger, which holds
+    only the previous state.
     """
-    if len(history) < 2:
-        raise ValueError("need at least two states to check the ledger")
+    ledger = EnergyLedger()
     for s in history:
-        if not s.decomposed:
+        ledger.add(s)
+    return ledger.record()
+
+
+class EnergyLedger:
+    """The fold behind check_energy_bound: add() states in time order, then record().
+
+    add() holds only the previous state and keeps a few scalars per step;
+    record() runs the envelope recursion over them after the last step, so
+    the Poincare constant is computed only then.
+    """
+
+    def __init__(self) -> None:
+        self._prev: JLState | None = None
+        self._energies: list[float] = []
+        self._steps: list[tuple[float, ...]] = []  # dt, imbalance, c, |fhat|^2, diss, |grad zbar|^2
+
+    def add(self, s1: JLState) -> None:
+        if not s1.decomposed:
             raise ValueError("energy check requires the decomposed-route cache")
-    grid = history[0].u.grid
-    nu = history[0].nu
-    forcing = history[0].forcing
-    lam = poincare_constant(grid)
-
-    energies = [face_inner(s.v, s.v) for s in history]
-    envelope = [energies[0]]
-    imbalances = []
-    margins = []
-    c_max = 0.0
-    dissipation = 0.0
-    forcing_integral = 0.0
-    gradz_integral = 0.0
-    increase_max = 0.0
-
-    for s0, s1 in zip(history[:-1], history[1:]):
+        s0, self._prev = self._prev, s1
+        self._energies.append(face_inner(s1.v, s1.v))
+        if s0 is None:
+            return
         dt = s1.time - s0.time
         if not (dt > 0.0):
             raise ValueError("history times must increase")
         vbar = (s0.v + s1.v) * 0.5
         zbar = (s0.z + s1.z) * 0.5
         dz = (s1.z - s0.z) * (1.0 / dt)
-        f_mid = _eval_forcing(forcing, grid, s0.time + 0.5 * dt)
-        fhat = f_mid - dz
-
-        e0 = face_inner(s0.v, s0.v)
-        e1 = face_inner(s1.v, s1.v)
+        fhat = _eval_forcing(s0.forcing, s0.u.grid, s0.time + 0.5 * dt) - dz
+        e0, e1 = self._energies[-2:]
         diss = grad_inner(vbar, vbar)
-        lhs = (e1 - e0) / (2.0 * dt) + nu * diss
-
-        pair_f = face_inner(fhat, vbar)
-        pair_zz = face_inner(skew_advect(zbar, zbar), vbar)
-        pair_vz = face_inner(skew_advect(vbar, zbar), vbar)
-        pair_zv = face_inner(skew_advect(zbar, vbar), vbar)
-        adv = pair_zz + pair_vz + pair_zv
-        rhs = pair_f - adv
-        d = lhs - rhs
-        imbalances.append(d)
-        margins.append(rhs - lhs)
-
+        lhs = (e1 - e0) / (2.0 * dt) + s0.nu * diss
+        adv = (face_inner(skew_advect(zbar, zbar), vbar)
+               + face_inner(skew_advect(vbar, zbar), vbar)
+               + face_inner(skew_advect(zbar, vbar), vbar))
+        rhs = face_inner(fhat, vbar) - adv
         ebar = face_inner(vbar, vbar)
         c = abs(adv) / ebar if ebar > 0.0 else 0.0
-        c_max = max(c_max, c)
-        fh2 = face_inner(fhat, fhat)
-        q = fh2 / (nu * lam) + 2.0 * abs(d)
-        if dt * c >= 1.0:
-            raise CheckFailure(
-                f"measured advection constant {c:.3e} too large for dt {dt:.3e}; "
-                "the envelope recursion cannot certify this step")
-        envelope.append((envelope[-1] * (1.0 + dt * c) + dt * q) / (1.0 - dt * c))
+        self._steps.append((dt, lhs - rhs, c, face_inner(fhat, fhat), diss,
+                            grad_inner(zbar, zbar)))
 
-        dissipation += dt * nu * diss
-        forcing_integral += dt * fh2
-        gradz_integral += dt * grad_inner(zbar, zbar)
-        increase_max = max(increase_max, math.sqrt(e1) - math.sqrt(e0))
-
-    env_margins = [b - e for b, e in zip(envelope, energies)]
-    metrics = {
-        "energy_initial": energies[0],
-        "energy_final": energies[-1],
-        "dissipation_integral": dissipation,
-        "envelope_final": envelope[-1],
-        "envelope_margin_min": min(env_margins),
-        "imbalance_max": max(abs(d) for d in imbalances),
-        "ledger_margin_min": min(margins),
-        "advection_constant_max": c_max,
-        "forcing_integral": forcing_integral,
-        "gradz_integral": gradz_integral,
-        "energy_increase_max": increase_max,
-    }
-    return DiagnosticsRecord(history[-1].time, metrics, "ens_jl.check_energy_bound")
+    def record(self) -> DiagnosticsRecord:
+        energies, steps = self._energies, self._steps
+        if len(energies) < 2:
+            raise ValueError("need at least two states to check the ledger")
+        nu = self._prev.nu
+        lam = poincare_constant(self._prev.u.grid)
+        envelope = [energies[0]]
+        dissipation = forcing_integral = gradz_integral = 0.0
+        for dt, d, c, fh2, diss, gradz in steps:
+            if dt * c >= 1.0:
+                raise CheckFailure(
+                    f"measured advection constant {c:.3e} too large for dt {dt:.3e}; "
+                    "the envelope recursion cannot certify this step")
+            q = fh2 / (nu * lam) + 2.0 * abs(d)
+            envelope.append((envelope[-1] * (1.0 + dt * c) + dt * q) / (1.0 - dt * c))
+            dissipation += dt * nu * diss
+            forcing_integral += dt * fh2
+            gradz_integral += dt * gradz
+        metrics = {
+            "energy_initial": energies[0],
+            "energy_final": energies[-1],
+            "dissipation_integral": dissipation,
+            "envelope_final": envelope[-1],
+            "envelope_margin_min": min(b - e for b, e in zip(envelope, energies)),
+            "imbalance_max": max(abs(st[1]) for st in steps),
+            "ledger_margin_min": min(-st[1] for st in steps),
+            "advection_constant_max": max([0.0] + [st[2] for st in steps]),
+            "forcing_integral": forcing_integral,
+            "gradz_integral": gradz_integral,
+            "energy_increase_max": max([0.0] + [math.sqrt(b) - math.sqrt(a)
+                                                for a, b in zip(energies, energies[1:])]),
+        }
+        return DiagnosticsRecord(self._prev.time, metrics, "ens_jl.check_energy_bound")
 
 
 def coercivity_probe(u: VectorField) -> DiagnosticsRecord:

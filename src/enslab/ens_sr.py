@@ -20,6 +20,10 @@ the exact factor exp(-lambda dt): the per-step constant
 is the exponentially-weighted average of the instantaneous constant along any
 mass path with those endpoints, which makes the composed h-update agree with
 the Duhamel closed form exactly in the masses.
+
+The steppers map one state to the next; a run is
+scenarios.march(step_direct_sr, sr_state(u, lam, nu), dt, nsteps), which
+yields the states one at a time.
 """
 
 from __future__ import annotations
@@ -63,7 +67,6 @@ __all__ = [
     "evolve_h",
     "step_constructive",
     "step_direct_sr",
-    "integrate_sr",
     "pressure_poisson",
     "solvability_gap",
     "sr_gap_run",
@@ -310,20 +313,6 @@ def step_direct_sr(s: SRState, dt: float) -> SRState:
     up = ustar - gradient(chi)
     gp = divergence_state(gp_field, "dirichlet", s.nu, time=s.time + dt)
     return SRState(s.time + dt, up, gp, hp, s.lam, s.nu, s.forcing)
-
-
-def integrate_sr(state: SRState, dt: float, nsteps: int, route: str = "constructive") -> list[SRState]:
-    """Advance nsteps and return the full history including the initial state."""
-    if route == "constructive":
-        step = step_constructive
-    elif route == "direct":
-        step = step_direct_sr
-    else:
-        raise ValueError(f"unknown route {route!r} (expected 'constructive' or 'direct')")
-    history = [state]
-    for _ in range(nsteps):
-        history.append(step(history[-1], dt))
-    return history
 
 
 def boundary_divergence_max(s: SRState) -> float:

@@ -1,4 +1,4 @@
-"""Initial-condition and forcing presets consumed by the run drivers.
+"""Initial-condition and forcing presets, and the time march every run uses.
 
 Every preset is deterministic given (grid, parameters, seed).  The
 manufactured steady flow used for spatial-order studies is
@@ -39,6 +39,7 @@ __all__ = [
     "mms_velocity",
     "mms_forcing",
     "eigen_lift",
+    "march",
 ]
 
 IC_PRESETS = (
@@ -207,3 +208,16 @@ def forcing_spec(preset: str, amplitude: float = 1.0, nu: float = 1.0) -> Forcin
     if preset == "mms":
         return mms_forcing(nu)
     raise ValueError(f"unknown forcing preset {preset!r}")
+
+
+def march(step, state, dt: float, nsteps: int):
+    """Yield state, then each of nsteps states made by state = step(state, dt).
+
+    Only the current state is held, so a consumer that folds the states as
+    they come runs in memory independent of nsteps; list(march(...)) gives
+    the whole history.
+    """
+    yield state
+    for _ in range(nsteps):
+        state = step(state, dt)
+        yield state

@@ -33,6 +33,7 @@ from enslab.scenarios import (
     mms_forcing,
     mms_velocity,
     perturbation_field,
+    march,
     stream_vortex,
 )
 from enslab.stokes_lift import decompose, lift_with_boundary
@@ -50,16 +51,15 @@ def test_criterion_01_reduction_to_standard_equations():
     u0 = stream_vortex(grid)
     nu, dt, nsteps = 0.1, 1e-3, 500
 
-    runs = {
-        "jl_decomposed": ens_jl.integrate(
-            ens_jl.jl_state(u0, nu), dt, nsteps, "decomposed"),
-        "jl_direct": ens_jl.integrate(
-            ens_jl.jl_state(u0, nu, decomposed=False), dt, nsteps, "direct"),
-        "sr_constructive": ens_sr.integrate_sr(
-            ens_sr.sr_state(u0, 1.0, nu), dt, nsteps, "constructive"),
-        "sr_direct": ens_sr.integrate_sr(
-            ens_sr.sr_state(u0, 1.0, nu, decomposed=False), dt, nsteps, "direct"),
+    starts = {
+        "jl_decomposed": (ens_jl.step_decomposed, ens_jl.jl_state(u0, nu)),
+        "jl_direct": (ens_jl.step_direct, ens_jl.jl_state(u0, nu, decomposed=False)),
+        "sr_constructive": (ens_sr.step_constructive, ens_sr.sr_state(u0, 1.0, nu)),
+        "sr_direct": (ens_sr.step_direct_sr,
+                      ens_sr.sr_state(u0, 1.0, nu, decomposed=False)),
     }
+    runs = {label: list(march(step, s0, dt, nsteps))
+            for label, (step, s0) in starts.items()}
     worst_div = {label: max(scalar_norm(divergence(s.u)) for s in hist)
                  for label, hist in runs.items()}
     for label, value in worst_div.items():
@@ -135,7 +135,8 @@ def test_criterion_05_energy_ledger_second_order():
     horizon = 0.04
 
     def imbalance(dt):
-        hist = ens_jl.integrate(ens_jl.jl_state(u0, 0.1), dt, round(horizon / dt))
+        s0 = ens_jl.jl_state(u0, 0.1)
+        hist = list(march(ens_jl.step_decomposed, s0, dt, round(horizon / dt)))
         return ens_jl.check_energy_bound(hist)["imbalance_max"]
 
     i1, i2, i3 = imbalance(2e-3), imbalance(1e-3), imbalance(5e-4)
@@ -148,7 +149,7 @@ def test_criterion_05_energy_ledger_second_order():
 def test_criterion_06_growth_envelope_holds():
     grid = Grid(32)
     _, z0 = eigen_lift(grid, "jl", 1e-3, 1)  # v0 = 0, f = 0, small lifted start
-    hist = ens_jl.integrate(ens_jl.jl_state(z0, 0.1), 1e-3, 500)
+    hist = list(march(ens_jl.step_decomposed, ens_jl.jl_state(z0, 0.1), 1e-3, 500))
     rec = ens_jl.check_energy_bound(hist)
     margin = rec["envelope_margin_min"]
     assert margin >= -1e-12 * max(1.0, rec["envelope_final"])
@@ -160,11 +161,15 @@ def test_criterion_07_perturbation_response_is_linear():
     base = initial_velocity(grid, "jl", "eigenmode_div", eps=0.01)
     direction = perturbation_field(grid)
     nu, dt, nsteps = 0.05, 2e-3, 50
-    end_base = ens_jl.integrate(ens_jl.jl_state(base, nu), dt, nsteps)[-1].u
+
+    def end_u(u0):
+        s0 = ens_jl.jl_state(u0, nu)
+        return list(march(ens_jl.step_decomposed, s0, dt, nsteps))[-1].u
+
+    end_base = end_u(base)
     ratios = []
     for eps in (1e-3, 1e-4, 1e-5):
-        end = ens_jl.integrate(
-            ens_jl.jl_state(base + direction * eps, nu), dt, nsteps)[-1].u
+        end = end_u(base + direction * eps)
         ratios.append(face_norm(end - end_base) / eps)
     spread = max(ratios) / min(ratios) - 1.0
     assert spread <= 0.10
@@ -179,7 +184,8 @@ def test_criterion_08_solvability_gap_conserved_and_decaying():
     h0 = BoundaryTrace.constant(grid, integral(g0) / 4.0)
     z0, _ = lift_with_boundary(g0, h0)
     u0 = stream_vortex(grid) + z0
-    hist = ens_sr.integrate_sr(ens_sr.sr_state(u0, 1.0, 0.1), 1e-3, 500)
+    hist = list(march(ens_sr.step_constructive,
+                      ens_sr.sr_state(u0, 1.0, 0.1), 1e-3, 500))
     conserved = max(abs(ens_sr.solvability_gap(s.g, s.h)) for s in hist)
     assert conserved <= 1e-9
 
@@ -246,7 +252,8 @@ def test_criterion_10_spectral_system_consistency():
         shared = galerkin.reconstruct(basis, start)
         end = galerkin.integrate_galerkin(basis, start, nu, 1e-3, 0.1)[-1]
         spectral = galerkin.reconstruct(basis, end)
-        full = ens_jl.integrate(ens_jl.jl_state(shared, nu), 1e-3, 100)[-1].u
+        full = list(march(ens_jl.step_decomposed, ens_jl.jl_state(shared, nu),
+                          1e-3, 100))[-1].u
         gaps[k] = face_norm(spectral - full) / face_norm(full)
     assert gaps[8] <= 0.10
     assert gaps[16] < gaps[8]
@@ -297,9 +304,9 @@ def test_criterion_12_routes_converge_to_each_other():
     gaps = []
     for dt in (4e-3, 2e-3, 1e-3):
         n = round(horizon / dt)
-        sa = ens_jl.integrate(ens_jl.jl_state(u0, 0.1), dt, n)[-1]
-        sb = ens_jl.integrate(
-            ens_jl.jl_state(u0, 0.1, decomposed=False), dt, n, "direct")[-1]
+        sa = list(march(ens_jl.step_decomposed, ens_jl.jl_state(u0, 0.1), dt, n))[-1]
+        sb = list(march(ens_jl.step_direct,
+                        ens_jl.jl_state(u0, 0.1, decomposed=False), dt, n))[-1]
         gaps.append(face_norm(sa.u - sb.u))
     orders["jl"] = (math.log2(gaps[0] / gaps[1]), math.log2(gaps[1] / gaps[2]))
 
@@ -311,9 +318,10 @@ def test_criterion_12_routes_converge_to_each_other():
     gaps = []
     for dt in (4e-3, 2e-3, 1e-3):
         n = round(horizon / dt)
-        sc = ens_sr.integrate_sr(ens_sr.sr_state(u0, 1.0, 0.02), dt, n)[-1]
-        sd = ens_sr.integrate_sr(
-            ens_sr.sr_state(u0, 1.0, 0.02, decomposed=False), dt, n, "direct")[-1]
+        sc = list(march(ens_sr.step_constructive,
+                        ens_sr.sr_state(u0, 1.0, 0.02), dt, n))[-1]
+        sd = list(march(ens_sr.step_direct_sr,
+                        ens_sr.sr_state(u0, 1.0, 0.02, decomposed=False), dt, n))[-1]
         gaps.append(face_norm(sc.u - sd.u))
     orders["sr"] = (math.log2(gaps[0] / gaps[1]), math.log2(gaps[1] / gaps[2]))
 
@@ -334,7 +342,7 @@ def test_criterion_13_manufactured_solution_order():
         ustar = mms_velocity(grid)
         state = ens_jl.jl_state(ustar, nu, forcing=mms_forcing(nu),
                                 decomposed=False)
-        hist = ens_jl.integrate(state, dt, round(horizon / dt), "direct")
+        hist = list(march(ens_jl.step_direct, state, dt, round(horizon / dt)))
         errors.append(face_norm(hist[-1].u - ustar))
     o1 = math.log2(errors[0] / errors[1])
     o2 = math.log2(errors[1] / errors[2])

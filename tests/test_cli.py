@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from enslab import ens_jl, ens_sr
 from enslab.cli import main
+from enslab.errors import CheckFailure
 from enslab.fieldio import read_scalar, read_vector
 
 JL_RUN = """
@@ -62,6 +65,11 @@ def run_cli(tmp_path, command, text, extra=(), name="run.cfg", sub="out"):
     return code, out
 
 
+def csv_rows(path):
+    """Data rows of a diagnostics CSV (header excluded)."""
+    return open(path).read().strip().splitlines()[1:]
+
+
 class TestExitCodes:
     def test_successful_run_exits_zero(self, tmp_path):
         code, _ = run_cli(tmp_path, "run", JL_RUN)
@@ -92,6 +100,23 @@ class TestExitCodes:
         summary = open(os.path.join(out, "summary.txt")).read()
         assert "overall FAIL" in summary
         assert os.path.exists(os.path.join(out, "final_u.u.ensf"))
+
+    def test_failing_energy_ledger_still_writes_artifacts(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # inflated advection pairings make dt * c >= 1, so the envelope
+        # recursion refuses the run after it has stepped to the end
+        real = ens_jl.skew_advect
+        monkeypatch.setattr(ens_jl, "skew_advect", lambda a, b: real(a, b) * 1e12)
+        code, out = run_cli(tmp_path, "run", JL_RUN)
+        assert code == 3
+        assert "cannot certify" in capsys.readouterr().err
+        assert len(csv_rows(os.path.join(out, "diagnostics.csv"))) == 11
+        summary = open(os.path.join(out, "summary.txt")).read()
+        assert "margin run_completed = 1 PASS" in summary
+        assert "margin energy_envelope_min = -inf FAIL" in summary
+        assert "overall FAIL" in summary
+        assert os.path.exists(os.path.join(out, "final_u.u.ensf"))
+        assert os.path.exists(os.path.join(out, "final_g.ensf"))
 
     def test_usage_errors_exit_one(self):
         with pytest.raises(SystemExit) as exc:
@@ -149,11 +174,47 @@ class TestRunArtifacts:
         assert "coeff_l2" in header
 
     def test_runs_are_bit_deterministic(self, tmp_path):
-        _, out1 = run_cli(tmp_path, "run", JL_RUN, sub="out1")
-        _, out2 = run_cli(tmp_path, "run", JL_RUN, sub="out2", name="again.cfg")
-        a = open(os.path.join(out1, "diagnostics.csv"), "rb").read()
-        b = open(os.path.join(out2, "diagnostics.csv"), "rb").read()
-        assert a == b
+        outputs = {
+            "run": ["diagnostics.csv"],
+            "compare": ["compare.csv", "route_a/diagnostics.csv", "route_b/diagnostics.csv"],
+        }
+        for command, files in outputs.items():
+            _, out1 = run_cli(tmp_path, command, JL_RUN, sub=f"{command}1")
+            _, out2 = run_cli(tmp_path, command, JL_RUN, sub=f"{command}2",
+                              name="again.cfg")
+            for name in files:
+                a = open(os.path.join(out1, name), "rb").read()
+                b = open(os.path.join(out2, name), "rb").read()
+                assert a == b, f"{command}: {name}"
+
+    def test_memory_does_not_grow_with_step_count(self, tmp_path):
+        # Each extra state of a kept history would cost ~27 kB at N = 32; a
+        # streaming run keeps one row of scalars per step (~0.6 kB).
+        text = """
+        system = sr
+        route = direct
+        lambda = 2.0
+        nu = 0.1
+        dt = 1e-3
+        grid = 32
+        ic = boundary_flux
+        forcing = rotational
+        """
+
+        def peak_bytes(nsteps):
+            tracemalloc.start()
+            try:
+                code, _ = run_cli(tmp_path, "run", text + f"T = {nsteps * 1e-3:g}\n",
+                                  name=f"n{nsteps}.cfg", sub=f"n{nsteps}")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return peak
+
+        peak_bytes(2)  # builds the factor caches, which outlive a run
+        short, long = peak_bytes(20), peak_bytes(200)
+        assert long - short < 2 ** 20, (short, long)
 
     def test_seed_flag_controls_random_start(self, tmp_path):
         text = JL_RUN.replace("lift_plus_flow", "random_solenoidal")
@@ -210,6 +271,26 @@ class TestStudies:
                           GALERKIN_RUN.replace("modes = 6", "modes = 4000"))
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_compare_goes_on_when_one_route_fails(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        real = ens_sr.step_direct_sr
+
+        def fail_fourth(s, dt):
+            calls.append(s.time)
+            if len(calls) == 4:
+                raise CheckFailure("injected failure on step 4")
+            return real(s, dt)
+
+        monkeypatch.setattr(ens_sr, "step_direct_sr", fail_fourth)
+        code, out = run_cli(tmp_path, "compare", SR_RUN)
+        assert code == 3
+        assert "injected failure on step 4" in capsys.readouterr().err
+        assert len(csv_rows(os.path.join(out, "route_a", "diagnostics.csv"))) == 11
+        assert len(csv_rows(os.path.join(out, "route_b", "diagnostics.csv"))) == 4
+        assert len(csv_rows(os.path.join(out, "compare.csv"))) == 4
+        assert "overall FAIL" in open(os.path.join(out, "route_b", "summary.txt")).read()
+        assert "overall PASS" in open(os.path.join(out, "route_a", "summary.txt")).read()
 
     def test_compare_routes(self, tmp_path):
         code, out = run_cli(tmp_path, "compare", SR_RUN)
@@ -273,3 +354,11 @@ class TestThreadCap:
         code, _ = run_cli(tmp_path, "compare", SR_RUN)
         assert code == 1
         assert "ENSLAB_THREADS" in capsys.readouterr().err
+
+    def test_thread_setting_is_checked_for_every_command(self, tmp_path, monkeypatch,
+                                                          capsys):
+        monkeypatch.setenv("ENSLAB_THREADS", "two")
+        code, out = run_cli(tmp_path, "run", JL_RUN)
+        assert code == 1
+        assert "ENSLAB_THREADS" in capsys.readouterr().err
+        assert not os.path.exists(out)

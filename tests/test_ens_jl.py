@@ -17,6 +17,7 @@ from enslab.grid import (
 from enslab.heat_oracle import DivergenceState, divergence_state, heat_run
 from enslab.linsolve import unflatten_interior
 from enslab.reference import ForcingSpec, step_nse_projection
+from enslab.scenarios import march
 from enslab.stokes_lift import lift_divergence, leray_project
 from enslab import ens_jl
 
@@ -94,7 +95,7 @@ class TestStepDecomposed:
         g0, z0 = eigen_lift(g, 1e-3)
         s = ens_jl.jl_state(z0, 0.1)
         assert face_norm(s.v) <= 1e-12
-        hist = ens_jl.integrate(s, 1e-3, 30)
+        hist = list(march(ens_jl.step_decomposed, s, 1e-3, 30))
         oracle = heat_run(divergence_state(g0, "neumann", 0.1), 1e-3, 30)
         for st, o in zip(hist, oracle):
             assert scalar_norm(divergence(st.u) - o.g) <= 1e-10
@@ -220,7 +221,7 @@ class TestEnergyLedger:
     def test_unforced_divergence_free_run_decays(self):
         g = Grid(32)
         s = ens_jl.jl_state(vortex(g), 0.1)
-        hist = ens_jl.integrate(s, 1e-3, 20)
+        hist = list(march(ens_jl.step_decomposed, s, 1e-3, 20))
         rec = ens_jl.check_energy_bound(hist)
         assert rec["energy_increase_max"] <= 1e-10
         assert rec["envelope_margin_min"] >= -1e-12 * max(1.0, rec["envelope_final"])
@@ -231,7 +232,7 @@ class TestEnergyLedger:
         u1 = vortex(g) + z0
 
         def imbalance(dt, n):
-            hist = ens_jl.integrate(ens_jl.jl_state(u1, 0.1), dt, n)
+            hist = list(march(ens_jl.step_decomposed, ens_jl.jl_state(u1, 0.1), dt, n))
             return ens_jl.check_energy_bound(hist)["imbalance_max"]
 
         i1 = imbalance(2e-3, 10)
@@ -241,7 +242,7 @@ class TestEnergyLedger:
     def test_envelope_bounds_energy_for_pure_lift_data(self):
         g = Grid(32)
         g0, z0 = eigen_lift(g, 1e-3)
-        hist = ens_jl.integrate(ens_jl.jl_state(z0, 0.1), 1e-3, 50)
+        hist = list(march(ens_jl.step_decomposed, ens_jl.jl_state(z0, 0.1), 1e-3, 50))
         rec = ens_jl.check_energy_bound(hist)
         assert rec["energy_final"] <= rec["envelope_final"]
         assert rec["envelope_margin_min"] >= -1e-12 * max(1.0, rec["envelope_final"])

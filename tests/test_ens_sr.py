@@ -21,6 +21,7 @@ from enslab.grid import (
 )
 from enslab.heat_oracle import divergence_state
 from enslab.reference import ForcingSpec, step_nse_projection
+from enslab.scenarios import march
 from enslab.stokes_lift import lift_with_boundary
 from enslab import ens_sr
 from enslab.ens_sr import (
@@ -32,7 +33,6 @@ from enslab.ens_sr import (
     duhamel_closed_form,
     duhamel_quadrature,
     evolve_h,
-    integrate_sr,
     pressure_poisson,
     solvability_gap,
     sr_gap_run,
@@ -379,16 +379,10 @@ class TestIntegrateSR:
     def test_history_includes_initial_state(self):
         g = Grid(16)
         s = sr_state(through_flow(g), 1.0, 0.02)
-        hist = integrate_sr(s, 1e-2, 3, route="constructive")
+        hist = list(march(step_constructive, s, 1e-2, 3))
         assert len(hist) == 4
         assert hist[0] is s
         assert abs(hist[-1].time - 3e-2) <= 1e-12
-
-    def test_rejects_unknown_route(self):
-        g = Grid(16)
-        s = sr_state(through_flow(g), 1.0, 0.02)
-        with pytest.raises(ValueError):
-            integrate_sr(s, 1e-2, 1, route="magic")
 
 
 class TestGapSubsystem:

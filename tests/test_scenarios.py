@@ -18,6 +18,7 @@ from enslab.scenarios import (
     eigen_lift,
     forcing_spec,
     initial_velocity,
+    march,
     mms_forcing,
     mms_velocity,
     perturbation_field,
@@ -25,6 +26,23 @@ from enslab.scenarios import (
 )
 
 GRID = Grid(16)
+
+
+class TestMarch:
+    def test_yields_initial_state_then_each_step(self):
+        assert list(march(lambda s, dt: s + dt, 1.0, 0.25, 3)) == [1.0, 1.25, 1.5, 1.75]
+        assert list(march(lambda s, dt: s + dt, 1.0, 0.25, 0)) == [1.0]
+
+    def test_steps_only_when_asked(self):
+        calls = []
+
+        def step(s, dt):
+            calls.append(s)
+            return s + 1
+
+        states = march(step, 0, 1.0, 5)
+        assert next(states) == 0 and calls == []
+        assert next(states) == 1 and calls == [0]
 
 
 class TestRegistry:
@@ -159,13 +177,13 @@ class TestManufactured:
 
     def test_forcing_holds_flow_steady(self):
         # one viscous-advective step of the governed flow barely moves it
-        from enslab.ens_jl import integrate, jl_state
+        from enslab.ens_jl import jl_state, step_direct
 
         grid = Grid(32)
         u0 = mms_velocity(grid)
         nu = 0.05
         state = jl_state(u0, nu, forcing=mms_forcing(nu), decomposed=False)
-        hist = integrate(state, dt=1e-3, nsteps=10, route="direct")
+        hist = list(march(step_direct, state, 1e-3, 10))
         drift = face_norm(hist[-1].u - u0)
         assert drift <= 5e-3 * face_norm(u0)
 
