@@ -37,7 +37,7 @@ from .grid import (
     normal_trace,
     scalar_norm,
 )
-from .heat_oracle import check_heat_estimates, divergence_state, heat_run
+from .heat_oracle import HeatEstimates, divergence_state, heat_step
 from .stokes_lift import decompose
 
 __all__ = ["main"]
@@ -378,20 +378,22 @@ def cmd_heat(cfg: Config, quiet: bool) -> int:
     grid = Grid(cfg.grid)
     bc = "neumann" if cfg.system == "jl" else "dirichlet"
     g0 = scenarios.eigen_divergence(grid, cfg.system, cfg.ic_eps, cfg.ic_mode)
-    history = heat_run(divergence_state(g0, bc, cfg.nu), cfg.dt, cfg.nsteps)
-    rows = [(s.time, norms(s.g, s.time).metrics) for s in history]
+    estimates = HeatEstimates()
+    rows = []
+    for final in scenarios.march(heat_step, divergence_state(g0, bc, cfg.nu), cfg.dt, cfg.nsteps):
+        rows.append((final.time, norms(final.g, final.time).metrics))
+        estimates.add(final)
     fieldio.ensure_dir(cfg.out)
     fieldio.write_csv(os.path.join(cfg.out, "diagnostics.csv"), rows)
-    final = history[-1]
     fieldio.write_scalar(os.path.join(cfg.out, "final_g.ensf"), final.g, final.time)
-    times = [s.time for s in history]
+    times = [t for t, _ in rows]
     values = [m["l2"] for _, m in rows]
     rate = fit_decay_rate(times, values)
     analytic = -2.0 * cfg.nu * (cfg.ic_mode * math.pi) ** 2
     rel = abs(rate / analytic - 1.0)
     _say(quiet, f"fitted decay rate {rate:.6f} vs analytic {analytic:.6f} "
                 f"(relative gap {rel:.2e})")
-    rec = check_heat_estimates(history)
+    rec = estimates.record()
     g0_norm = rec["initial_l2"]
     entries = [
         ("decay_rate_within_1pct", 0.01 - rel, rel <= 0.01),

@@ -47,14 +47,13 @@ from .grid import (
     vector_laplacian,
 )
 from .heat_oracle import DivergenceState, divergence_state, heat_step
-from .linsolve import heat_solver, neumann_poisson
+from .linsolve import generalized_stokes, heat_solver, neumann_poisson
 from .reference import (
     ForcingSpec,
     _eval_forcing,
     cfl_check,
     perturbed_heun_step,
     poincare_constant,
-    projected_viscous_solve,
 )
 from .stokes_lift import decompose, leray_project, lift_divergence
 
@@ -72,7 +71,6 @@ __all__ = [
 ]
 
 _DIV_MATCH_RTOL = 1e-7
-_LIFT_TOL = 1e-12
 
 
 def _lift_floor(u: VectorField) -> float:
@@ -146,7 +144,7 @@ def _advance_lift(state: JLState, gp: DivergenceState):
     grid = state.u.grid
     if scalar_norm(gp.g) <= _lift_floor(state.u):
         return VectorField.zeros(grid), ScalarField.zeros(grid)
-    z, q = lift_divergence(gp.g, tol=_LIFT_TOL)
+    z, q = lift_divergence(gp.g)
     return z, q
 
 
@@ -166,7 +164,7 @@ def step_decomposed(s: JLState, dt: float) -> JLState:
     gp = heat_step(s.g, dt)
     zp, qp = _advance_lift(s, gp)
     f_mid = _eval_forcing(s.forcing, s.u.grid, s.time + 0.5 * dt)
-    vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, f_mid, tol=1e-12)
+    vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, f_mid)
     return JLState(s.time + dt, vp + zp, gp, s.nu, s.forcing, vp, zp, qp)
 
 
@@ -195,7 +193,7 @@ def step_direct(s: JLState, dt: float) -> JLState:
     gphi = gradient(phi)
     lap_gphi = vector_laplacian(gphi, "noslip")
     rhs = u + (f - a) * dt + lap_gphi * (s.nu * dt)
-    y = projected_viscous_solve(grid, s.nu * dt, rhs, tol=1e-12)
+    y, _, _ = generalized_stokes(grid, 1.0, s.nu * dt).solve(rhs)
     gp = DivergenceState(gp_field, s.time + dt, "neumann", s.nu, s.g.m0)
     return JLState(s.time + dt, y + gphi, gp, s.nu, s.forcing)
 

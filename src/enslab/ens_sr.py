@@ -54,7 +54,7 @@ from .grid import (
     with_normal_trace,
 )
 from .heat_oracle import DivergenceState, divergence_state, heat_step
-from .linsolve import heat_solver, neumann_poisson, noslip_helmholtz
+from .linsolve import NoslipHelmholtz, heat_solver, neumann_poisson
 from .reference import ForcingSpec, _eval_forcing, cfl_check, perturbed_heun_step
 from .stokes_lift import lift_with_boundary
 
@@ -76,7 +76,6 @@ __all__ = [
 ]
 
 _PERIMETER = 4.0
-_LIFT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,7 @@ def sr_state(u: VectorField, lam: float, nu: float, forcing: ForcingSpec | None 
     if scalar_norm(g.g) <= _lift_floor(u) and h.trace.max_abs() <= 1e-12 * max(1.0, u.max_abs()):
         return SRState(time, u, g, h, lam, nu, forcing,
                        u, VectorField.zeros(u.grid), ScalarField.zeros(u.grid))
-    z, q = lift_with_boundary(g.g, h.trace, tol=_LIFT_TOL)
+    z, q = lift_with_boundary(g.g, h.trace)
     return SRState(time, u, g, h, lam, nu, forcing, u - z, z, q)
 
 
@@ -236,9 +235,9 @@ def step_constructive(s: SRState, dt: float) -> SRState:
     if scalar_norm(gp.g) <= _lift_floor(s.u) and hp.trace.max_abs() <= 1e-12 * max(1.0, s.u.max_abs()):
         zp, qp = VectorField.zeros(s.u.grid), ScalarField.zeros(s.u.grid)
     else:
-        zp, qp = lift_with_boundary(gp.g, hp.trace, tol=_LIFT_TOL)
+        zp, qp = lift_with_boundary(gp.g, hp.trace)
     f_mid = _eval_forcing(s.forcing, s.u.grid, s.time + 0.5 * dt)
-    vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, f_mid, tol=1e-12)
+    vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, f_mid)
     gap_plus = solvability_gap(gp, hp)
     if abs(gap_plus) > math.exp(-s.lam * dt) * abs(gap) + 1e-9 * scale:
         raise CheckFailure(
@@ -308,7 +307,7 @@ def step_direct_sr(s: SRState, dt: float) -> SRState:
     gp_field = ScalarField(grid, gp_vals)
     cbar = _step_average_constant(integral(du), integral(gp_field), s.lam, dt)
     hp = evolve_h(s.h, cbar, s.lam, dt)
-    ustar = noslip_helmholtz(grid, s.nu * dt).solve(u + (f - a) * dt, trace=hp.trace)
+    ustar = NoslipHelmholtz(grid, s.nu * dt).solve(u + (f - a) * dt, trace=hp.trace)
     chi = neumann_poisson(grid).solve(divergence(ustar) - gp_field)
     up = ustar - gradient(chi)
     gp = divergence_state(gp_field, "dirichlet", s.nu, time=s.time + dt)

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .advection import skew_advect, trilinear
 from .diagnostics import DiagnosticsRecord
@@ -43,6 +42,7 @@ from .grid import (
     vector_laplacian,
 )
 from .linsolve import (
+    divergence_matrix,
     laplacian_neumann_matrix,
     noslip_viscous_matrix,
     unflatten_interior,
@@ -135,33 +135,11 @@ class GalerkinState:
         return int(self.coeffs.size)
 
 
-def _divergence_matrix(grid: Grid) -> sp.csr_matrix:
-    """Euclidean divergence matrix on the interior-face unknown vector."""
-    nx, ny, h = grid.nx, grid.ny, grid.h
-    n_u = (nx - 1) * ny
-    iu, ju = np.meshgrid(np.arange(1, nx), np.arange(ny), indexing="ij")
-    cu = ((iu - 1) * ny + ju).ravel()
-    rows_u_plus = ((iu - 1) * ny + ju).ravel()
-    rows_u_minus = (iu * ny + ju).ravel()
-    iv, jv = np.meshgrid(np.arange(nx), np.arange(1, ny), indexing="ij")
-    cv = n_u + (iv * (ny - 1) + (jv - 1)).ravel()
-    rows_v_plus = (iv * ny + (jv - 1)).ravel()
-    rows_v_minus = (iv * ny + jv).ravel()
-    rows = np.concatenate([rows_u_plus, rows_u_minus, rows_v_plus, rows_v_minus])
-    cols = np.concatenate([cu, cu, cv, cv])
-    data = np.concatenate([
-        np.full(cu.size, 1.0 / h), np.full(cu.size, -1.0 / h),
-        np.full(cv.size, 1.0 / h), np.full(cv.size, -1.0 / h),
-    ])
-    n = n_u + nx * (ny - 1)
-    return sp.coo_matrix((data, (rows, cols)), shape=(nx * ny, n)).tocsr()
-
-
 def _leray_matrix(grid: Grid) -> np.ndarray:
     """Dense matrix of the discrete Leray projector on interior faces."""
     import scipy.sparse.linalg as spla
 
-    D = _divergence_matrix(grid)
+    D = divergence_matrix(grid)
     mat = laplacian_neumann_matrix(grid).tolil()
     mat[0, :] = 0.0
     mat[0, 0] = 1.0

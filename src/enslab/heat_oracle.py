@@ -24,8 +24,8 @@ from .errors import CheckFailure
 from .grid import ScalarField, integral, scalar_grad_inner, scalar_norm
 from .linsolve import heat_solver
 
-__all__ = ["DivergenceState", "divergence_state", "heat_step", "heat_run",
-           "check_heat_estimates"]
+__all__ = ["DivergenceState", "divergence_state", "heat_step",
+           "check_heat_estimates", "HeatEstimates"]
 
 _MASS_TOL = 1e-12
 
@@ -71,17 +71,6 @@ def heat_step(s: DivergenceState, dt: float) -> DivergenceState:
     return DivergenceState(g=out, time=s.time + dt, bc=s.bc, nu=s.nu, m0=s.m0)
 
 
-def heat_run(s: DivergenceState, dt: float, nsteps: int) -> list:
-    """History [s, step(s), ...] of nsteps Crank-Nicolson steps."""
-    if nsteps < 0:
-        raise ValueError("nsteps must be nonnegative")
-    out = [s]
-    for _ in range(nsteps):
-        s = heat_step(s, dt)
-        out.append(s)
-    return out
-
-
 def check_heat_estimates(history) -> DiagnosticsRecord:
     """Margins of the a-priori estimates along a fixed-step history.
 
@@ -91,43 +80,68 @@ def check_heat_estimates(history) -> DiagnosticsRecord:
     Reported only (the discrete dual-norm realization is a documented choice,
     not canonical):
       dual-rate:  sqrt(nu/2) ||g0|| - sqrt(integral of ||dg/dt||_dual^2)
+
+    history is any iterable of states in time order, such as a list or a
+    march(); it is folded by a HeatEstimates, which holds only the previous
+    state.
     """
-    history = list(history)
-    if not history:
-        raise ValueError("check_heat_estimates: empty history")
-    bc = history[0].bc
-    nu = history[0].nu
+    estimates = HeatEstimates()
     for s in history:
-        if s.bc != bc or s.nu != nu:
-            raise ValueError("check_heat_estimates: mixed bc or viscosity in history")
-    times = np.array([s.time for s in history])
-    l2 = np.array([scalar_norm(s.g) for s in history])
-    grad_energy = np.array([max(scalar_grad_inner(s.g, s.g, bc), 0.0) for s in history])
-    g0 = l2[0]
-    sup_margin = g0 - l2.max()
-    if len(history) > 1:
-        grad_integral = float(np.trapezoid(grad_energy, times))
-    else:
-        grad_integral = 0.0
-    grad_margin = g0 / math.sqrt(2.0 * nu) - math.sqrt(max(grad_integral, 0.0))
-    metrics = {
-        "initial_l2": g0,
-        "max_l2": float(l2.max()),
-        "final_l2": float(l2[-1]),
-        "grad_energy_integral": grad_integral,
-        "sup_margin": sup_margin,
-        "grad_margin": grad_margin,
-        "sup_ok": 1.0 if passes(sup_margin, g0) else 0.0,
-        "grad_ok": 1.0 if passes(grad_margin, g0) else 0.0,
-    }
-    if len(history) > 1:
-        rate_sq = 0.0
-        for a, b in zip(history[:-1], history[1:]):
-            dt = b.time - a.time
+        estimates.add(s)
+    return estimates.record()
+
+
+class HeatEstimates:
+    """The fold behind check_heat_estimates: add() states in time order, then record().
+
+    add() holds only the previous state and keeps three scalars per state.
+    """
+
+    def __init__(self) -> None:
+        self._prev: DivergenceState | None = None
+        self._times: list[float] = []
+        self._l2: list[float] = []
+        self._grad_energy: list[float] = []
+        self._rate_sq = 0.0
+
+    def add(self, s: DivergenceState) -> None:
+        a, self._prev = self._prev, s
+        if a is not None:
+            if s.bc != a.bc or s.nu != a.nu:
+                raise ValueError("check_heat_estimates: mixed bc or viscosity in history")
+            dt = s.time - a.time
             if dt <= 0:
                 raise ValueError("check_heat_estimates: non-increasing times")
-            dg = ScalarField(a.g.grid, (b.g.values - a.g.values) / dt)
-            rate_sq += htilde_norm(dg) ** 2 * dt
-        metrics["dual_rate_margin"] = math.sqrt(nu / 2.0) * g0 - math.sqrt(rate_sq)
-    return DiagnosticsRecord(time=float(times[-1]), metrics=metrics,
-                             provenance="check_heat_estimates")
+            dg = ScalarField(a.g.grid, (s.g.values - a.g.values) / dt)
+            self._rate_sq += htilde_norm(dg) ** 2 * dt
+        self._times.append(s.time)
+        self._l2.append(scalar_norm(s.g))
+        self._grad_energy.append(max(scalar_grad_inner(s.g, s.g, s.bc), 0.0))
+
+    def record(self) -> DiagnosticsRecord:
+        if self._prev is None:
+            raise ValueError("check_heat_estimates: empty history")
+        nu = self._prev.nu
+        times = np.array(self._times)
+        l2 = np.array(self._l2)
+        g0 = l2[0]
+        sup_margin = g0 - l2.max()
+        if len(times) > 1:
+            grad_integral = float(np.trapezoid(np.array(self._grad_energy), times))
+        else:
+            grad_integral = 0.0
+        grad_margin = g0 / math.sqrt(2.0 * nu) - math.sqrt(max(grad_integral, 0.0))
+        metrics = {
+            "initial_l2": g0,
+            "max_l2": float(l2.max()),
+            "final_l2": float(l2[-1]),
+            "grad_energy_integral": grad_integral,
+            "sup_margin": sup_margin,
+            "grad_margin": grad_margin,
+            "sup_ok": 1.0 if passes(sup_margin, g0) else 0.0,
+            "grad_ok": 1.0 if passes(grad_margin, g0) else 0.0,
+        }
+        if len(times) > 1:
+            metrics["dual_rate_margin"] = math.sqrt(nu / 2.0) * g0 - math.sqrt(self._rate_sq)
+        return DiagnosticsRecord(time=float(times[-1]), metrics=metrics,
+                                 provenance="check_heat_estimates")

@@ -1,16 +1,25 @@
-"""Sparse symmetric linear solvers shared by every elliptic subproblem.
+"""Linear solvers shared by every elliptic subproblem.
 
 Contents
 --------
-* ``SparseOperator`` / ``SolveReport`` / ``cg_solve``: conjugate gradient with
-  optional null-space deflation and breakdown reporting.
-* Cached sparse factorizations (SuperLU) of the fixed operators: scalar
-  Laplacians, heat/Helmholtz matrices, the no-slip viscous block.
-* ``NeumannPoisson``: the singular zero-flux Poisson solve, made definite by
-  pinning one cell; exact for compatible right-hand sides.
-* ``stokes_solve``: Schur-complement (Uzawa-CG) solver for the stationary
-  Stokes system with prescribed divergence and wall-normal velocity data.
-* ``dense_stokes_solve``: direct bordered-matrix oracle for small grids.
+* Assembled operators on the interior-face and cell vectors: the scalar
+  Laplacians, the no-slip viscous block K = -Lap_noslip and the divergence D;
+  the gradient is G = -D^T.
+* Cached sparse factorizations (SuperLU) of the scalar operators: the
+  zero-flux ``NeumannPoisson`` solve (pinned at one cell, exact for
+  compatible right-hand sides), the heat matrices and the dual-norm
+  realization.
+* ``GeneralizedStokes``: (alpha I + c K) u + G p = f, D u = g with wall-normal
+  velocity data.  Preconditioned conjugate gradient on the pressure Schur
+  complement D (alpha I + c K)^{-1} D^T with the Cahouet-Chabard
+  preconditioner c I + alpha (-Lap_N)^{-1}; the velocity block is inverted
+  exactly by diagonalizing it in the eigenbases of the 1-D Dirichlet
+  tridiagonals (two small dense eigensolves per grid, four matrix products
+  per component per solve).  alpha = 0 is the stationary Stokes lift,
+  alpha = 1 the viscous step on the divergence-free subspace.
+* ``NoslipHelmholtz``: the velocity block alone at alpha = 1, with wall data.
+* ``dense_stokes_solve``: direct bordered-matrix oracle for small grids, the
+  reference the tests compare against.
 
 All solvers are reentrant: a solve owns its workspace, and the factor cache
 is append-only keyed by immutable tuples.
@@ -18,6 +27,7 @@ is append-only keyed by immutable tuples.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -32,140 +42,36 @@ from .grid import (
     ScalarField,
     VectorField,
     divergence,
-    gradient,
     integral,
     scalar_norm,
 )
 
 __all__ = [
-    "SparseOperator",
+    "STOKES_TOL",
+    "STOKES_MAX_ITER",
     "SolveReport",
-    "cg_solve",
+    "GeneralizedStokes",
+    "generalized_stokes",
     "NeumannPoisson",
     "neumann_poisson",
     "htilde_solver",
     "heat_solver",
     "NoslipHelmholtz",
-    "noslip_helmholtz",
     "flatten_interior",
     "unflatten_interior",
-    "stokes_solve",
     "dense_stokes_solve",
+    "divergence_matrix",
     "laplacian_neumann_matrix",
     "laplacian_dirichlet_matrix",
     "noslip_viscous_matrix",
 ]
 
-
-# ---------------------------------------------------------------------------
-# Operator and report types
-# ---------------------------------------------------------------------------
-
-class SparseOperator:
-    """Symmetric linear operator given by a callback or an explicit matrix."""
-
-    def __init__(self, n, apply=None, matrix=None, symmetric=True, nullspace=None):
-        if (apply is None) == (matrix is None):
-            raise ValueError("provide exactly one of apply/matrix")
-        self.n = int(n)
-        self._matrix = matrix
-        self._apply = apply if apply is not None else (lambda x: matrix @ x)
-        self.symmetric = bool(symmetric)
-        basis = []
-        for vec in nullspace or []:
-            w = np.array(vec, dtype=np.float64).ravel()
-            for b in basis:
-                w = w - np.dot(b, w) * b
-            nw = np.linalg.norm(w)
-            if nw > 0:
-                basis.append(w / nw)
-        self.nullspace = basis
-
-    @classmethod
-    def from_matrix(cls, matrix, nullspace=None, symmetric=True):
-        return cls(matrix.shape[0], matrix=matrix, symmetric=symmetric, nullspace=nullspace)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._apply(x)
-
-    def deflate(self, x: np.ndarray) -> np.ndarray:
-        for b in self.nullspace:
-            x = x - np.dot(b, x) * b
-        return x
-
-    def verify(self, rng=None, probes: int = 3, tol: float = 1e-12) -> None:
-        """Check symmetry on random probes and the declared null space."""
-        rng = rng or np.random.default_rng(0)
-        if self.symmetric:
-            for _ in range(probes):
-                x = rng.standard_normal(self.n)
-                y = rng.standard_normal(self.n)
-                axy = np.dot(self.apply(x), y)
-                xay = np.dot(x, self.apply(y))
-                scale = max(abs(axy), abs(xay), 1e-300)
-                if abs(axy - xay) > tol * scale:
-                    raise SolverError(f"operator not symmetric: |<Ax,y>-<x,Ay>| = {abs(axy - xay):.3e}")
-        for b in self.nullspace:
-            if np.linalg.norm(self.apply(b)) > tol * max(np.linalg.norm(b), 1e-300) * self.n:
-                raise SolverError("declared null-space vector is not annihilated")
-
-
-@dataclass(frozen=True)
-class SolveReport:
-    iterations: int
-    residual: float
-    converged: bool
-    breakdown: bool = False
-
-
-def cg_solve(A: SparseOperator, b: np.ndarray, tol: float = 1e-10,
-             max_iter: int | None = None, x0: np.ndarray | None = None,
-             callback=None):
-    """Conjugate gradient for symmetric positive (semi-)definite operators.
-
-    For semi-definite operators the declared null space is deflated from the
-    right-hand side and from every iterate.  Breakdown (non-positive
-    curvature) stops the iteration and is flagged in the report, never
-    silently ignored.  ``callback(x)``, if given, sees every iterate.
-    Returns ``(x, SolveReport)``.
-    """
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if not np.isfinite(b).all():
-        raise SolverError("cg_solve: non-finite right-hand side")
-    if max_iter is None:
-        max_iter = max(10 * A.n, 100)
-    b = A.deflate(b)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(A.n), SolveReport(0, 0.0, True)
-    x = np.zeros(A.n) if x0 is None else A.deflate(np.array(x0, dtype=np.float64).ravel())
-    r = b - A.apply(x) if x0 is not None else b.copy()
-    r = A.deflate(r)
-    p = r.copy()
-    rr = np.dot(r, r)
-    it = 0
-    while it < max_iter:
-        if np.sqrt(rr) <= tol * bnorm:
-            return x, SolveReport(it, float(np.sqrt(rr) / bnorm), True)
-        ap = A.apply(p)
-        if not np.isfinite(ap).all():
-            raise SolverError("cg_solve: operator produced non-finite values")
-        pap = np.dot(p, ap)
-        if pap <= 0.0:
-            return x, SolveReport(it, float(np.sqrt(rr) / bnorm), False, breakdown=True)
-        alpha = rr / pap
-        x = x + alpha * p
-        r = r - alpha * ap
-        if A.nullspace:
-            x = A.deflate(x)
-            r = A.deflate(r)
-        if callback is not None:
-            callback(x)
-        rr_new = np.dot(r, r)
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-        it += 1
-    return x, SolveReport(it, float(np.sqrt(rr) / bnorm), np.sqrt(rr) <= tol * bnorm)
+# Relative divergence residual at which a generalized-Stokes solve stops,
+# and its iteration cap.  The Schur iteration count is nearly independent of
+# h, alpha and c (12-20 for N = 64..256), so the cap is reached only by a
+# solve that has stopped converging.
+STOKES_TOL = 1e-12
+STOKES_MAX_ITER = 100
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +122,28 @@ def noslip_viscous_matrix(grid: Grid) -> sp.csr_matrix:
     av = sp.kron(_t_dirichlet_cell(nx, h), sp.identity(ny - 1)) + sp.kron(
         sp.identity(nx), _t_dirichlet_node(ny, h))
     return (-sp.block_diag([au, av])).tocsr()
+
+
+def divergence_matrix(grid: Grid) -> sp.csr_matrix:
+    """Divergence D on the interior-face vector; the gradient is -D^T."""
+    nx, ny, h = grid.nx, grid.ny, grid.h
+    n_u = (nx - 1) * ny
+    iu, ju = np.meshgrid(np.arange(1, nx), np.arange(ny), indexing="ij")
+    cu = ((iu - 1) * ny + ju).ravel()
+    rows_u_plus = ((iu - 1) * ny + ju).ravel()
+    rows_u_minus = (iu * ny + ju).ravel()
+    iv, jv = np.meshgrid(np.arange(nx), np.arange(1, ny), indexing="ij")
+    cv = n_u + (iv * (ny - 1) + (jv - 1)).ravel()
+    rows_v_plus = (iv * ny + (jv - 1)).ravel()
+    rows_v_minus = (iv * ny + jv).ravel()
+    rows = np.concatenate([rows_u_plus, rows_u_minus, rows_v_plus, rows_v_minus])
+    cols = np.concatenate([cu, cu, cv, cv])
+    data = np.concatenate([
+        np.full(cu.size, 1.0 / h), np.full(cu.size, -1.0 / h),
+        np.full(cv.size, 1.0 / h), np.full(cv.size, -1.0 / h),
+    ])
+    n = n_u + nx * (ny - 1)
+    return sp.coo_matrix((data, (rows, cols)), shape=(nx * ny, n)).tocsr()
 
 
 def flatten_interior(w: VectorField) -> np.ndarray:
@@ -333,6 +261,140 @@ def heat_solver(grid: Grid, a: float, bc: str, theta: str = "cn"):
     return _cached(key, build)
 
 
+# ---------------------------------------------------------------------------
+# Generalized Stokes solver (Schur CG with a separable velocity solve)
+# ---------------------------------------------------------------------------
+
+def _tridiagonal_eigh(n: int, h: float, node: bool):
+    """Eigenpairs of the 1-D Dirichlet tridiagonal on nodes or on cells."""
+    def build():
+        t = _t_dirichlet_node(n, h) if node else _t_dirichlet_cell(n, h)
+        return np.linalg.eigh(t.toarray())
+    return _cached(("tridiagonal_eigh", n, h, node), build)
+
+
+def _diagonalized_solve(b: np.ndarray, qx: np.ndarray, qy: np.ndarray,
+                        inv: np.ndarray) -> np.ndarray:
+    """Solve a separable block given by its eigenbases and inverse eigenvalues."""
+    return (qx @ ((qx.T @ b.reshape(inv.shape) @ qy) * inv) @ qy.T).ravel()
+
+
+@dataclass(frozen=True)
+class SolveReport:
+    iterations: int
+    residual: float
+
+
+class GeneralizedStokes:
+    """Solver for (alpha I + c K) u + G p = f, D u = g with wall-normal data.
+
+    K is minus the no-slip vector Laplacian on interior faces.  Both of its
+    blocks are Kronecker sums of 1-D Dirichlet tridiagonals, so
+    (alpha I + c K)^{-1} is applied exactly in their eigenbases (Lynch, Rice
+    and Thomas 1964).  The pressure solves the Schur complement system
+    D (alpha I + c K)^{-1} D^T p = rhs by conjugate gradient, preconditioned
+    with c I + alpha (-Lap_N)^{-1} (Cahouet and Chabard 1988); the iterate
+    carries its velocity along, so the momentum equation holds at every
+    iteration and the CG residual is the divergence residual.
+    """
+
+    def __init__(self, grid: Grid, alpha: float, c: float):
+        self.grid = grid
+        self.alpha = float(alpha)
+        self.c = float(c)
+        if not (self.alpha >= 0.0 and self.c >= 0.0 and 0.0 < self.alpha + self.c < math.inf):
+            raise ValueError(f"need alpha, c >= 0 with alpha + c > 0 and finite, "
+                             f"got alpha = {alpha!r}, c = {c!r}")
+        lxn, qxn = _tridiagonal_eigh(grid.nx, grid.h, True)
+        lxc, qxc = _tridiagonal_eigh(grid.nx, grid.h, False)
+        lyn, qyn = _tridiagonal_eigh(grid.ny, grid.h, True)
+        lyc, qyc = _tridiagonal_eigh(grid.ny, grid.h, False)
+        self._u_block = (qxn, qyc, 1.0 / (self.alpha - self.c * (lxn[:, None] + lyc[None, :])))
+        self._v_block = (qxc, qyn, 1.0 / (self.alpha - self.c * (lxc[:, None] + lyn[None, :])))
+        self._n_u = (grid.nx - 1) * grid.ny
+        self._d = divergence_matrix(grid)
+        self._dt = self._d.T.tocsr()
+        self._poisson = neumann_poisson(grid) if self.alpha > 0.0 else None
+
+    def velocity_solve(self, b: np.ndarray) -> np.ndarray:
+        """(alpha I + c K)^{-1} b on the interior-face vector."""
+        n_u = self._n_u
+        return np.concatenate([_diagonalized_solve(b[:n_u], *self._u_block),
+                               _diagonalized_solve(b[n_u:], *self._v_block)])
+
+    def _precondition(self, r: np.ndarray) -> np.ndarray:
+        z = self.c * r
+        if self._poisson is not None:
+            z -= self.alpha * self._poisson.solve_values(r).ravel()
+        return z
+
+    def solve(self, f: VectorField | None = None, g: ScalarField | None = None,
+              trace: BoundaryTrace | None = None):
+        """Solve with body force f, divergence g and outward wall-normal velocity trace.
+
+        Missing data is zero.  Returns (u, p, SolveReport): u carries the
+        wall data, p is mean-zero, and the report gives the iterations and
+        the divergence residual relative to max(||g'||, ||g' - D u0||), where
+        g' is g less the wall flux and u0 the velocity at p = 0.  The
+        momentum equation holds to round-off.  Raises SolverError when the
+        data is not finite or the residual does not reach STOKES_TOL within
+        STOKES_MAX_ITER iterations.
+        """
+        grid = self.grid
+        b = np.zeros(self._dt.shape[0]) if f is None else flatten_interior(f)
+        rhs = np.zeros(grid.nx * grid.ny)
+        if g is not None or trace is not None:
+            g = ScalarField.zeros(grid) if g is None else g
+            trace = BoundaryTrace.zeros(grid) if trace is None else trace
+            _check_compatibility(g, trace)
+            b = b + self.c * _wall_rhs(grid, trace)
+            walls = unflatten_interior(grid, np.zeros(b.size), trace)
+            rhs = (g.values - divergence(walls).values).ravel()
+        x = self.velocity_solve(b)
+        r = rhs - self._d @ x
+        norms = (np.linalg.norm(rhs), np.linalg.norm(r))
+        if not np.isfinite(norms).all():
+            raise SolverError("generalized Stokes solve: non-finite data")
+        scale = max(norms)
+        r -= r.mean()
+        p = np.zeros_like(r)
+        res = np.linalg.norm(r)
+        it = 0
+        if res > STOKES_TOL * scale:
+            d = self._precondition(r)
+            rz = r @ d
+            for it in range(1, STOKES_MAX_ITER + 1):
+                w = self.velocity_solve(self._dt @ d)
+                sd = self._d @ w
+                dsd = d @ sd
+                if not dsd > 0.0:
+                    raise SolverError(
+                        f"generalized Stokes solve broke down at iteration {it} "
+                        f"(curvature {dsd:.3e}, residual {res / scale:.3e})")
+                a = rz / dsd
+                p += a * d
+                x += a * w
+                r -= a * sd
+                res = np.linalg.norm(r)
+                if res <= STOKES_TOL * scale:
+                    break
+                z = self._precondition(r)
+                rz, rz_old = r @ z, rz
+                d = z + (rz / rz_old) * d
+            else:
+                raise SolverError(
+                    f"generalized Stokes solve did not converge: {it} iterations, "
+                    f"residual {res / scale:.3e} above tol {STOKES_TOL:.1e}")
+        u = unflatten_interior(grid, x, trace)
+        q = ScalarField(grid, (p - p.mean()).reshape(grid.shape_cell))
+        return u, q, SolveReport(it, float(res / scale) if scale > 0.0 else 0.0)
+
+
+def generalized_stokes(grid: Grid, alpha: float, c: float) -> GeneralizedStokes:
+    return _cached(("generalized_stokes", grid.nx, grid.ny, float(alpha), float(c)),
+                   lambda: GeneralizedStokes(grid, alpha, c))
+
+
 class NoslipHelmholtz:
     """Solver for (I - c * Lap_noslip) on interior faces with optional wall data.
 
@@ -344,41 +406,14 @@ class NoslipHelmholtz:
     def __init__(self, grid: Grid, c: float):
         self.grid = grid
         self.c = float(c)
-        n = (grid.nx - 1) * grid.ny + grid.nx * (grid.ny - 1)
-        mat = sp.identity(n, format="csr") + self.c * noslip_viscous_matrix(grid)
-        self._solve = _lu_solver(mat)
+        self._block = generalized_stokes(grid, 1.0, c)
 
     def solve(self, rhs: VectorField, trace: BoundaryTrace | None = None) -> VectorField:
         b = flatten_interior(rhs)
         if trace is not None:
-            g = self.grid
-            coef = self.c / (g.h * g.h)
-            nu_ = (g.nx - 1) * g.ny
-            bu = b[:nu_].reshape(g.nx - 1, g.ny)
-            bv = b[nu_:].reshape(g.nx, g.ny - 1)
-            bu = bu.copy()
-            bv = bv.copy()
-            bu[0, :] += coef * (-trace.left)
-            bu[-1, :] += coef * trace.right
-            bv[:, 0] += coef * (-trace.bottom)
-            bv[:, -1] += coef * trace.top
-            b = np.concatenate([bu.ravel(), bv.ravel()])
-        x = self._solve(b)
-        return unflatten_interior(self.grid, x, trace)
+            b = b + self.c * _wall_rhs(self.grid, trace)
+        return unflatten_interior(self.grid, self._block.velocity_solve(b), trace)
 
-
-def noslip_helmholtz(grid: Grid, c: float) -> NoslipHelmholtz:
-    return _cached(("noslip_helmholtz", grid.nx, grid.ny, float(c)), lambda: NoslipHelmholtz(grid, c))
-
-
-def _viscous_lu(grid: Grid):
-    return _cached(("noslip_viscous_lu", grid.nx, grid.ny),
-                   lambda: _lu_solver(noslip_viscous_matrix(grid).tocsc()))
-
-
-# ---------------------------------------------------------------------------
-# Stationary Stokes solver (Uzawa-CG on the pressure Schur complement)
-# ---------------------------------------------------------------------------
 
 def _wall_rhs(grid: Grid, trace: BoundaryTrace) -> np.ndarray:
     """RHS contribution of Dirichlet wall-normal data to K z = -Lap z."""
@@ -403,66 +438,6 @@ def _check_compatibility(g: ScalarField, trace: BoundaryTrace, tol: float = 1e-1
             f"vs boundary flux {flux:.3e}")
 
 
-def stokes_solve(g: ScalarField, boundary_velocity: BoundaryTrace | None = None,
-                 tol: float = 1e-9, max_iter: int = 2000):
-    """Solve -Lap z + grad q = 0, div z = g, z|walls = boundary data.
-
-    The pressure q is found by conjugate gradient on the Schur complement
-    (each application one direct viscous solve), then the velocity by one
-    more viscous solve.  q is returned mean-zero.  Residual contract: the
-    divergence equation holds to ``tol`` relative, the momentum equation to
-    factorization precision.
-    """
-    grid = g.grid
-    trace = boundary_velocity if boundary_velocity is not None else BoundaryTrace.zeros(grid)
-    _check_compatibility(g, trace)
-    ksolve = _viscous_lu(grid)
-    nc = grid.nx * grid.ny
-
-    def schur_apply(qflat: np.ndarray) -> np.ndarray:
-        gq = gradient(ScalarField(grid, qflat.reshape(grid.shape_cell)))
-        w = unflatten_interior(grid, ksolve(flatten_interior(gq)))
-        return -divergence(w).values.ravel()
-
-    # rhs = g - D K^{-1} b_wall - fold(wall data)
-    rhs = g.values.ravel().copy()
-    wall_flux = divergence(unflatten_interior(grid, np.zeros((grid.nx - 1) * grid.ny + grid.nx * (grid.ny - 1)), trace))
-    rhs -= wall_flux.values.ravel()
-    has_wall = trace.max_abs() > 0.0
-    if has_wall:
-        b_wall = _wall_rhs(grid, trace)
-        rhs -= divergence(unflatten_interior(grid, ksolve(b_wall))).values.ravel()
-    else:
-        b_wall = None
-
-    ones = np.ones(nc)
-    S = SparseOperator(nc, apply=schur_apply, nullspace=[ones])
-    # The divergence residual of the returned z equals the CG residual, so
-    # anchor the CG tolerance to the scale used by the final residual check.
-    den = max(scalar_norm(g), trace.max_abs(), 1e-300)
-    rhs_norm = np.linalg.norm(rhs)
-    tol_cg = 0.5 * tol * den / (grid.h * rhs_norm) if rhs_norm > 0 else tol
-    qflat, report = cg_solve(S, rhs, tol=min(tol_cg, 0.5 * tol), max_iter=max_iter)
-    if not report.converged:
-        raise SolverError(
-            f"stokes_solve: Schur CG did not converge ({report.iterations} iterations, "
-            f"residual {report.residual:.3e}, breakdown={report.breakdown})")
-
-    gq = gradient(ScalarField(grid, qflat.reshape(grid.shape_cell)))
-    zrhs = -flatten_interior(gq)
-    if b_wall is not None:
-        zrhs = zrhs + b_wall
-    z = unflatten_interior(grid, ksolve(zrhs), trace)
-
-    div_res = divergence(z) - g
-    rel_div = scalar_norm(div_res) / den
-    q = ScalarField(grid, qflat.reshape(grid.shape_cell) - qflat.mean())
-    final = SolveReport(report.iterations, float(rel_div), rel_div <= tol)
-    if not final.converged:
-        raise SolverError(f"stokes_solve: divergence residual {rel_div:.3e} exceeds tol {tol:.1e}")
-    return z, q, final
-
-
 def dense_stokes_solve(g: ScalarField, boundary_velocity: BoundaryTrace | None = None):
     """Direct bordered-matrix Stokes solve; oracle for small grids (<= 16x16)."""
     grid = g.grid
@@ -473,12 +448,7 @@ def dense_stokes_solve(g: ScalarField, boundary_velocity: BoundaryTrace | None =
     nf = (grid.nx - 1) * grid.ny + grid.nx * (grid.ny - 1)
     nc = grid.nx * grid.ny
     K = noslip_viscous_matrix(grid).toarray()
-    # gradient matrix, interior faces x cells, assembled column by column
-    G = np.zeros((nf, nc))
-    for j in range(nc):
-        e = np.zeros(nc)
-        e[j] = 1.0
-        G[:, j] = flatten_interior(gradient(ScalarField(grid, e.reshape(grid.shape_cell))))
+    G = -divergence_matrix(grid).toarray().T
     b_wall = _wall_rhs(grid, trace)
     fold = divergence(unflatten_interior(grid, np.zeros(nf), trace)).values.ravel()
     gprime = g.values.ravel() - fold

@@ -1,11 +1,13 @@
 """Shared time-stepping core and reference incompressible-flow steppers.
 
-The implicit viscous solve used by every flow route acts on the projected
-operator: (I - c * P Lap P) with P the discrete Leray projection and Lap the
-no-slip vector Laplacian.  Solving on the projected operator (rather than
-projecting after an unconstrained solve) is what makes the discrete energy
-ledger close exactly: pairing the update with the midpoint velocity leaves no
-uncontrolled O(dt) pressure-coupling term.
+The implicit viscous solve used by every flow route is the generalized
+Stokes solve of ``linsolve`` at alpha = 1: (I - c Lap) u + grad p = rhs,
+div u = 0 with zero walls, Lap the no-slip vector Laplacian.  Its velocity
+solves (I - c * P Lap P) u = P rhs with P the discrete Leray projection.
+Solving on the divergence-free subspace (rather than projecting after an
+unconstrained solve) is what makes the discrete energy ledger close exactly:
+pairing the update with the midpoint velocity leaves no uncontrolled O(dt)
+pressure-coupling term.
 
 Two reference steppers for the *standard* incompressible equations live here:
 
@@ -28,22 +30,13 @@ import scipy.sparse.linalg as spla
 from .advection import skew_advect
 from .errors import CFLError, SolverError
 from .grid import Grid, VectorField, vector_laplacian
-from .linsolve import (
-    SparseOperator,
-    _cached,
-    cg_solve,
-    flatten_interior,
-    noslip_helmholtz,
-    noslip_viscous_matrix,
-    unflatten_interior,
-)
+from .linsolve import NoslipHelmholtz, _cached, generalized_stokes, noslip_viscous_matrix
 from .stokes_lift import leray_project
 
 __all__ = [
     "ForcingSpec",
     "cfl_check",
     "poincare_constant",
-    "projected_viscous_solve",
     "perturbed_heun_step",
     "step_nse_projection",
 ]
@@ -114,38 +107,8 @@ def poincare_constant(grid: Grid) -> float:
     return _cached(("poincare", grid.nx, grid.ny), build)
 
 
-def projected_viscous_solve(grid: Grid, c: float, rhs: VectorField,
-                            tol: float = 1e-12) -> VectorField:
-    """Solve (I - c * P Lap_noslip P) x = P rhs by conjugate gradient.
-
-    The operator is symmetric positive definite on the whole interior-face
-    space and acts as the identity on the complement of range(P), so with a
-    projected right-hand side the solution lies in range(P): discretely
-    divergence-free with zero wall-normal flux.  c = 0 returns P rhs.
-    """
-    b = flatten_interior(leray_project(rhs))
-    if c == 0.0:
-        return unflatten_interior(grid, b)
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        xf = unflatten_interior(grid, x)
-        px = leray_project(xf)
-        lap = vector_laplacian(px, "noslip")
-        return x - c * flatten_interior(leray_project(lap))
-
-    n = (grid.nx - 1) * grid.ny + grid.nx * (grid.ny - 1)
-    op = SparseOperator(n, apply=apply)
-    x, rep = cg_solve(op, b, tol=tol, max_iter=400)
-    if not rep.converged:
-        raise SolverError(
-            f"projected viscous solve failed: {rep.iterations} iterations, "
-            f"residual {rep.residual:.3e}")
-    return unflatten_interior(grid, x)
-
-
 def perturbed_heun_step(v: VectorField, z0: VectorField, z1: VectorField,
-                        dt: float, nu: float, f_mid: VectorField,
-                        tol: float = 1e-12) -> VectorField:
+                        dt: float, nu: float, f_mid: VectorField) -> VectorField:
     """One step of the lifted-flow equation for the divergence-free part v.
 
     dv/dt = P[ nu Lap v + f - dz/dt - ((v+z).grad)(v+z) ] with z held on the
@@ -163,9 +126,10 @@ def perturbed_heun_step(v: VectorField, z0: VectorField, z1: VectorField,
         return f_mid - dz - skew_advect(wz, wz)
 
     a1 = slope(v)
-    v1 = projected_viscous_solve(g, c, v + a1 * dt + lap_v * c, tol=tol)
+    solve = generalized_stokes(g, 1.0, c).solve
+    v1 = solve(v + a1 * dt + lap_v * c)[0]
     a2 = slope(v1)
-    return projected_viscous_solve(g, c, v + (a1 + a2) * (dt * 0.5) + lap_v * c, tol=tol)
+    return solve(v + (a1 + a2) * (dt * 0.5) + lap_v * c)[0]
 
 
 def step_nse_projection(u: VectorField, t: float, dt: float, nu: float,
@@ -181,7 +145,7 @@ def step_nse_projection(u: VectorField, t: float, dt: float, nu: float,
     if order == 1:
         a = skew_advect(u, u)
         f = _eval_forcing(forcing, g, t)
-        w = noslip_helmholtz(g, nu * dt).solve(u + (f - a) * dt)
+        w = NoslipHelmholtz(g, nu * dt).solve(u + (f - a) * dt)
         return leray_project(w)
     if order != 2:
         raise ValueError(f"unknown order {order!r} (expected 1 or 2)")
@@ -189,6 +153,7 @@ def step_nse_projection(u: VectorField, t: float, dt: float, nu: float,
     c = 0.5 * nu * dt
     lap_u = vector_laplacian(u, "noslip")
     a1 = f_mid - skew_advect(u, u)
-    v1 = projected_viscous_solve(g, c, u + a1 * dt + lap_u * c)
+    solve = generalized_stokes(g, 1.0, c).solve
+    v1 = solve(u + a1 * dt + lap_u * c)[0]
     a2 = f_mid - skew_advect(v1, v1)
-    return projected_viscous_solve(g, c, u + (a1 + a2) * (dt * 0.5) + lap_u * c)
+    return solve(u + (a1 + a2) * (dt * 0.5) + lap_u * c)[0]

@@ -35,7 +35,7 @@ from .grid import (
     scalar_norm,
     with_normal_trace,
 )
-from .linsolve import neumann_poisson, stokes_solve
+from .linsolve import generalized_stokes, neumann_poisson
 
 __all__ = [
     "Decomposition",
@@ -96,7 +96,7 @@ def leray_project(u: VectorField) -> VectorField:
     return VectorField(g, interior.u - gp.u, interior.v - gp.v)
 
 
-def lift_divergence(g: ScalarField, tol: float = 1e-9):
+def lift_divergence(g: ScalarField):
     """Velocity lift of a mean-zero divergence field: returns (z, q).
 
     z solves the zero-wall Stokes system with div z = g; q is the mean-zero
@@ -106,11 +106,11 @@ def lift_divergence(g: ScalarField, tol: float = 1e-9):
     if abs(mean(g)) > 1e-10 * max(1.0, scalar_norm(g)):
         raise CompatibilityError(
             f"lift_divergence: divergence field must have mean zero, got mean {mean(g):.3e}")
-    z, q, _ = stokes_solve(g, None, tol=tol)
+    z, q, _ = generalized_stokes(g.grid, 0.0, 1.0).solve(g=g)
     return z, q
 
 
-def lift_with_boundary(g: ScalarField, h: BoundaryTrace, tol: float = 1e-9):
+def lift_with_boundary(g: ScalarField, h: BoundaryTrace):
     """Lift with prescribed outward wall-normal velocity h: returns (z, q).
 
     Solvability requires the volume integral of g to equal the boundary flux
@@ -123,27 +123,28 @@ def lift_with_boundary(g: ScalarField, h: BoundaryTrace, tol: float = 1e-9):
         raise CompatibilityError(
             f"lift_with_boundary: volume integral {flux_g:.6e} does not balance "
             f"boundary flux {flux_h:.6e}")
-    z, q, _ = stokes_solve(g, h, tol=tol)
+    z, q, _ = generalized_stokes(g.grid, 0.0, 1.0).solve(g=g, trace=h)
     return z, q
 
 
-def lifting_constant(g: ScalarField, tol: float = 1e-9) -> float:
+def lifting_constant(g: ScalarField) -> float:
     """Measured stability ratio ||z||_H1 / ||g||_L2 of the zero-wall lift."""
     ng = scalar_norm(g)
     if ng == 0.0:
         return 0.0
-    z, _ = lift_divergence(g, tol=tol)
+    z, _ = lift_divergence(g)
     l2 = face_norm(z)
     h1s = max(grad_inner(z, z), 0.0)
     return math.sqrt(l2 * l2 + h1s) / ng
 
 
-def decompose(u: VectorField, tol: float = 1e-12) -> Decomposition:
+def decompose(u: VectorField) -> Decomposition:
     """Split u (zero wall-normal faces) into divergence-free v plus lift z.
 
-    The inner Stokes tolerance is relative to ||div u||, which is ~1/h times
-    larger than ||u||, so it is kept well below the 1e-9 invariant level.
-    A divergence at round-off level is not lifted at all (z = 0).
+    The lift's divergence residual is relative to ||div u||, which is ~1/h
+    times larger than ||u||; its tolerance STOKES_TOL is well below the 1e-9
+    invariant level.  A divergence at round-off level is not lifted at all
+    (z = 0).
     """
     wall_flux = max(np.abs(u.u[0, :]).max(), np.abs(u.u[-1, :]).max(),
                     np.abs(u.v[:, 0]).max(), np.abs(u.v[:, -1]).max())
@@ -157,7 +158,7 @@ def decompose(u: VectorField, tol: float = 1e-12) -> Decomposition:
         z = VectorField.zeros(u.grid)
         q = ScalarField(u.grid, np.zeros(u.grid.shape_cell))
     else:
-        z, q = lift_divergence(du, tol=tol)
+        z, q = lift_divergence(du)
     v = VectorField(u.grid, u.u - z.u, u.v - z.v)
     dec = Decomposition(v=v, z=z, q=q)
     dec.validate(u)

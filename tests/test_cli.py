@@ -188,9 +188,10 @@ class TestRunArtifacts:
                 assert a == b, f"{command}: {name}"
 
     def test_memory_does_not_grow_with_step_count(self, tmp_path):
-        # Each extra state of a kept history would cost ~27 kB at N = 32; a
-        # streaming run keeps one row of scalars per step (~0.6 kB).
-        text = """
+        # Each extra state of a kept history would cost ~27 kB (a velocity)
+        # or ~8 kB (a divergence) at N = 32; a streaming run keeps one row of
+        # scalars per step (~0.6 kB).
+        run_text = """
         system = sr
         route = direct
         lambda = 2.0
@@ -200,21 +201,28 @@ class TestRunArtifacts:
         ic = boundary_flux
         forcing = rotational
         """
+        heat_text = """
+        system = jl
+        nu = 0.1
+        dt = 1e-3
+        grid = 32
+        """
 
-        def peak_bytes(nsteps):
+        def peak_bytes(command, text, nsteps):
             tracemalloc.start()
             try:
-                code, _ = run_cli(tmp_path, "run", text + f"T = {nsteps * 1e-3:g}\n",
-                                  name=f"n{nsteps}.cfg", sub=f"n{nsteps}")
+                code, _ = run_cli(tmp_path, command, text + f"T = {nsteps * 1e-3:g}\n",
+                                  name=f"{command}{nsteps}.cfg", sub=f"{command}{nsteps}")
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert code == 0
             return peak
 
-        peak_bytes(2)  # builds the factor caches, which outlive a run
-        short, long = peak_bytes(20), peak_bytes(200)
-        assert long - short < 2 ** 20, (short, long)
+        for command, text in (("run", run_text), ("heat", heat_text)):
+            peak_bytes(command, text, 10)  # builds the factor caches, which outlive a run
+            short, long = peak_bytes(command, text, 20), peak_bytes(command, text, 200)
+            assert long - short < 2 ** 20, (command, short, long)
 
     def test_seed_flag_controls_random_start(self, tmp_path):
         text = JL_RUN.replace("lift_plus_flow", "random_solenoidal")

@@ -14,7 +14,7 @@ from enslab.grid import (
     vector_from_stream,
     vector_laplacian,
 )
-from enslab.heat_oracle import DivergenceState, divergence_state, heat_run
+from enslab.heat_oracle import DivergenceState, divergence_state, heat_step
 from enslab.linsolve import unflatten_interior
 from enslab.reference import ForcingSpec, step_nse_projection
 from enslab.scenarios import march
@@ -96,7 +96,7 @@ class TestStepDecomposed:
         s = ens_jl.jl_state(z0, 0.1)
         assert face_norm(s.v) <= 1e-12
         hist = list(march(ens_jl.step_decomposed, s, 1e-3, 30))
-        oracle = heat_run(divergence_state(g0, "neumann", 0.1), 1e-3, 30)
+        oracle = list(march(heat_step, divergence_state(g0, "neumann", 0.1), 1e-3, 30))
         for st, o in zip(hist, oracle):
             assert scalar_norm(divergence(st.u) - o.g) <= 1e-10
 
@@ -184,7 +184,7 @@ class TestStepDirect:
         errs = []
         for dt in (5e-3, 2.5e-3, 1.25e-3):
             s = ens_jl.jl_state(z0, 0.1, decomposed=False)
-            oracle = heat_run(divergence_state(g0, "neumann", 0.1), dt, round(T / dt))
+            oracle = list(march(heat_step, divergence_state(g0, "neumann", 0.1), dt, round(T / dt)))
             for _ in range(round(T / dt)):
                 s = ens_jl.step_direct(s, dt)
             errs.append(scalar_norm(divergence(s.u) - oracle[-1].g))

@@ -12,9 +12,9 @@ from enslab.heat_oracle import (
     DivergenceState,
     check_heat_estimates,
     divergence_state,
-    heat_run,
     heat_step,
 )
+from enslab.scenarios import march
 
 NU = 0.1
 
@@ -90,8 +90,7 @@ class TestHeatStep:
         g = Grid(32)
         rng = np.random.default_rng(4)
         s = divergence_state(ScalarField(g, rng.standard_normal(g.shape_cell)), "neumann", NU)
-        hist = heat_run(s, 1e-3, 100)
-        for state in hist:
+        for state in march(heat_step, s, 1e-3, 100):
             assert abs(integral(state.g) - s.m0) <= 1e-12
 
     def test_bad_dt_rejected(self):
@@ -103,7 +102,7 @@ class TestHeatStep:
     def test_decay_rate_matches_eigenvalue(self):
         g = Grid(64)
         s = divergence_state(coscos(g), "neumann", NU)
-        hist = heat_run(s, 5e-3, 40)
+        hist = list(march(heat_step, s, 5e-3, 40))
         rate = fit_decay_rate([h.time for h in hist], [scalar_norm(h.g) for h in hist])
         assert abs(rate + 2.0 * math.pi ** 2 * NU) <= 0.01 * 2.0 * math.pi ** 2 * NU
 
@@ -124,7 +123,7 @@ class TestEstimates:
     def test_zero_initial_data_tight(self):
         g = Grid(16)
         s = divergence_state(ScalarField.zeros(g), "neumann", NU)
-        rec = check_heat_estimates(heat_run(s, 1e-3, 3))
+        rec = check_heat_estimates(march(heat_step, s, 1e-3, 3))
         assert rec["initial_l2"] == 0.0
         assert rec["sup_margin"] == 0.0 and rec["grad_margin"] == 0.0
 
@@ -132,7 +131,7 @@ class TestEstimates:
     def test_eigen_decay_margins_nonnegative(self, bc, mode):
         g = Grid(32)
         s = divergence_state(mode(g), bc, NU)
-        rec = check_heat_estimates(heat_run(s, 2e-3, 50))
+        rec = check_heat_estimates(march(heat_step, s, 2e-3, 50))
         assert rec["sup_ok"] == 1.0
         assert rec["grad_ok"] == 1.0
         assert "dual_rate_margin" in rec.metrics
@@ -143,10 +142,10 @@ class TestSelfConvergence:
         g = Grid(32)
         T = 0.1
         s0 = divergence_state(coscos(g), "neumann", NU)
-        ref = heat_run(s0, T / 256, 256)[-1].g
+        ref = list(march(heat_step, s0, T / 256, 256))[-1].g
         errs = []
         for n in (8, 16, 32):
-            got = heat_run(s0, T / n, n)[-1].g
+            got = list(march(heat_step, s0, T / n, n))[-1].g
             errs.append(scalar_norm(got - ref))
         est = convergence_order(*errs)
         assert est.monotone and abs(float(est) - 2.0) <= 0.1
