@@ -4,7 +4,7 @@ systems whose divergence obeys its own heat-type dynamics.
 Subsystems
 ----------
 grid         staggered grid, fields, discrete operators
-linsolve     conjugate gradient, Schur-complement Stokes solver, factor cache
+linsolve     separable scalar solves, Schur-complement Stokes solver
 heat_oracle  scalar heat evolution of the divergence with runtime estimates
 stokes_lift  divergence lifting, orthogonal decomposition, Leray projection
 advection    skew-symmetric transport operator

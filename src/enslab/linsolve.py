@@ -5,10 +5,11 @@ Contents
 * Assembled operators on the interior-face and cell vectors: the scalar
   Laplacians, the no-slip viscous block K = -Lap_noslip and the divergence D;
   the gradient is G = -D^T.
-* Cached sparse factorizations (SuperLU) of the scalar operators: the
-  zero-flux ``NeumannPoisson`` solve (pinned at one cell, exact for
-  compatible right-hand sides), the heat matrices and the dual-norm
-  realization.
+* Separable solves of the cell-centred scalar operators, applied in the
+  cached eigenbases of the 1-D tridiagonals (Lynch, Rice and Thomas 1964):
+  the zero-flux ``NeumannPoisson`` solve (the mean-zero pseudo-inverse), the
+  heat steps with Neumann or Dirichlet walls and the dual-norm realization
+  (I - Lap_N)^{-1}.
 * ``GeneralizedStokes``: (alpha I + c K) u + G p = f, D u = g with wall-normal
   velocity data.  Preconditioned conjugate gradient on the pressure Schur
   complement D (alpha I + c K)^{-1} D^T with the Cahouet-Chabard
@@ -21,8 +22,8 @@ Contents
 * ``dense_stokes_solve``: direct bordered-matrix oracle for small grids, the
   reference the tests compare against.
 
-All solvers are reentrant: a solve owns its workspace, and the factor cache
-is append-only keyed by immutable tuples.
+All solvers are reentrant: a solve owns its workspace, and the cache of
+eigenbases and solvers is append-only keyed by immutable tuples.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import CompatibilityError, SolverError
 from .grid import (
@@ -167,7 +167,7 @@ def unflatten_interior(grid: Grid, x: np.ndarray, trace: BoundaryTrace | None = 
 
 
 # ---------------------------------------------------------------------------
-# Factor cache
+# Cache and separable scalar solves
 # ---------------------------------------------------------------------------
 
 _cache: dict = {}
@@ -184,13 +184,36 @@ def _cached(key, builder):
         return _cache.setdefault(key, value)
 
 
-def _lu_solver(matrix_csc) -> callable:
-    lu = spla.splu(matrix_csc.tocsc())
-    return lu.solve
+def _tridiagonal_eigh(n: int, h: float, kind: str):
+    """Eigenpairs, ascending, of the 1-D tridiagonal of kind "node" (Dirichlet
+    on nodes), "cell" (Dirichlet on cells) or "neumann" (zero flux on cells).
+
+    The largest Neumann eigenvalue, the constant mode's, is set to exactly 0.
+    """
+    def build():
+        t = {"node": _t_dirichlet_node, "cell": _t_dirichlet_cell, "neumann": _t_neumann}[kind]
+        lam, q = np.linalg.eigh(t(n, h).toarray())
+        if kind == "neumann":
+            lam[-1] = 0.0
+        return lam, q
+    return _cached(("tridiagonal_eigh", n, h, kind), build)
+
+
+def _separable_eigenbasis(grid: Grid, kind_x: str, kind_y: str | None = None):
+    """Eigenbases and eigenvalues lambda_x + lambda_y of a 2-D Kronecker sum."""
+    lx, qx = _tridiagonal_eigh(grid.nx, grid.h, kind_x)
+    ly, qy = _tridiagonal_eigh(grid.ny, grid.h, kind_y or kind_x)
+    return qx, qy, lx[:, None] + ly[None, :]
+
+
+def _diagonalized_solve(b: np.ndarray, qx: np.ndarray, qy: np.ndarray,
+                        mult: np.ndarray) -> np.ndarray:
+    """Apply a separable operator given by its eigenbases and multiplier."""
+    return (qx @ ((qx.T @ b.reshape(mult.shape) @ qy) * mult) @ qy.T).ravel()
 
 
 class NeumannPoisson:
-    """Zero-flux Poisson solve, pinned at one cell, exact for compatible data.
+    """Zero-flux Poisson solve: the mean-zero pseudo-inverse of Lap_N.
 
     The right-hand side is always deflated to mean zero first, so a genuinely
     incompatible source is answered by the solution of its mean-zero part
@@ -200,16 +223,12 @@ class NeumannPoisson:
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        mat = laplacian_neumann_matrix(grid).tolil()
-        mat[0, :] = 0.0
-        mat[0, 0] = 1.0
-        self._solve = _lu_solver(mat.tocsc())
+        qx, qy, lam = _separable_eigenbasis(grid, "neumann")
+        lam[-1, -1] = np.inf                  # the constant mode maps to 0
+        self._block = (qx, qy, 1.0 / lam)
 
     def solve_values(self, rhs: np.ndarray) -> np.ndarray:
-        b = rhs.ravel().astype(np.float64, copy=True)
-        b -= b.mean()
-        b[0] = 0.0
-        x = self._solve(b)
+        x = _diagonalized_solve(rhs - rhs.mean(), *self._block)
         x -= x.mean()
         return x.reshape(self.grid.shape_cell)
 
@@ -224,60 +243,39 @@ def neumann_poisson(grid: Grid) -> NeumannPoisson:
 def htilde_solver(grid: Grid):
     """Cached solver for (I - laplacian_neumann), the dual-norm realization."""
     def build():
-        mat = sp.identity(grid.nx * grid.ny, format="csr") - laplacian_neumann_matrix(grid)
-        return _lu_solver(mat)
+        qx, qy, lam = _separable_eigenbasis(grid, "neumann")
+        inv = 1.0 / (1.0 - lam)
+        return lambda b: _diagonalized_solve(b, qx, qy, inv)
     return _cached(("htilde", grid.nx, grid.ny), build)
 
 
 def heat_solver(grid: Grid, a: float, bc: str, theta: str = "cn"):
-    """Cached pair for heat stepping with coefficient a = nu*dt (full step).
+    """Cached step for the heat equation with coefficient a = nu*dt (full step).
 
-    theta="cn":  solve (I - a/2 L) g+ = (I + a/2 L) g      (trapezoidal)
-    theta="be":  solve (I - a L) g+ = g                     (backward Euler)
-    Returns a callable values -> values.
+    theta="cn":  g+ = (I - a/2 L)^{-1} (I + a/2 L) g      (trapezoidal)
+    theta="be":  g+ = (I - a L)^{-1} g                     (backward Euler)
+    L is the Neumann or Dirichlet cell Laplacian.  Returns a callable
+    values -> values.
     """
-    key = ("heat", grid.nx, grid.ny, float(a), bc, theta)
-
-    def build():
-        lap = laplacian_neumann_matrix(grid) if bc == "neumann" else laplacian_dirichlet_matrix(grid)
-        eye = sp.identity(grid.nx * grid.ny, format="csr")
-        if theta == "cn":
-            solve = _lu_solver(eye - (a / 2.0) * lap)
-            plus = (eye + (a / 2.0) * lap).tocsr()
-
-            def step(vals: np.ndarray) -> np.ndarray:
-                return solve(plus @ vals.ravel()).reshape(grid.shape_cell)
-        elif theta == "be":
-            solve = _lu_solver(eye - a * lap)
-
-            def step(vals: np.ndarray) -> np.ndarray:
-                return solve(vals.ravel().copy()).reshape(grid.shape_cell)
-        else:
-            raise ValueError(f"unknown theta {theta!r}")
-        return step
-
     if bc not in ("neumann", "dirichlet"):
         raise ValueError(f"unknown bc {bc!r}")
-    return _cached(key, build)
+    if theta not in ("cn", "be"):
+        raise ValueError(f"unknown theta {theta!r}")
+
+    def build():
+        qx, qy, lam = _separable_eigenbasis(grid, "neumann" if bc == "neumann" else "cell")
+        if theta == "cn":
+            mult = (1.0 + (a / 2.0) * lam) / (1.0 - (a / 2.0) * lam)
+        else:
+            mult = 1.0 / (1.0 - a * lam)
+        return lambda vals: _diagonalized_solve(vals, qx, qy, mult).reshape(grid.shape_cell)
+
+    return _cached(("heat", grid.nx, grid.ny, float(a), bc, theta), build)
 
 
 # ---------------------------------------------------------------------------
 # Generalized Stokes solver (Schur CG with a separable velocity solve)
 # ---------------------------------------------------------------------------
-
-def _tridiagonal_eigh(n: int, h: float, node: bool):
-    """Eigenpairs of the 1-D Dirichlet tridiagonal on nodes or on cells."""
-    def build():
-        t = _t_dirichlet_node(n, h) if node else _t_dirichlet_cell(n, h)
-        return np.linalg.eigh(t.toarray())
-    return _cached(("tridiagonal_eigh", n, h, node), build)
-
-
-def _diagonalized_solve(b: np.ndarray, qx: np.ndarray, qy: np.ndarray,
-                        inv: np.ndarray) -> np.ndarray:
-    """Solve a separable block given by its eigenbases and inverse eigenvalues."""
-    return (qx @ ((qx.T @ b.reshape(inv.shape) @ qy) * inv) @ qy.T).ravel()
-
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -305,12 +303,10 @@ class GeneralizedStokes:
         if not (self.alpha >= 0.0 and self.c >= 0.0 and 0.0 < self.alpha + self.c < math.inf):
             raise ValueError(f"need alpha, c >= 0 with alpha + c > 0 and finite, "
                              f"got alpha = {alpha!r}, c = {c!r}")
-        lxn, qxn = _tridiagonal_eigh(grid.nx, grid.h, True)
-        lxc, qxc = _tridiagonal_eigh(grid.nx, grid.h, False)
-        lyn, qyn = _tridiagonal_eigh(grid.ny, grid.h, True)
-        lyc, qyc = _tridiagonal_eigh(grid.ny, grid.h, False)
-        self._u_block = (qxn, qyc, 1.0 / (self.alpha - self.c * (lxn[:, None] + lyc[None, :])))
-        self._v_block = (qxc, qyn, 1.0 / (self.alpha - self.c * (lxc[:, None] + lyn[None, :])))
+        qx, qy, lam = _separable_eigenbasis(grid, "node", "cell")
+        self._u_block = (qx, qy, 1.0 / (self.alpha - self.c * lam))
+        qx, qy, lam = _separable_eigenbasis(grid, "cell", "node")
+        self._v_block = (qx, qy, 1.0 / (self.alpha - self.c * lam))
         self._n_u = (grid.nx - 1) * grid.ny
         self._d = divergence_matrix(grid)
         self._dt = self._d.T.tocsr()

@@ -25,12 +25,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .advection import skew_advect
-from .errors import CFLError, SolverError
+from .errors import CFLError
 from .grid import Grid, VectorField, vector_laplacian
-from .linsolve import NoslipHelmholtz, _cached, generalized_stokes, noslip_viscous_matrix
+from .linsolve import NoslipHelmholtz, _separable_eigenbasis, generalized_stokes
 from .stokes_lift import leray_project
 
 __all__ = [
@@ -96,15 +95,12 @@ def poincare_constant(grid: Grid) -> float:
     ||grad w||^2 >= lambda * ||w||^2 for every zero-wall field w; this is a
     guaranteed lower bound for the divergence-free (Stokes) ground eigenvalue
     and is what the Gronwall envelope uses, keeping the envelope a true bound.
+    Each block of K = -Lap_noslip is a Kronecker sum of the 1-D Dirichlet
+    tridiagonals on nodes and on cells, so lambda is the smaller over the two
+    blocks of -(max lambda_node + max lambda_cell).
     """
-    def build():
-        K = noslip_viscous_matrix(grid).tocsc()
-        vals = spla.eigsh(K, k=1, sigma=0.0, which="LM", return_eigenvectors=False)
-        lam = float(vals[0])
-        if not (lam > 0.0):
-            raise SolverError("no-slip viscous operator lost positivity")
-        return lam
-    return _cached(("poincare", grid.nx, grid.ny), build)
+    return min(-float(_separable_eigenbasis(grid, *kinds)[2].max())
+               for kinds in (("node", "cell"), ("cell", "node")))
 
 
 def perturbed_heun_step(v: VectorField, z0: VectorField, z1: VectorField,

@@ -85,7 +85,7 @@ def leray_project(u: VectorField) -> VectorField:
     part of u (the wall-normal flux is folded into the right-hand side by
     dropping the wall faces, which is exactly the flux closure of the
     cell-centered Laplacian) and subtracts its gradient.  The result has zero
-    wall-normal faces exactly and zero discrete divergence to factorization
+    wall-normal faces exactly and zero discrete divergence to solver
     precision; it is idempotent and L2-orthogonal to what it removes.
     """
     g = u.grid

@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from scipy.sparse.linalg._dsolve import _superlu
 
-from enslab import ens_jl, ens_sr
+from enslab import ens_jl, ens_sr, linsolve
 from enslab.cli import main
 from enslab.errors import CheckFailure
 from enslab.fieldio import read_scalar, read_vector
@@ -347,6 +349,29 @@ class TestStudies:
         summary = open(os.path.join(out, "summary.txt")).read()
         assert "ratio_spread_within_10pct" in summary
         assert "overall PASS" in summary
+
+
+class TestNoSuperLU:
+    # Every field route solves its scalar and saddle-point systems in the
+    # 1-D eigenbases; only the Galerkin basis build factors a matrix.
+    @pytest.mark.parametrize("command,text", [
+        ("run", JL_RUN),
+        ("run", JL_RUN + "route = direct\n"),
+        ("run", SR_RUN),
+        ("run", SR_RUN + "route = direct\n"),
+        ("compare", JL_RUN),
+        ("heat", HEAT_RUN.replace("grid = 32", "grid = 16")),
+    ], ids=["jl-decomposed", "jl-direct", "sr-constructive", "sr-direct", "compare", "heat"])
+    def test_field_routes_build_no_sparse_factor(self, tmp_path, monkeypatch, command, text):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SuperLU called on a field route")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+        monkeypatch.setattr(_superlu, "gstrf", refuse)
+        monkeypatch.setattr(_superlu, "gssv", refuse)
+        monkeypatch.setattr(linsolve, "_cache", {})
+        code, _ = run_cli(tmp_path, command, text)
+        assert code == 0
 
 
 class TestThreadCap:

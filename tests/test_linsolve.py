@@ -1,4 +1,4 @@
-"""Linear solvers: assembled operators, cached factorizations, Stokes solves."""
+"""Linear solvers: assembled operators, separable scalar solves, Stokes solves."""
 
 import numpy as np
 import pytest
@@ -40,6 +40,7 @@ from enslab.linsolve import (
     noslip_viscous_matrix,
     unflatten_interior,
 )
+from enslab.reference import poincare_constant
 from enslab.stokes_lift import leray_project
 
 
@@ -145,6 +146,62 @@ class TestHeatSolvers:
     def test_unknown_bc_rejected(self):
         with pytest.raises(ValueError):
             heat_solver(Grid(8), a=0.1, bc="robin")
+
+
+def rel_err(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+class TestSeparableScalarSolves:
+    # Each eigenbasis solve against a sparse direct solve of the assembled matrix.
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 32), seed=st.integers(0, 2 ** 32 - 1))
+    def test_neumann_poisson_matches_pinned_sparse_solve(self, n, seed):
+        g = Grid(n)
+        b = np.random.default_rng(seed).standard_normal(n * n)
+        b -= b.mean()
+        A = laplacian_neumann_matrix(g).tolil()
+        A[0, :] = 0.0
+        A[0, 0] = 1.0
+        pinned = b.copy()
+        pinned[0] = 0.0
+        ref = spla.spsolve(A.tocsc(), pinned)
+        ref -= ref.mean()
+        got = neumann_poisson(g).solve_values(b.reshape(g.shape_cell)).ravel()
+        assert rel_err(got, ref) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 32), seed=st.integers(0, 2 ** 32 - 1))
+    def test_htilde_matches_sparse_solve(self, n, seed):
+        g = Grid(n)
+        b = np.random.default_rng(seed).standard_normal(n * n)
+        A = sp.identity(n * n) - laplacian_neumann_matrix(g)
+        ref = spla.spsolve(A.tocsc(), b)
+        assert rel_err(htilde_solver(g)(b), ref) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 32), seed=st.integers(0, 2 ** 32 - 1),
+           a=st.floats(1e-5, 1.0), bc=st.sampled_from(["neumann", "dirichlet"]),
+           theta=st.sampled_from(["cn", "be"]))
+    def test_heat_step_matches_sparse_solve(self, n, seed, a, bc, theta):
+        g = Grid(n)
+        b = np.random.default_rng(seed).standard_normal(n * n)
+        lap = laplacian_neumann_matrix(g) if bc == "neumann" else laplacian_dirichlet_matrix(g)
+        eye = sp.identity(n * n)
+        if theta == "cn":
+            ref = spla.spsolve((eye - (a / 2.0) * lap).tocsc(), (eye + (a / 2.0) * lap) @ b)
+        else:
+            ref = spla.spsolve((eye - a * lap).tocsc(), b)
+        got = heat_solver(g, a, bc, theta)(b.reshape(g.shape_cell))
+        assert got.shape == g.shape_cell
+        assert rel_err(got.ravel(), ref) <= 1e-12
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_poincare_constant_matches_sparse_eigensolve(self, n):
+        g = Grid(n)
+        ref = spla.eigsh(noslip_viscous_matrix(g).tocsc(), k=1, sigma=0.0, which="LM",
+                         tol=1e-14, return_eigenvectors=False)[0]
+        assert abs(poincare_constant(g) - ref) <= 1e-12 * ref
 
 
 class TestNoslipHelmholtz:
