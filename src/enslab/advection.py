@@ -24,19 +24,31 @@ import numpy as np
 
 from .grid import VectorField, face_inner
 
-__all__ = ["advect", "adjoint_advect", "skew_advect", "trilinear"]
+__all__ = ["advect", "adjoint_advect", "skew_advect", "trilinear",
+           "transport_coefficients", "centered_differences"]
 
 
-def _wy_at_interior_ufaces(w: VectorField) -> np.ndarray:
-    # four-point average of v onto x-faces i=1..nx-1, all j; shape (nx-1, ny)
-    v = w.v
-    return 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[:-1, 1:] + v[1:, 1:])
+def transport_coefficients(u: np.ndarray, v: np.ndarray) -> tuple:
+    """Advecting coefficients of (u, v): u and the four-point v average on
+    the interior x-faces, the four-point u average and v on the interior
+    y-faces.  Leading axes index a stack of fields."""
+    vy = 0.25 * (v[..., :-1, :-1] + v[..., 1:, :-1] + v[..., :-1, 1:] + v[..., 1:, 1:])
+    ux = 0.25 * (u[..., :-1, :-1] + u[..., :-1, 1:] + u[..., 1:, :-1] + u[..., 1:, 1:])
+    return u[..., 1:-1, :], vy, ux, v[..., 1:-1]
 
 
-def _wx_at_interior_vfaces(w: VectorField) -> np.ndarray:
-    # four-point average of u onto y-faces j=1..ny-1, all i; shape (nx, ny-1)
-    u = w.u
-    return 0.25 * (u[:-1, :-1] + u[:-1, 1:] + u[1:, :-1] + u[1:, 1:])
+def centered_differences(u: np.ndarray, v: np.ndarray, h: float) -> tuple:
+    """Centered d/dx, d/dy of u on the interior x-faces and of v on the
+    interior y-faces, in the order ``transport_coefficients`` pairs them
+    with; odd reflection at the walls, leading axes index a stack of fields."""
+    h2 = 2.0 * h
+    dxu = (u[..., 2:, :] - u[..., :-2, :]) / h2
+    ub = np.concatenate([-u[..., 1:-1, :1], u[..., 1:-1, :], -u[..., 1:-1, -1:]], axis=-1)
+    dyu = (ub[..., 2:] - ub[..., :-2]) / h2
+    vb = np.concatenate([-v[..., :1, 1:-1], v[..., :, 1:-1], -v[..., -1:, 1:-1]], axis=-2)
+    dxv = (vb[..., 2:, :] - vb[..., :-2, :]) / h2
+    dyv = (v[..., 2:] - v[..., :-2]) / h2
+    return dxu, dyu, dxv, dyv
 
 
 def advect(w: VectorField, b: VectorField) -> VectorField:
@@ -44,22 +56,12 @@ def advect(w: VectorField, b: VectorField) -> VectorField:
     g = w.grid
     if b.grid != g:
         raise ValueError("advect: operands live on different grids")
-    h2 = 2.0 * g.h
+    wu, wy, wx, wv = transport_coefficients(w.u, w.v)
+    dxu, dyu, dxv, dyv = centered_differences(b.u, b.v, g.h)
     au = np.zeros(g.shape_u)
     av = np.zeros(g.shape_v)
-
-    # u-component rows (interior x-faces)
-    dxu = (b.u[2:, :] - b.u[:-2, :]) / h2
-    ub = np.concatenate([-b.u[1:-1, :1], b.u[1:-1, :], -b.u[1:-1, -1:]], axis=1)
-    dyu = (ub[:, 2:] - ub[:, :-2]) / h2
-    au[1:-1, :] = w.u[1:-1, :] * dxu + _wy_at_interior_ufaces(w) * dyu
-
-    # v-component rows (interior y-faces)
-    dyv = (b.v[:, 2:] - b.v[:, :-2]) / h2
-    vb = np.concatenate([-b.v[:1, 1:-1], b.v[:, 1:-1], -b.v[-1:, 1:-1]], axis=0)
-    dxv = (vb[2:, :] - vb[:-2, :]) / h2
-    av[:, 1:-1] = _wx_at_interior_vfaces(w) * dxv + w.v[:, 1:-1] * dyv
-
+    au[1:-1, :] = wu * dxu + wy * dyu
+    av[:, 1:-1] = wx * dxv + wv * dyv
     return VectorField(g, au, av)
 
 
@@ -70,13 +72,14 @@ def adjoint_advect(w: VectorField, c: VectorField) -> VectorField:
     if c.grid != g:
         raise ValueError("adjoint_advect: operands live on different grids")
     h2 = 2.0 * g.h
+    _, wy, wx, _ = transport_coefficients(w.u, w.v)
 
     # u-component output
     p = np.zeros(g.shape_u)
     p[1:-1, :] = w.u[1:-1, :] * c.u[1:-1, :]
     pp = np.pad(p, ((1, 1), (0, 0)))
     atu = (pp[:-2, :] - pp[2:, :]) / h2
-    q = _wy_at_interior_ufaces(w) * c.u[1:-1, :]
+    q = wy * c.u[1:-1, :]
     qq = np.pad(q, ((0, 0), (1, 1)), mode="edge")
     atu[1:-1, :] += (qq[:, :-2] - qq[:, 2:]) / h2
 
@@ -85,7 +88,7 @@ def adjoint_advect(w: VectorField, c: VectorField) -> VectorField:
     p2[:, 1:-1] = w.v[:, 1:-1] * c.v[:, 1:-1]
     pp2 = np.pad(p2, ((0, 0), (1, 1)))
     atv = (pp2[:, :-2] - pp2[:, 2:]) / h2
-    q2 = _wx_at_interior_vfaces(w) * c.v[:, 1:-1]
+    q2 = wx * c.v[:, 1:-1]
     qq2 = np.pad(q2, ((1, 1), (0, 0)), mode="edge")
     atv[:, 1:-1] += (qq2[:-2, :] - qq2[2:, :]) / h2
 

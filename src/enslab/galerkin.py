@@ -1,9 +1,9 @@
-"""Spectral cross-check: eigenbasis of the projected viscous operator.
+"""Spectral cross-check: eigenbasis of the Stokes operator P K P on the
+divergence-free no-slip subspace (K = -Lap_noslip, P the Leray projector).
 
-The divergence-free no-slip subspace carries a discrete Stokes operator
-A = P (-Lap) P, with P the discrete Leray projector.  Its lowest eigenmodes
-form an L2-orthonormal basis; expanding the velocity in that basis turns the
-flow problem into a small ODE system for the coefficients,
+Its lowest eigenmodes form an L2-orthonormal basis; expanding the velocity
+in that basis turns the flow problem into a small ODE system for the
+coefficients,
 
     g_j' + nu lam_j g_j + sum_rs b(w_r, w_s, w_j) g_r g_s
         = <f, w_j> - sum_r [b(w_r, z, w_j) + b(z, w_r, w_j)] g_r,
@@ -12,11 +12,13 @@ integrated by classical RK4.  The quadratic term is energy-neutral because
 the transport form is skew in its last two slots, so the solved system
 inherits the exact energy ledger of the full discretization.
 
-Basis construction is dense (small grids by contract): the projector is
-assembled column-wise from the factored Poisson solve, the complement of the
-divergence-free subspace is shifted far up the spectrum, and the lowest
-eigenpairs are read off a symmetric dense eigensolve, then re-projected and
-re-orthonormalized in the face inner product.
+The subspace is exactly the range of the stream-function curl C
+(``linsolve.curl_matrix``), so the basis comes from the dense pencil
+(C^T K C, C^T C) of size (nx-1)(ny-1) (small grids by contract), with no
+projector matrix, spectral shift or re-orthogonalization: the modes
+C psi / h are divergence-free by construction.  ``advect`` is a sum of
+products of advecting coefficients and centered differences, so each
+transport tensor is one contraction over the stacked modes.
 """
 
 from __future__ import annotations
@@ -24,29 +26,17 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 
-from .advection import skew_advect, trilinear
+from .advection import centered_differences, transport_coefficients, trilinear
 from .diagnostics import DiagnosticsRecord
-from .errors import CheckFailure, SolverError
+from .errors import CheckFailure, DimensionMismatchError, SolverError
 from .fieldio import ensure_dir, read_vector, write_vector
-from .grid import (
-    Grid,
-    VectorField,
-    face_inner,
-    face_norm,
-    grad_inner,
-    vector_laplacian,
-)
-from .linsolve import (
-    divergence_matrix,
-    laplacian_neumann_matrix,
-    noslip_viscous_matrix,
-    unflatten_interior,
-)
+from .grid import Grid, VectorField, face_norm, vector_laplacian
+from .linsolve import curl_matrix, noslip_viscous_matrix, unflatten_interior
 from .stokes_lift import leray_project
 
 __all__ = [
@@ -65,7 +55,6 @@ __all__ = [
     "galerkin_energy_ledger",
 ]
 
-_COMPLEMENT_SHIFT = 5000.0
 _GRAM_TOL = 1e-10
 _EIGEN_RESIDUAL_TOL = 1e-8
 
@@ -73,13 +62,29 @@ _memo_lock = threading.Lock()
 _basis_memo: dict = {}
 
 
+def _face_vector(grid: Grid, w: VectorField) -> np.ndarray:
+    """All face values of w, u then v, as one vector."""
+    if w.grid != grid:
+        raise DimensionMismatchError(f"grids differ: {w.grid} vs {grid}")
+    return np.concatenate([w.u.ravel(), w.v.ravel()])
+
+
+def _split(grid: Grid, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (u, v) arrays of face vectors x; leading axes are kept."""
+    n_u = grid.shape_u[0] * grid.shape_u[1]
+    lead = x.shape[:-1]
+    return x[..., :n_u].reshape(lead + grid.shape_u), x[..., n_u:].reshape(lead + grid.shape_v)
+
+
 @dataclass(frozen=True)
 class GalerkinBasis:
-    """Lowest eigenpairs of the projected viscous operator, L2-orthonormal."""
+    """Lowest eigenpairs of the Stokes operator, L2-orthonormal; ``stacked``
+    holds the modes as rows of face vectors."""
 
     grid: Grid
     lam: np.ndarray
     modes: tuple
+    stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lam = np.asarray(self.lam, dtype=np.float64).copy()
@@ -92,16 +97,17 @@ class GalerkinBasis:
             raise ValueError("eigenvalues must be finite and positive")
         if np.any(np.diff(lam) < -1e-9 * lam[-1]):
             raise ValueError("eigenvalues must be ascending")
-        k = lam.size
-        for j, w in enumerate(self.modes):
-            if w.grid != self.grid:
-                raise ValueError("mode grid mismatch")
-            for i in range(j + 1):
-                gram = face_inner(self.modes[i], w)
-                target = 1.0 if i == j else 0.0
-                if abs(gram - target) > _GRAM_TOL:
-                    raise CheckFailure(
-                        f"basis not orthonormal: <w_{i}, w_{j}> = {gram!r}")
+        if any(w.grid != self.grid for w in self.modes):
+            raise ValueError("mode grid mismatch")
+        stacked = np.stack([_face_vector(self.grid, w) for w in self.modes])
+        stacked.setflags(write=False)
+        object.__setattr__(self, "stacked", stacked)
+        gram = self.grid.h * self.grid.h * (stacked @ stacked.T)
+        dev = np.abs(gram - np.eye(lam.size))
+        i, j = np.unravel_index(np.argmax(dev), dev.shape)
+        if dev[i, j] > _GRAM_TOL:
+            raise CheckFailure(
+                f"basis not orthonormal: <w_{i}, w_{j}> = {float(gram[i, j])!r}")
         for j, w in enumerate(self.modes):
             aw = leray_project(-vector_laplacian(w, "noslip"))
             res = face_norm(aw - w * float(lam[j]))
@@ -135,30 +141,15 @@ class GalerkinState:
         return int(self.coeffs.size)
 
 
-def _leray_matrix(grid: Grid) -> np.ndarray:
-    """Dense matrix of the discrete Leray projector on interior faces."""
-    import scipy.sparse.linalg as spla
-
-    D = divergence_matrix(grid)
-    mat = laplacian_neumann_matrix(grid).tolil()
-    mat[0, :] = 0.0
-    mat[0, 0] = 1.0
-    lu = spla.splu(mat.tocsc())
-    B = D.toarray()
-    B -= B.mean(axis=0, keepdims=True)
-    B[0, :] = 0.0
-    X = lu.solve(B)
-    X -= X.mean(axis=0, keepdims=True)
-    # leray(u) = u - grad(phi), and the euclidean gradient matrix is -D^T
-    return np.eye(D.shape[1]) + D.T @ X
-
-
 def build_basis(grid: Grid, k: int) -> GalerkinBasis:
-    """Compute the k lowest eigenpairs of the projected viscous operator."""
+    """Compute the k lowest eigenpairs of the Stokes operator.
+
+    A k that splits a double eigenvalue (x-y symmetry of the square) keeps a
+    vector of its eigenspace chosen by LAPACK, as the shifted solve did.
+    """
     if grid.nx > 32 or grid.ny > 32:
         raise ValueError("dense eigensolve budget: grid must be at most 32x32")
-    n = (grid.nx - 1) * grid.ny + grid.nx * (grid.ny - 1)
-    dim_free = n - (grid.nx * grid.ny - 1)
+    dim_free = (grid.nx - 1) * (grid.ny - 1)
     if not (1 <= k <= dim_free):
         raise ValueError(
             f"k = {k} outside the divergence-free subspace dimension {dim_free}")
@@ -167,32 +158,14 @@ def build_basis(grid: Grid, k: int) -> GalerkinBasis:
         hit = _basis_memo.get(key)
     if hit is not None:
         return hit
-    P = _leray_matrix(grid)
-    K = noslip_viscous_matrix(grid)
-    A = P.T @ (K @ P)
-    A += _COMPLEMENT_SHIFT * (np.eye(n) - P)
-    A = 0.5 * (A + A.T)
-    vals, vecs = sla.eigh(A, subset_by_index=[0, k - 1])
+    C = curl_matrix(grid)
+    stiffness = (C.T @ noslip_viscous_matrix(grid) @ C).toarray()
+    vals, psi = sla.eigh(stiffness, (C.T @ C).toarray(), subset_by_index=[0, k - 1])
     if not np.all(np.isfinite(vals)):
         raise SolverError("eigensolver returned non-finite eigenvalues")
-    if vals[-1] > 0.5 * _COMPLEMENT_SHIFT:
-        raise SolverError(
-            "requested modes reach the shifted complement; k too large for the shift")
-    modes: list[VectorField] = []
-    lams: list[float] = []
-    for j in range(k):
-        w = leray_project(unflatten_interior(grid, vecs[:, j]))
-        for prev in modes:
-            w = w - prev * face_inner(prev, w)
-        nrm = face_norm(w)
-        if nrm <= 1e-8:
-            raise SolverError(f"mode {j} collapsed under re-orthogonalization")
-        w = w * (1.0 / nrm)
-        modes.append(w)
-        lams.append(grad_inner(w, w))
-    order = np.argsort(lams, kind="stable")
-    basis = GalerkinBasis(grid, np.array([lams[i] for i in order]),
-                          tuple(modes[i] for i in order))
+    faces = (C @ psi) / grid.h
+    basis = GalerkinBasis(grid, vals, tuple(
+        unflatten_interior(grid, faces[:, j]) for j in range(k)))
     with _memo_lock:
         return _basis_memo.setdefault(key, basis)
 
@@ -247,58 +220,60 @@ def trilinear_b(u: VectorField, v: VectorField, w: VectorField) -> float:
     return trilinear(u, v, w)
 
 
+def _transport(grid: Grid, ws, bs, cs) -> np.ndarray:
+    """A[r, s, j] = <advect(w_r, b_s), c_j> over stacks of fields.
+
+    Each stack is a (u, v) pair of arrays with a leading field axis.
+    """
+    def flat(parts) -> np.ndarray:
+        return np.concatenate([p.reshape(p.shape[0], -1) for p in parts], axis=1)
+
+    a = flat(transport_coefficients(*ws))
+    d = flat(centered_differences(*bs, grid.h))
+    cu, cv = cs[0][:, 1:-1, :], cs[1][:, :, 1:-1]
+    c = flat((cu, cu, cv, cv))
+    # one product per advecting field keeps the workspace at one stack
+    return (grid.h * grid.h) * np.stack([(d * ar) @ c.T for ar in a])
+
+
 def coupling_tensor(basis: GalerkinBasis) -> np.ndarray:
     """T[r, s, j] = b(w_r, w_s, w_j) for all basis triples."""
-    k = basis.k
-    T = np.zeros((k, k, k))
-    for r in range(k):
-        for s in range(k):
-            field = skew_advect(basis.modes[r], basis.modes[s])
-            for j in range(k):
-                T[r, s, j] = face_inner(field, basis.modes[j])
-    return T
+    w = _split(basis.grid, basis.stacked)
+    A = _transport(basis.grid, w, w, w)
+    return 0.5 * (A - A.transpose(0, 2, 1))
 
 
 def lift_tensors(basis: GalerkinBasis, z: VectorField) -> tuple[np.ndarray, np.ndarray]:
     """B1[r, j] = b(w_r, z, w_j) and B2[r, j] = b(z, w_r, w_j)."""
-    k = basis.k
-    B1 = np.zeros((k, k))
-    B2 = np.zeros((k, k))
-    for r in range(k):
-        f1 = skew_advect(basis.modes[r], z)
-        f2 = skew_advect(z, basis.modes[r])
-        for j in range(k):
-            B1[r, j] = face_inner(f1, basis.modes[j])
-            B2[r, j] = face_inner(f2, basis.modes[j])
-    return B1, B2
+    grid = basis.grid
+    w = _split(grid, basis.stacked)
+    zs = _split(grid, _face_vector(grid, z)[None, :])
+    wzw = _transport(grid, w, zs, w)[:, 0, :]
+    wwz = _transport(grid, w, w, zs)[:, :, 0]
+    zww = _transport(grid, zs, w, w)[0]
+    return 0.5 * (wzw - wwz), 0.5 * (zww - zww.T)
 
 
 def project_onto_basis(basis: GalerkinBasis, u: VectorField) -> GalerkinState:
-    return GalerkinState(np.array([face_inner(u, w) for w in basis.modes]), 0.0)
+    h2 = basis.grid.h * basis.grid.h
+    return GalerkinState(h2 * (basis.stacked @ _face_vector(basis.grid, u)), 0.0)
 
 
 def reconstruct(basis: GalerkinBasis, state: GalerkinState) -> VectorField:
     if state.k != basis.k:
         raise ValueError(f"state has {state.k} coefficients, basis {basis.k} modes")
-    out = VectorField.zeros(basis.grid)
-    for gj, w in zip(state.coeffs, basis.modes):
-        out = out + w * float(gj)
-    return out
+    return VectorField(basis.grid, *_split(basis.grid, state.coeffs @ basis.stacked))
 
 
 def _forcing_vector(basis: GalerkinBasis, f_path, t: float) -> np.ndarray:
-    if f_path is None:
+    forcing = None if f_path is None else f_path(t)
+    if forcing is None:
         return np.zeros(basis.k)
-    field = f_path(t)
-    if field is None:
-        return np.zeros(basis.k)
-    return np.array([face_inner(field, w) for w in basis.modes])
+    return project_onto_basis(basis, forcing).coeffs
 
 
 def _lift_matrix(basis: GalerkinBasis, z_path, t: float) -> np.ndarray | None:
-    if z_path is None:
-        return None
-    z = z_path(t)
+    z = None if z_path is None else z_path(t)
     if z is None:
         return None
     B1, B2 = lift_tensors(basis, z)
@@ -319,9 +294,14 @@ def integrate_galerkin(basis: GalerkinBasis, state: GalerkinState, nu: float,
     if tensor is None:
         tensor = coupling_tensor(basis)
     lam = basis.lam
+    k = basis.k
+    quadratic = tensor.reshape(k, k * k)
 
-    def rhs(t: float, g: np.ndarray, fvec: np.ndarray, bmat) -> np.ndarray:
-        out = -nu * lam * g - np.einsum("rsj,r,s->j", tensor, g, g) + fvec
+    def rhs(g: np.ndarray, fvec: np.ndarray, bmat) -> np.ndarray:
+        # a blow-up is reported by GalerkinState, not by floating-point warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            transport = g @ (g @ quadratic).reshape(k, k)
+        out = -nu * lam * g - transport + fvec
         if bmat is not None:
             out = out - g @ bmat
         return out
@@ -336,10 +316,10 @@ def integrate_galerkin(basis: GalerkinBasis, state: GalerkinState, nu: float,
         b0 = _lift_matrix(basis, z_path, t)
         bh = _lift_matrix(basis, z_path, t + 0.5 * dt)
         b1 = _lift_matrix(basis, z_path, t + dt)
-        k1 = rhs(t, g, f0, b0)
-        k2 = rhs(t + 0.5 * dt, g + 0.5 * dt * k1, fh, bh)
-        k3 = rhs(t + 0.5 * dt, g + 0.5 * dt * k2, fh, bh)
-        k4 = rhs(t + dt, g + dt * k3, f1, b1)
+        k1 = rhs(g, f0, b0)
+        k2 = rhs(g + 0.5 * dt * k1, fh, bh)
+        k3 = rhs(g + 0.5 * dt * k2, fh, bh)
+        k4 = rhs(g + dt * k3, f1, b1)
         g = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += dt
         history.append(GalerkinState(g, t))

@@ -3,8 +3,9 @@
 Contents
 --------
 * Assembled operators on the interior-face and cell vectors: the scalar
-  Laplacians, the no-slip viscous block K = -Lap_noslip and the divergence D;
-  the gradient is G = -D^T.
+  Laplacians, the no-slip viscous block K = -Lap_noslip, the divergence D
+  (the gradient is G = -D^T) and the curl C of the interior-node stream
+  function, whose range is the divergence-free subspace (D C = 0).
 * Separable solves of the cell-centred scalar operators, applied in the
   cached eigenbases of the 1-D tridiagonals (Lynch, Rice and Thomas 1964):
   the zero-flux ``NeumannPoisson`` solve (the mean-zero pseudo-inverse), the
@@ -61,6 +62,7 @@ __all__ = [
     "unflatten_interior",
     "dense_stokes_solve",
     "divergence_matrix",
+    "curl_matrix",
     "laplacian_neumann_matrix",
     "laplacian_dirichlet_matrix",
     "noslip_viscous_matrix",
@@ -144,6 +146,17 @@ def divergence_matrix(grid: Grid) -> sp.csr_matrix:
     ])
     n = n_u + nx * (ny - 1)
     return sp.coo_matrix((data, (rows, cols)), shape=(nx * ny, n)).tocsr()
+
+
+def curl_matrix(grid: Grid) -> sp.csr_matrix:
+    """Curl C of the interior-node stream function onto the interior faces
+    (``vector_from_stream`` with zero wall values); D C = 0."""
+    nx, ny = grid.nx, grid.ny
+    # cell j of a grid line reads nodes j + 1 and j; the wall nodes are zero
+    ex = sp.eye(nx, nx - 1) - sp.eye(nx, nx - 1, k=-1)
+    ey = sp.eye(ny, ny - 1) - sp.eye(ny, ny - 1, k=-1)
+    C = sp.vstack([sp.kron(sp.identity(nx - 1), ey), -sp.kron(ex, sp.identity(ny - 1))])
+    return (C / grid.h).tocsr()
 
 
 def flatten_interior(w: VectorField) -> np.ndarray:

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from enslab.advection import advect, adjoint_advect, skew_advect, trilinear
+from enslab.advection import (
+    advect,
+    adjoint_advect,
+    centered_differences,
+    skew_advect,
+    transport_coefficients,
+    trilinear,
+)
 from enslab.grid import Grid, VectorField, face_inner, face_norm
 
 
@@ -91,6 +98,20 @@ class TestAdvectForm:
         rhs = advect(w, b1) + advect(w, b2) * 2.0
         assert face_norm(lhs - rhs) <= 1e-13 * max(1.0, face_norm(rhs))
 
+
+    def test_stacked_factors_match_each_field(self):
+        # the Galerkin tensors apply the two factors of advect to stacks of
+        # fields at once; every slice must equal the single-field result
+        g = Grid(8)
+        rng = np.random.default_rng(13)
+        fields = [random_vector(g, rng) for _ in range(3)]
+        us = np.stack([f.u for f in fields])
+        vs = np.stack([f.v for f in fields])
+        stacked = transport_coefficients(us, vs) + centered_differences(us, vs, g.h)
+        for i, f in enumerate(fields):
+            single = transport_coefficients(f.u, f.v) + centered_differences(f.u, f.v, g.h)
+            for got, want in zip(stacked, single):
+                assert np.array_equal(got[i], want)
 
 class TestAdjoint:
     @pytest.mark.parametrize("n", [8, 16, 32])

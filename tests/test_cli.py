@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse.linalg
 from scipy.sparse.linalg._dsolve import _superlu
 
-from enslab import ens_jl, ens_sr, linsolve
+from enslab import ens_jl, ens_sr, galerkin, linsolve
 from enslab.cli import main
 from enslab.errors import CheckFailure
 from enslab.fieldio import read_scalar, read_vector
@@ -353,7 +353,8 @@ class TestStudies:
 
 class TestNoSuperLU:
     # Every field route solves its scalar and saddle-point systems in the
-    # 1-D eigenbases; only the Galerkin basis build factors a matrix.
+    # 1-D eigenbases, and the Galerkin basis comes from a dense eigensolve:
+    # no route factors a sparse matrix.
     @pytest.mark.parametrize("command,text", [
         ("run", JL_RUN),
         ("run", JL_RUN + "route = direct\n"),
@@ -361,15 +362,19 @@ class TestNoSuperLU:
         ("run", SR_RUN + "route = direct\n"),
         ("compare", JL_RUN),
         ("heat", HEAT_RUN.replace("grid = 32", "grid = 16")),
-    ], ids=["jl-decomposed", "jl-direct", "sr-constructive", "sr-direct", "compare", "heat"])
+        ("run", GALERKIN_RUN),
+    ], ids=["jl-decomposed", "jl-direct", "sr-constructive", "sr-direct", "compare", "heat",
+            "galerkin"])
     def test_field_routes_build_no_sparse_factor(self, tmp_path, monkeypatch, command, text):
         def refuse(*args, **kwargs):
-            raise AssertionError("SuperLU called on a field route")
+            raise AssertionError("a route factored a sparse matrix")
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
         monkeypatch.setattr(_superlu, "gstrf", refuse)
         monkeypatch.setattr(_superlu, "gssv", refuse)
         monkeypatch.setattr(linsolve, "_cache", {})
+        monkeypatch.setattr(galerkin, "_basis_memo", {})
         code, _ = run_cli(tmp_path, command, text)
         assert code == 0
 

@@ -19,6 +19,7 @@ from enslab.grid import (
     vector_from_stream,
     vector_laplacian,
 )
+from enslab.linsolve import divergence_matrix, flatten_interior, noslip_viscous_matrix
 from enslab.stokes_lift import leray_project, lift_divergence
 from enslab import ens_jl, galerkin
 from enslab.scenarios import march
@@ -88,9 +89,40 @@ class TestBasisConstruction:
         with pytest.raises(ValueError):
             galerkin.build_basis(grid, dim + 1)
 
+    def test_constructor_rejects_non_orthonormal_modes(self):
+        basis = galerkin.build_basis(Grid(16), 4)
+        modes = list(basis.modes)
+        modes[2] = modes[2] + modes[1] * 1e-6
+        with pytest.raises(CheckFailure, match="<w_1, w_2>|<w_2, w_1>"):
+            galerkin.GalerkinBasis(basis.grid, basis.lam, tuple(modes))
+
+    def test_constructor_rejects_wrong_eigenvalue(self):
+        basis = galerkin.build_basis(Grid(16), 4)
+        lam = basis.lam.copy()
+        lam[3] *= 1.001
+        with pytest.raises(CheckFailure, match="mode 3 eigen-residual"):
+            galerkin.GalerkinBasis(basis.grid, lam, basis.modes)
+
     def test_grid_too_large_for_dense_solve(self):
         with pytest.raises(ValueError):
             galerkin.build_basis(Grid(64), 4)
+
+
+class TestBasisAgainstDenseOracle:
+    # The oracle diagonalizes K on an orthonormal basis of null(D).  Each k
+    # sits between two distinct eigenvalues, so the k-dimensional subspace is
+    # unique (at N = 16 a degenerate pair is split at k = 2, 7, 9, 14, 18, 23).
+    @pytest.mark.parametrize("n,k", [(8, 12), (8, 49), (16, 16)])
+    def test_eigenpairs_match_null_space_oracle(self, n, k):
+        grid = Grid(n)
+        null = sla.null_space(divergence_matrix(grid).toarray())
+        stiff = null.T @ (noslip_viscous_matrix(grid) @ null)
+        lam, vecs = sla.eigh(stiff, subset_by_index=[0, k - 1])
+        basis = galerkin.build_basis(grid, k)
+        assert np.abs(basis.lam - lam).max() <= 1e-10 * lam.max()
+        modes = np.stack([flatten_interior(w) for w in basis.modes], axis=1)
+        angles = sla.subspace_angles(modes, null @ vecs)
+        assert angles.max() <= 1e-9
 
 
 class TestBasisCache:
@@ -161,6 +193,37 @@ class TestTrilinearForm:
         combo = galerkin.trilinear_b(u, v1 * 2.0 + v2 * (-3.0), w)
         split = 2.0 * galerkin.trilinear_b(u, v1, w) - 3.0 * galerkin.trilinear_b(u, v2, w)
         assert abs(combo - split) <= 1e-12 * max(1.0, abs(split))
+
+
+class TestTensorContraction:
+    def test_coupling_tensor_matches_per_triple_oracle(self):
+        basis = galerkin.build_basis(Grid(16), 8)
+        w = basis.modes
+        oracle = np.array([[[galerkin.trilinear_b(w[r], w[s], w[j]) for j in range(8)]
+                            for s in range(8)] for r in range(8)])
+        tensor = galerkin.coupling_tensor(basis)
+        assert np.abs(tensor - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    def test_coupling_tensor_is_exactly_skew_in_last_two_slots(self):
+        tensor = galerkin.coupling_tensor(galerkin.build_basis(Grid(16), 8))
+        assert not (tensor + tensor.transpose(0, 2, 1)).any()
+
+    def test_lift_tensors_match_per_triple_oracle(self):
+        grid = Grid(16)
+        basis = galerkin.build_basis(grid, 8)
+        w = basis.modes
+        rng = np.random.default_rng(11)
+        # wall faces of z are nonzero, so the wall couplings of the
+        # transport stencil enter as well
+        z = VectorField(grid, rng.standard_normal(grid.shape_u),
+                        rng.standard_normal(grid.shape_v))
+        b1, b2 = galerkin.lift_tensors(basis, z)
+        o1 = np.array([[galerkin.trilinear_b(w[r], z, w[j]) for j in range(8)]
+                       for r in range(8)])
+        o2 = np.array([[galerkin.trilinear_b(z, w[r], w[j]) for j in range(8)]
+                       for r in range(8)])
+        assert np.abs(b1 - o1).max() <= 1e-13 * np.abs(o1).max()
+        assert np.abs(b2 - o2).max() <= 1e-13 * np.abs(o2).max()
 
 
 class TestStateAndProjection:

@@ -22,12 +22,14 @@ from enslab.grid import (
     laplacian_neumann,
     mean,
     scalar_norm,
+    vector_from_stream,
     vector_laplacian,
 )
 from enslab.linsolve import (
     STOKES_TOL,
     NeumannPoisson,
     NoslipHelmholtz,
+    curl_matrix,
     dense_stokes_solve,
     divergence_matrix,
     flatten_interior,
@@ -444,3 +446,29 @@ class TestAssembledDivergence:
         ref = flatten_interior(gradient(p))
         got = -(divergence_matrix(g).T @ p.values.ravel())
         assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+class TestCurlMatrix:
+    # D C = 0 and rank C = (N-1)^2 = dim null(D), so the range of C is
+    # exactly the divergence-free no-slip subspace.
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 32))
+    def test_divergence_of_curl_is_exactly_zero(self, n):
+        g = Grid(n)
+        assert not (divergence_matrix(g) @ curl_matrix(g)).toarray().any()
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 32), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_grid_stream_function_curl(self, n, seed):
+        g = Grid(n)
+        psi = np.random.default_rng(seed).standard_normal((n - 1, n - 1))
+        ref = flatten_interior(vector_from_stream(g, np.pad(psi, 1)))
+        got = curl_matrix(g) @ psi.ravel()
+        assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(4, 32))
+    def test_full_column_rank(self, n):
+        C = curl_matrix(Grid(n)).toarray()
+        assert C.shape[1] == (n - 1) ** 2
+        assert np.linalg.matrix_rank(C) == (n - 1) ** 2
