@@ -26,7 +26,10 @@ import numpy as np
 
 from . import ens_jl, ens_sr, fieldio, galerkin, scenarios
 from .config import Config, ConfigError, load_config
-from .diagnostics import convergence_order, fit_decay_rate, norms, passes
+from .diagnostics import (
+    DIV_CEILING, GAP_DECAY_TOL, GRAM_TOL, LEDGER_RATE_TOL, RECONSTRUCT_TOL, SPLIT_TOL,
+    TINY, WALL_FOLLOW_RUN_TOL, convergence_order, fit_decay_rate, norms, passes,
+)
 from .errors import CheckFailure, SolverError
 from .grid import (
     Grid,
@@ -47,6 +50,7 @@ EXIT_SOLVER = 2
 EXIT_CHECK = 3
 
 _DIV_FREE_PRESETS = ("zero", "vortex", "boundary_flux", "mms", "random_solenoidal")
+# perturbation amplitudes of the stability study (inputs, not bounds)
 _STABILITY_EPS = (1e-3, 1e-4, 1e-5)
 
 
@@ -114,7 +118,7 @@ def _field_margins(cfg: Config, rows, failure, ledger) -> list:
         return entries
     if cfg.ic in _DIV_FREE_PRESETS:
         worst = max(m["div_linf"] for _, m in rows)
-        entries.append(("divergence_ceiling", 1e-9 - worst, worst <= 1e-9))
+        entries.append(("divergence_ceiling", DIV_CEILING - worst, worst <= DIV_CEILING))
     if ledger is not None and not failure and len(rows) >= 2:
         try:
             rec = ledger.record()
@@ -130,12 +134,12 @@ def _field_margins(cfg: Config, rows, failure, ledger) -> list:
         decay = math.exp(-cfg.lam * cfg.dt)
         excess = max(g - gaps[0] * decay ** n for n, g in enumerate(gaps))
         scale = max(1.0, rows[0][1]["g_l2"], rows[0][1]["h_linf"])
-        entries.append(("gap_decay_excess", 1e-9 * scale - excess,
-                        excess <= 1e-9 * scale))
+        entries.append(("gap_decay_excess", GAP_DECAY_TOL * scale - excess,
+                        excess <= GAP_DECAY_TOL * scale))
         worst_wall = max(m["wall_gap_linf"] for _, m in rows)
         wall_scale = max(1.0, max(m["u_l2"] for _, m in rows))
-        entries.append(("wall_follow", 1e-8 * wall_scale - worst_wall,
-                        worst_wall <= 1e-8 * wall_scale))
+        entries.append(("wall_follow", WALL_FOLLOW_RUN_TOL * wall_scale - worst_wall,
+                        worst_wall <= WALL_FOLLOW_RUN_TOL * wall_scale))
     return entries
 
 
@@ -230,7 +234,7 @@ def _run_galerkin(cfg: Config, out_dir: str) -> int:
         rec = galerkin.galerkin_energy_ledger(
             basis, trajectory, cfg.nu, cfg.dt, f_path=f_path)
         rate = rec.metrics["imbalance_rate_max"]
-        entries.append(("ledger_rate", 1e-6 - rate, rate <= 1e-6))
+        entries.append(("ledger_rate", LEDGER_RATE_TOL - rate, rate <= LEDGER_RATE_TOL))
         if fspec.is_zero():
             energies = [m["energy"] for _, m in rows]
             worst_rise = max(b - a for a, b in zip(energies, energies[1:]))
@@ -302,7 +306,7 @@ def cmd_compare(cfg: Config, quiet: bool) -> int:
     for sa, sb in zip_longest(run_a.states(u0), run_b.states(u0)):
         if sa is not None and sb is not None:
             gap = face_norm(sa.u - sb.u)
-            ref = max(face_norm(sa.u), 1e-300)
+            ref = max(face_norm(sa.u), TINY)
             rows.append((sa.time, {"gap_l2": gap, "gap_rel": gap / ref}))
     code_a, code_b = run_a.finish(), run_b.finish()
     fieldio.ensure_dir(cfg.out)
@@ -349,21 +353,17 @@ def cmd_stability(cfg: Config, quiet: bool) -> int:
 
 
 def cmd_basis(cfg: Config, quiet: bool) -> int:
-    if cfg.grid > 32:
-        raise ConfigError("basis construction requires grid <= 32 "
-                          "(dense eigensolve budget)")
     basis = _build_basis_checked(Grid(cfg.grid), cfg.modes)
     fieldio.ensure_dir(cfg.out)
     galerkin.save_basis(basis, cfg.out)
-    gram = basis.grid.h * basis.grid.h * (basis.stacked @ basis.stacked.T)
-    gram_dev = float(np.abs(gram - np.eye(basis.k)).max())
+    gram_dev = basis.gram_deviation
     div_max = max(float(np.abs(divergence(w).values).max()) for w in basis.modes)
     wall_max = max(normal_trace(w).max_abs() for w in basis.modes)
     _say(quiet, "eigenvalues: " + ", ".join(f"{v:.6g}" for v in basis.lam))
     entries = [
-        ("gram_deviation", 1e-10 - gram_dev, gram_dev <= 1e-10),
-        ("mode_divergence", 1e-9 - div_max, div_max <= 1e-9),
-        ("mode_wall_flux", 1e-9 - wall_max, wall_max <= 1e-9),
+        ("gram_deviation", GRAM_TOL - gram_dev, gram_dev <= GRAM_TOL),
+        ("mode_divergence", DIV_CEILING - div_max, div_max <= DIV_CEILING),
+        ("mode_wall_flux", DIV_CEILING - wall_max, wall_max <= DIV_CEILING),
     ]
     ok = fieldio.write_summary(os.path.join(cfg.out, "summary.txt"), entries)
     return EXIT_OK if ok else EXIT_CHECK
@@ -402,32 +402,26 @@ def cmd_heat(cfg: Config, quiet: bool) -> int:
 
 
 def cmd_decompose(cfg: Config, quiet: bool) -> int:
-    grid = Grid(cfg.grid)
-    u0 = _initial_velocity(cfg, grid)
-    dec = decompose(u0)
+    dec = decompose(_initial_velocity(cfg, Grid(cfg.grid)))
     fieldio.ensure_dir(cfg.out)
     fieldio.write_vector(os.path.join(cfg.out, "part_v"), dec.v, 0.0)
     fieldio.write_vector(os.path.join(cfg.out, "part_z"), dec.z, 0.0)
     fieldio.write_scalar(os.path.join(cfg.out, "pressure_q.ensf"), dec.q, 0.0)
-    div_v = scalar_norm(divergence(dec.v))
-    div_scale = max(face_norm(u0) / grid.h, 1e-300)
-    gv = math.sqrt(max(grad_inner(dec.v, dec.v), 0.0))
-    gz = math.sqrt(max(grad_inner(dec.z, dec.z), 0.0))
-    ortho = grad_inner(dec.v, dec.z)
-    ortho_scale = max(gv * gz, 0.5 * max(grad_inner(u0, u0), 0.0), 1e-300)
-    rec_err = (dec.v + dec.z - u0).max_abs()
-    rec_scale = max(1.0, u0.max_abs())
+    m = dec.record  # measured once, by the validation inside decompose
+    div_v, ortho, rec_err = m["div_v_l2"], m["grad_orthogonality"], m["reconstruction"]
     rows = [(0.0, {"v_l2": face_norm(dec.v), "z_l2": face_norm(dec.z),
-                   "v_h1_semi": gv, "z_h1_semi": gz,
+                   "v_h1_semi": m["v_h1_semi"], "z_h1_semi": m["z_h1_semi"],
                    "div_v_l2": div_v, "grad_orthogonality": ortho})]
     fieldio.write_csv(os.path.join(cfg.out, "diagnostics.csv"), rows)
     _say(quiet, f"split: |v| {face_norm(dec.v):.6f}, |z| {face_norm(dec.z):.6f}, "
                 f"gradient pairing {ortho:.2e}")
+    div_bound = SPLIT_TOL * m["div_scale"]
+    ortho_bound = SPLIT_TOL * m["orthogonality_scale"]
+    rec_bound = RECONSTRUCT_TOL * m["reconstruction_scale"]
     entries = [
-        ("div_v_ceiling", 1e-9 * div_scale - div_v, div_v <= 1e-9 * div_scale),
-        ("grad_orthogonality", 1e-9 * ortho_scale - abs(ortho),
-         abs(ortho) <= 1e-9 * ortho_scale),
-        ("reconstruction", 1e-13 * rec_scale - rec_err, rec_err <= 1e-13 * rec_scale),
+        ("div_v_ceiling", div_bound - div_v, div_v <= div_bound),
+        ("grad_orthogonality", ortho_bound - abs(ortho), abs(ortho) <= ortho_bound),
+        ("reconstruction", rec_bound - rec_err, rec_err <= rec_bound),
     ]
     ok = fieldio.write_summary(os.path.join(cfg.out, "summary.txt"), entries)
     return EXIT_OK if ok else EXIT_CHECK

@@ -1,9 +1,14 @@
-"""Norm registry, inequality margins, rate fits, convergence-order estimates.
+"""Tolerance table, norm registry, inequality margins, rate fits, orders.
 
 Every inequality check in the package reports a *margin* = RHS - LHS, so
 margin >= 0 means the inequality holds.  Judgment (pass/fail) is applied
 separately through :func:`passes` with one global slack policy, keeping the
 measurement and the thresholds in one place.
+
+Every bound the package judges a measurement against is named once in the
+table below, with what it bounds and the scale it multiplies.  ``linsolve``
+cannot import this module (this module imports it), so its two bounds live
+there and are re-exported here.
 """
 
 from __future__ import annotations
@@ -22,22 +27,76 @@ from .grid import (
     scalar_grad_inner,
     scalar_norm,
 )
-from .linsolve import htilde_solver
+from .linsolve import COMPAT_TOL, STOKES_TOL, htilde_solver
 
 __all__ = [
     "DiagnosticsRecord",
     "OrderEstimate",
-    "SLACK_ABS",
-    "SLACK_REL",
     "passes",
     "norms",
     "htilde_norm",
     "fit_decay_rate",
     "convergence_order",
+    # the tolerance table
+    "SLACK_ABS", "SLACK_REL", "TINY", "LIFT_FLOOR", "WALL_FLOOR", "TIME_RTOL",
+    "DRIFT_RTOL", "DRIFT_ABS", "RECONSTRUCT_TOL", "WALL_FOLLOW_TOL", "SPLIT_TOL",
+    "SPLIT_RECONSTRUCT_TOL", "SPLIT_WALL_TOL", "SOLVABILITY_TOL", "GAP_DECAY_TOL",
+    "NET_SOURCE_TOL", "MASS_TOL", "CONTRACTION_RTOL", "GRAM_TOL", "EIGEN_RESIDUAL_TOL",
+    "EIGEN_ORDER_RTOL", "STEP_COUNT_RTOL", "DIV_CEILING", "WALL_FOLLOW_RUN_TOL",
+    "LEDGER_RATE_TOL", "STOKES_TOL", "COMPAT_TOL",
 ]
 
-SLACK_ABS = 1e-8
+# ---------------------------------------------------------------------------
+# Tolerance table.  A check passes while its measurement x <= NAME * scale,
+# with the scale after "x" in each comment (none: an absolute bound).
+# ||.|| is the discrete L2 norm, max|.| the largest value, h the spacing.
+# ---------------------------------------------------------------------------
+
+SLACK_ABS = 1e-8    # passes(): margin >= -(SLACK_ABS + SLACK_REL * |scale|)
 SLACK_REL = 1e-6
+TINY = 1e-300       # guard: ratios divide by max(x, TINY); ||g+|| <= ||g|| gets + TINY
+
+# Round-off floors of a velocity u (stokes_lift.lift_floor and wall_floor).
+LIFT_FLOOR = 1e-12  # ||div|| at or below is not lifted; x max(1, ||u|| / h)
+WALL_FLOOR = 1e-12  # max|u.n| at or below counts as zero walls; x max(1, max|u|)
+
+# States of both systems (stokes_lift.check_state, the wall checks).
+TIME_RTOL = 1e-12   # |t_component - t|; x max(1, |t|)
+DRIFT_RTOL = 1e-7   # ||div u - g|| (sr: less its mean); x max(||g||, ||u|| / h), + DRIFT_ABS
+DRIFT_ABS = 1e-14
+RECONSTRUCT_TOL = 1e-13  # cache max|u - (v + z)|, and `enslab decompose`; x max(1, max|u|)
+WALL_FOLLOW_TOL = 1e-8   # sr state: max|h - u.n|; x max(1, max|u|)
+
+# The split u = v + z (stokes_lift.Decomposition.validate and decompose).
+SPLIT_TOL = 1e-9    # ||div v||; x max(||u|| / h, TINY).  |<grad v, grad z>|;
+                    # x max(|v|_1 |z|_1, |u|_1^2 / 2, TINY)
+SPLIT_RECONSTRUCT_TOL = 1e-14  # max|v + z - u|; x max(1, max|u|)
+SPLIT_WALL_TOL = 1e-10         # max|u.n| of the input; x max(1, max|u|)
+
+# Boundary relaxation (ens_sr), gap = oint h - int g.
+SOLVABILITY_TOL = 1e-7  # |gap| before a constructive step; x max(1, ||g||, max|h|)
+GAP_DECAY_TOL = 1e-9    # |gap+| - e^(-lam dt) |gap| per step and over a run (scale
+                        # at t = 0, the `gap_decay_excess` margin); x max(1, ||g||, max|h|)
+NET_SOURCE_TOL = 1e-8   # |int rhs| of the pressure problem; x max(1, ||rhs||)
+
+# Heat oracle (heat_oracle).
+MASS_TOL = 1e-12          # zero-flux |int g - m0|; x max(1, |m0|)
+CONTRACTION_RTOL = 1e-12  # ||g+|| - ||g||; x ||g||, + TINY
+
+# Galerkin route (galerkin, `enslab basis`).
+GRAM_TOL = 1e-10            # max |<w_i, w_j> - delta_ij|
+EIGEN_RESIDUAL_TOL = 1e-8   # ||P K w - lam w||; x (1 + lam)
+EIGEN_ORDER_RTOL = 1e-9     # lam_j - lam_{j+1}; x lam_max
+STEP_COUNT_RTOL = 1e-9      # |round(T / dt) dt - T|; x max(1, T)
+
+# Margins of the run summaries (cli).
+DIV_CEILING = 1e-9          # max|div u| of a divergence-free run; max|div w|, max|w.n| of modes
+WALL_FOLLOW_RUN_TOL = 1e-8  # max over the run of max|h - u.n|; x max(1, max_t ||u||)
+LEDGER_RATE_TOL = 1e-6      # Galerkin ledger imbalance per unit time
+
+# Defined in linsolve, which cannot import this module, and re-exported:
+# STOKES_TOL bounds the relative divergence residual of a generalized-Stokes
+# solve; COMPAT_TOL bounds |int g - oint trace|; x max(1, ||g||, max|trace|).
 
 
 def passes(margin: float, scale: float = 1.0) -> bool:

@@ -30,15 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .advection import skew_advect
-from .diagnostics import DiagnosticsRecord
+from .diagnostics import TINY, DiagnosticsRecord
 from .errors import CheckFailure
 from .grid import (
-    Grid,
     ScalarField,
     VectorField,
     divergence,
     face_inner,
-    face_norm,
     grad_inner,
     gradient,
     laplacian_neumann,
@@ -55,7 +53,7 @@ from .reference import (
     perturbed_heun_step,
     poincare_constant,
 )
-from .stokes_lift import decompose, leray_project, lift_divergence
+from .stokes_lift import check_state, decompose, leray_project, lift_or_zero, wall_floor
 
 __all__ = [
     "JLState",
@@ -69,14 +67,6 @@ __all__ = [
     "stokes_pressure",
     "check_stokes_pressure",
 ]
-
-_DIV_MATCH_RTOL = 1e-7
-
-
-def _lift_floor(u: VectorField) -> float:
-    """Divergence norms below this are round-off, not data, for this field."""
-    return 1e-12 * max(1.0, face_norm(u) / u.grid.h)
-
 
 @dataclass(frozen=True)
 class JLState:
@@ -97,31 +87,10 @@ class JLState:
     q: ScalarField | None = None
 
     def __post_init__(self) -> None:
-        if not (self.nu > 0.0 and math.isfinite(self.nu)):
-            raise ValueError(f"viscosity must be positive, got {self.nu!r}")
-        if self.g.bc != "neumann":
-            raise ValueError(f"divergence state must be Neumann, got {self.g.bc!r}")
-        if self.g.nu != self.nu:
-            raise ValueError("divergence state carries a different viscosity")
-        if abs(self.g.time - self.time) > 1e-12 * max(1.0, abs(self.time)):
-            raise ValueError("divergence state time disagrees with state time")
+        check_state(self, "neumann", (self.g.time,), divergence(self.u) - self.g.g)
         walls = normal_trace(self.u).max_abs()
-        if walls > 1e-12 * max(1.0, self.u.max_abs()):
+        if walls > wall_floor(self.u):
             raise CheckFailure(f"wall-normal faces must vanish (max {walls:.3e})")
-        err = scalar_norm(divergence(self.u) - self.g.g)
-        scale = max(scalar_norm(self.g.g), face_norm(self.u) / self.u.grid.h)
-        if err > _DIV_MATCH_RTOL * scale + 1e-14:
-            raise CheckFailure(
-                f"velocity divergence drifted from its heat state: {err:.3e} "
-                f"against scale {scale:.3e}")
-        have = [f is not None for f in (self.v, self.z, self.q)]
-        if any(have) and not all(have):
-            raise ValueError("decomposition cache must be all present or absent")
-        if self.v is not None:
-            gap = (self.u - (self.v + self.z)).max_abs()
-            if gap > 1e-13 * max(1.0, self.u.max_abs()):
-                raise CheckFailure(
-                    f"decomposition cache does not reconstruct the velocity ({gap:.3e})")
 
     @property
     def decomposed(self) -> bool:
@@ -139,15 +108,6 @@ def jl_state(u: VectorField, nu: float, forcing: ForcingSpec | None = None,
     return JLState(time, u, g, nu, forcing, dec.v, dec.z, dec.q)
 
 
-def _advance_lift(state: JLState, gp: DivergenceState):
-    """Lift the advanced divergence, skipping the solve for round-off data."""
-    grid = state.u.grid
-    if scalar_norm(gp.g) <= _lift_floor(state.u):
-        return VectorField.zeros(grid), ScalarField.zeros(grid)
-    z, q = lift_divergence(gp.g)
-    return z, q
-
-
 def step_decomposed(s: JLState, dt: float) -> JLState:
     """One step of the constructive route: heat oracle, lift, projected flow.
 
@@ -155,14 +115,12 @@ def step_decomposed(s: JLState, dt: float) -> JLState:
     midpoint-averaged transport, solved on the projected operator, so the
     per-step energy ledger closes to O(dt^2).
     """
-    if not (dt > 0.0):
-        raise ValueError(f"time step must be positive, got {dt!r}")
     if not s.decomposed:
         raise ValueError("decomposed route requires the decomposition cache; "
                          "build the state with jl_state(u, nu, ...)")
     cfl_check(s.u, dt)
     gp = heat_step(s.g, dt)
-    zp, qp = _advance_lift(s, gp)
+    zp, qp = lift_or_zero(gp.g, s.u)
     f_mid = _eval_forcing(s.forcing, s.u.grid, s.time + 0.5 * dt)
     vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, f_mid)
     return JLState(s.time + dt, vp + zp, gp, s.nu, s.forcing, vp, zp, qp)
@@ -179,8 +137,6 @@ def step_direct(s: JLState, dt: float) -> JLState:
     value of the gradient part; the recovered potential itself is available
     through stokes_pressure().
     """
-    if not (dt > 0.0):
-        raise ValueError(f"time step must be positive, got {dt!r}")
     cfl_check(s.u, dt)
     grid = s.u.grid
     u = s.u
@@ -311,14 +267,14 @@ def coercivity_probe(u: VectorField) -> DiagnosticsRecord:
     sign is indefinite.
     """
     walls = normal_trace(u).max_abs()
-    if walls > 1e-12 * max(1.0, u.max_abs()):
+    if walls > wall_floor(u):
         raise ValueError(f"probe requires zero wall faces (max {walls:.3e})")
     pu = leray_project(u)
     du = divergence(u)
     lap = vector_laplacian(u, "noslip")
     quad = -face_inner(u, leray_project(lap) + gradient(du))
     remainder = quad - grad_inner(pu, pu) - scalar_norm(du) ** 2
-    scale = max(grad_inner(u, u), 1e-300)
+    scale = max(grad_inner(u, u), TINY)
     metrics = {
         "remainder": remainder,
         "relative": remainder / scale,
@@ -336,7 +292,7 @@ def stokes_pressure(u: VectorField) -> ScalarField:
     Laplacian recovers the potential directly.
     """
     walls = normal_trace(u).max_abs()
-    if walls > 1e-12 * max(1.0, u.max_abs()):
+    if walls > wall_floor(u):
         raise ValueError(f"pressure recovery requires zero wall faces (max {walls:.3e})")
     w = vector_laplacian(u, "noslip") - gradient(divergence(u))
     return neumann_poisson(u.grid).solve(divergence(w))
@@ -358,6 +314,6 @@ def check_stokes_pressure(u: VectorField) -> DiagnosticsRecord:
     metrics = {
         "residual_interior": interior,
         "residual_full": full,
-        "relative": interior / max(full, 1e-300),
+        "relative": interior / max(full, TINY),
     }
     return DiagnosticsRecord(0.0, metrics, "ens_jl.check_stokes_pressure")

@@ -31,8 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .advection import centered_differences, transport_coefficients, trilinear
-from .diagnostics import DiagnosticsRecord
+from .advection import centered_differences, transport_coefficients
+from .diagnostics import (
+    EIGEN_ORDER_RTOL, EIGEN_RESIDUAL_TOL, GRAM_TOL, STEP_COUNT_RTOL, DiagnosticsRecord,
+)
 from .errors import CheckFailure, DimensionMismatchError, SolverError
 from .fieldio import ensure_dir, read_vector, write_vector
 from .grid import Grid, VectorField, face_norm, vector_laplacian
@@ -45,8 +47,6 @@ __all__ = [
     "build_basis",
     "save_basis",
     "load_basis",
-    "load_or_build",
-    "trilinear_b",
     "coupling_tensor",
     "lift_tensors",
     "project_onto_basis",
@@ -54,9 +54,6 @@ __all__ = [
     "integrate_galerkin",
     "galerkin_energy_ledger",
 ]
-
-_GRAM_TOL = 1e-10
-_EIGEN_RESIDUAL_TOL = 1e-8
 
 _memo_lock = threading.Lock()
 _basis_memo: dict = {}
@@ -79,12 +76,14 @@ def _split(grid: Grid, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class GalerkinBasis:
     """Lowest eigenpairs of the Stokes operator, L2-orthonormal; ``stacked``
-    holds the modes as rows of face vectors."""
+    holds the modes as rows of face vectors and ``gram_deviation`` the
+    measured max |<w_i, w_j> - delta_ij|."""
 
     grid: Grid
     lam: np.ndarray
     modes: tuple
     stacked: np.ndarray = field(init=False, repr=False, compare=False)
+    gram_deviation: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lam = np.asarray(self.lam, dtype=np.float64).copy()
@@ -95,23 +94,22 @@ class GalerkinBasis:
             raise ValueError("need one eigenvalue per mode, at least one mode")
         if not np.all(np.isfinite(lam)) or lam[0] <= 0.0:
             raise ValueError("eigenvalues must be finite and positive")
-        if np.any(np.diff(lam) < -1e-9 * lam[-1]):
+        if np.any(np.diff(lam) < -EIGEN_ORDER_RTOL * lam[-1]):
             raise ValueError("eigenvalues must be ascending")
-        if any(w.grid != self.grid for w in self.modes):
-            raise ValueError("mode grid mismatch")
         stacked = np.stack([_face_vector(self.grid, w) for w in self.modes])
         stacked.setflags(write=False)
         object.__setattr__(self, "stacked", stacked)
         gram = self.grid.h * self.grid.h * (stacked @ stacked.T)
         dev = np.abs(gram - np.eye(lam.size))
         i, j = np.unravel_index(np.argmax(dev), dev.shape)
-        if dev[i, j] > _GRAM_TOL:
+        object.__setattr__(self, "gram_deviation", float(dev[i, j]))
+        if dev[i, j] > GRAM_TOL:
             raise CheckFailure(
                 f"basis not orthonormal: <w_{i}, w_{j}> = {float(gram[i, j])!r}")
         for j, w in enumerate(self.modes):
             aw = leray_project(-vector_laplacian(w, "noslip"))
             res = face_norm(aw - w * float(lam[j]))
-            if res > _EIGEN_RESIDUAL_TOL * (1.0 + float(lam[j])):
+            if res > EIGEN_RESIDUAL_TOL * (1.0 + float(lam[j])):
                 raise CheckFailure(
                     f"mode {j} eigen-residual {res:.3e} at eigenvalue {lam[j]:.6g}")
 
@@ -198,28 +196,6 @@ def load_basis(directory: str, k: int | None = None) -> GalerkinBasis:
     return GalerkinBasis(grid, np.array(lams[:k]), tuple(modes))
 
 
-def load_or_build(grid: Grid, k: int, cache_dir: str | None = None) -> GalerkinBasis:
-    """Use the cache when it covers (grid, k); build and refresh it otherwise."""
-    if cache_dir is not None and os.path.exists(os.path.join(cache_dir, "lambda.txt")):
-        try:
-            basis = load_basis(cache_dir)
-            if basis.grid == grid and basis.k >= k:
-                if basis.k == k:
-                    return basis
-                return GalerkinBasis(grid, basis.lam[:k], basis.modes[:k])
-        except (OSError, ValueError, CheckFailure):
-            pass
-    basis = build_basis(grid, k)
-    if cache_dir is not None:
-        save_basis(basis, cache_dir)
-    return basis
-
-
-def trilinear_b(u: VectorField, v: VectorField, w: VectorField) -> float:
-    """Skew transport form: the pairing of (u . grad) v against w."""
-    return trilinear(u, v, w)
-
-
 def _transport(grid: Grid, ws, bs, cs) -> np.ndarray:
     """A[r, s, j] = <advect(w_r, b_s), c_j> over stacks of fields.
 
@@ -289,7 +265,7 @@ def integrate_galerkin(basis: GalerkinBasis, state: GalerkinState, nu: float,
     if state.k != basis.k:
         raise ValueError(f"state has {state.k} coefficients, basis {basis.k} modes")
     nsteps = round(T / dt)
-    if abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
+    if abs(nsteps * dt - T) > STEP_COUNT_RTOL * max(1.0, T):
         raise ValueError("T must be an integer multiple of dt")
     if tensor is None:
         tensor = coupling_tensor(basis)

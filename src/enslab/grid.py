@@ -121,7 +121,7 @@ class Grid:
         return np.arange(self.ny + 1) * self.h
 
 
-def _own(values: np.ndarray, shape: tuple[int, int], what: str) -> np.ndarray:
+def _own(values: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, copy=True, order="C")
     if arr.shape != shape:
         raise DimensionMismatchError(f"{what}: expected shape {shape}, got {arr.shape}")
@@ -222,13 +222,7 @@ class BoundaryTrace:
     def __post_init__(self) -> None:
         g = self.grid
         for name, n in (("left", g.ny), ("right", g.ny), ("bottom", g.nx), ("top", g.nx)):
-            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
-            if arr.shape != (n,):
-                raise DimensionMismatchError(f"BoundaryTrace.{name}: expected ({n},), got {arr.shape}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"BoundaryTrace.{name}: non-finite values")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _own(getattr(self, name), (n,), f"BoundaryTrace.{name}"))
 
     @staticmethod
     def zeros(grid: Grid) -> "BoundaryTrace":
@@ -330,60 +324,56 @@ def laplacian_dirichlet(p: ScalarField) -> ScalarField:
     return ScalarField(p.grid, _five_point(_pad_scalar(p.values, -1.0), p.grid.h))
 
 
+def _tangential_laplacian(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h^2 times the "tangential" closure of the Laplacian on face arrays.
+
+    Tangential components use the odd ghost; wall-normal faces are unknowns
+    closed with the even ghost across the wall.
+    """
+    lu = np.zeros(u.shape)
+    # x part with even ghost at the wall-normal faces
+    lu[1:-1, :] = u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]
+    lu[0, :] = 2.0 * (u[1, :] - u[0, :])
+    lu[-1, :] = 2.0 * (u[-2, :] - u[-1, :])
+    # y part with odd ghost (tangential component vanishes at the wall)
+    lu[:, 1:-1] += u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]
+    lu[:, 0] += u[:, 1] - 3.0 * u[:, 0]
+    lu[:, -1] += u[:, -2] - 3.0 * u[:, -1]
+
+    lv = np.zeros(v.shape)
+    lv[:, 1:-1] = v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]
+    lv[:, 0] = 2.0 * (v[:, 1] - v[:, 0])
+    lv[:, -1] = 2.0 * (v[:, -2] - v[:, -1])
+    lv[1:-1, :] += v[2:, :] - 2.0 * v[1:-1, :] + v[:-2, :]
+    lv[0, :] += v[1, :] - 3.0 * v[0, :]
+    lv[-1, :] += v[-2, :] - 3.0 * v[-1, :]
+    return lu, lv
+
+
 def vector_laplacian(w: VectorField, bc: str) -> VectorField:
     """Component-wise 5-point Laplacian with velocity boundary closure.
 
     bc="noslip": wall-normal faces are read as zero and their rows return
-    zero; tangential components use the odd ghost.
+    zero; tangential components use the odd ghost.  This is the
+    "tangential" closure applied to w with its wall-normal faces zeroed,
+    with the wall-normal rows of the result then zeroed.
 
     bc="tangential": tangential components use the odd ghost; wall-normal
     faces are genuine unknowns closed with the even ghost across the wall.
     """
-    g = w.grid
-    h2 = g.h * g.h
+    if bc not in ("noslip", "tangential"):
+        raise ValueError(f"unknown bc {bc!r}; expected 'noslip' or 'tangential'")
+    u, v = w.u, w.v
     if bc == "noslip":
-        un = w.u.copy()
-        un[0, :] = 0.0
-        un[-1, :] = 0.0
-        lu = np.zeros(g.shape_u)
-        # x part: wall values enter as (zero) Dirichlet data on the wall face
-        lu[1:-1, :] = un[2:, :] - 2.0 * un[1:-1, :] + un[:-2, :]
-        # y part: odd ghost for the tangential direction
-        lu[1:-1, 1:-1] += un[1:-1, 2:] - 2.0 * un[1:-1, 1:-1] + un[1:-1, :-2]
-        lu[1:-1, 0] += un[1:-1, 1] - 3.0 * un[1:-1, 0]
-        lu[1:-1, -1] += un[1:-1, -2] - 3.0 * un[1:-1, -1]
-
-        vn = w.v.copy()
-        vn[:, 0] = 0.0
-        vn[:, -1] = 0.0
-        lv = np.zeros(g.shape_v)
-        lv[:, 1:-1] = vn[:, 2:] - 2.0 * vn[:, 1:-1] + vn[:, :-2]
-        lv[1:-1, 1:-1] += vn[2:, 1:-1] - 2.0 * vn[1:-1, 1:-1] + vn[:-2, 1:-1]
-        lv[0, 1:-1] += vn[1, 1:-1] - 3.0 * vn[0, 1:-1]
-        lv[-1, 1:-1] += vn[-2, 1:-1] - 3.0 * vn[-1, 1:-1]
-        return VectorField(g, lu / h2, lv / h2)
-    if bc == "tangential":
-        u = w.u
-        lu = np.zeros(g.shape_u)
-        # x part with even ghost at the wall-normal faces
-        lu[1:-1, :] = u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]
-        lu[0, :] = 2.0 * (u[1, :] - u[0, :])
-        lu[-1, :] = 2.0 * (u[-2, :] - u[-1, :])
-        # y part with odd ghost (tangential component vanishes at the wall)
-        lu[:, 1:-1] += u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]
-        lu[:, 0] += u[:, 1] - 3.0 * u[:, 0]
-        lu[:, -1] += u[:, -2] - 3.0 * u[:, -1]
-
-        v = w.v
-        lv = np.zeros(g.shape_v)
-        lv[:, 1:-1] = v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]
-        lv[:, 0] = 2.0 * (v[:, 1] - v[:, 0])
-        lv[:, -1] = 2.0 * (v[:, -2] - v[:, -1])
-        lv[1:-1, :] += v[2:, :] - 2.0 * v[1:-1, :] + v[:-2, :]
-        lv[0, :] += v[1, :] - 3.0 * v[0, :]
-        lv[-1, :] += v[-2, :] - 3.0 * v[-1, :]
-        return VectorField(g, lu / h2, lv / h2)
-    raise ValueError(f"unknown bc {bc!r}; expected 'noslip' or 'tangential'")
+        u, v = u.copy(), v.copy()
+        u[[0, -1], :] = 0.0
+        v[:, [0, -1]] = 0.0
+    lu, lv = _tangential_laplacian(u, v)
+    if bc == "noslip":
+        lu[[0, -1], :] = 0.0
+        lv[:, [0, -1]] = 0.0
+    h2 = w.grid.h * w.grid.h
+    return VectorField(w.grid, lu / h2, lv / h2)
 
 
 # ---------------------------------------------------------------------------

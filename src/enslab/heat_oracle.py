@@ -19,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, htilde_norm, passes
+from .diagnostics import CONTRACTION_RTOL, MASS_TOL, TINY, DiagnosticsRecord, htilde_norm, passes
 from .errors import CheckFailure
 from .grid import ScalarField, integral, scalar_grad_inner, scalar_norm
 from .linsolve import heat_solver
 
 __all__ = ["DivergenceState", "divergence_state", "heat_step",
            "check_heat_estimates", "HeatEstimates"]
-
-_MASS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,7 @@ class DivergenceState:
             raise ValueError(f"viscosity must be positive and finite, got {self.nu}")
         if self.bc == "neumann":
             drift = abs(integral(self.g) - self.m0)
-            if drift > _MASS_TOL * max(1.0, abs(self.m0)):
+            if drift > MASS_TOL * max(1.0, abs(self.m0)):
                 raise CheckFailure(
                     f"zero-flux divergence state lost mass: drift {drift:.3e}")
 
@@ -65,7 +63,7 @@ def heat_step(s: DivergenceState, dt: float) -> DivergenceState:
     out = ScalarField(s.g.grid, step(s.g.values))
     n_old = scalar_norm(s.g)
     n_new = scalar_norm(out)
-    if n_new > n_old * (1.0 + 1e-12) + 1e-300:
+    if n_new > n_old * (1.0 + CONTRACTION_RTOL) + TINY:
         raise CheckFailure(
             f"heat step expanded the L2 norm: {n_old:.16e} -> {n_new:.16e}")
     return DivergenceState(g=out, time=s.time + dt, bc=s.bc, nu=s.nu, m0=s.m0)

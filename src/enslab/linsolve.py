@@ -45,10 +45,12 @@ from .grid import (
     divergence,
     integral,
     scalar_norm,
+    trace_integral,
 )
 
 __all__ = [
     "STOKES_TOL",
+    "COMPAT_TOL",
     "STOKES_MAX_ITER",
     "SolveReport",
     "GeneralizedStokes",
@@ -74,6 +76,11 @@ __all__ = [
 # solve that has stopped converging.
 STOKES_TOL = 1e-12
 STOKES_MAX_ITER = 100
+# Compatibility of divergence data g with a wall-normal trace:
+# |int g - oint trace| <= COMPAT_TOL * max(1, ||g||, max|trace|).  These two
+# bounds belong to the tolerance table of ``diagnostics``, which imports
+# this module and re-exports them.
+COMPAT_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +443,12 @@ def _wall_rhs(grid: Grid, trace: BoundaryTrace) -> np.ndarray:
     return np.concatenate([bu.ravel(), bv.ravel()])
 
 
-def _check_compatibility(g: ScalarField, trace: BoundaryTrace, tol: float = 1e-10) -> None:
+def _check_compatibility(g: ScalarField, trace: BoundaryTrace) -> None:
+    """The one solvability check of divergence data against a wall flux."""
     vol = integral(g)
-    h = g.grid.h
-    flux = h * float(np.sum(trace.left) + np.sum(trace.right) + np.sum(trace.bottom) + np.sum(trace.top))
+    flux = trace_integral(trace)
     scale = max(1.0, scalar_norm(g), trace.max_abs())
-    if abs(vol - flux) > tol * scale:
+    if abs(vol - flux) > COMPAT_TOL * scale:
         raise CompatibilityError(
             f"divergence data and boundary flux disagree: volume integral {vol:.3e} "
             f"vs boundary flux {flux:.3e}")

@@ -21,14 +21,11 @@ Two reference steppers for the *standard* incompressible equations live here:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .advection import skew_advect
 from .errors import CFLError
-from .grid import Grid, VectorField, vector_laplacian
+from .grid import Grid, VectorField, vector_from_functions, vector_laplacian
 from .linsolve import NoslipHelmholtz, _separable_eigenbasis, generalized_stokes
 from .stokes_lift import leray_project
 
@@ -62,13 +59,8 @@ class ForcingSpec:
     def evaluate(self, grid: Grid, t: float) -> VectorField:
         if self.is_zero():
             return VectorField.zeros(grid)
-        xu = grid.xface_x()[:, None]
-        yu = grid.cell_y()[None, :]
-        xv = grid.cell_x()[:, None]
-        yv = grid.yface_y()[None, :]
-        u = np.broadcast_to(np.asarray(self.fu(xu, yu, t), dtype=np.float64), grid.shape_u)
-        v = np.broadcast_to(np.asarray(self.fv(xv, yv, t), dtype=np.float64), grid.shape_v)
-        return VectorField(grid, u.copy(), v.copy())
+        return vector_from_functions(grid, lambda x, y: self.fu(x, y, t),
+                                     lambda x, y: self.fv(x, y, t))
 
 
 def _eval_forcing(forcing, grid: Grid, t: float) -> VectorField:
@@ -78,7 +70,10 @@ def _eval_forcing(forcing, grid: Grid, t: float) -> VectorField:
 
 
 def cfl_check(u: VectorField, dt: float) -> None:
-    """Advective step-size guard: dt <= h / (2 max |u|)."""
+    """Step-size guards of every stepper: dt > 0 (ValueError) and the
+    advective limit dt <= h / (2 max |u|) (CFLError)."""
+    if not (dt > 0.0):
+        raise ValueError(f"time step must be positive, got {dt!r}")
     vmax = u.max_abs()
     if vmax == 0.0:
         return

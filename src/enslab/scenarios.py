@@ -24,6 +24,7 @@ from .grid import (
     face_norm,
     integral,
     scalar_from_function,
+    vector_from_functions,
     vector_from_stream,
 )
 from .reference import ForcingSpec
@@ -134,13 +135,7 @@ def _mms_adv2(x, y):
 
 def mms_velocity(grid: Grid) -> VectorField:
     """The manufactured steady flow sampled on the staggered faces."""
-    xu = grid.xface_x()[:, None]
-    yu = grid.cell_y()[None, :]
-    xv = grid.cell_x()[:, None]
-    yv = grid.yface_y()[None, :]
-    u = np.broadcast_to(_mms_u1(xu, yu), grid.shape_u).copy()
-    v = np.broadcast_to(_mms_u2(xv, yv), grid.shape_v).copy()
-    return VectorField(grid, u, v)
+    return vector_from_functions(grid, _mms_u1, _mms_u2)
 
 
 def mms_forcing(nu: float) -> ForcingSpec:

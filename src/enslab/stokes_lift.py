@@ -8,30 +8,31 @@ divergence-free and H1-orthogonal to the lift.  A variant admits prescribed
 wall-normal velocity, used by the boundary-relaxation system.
 
 Also here: the discrete Leray projection (L2-orthogonal projection onto
-divergence-free fields with zero wall-normal flux) and the informational
-dual-norm bound check for the lift.
+divergence-free fields with zero wall-normal flux), the round-off floors of
+a velocity field, the invariants shared by the states of both systems and
+the informational dual-norm bound check for the lift.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from .diagnostics import DiagnosticsRecord, htilde_norm
-from .errors import CompatibilityError
+from .diagnostics import (
+    DRIFT_ABS, DRIFT_RTOL, LIFT_FLOOR, RECONSTRUCT_TOL, SPLIT_RECONSTRUCT_TOL,
+    SPLIT_TOL, SPLIT_WALL_TOL, TIME_RTOL, TINY, WALL_FLOOR, DiagnosticsRecord,
+    htilde_norm,
+)
+from .errors import CheckFailure, CompatibilityError
 from .grid import (
     BoundaryTrace,
-    Grid,
     ScalarField,
     VectorField,
     divergence,
-    face_inner,
     face_norm,
     grad_inner,
     gradient,
-    mean,
+    normal_trace,
     scalar_norm,
     with_normal_trace,
 )
@@ -45,23 +46,87 @@ __all__ = [
     "lifting_constant",
     "decompose",
     "check_weak_lifting_bound",
+    "lift_floor",
+    "wall_floor",
+    "lift_or_zero",
+    "check_state",
 ]
+
+
+def lift_floor(u: VectorField) -> float:
+    """Divergence norms at or below this are round-off, not data, for u."""
+    return LIFT_FLOOR * max(1.0, face_norm(u) / u.grid.h)
+
+
+def wall_floor(u: VectorField) -> float:
+    """Wall-normal values at or below this are round-off, not data, for u."""
+    return WALL_FLOOR * max(1.0, u.max_abs())
+
+
+def lift_or_zero(g: ScalarField, u: VectorField, trace: BoundaryTrace | None = None):
+    """Lift (g, trace) as (z, q); zeros when both are round-off for the field u."""
+    if scalar_norm(g) <= lift_floor(u) and (trace is None or trace.max_abs() <= wall_floor(u)):
+        return VectorField.zeros(u.grid), ScalarField.zeros(u.grid)
+    return lift_divergence(g) if trace is None else lift_with_boundary(g, trace)
+
+
+def check_state(state, bc: str, times, residual: ScalarField) -> None:
+    """Invariants shared by the states of both systems.
+
+    The viscosity is positive and shared by the divergence state, whose
+    closure is ``bc``; each of ``times`` (the component states' times)
+    agrees with state.time; ``residual``, the part of div u - g that the
+    system constrains, stays within the drift bound; the cache (v, z, q) is
+    all present or all absent and, when present, reconstructs u.
+    """
+    if not (state.nu > 0.0 and math.isfinite(state.nu)):
+        raise ValueError(f"viscosity must be positive, got {state.nu!r}")
+    if state.g.bc != bc:
+        raise ValueError(f"divergence state must be {bc}, got {state.g.bc!r}")
+    if state.g.nu != state.nu:
+        raise ValueError("divergence state carries a different viscosity")
+    for t in times:
+        if abs(t - state.time) > TIME_RTOL * max(1.0, abs(state.time)):
+            raise ValueError("component state times disagree with the state time")
+    u = state.u
+    err = scalar_norm(residual)
+    scale = max(scalar_norm(state.g.g), face_norm(u) / u.grid.h)
+    if err > DRIFT_RTOL * scale + DRIFT_ABS:
+        raise CheckFailure(
+            f"velocity divergence drifted from its heat state: {err:.3e} "
+            f"against scale {scale:.3e}")
+    have = [f is not None for f in (state.v, state.z, state.q)]
+    if any(have) and not all(have):
+        raise ValueError("decomposition cache must be all present or absent")
+    if state.v is not None:
+        gap = (u - (state.v + state.z)).max_abs()
+        if gap > RECONSTRUCT_TOL * max(1.0, u.max_abs()):
+            raise CheckFailure(
+                f"decomposition cache does not reconstruct the velocity ({gap:.3e})")
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """u = v + z with v discretely divergence-free and H1-orthogonal to z."""
+    """u = v + z with v discretely divergence-free and H1-orthogonal to z.
+
+    ``record`` holds the measurements of the validate() call that
+    decompose() made, so a caller reports them without measuring again.
+    """
 
     v: VectorField
     z: VectorField
     q: ScalarField
+    record: DiagnosticsRecord | None = field(default=None, compare=False, repr=False)
 
-    def validate(self, u: VectorField, tol: float = 1e-9) -> None:
-        """Re-check the three structural invariants against the input u."""
+    def validate(self, u: VectorField) -> DiagnosticsRecord:
+        """Re-check the three structural invariants against the input u.
+
+        Returns the measurements with the scales they were judged against.
+        """
         g = self.v.grid
         dv = scalar_norm(divergence(self.v))
-        scale_div = max(face_norm(u) / g.h, 1e-300)  # natural size of div u
-        if dv > tol * scale_div:
+        scale_div = max(face_norm(u) / g.h, TINY)  # natural size of div u
+        if dv > SPLIT_TOL * scale_div:
             raise CompatibilityError(f"decomposition: div v = {dv:.3e} not zero")
         gv = math.sqrt(max(grad_inner(self.v, self.v), 0.0))
         gz = math.sqrt(max(grad_inner(self.z, self.z), 0.0))
@@ -70,12 +135,19 @@ class Decomposition:
         # the pairing equals <div v, q> up to round-off, i.e. solver residual
         # times pressure; its natural scale is the input gradient energy
         # (which dominates gv*gz), so degenerate splits stay checkable
-        if abs(ortho) > tol * max(gv * gz, 0.5 * gu2, 1e-300):
+        scale_ortho = max(gv * gz, 0.5 * gu2, TINY)
+        if abs(ortho) > SPLIT_TOL * scale_ortho:
             raise CompatibilityError(f"decomposition: gradient orthogonality {ortho:.3e}")
-        rec = self.v + self.z
-        err = max(np.abs(rec.u - u.u).max(), np.abs(rec.v - u.v).max())
-        if err > 1e-14 * max(1.0, u.max_abs()):
+        err = (self.v + self.z - u).max_abs()
+        scale_rec = max(1.0, u.max_abs())
+        if err > SPLIT_RECONSTRUCT_TOL * scale_rec:
             raise CompatibilityError(f"decomposition: reconstruction error {err:.3e}")
+        return DiagnosticsRecord(0.0, {
+            "div_v_l2": dv, "div_scale": scale_div,
+            "v_h1_semi": gv, "z_h1_semi": gz,
+            "grad_orthogonality": ortho, "orthogonality_scale": scale_ortho,
+            "reconstruction": err, "reconstruction_scale": scale_rec,
+        }, "stokes_lift.Decomposition.validate")
 
 
 def leray_project(u: VectorField) -> VectorField:
@@ -103,9 +175,6 @@ def lift_divergence(g: ScalarField):
     lifting pressure.  The measured stability ratio ||z||_H1 / ||g||_L2 is
     available via :func:`lifting_constant`.
     """
-    if abs(mean(g)) > 1e-10 * max(1.0, scalar_norm(g)):
-        raise CompatibilityError(
-            f"lift_divergence: divergence field must have mean zero, got mean {mean(g):.3e}")
     z, q, _ = generalized_stokes(g.grid, 0.0, 1.0).solve(g=g)
     return z, q
 
@@ -114,15 +183,9 @@ def lift_with_boundary(g: ScalarField, h: BoundaryTrace):
     """Lift with prescribed outward wall-normal velocity h: returns (z, q).
 
     Solvability requires the volume integral of g to equal the boundary flux
-    of h to 1e-10; tangential wall velocity is zero by construction.
+    of h to COMPAT_TOL (the solve raises CompatibilityError otherwise);
+    tangential wall velocity is zero by construction.
     """
-    vol = scalar_norm(g)
-    flux_g = float(np.sum(g.values)) * g.grid.h ** 2
-    flux_h = g.grid.h * float(np.sum(h.left) + np.sum(h.right) + np.sum(h.bottom) + np.sum(h.top))
-    if abs(flux_g - flux_h) > 1e-10 * max(1.0, vol, h.max_abs()):
-        raise CompatibilityError(
-            f"lift_with_boundary: volume integral {flux_g:.6e} does not balance "
-            f"boundary flux {flux_h:.6e}")
     z, q, _ = generalized_stokes(g.grid, 0.0, 1.0).solve(g=g, trace=h)
     return z, q
 
@@ -142,27 +205,19 @@ def decompose(u: VectorField) -> Decomposition:
     """Split u (zero wall-normal faces) into divergence-free v plus lift z.
 
     The lift's divergence residual is relative to ||div u||, which is ~1/h
-    times larger than ||u||; its tolerance STOKES_TOL is well below the 1e-9
-    invariant level.  A divergence at round-off level is not lifted at all
-    (z = 0).
+    times larger than ||u||; its tolerance STOKES_TOL is well below the
+    SPLIT_TOL invariant level.  A divergence at round-off level (lift_floor)
+    is not lifted at all (z = 0).  The returned split carries the
+    measurements of its validation as ``record``.
     """
-    wall_flux = max(np.abs(u.u[0, :]).max(), np.abs(u.u[-1, :]).max(),
-                    np.abs(u.v[:, 0]).max(), np.abs(u.v[:, -1]).max())
-    if wall_flux > 1e-10 * max(1.0, u.max_abs()):
+    wall_flux = normal_trace(u).max_abs()
+    if wall_flux > SPLIT_WALL_TOL * max(1.0, u.max_abs()):
         raise CompatibilityError(
             f"decompose: wall-normal faces must vanish, max {wall_flux:.3e} "
             "(project the flux away first)")
-    du = divergence(u)
-    noise_floor = 1e-12 * max(1.0, face_norm(u) / u.grid.h)
-    if scalar_norm(du) <= noise_floor:
-        z = VectorField.zeros(u.grid)
-        q = ScalarField(u.grid, np.zeros(u.grid.shape_cell))
-    else:
-        z, q = lift_divergence(du)
-    v = VectorField(u.grid, u.u - z.u, u.v - z.v)
-    dec = Decomposition(v=v, z=z, q=q)
-    dec.validate(u)
-    return dec
+    z, q = lift_or_zero(divergence(u), u)
+    dec = Decomposition(v=u - z, z=z, q=q)
+    return replace(dec, record=dec.validate(u))
 
 
 def check_weak_lifting_bound(g: ScalarField, time: float = 0.0) -> DiagnosticsRecord:

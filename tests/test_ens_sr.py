@@ -374,6 +374,19 @@ class TestStepDirectSR:
         with pytest.raises(CompatibilityError):
             step_direct_sr(s, 1e-3)
 
+    def test_constant_off_by_one_is_detected(self, monkeypatch):
+        # the step assembles the pressure source with its own transport and
+        # forcing and must still reject a compatibility constant that is off
+        g = Grid(16)
+        _, _, z0 = matched_lift(g, 1e-2)
+        s = sr_state(vortex(g) + z0, 1.0, 0.02, decomposed=False)
+        step_direct_sr(s, 1e-3)
+        real = ens_sr.compat_constant
+        monkeypatch.setattr(ens_sr, "compat_constant",
+                            lambda gs, lam: real(gs, lam) + 1.0)
+        with pytest.raises(CompatibilityError):
+            step_direct_sr(s, 1e-3)
+
 
 class TestIntegrateSR:
     def test_history_includes_initial_state(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from enslab.advection import advect
+from enslab.advection import advect, trilinear
 from enslab.errors import CheckFailure
 from enslab.grid import (
     Grid,
@@ -147,16 +147,6 @@ class TestBasisCache:
         with pytest.raises(ValueError):
             galerkin.load_basis(str(tmp_path), 9)
 
-    def test_load_or_build_populates_then_hits_cache(self, tmp_path):
-        cache = str(tmp_path / "basis")
-        first = galerkin.load_or_build(Grid(16), 6, cache)
-        assert (tmp_path / "basis" / "lambda.txt").exists()
-        second = galerkin.load_or_build(Grid(16), 6, cache)
-        assert np.array_equal(first.lam, second.lam)
-        smaller = galerkin.load_or_build(Grid(16), 4, cache)
-        assert smaller.k == 4
-        assert np.array_equal(smaller.lam, first.lam[:4])
-
 
 class TestTrilinearForm:
     def test_energy_neutrality_for_solenoidal_transporter(self):
@@ -169,20 +159,20 @@ class TestTrilinearForm:
             u = leray_project(raw)
             v = basis.modes[trial % basis.k]
             scale = face_norm(u) * math.sqrt(grad_inner(v, v)) * face_norm(v)
-            assert abs(galerkin.trilinear_b(u, v, v)) <= 1e-10 * scale
+            assert abs(trilinear(u, v, v)) <= 1e-10 * scale
 
     def test_skew_antisymmetry_in_last_two_slots(self):
         basis = galerkin.build_basis(Grid(16), 8)
         u, v, w = basis.modes[1], basis.modes[4], basis.modes[6]
-        fwd = galerkin.trilinear_b(u, v, w)
-        bwd = galerkin.trilinear_b(u, w, v)
+        fwd = trilinear(u, v, w)
+        bwd = trilinear(u, w, v)
         scale = face_norm(u) * math.sqrt(grad_inner(v, v)) * face_norm(w)
         assert abs(fwd + bwd) <= 1e-10 * max(scale, 1.0)
 
     def test_agrees_with_quadrature_oracle(self):
         basis = galerkin.build_basis(Grid(16), 3)
         w1, w2, w3 = basis.modes
-        direct = galerkin.trilinear_b(w1, w2, w3)
+        direct = trilinear(w1, w2, w3)
         oracle = 0.5 * (face_inner(advect(w1, w2), w3)
                         - face_inner(advect(w1, w3), w2))
         assert abs(direct - oracle) <= 1e-8
@@ -190,8 +180,8 @@ class TestTrilinearForm:
     def test_bilinear_in_middle_slot(self):
         basis = galerkin.build_basis(Grid(16), 4)
         u, v1, v2, w = basis.modes
-        combo = galerkin.trilinear_b(u, v1 * 2.0 + v2 * (-3.0), w)
-        split = 2.0 * galerkin.trilinear_b(u, v1, w) - 3.0 * galerkin.trilinear_b(u, v2, w)
+        combo = trilinear(u, v1 * 2.0 + v2 * (-3.0), w)
+        split = 2.0 * trilinear(u, v1, w) - 3.0 * trilinear(u, v2, w)
         assert abs(combo - split) <= 1e-12 * max(1.0, abs(split))
 
 
@@ -199,7 +189,7 @@ class TestTensorContraction:
     def test_coupling_tensor_matches_per_triple_oracle(self):
         basis = galerkin.build_basis(Grid(16), 8)
         w = basis.modes
-        oracle = np.array([[[galerkin.trilinear_b(w[r], w[s], w[j]) for j in range(8)]
+        oracle = np.array([[[trilinear(w[r], w[s], w[j]) for j in range(8)]
                             for s in range(8)] for r in range(8)])
         tensor = galerkin.coupling_tensor(basis)
         assert np.abs(tensor - oracle).max() <= 1e-13 * np.abs(oracle).max()
@@ -218,9 +208,9 @@ class TestTensorContraction:
         z = VectorField(grid, rng.standard_normal(grid.shape_u),
                         rng.standard_normal(grid.shape_v))
         b1, b2 = galerkin.lift_tensors(basis, z)
-        o1 = np.array([[galerkin.trilinear_b(w[r], z, w[j]) for j in range(8)]
+        o1 = np.array([[trilinear(w[r], z, w[j]) for j in range(8)]
                        for r in range(8)])
-        o2 = np.array([[galerkin.trilinear_b(z, w[r], w[j]) for j in range(8)]
+        o2 = np.array([[trilinear(z, w[r], w[j]) for j in range(8)]
                        for r in range(8)])
         assert np.abs(b1 - o1).max() <= 1e-13 * np.abs(o1).max()
         assert np.abs(b2 - o2).max() <= 1e-13 * np.abs(o2).max()
@@ -289,7 +279,7 @@ class TestIntegration:
         grid = Grid(16)
         basis = galerkin.build_basis(grid, 1)
         z0 = generic_lift(grid)
-        beta = galerkin.trilinear_b(basis.modes[0], z0, basis.modes[0])
+        beta = trilinear(basis.modes[0], z0, basis.modes[0])
         nu, dt, horizon = 0.02, 1e-3, 0.5
         hist = galerkin.integrate_galerkin(
             basis, galerkin.GalerkinState(np.array([1.0])), nu, dt, horizon,

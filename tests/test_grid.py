@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enslab.errors import DimensionMismatchError
 from enslab.grid import (
@@ -250,6 +252,20 @@ class TestVectorLaplacianClosures:
             right = laplacian_dirichlet(divergence(w))
             scale = np.max(np.abs(right.values)) + 1.0
             np.testing.assert_allclose(left.values, right.values, rtol=0, atol=1e-10 * scale)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 32), seed=st.integers(0, 2 ** 32 - 1))
+    def test_noslip_is_tangential_on_zeroed_walls(self, n, seed):
+        # the no-slip closure is the tangential one applied to the field with
+        # its wall-normal faces zeroed, with the wall-normal rows then zeroed
+        g = Grid(n)
+        w = random_vector(g, np.random.default_rng(seed), zero_walls=False)
+        lt = vector_laplacian(with_normal_trace(w, BoundaryTrace.zeros(g)), "tangential")
+        lu, lv = lt.u.copy(), lt.v.copy()
+        lu[[0, -1], :] = 0.0
+        lv[:, [0, -1]] = 0.0
+        ln = vector_laplacian(w, "noslip")
+        assert np.array_equal(ln.u, lu) and np.array_equal(ln.v, lv)
 
 
 class TestNormsAndTraces:
