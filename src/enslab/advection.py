@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import VectorField, face_inner
+from .grid import VectorField, _adopt, face_inner
 
 __all__ = ["advect", "adjoint_advect", "skew_advect", "trilinear",
            "transport_coefficients", "centered_differences"]
@@ -62,7 +62,7 @@ def advect(w: VectorField, b: VectorField) -> VectorField:
     av = np.zeros(g.shape_v)
     au[1:-1, :] = wu * dxu + wy * dyu
     av[:, 1:-1] = wx * dxv + wv * dyv
-    return VectorField(g, au, av)
+    return _adopt(VectorField, g, au, av)
 
 
 def adjoint_advect(w: VectorField, c: VectorField) -> VectorField:
@@ -74,25 +74,32 @@ def adjoint_advect(w: VectorField, c: VectorField) -> VectorField:
     h2 = 2.0 * g.h
     _, wy, wx, _ = transport_coefficients(w.u, w.v)
 
+    # Each product is written into the interior of a buffer whose edges
+    # carry the closure (zero across the walls, the edge value along them),
+    # so the neighbours are read as shifted slices of one array.
+
     # u-component output
-    p = np.zeros(g.shape_u)
-    p[1:-1, :] = w.u[1:-1, :] * c.u[1:-1, :]
-    pp = np.pad(p, ((1, 1), (0, 0)))
+    nx, ny = g.nx, g.ny
+    pp = np.empty((nx + 3, ny))
+    pp[[0, 1, -2, -1], :] = 0.0
+    np.multiply(w.u[1:-1, :], c.u[1:-1, :], out=pp[2:-2, :])
     atu = (pp[:-2, :] - pp[2:, :]) / h2
-    q = wy * c.u[1:-1, :]
-    qq = np.pad(q, ((0, 0), (1, 1)), mode="edge")
+    qq = np.empty((nx - 1, ny + 2))
+    np.multiply(wy, c.u[1:-1, :], out=qq[:, 1:-1])
+    qq[:, 0], qq[:, -1] = qq[:, 1], qq[:, -2]
     atu[1:-1, :] += (qq[:, :-2] - qq[:, 2:]) / h2
 
     # v-component output
-    p2 = np.zeros(g.shape_v)
-    p2[:, 1:-1] = w.v[:, 1:-1] * c.v[:, 1:-1]
-    pp2 = np.pad(p2, ((0, 0), (1, 1)))
+    pp2 = np.empty((nx, ny + 3))
+    pp2[:, [0, 1, -2, -1]] = 0.0
+    np.multiply(w.v[:, 1:-1], c.v[:, 1:-1], out=pp2[:, 2:-2])
     atv = (pp2[:, :-2] - pp2[:, 2:]) / h2
-    q2 = wx * c.v[:, 1:-1]
-    qq2 = np.pad(q2, ((1, 1), (0, 0)), mode="edge")
+    qq2 = np.empty((nx + 2, ny - 1))
+    np.multiply(wx, c.v[:, 1:-1], out=qq2[1:-1, :])
+    qq2[0, :], qq2[-1, :] = qq2[1, :], qq2[-2, :]
     atv[:, 1:-1] += (qq2[:-2, :] - qq2[2:, :]) / h2
 
-    return VectorField(g, atu, atv)
+    return _adopt(VectorField, g, atu, atv)
 
 
 def skew_advect(w: VectorField, b: VectorField) -> VectorField:
@@ -103,7 +110,7 @@ def skew_advect(w: VectorField, b: VectorField) -> VectorField:
     """
     fwd = advect(w, b)
     bwd = adjoint_advect(w, b)
-    return VectorField(w.grid, 0.5 * (fwd.u - bwd.u), 0.5 * (fwd.v - bwd.v))
+    return _adopt(VectorField, w.grid, 0.5 * (fwd.u - bwd.u), 0.5 * (fwd.v - bwd.v))
 
 
 def trilinear(w: VectorField, b: VectorField, c: VectorField) -> float:

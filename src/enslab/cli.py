@@ -79,7 +79,7 @@ def _initial_velocity(cfg: Config, grid: Grid):
 
 def _field_metrics(cfg: Config, state) -> dict:
     u = state.u
-    div = divergence(u)
+    div = state.div_u
     m = {
         "u_l2": face_norm(u),
         "energy": 0.5 * face_norm(u) ** 2,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from .reference import (
     perturbed_heun_step,
     poincare_constant,
 )
-from .stokes_lift import check_state, decompose, leray_project, lift_or_zero, wall_floor
+from .stokes_lift import check_finite, check_state, decompose, leray_project, lift_or_zero, wall_floor
 
 __all__ = [
     "JLState",
@@ -74,7 +75,8 @@ class JLState:
 
     The decomposition cache (v, z, q) is maintained by the decomposed route:
     v is the divergence-free part, z the Stokes lifting of g, q its pressure.
-    Direct-route states carry no cache.
+    Direct-route states carry no cache.  ``div_u`` is taken once, when the
+    state is checked, and read by the steppers and diagnostics.
     """
 
     time: float
@@ -87,10 +89,14 @@ class JLState:
     q: ScalarField | None = None
 
     def __post_init__(self) -> None:
-        check_state(self, "neumann", (self.g.time,), divergence(self.u) - self.g.g)
+        check_state(self, "neumann", (self.g.time,), self.div_u - self.g.g)
         walls = normal_trace(self.u).max_abs()
         if walls > wall_floor(self.u):
             raise CheckFailure(f"wall-normal faces must vanish (max {walls:.3e})")
+
+    @cached_property
+    def div_u(self) -> ScalarField:
+        return divergence(self.u)
 
     @property
     def decomposed(self) -> bool:
@@ -142,13 +148,16 @@ def step_direct(s: JLState, dt: float) -> JLState:
     u = s.u
     a = skew_advect(u, u)
     f = _eval_forcing(s.forcing, grid, s.time)
-    du = divergence(u)
+    du = s.div_u
     gp_vals = heat_solver(grid, s.nu * dt, "neumann", theta="be")(du.values)
     gp_field = ScalarField(grid, gp_vals)
     phi = neumann_poisson(grid).solve(gp_field)
     gphi = gradient(phi)
     lap_gphi = vector_laplacian(gphi, "noslip")
     rhs = u + (f - a) * dt + lap_gphi * (s.nu * dt)
+    # the Stokes solve refuses non-finite data as a solver fault; a blown-up
+    # update is the next state's fault, judged as its check judges u
+    check_finite(s.time + dt, velocity=rhs)
     y, _, _ = generalized_stokes(grid, 1.0, s.nu * dt).solve(rhs)
     gp = DivergenceState(gp_field, s.time + dt, "neumann", s.nu, s.g.m0)
     return JLState(s.time + dt, y + gphi, gp, s.nu, s.forcing)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,9 +41,10 @@ from .diagnostics import (
 from .errors import CheckFailure, CompatibilityError, SolvabilityError
 from .grid import (
     BoundaryTrace,
-    Grid,
     ScalarField,
     VectorField,
+    _adopt,
+    _tangential_wall_rows,
     boundary_divergence_trace,
     divergence,
     gradient,
@@ -51,8 +53,6 @@ from .grid import (
     normal_trace,
     scalar_norm,
     trace_integral,
-    vector_laplacian,
-    with_normal_trace,
 )
 from .heat_oracle import DivergenceState, divergence_state, heat_step
 from .linsolve import NoslipHelmholtz, heat_solver, neumann_poisson
@@ -95,6 +95,8 @@ class SRState:
     (the staggered layout stores no tangential wall unknowns); the wall-normal
     faces carry h.  The cache (v, z, q) is maintained by the constructive
     route: z lifts (g, h), v is the zero-wall divergence-free remainder.
+    ``div_u`` is taken once, when the state is checked, and read by the
+    steppers and diagnostics.
     """
 
     time: float
@@ -113,13 +115,17 @@ class SRState:
             raise ValueError(f"relaxation rate must be positive, got {self.lam!r}")
         # a solvability gap spreads uniformly, so only the deviation from the
         # mean is constrained
-        r = divergence(self.u) - self.g.g
+        r = (self.div_u - self.g.g).values
         check_state(self, "dirichlet", (self.g.time, self.h.time),
-                    ScalarField(self.u.grid, r.values - r.values.mean()))
+                    _adopt(ScalarField, self.u.grid, r - r.mean()), self.h.trace)
         wall_gap = self.h.trace.blend(1.0, normal_trace(self.u), -1.0).max_abs()
         if wall_gap > WALL_FOLLOW_TOL * max(1.0, self.u.max_abs()):
             raise CheckFailure(
                 f"wall-normal faces disagree with boundary data by {wall_gap:.3e}")
+
+    @cached_property
+    def div_u(self) -> ScalarField:
+        return divergence(self.u)
 
     @property
     def decomposed(self) -> bool:
@@ -209,24 +215,30 @@ def step_constructive(s: SRState, dt: float) -> SRState:
     return SRState(s.time + dt, vp + zp, gp, hp, s.lam, s.nu, s.forcing, vp, zp, qp)
 
 
-def _fold_trace(grid: Grid, tr: BoundaryTrace) -> ScalarField:
-    """Cell field of outward wall-flux contributions (value / h per wall cell)."""
-    return divergence(with_normal_trace(VectorField.zeros(grid), tr))
+def _pressure_source(s: SRState, fa: VectorField):
+    """Assemble the literal pressure source from fa = f - a, forcing less transport.
 
-
-def _pressure_source(s: SRState, a: VectorField, f: VectorField):
-    """Assemble the literal pressure source from transport a and forcing f.
-
-    Returns (rhs, cc, total, scale): the source, the instantaneous
-    compatibility constant and the net source with its scale.  Raises
-    CompatibilityError when the net source exceeds NET_SOURCE_TOL * scale.
+    Interior data div(f - a); each wall datum (b.n - cc) with
+    b = nu Lap_t u + lambda u + (f - a) leaves its wall cell through the
+    face, i.e. is subtracted over h, so only the wall-normal rows of the
+    tangential Laplacian are evaluated.  Returns (rhs, cc, total, scale):
+    the source, the instantaneous compatibility constant and the net source
+    with its scale.  Raises CompatibilityError when the net source exceeds
+    NET_SOURCE_TOL * scale.
     """
-    grid = s.u.grid
-    du = divergence(s.u)
-    cc = compat_constant(divergence_state(du, "dirichlet", s.nu, time=s.time), s.lam)
-    bvec = vector_laplacian(s.u, "tangential") * s.nu + s.u * s.lam + (f - a)
-    btr = normal_trace(bvec).blend(1.0, BoundaryTrace.constant(grid, 1.0), -cc)
-    rhs = divergence(f - a) - _fold_trace(grid, btr)
+    u, grid = s.u, s.u.grid
+    h = grid.h
+    cc = compat_constant(divergence_state(s.div_u, "dirichlet", s.nu, time=s.time), s.lam)
+    # b on the wall-normal faces: rows x = 0, 1 and y = 0, 1
+    bu = (_tangential_wall_rows(u.u) / (h * h)) * s.nu + u.u[[0, -1]] * s.lam + fa.u[[0, -1]]
+    bv = (_tangential_wall_rows(u.v.T) / (h * h)) * s.nu + u.v[:, [0, -1]].T * s.lam \
+        + fa.v[:, [0, -1]].T
+    rhs = divergence(fa).values.copy()
+    rhs[0, :] -= (-bu[0] - cc) / h
+    rhs[-1, :] -= (bu[1] - cc) / h
+    rhs[:, 0] -= (-bv[0] - cc) / h
+    rhs[:, -1] -= (bv[1] - cc) / h
+    rhs = _adopt(ScalarField, grid, rhs)
     total = integral(rhs)
     scale = max(1.0, scalar_norm(rhs))
     if abs(total) > NET_SOURCE_TOL * scale:
@@ -245,9 +257,8 @@ def pressure_poisson(s: SRState) -> tuple[ScalarField, DiagnosticsRecord]:
     divergence with the tangential vector Laplacian plus the divergence
     theorem), which is what the record certifies.
     """
-    a = skew_advect(s.u, s.u)
-    f = _eval_forcing(s.forcing, s.u.grid, s.time)
-    rhs, cc, total, scale = _pressure_source(s, a, f)
+    fa = _eval_forcing(s.forcing, s.u.grid, s.time) - skew_advect(s.u, s.u)
+    rhs, cc, total, scale = _pressure_source(s, fa)
     p = neumann_poisson(s.u.grid).solve(rhs)
     rec = DiagnosticsRecord(s.time, {
         "net_source": total,
@@ -272,16 +283,14 @@ def step_direct_sr(s: SRState, dt: float) -> SRState:
     """
     cfl_check(s.u, dt)
     grid = s.u.grid
-    u = s.u
-    a = skew_advect(u, u)
-    f = _eval_forcing(s.forcing, grid, s.time)
-    _pressure_source(s, a, f)
-    du = divergence(u)
-    gp_vals = heat_solver(grid, s.nu * dt, "dirichlet", theta="be")(du.values)
-    gp_field = ScalarField(grid, gp_vals)
+    u, du = s.u, s.div_u
+    fa = _eval_forcing(s.forcing, grid, s.time) - skew_advect(u, u)
+    _pressure_source(s, fa)
+    gp_field = _adopt(ScalarField, grid,
+                      heat_solver(grid, s.nu * dt, "dirichlet", theta="be")(du.values))
     cbar = _step_average_constant(integral(du), integral(gp_field), s.lam, dt)
     hp = evolve_h(s.h, cbar, s.lam, dt)
-    ustar = NoslipHelmholtz(grid, s.nu * dt).solve(u + (f - a) * dt, trace=hp.trace)
+    ustar = NoslipHelmholtz(grid, s.nu * dt).solve(u + fa * dt, trace=hp.trace)
     chi = neumann_poisson(grid).solve(divergence(ustar) - gp_field)
     up = ustar - gradient(chi)
     gp = divergence_state(gp_field, "dirichlet", s.nu, time=s.time + dt)
@@ -297,7 +306,7 @@ def boundary_divergence_max(s: SRState) -> float:
     and asserted by the test suite at configuration-level scales rather than
     gating individual steps.
     """
-    return boundary_divergence_trace(divergence(s.u)).max_abs()
+    return boundary_divergence_trace(s.div_u).max_abs()
 
 
 def sr_gap_run(g0: ScalarField, h0: BoundaryTrace, lam: float, nu: float,

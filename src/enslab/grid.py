@@ -30,6 +30,17 @@ Boundary closures (ghost values) used by the Laplacians:
   divergence(vector_laplacian(w, "tangential")) == laplacian_dirichlet(divergence(w))
   hold to round-off, i.e. the vector heat flow drives the divergence by the
   zero-value scalar heat flow.
+
+Validation
+----------
+Fields are validated where data enters: the public ``ScalarField``,
+``VectorField`` and ``BoundaryTrace`` constructors copy their arrays, check
+the shape, reject non-finite values and freeze.  The operators of this
+module, of ``linsolve`` and of ``advection`` build their results with
+``_adopt``, which freezes the arrays they have just allocated and trusts
+them.  Each state of the flow systems scans its fields for finiteness once
+(``stokes_lift.check_state``), so a non-finite value is still caught at the
+step that makes it.
 """
 
 from __future__ import annotations
@@ -121,6 +132,21 @@ class Grid:
         return np.arange(self.ny + 1) * self.h
 
 
+def _adopt(cls, grid: "Grid", *arrays: np.ndarray):
+    """A field of class cls over C-ordered float64 arrays of the right shapes
+    that the caller has just allocated and holds no other reference to.
+
+    Freezes the arrays in place: no copy, no shape check, no finiteness scan.
+    """
+    obj = object.__new__(cls)
+    attrs = obj.__dict__
+    attrs["grid"] = grid
+    for name, arr in zip(cls.ARRAYS, arrays):
+        arr.setflags(write=False)
+        attrs[name] = arr
+    return obj
+
+
 def _own(values: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, copy=True, order="C")
     if arr.shape != shape:
@@ -137,6 +163,7 @@ class ScalarField:
 
     grid: Grid
     values: np.ndarray
+    ARRAYS = ("values",)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _own(self.values, self.grid.shape_cell, "ScalarField"))
@@ -147,19 +174,19 @@ class ScalarField:
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         _same_grid(self.grid, other.grid)
-        return ScalarField(self.grid, self.values + other.values)
+        return _adopt(ScalarField, self.grid, self.values + other.values)
 
     def __sub__(self, other: "ScalarField") -> "ScalarField":
         _same_grid(self.grid, other.grid)
-        return ScalarField(self.grid, self.values - other.values)
+        return _adopt(ScalarField, self.grid, self.values - other.values)
 
     def __mul__(self, a: float) -> "ScalarField":
-        return ScalarField(self.grid, self.values * float(a))
+        return _adopt(ScalarField, self.grid, self.values * float(a))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, -self.values)
+        return _adopt(ScalarField, self.grid, -self.values)
 
 
 @dataclass(frozen=True)
@@ -173,6 +200,7 @@ class VectorField:
     grid: Grid
     u: np.ndarray
     v: np.ndarray
+    ARRAYS = ("u", "v")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "u", _own(self.u, self.grid.shape_u, "VectorField.u"))
@@ -184,20 +212,20 @@ class VectorField:
 
     def __add__(self, other: "VectorField") -> "VectorField":
         _same_grid(self.grid, other.grid)
-        return VectorField(self.grid, self.u + other.u, self.v + other.v)
+        return _adopt(VectorField, self.grid, self.u + other.u, self.v + other.v)
 
     def __sub__(self, other: "VectorField") -> "VectorField":
         _same_grid(self.grid, other.grid)
-        return VectorField(self.grid, self.u - other.u, self.v - other.v)
+        return _adopt(VectorField, self.grid, self.u - other.u, self.v - other.v)
 
     def __mul__(self, a: float) -> "VectorField":
         a = float(a)
-        return VectorField(self.grid, self.u * a, self.v * a)
+        return _adopt(VectorField, self.grid, self.u * a, self.v * a)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "VectorField":
-        return VectorField(self.grid, -self.u, -self.v)
+        return _adopt(VectorField, self.grid, -self.u, -self.v)
 
     def max_abs(self) -> float:
         return max(float(np.max(np.abs(self.u))), float(np.max(np.abs(self.v))))
@@ -218,6 +246,7 @@ class BoundaryTrace:
     right: np.ndarray
     bottom: np.ndarray
     top: np.ndarray
+    ARRAYS = ("left", "right", "bottom", "top")
 
     def __post_init__(self) -> None:
         g = self.grid
@@ -245,7 +274,8 @@ class BoundaryTrace:
 
     def blend(self, a: float, other: "BoundaryTrace", b: float) -> "BoundaryTrace":
         _same_grid(self.grid, other.grid)
-        return BoundaryTrace(
+        return _adopt(
+            BoundaryTrace,
             self.grid,
             a * self.left + b * other.left,
             a * self.right + b * other.right,
@@ -275,7 +305,7 @@ def divergence(w: VectorField) -> ScalarField:
     """Flux-form divergence per cell: includes wall-face contributions."""
     g = w.grid
     d = (w.u[1:, :] - w.u[:-1, :] + w.v[:, 1:] - w.v[:, :-1]) / g.h
-    return ScalarField(g, d)
+    return _adopt(ScalarField, g, d)
 
 
 def gradient(p: ScalarField) -> VectorField:
@@ -289,7 +319,7 @@ def gradient(p: ScalarField) -> VectorField:
     gv = np.zeros(g.shape_v)
     gu[1:-1, :] = (p.values[1:, :] - p.values[:-1, :]) / g.h
     gv[:, 1:-1] = (p.values[:, 1:] - p.values[:, :-1]) / g.h
-    return VectorField(g, gu, gv)
+    return _adopt(VectorField, g, gu, gv)
 
 
 # ---------------------------------------------------------------------------
@@ -324,29 +354,38 @@ def laplacian_dirichlet(p: ScalarField) -> ScalarField:
     return ScalarField(p.grid, _five_point(_pad_scalar(p.values, -1.0), p.grid.h))
 
 
+def _odd_difference(a: np.ndarray) -> np.ndarray:
+    """Second difference along axis 1 with the odd ghost at both ends."""
+    d = np.empty(a.shape)
+    d[:, 1:-1] = a[:, 2:] - 2.0 * a[:, 1:-1] + a[:, :-2]
+    d[:, 0] = a[:, 1] - 3.0 * a[:, 0]
+    d[:, -1] = a[:, -2] - 3.0 * a[:, -1]
+    return d
+
+
+def _tangential_wall_rows(a: np.ndarray) -> np.ndarray:
+    """Rows 0 and -1 of h^2 times the tangential Laplacian of one component.
+
+    Axis 0 of a runs along the component's normal (u, or v.T): its end rows
+    are the wall-normal faces, closed with the even ghost across the wall;
+    along axis 1 the tangential value vanishes at the walls (odd ghost).
+    """
+    ends = a[[0, -1]]
+    return 2.0 * (a[[1, -2]] - ends) + _odd_difference(ends)
+
+
 def _tangential_laplacian(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """h^2 times the "tangential" closure of the Laplacian on face arrays.
 
     Tangential components use the odd ghost; wall-normal faces are unknowns
     closed with the even ghost across the wall.
     """
-    lu = np.zeros(u.shape)
-    # x part with even ghost at the wall-normal faces
-    lu[1:-1, :] = u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]
-    lu[0, :] = 2.0 * (u[1, :] - u[0, :])
-    lu[-1, :] = 2.0 * (u[-2, :] - u[-1, :])
-    # y part with odd ghost (tangential component vanishes at the wall)
-    lu[:, 1:-1] += u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]
-    lu[:, 0] += u[:, 1] - 3.0 * u[:, 0]
-    lu[:, -1] += u[:, -2] - 3.0 * u[:, -1]
-
-    lv = np.zeros(v.shape)
-    lv[:, 1:-1] = v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]
-    lv[:, 0] = 2.0 * (v[:, 1] - v[:, 0])
-    lv[:, -1] = 2.0 * (v[:, -2] - v[:, -1])
-    lv[1:-1, :] += v[2:, :] - 2.0 * v[1:-1, :] + v[:-2, :]
-    lv[0, :] += v[1, :] - 3.0 * v[0, :]
-    lv[-1, :] += v[-2, :] - 3.0 * v[-1, :]
+    lu = np.empty(u.shape)
+    lv = np.empty(v.shape)
+    # each component is written through a view whose axis 0 is its normal
+    for a, lap in ((u, lu), (v.T, lv.T)):
+        lap[1:-1] = a[2:] - 2.0 * a[1:-1] + a[:-2] + _odd_difference(a[1:-1])
+        lap[[0, -1]] = _tangential_wall_rows(a)
     return lu, lv
 
 
@@ -373,7 +412,7 @@ def vector_laplacian(w: VectorField, bc: str) -> VectorField:
         lu[[0, -1], :] = 0.0
         lv[:, [0, -1]] = 0.0
     h2 = w.grid.h * w.grid.h
-    return VectorField(w.grid, lu / h2, lv / h2)
+    return _adopt(VectorField, w.grid, lu / h2, lv / h2)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +497,7 @@ def grad_inner(a: VectorField, b: VectorField) -> float:
 
 def normal_trace(w: VectorField) -> BoundaryTrace:
     """Extract u.n (outward-signed) from the wall faces of a vector field."""
-    return BoundaryTrace(w.grid, -w.u[0, :], w.u[-1, :], -w.v[:, 0], w.v[:, -1])
+    return _adopt(BoundaryTrace, w.grid, -w.u[0, :], w.u[-1, :].copy(), -w.v[:, 0], w.v[:, -1].copy())
 
 
 def with_normal_trace(w: VectorField, trace: BoundaryTrace) -> VectorField:
@@ -470,7 +509,7 @@ def with_normal_trace(w: VectorField, trace: BoundaryTrace) -> VectorField:
     u[-1, :] = trace.right
     v[:, 0] = -trace.bottom
     v[:, -1] = trace.top
-    return VectorField(w.grid, u, v)
+    return _adopt(VectorField, w.grid, u, v)
 
 
 def trace_integral(trace: BoundaryTrace) -> float:

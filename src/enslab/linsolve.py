@@ -42,6 +42,7 @@ from .grid import (
     Grid,
     ScalarField,
     VectorField,
+    _adopt,
     divergence,
     integral,
     scalar_norm,
@@ -183,7 +184,7 @@ def unflatten_interior(grid: Grid, x: np.ndarray, trace: BoundaryTrace | None = 
         u[-1, :] = trace.right
         v[:, 0] = -trace.bottom
         v[:, -1] = trace.top
-    return VectorField(grid, u, v)
+    return _adopt(VectorField, grid, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +254,7 @@ class NeumannPoisson:
         return x.reshape(self.grid.shape_cell)
 
     def solve(self, rhs: ScalarField) -> ScalarField:
-        return ScalarField(self.grid, self.solve_values(rhs.values))
+        return _adopt(ScalarField, self.grid, self.solve_values(rhs.values))
 
 
 def neumann_poisson(grid: Grid) -> NeumannPoisson:
@@ -402,7 +403,7 @@ class GeneralizedStokes:
                     f"generalized Stokes solve did not converge: {it} iterations, "
                     f"residual {res / scale:.3e} above tol {STOKES_TOL:.1e}")
         u = unflatten_interior(grid, x, trace)
-        q = ScalarField(grid, (p - p.mean()).reshape(grid.shape_cell))
+        q = _adopt(ScalarField, grid, (p - p.mean()).reshape(grid.shape_cell))
         return u, q, SolveReport(it, float(res / scale) if scale > 0.0 else 0.0)
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .diagnostics import (
     DRIFT_ABS, DRIFT_RTOL, LIFT_FLOOR, RECONSTRUCT_TOL, SPLIT_RECONSTRUCT_TOL,
     SPLIT_TOL, SPLIT_WALL_TOL, TIME_RTOL, TINY, WALL_FLOOR, DiagnosticsRecord,
@@ -49,6 +51,7 @@ __all__ = [
     "lift_floor",
     "wall_floor",
     "lift_or_zero",
+    "check_finite",
     "check_state",
 ]
 
@@ -70,14 +73,25 @@ def lift_or_zero(g: ScalarField, u: VectorField, trace: BoundaryTrace | None = N
     return lift_divergence(g) if trace is None else lift_with_boundary(g, trace)
 
 
-def check_state(state, bc: str, times, residual: ScalarField) -> None:
+def check_finite(time: float, **fields) -> None:
+    """Raise CheckFailure naming the first field (None skipped) with a
+    non-finite value, and the time of the state it belongs to."""
+    for name, f in fields.items():
+        if f is not None and not all(np.isfinite(getattr(f, a)).all() for a in f.ARRAYS):
+            raise CheckFailure(f"non-finite {name.replace('_', ' ')} at t = {time:.6g}")
+
+
+def check_state(state, bc: str, times, residual: ScalarField,
+                trace: BoundaryTrace | None = None) -> None:
     """Invariants shared by the states of both systems.
 
     The viscosity is positive and shared by the divergence state, whose
     closure is ``bc``; each of ``times`` (the component states' times)
-    agrees with state.time; ``residual``, the part of div u - g that the
-    system constrains, stays within the drift bound; the cache (v, z, q) is
-    all present or all absent and, when present, reconstructs u.
+    agrees with state.time; u, g, the wall data ``trace`` and the cache hold
+    finite values only, the one finiteness scan a state gets; ``residual``,
+    the part of div u - g that the system constrains, stays within the drift
+    bound; the cache (v, z, q) is all present or all absent and, when
+    present, reconstructs u.
     """
     if not (state.nu > 0.0 and math.isfinite(state.nu)):
         raise ValueError(f"viscosity must be positive, got {state.nu!r}")
@@ -88,6 +102,8 @@ def check_state(state, bc: str, times, residual: ScalarField) -> None:
     for t in times:
         if abs(t - state.time) > TIME_RTOL * max(1.0, abs(state.time)):
             raise ValueError("component state times disagree with the state time")
+    check_finite(state.time, velocity=state.u, divergence=state.g.g, wall_data=trace,
+                 divergence_free_part=state.v, lift=state.z, lift_pressure=state.q)
     u = state.u
     err = scalar_norm(residual)
     scale = max(scalar_norm(state.g.g), face_norm(u) / u.grid.h)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enslab.advection import (
     advect,
@@ -48,6 +50,27 @@ def quad_advect(w, b, c):
             dxv = (hi - lo) / (2 * h)
             total += c.v[i, j] * (wxv * dxv + wyv * dyv)
     return total * h * h
+
+
+def padded_adjoint(w, c):
+    """adjoint_advect written with np.pad for the closures: zero rows across
+    the walls, the edge value along them."""
+    g = w.grid
+    h2 = 2.0 * g.h
+    _, wy, wx, _ = transport_coefficients(w.u, w.v)
+    p = np.zeros(g.shape_u)
+    p[1:-1, :] = w.u[1:-1, :] * c.u[1:-1, :]
+    pp = np.pad(p, ((1, 1), (0, 0)))
+    atu = (pp[:-2, :] - pp[2:, :]) / h2
+    qq = np.pad(wy * c.u[1:-1, :], ((0, 0), (1, 1)), mode="edge")
+    atu[1:-1, :] += (qq[:, :-2] - qq[:, 2:]) / h2
+    p2 = np.zeros(g.shape_v)
+    p2[:, 1:-1] = w.v[:, 1:-1] * c.v[:, 1:-1]
+    pp2 = np.pad(p2, ((0, 0), (1, 1)))
+    atv = (pp2[:, :-2] - pp2[:, 2:]) / h2
+    qq2 = np.pad(wx * c.v[:, 1:-1], ((1, 1), (0, 0)), mode="edge")
+    atv[:, 1:-1] += (qq2[:-2, :] - qq2[2:, :]) / h2
+    return atu, atv
 
 
 def pack(w):
@@ -125,6 +148,18 @@ class TestAdjoint:
             lhs = face_inner(advect(w, b), c)
             rhs = face_inner(b, adjoint_advect(w, c))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(4, 33), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bit_identical_to_padded_reference(self, n, seed):
+        g = Grid(n)
+        rng = np.random.default_rng(seed)
+        w = random_vector(g, rng)
+        c = random_vector(g, rng)
+        at = adjoint_advect(w, c)
+        for got, want in zip((at.u, at.v), padded_adjoint(w, c)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_dense_matrix_is_exact_transpose(self):
         g = Grid(8)

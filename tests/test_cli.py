@@ -120,6 +120,32 @@ class TestExitCodes:
         assert os.path.exists(os.path.join(out, "final_u.u.ensf"))
         assert os.path.exists(os.path.join(out, "final_g.ensf"))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                                "ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("module, text", [
+        (ens_sr, SR_RUN + "route = direct\nforcing = rotational\n"),
+        (ens_jl, JL_RUN + "route = direct\n"),
+    ], ids=["sr-direct", "jl-direct"])
+    def test_non_finite_state_exits_three_naming_the_time(self, tmp_path, monkeypatch,
+                                                          capsys, module, text):
+        # the 3rd transport evaluation blows up, so the state at t = 3 dt is
+        # the first one with non-finite values; the rows before it are kept
+        real, calls = module.skew_advect, []
+
+        def blow_up_third(w, b):
+            calls.append(w)
+            out = real(w, b)
+            return out * np.inf if len(calls) == 3 else out
+
+        monkeypatch.setattr(module, "skew_advect", blow_up_third)
+        code, out = run_cli(tmp_path, "run", text)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"non-finite velocity at t = {3 * 2e-3:.6g}" in err
+        rows = csv_rows(os.path.join(out, "diagnostics.csv"))
+        assert [float(r.split(",")[0]) for r in rows] == pytest.approx([0.0, 2e-3, 4e-3])
+        assert "overall FAIL" in open(os.path.join(out, "summary.txt")).read()
+
     def test_usage_errors_exit_one(self):
         with pytest.raises(SystemExit) as exc:
             main([])

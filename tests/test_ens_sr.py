@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enslab.errors import CFLError, CheckFailure, CompatibilityError, SolvabilityError
 from enslab.grid import (
@@ -18,12 +21,15 @@ from enslab.grid import (
     scalar_norm,
     trace_integral,
     vector_from_stream,
+    vector_laplacian,
+    with_normal_trace,
 )
 from enslab.heat_oracle import divergence_state
 from enslab.reference import ForcingSpec, step_nse_projection
-from enslab.scenarios import march
+from enslab.scenarios import forcing_spec, initial_velocity, march
 from enslab.stokes_lift import lift_with_boundary
-from enslab import ens_sr
+from enslab import cli, ens_sr, grid as grid_module
+from enslab.config import Config
 from enslab.ens_sr import (
     BoundaryNormalState,
     SRState,
@@ -71,6 +77,23 @@ def through_flow(grid):
 
 def trace_gap(a: BoundaryTrace, b: BoundaryTrace) -> float:
     return a.blend(1.0, b, -1.0).max_abs()
+
+
+def random_vector(grid, rng):
+    return VectorField(grid, rng.standard_normal(grid.shape_u),
+                       rng.standard_normal(grid.shape_v))
+
+
+def literal_source(s, fa):
+    """The pressure source assembled from whole fields: the tangential vector
+    Laplacian, and the wall data folded in as the divergence of a field that
+    carries it on its wall faces."""
+    grid = s.u.grid
+    cc = compat_constant(divergence_state(divergence(s.u), "dirichlet", s.nu, s.time), s.lam)
+    b = vector_laplacian(s.u, "tangential") * s.nu + s.u * s.lam + fa
+    btr = normal_trace(b).blend(1.0, BoundaryTrace.constant(grid, 1.0), -cc)
+    rhs = divergence(fa) - divergence(with_normal_trace(VectorField.zeros(grid), btr))
+    return rhs, integral(rhs)
 
 
 class TestBoundaryNormalState:
@@ -386,6 +409,56 @@ class TestStepDirectSR:
                             lambda gs, lam: real(gs, lam) + 1.0)
         with pytest.raises(CompatibilityError):
             step_direct_sr(s, 1e-3)
+
+
+class TestPressureSource:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 32), seed=st.integers(0, 2 ** 32 - 1))
+    def test_wall_row_assembly_matches_literal(self, n, seed):
+        g = Grid(n)
+        rng = np.random.default_rng(seed)
+        s = sr_state(random_vector(g, rng), 1.5, 0.03, decomposed=False)
+        fa = random_vector(g, rng)
+        rhs, _, total, scale = ens_sr._pressure_source(s, fa)
+        ref, ref_total = literal_source(s, fa)
+        assert scalar_norm(rhs - ref) <= 1e-13 * scalar_norm(ref)
+        assert abs(total - ref_total) <= 1e-13 * scale
+        assert scale == max(1.0, scalar_norm(rhs))
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_off_constant_is_detected_with_wall_flux_and_forcing(self, n, monkeypatch):
+        g = Grid(n)
+        u0 = initial_velocity(g, "sr", "boundary_flux")
+        s = sr_state(u0, 2.0, 0.1, forcing_spec("rotational", 1.0, 0.1), decomposed=False)
+        step_direct_sr(s, 1e-3)
+        real = ens_sr.compat_constant
+        monkeypatch.setattr(ens_sr, "compat_constant",
+                            lambda gs, lam: real(gs, lam) + 1.0)
+        with pytest.raises(CompatibilityError, match="net source"):
+            step_direct_sr(s, 1e-3)
+
+    def test_direct_run_takes_three_divergences_a_step(self, monkeypatch):
+        # a direct step needs div(f - a) for the pressure source, div u* for
+        # the repair and div u+ for the new state; every other reader of
+        # div u takes the state's copy
+        real, calls = grid_module.divergence, []
+
+        def counted(w):
+            calls.append(w)
+            return real(w)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("enslab") and getattr(module, "divergence", None) is real:
+                monkeypatch.setattr(module, "divergence", counted)
+        g, n = Grid(16), 10
+        cfg = Config(system="sr", nu=0.1, dt=1e-3, horizon=n * 1e-3, grid=16,
+                     route="direct", lam=2.0)
+        u0 = initial_velocity(g, "sr", "boundary_flux")
+        s0 = sr_state(u0, 2.0, 0.1, forcing_spec("rotational", 1.0, 0.1), decomposed=False)
+        for s in march(step_direct_sr, s0, 1e-3, n):
+            cli._field_metrics(cfg, s)
+            boundary_divergence_max(s)
+        assert len(calls) <= 3 * n + 2
 
 
 class TestIntegrateSR:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enslab.advection import skew_advect
 from enslab.errors import DimensionMismatchError
 from enslab.grid import (
     BoundaryTrace,
@@ -85,6 +86,45 @@ class TestGridValidity:
         p = ScalarField.zeros(g)
         with pytest.raises(ValueError):
             p.values[0, 0] = 1.0
+
+    def test_public_construction_copies_its_input(self):
+        g = Grid(8)
+        rng = np.random.default_rng(4)
+        vals, u, v = (rng.standard_normal(s) for s in (g.shape_cell, g.shape_u, g.shape_v))
+        walls = [rng.standard_normal(8) for _ in range(4)]
+        fields = (ScalarField(g, vals), VectorField(g, u, v), BoundaryTrace(g, *walls))
+        before = [a.copy() for f in fields for a in (getattr(f, n) for n in f.ARRAYS)]
+        for a in (vals, u, v, *walls):
+            a[...] = np.nan
+        after = [a for f in fields for a in (getattr(f, n) for n in f.ARRAYS)]
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_public_constructors_reject_nonfinite(self, bad):
+        g = Grid(8)
+        cell, fu, fv, wall = (np.zeros(s) for s in (g.shape_cell, g.shape_u, g.shape_v, 8))
+        cell[2, 5] = fu[0, 3] = fv[4, 8] = wall[7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ScalarField(g, cell)
+        with pytest.raises(ValueError, match="non-finite"):
+            VectorField(g, fu, np.zeros(g.shape_v))
+        with pytest.raises(ValueError, match="non-finite"):
+            VectorField(g, np.zeros(g.shape_u), fv)
+        with pytest.raises(ValueError, match="non-finite"):
+            BoundaryTrace(g, np.zeros(8), np.zeros(8), np.zeros(8), wall)
+
+    def test_operator_outputs_are_read_only(self):
+        g = Grid(8)
+        rng = np.random.default_rng(6)
+        w = random_vector(g, rng, zero_walls=False)
+        p = random_scalar(g, rng)
+        outputs = (divergence(w), gradient(p), p + p, p - p, 2.0 * p, -p,
+                   w + w, w - w, w * 0.5, -w, skew_advect(w, w),
+                   normal_trace(w).blend(1.0, normal_trace(w), -1.0))
+        for f in outputs:
+            for name in f.ARRAYS:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(f, name).flat[0] = 1.0
 
 
 class TestDivergence:
