@@ -51,28 +51,27 @@ def centered_differences(u: np.ndarray, v: np.ndarray, h: float) -> tuple:
     return dxu, dyu, dxv, dyv
 
 
-def advect(w: VectorField, b: VectorField) -> VectorField:
-    """Advective form (w . grad) b on interior faces; wall faces are zero."""
+def _advect(w: VectorField, coeffs: tuple, b: VectorField) -> tuple:
+    """The arrays of advect(w, b), given coeffs = transport_coefficients of w."""
     g = w.grid
     if b.grid != g:
         raise ValueError("advect: operands live on different grids")
-    wu, wy, wx, wv = transport_coefficients(w.u, w.v)
+    wu, wy, wx, wv = coeffs
     dxu, dyu, dxv, dyv = centered_differences(b.u, b.v, g.h)
     au = np.zeros(g.shape_u)
     av = np.zeros(g.shape_v)
     au[1:-1, :] = wu * dxu + wy * dyu
     av[:, 1:-1] = wx * dxv + wv * dyv
-    return _adopt(VectorField, g, au, av)
+    return au, av
 
 
-def adjoint_advect(w: VectorField, c: VectorField) -> VectorField:
-    """Exact transpose of ``advect(w, .)``; wall faces of the result carry
-    the couplings through which ``advect`` reads wall data."""
+def _adjoint_advect(w: VectorField, coeffs: tuple, c: VectorField) -> tuple:
+    """The arrays of adjoint_advect(w, c), given coeffs = transport_coefficients of w."""
     g = w.grid
     if c.grid != g:
         raise ValueError("adjoint_advect: operands live on different grids")
+    wu, wy, wx, wv = coeffs
     h2 = 2.0 * g.h
-    _, wy, wx, _ = transport_coefficients(w.u, w.v)
 
     # Each product is written into the interior of a buffer whose edges
     # carry the closure (zero across the walls, the edge value along them),
@@ -82,7 +81,7 @@ def adjoint_advect(w: VectorField, c: VectorField) -> VectorField:
     nx, ny = g.nx, g.ny
     pp = np.empty((nx + 3, ny))
     pp[[0, 1, -2, -1], :] = 0.0
-    np.multiply(w.u[1:-1, :], c.u[1:-1, :], out=pp[2:-2, :])
+    np.multiply(wu, c.u[1:-1, :], out=pp[2:-2, :])
     atu = (pp[:-2, :] - pp[2:, :]) / h2
     qq = np.empty((nx - 1, ny + 2))
     np.multiply(wy, c.u[1:-1, :], out=qq[:, 1:-1])
@@ -92,25 +91,36 @@ def adjoint_advect(w: VectorField, c: VectorField) -> VectorField:
     # v-component output
     pp2 = np.empty((nx, ny + 3))
     pp2[:, [0, 1, -2, -1]] = 0.0
-    np.multiply(w.v[:, 1:-1], c.v[:, 1:-1], out=pp2[:, 2:-2])
+    np.multiply(wv, c.v[:, 1:-1], out=pp2[:, 2:-2])
     atv = (pp2[:, :-2] - pp2[:, 2:]) / h2
     qq2 = np.empty((nx + 2, ny - 1))
     np.multiply(wx, c.v[:, 1:-1], out=qq2[1:-1, :])
     qq2[0, :], qq2[-1, :] = qq2[1, :], qq2[-2, :]
     atv[:, 1:-1] += (qq2[:-2, :] - qq2[2:, :]) / h2
+    return atu, atv
 
-    return _adopt(VectorField, g, atu, atv)
+
+def advect(w: VectorField, b: VectorField) -> VectorField:
+    """Advective form (w . grad) b on interior faces; wall faces are zero."""
+    return _adopt(VectorField, w.grid, *_advect(w, transport_coefficients(w.u, w.v), b))
+
+
+def adjoint_advect(w: VectorField, c: VectorField) -> VectorField:
+    """Exact transpose of ``advect(w, .)``; wall faces of the result carry
+    the couplings through which ``advect`` reads wall data."""
+    return _adopt(VectorField, w.grid, *_adjoint_advect(w, transport_coefficients(w.u, w.v), c))
 
 
 def skew_advect(w: VectorField, b: VectorField) -> VectorField:
     """Skew-symmetric transport: half the difference of form and transpose.
 
     <skew_advect(w, b), c> = -<skew_advect(w, c), b> for all w, b, c, hence
-    <skew_advect(w, b), b> = 0 identically.
+    <skew_advect(w, b), b> = 0 identically.  The transport coefficients of w
+    are computed once for both halves.
     """
-    fwd = advect(w, b)
-    bwd = adjoint_advect(w, b)
-    return _adopt(VectorField, w.grid, 0.5 * (fwd.u - bwd.u), 0.5 * (fwd.v - bwd.v))
+    coeffs = transport_coefficients(w.u, w.v)
+    (fu, fv), (bu, bv) = _advect(w, coeffs, b), _adjoint_advect(w, coeffs, b)
+    return _adopt(VectorField, w.grid, 0.5 * (fu - bu), 0.5 * (fv - bv))
 
 
 def trilinear(w: VectorField, b: VectorField, c: VectorField) -> float:

@@ -164,9 +164,9 @@ class _FieldRun:
         """Yield each state as it is stepped, after folding it in."""
         try:
             for state in _field_states(self.cfg, u0):
-                self.rows.append((state.time, _field_metrics(self.cfg, state)))
                 if self.ledger is not None:
                     self.ledger.add(state)
+                self.rows.append((state.time, _field_metrics(self.cfg, state)))
                 self.final = state
                 yield state
         except CheckFailure as exc:

@@ -128,7 +128,7 @@ def step_decomposed(s: JLState, dt: float) -> JLState:
     gp = heat_step(s.g, dt)
     zp, qp = lift_or_zero(gp.g, s.u)
     f_mid = _eval_forcing(s.forcing, s.u.grid, s.time + 0.5 * dt)
-    vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, f_mid)
+    vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, f_mid, s.time + dt)
     return JLState(s.time + dt, vp + zp, gp, s.nu, s.forcing, vp, zp, qp)
 
 
@@ -169,10 +169,13 @@ def check_energy_bound(history) -> DiagnosticsRecord:
     For each step the exact identity
 
         (E+ - E)/(2 dt) + nu ||grad vbar||^2
-            = <f - dz, vbar> - <zz + vz + zv pairings> + imbalance
+            = <f - dz, vbar> - <skew_advect(vbar + zbar, zbar), vbar> + imbalance
 
-    is evaluated with vbar, zbar the endpoint averages; the imbalance is the
-    time-quadrature defect of the scheme, O(dt^2).  The envelope recursion
+    is evaluated with vbar, zbar the endpoint averages; the advection pairing
+    is the sum of the zz, vz and zv pairings, the last of which vanishes by
+    antisymmetry.  The imbalance is the time-quadrature defect of the
+    scheme, O(dt^2); a non-finite pairing is a CheckFailure naming the time.
+    The envelope recursion
 
         B+ = (B (1 + dt c) + dt Q) / (1 - dt c),
         c = |advection pairings| / ||vbar||^2,
@@ -222,14 +225,16 @@ class EnergyLedger:
         e0, e1 = self._energies[-2:]
         diss = grad_inner(vbar, vbar)
         lhs = (e1 - e0) / (2.0 * dt) + s0.nu * diss
-        adv = (face_inner(skew_advect(zbar, zbar), vbar)
-               + face_inner(skew_advect(vbar, zbar), vbar)
-               + face_inner(skew_advect(zbar, vbar), vbar))
+        # the zz and vz pairings in one call (linear in the first slot); the
+        # zv pairing <S(zbar, vbar), vbar> vanishes by antisymmetry
+        adv = face_inner(skew_advect(vbar + zbar, zbar), vbar)
         rhs = face_inner(fhat, vbar) - adv
         ebar = face_inner(vbar, vbar)
         c = abs(adv) / ebar if ebar > 0.0 else 0.0
-        self._steps.append((dt, lhs - rhs, c, face_inner(fhat, fhat), diss,
-                            grad_inner(zbar, zbar)))
+        step = (dt, lhs - rhs, c, face_inner(fhat, fhat), diss, grad_inner(zbar, zbar))
+        if not all(map(math.isfinite, step)):
+            raise CheckFailure(f"non-finite energy ledger pairing at t = {s1.time:.6g}")
+        self._steps.append(step)
 
     def record(self) -> DiagnosticsRecord:
         energies, steps = self._energies, self._steps

@@ -207,7 +207,7 @@ def step_constructive(s: SRState, dt: float) -> SRState:
     hp = evolve_h(s.h, cbar, s.lam, dt)
     zp, qp = lift_or_zero(gp.g, s.u, hp.trace)
     f_mid = _eval_forcing(s.forcing, s.u.grid, s.time + 0.5 * dt)
-    vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, f_mid)
+    vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, f_mid, s.time + dt)
     gap_plus = solvability_gap(gp, hp)
     if abs(gap_plus) > math.exp(-s.lam * dt) * abs(gap) + GAP_DECAY_TOL * scale:
         raise CheckFailure(

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +37,7 @@ from .diagnostics import (
 from .errors import CheckFailure, DimensionMismatchError, SolverError
 from .fieldio import ensure_dir, read_vector, write_vector
 from .grid import Grid, VectorField, face_norm, vector_laplacian
-from .linsolve import curl_matrix, noslip_viscous_matrix, unflatten_interior
+from .linsolve import _cached, curl_matrix, noslip_viscous_matrix, unflatten_interior
 from .stokes_lift import leray_project
 
 __all__ = [
@@ -54,10 +53,6 @@ __all__ = [
     "integrate_galerkin",
     "galerkin_energy_ledger",
 ]
-
-_memo_lock = threading.Lock()
-_basis_memo: dict = {}
-
 
 def _face_vector(grid: Grid, w: VectorField) -> np.ndarray:
     """All face values of w, u then v, as one vector."""
@@ -151,21 +146,17 @@ def build_basis(grid: Grid, k: int) -> GalerkinBasis:
     if not (1 <= k <= dim_free):
         raise ValueError(
             f"k = {k} outside the divergence-free subspace dimension {dim_free}")
-    key = (grid.nx, grid.ny, k)
-    with _memo_lock:
-        hit = _basis_memo.get(key)
-    if hit is not None:
-        return hit
-    C = curl_matrix(grid)
-    stiffness = (C.T @ noslip_viscous_matrix(grid) @ C).toarray()
-    vals, psi = sla.eigh(stiffness, (C.T @ C).toarray(), subset_by_index=[0, k - 1])
-    if not np.all(np.isfinite(vals)):
-        raise SolverError("eigensolver returned non-finite eigenvalues")
-    faces = (C @ psi) / grid.h
-    basis = GalerkinBasis(grid, vals, tuple(
-        unflatten_interior(grid, faces[:, j]) for j in range(k)))
-    with _memo_lock:
-        return _basis_memo.setdefault(key, basis)
+
+    def build() -> GalerkinBasis:
+        C = curl_matrix(grid)
+        stiffness = (C.T @ noslip_viscous_matrix(grid) @ C).toarray()
+        vals, psi = sla.eigh(stiffness, (C.T @ C).toarray(), subset_by_index=[0, k - 1])
+        if not np.all(np.isfinite(vals)):
+            raise SolverError("eigensolver returned non-finite eigenvalues")
+        faces = (C @ psi) / grid.h
+        return GalerkinBasis(grid, vals, tuple(
+            unflatten_interior(grid, faces[:, j]) for j in range(k)))
+    return _cached(("galerkin_basis", grid.nx, grid.ny, k), build)
 
 
 def save_basis(basis: GalerkinBasis, directory: str) -> None:
@@ -257,8 +248,7 @@ def _lift_matrix(basis: GalerkinBasis, z_path, t: float) -> np.ndarray | None:
 
 
 def integrate_galerkin(basis: GalerkinBasis, state: GalerkinState, nu: float,
-                       dt: float, T: float, z_path=None, f_path=None,
-                       tensor: np.ndarray | None = None) -> list:
+                       dt: float, T: float, z_path=None, f_path=None) -> list:
     """RK4 trajectory of the spectral ODE system from state.time to +T."""
     if not (nu > 0.0 and dt > 0.0 and T >= dt):
         raise ValueError("need nu > 0, dt > 0, T >= dt")
@@ -267,11 +257,9 @@ def integrate_galerkin(basis: GalerkinBasis, state: GalerkinState, nu: float,
     nsteps = round(T / dt)
     if abs(nsteps * dt - T) > STEP_COUNT_RTOL * max(1.0, T):
         raise ValueError("T must be an integer multiple of dt")
-    if tensor is None:
-        tensor = coupling_tensor(basis)
     lam = basis.lam
     k = basis.k
-    quadratic = tensor.reshape(k, k * k)
+    quadratic = coupling_tensor(basis).reshape(k, k * k)
 
     def rhs(g: np.ndarray, fvec: np.ndarray, bmat) -> np.ndarray:
         # a blow-up is reported by GalerkinState, not by floating-point warnings

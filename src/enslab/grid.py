@@ -31,14 +31,17 @@ Boundary closures (ghost values) used by the Laplacians:
   hold to round-off, i.e. the vector heat flow drives the divergence by the
   zero-value scalar heat flow.
 
-Validation
-----------
-Fields are validated where data enters: the public ``ScalarField``,
-``VectorField`` and ``BoundaryTrace`` constructors copy their arrays, check
-the shape, reject non-finite values and freeze.  The operators of this
-module, of ``linsolve`` and of ``advection`` build their results with
-``_adopt``, which freezes the arrays they have just allocated and trusts
-them.  Each state of the flow systems scans its fields for finiteness once
+Fields
+------
+``ScalarField``, ``VectorField`` and ``BoundaryTrace`` are three shapes of
+one field implementation, ``_Field``: each names its arrays and their
+shapes, and construction, ``zeros``, the arithmetic, ``blend`` and
+``max_abs`` exist once, array by array.  Fields are validated where data
+enters: public construction copies the arrays, checks the shapes, rejects
+non-finite values and freezes.  The operators of this module, of
+``linsolve`` and of ``advection`` build their results with ``_adopt``, which
+freezes the arrays they have just allocated and trusts them.  Each state of
+the flow systems scans its fields for finiteness once
 (``stokes_lift.check_state``), so a non-finite value is still caught at the
 step that makes it.
 """
@@ -139,100 +142,101 @@ def _adopt(cls, grid: "Grid", *arrays: np.ndarray):
     Freezes the arrays in place: no copy, no shape check, no finiteness scan.
     """
     obj = object.__new__(cls)
-    attrs = obj.__dict__
-    attrs["grid"] = grid
-    for name, arr in zip(cls.ARRAYS, arrays):
+    for arr in arrays:
         arr.setflags(write=False)
-        attrs[name] = arr
+    obj.__dict__.update(zip(cls.ARRAYS, arrays), grid=grid, arrays=arrays)
     return obj
 
 
-def _own(values: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True, order="C")
-    if arr.shape != shape:
-        raise DimensionMismatchError(f"{what}: expected shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what}: non-finite values")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
-class ScalarField:
-    """One float64 value per cell center; immutable."""
+class _Field:
+    """The one field implementation: immutable float64 arrays on a grid,
+    named by the subclass's ``ARRAYS``, of the shapes its ``shapes(grid)``
+    gives, and held in that order in ``arrays``.  Every operation acts array
+    by array and keeps the class of its operands."""
 
     grid: Grid
-    values: np.ndarray
-    ARRAYS = ("values",)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _own(self.values, self.grid.shape_cell, "ScalarField"))
+        arrays = []
+        for name, shape in zip(self.ARRAYS, self.shapes(self.grid)):
+            arr = np.array(getattr(self, name), dtype=np.float64, copy=True, order="C")
+            if arr.shape != shape:
+                raise DimensionMismatchError(
+                    f"{type(self).__name__}.{name}: expected shape {shape}, got {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{type(self).__name__}.{name}: non-finite values")
+            arr.setflags(write=False)
+            arrays.append(arr)
+        self.__dict__.update(zip(self.ARRAYS, arrays), arrays=tuple(arrays))
 
-    @staticmethod
-    def zeros(grid: Grid) -> "ScalarField":
-        return ScalarField(grid, np.zeros(grid.shape_cell))
+    @classmethod
+    def zeros(cls, grid: Grid):
+        return _adopt(cls, grid, *map(np.zeros, cls.shapes(grid)))
 
-    def __add__(self, other: "ScalarField") -> "ScalarField":
+    def _like(self, other: "_Field") -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         _same_grid(self.grid, other.grid)
-        return _adopt(ScalarField, self.grid, self.values + other.values)
 
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        _same_grid(self.grid, other.grid)
-        return _adopt(ScalarField, self.grid, self.values - other.values)
+    def __add__(self, other):
+        self._like(other)
+        return _adopt(type(self), self.grid, *map(np.add, self.arrays, other.arrays))
 
-    def __mul__(self, a: float) -> "ScalarField":
-        return _adopt(ScalarField, self.grid, self.values * float(a))
+    def __sub__(self, other):
+        self._like(other)
+        return _adopt(type(self), self.grid, *map(np.subtract, self.arrays, other.arrays))
+
+    def __mul__(self, a: float):
+        a = float(a)
+        return _adopt(type(self), self.grid, *[x * a for x in self.arrays])
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "ScalarField":
-        return _adopt(ScalarField, self.grid, -self.values)
+    def __neg__(self):
+        return _adopt(type(self), self.grid, *map(np.negative, self.arrays))
+
+    def blend(self, a: float, other, b: float):
+        """a * self + b * other."""
+        self._like(other)
+        return _adopt(type(self), self.grid,
+                      *[a * x + b * y for x, y in zip(self.arrays, other.arrays)])
+
+    def max_abs(self) -> float:
+        return max([float(np.max(np.abs(x))) for x in self.arrays])
 
 
 @dataclass(frozen=True)
-class VectorField:
+class ScalarField(_Field):
+    """One float64 value per cell center; immutable."""
+
+    values: np.ndarray
+    ARRAYS = ("values",)
+
+    @staticmethod
+    def shapes(grid: Grid) -> tuple[tuple[int, ...], ...]:
+        return (grid.shape_cell,)
+
+
+@dataclass(frozen=True)
+class VectorField(_Field):
     """Face-normal velocity components; immutable.
 
     ``u`` holds the x component on x-faces (shape (nx+1, ny)), ``v`` the
     y component on y-faces (shape (nx, ny+1)).
     """
 
-    grid: Grid
     u: np.ndarray
     v: np.ndarray
     ARRAYS = ("u", "v")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "u", _own(self.u, self.grid.shape_u, "VectorField.u"))
-        object.__setattr__(self, "v", _own(self.v, self.grid.shape_v, "VectorField.v"))
-
     @staticmethod
-    def zeros(grid: Grid) -> "VectorField":
-        return VectorField(grid, np.zeros(grid.shape_u), np.zeros(grid.shape_v))
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _same_grid(self.grid, other.grid)
-        return _adopt(VectorField, self.grid, self.u + other.u, self.v + other.v)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        _same_grid(self.grid, other.grid)
-        return _adopt(VectorField, self.grid, self.u - other.u, self.v - other.v)
-
-    def __mul__(self, a: float) -> "VectorField":
-        a = float(a)
-        return _adopt(VectorField, self.grid, self.u * a, self.v * a)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "VectorField":
-        return _adopt(VectorField, self.grid, -self.u, -self.v)
-
-    def max_abs(self) -> float:
-        return max(float(np.max(np.abs(self.u))), float(np.max(np.abs(self.v))))
+    def shapes(grid: Grid) -> tuple[tuple[int, ...], ...]:
+        return (grid.shape_u, grid.shape_v)
 
 
 @dataclass(frozen=True)
-class BoundaryTrace:
+class BoundaryTrace(_Field):
     """Outward normal velocity u.n, one value per boundary face.
 
     ``left``/``right`` have length ny (x-faces on the walls x = 0 and x = 1),
@@ -241,59 +245,23 @@ class BoundaryTrace:
     means outflow on every wall.
     """
 
-    grid: Grid
     left: np.ndarray
     right: np.ndarray
     bottom: np.ndarray
     top: np.ndarray
     ARRAYS = ("left", "right", "bottom", "top")
 
-    def __post_init__(self) -> None:
-        g = self.grid
-        for name, n in (("left", g.ny), ("right", g.ny), ("bottom", g.nx), ("top", g.nx)):
-            object.__setattr__(self, name, _own(getattr(self, name), (n,), f"BoundaryTrace.{name}"))
-
     @staticmethod
-    def zeros(grid: Grid) -> "BoundaryTrace":
-        return BoundaryTrace(grid, np.zeros(grid.ny), np.zeros(grid.ny), np.zeros(grid.nx), np.zeros(grid.nx))
+    def shapes(grid: Grid) -> tuple[tuple[int, ...], ...]:
+        return ((grid.ny,), (grid.ny,), (grid.nx,), (grid.nx,))
 
     @staticmethod
     def constant(grid: Grid, value: float) -> "BoundaryTrace":
-        value = float(value)
-        return BoundaryTrace(
-            grid,
-            np.full(grid.ny, value),
-            np.full(grid.ny, value),
-            np.full(grid.nx, value),
-            np.full(grid.nx, value),
-        )
-
-    def scaled(self, a: float) -> "BoundaryTrace":
-        a = float(a)
-        return BoundaryTrace(self.grid, self.left * a, self.right * a, self.bottom * a, self.top * a)
-
-    def blend(self, a: float, other: "BoundaryTrace", b: float) -> "BoundaryTrace":
-        _same_grid(self.grid, other.grid)
-        return _adopt(
-            BoundaryTrace,
-            self.grid,
-            a * self.left + b * other.left,
-            a * self.right + b * other.right,
-            a * self.bottom + b * other.bottom,
-            a * self.top + b * other.top,
-        )
-
-    def max_abs(self) -> float:
-        return max(
-            float(np.max(np.abs(self.left))),
-            float(np.max(np.abs(self.right))),
-            float(np.max(np.abs(self.bottom))),
-            float(np.max(np.abs(self.top))),
-        )
+        return BoundaryTrace(grid, *[np.full(s, float(value)) for s in BoundaryTrace.shapes(grid)])
 
 
 def _same_grid(a: Grid, b: Grid) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise DimensionMismatchError(f"grids differ: {a} vs {b}")
 
 

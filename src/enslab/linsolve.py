@@ -88,49 +88,37 @@ COMPAT_TOL = 1e-10
 # 1D stencil blocks and 2D assemblies
 # ---------------------------------------------------------------------------
 
-def _tridiag(n: int, end_diag: float, h: float) -> sp.csr_matrix:
-    main = np.full(n, -2.0)
-    main[0] = end_diag
-    main[-1] = end_diag
-    off = np.ones(n - 1)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr") / (h * h)
-
-
-def _t_neumann(n: int, h: float) -> sp.csr_matrix:
-    return _tridiag(n, -1.0, h)          # ghost = interior
-
-
-def _t_dirichlet_cell(n: int, h: float) -> sp.csr_matrix:
-    return _tridiag(n, -3.0, h)          # ghost = -interior
-
-
-def _t_dirichlet_node(n: int, h: float) -> sp.csr_matrix:
-    # interior nodes 1..n-1 with zero data at nodes 0 and n
-    m = n - 1
-    main = np.full(m, -2.0)
-    off = np.ones(m - 1)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr") / (h * h)
+def _tridiagonal(n: int, h: float, kind: str) -> np.ndarray:
+    """Dense 1-D second difference over n cells, of kind "neumann" (zero
+    flux, ghost = interior), "cell" (zero wall value, ghost = -interior) or
+    "node" (the n - 1 interior nodes, zero data at nodes 0 and n)."""
+    m = n - 1 if kind == "node" else n
+    t = np.eye(m, k=1) + np.eye(m, k=-1) - 2.0 * np.eye(m)
+    t[0, 0] = t[-1, -1] = {"neumann": -1.0, "cell": -3.0, "node": -2.0}[kind]
+    return t * (1.0 / (h * h))  # not t / h^2: the eigenbases round with this form
 
 
 def laplacian_neumann_matrix(grid: Grid) -> sp.csr_matrix:
-    tx = _t_neumann(grid.nx, grid.h)
-    ty = _t_neumann(grid.ny, grid.h)
+    tx = sp.csr_matrix(_tridiagonal(grid.nx, grid.h, "neumann"))
+    ty = sp.csr_matrix(_tridiagonal(grid.ny, grid.h, "neumann"))
     return (sp.kron(tx, sp.identity(grid.ny)) + sp.kron(sp.identity(grid.nx), ty)).tocsr()
 
 
 def laplacian_dirichlet_matrix(grid: Grid) -> sp.csr_matrix:
-    tx = _t_dirichlet_cell(grid.nx, grid.h)
-    ty = _t_dirichlet_cell(grid.ny, grid.h)
+    tx = sp.csr_matrix(_tridiagonal(grid.nx, grid.h, "cell"))
+    ty = sp.csr_matrix(_tridiagonal(grid.ny, grid.h, "cell"))
     return (sp.kron(tx, sp.identity(grid.ny)) + sp.kron(sp.identity(grid.nx), ty)).tocsr()
 
 
 def noslip_viscous_matrix(grid: Grid) -> sp.csr_matrix:
     """Minus the no-slip vector Laplacian on interior faces (SPD)."""
     nx, ny, h = grid.nx, grid.ny, grid.h
-    au = sp.kron(_t_dirichlet_node(nx, h), sp.identity(ny)) + sp.kron(
-        sp.identity(nx - 1), _t_dirichlet_cell(ny, h))
-    av = sp.kron(_t_dirichlet_cell(nx, h), sp.identity(ny - 1)) + sp.kron(
-        sp.identity(nx), _t_dirichlet_node(ny, h))
+
+    def t(n: int, kind: str) -> sp.csr_matrix:
+        return sp.csr_matrix(_tridiagonal(n, h, kind))
+
+    au = sp.kron(t(nx, "node"), sp.identity(ny)) + sp.kron(sp.identity(nx - 1), t(ny, "cell"))
+    av = sp.kron(t(nx, "cell"), sp.identity(ny - 1)) + sp.kron(sp.identity(nx), t(ny, "node"))
     return (-sp.block_diag([au, av])).tocsr()
 
 
@@ -212,8 +200,7 @@ def _tridiagonal_eigh(n: int, h: float, kind: str):
     The largest Neumann eigenvalue, the constant mode's, is set to exactly 0.
     """
     def build():
-        t = {"node": _t_dirichlet_node, "cell": _t_dirichlet_cell, "neumann": _t_neumann}[kind]
-        lam, q = np.linalg.eigh(t(n, h).toarray())
+        lam, q = np.linalg.eigh(_tridiagonal(n, h, kind))
         if kind == "neumann":
             lam[-1] = 0.0
         return lam, q

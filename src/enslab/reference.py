@@ -27,7 +27,7 @@ from .advection import skew_advect
 from .errors import CFLError
 from .grid import Grid, VectorField, vector_from_functions, vector_laplacian
 from .linsolve import NoslipHelmholtz, _separable_eigenbasis, generalized_stokes
-from .stokes_lift import leray_project
+from .stokes_lift import check_finite, leray_project
 
 __all__ = [
     "ForcingSpec",
@@ -99,12 +99,15 @@ def poincare_constant(grid: Grid) -> float:
 
 
 def perturbed_heun_step(v: VectorField, z0: VectorField, z1: VectorField,
-                        dt: float, nu: float, f_mid: VectorField) -> VectorField:
-    """One step of the lifted-flow equation for the divergence-free part v.
+                        dt: float, nu: float, f_mid: VectorField, time: float) -> VectorField:
+    """One step, reaching ``time``, of the lifted-flow equation for the
+    divergence-free part v.
 
     dv/dt = P[ nu Lap v + f - dz/dt - ((v+z).grad)(v+z) ] with z held on the
     midpoint (z0 + z1)/2 and dz/dt = (z1 - z0)/dt; trapezoidal viscosity with
-    a Heun (predictor-averaged) transport term, solved on range(P).
+    a Heun (predictor-averaged) transport term, solved on range(P).  A
+    non-finite right-hand side is a CheckFailure naming ``time``, not a
+    solver error.
     """
     g = v.grid
     c = 0.5 * nu * dt
@@ -116,11 +119,16 @@ def perturbed_heun_step(v: VectorField, z0: VectorField, z1: VectorField,
         wz = w + zbar
         return f_mid - dz - skew_advect(wz, wz)
 
+    stokes = generalized_stokes(g, 1.0, c)
+
+    def solve(rhs: VectorField) -> VectorField:
+        check_finite(time, velocity=rhs)
+        return stokes.solve(rhs)[0]
+
     a1 = slope(v)
-    solve = generalized_stokes(g, 1.0, c).solve
-    v1 = solve(v + a1 * dt + lap_v * c)[0]
+    v1 = solve(v + a1 * dt + lap_v * c)
     a2 = slope(v1)
-    return solve(v + (a1 + a2) * (dt * 0.5) + lap_v * c)[0]
+    return solve(v + (a1 + a2) * (dt * 0.5) + lap_v * c)
 
 
 def step_nse_projection(u: VectorField, t: float, dt: float, nu: float,

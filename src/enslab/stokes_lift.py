@@ -77,7 +77,7 @@ def check_finite(time: float, **fields) -> None:
     """Raise CheckFailure naming the first field (None skipped) with a
     non-finite value, and the time of the state it belongs to."""
     for name, f in fields.items():
-        if f is not None and not all(np.isfinite(getattr(f, a)).all() for a in f.ARRAYS):
+        if f is not None and not all(np.isfinite(a).all() for a in f.arrays):
             raise CheckFailure(f"non-finite {name.replace('_', ' ')} at t = {time:.6g}")
 
 

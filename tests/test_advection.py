@@ -210,11 +210,40 @@ class TestSkew:
         rhs = -trilinear(w, c, b)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
-    def test_skew_is_half_difference(self):
-        g = Grid(8)
-        rng = np.random.default_rng(29)
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 32), seed=st.integers(0, 2 ** 32 - 1))
+    def test_skew_is_half_difference(self, n, seed):
+        # one evaluation of the transport coefficients serves both halves
+        g = Grid(n)
+        rng = np.random.default_rng(seed)
         w = random_vector(g, rng)
         b = random_vector(g, rng)
         s = skew_advect(w, b)
         ref = (advect(w, b) - adjoint_advect(w, b)) * 0.5
-        assert face_norm(s - ref) == 0.0
+        assert np.array_equal(s.u, ref.u) and np.array_equal(s.v, ref.v)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 32), seed=st.integers(0, 2 ** 32 - 1))
+    def test_antisymmetry_property(self, n, seed):
+        # <S(w, b), c> = -<S(w, c), b> for every w, b, c, walls included
+        g = Grid(n)
+        rng = np.random.default_rng(seed)
+        w, b, c = (random_vector(g, rng) for _ in range(3))
+        lhs = trilinear(w, b, c)
+        rhs = -trilinear(w, c, b)
+        scale = w.max_abs() * b.max_abs() * c.max_abs() / g.h
+        assert abs(lhs - rhs) <= 1e-13 * scale
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 32), seed=st.integers(0, 2 ** 32 - 1),
+           a=st.floats(-10.0, 10.0))
+    def test_linearity_in_first_slot(self, n, seed, a):
+        # S(a w1 + w2, b) = a S(w1, b) + S(w2, b): the energy ledger pairs
+        # S(vbar + zbar, zbar) in place of the sum of its two pairings
+        g = Grid(n)
+        rng = np.random.default_rng(seed)
+        w1, w2, b = (random_vector(g, rng) for _ in range(3))
+        lhs = skew_advect(w1 * a + w2, b)
+        rhs = skew_advect(w1, b) * a + skew_advect(w2, b)
+        scale = (abs(a) * w1.max_abs() + w2.max_abs()) * b.max_abs() / g.h
+        assert (lhs - rhs).max_abs() <= 1e-13 * scale

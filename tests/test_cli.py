@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse.linalg
 from scipy.sparse.linalg._dsolve import _superlu
 
-from enslab import ens_jl, ens_sr, galerkin, linsolve
+from enslab import ens_jl, ens_sr, linsolve, reference
 from enslab.cli import main
 from enslab.errors import CheckFailure
 from enslab.fieldio import read_scalar, read_vector
@@ -122,14 +122,18 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
                                 "ignore:overflow:RuntimeWarning")
-    @pytest.mark.parametrize("module, text", [
-        (ens_sr, SR_RUN + "route = direct\nforcing = rotational\n"),
-        (ens_jl, JL_RUN + "route = direct\n"),
-    ], ids=["sr-direct", "jl-direct"])
+    @pytest.mark.parametrize("module, text, what, step", [
+        (ens_sr, SR_RUN + "route = direct\nforcing = rotational\n", "velocity", 3),
+        (ens_jl, JL_RUN + "route = direct\n", "velocity", 3),
+        # ens_jl's own transport call is the ledger's, one a step
+        (ens_jl, JL_RUN, "energy ledger pairing", 3),
+        # the Heun step makes two, so the 3rd is the first of step 2
+        (reference, SR_RUN, "velocity", 2),
+    ], ids=["sr-direct", "jl-direct", "jl-decomposed-ledger", "sr-constructive"])
     def test_non_finite_state_exits_three_naming_the_time(self, tmp_path, monkeypatch,
-                                                          capsys, module, text):
-        # the 3rd transport evaluation blows up, so the state at t = 3 dt is
-        # the first one with non-finite values; the rows before it are kept
+                                                          capsys, module, text, what, step):
+        # the 3rd transport evaluation blows up, so step `step` is the first
+        # one with non-finite values; the rows before it are kept
         real, calls = module.skew_advect, []
 
         def blow_up_third(w, b):
@@ -141,9 +145,10 @@ class TestExitCodes:
         code, out = run_cli(tmp_path, "run", text)
         assert code == 3
         err = capsys.readouterr().err
-        assert f"non-finite velocity at t = {3 * 2e-3:.6g}" in err
+        assert f"non-finite {what} at t = {step * 2e-3:.6g}" in err
         rows = csv_rows(os.path.join(out, "diagnostics.csv"))
-        assert [float(r.split(",")[0]) for r in rows] == pytest.approx([0.0, 2e-3, 4e-3])
+        assert [float(r.split(",")[0]) for r in rows] == pytest.approx(
+            [n * 2e-3 for n in range(step)])
         assert "overall FAIL" in open(os.path.join(out, "summary.txt")).read()
 
     def test_usage_errors_exit_one(self):
@@ -400,7 +405,6 @@ class TestNoSuperLU:
         monkeypatch.setattr(_superlu, "gstrf", refuse)
         monkeypatch.setattr(_superlu, "gssv", refuse)
         monkeypatch.setattr(linsolve, "_cache", {})
-        monkeypatch.setattr(galerkin, "_basis_memo", {})
         code, _ = run_cli(tmp_path, command, text)
         assert code == 0
 

@@ -147,7 +147,7 @@ class TestEvolveH:
         s = BoundaryNormalState(h0, 0.0)
         for n in range(1, 41):
             s = evolve_h(s, 0.0, lam, dt)
-            exact = h0.scaled(math.exp(-lam * n * dt))
+            exact = h0 * math.exp(-lam * n * dt)
             assert trace_gap(s.trace, exact) <= 1e-12
         assert abs(s.time - 40 * dt) <= 1e-12
 
@@ -283,7 +283,7 @@ class TestStepConstructive:
         for n in range(1, 101):
             s = step_constructive(s, dt)
             assert scalar_norm(s.g.g) <= 1e-12
-            exact = h0.scaled(math.exp(-lam * n * dt))
+            exact = h0 * math.exp(-lam * n * dt)
             assert trace_gap(s.h.trace, exact) <= 1e-12
             assert trace_gap(normal_trace(s.u), s.h.trace) <= 1e-12
         # by t = 10/lam the normal flux is gone to 1e-4

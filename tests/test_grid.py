@@ -127,6 +127,65 @@ class TestGridValidity:
                     getattr(f, name).flat[0] = 1.0
 
 
+FIELD_CLASSES = (ScalarField, VectorField, BoundaryTrace)
+
+
+class TestFieldArithmetic:
+    # the three field classes share one implementation; each operation must
+    # be the plain array arithmetic, array by array, bit for bit
+
+    @staticmethod
+    def same(field, cls, want):
+        assert type(field) is cls
+        assert len(field.arrays) == len(want)
+        for name, got, ref in zip(cls.ARRAYS, field.arrays, want):
+            assert got is getattr(field, name)
+            assert not got.flags.writeable
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 32), seed=st.integers(0, 2 ** 32 - 1),
+           cls=st.sampled_from(FIELD_CLASSES))
+    def test_operations_equal_array_arithmetic(self, n, seed, cls):
+        g = Grid(n)
+        rng = np.random.default_rng(seed)
+        xa = [rng.standard_normal(s) for s in cls.shapes(g)]
+        ya = [rng.standard_normal(s) for s in cls.shapes(g)]
+        x, y = cls(g, *xa), cls(g, *ya)
+        a, b = rng.standard_normal(2)
+        self.same(x + y, cls, [p + q for p, q in zip(xa, ya)])
+        self.same(x - y, cls, [p - q for p, q in zip(xa, ya)])
+        self.same(x * a, cls, [p * float(a) for p in xa])
+        self.same(a * x, cls, [p * float(a) for p in xa])
+        self.same(-x, cls, [-p for p in xa])
+        self.same(x.blend(a, y, b), cls, [a * p + b * q for p, q in zip(xa, ya)])
+        self.same(cls.zeros(g), cls, [np.zeros(s) for s in cls.shapes(g)])
+        assert x.max_abs() == max(float(np.abs(p).max()) for p in xa)
+
+    @pytest.mark.parametrize("cls", FIELD_CLASSES)
+    def test_wrong_shape_rejected(self, cls):
+        g = Grid(8)
+        shapes = cls.shapes(g)
+        for i in range(len(shapes)):
+            arrays = [np.zeros(s) for s in shapes]
+            arrays[i] = np.zeros((shapes[i][0] + 1,) + shapes[i][1:])
+            with pytest.raises(DimensionMismatchError, match=cls.ARRAYS[i]):
+                cls(g, *arrays)
+
+    def test_mixed_operands_rejected(self):
+        g = Grid(8)
+        p, w, t = (cls.zeros(g) for cls in FIELD_CLASSES)
+        with pytest.raises(TypeError):
+            p + t
+        with pytest.raises(TypeError):
+            w - p
+        with pytest.raises(TypeError):
+            t.blend(1.0, p, 1.0)
+        with pytest.raises(DimensionMismatchError):
+            p + ScalarField.zeros(Grid(16))
+
+
 class TestDivergence:
     def test_zero_field(self):
         g = Grid(8, 8)
