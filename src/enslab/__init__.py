@@ -4,7 +4,7 @@ systems whose divergence obeys its own heat-type dynamics.
 Subsystems
 ----------
 grid         staggered grid, fields, discrete operators
-linsolve     separable scalar solves, Schur-complement Stokes solver
+linsolve     separable scalar solves, direct capacitance Stokes solver
 heat_oracle  scalar heat evolution of the divergence with runtime estimates
 stokes_lift  divergence lifting, orthogonal decomposition, Leray projection
 advection    skew-symmetric transport operator

@@ -95,8 +95,9 @@ WALL_FOLLOW_RUN_TOL = 1e-8  # max over the run of max|h - u.n|; x max(1, max_t |
 LEDGER_RATE_TOL = 1e-6      # Galerkin ledger imbalance per unit time
 
 # Defined in linsolve, which cannot import this module, and re-exported:
-# STOKES_TOL bounds the relative divergence residual of a generalized-Stokes
-# solve; COMPAT_TOL bounds |int g - oint trace|; x max(1, ||g||, max|trace|).
+# STOKES_TOL bounds the divergence residual ||g' - D u|| of the velocity a
+# generalized-Stokes solve returns, x max(||g'||, ||g' - D u0||, ||D|| ||u||);
+# COMPAT_TOL bounds |int g - oint trace|; x max(1, ||g||, max|trace|).
 
 
 def passes(margin: float, scale: float = 1.0) -> bool:

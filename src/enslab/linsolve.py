@@ -12,14 +12,13 @@ Contents
   heat steps with Neumann or Dirichlet walls and the dual-norm realization
   (I - Lap_N)^{-1}.
 * ``GeneralizedStokes``: (alpha I + c K) u + G p = f, D u = g with wall-normal
-  velocity data.  Preconditioned conjugate gradient on the pressure Schur
-  complement D (alpha I + c K)^{-1} D^T with the Cahouet-Chabard
-  preconditioner c I + alpha (-Lap_N)^{-1}; the velocity block is inverted
-  exactly by diagonalizing it in the eigenbases of the 1-D Dirichlet
-  tridiagonals (two small dense eigensolves per grid, four matrix products
-  per component per solve).  alpha = 0 is the stationary Stokes lift,
-  alpha = 1 the viscous step on the divergence-free subspace.
-* ``NoslipHelmholtz``: the velocity block alone at alpha = 1, with wall data.
+  velocity data, solved directly: an exact free-slip solve (one Neumann
+  Poisson and one separable velocity solve) and a capacitance correction on
+  the 4(N - 1) wall faces, factored at 1-D sizes.  Its post-condition is the
+  divergence residual of the returned velocity.  alpha = 0 is the
+  stationary Stokes lift, alpha = 1 the viscous step on the divergence-free
+  subspace.
+* ``NoslipHelmholtz``: the velocity block alone, with wall data.
 * ``dense_stokes_solve``: direct bordered-matrix oracle for small grids, the
   reference the tests compare against.
 
@@ -52,7 +51,6 @@ from .grid import (
 __all__ = [
     "STOKES_TOL",
     "COMPAT_TOL",
-    "STOKES_MAX_ITER",
     "SolveReport",
     "GeneralizedStokes",
     "generalized_stokes",
@@ -71,12 +69,9 @@ __all__ = [
     "noslip_viscous_matrix",
 ]
 
-# Relative divergence residual at which a generalized-Stokes solve stops,
-# and its iteration cap.  The Schur iteration count is nearly independent of
-# h, alpha and c (12-20 for N = 64..256), so the cap is reached only by a
-# solve that has stopped converging.
+# Post-condition of a generalized-Stokes solve: its divergence residual,
+# relative to the scale named in ``GeneralizedStokes.solve``.
 STOKES_TOL = 1e-12
-STOKES_MAX_ITER = 100
 # Compatibility of divergence data g with a wall-normal trace:
 # |int g - oint trace| <= COMPAT_TOL * max(1, ||g||, max|trace|).  These two
 # bounds belong to the tolerance table of ``diagnostics``, which imports
@@ -98,61 +93,52 @@ def _tridiagonal(n: int, h: float, kind: str) -> np.ndarray:
     return t * (1.0 / (h * h))  # not t / h^2: the eigenbases round with this form
 
 
+def _kron_sum(grid: Grid, kind_x: str, kind_y: str) -> sp.spmatrix:
+    """The assembled 2-D Kronecker sum of two 1-D tridiagonals."""
+    tx = sp.csr_matrix(_tridiagonal(grid.nx, grid.h, kind_x))
+    ty = sp.csr_matrix(_tridiagonal(grid.ny, grid.h, kind_y))
+    return sp.kron(tx, sp.identity(ty.shape[0])) + sp.kron(sp.identity(tx.shape[0]), ty)
+
+
 def laplacian_neumann_matrix(grid: Grid) -> sp.csr_matrix:
-    tx = sp.csr_matrix(_tridiagonal(grid.nx, grid.h, "neumann"))
-    ty = sp.csr_matrix(_tridiagonal(grid.ny, grid.h, "neumann"))
-    return (sp.kron(tx, sp.identity(grid.ny)) + sp.kron(sp.identity(grid.nx), ty)).tocsr()
+    return _kron_sum(grid, "neumann", "neumann").tocsr()
 
 
 def laplacian_dirichlet_matrix(grid: Grid) -> sp.csr_matrix:
-    tx = sp.csr_matrix(_tridiagonal(grid.nx, grid.h, "cell"))
-    ty = sp.csr_matrix(_tridiagonal(grid.ny, grid.h, "cell"))
-    return (sp.kron(tx, sp.identity(grid.ny)) + sp.kron(sp.identity(grid.nx), ty)).tocsr()
+    return _kron_sum(grid, "cell", "cell").tocsr()
 
 
 def noslip_viscous_matrix(grid: Grid) -> sp.csr_matrix:
     """Minus the no-slip vector Laplacian on interior faces (SPD)."""
-    nx, ny, h = grid.nx, grid.ny, grid.h
+    return (-sp.block_diag([_kron_sum(grid, "node", "cell"), _kron_sum(grid, "cell", "node")])).tocsr()
 
-    def t(n: int, kind: str) -> sp.csr_matrix:
-        return sp.csr_matrix(_tridiagonal(n, h, kind))
 
-    au = sp.kron(t(nx, "node"), sp.identity(ny)) + sp.kron(sp.identity(nx - 1), t(ny, "cell"))
-    av = sp.kron(t(nx, "cell"), sp.identity(ny - 1)) + sp.kron(sp.identity(nx), t(ny, "node"))
-    return (-sp.block_diag([au, av])).tocsr()
+def _cell_difference(n: int) -> sp.spmatrix:
+    """Cell j of a grid line reads interior nodes j + 1 and j (the wall nodes are zero)."""
+    return sp.eye(n, n - 1) - sp.eye(n, n - 1, k=-1)
 
 
 def divergence_matrix(grid: Grid) -> sp.csr_matrix:
     """Divergence D on the interior-face vector; the gradient is -D^T."""
-    nx, ny, h = grid.nx, grid.ny, grid.h
-    n_u = (nx - 1) * ny
-    iu, ju = np.meshgrid(np.arange(1, nx), np.arange(ny), indexing="ij")
-    cu = ((iu - 1) * ny + ju).ravel()
-    rows_u_plus = ((iu - 1) * ny + ju).ravel()
-    rows_u_minus = (iu * ny + ju).ravel()
-    iv, jv = np.meshgrid(np.arange(nx), np.arange(1, ny), indexing="ij")
-    cv = n_u + (iv * (ny - 1) + (jv - 1)).ravel()
-    rows_v_plus = (iv * ny + (jv - 1)).ravel()
-    rows_v_minus = (iv * ny + jv).ravel()
-    rows = np.concatenate([rows_u_plus, rows_u_minus, rows_v_plus, rows_v_minus])
-    cols = np.concatenate([cu, cu, cv, cv])
-    data = np.concatenate([
-        np.full(cu.size, 1.0 / h), np.full(cu.size, -1.0 / h),
-        np.full(cv.size, 1.0 / h), np.full(cv.size, -1.0 / h),
-    ])
-    n = n_u + nx * (ny - 1)
-    return sp.coo_matrix((data, (rows, cols)), shape=(nx * ny, n)).tocsr()
+    nx, ny = grid.nx, grid.ny
+    D = sp.hstack([sp.kron(_cell_difference(nx), sp.identity(ny)),
+                   sp.kron(sp.identity(nx), _cell_difference(ny))])
+    return (D / grid.h).tocsr()
 
 
 def curl_matrix(grid: Grid) -> sp.csr_matrix:
     """Curl C of the interior-node stream function onto the interior faces
     (``vector_from_stream`` with zero wall values); D C = 0."""
     nx, ny = grid.nx, grid.ny
-    # cell j of a grid line reads nodes j + 1 and j; the wall nodes are zero
-    ex = sp.eye(nx, nx - 1) - sp.eye(nx, nx - 1, k=-1)
-    ey = sp.eye(ny, ny - 1) - sp.eye(ny, ny - 1, k=-1)
-    C = sp.vstack([sp.kron(sp.identity(nx - 1), ey), -sp.kron(ex, sp.identity(ny - 1))])
+    C = sp.vstack([sp.kron(sp.identity(nx - 1), _cell_difference(ny)),
+                   -sp.kron(_cell_difference(nx), sp.identity(ny - 1))])
     return (C / grid.h).tocsr()
+
+
+def _split(grid: Grid, x: np.ndarray):
+    """Views of an interior-face vector as its u and v arrays."""
+    n_u = (grid.nx - 1) * grid.ny
+    return x[:n_u].reshape(grid.nx - 1, grid.ny), x[n_u:].reshape(grid.nx, grid.ny - 1)
 
 
 def flatten_interior(w: VectorField) -> np.ndarray:
@@ -162,11 +148,9 @@ def flatten_interior(w: VectorField) -> np.ndarray:
 
 def unflatten_interior(grid: Grid, x: np.ndarray, trace: BoundaryTrace | None = None) -> VectorField:
     """Rebuild a vector field from interior values; walls from trace or zero."""
-    nu = (grid.nx - 1) * grid.ny
     u = np.zeros(grid.shape_u)
     v = np.zeros(grid.shape_v)
-    u[1:-1, :] = x[:nu].reshape(grid.nx - 1, grid.ny)
-    v[:, 1:-1] = x[nu:].reshape(grid.nx, grid.ny - 1)
+    u[1:-1, :], v[:, 1:-1] = _split(grid, x)
     if trace is not None:
         u[0, :] = -trace.left
         u[-1, :] = trace.right
@@ -282,26 +266,100 @@ def heat_solver(grid: Grid, a: float, bc: str, theta: str = "cn"):
 
 
 # ---------------------------------------------------------------------------
-# Generalized Stokes solver (Schur CG with a separable velocity solve)
+# Generalized Stokes solver: a free-slip solve and a wall correction
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SolveReport:
-    iterations: int
     residual: float
 
 
-class GeneralizedStokes:
-    """Solver for (alpha I + c K) u + G p = f, D u = g with wall-normal data.
+def _velocity_solver(grid: Grid, alpha: float, c: float, wall: str):
+    """Cached (alpha I + c K)^{-1} on the interior-face vector, K minus the
+    vector Laplacian with tangential walls of kind "cell" (no-slip) or
+    "neumann" (free-slip): both components are separable."""
+    def build():
+        blocks = []
+        for kinds in (("node", wall), (wall, "node")):
+            qx, qy, lam = _separable_eigenbasis(grid, *kinds)
+            blocks.append((qx, qy, 1.0 / (alpha - c * lam)))
+        n_u = blocks[0][2].size
+        return lambda b: np.concatenate([_diagonalized_solve(b[:n_u], *blocks[0]),
+                                         _diagonalized_solve(b[n_u:], *blocks[1])])
+    return _cached(("velocity_solver", grid.nx, grid.ny, alpha, c, wall), build)
 
-    K is minus the no-slip vector Laplacian on interior faces.  Both of its
-    blocks are Kronecker sums of 1-D Dirichlet tridiagonals, so
-    (alpha I + c K)^{-1} is applied exactly in their eigenbases (Lynch, Rice
-    and Thomas 1964).  The pressure solves the Schur complement system
-    D (alpha I + c K)^{-1} D^T p = rhs by conjugate gradient, preconditioned
-    with c I + alpha (-Lap_N)^{-1} (Cahouet and Chabard 1988); the iterate
-    carries its velocity along, so the momentum equation holds at every
-    iteration and the CG residual is the divergence residual.
+
+def _div(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """D x, the divergence of an interior-face vector (zero wall faces)."""
+    u, v = _split(grid, x)
+    d = np.zeros(grid.shape_cell)
+    d[:-1] += u
+    d[1:] -= u
+    d[:, :-1] += v
+    d[:, 1:] -= v
+    return (d / grid.h).ravel()
+
+
+def _div_t(grid: Grid, p: np.ndarray) -> np.ndarray:
+    """D^T p = -G p for a cell vector p."""
+    q = p.reshape(grid.shape_cell)
+    return np.concatenate([(q[:-1] - q[1:]).ravel(), (q[:, :-1] - q[:, 1:]).ravel()]) / grid.h
+
+
+def _wall_faces(grid: Grid) -> np.ndarray:
+    """U: one row of interior-face indices per wall (bottom, top, left and
+    right), the tangential faces next to it."""
+    u, v = _split(grid, np.arange(2 * grid.nx * (grid.nx - 1)))
+    return np.stack([u[:, 0], u[:, -1], v[0, :], v[-1, :]])
+
+
+def _capacitance(grid: Grid, alpha: float, c: float):
+    """C = I + c w U^T T U, T the free-slip solution operator, factored.
+
+    T = (alpha I + c K_fs)^{-1} + D^T (alpha I - c Lap_N)^{-1} Lap_N^+ D, and
+    the cell differences map Neumann onto node eigenvectors,
+    E^T q_k = s_k h sqrt(-lam_k) qn_k.  So in the node eigenbasis along each
+    wall, opposite walls combined as sum and difference (the square's
+    reflections), the u-u and v-v parts of C are one diagonal, and the u-v
+    part couples u walls of kind b in modes of parity a only with v walls of
+    kind a in modes of parity b: four systems of order about N - 1, each
+    stored as its u-v block and its inverted v-side Schur complement.
+    """
+    n, h = grid.nx, grid.h
+    lam, q = _tridiagonal_eigh(n, h, "neumann")
+    _, qn = _tridiagonal_eigh(n, h, "node")
+    sign = np.sign(np.einsum("ik,ik->k", qn, q[:-1, :-1] - q[1:, :-1]))
+    both = lam[:-1, None] + lam[None, :]                # lam_k + lam_l, k < n - 1
+    mult = 1.0 / (both * (alpha - c * both))            # (alpha I - c Lap_N)^{-1} Lap_N^+
+    ends = np.stack([q[0] + q[-1], q[0] - q[-1]]) / math.sqrt(2.0)
+    cw = 2.0 * c / (h * h)
+    diag = 1.0 + cw * (ends * ends) @ (lam * mult).T    # [sum or difference, mode]
+    e = sign * np.sqrt(-lam[:-1]) * ends[:, :-1]
+    odd = np.abs(ends[1, :-1]) > np.abs(ends[0, :-1])
+    modes = (np.flatnonzero(~odd), np.flatnonzero(odd))
+    blocks = []
+    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        ia, ib = modes[a], modes[b]
+        x = cw * e[a, ia, None] * mult[np.ix_(ia, ib)] * e[b, ib]
+        schur = np.diag(diag[a, ib]) - x.T @ (x / diag[b, ia, None])
+        blocks.append((a, b, ia, ib, x, np.linalg.inv(schur)))
+    half = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    return qn, np.kron(np.eye(2), half), diag, blocks
+
+
+class GeneralizedStokes:
+    """Direct solver for (alpha I + c K) u + G p = f, D u = g with wall-normal data.
+
+    K is minus the no-slip vector Laplacian on interior faces: the free-slip
+    K_fs (zero tangential stress) plus w = 2/h^2 on the 4(N - 1) tangential
+    faces next to a wall, K = K_fs + w U U^T.  As D K_fs = -Lap_N D and
+    D D^T = -Lap_N, the free-slip system is solved exactly by
+    p = Lap_N^+ (D f - alpha g) + c g and the separable
+    u = (alpha I + c K_fs)^{-1} (f - G p).  The Woodbury identity makes it
+    no-slip through the capacitance C on the wall faces (Buzbee, Dorr,
+    George and Golub 1971; Proskurowski and Widlund 1976): the free-slip
+    solve with force U C^{-1} (c w U^T u) is subtracted.  At c = 0 there is
+    no correction, and the solve is the Leray projection.
     """
 
     def __init__(self, grid: Grid, alpha: float, c: float):
@@ -311,87 +369,70 @@ class GeneralizedStokes:
         if not (self.alpha >= 0.0 and self.c >= 0.0 and 0.0 < self.alpha + self.c < math.inf):
             raise ValueError(f"need alpha, c >= 0 with alpha + c > 0 and finite, "
                              f"got alpha = {alpha!r}, c = {c!r}")
-        qx, qy, lam = _separable_eigenbasis(grid, "node", "cell")
-        self._u_block = (qx, qy, 1.0 / (self.alpha - self.c * lam))
-        qx, qy, lam = _separable_eigenbasis(grid, "cell", "node")
-        self._v_block = (qx, qy, 1.0 / (self.alpha - self.c * lam))
-        self._n_u = (grid.nx - 1) * grid.ny
-        self._d = divergence_matrix(grid)
-        self._dt = self._d.T.tocsr()
-        self._poisson = neumann_poisson(grid) if self.alpha > 0.0 else None
+        self._free = _velocity_solver(grid, self.alpha, self.c, "neumann")
+        self._noslip = NoslipHelmholtz(grid, self.c, self.alpha)
+        self._poisson = neumann_poisson(grid)
+        self._norm_d = math.sqrt(-_separable_eigenbasis(grid, "neumann")[2][0, 0])  # D D^T = -Lap_N
+        self._capacitance = _capacitance(grid, self.alpha, self.c) if self.c > 0.0 else None
+        self._walls = _wall_faces(grid)
 
-    def velocity_solve(self, b: np.ndarray) -> np.ndarray:
-        """(alpha I + c K)^{-1} b on the interior-face vector."""
-        n_u = self._n_u
-        return np.concatenate([_diagonalized_solve(b[:n_u], *self._u_block),
-                               _diagonalized_solve(b[n_u:], *self._v_block)])
+    def _free_slip(self, b: np.ndarray, g):
+        """(u, p) of (alpha I + c K_fs) u + G p = b, D u = g."""
+        p = self._poisson.solve_values(_div(self.grid, b) - self.alpha * g).ravel() + self.c * g
+        return self._free(b + _div_t(self.grid, p)), p
 
-    def _precondition(self, r: np.ndarray) -> np.ndarray:
-        z = self.c * r
-        if self._poisson is not None:
-            z -= self.alpha * self._poisson.solve_values(r).ravel()
-        return z
+    def _wall_solve(self, r: np.ndarray) -> np.ndarray:
+        """C^{-1} r for wall data r, one column per row of ``_wall_faces``."""
+        qn, half, diag, blocks = self._capacitance
+        z = (qn.T @ r @ half).T          # u sum, u difference, v sum, v difference
+        out = np.empty_like(z)
+        out[:2] = z[:2] / diag
+        for a, b, ia, ib, x, schur_inv in blocks:
+            zv = schur_inv @ (z[2 + a, ib] - x.T @ out[b, ia])
+            out[2 + a, ib] = zv
+            out[b, ia] -= (x @ zv) / diag[b, ia]
+        return qn @ out.T @ half
 
     def solve(self, f: VectorField | None = None, g: ScalarField | None = None,
               trace: BoundaryTrace | None = None):
         """Solve with body force f, divergence g and outward wall-normal velocity trace.
 
         Missing data is zero.  Returns (u, p, SolveReport): u carries the
-        wall data, p is mean-zero, and the report gives the iterations and
-        the divergence residual relative to max(||g'||, ||g' - D u0||), where
-        g' is g less the wall flux and u0 the velocity at p = 0.  The
-        momentum equation holds to round-off.  Raises SolverError when the
-        data is not finite or the residual does not reach STOKES_TOL within
-        STOKES_MAX_ITER iterations.
+        wall data and p is mean-zero.  The report gives the divergence
+        residual of the returned u, ||g' - D u|| over its mean-zero part (the
+        mean is the compatibility check's), relative to
+        max(||g'||, ||g' - D u0||, ||D||_2 ||u||); g' is g less the wall
+        flux, u0 = (alpha I + c K)^{-1} f the velocity at p = 0.  Raises
+        SolverError on non-finite data or a residual above STOKES_TOL.
         """
         grid = self.grid
-        b = np.zeros(self._dt.shape[0]) if f is None else flatten_interior(f)
-        rhs = np.zeros(grid.nx * grid.ny)
+        b = np.zeros(2 * grid.nx * (grid.nx - 1)) if f is None else flatten_interior(f)
+        gp = np.zeros(grid.nx * grid.ny)
         if g is not None or trace is not None:
             g = ScalarField.zeros(grid) if g is None else g
             trace = BoundaryTrace.zeros(grid) if trace is None else trace
             _check_compatibility(g, trace)
             b = b + self.c * _wall_rhs(grid, trace)
             walls = unflatten_interior(grid, np.zeros(b.size), trace)
-            rhs = (g.values - divergence(walls).values).ravel()
-        x = self.velocity_solve(b)
-        r = rhs - self._d @ x
-        norms = (np.linalg.norm(rhs), np.linalg.norm(r))
+            gp = (g.values - divergence(walls).values).ravel()
+        norms = (np.linalg.norm(gp), np.linalg.norm(gp - _div(grid, self._noslip.velocity_solve(b))))
         if not np.isfinite(norms).all():
             raise SolverError("generalized Stokes solve: non-finite data")
-        scale = max(norms)
-        r -= r.mean()
-        p = np.zeros_like(r)
-        res = np.linalg.norm(r)
-        it = 0
-        if res > STOKES_TOL * scale:
-            d = self._precondition(r)
-            rz = r @ d
-            for it in range(1, STOKES_MAX_ITER + 1):
-                w = self.velocity_solve(self._dt @ d)
-                sd = self._d @ w
-                dsd = d @ sd
-                if not dsd > 0.0:
-                    raise SolverError(
-                        f"generalized Stokes solve broke down at iteration {it} "
-                        f"(curvature {dsd:.3e}, residual {res / scale:.3e})")
-                a = rz / dsd
-                p += a * d
-                x += a * w
-                r -= a * sd
-                res = np.linalg.norm(r)
-                if res <= STOKES_TOL * scale:
-                    break
-                z = self._precondition(r)
-                rz, rz_old = r @ z, rz
-                d = z + (rz / rz_old) * d
-            else:
-                raise SolverError(
-                    f"generalized Stokes solve did not converge: {it} iterations, "
-                    f"residual {res / scale:.3e} above tol {STOKES_TOL:.1e}")
+        x, p = self._free_slip(b, gp)
+        if self._capacitance is not None:
+            force = np.zeros_like(x)
+            force[self._walls] = self._wall_solve((2.0 * self.c / (grid.h * grid.h)) * x[self._walls].T).T
+            xc, pc = self._free_slip(force, 0.0)
+            x -= xc
+            p -= pc
+        r = gp - _div(grid, x)
+        scale = max(*norms, self._norm_d * np.linalg.norm(x))
+        res = float(np.linalg.norm(r - r.mean()) / scale) if scale > 0.0 else 0.0
+        if not res <= STOKES_TOL:
+            raise SolverError(f"generalized Stokes solve: divergence residual {res:.3e} "
+                              f"above tol {STOKES_TOL:.1e}")
         u = unflatten_interior(grid, x, trace)
-        q = _adopt(ScalarField, grid, (p - p.mean()).reshape(grid.shape_cell))
-        return u, q, SolveReport(it, float(res / scale) if scale > 0.0 else 0.0)
+        return u, _adopt(ScalarField, grid, (p - p.mean()).reshape(grid.shape_cell)), SolveReport(res)
 
 
 def generalized_stokes(grid: Grid, alpha: float, c: float) -> GeneralizedStokes:
@@ -400,35 +441,37 @@ def generalized_stokes(grid: Grid, alpha: float, c: float) -> GeneralizedStokes:
 
 
 class NoslipHelmholtz:
-    """Solver for (I - c * Lap_noslip) on interior faces with optional wall data.
+    """Solver for (alpha I - c * Lap_noslip) on interior faces (alpha = 1
+    unless given), with optional wall data; ``velocity_solve`` applies it to
+    an interior-face vector.
 
     With a wall trace given, the wall-normal faces are treated as Dirichlet
     data (their values folded into the right-hand side) and the returned
     field carries them; tangential wall values are zero by the closure.
     """
 
-    def __init__(self, grid: Grid, c: float):
+    def __init__(self, grid: Grid, c: float, alpha: float = 1.0):
         self.grid = grid
         self.c = float(c)
-        self._block = generalized_stokes(grid, 1.0, c)
+        self.velocity_solve = _velocity_solver(grid, float(alpha), self.c, "cell")
 
     def solve(self, rhs: VectorField, trace: BoundaryTrace | None = None) -> VectorField:
         b = flatten_interior(rhs)
         if trace is not None:
             b = b + self.c * _wall_rhs(self.grid, trace)
-        return unflatten_interior(self.grid, self._block.velocity_solve(b), trace)
+        return unflatten_interior(self.grid, self.velocity_solve(b), trace)
 
 
 def _wall_rhs(grid: Grid, trace: BoundaryTrace) -> np.ndarray:
     """RHS contribution of Dirichlet wall-normal data to K z = -Lap z."""
     h2 = grid.h * grid.h
-    bu = np.zeros((grid.nx - 1, grid.ny))
-    bv = np.zeros((grid.nx, grid.ny - 1))
-    bu[0, :] = (-trace.left) / h2
-    bu[-1, :] = trace.right / h2
-    bv[:, 0] = (-trace.bottom) / h2
-    bv[:, -1] = trace.top / h2
-    return np.concatenate([bu.ravel(), bv.ravel()])
+    b = np.zeros(2 * grid.nx * (grid.nx - 1))
+    u, v = _split(grid, b)
+    u[0, :] = (-trace.left) / h2
+    u[-1, :] = trace.right / h2
+    v[:, 0] = (-trace.bottom) / h2
+    v[:, -1] = trace.top / h2
+    return b
 
 
 def _check_compatibility(g: ScalarField, trace: BoundaryTrace) -> None:
@@ -442,8 +485,10 @@ def _check_compatibility(g: ScalarField, trace: BoundaryTrace) -> None:
             f"vs boundary flux {flux:.3e}")
 
 
-def dense_stokes_solve(g: ScalarField, boundary_velocity: BoundaryTrace | None = None):
-    """Direct bordered-matrix Stokes solve; oracle for small grids (<= 16x16)."""
+def dense_stokes_solve(g: ScalarField, boundary_velocity: BoundaryTrace | None = None,
+                       alpha: float = 0.0, c: float = 1.0, f: VectorField | None = None):
+    """Direct bordered-matrix solve of (alpha I + c K) u + G p = f, D u = g;
+    oracle for small grids (<= 16x16).  The defaults are the Stokes lift."""
     grid = g.grid
     if grid.nx > 16:
         raise ValueError("dense oracle restricted to grids of at most 16x16")
@@ -451,20 +496,22 @@ def dense_stokes_solve(g: ScalarField, boundary_velocity: BoundaryTrace | None =
     _check_compatibility(g, trace)
     nf = (grid.nx - 1) * grid.ny + grid.nx * (grid.ny - 1)
     nc = grid.nx * grid.ny
-    K = noslip_viscous_matrix(grid).toarray()
+    A = alpha * np.eye(nf) + c * noslip_viscous_matrix(grid).toarray()
     G = -divergence_matrix(grid).toarray().T
-    b_wall = _wall_rhs(grid, trace)
+    b = c * _wall_rhs(grid, trace)
+    if f is not None:
+        b = b + flatten_interior(f)
     fold = divergence(unflatten_interior(grid, np.zeros(nf), trace)).values.ravel()
     gprime = g.values.ravel() - fold
-    # bordered symmetric system: [K G 0; G^T 0 1; 0 1^T 0]
+    # bordered symmetric system: [A G 0; G^T 0 1; 0 1^T 0]
     M = np.zeros((nf + nc + 1, nf + nc + 1))
-    M[:nf, :nf] = K
+    M[:nf, :nf] = A
     M[:nf, nf:nf + nc] = G
     M[nf:nf + nc, :nf] = G.T
     M[nf:nf + nc, nf + nc] = 1.0
     M[nf + nc, nf:nf + nc] = 1.0
     rhs = np.zeros(nf + nc + 1)
-    rhs[:nf] = b_wall
+    rhs[:nf] = b
     rhs[nf:nf + nc] = -gprime
     sol = np.linalg.solve(M, rhs)
     z = unflatten_interior(grid, sol[:nf], trace)
