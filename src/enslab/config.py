@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
+from .galerkin import BASIS_COST, BASIS_GRID_MAX
 from .scenarios import FORCING_PRESETS, IC_PRESETS
 
 __all__ = ["Config", "ConfigError", "parse_config", "load_config"]
@@ -64,9 +65,9 @@ class Config:
         if self.route == "galerkin":
             if self.system != "jl":
                 raise ConfigError("route = galerkin requires system = jl")
-            if self.grid > 32:
-                raise ConfigError("route = galerkin requires grid <= 32 "
-                                  "(dense eigensolve budget)")
+            if self.grid > BASIS_GRID_MAX:
+                raise ConfigError(f"route = galerkin requires grid <= {BASIS_GRID_MAX}: "
+                                  f"{BASIS_COST}")
             if self.ic not in ("zero", "vortex", "random_solenoidal"):
                 raise ConfigError(
                     "route = galerkin models the divergence-free flow only; "

@@ -110,7 +110,7 @@ def jl_state(u: VectorField, nu: float, forcing: ForcingSpec | None = None,
     g = divergence_state(divergence(u), "neumann", nu, time=time)
     if not decomposed:
         return JLState(time, u, g, nu, forcing)
-    dec = decompose(u)
+    dec = decompose(u, time)
     return JLState(time, u, g, nu, forcing, dec.v, dec.z, dec.q)
 
 

@@ -12,32 +12,31 @@ integrated by classical RK4.  The quadratic term is energy-neutral because
 the transport form is skew in its last two slots, so the solved system
 inherits the exact energy ledger of the full discretization.
 
-The subspace is exactly the range of the stream-function curl C
-(``linsolve.curl_matrix``), so the basis comes from the dense pencil
-(C^T K C, C^T C) of size (nx-1)(ny-1) (small grids by contract), with no
-projector matrix, spectral shift or re-orthogonalization: the modes
-C psi / h are divergence-free by construction.  ``advect`` is a sum of
-products of advecting coefficients and centered differences, so each
-transport tensor is one contraction over the stacked modes.
+The subspace is exactly the range of the stream-function curl C, so the
+basis comes from the pencil (C^T K C, C^T C), a sine-diagonal plus a wall
+term (Bjorstad 1983) that the square's reflections split into parity blocks
+(Bossavit 1986), with no projector matrix, spectral shift or
+re-orthogonalization: the modes C psi / h are divergence-free by
+construction.  ``advect`` is a sum of products of advecting coefficients
+and centered differences, so each transport tensor is one contraction over
+the stacked modes.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .advection import centered_differences, transport_coefficients
 from .diagnostics import (
     EIGEN_ORDER_RTOL, EIGEN_RESIDUAL_TOL, GRAM_TOL, STEP_COUNT_RTOL, DiagnosticsRecord,
 )
-from .errors import CheckFailure, DimensionMismatchError, SolverError
+from .errors import CheckFailure, DimensionMismatchError
 from .fieldio import ensure_dir, read_vector, write_vector
-from .grid import Grid, VectorField, face_norm, vector_laplacian
-from .linsolve import _cached, curl_matrix, noslip_viscous_matrix, unflatten_interior
+from .grid import Grid, VectorField, face_norm, vector_from_stream, vector_laplacian
+from .linsolve import _cached, _tridiagonal_eigh
 from .stokes_lift import leray_project
 
 __all__ = [
@@ -53,6 +52,11 @@ __all__ = [
     "integrate_galerkin",
     "galerkin_energy_ledger",
 ]
+
+# Largest grid of the basis build, whose eigensolves grow as N^6 (2 cores)
+BASIS_GRID_MAX = 64
+BASIS_COST = "the eigensolves take ~0.7 s at grid 64 and ~22 s at grid 128"
+
 
 def _face_vector(grid: Grid, w: VectorField) -> np.ndarray:
     """All face values of w, u then v, as one vector."""
@@ -137,25 +141,46 @@ class GalerkinState:
 def build_basis(grid: Grid, k: int) -> GalerkinBasis:
     """Compute the k lowest eigenpairs of the Stokes operator.
 
-    A k that splits a double eigenvalue (x-y symmetry of the square) keeps a
-    vector of its eigenspace chosen by LAPACK, as the shifted solve did.
+    In the node sine basis (1-D eigenpairs lam, q), B = C^T C is diagonal,
+    -(lam_k + lam_l), and C^T K C = B^2 + (2/h^4) (I x P + P x I), with
+    P = q_0 q_0^T + q_last q_last^T from K's wall term.  Three parity blocks
+    (even, even), (even, odd) and (odd, odd) of the scaled B^(-1/2) C^T K C
+    B^(-1/2) are solved; the (odd, even) modes are the x-y swaps of the
+    (even, odd) ones, with bit-identical eigenvalues.  A k that splits a twin
+    pair keeps the (even, odd) member: stream function even in x, odd in y.
     """
-    if grid.nx > 32 or grid.ny > 32:
-        raise ValueError("dense eigensolve budget: grid must be at most 32x32")
-    dim_free = (grid.nx - 1) * (grid.ny - 1)
-    if not (1 <= k <= dim_free):
-        raise ValueError(
-            f"k = {k} outside the divergence-free subspace dimension {dim_free}")
+    if grid.nx > BASIS_GRID_MAX:
+        raise ValueError(f"the Galerkin basis needs grid <= {BASIS_GRID_MAX}, got "
+                         f"{grid.nx}: {BASIS_COST}")
+    n, h = grid.nx, grid.h
+    if not (1 <= k <= (n - 1) ** 2):
+        raise ValueError(f"k = {k} outside the divergence-free subspace dimension {(n - 1) ** 2}")
 
     def build() -> GalerkinBasis:
-        C = curl_matrix(grid)
-        stiffness = (C.T @ noslip_viscous_matrix(grid) @ C).toarray()
-        vals, psi = sla.eigh(stiffness, (C.T @ C).toarray(), subset_by_index=[0, k - 1])
-        if not np.all(np.isfinite(vals)):
-            raise SolverError("eigensolver returned non-finite eigenvalues")
-        faces = (C @ psi) / grid.h
-        return GalerkinBasis(grid, vals, tuple(
-            unflatten_interior(grid, faces[:, j]) for j in range(k)))
+        lam, q = _tridiagonal_eigh(n, h, "node")
+        odd = np.abs(q[0] - q[-1]) > np.abs(q[0] + q[-1])
+        parity = (np.flatnonzero(~odd), np.flatnonzero(odd))
+        wall = np.outer(q[0], q[0]) + np.outer(q[-1], q[-1])
+        vals, psi = [], []
+        for a, b in ((0, 0), (0, 1), (1, 1)):
+            ix, iy = parity[a], parity[b]
+            d = -(lam[ix, None] + lam[iy]).ravel()
+            s = 1.0 / np.sqrt(d)
+            block = (np.kron(np.eye(ix.size), wall[np.ix_(iy, iy)])
+                     + np.kron(wall[np.ix_(ix, ix)], np.eye(iy.size)))
+            block *= (2.0 / h ** 4) * np.outer(s, s)
+            block[np.diag_indices_from(block)] += d
+            mu, y = np.linalg.eigh(block)
+            coeffs = (s[:, None] * y[:, :k]).T.reshape(-1, ix.size, iy.size)
+            vals.append(mu[:k])
+            psi.append(q[:, ix] @ coeffs @ q[:, iy].T)
+            if a != b:  # the swapped twins, (odd, even)
+                vals.append(mu[:k])
+                psi.append(psi[-1].transpose(0, 2, 1))
+        order = np.argsort(np.concatenate(vals), kind="stable")[:k]
+        nodes = np.pad(np.concatenate(psi)[order], ((0, 0), (1, 1), (1, 1))) / h
+        return GalerkinBasis(grid, np.concatenate(vals)[order],
+                             tuple(vector_from_stream(grid, p) for p in nodes))
     return _cached(("galerkin_basis", grid.nx, grid.ny, k), build)
 
 
@@ -163,28 +188,20 @@ def save_basis(basis: GalerkinBasis, directory: str) -> None:
     """Write the basis as per-mode field dumps plus an eigenvalue list."""
     ensure_dir(directory)
     with open(os.path.join(directory, "lambda.txt"), "w", encoding="ascii") as f:
-        for lam in basis.lam:
-            f.write(f"{float(lam):.17g}\n")
+        f.writelines(f"{float(lam):.17g}\n" for lam in basis.lam)
     for j, w in enumerate(basis.modes):
         write_vector(os.path.join(directory, f"mode_{j:03d}"), w, 0.0)
 
 
 def load_basis(directory: str, k: int | None = None) -> GalerkinBasis:
     """Read a cached basis; validation re-runs in the constructor."""
-    path = os.path.join(directory, "lambda.txt")
-    with open(path, encoding="ascii") as f:
+    with open(os.path.join(directory, "lambda.txt"), encoding="ascii") as f:
         lams = [float(line) for line in f if line.strip()]
-    if k is None:
-        k = len(lams)
+    k = len(lams) if k is None else k
     if k > len(lams):
         raise ValueError(f"cache holds {len(lams)} modes, requested {k}")
-    modes = []
-    grid = None
-    for j in range(k):
-        w, _ = read_vector(os.path.join(directory, f"mode_{j:03d}"))
-        grid = w.grid
-        modes.append(w)
-    return GalerkinBasis(grid, np.array(lams[:k]), tuple(modes))
+    modes = [read_vector(os.path.join(directory, f"mode_{j:03d}"))[0] for j in range(k)]
+    return GalerkinBasis(modes[0].grid if modes else None, np.array(lams[:k]), modes)
 
 
 def _transport(grid: Grid, ws, bs, cs) -> np.ndarray:
@@ -234,17 +251,12 @@ def reconstruct(basis: GalerkinBasis, state: GalerkinState) -> VectorField:
 
 def _forcing_vector(basis: GalerkinBasis, f_path, t: float) -> np.ndarray:
     forcing = None if f_path is None else f_path(t)
-    if forcing is None:
-        return np.zeros(basis.k)
-    return project_onto_basis(basis, forcing).coeffs
+    return np.zeros(basis.k) if forcing is None else project_onto_basis(basis, forcing).coeffs
 
 
 def _lift_matrix(basis: GalerkinBasis, z_path, t: float) -> np.ndarray | None:
     z = None if z_path is None else z_path(t)
-    if z is None:
-        return None
-    B1, B2 = lift_tensors(basis, z)
-    return B1 + B2
+    return None if z is None else np.add(*lift_tensors(basis, z))
 
 
 def integrate_galerkin(basis: GalerkinBasis, state: GalerkinState, nu: float,
@@ -304,37 +316,25 @@ def galerkin_energy_ledger(basis: GalerkinBasis, trajectory, nu: float, dt: floa
     if len(states) < 3:
         raise ValueError("need at least three states (two steps)")
     lam = basis.lam
-    n = len(states) - 1
-    E = np.empty(n + 1)
-    G = np.empty(n + 1)
-    R = np.empty(n + 1)
-    for i, s in enumerate(states):
-        g = s.coeffs
-        E[i] = 0.5 * float(g @ g)
-        G[i] = nu * float(lam @ (g * g))
-        fvec = _forcing_vector(basis, f_path, s.time)
-        val = float(fvec @ g)
+    g = np.stack([s.coeffs for s in states])
+
+    def supply(s) -> float:
+        val = float(_forcing_vector(basis, f_path, s.time) @ s.coeffs)
         bmat = _lift_matrix(basis, z_path, s.time)
-        if bmat is not None:
-            val -= float(g @ bmat @ g)
-        R[i] = val
+        return val if bmat is None else val - float(s.coeffs @ bmat @ s.coeffs)
+    E = 0.5 * np.einsum("ij,ij->i", g, g)
     # the identity integrates to E(t2) - E(t0) + int(G - R) dt = 0
-    worst = 0.0
-    for i in range(n - 1):
-        simpson = (dt / 3.0) * (
-            (G[i] - R[i]) + 4.0 * (G[i + 1] - R[i + 1]) + (G[i + 2] - R[i + 2]))
-        worst = max(worst, abs((E[i + 2] - E[i]) + simpson))
-    dvdt_max = 0.0
-    grad_dvdt_max = 0.0
-    for i in range(1, n):
-        gp = (states[i + 1].coeffs - states[i - 1].coeffs) / (2.0 * dt)
-        dvdt_max = max(dvdt_max, math.sqrt(float(gp @ gp)))
-        grad_dvdt_max = max(grad_dvdt_max, math.sqrt(float(lam @ (gp * gp))))
+    net = nu * (g * g) @ lam - np.array([supply(s) for s in states])
+    worst = float(np.abs((E[2:] - E[:-2])
+                         + (dt / 3.0) * (net[:-2] + 4.0 * net[1:-1] + net[2:])).max())
+    gp = (g[2:] - g[:-2]) / (2.0 * dt)
+    dvdt_max = float(np.sqrt(np.einsum("ij,ij->i", gp, gp)).max())
+    grad_dvdt_max = float(np.sqrt((gp * gp) @ lam).max())
     return DiagnosticsRecord(states[-1].time, {
         "imbalance_max": worst,
         "imbalance_rate_max": worst / (2.0 * dt),
-        "energy_initial": E[0],
-        "energy_final": E[-1],
+        "energy_initial": float(E[0]),
+        "energy_final": float(E[-1]),
         "dvdt_max": dvdt_max,
         "grad_dvdt_max": grad_dvdt_max,
     }, "galerkin.energy_ledger")

@@ -22,14 +22,14 @@ Contents
 * ``dense_stokes_solve``: direct bordered-matrix oracle for small grids, the
   reference the tests compare against.
 
-All solvers are reentrant: a solve owns its workspace, and the cache of
-eigenbases and solvers is append-only keyed by immutable tuples.
+A solve owns its workspace.  The cache of eigenbases and solvers is
+append-only and keyed by immutable tuples; it takes no lock, as nothing in
+the package solves on more than one thread.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,17 +164,13 @@ def unflatten_interior(grid: Grid, x: np.ndarray, trace: BoundaryTrace | None = 
 # ---------------------------------------------------------------------------
 
 _cache: dict = {}
-_cache_lock = threading.Lock()
 
 
 def _cached(key, builder):
-    with _cache_lock:
-        hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    value = builder()
-    with _cache_lock:
-        return _cache.setdefault(key, value)
+    hit = _cache.get(key)
+    if hit is None:
+        hit = _cache[key] = builder()
+    return hit
 
 
 def _tridiagonal_eigh(n: int, h: float, kind: str):

@@ -134,36 +134,39 @@ class Decomposition:
     q: ScalarField
     record: DiagnosticsRecord | None = field(default=None, compare=False, repr=False)
 
-    def validate(self, u: VectorField) -> DiagnosticsRecord:
+    def validate(self, u: VectorField, time: float = 0.0) -> DiagnosticsRecord:
         """Re-check the three structural invariants against the input u.
 
-        Returns the measurements with the scales they were judged against.
+        Returns the measurements with the scales they were judged against;
+        an overflowed one is a CheckFailure naming it and ``time``.
         """
-        g = self.v.grid
         dv = scalar_norm(divergence(self.v))
-        scale_div = max(face_norm(u) / g.h, TINY)  # natural size of div u
-        if dv > SPLIT_TOL * scale_div:
-            raise CompatibilityError(f"decomposition: div v = {dv:.3e} not zero")
+        scale_div = max(face_norm(u) / u.grid.h, TINY)  # natural size of div u
         gv = math.sqrt(max(grad_inner(self.v, self.v), 0.0))
         gz = math.sqrt(max(grad_inner(self.z, self.z), 0.0))
         ortho = grad_inner(self.v, self.z)
-        gu2 = max(grad_inner(u, u), 0.0)
         # the pairing equals <div v, q> up to round-off, i.e. solver residual
         # times pressure; its natural scale is the input gradient energy
         # (which dominates gv*gz), so degenerate splits stay checkable
-        scale_ortho = max(gv * gz, 0.5 * gu2, TINY)
-        if abs(ortho) > SPLIT_TOL * scale_ortho:
-            raise CompatibilityError(f"decomposition: gradient orthogonality {ortho:.3e}")
+        scale_ortho = max(gv * gz, 0.5 * max(grad_inner(u, u), 0.0), TINY)
         err = (self.v + self.z - u).max_abs()
         scale_rec = max(1.0, u.max_abs())
-        if err > SPLIT_RECONSTRUCT_TOL * scale_rec:
-            raise CompatibilityError(f"decomposition: reconstruction error {err:.3e}")
-        return DiagnosticsRecord(0.0, {
+        metrics = {
             "div_v_l2": dv, "div_scale": scale_div,
             "v_h1_semi": gv, "z_h1_semi": gz,
             "grad_orthogonality": ortho, "orthogonality_scale": scale_ortho,
             "reconstruction": err, "reconstruction_scale": scale_rec,
-        }, "stokes_lift.Decomposition.validate")
+        }
+        for name, value in metrics.items():
+            if not math.isfinite(value):
+                raise CheckFailure(f"non-finite split measurement {name} at t = {time:.6g}")
+        if dv > SPLIT_TOL * scale_div:
+            raise CompatibilityError(f"decomposition: div v = {dv:.3e} not zero")
+        if abs(ortho) > SPLIT_TOL * scale_ortho:
+            raise CompatibilityError(f"decomposition: gradient orthogonality {ortho:.3e}")
+        if err > SPLIT_RECONSTRUCT_TOL * scale_rec:
+            raise CompatibilityError(f"decomposition: reconstruction error {err:.3e}")
+        return DiagnosticsRecord(time, metrics, "stokes_lift.Decomposition.validate")
 
 
 def leray_project(u: VectorField) -> VectorField:
@@ -217,14 +220,14 @@ def lifting_constant(g: ScalarField) -> float:
     return math.sqrt(l2 * l2 + h1s) / ng
 
 
-def decompose(u: VectorField) -> Decomposition:
+def decompose(u: VectorField, time: float = 0.0) -> Decomposition:
     """Split u (zero wall-normal faces) into divergence-free v plus lift z.
 
     The lift's divergence residual is relative to ||div u||, which is ~1/h
     times larger than ||u||; its tolerance STOKES_TOL is well below the
     SPLIT_TOL invariant level.  A divergence at round-off level (lift_floor)
     is not lifted at all (z = 0).  The returned split carries the
-    measurements of its validation as ``record``.
+    measurements of its validation, at ``time``, as ``record``.
     """
     wall_flux = normal_trace(u).max_abs()
     if wall_flux > SPLIT_WALL_TOL * max(1.0, u.max_abs()):
@@ -233,7 +236,7 @@ def decompose(u: VectorField) -> Decomposition:
             "(project the flux away first)")
     z, q = lift_or_zero(divergence(u), u)
     dec = Decomposition(v=u - z, z=z, q=q)
-    return replace(dec, record=dec.validate(u))
+    return replace(dec, record=dec.validate(u, time))
 
 
 def check_weak_lifting_bound(g: ScalarField, time: float = 0.0) -> DiagnosticsRecord:

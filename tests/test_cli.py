@@ -129,7 +129,10 @@ class TestExitCodes:
         (ens_jl, JL_RUN, "energy ledger pairing", 3),
         # the Heun step makes two, so the 3rd is the first of step 2
         (reference, SR_RUN, "velocity", 2),
-    ], ids=["sr-direct", "jl-direct", "jl-decomposed-ledger", "sr-constructive"])
+        # a finite amplitude whose split measurements overflow fails at t = 0
+        (ens_jl, JL_RUN + "ic_amplitude = 1e300\n", "split measurement div_v_l2", 0),
+    ], ids=["sr-direct", "jl-direct", "jl-decomposed-ledger", "sr-constructive",
+            "jl-decomposed-huge-amplitude"])
     def test_non_finite_state_exits_three_naming_the_time(self, tmp_path, monkeypatch,
                                                           capsys, module, text, what, step):
         # the 3rd transport evaluation blows up, so step `step` is the first
@@ -146,7 +149,10 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert f"non-finite {what} at t = {step * 2e-3:.6g}" in err
-        rows = csv_rows(os.path.join(out, "diagnostics.csv"))
+        csv = os.path.join(out, "diagnostics.csv")
+        # a run that fails at t = 0 has no row, and so no CSV
+        rows = csv_rows(csv) if step else []
+        assert os.path.exists(csv) == (step > 0)
         assert [float(r.split(",")[0]) for r in rows] == pytest.approx(
             [n * 2e-3 for n in range(step)])
         assert "overall FAIL" in open(os.path.join(out, "summary.txt")).read()

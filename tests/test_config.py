@@ -140,8 +140,8 @@ class TestValidation:
     def test_galerkin_route_constraints(self):
         with pytest.raises(ConfigError, match="galerkin requires system = jl"):
             make(system="sr", lam=1.0, route="galerkin")
-        with pytest.raises(ConfigError, match="grid <= 32"):
-            make(route="galerkin", grid=64)
+        with pytest.raises(ConfigError, match="grid <= 64"):
+            make(route="galerkin", grid=128)
         with pytest.raises(ConfigError, match="divergence-free"):
             make(route="galerkin", ic="eigenmode_div")
         cfg = make(route="galerkin", ic="vortex")

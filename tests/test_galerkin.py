@@ -1,5 +1,6 @@
 """Spectral basis, trilinear transport form, and coefficient-ODE tests."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ from enslab.grid import (
     vector_from_stream,
     vector_laplacian,
 )
-from enslab.linsolve import divergence_matrix, flatten_interior, noslip_viscous_matrix
+from enslab.linsolve import (
+    curl_matrix, divergence_matrix, flatten_interior, noslip_viscous_matrix,
+)
 from enslab.stokes_lift import leray_project, lift_divergence
-from enslab import ens_jl, galerkin
+from enslab import ens_jl, galerkin, linsolve
 from enslab.scenarios import march
 
 
@@ -104,8 +107,8 @@ class TestBasisConstruction:
             galerkin.GalerkinBasis(basis.grid, lam, basis.modes)
 
     def test_grid_too_large_for_dense_solve(self):
-        with pytest.raises(ValueError):
-            galerkin.build_basis(Grid(64), 4)
+        with pytest.raises(ValueError, match="grid <= 64"):
+            galerkin.build_basis(Grid(128), 4)
 
 
 class TestBasisAgainstDenseOracle:
@@ -123,6 +126,87 @@ class TestBasisAgainstDenseOracle:
         modes = np.stack([flatten_interior(w) for w in basis.modes], axis=1)
         angles = sla.subspace_angles(modes, null @ vecs)
         assert angles.max() <= 1e-9
+
+
+class TestParityBlocksAgainstDensePencil:
+    # The dense pencil (C^T K C, C^T C) that the parity blocks replace.  Every
+    # degenerate eigenvalue up to N = 16 is an (even, odd)/(odd, even) twin
+    # pair; all other neighbours differ by 1e-5 relative or more.
+    @staticmethod
+    def dense(n):
+        grid = Grid(n)
+        C = curl_matrix(grid)
+        lam, psi = sla.eigh((C.T @ noslip_viscous_matrix(grid) @ C).toarray(),
+                            (C.T @ C).toarray())
+        return grid, lam, (C @ psi) / grid.h
+
+    @staticmethod
+    def fresh_build(monkeypatch, grid, k):
+        monkeypatch.setattr(linsolve, "_cache", {})
+        return galerkin.build_basis(grid, k)
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_eigenvalues_and_subspaces(self, n):
+        grid, lam, faces = self.dense(n)
+        basis = galerkin.build_basis(grid, lam.size)
+        assert np.all(np.abs(basis.lam - lam) <= 1e-12 * lam)
+        # sines of the principal angles between the first k modes and the
+        # oracle's first k are the singular values of this block
+        modes = np.stack([flatten_interior(w) for w in basis.modes], axis=1)
+        cross = grid.h * grid.h * (faces.T @ modes)
+        splits = np.diff(lam) <= 1e-10 * lam[1:]
+        for k in range(1, lam.size):
+            if not splits[k - 1]:
+                assert np.linalg.norm(cross[k:, :k], 2) <= 1e-9, k
+
+    @pytest.mark.parametrize("n", [4, 7, 8, 13, 16])
+    def test_two_builds_are_bitwise_equal(self, monkeypatch, n):
+        grid = Grid(n)
+        dim = (n - 1) ** 2
+        a = self.fresh_build(monkeypatch, grid, dim)
+        b = self.fresh_build(monkeypatch, grid, dim)
+        assert a is not b
+        assert np.array_equal(a.lam, b.lam) and np.array_equal(a.stacked, b.stacked)
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_odd_even_twin_is_the_swap_of_even_odd(self, n):
+        basis = galerkin.build_basis(Grid(n), (n - 1) ** 2)
+        twins = np.flatnonzero(np.diff(basis.lam) == 0.0)
+        assert twins.size == ((n - 1) // 2) * (n // 2)
+        for i in twins:
+            first, second = basis.modes[i], basis.modes[i + 1]
+            assert np.array_equal(second.u, -first.v.T)
+            assert np.array_equal(second.v, -first.u.T)
+            # the member kept first has a stream function even in x, odd in y
+            scale = np.abs(first.v).max()
+            assert np.abs(first.u[::-1, :] - first.u).max() <= 1e-12 * scale
+            assert np.abs(first.v[::-1, :] + first.v).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [5, 8, 11, 16])
+    def test_smaller_basis_is_a_bitwise_prefix(self, monkeypatch, n):
+        grid = Grid(n)
+        full = self.fresh_build(monkeypatch, grid, (n - 1) ** 2)
+        for k in (1, 2, 3, 7, 9, n):
+            part = self.fresh_build(monkeypatch, grid, k)
+            assert np.array_equal(part.lam, full.lam[:k])
+            assert np.array_equal(part.stacked, full.stacked[:k])
+
+    def test_cap_grid_holds_no_dense_pencil(self, monkeypatch):
+        # measured peak 39.8 MiB (numpy 2.4); one float64 array of (N - 1)^4
+        # entries, the size of the dense pencil, would alone take 120 MiB
+        n, bound = 64, 48 * 2 ** 20
+        assert bound < 8 * (n - 1) ** 4
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            basis = self.fresh_build(monkeypatch, Grid(n), 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert basis.k == 32
+        assert peak <= bound
 
 
 class TestBasisCache:
@@ -367,6 +451,34 @@ class TestEnergyLedger:
         rec = galerkin.galerkin_energy_ledger(basis, hist, 0.01, 1e-3)
         assert 0.0 < rec.metrics["dvdt_max"] <= 10.0
         assert 0.0 < rec.metrics["grad_dvdt_max"] <= 50.0
+
+    def test_matches_per_state_loop(self):
+        # the ledger sums every state at once; this is the loop it replaced,
+        # agreeing to a few roundings of the energy (summation order differs)
+        grid = Grid(16)
+        basis = galerkin.build_basis(grid, 8)
+        z0, forcing = generic_lift(grid), basis.modes[0] * 0.5 + basis.modes[3] * 0.3
+        paths = dict(z_path=lambda t: z0 * (1.0 + t), f_path=lambda t: forcing)
+        start = galerkin.project_onto_basis(basis, vortex(grid))
+        nu, dt = 0.02, 1e-2
+        hist = galerkin.integrate_galerkin(basis, start, nu, dt, 0.1, **paths)
+        rec = galerkin.galerkin_energy_ledger(basis, hist, nu, dt, **paths)
+        E, net = [], []
+        for s in hist:
+            g = s.coeffs
+            B1, B2 = galerkin.lift_tensors(basis, paths["z_path"](s.time))
+            f = galerkin.project_onto_basis(basis, paths["f_path"](s.time)).coeffs
+            E.append(0.5 * float(g @ g))
+            net.append(nu * float(basis.lam @ (g * g)) - float(f @ g) + float(g @ (B1 + B2) @ g))
+        worst = max(abs(E[i + 2] - E[i] + dt / 3.0 * (net[i] + 4.0 * net[i + 1] + net[i + 2]))
+                    for i in range(len(hist) - 2))
+        gp = [(hist[i + 1].coeffs - hist[i - 1].coeffs) / (2.0 * dt) for i in range(1, len(hist) - 1)]
+        eps = np.finfo(float).eps
+        assert abs(rec["imbalance_max"] - worst) <= 16 * eps * max(E)
+        assert rec["energy_final"] == pytest.approx(E[-1], rel=4 * eps)
+        assert rec["dvdt_max"] == pytest.approx(max(math.sqrt(p @ p) for p in gp), rel=16 * eps)
+        assert rec["grad_dvdt_max"] == pytest.approx(
+            max(math.sqrt(basis.lam @ (p * p)) for p in gp), rel=16 * eps)
 
     def test_short_trajectory_rejected(self):
         basis = galerkin.build_basis(Grid(16), 2)
