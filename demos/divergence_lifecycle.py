@@ -60,7 +60,10 @@ def main() -> None:
     rate = -2.0 * math.pi ** 2 * nu
     print(f"  (the analytic decay rate for this mode is {rate:.4f})")
 
-    rec = ens_jl.check_energy_bound(hist)
+    ledger = ens_jl.EnergyLedger()
+    for s in hist:
+        ledger.add(s)
+    rec = ledger.record()
     print(f"  energy ledger: max per-step imbalance {rec['imbalance_max']:.2e}, "
           f"envelope margin min {rec['envelope_margin_min']:.2e}")
 

@@ -9,8 +9,6 @@ Field runs step through scenarios.march and fold each state as it comes
 into diagnostics rows and the energy ledger, so only the current state (and
 the ledger's previous one) is held.  Studies run their sub-runs one after
 another; compare steps its two routes in lockstep in one thread.
-ENSLAB_THREADS sizes nothing, but a value that is not an integer >= 1 is
-still a config error.
 """
 
 from __future__ import annotations
@@ -57,18 +55,6 @@ _STABILITY_EPS = (1e-3, 1e-4, 1e-5)
 def _say(quiet: bool, message: str) -> None:
     if not quiet:
         print(message)
-
-
-def _check_thread_setting() -> None:
-    """Reject an ENSLAB_THREADS that is not an integer >= 1 (it sizes nothing)."""
-    raw = os.environ.get("ENSLAB_THREADS", "")
-    if raw.strip():
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigError(f"ENSLAB_THREADS must be an integer, got {raw!r}")
-        if cap < 1:
-            raise ConfigError(f"ENSLAB_THREADS must be at least 1, got {cap}")
 
 
 def _initial_velocity(cfg: Config, grid: Grid):
@@ -473,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_thread_setting()
         cfg = load_config(args.config, out=args.out, seed=args.seed)
         return _DISPATCH[args.command](cfg, args.quiet)
     except ConfigError as exc:

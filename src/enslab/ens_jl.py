@@ -9,7 +9,7 @@ velocity itself with a backward-Euler implicit treatment of both the viscous
 term and the divergence-gradient term, splitting the field into its projected
 part and the gradient potential that carries the divergence.
 
-The energy checker certifies, per step, the exact discrete ledger
+EnergyLedger certifies, per step, the exact discrete ledger
 
     (||v+||^2 - ||v||^2) / (2 dt) + nu * ||grad vbar||^2  =  pairing terms
 
@@ -19,7 +19,7 @@ the envelope is a true bound for the computed trajectory, not a fit.
 
 The steppers map one state to the next; a run is
 scenarios.march(step_decomposed, jl_state(u, nu), dt, nsteps), which yields
-the states one at a time, and the energy check folds them pair by pair.
+the states one at a time, and the EnergyLedger folds them pair by pair.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ __all__ = [
     "jl_state",
     "step_decomposed",
     "step_direct",
-    "check_energy_bound",
     "EnergyLedger",
     "coercivity_probe",
     "stokes_pressure",
@@ -163,10 +162,11 @@ def step_direct(s: JLState, dt: float) -> JLState:
     return JLState(s.time + dt, y + gphi, gp, s.nu, s.forcing)
 
 
-def check_energy_bound(history) -> DiagnosticsRecord:
+class EnergyLedger:
     """Per-step energy ledger and a measured-constant Gronwall envelope.
 
-    For each step the exact identity
+    add() decomposed-route states in time order, then record().  For each
+    step the exact identity
 
         (E+ - E)/(2 dt) + nu ||grad vbar||^2
             = <f - dz, vbar> - <skew_advect(vbar + zbar, zbar), vbar> + imbalance
@@ -184,19 +184,6 @@ def check_energy_bound(history) -> DiagnosticsRecord:
     uses only measured quantities and a proven lower bound lambda_P for the
     gradient energy, so energies satisfy E_n <= B_n exactly (up to round-off
     of the recursion itself).
-
-    history is any iterable of decomposed-route states in time order, such
-    as a list or a march(); it is folded by an EnergyLedger, which holds
-    only the previous state.
-    """
-    ledger = EnergyLedger()
-    for s in history:
-        ledger.add(s)
-    return ledger.record()
-
-
-class EnergyLedger:
-    """The fold behind check_energy_bound: add() states in time order, then record().
 
     add() holds only the previous state and keeps a few scalars per step;
     record() runs the envelope recursion over them after the last step, so
@@ -268,7 +255,7 @@ class EnergyLedger:
             "energy_increase_max": max([0.0] + [math.sqrt(b) - math.sqrt(a)
                                                 for a, b in zip(energies, energies[1:])]),
         }
-        return DiagnosticsRecord(self._prev.time, metrics, "ens_jl.check_energy_bound")
+        return DiagnosticsRecord(self._prev.time, metrics, "ens_jl.EnergyLedger")
 
 
 def coercivity_probe(u: VectorField) -> DiagnosticsRecord:

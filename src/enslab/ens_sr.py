@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .advection import skew_advect
 from .diagnostics import (
     GAP_DECAY_TOL, NET_SOURCE_TOL, SOLVABILITY_TOL, WALL_FOLLOW_TOL, DiagnosticsRecord,
@@ -45,7 +43,6 @@ from .grid import (
     VectorField,
     _adopt,
     _tangential_wall_rows,
-    boundary_divergence_trace,
     divergence,
     gradient,
     integral,
@@ -71,9 +68,6 @@ __all__ = [
     "pressure_poisson",
     "solvability_gap",
     "sr_gap_run",
-    "duhamel_closed_form",
-    "duhamel_quadrature",
-    "boundary_divergence_max",
 ]
 
 _PERIMETER = 4.0
@@ -297,18 +291,6 @@ def step_direct_sr(s: SRState, dt: float) -> SRState:
     return SRState(s.time + dt, up, gp, hp, s.lam, s.nu, s.forcing)
 
 
-def boundary_divergence_max(s: SRState) -> float:
-    """Extrapolated wall trace of div u, the measured boundary-divergence defect.
-
-    The dynamics enforces a zero divergence trace through the Dirichlet ghost
-    closure; this diagnostic extrapolates the cell values to the walls and is
-    O(h^3) times the divergence amplitude for smooth data, so it is reported
-    and asserted by the test suite at configuration-level scales rather than
-    gating individual steps.
-    """
-    return boundary_divergence_trace(s.div_u).max_abs()
-
-
 def sr_gap_run(g0: ScalarField, h0: BoundaryTrace, lam: float, nu: float,
                dt: float, nsteps: int) -> list[tuple[DivergenceState, BoundaryNormalState]]:
     """Evolve the (divergence, boundary-data) subsystem alone.
@@ -326,38 +308,3 @@ def sr_gap_run(g0: ScalarField, h0: BoundaryTrace, lam: float, nu: float,
         g = gp
         history.append((g, h))
     return history
-
-
-def duhamel_closed_form(h0: BoundaryNormalState, cbars, lam: float, dt: float) -> BoundaryNormalState:
-    """Compose the exact per-step updates in closed form (piecewise-constant data)."""
-    if not (lam > 0.0 and dt > 0.0):
-        raise ValueError("need lam > 0 and dt > 0")
-    n = len(cbars)
-    gain = 1.0 - math.exp(-lam * dt)
-    acc = 0.0
-    for k, c in enumerate(cbars):
-        acc += math.exp(-lam * dt * (n - 1 - k)) * gain * c / lam
-    grid = h0.trace.grid
-    trace = h0.trace.blend(math.exp(-lam * dt * n), BoundaryTrace.constant(grid, 1.0), acc)
-    return BoundaryNormalState(trace, h0.time + n * dt)
-
-
-def duhamel_quadrature(h0: BoundaryNormalState, times, cbar_samples, lam: float) -> BoundaryNormalState:
-    """Duhamel value at the final sample time by Simpson quadrature.
-
-    h(T) = e^{-lam (T-t0)} h0 + int_{t0}^{T} e^{-lam (T-s)} cbar(s) ds, with
-    cbar(s) sampled (instantaneous form) on the given time grid.
-    """
-    from scipy.integrate import simpson
-
-    times = np.asarray(times, dtype=np.float64)
-    cb = np.asarray(cbar_samples, dtype=np.float64)
-    if times.shape != cb.shape or times.size < 3:
-        raise ValueError("need matching sample arrays with at least three points")
-    T = float(times[-1])
-    weights = np.exp(-lam * (T - times))
-    val = float(simpson(weights * cb, x=times))
-    grid = h0.trace.grid
-    trace = h0.trace.blend(math.exp(-lam * (T - float(times[0]))),
-                           BoundaryTrace.constant(grid, 1.0), val)
-    return BoundaryNormalState(trace, T)

@@ -148,6 +148,8 @@ def build_basis(grid: Grid, k: int) -> GalerkinBasis:
     B^(-1/2) are solved; the (odd, even) modes are the x-y swaps of the
     (even, odd) ones, with bit-identical eigenvalues.  A k that splits a twin
     pair keeps the (even, odd) member: stream function even in x, odd in y.
+    Each block eigenvector's largest entry is made positive, so the modes'
+    signs do not depend on the LAPACK build.
     """
     if grid.nx > BASIS_GRID_MAX:
         raise ValueError(f"the Galerkin basis needs grid <= {BASIS_GRID_MAX}, got "
@@ -171,7 +173,10 @@ def build_basis(grid: Grid, k: int) -> GalerkinBasis:
             block *= (2.0 / h ** 4) * np.outer(s, s)
             block[np.diag_indices_from(block)] += d
             mu, y = np.linalg.eigh(block)
-            coeffs = (s[:, None] * y[:, :k]).T.reshape(-1, ix.size, iy.size)
+            y = y[:, :k]
+            # eigh fixes no signs: the largest entry (the first on ties) is positive
+            y = y * np.sign(y[np.argmax(np.abs(y), axis=0), np.arange(y.shape[1])])
+            coeffs = (s[:, None] * y).T.reshape(-1, ix.size, iy.size)
             vals.append(mu[:k])
             psi.append(q[:, ix] @ coeffs @ q[:, iy].T)
             if a != b:  # the swapped twins, (odd, even)

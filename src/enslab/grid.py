@@ -75,7 +75,6 @@ __all__ = [
     "normal_trace",
     "with_normal_trace",
     "trace_integral",
-    "boundary_divergence_trace",
     "scalar_from_function",
     "vector_from_functions",
     "vector_from_stream",
@@ -484,28 +483,6 @@ def trace_integral(trace: BoundaryTrace) -> float:
     """Perimeter integral of the trace (face length h per boundary face)."""
     h = trace.grid.h
     return float(h * (np.sum(trace.left) + np.sum(trace.right) + np.sum(trace.bottom) + np.sum(trace.top)))
-
-
-def boundary_divergence_trace(p: ScalarField) -> BoundaryTrace:
-    """Quadratically extrapolated wall values of a cell scalar.
-
-    Cell centers sit at distances h/2, 3h/2, 5h/2 from each wall; the
-    three-point Lagrange extrapolant to the wall is (15 a - 10 b + 3 c)/8.
-    Used to measure the wall trace of the divergence, the discrete content
-    of a zero-divergence boundary condition.
-    """
-    vals = p.values
-
-    def extrap(a, b, c):
-        return (15.0 * a - 10.0 * b + 3.0 * c) / 8.0
-
-    return BoundaryTrace(
-        p.grid,
-        extrap(vals[0, :], vals[1, :], vals[2, :]),
-        extrap(vals[-1, :], vals[-2, :], vals[-3, :]),
-        extrap(vals[:, 0], vals[:, 1], vals[:, 2]),
-        extrap(vals[:, -1], vals[:, -2], vals[:, -3]),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,6 @@
 
 Contents
 --------
-* Assembled operators on the interior-face and cell vectors: the scalar
-  Laplacians, the no-slip viscous block K = -Lap_noslip, the divergence D
-  (the gradient is G = -D^T) and the curl C of the interior-node stream
-  function, whose range is the divergence-free subspace (D C = 0).
 * Separable solves of the cell-centred scalar operators, applied in the
   cached eigenbases of the 1-D tridiagonals (Lynch, Rice and Thomas 1964):
   the zero-flux ``NeumannPoisson`` solve (the mean-zero pseudo-inverse), the
@@ -19,8 +15,6 @@ Contents
   stationary Stokes lift, alpha = 1 the viscous step on the divergence-free
   subspace.
 * ``NoslipHelmholtz``: the velocity block alone, with wall data.
-* ``dense_stokes_solve``: direct bordered-matrix oracle for small grids, the
-  reference the tests compare against.
 
 A solve owns its workspace.  The cache of eigenbases and solvers is
 append-only and keyed by immutable tuples; it takes no lock, as nothing in
@@ -33,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CompatibilityError, SolverError
 from .grid import (
@@ -61,12 +54,6 @@ __all__ = [
     "NoslipHelmholtz",
     "flatten_interior",
     "unflatten_interior",
-    "dense_stokes_solve",
-    "divergence_matrix",
-    "curl_matrix",
-    "laplacian_neumann_matrix",
-    "laplacian_dirichlet_matrix",
-    "noslip_viscous_matrix",
 ]
 
 # Post-condition of a generalized-Stokes solve: its divergence residual,
@@ -80,7 +67,7 @@ COMPAT_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# 1D stencil blocks and 2D assemblies
+# 1-D stencil blocks and the interior-face vector
 # ---------------------------------------------------------------------------
 
 def _tridiagonal(n: int, h: float, kind: str) -> np.ndarray:
@@ -91,48 +78,6 @@ def _tridiagonal(n: int, h: float, kind: str) -> np.ndarray:
     t = np.eye(m, k=1) + np.eye(m, k=-1) - 2.0 * np.eye(m)
     t[0, 0] = t[-1, -1] = {"neumann": -1.0, "cell": -3.0, "node": -2.0}[kind]
     return t * (1.0 / (h * h))  # not t / h^2: the eigenbases round with this form
-
-
-def _kron_sum(grid: Grid, kind_x: str, kind_y: str) -> sp.spmatrix:
-    """The assembled 2-D Kronecker sum of two 1-D tridiagonals."""
-    tx = sp.csr_matrix(_tridiagonal(grid.nx, grid.h, kind_x))
-    ty = sp.csr_matrix(_tridiagonal(grid.ny, grid.h, kind_y))
-    return sp.kron(tx, sp.identity(ty.shape[0])) + sp.kron(sp.identity(tx.shape[0]), ty)
-
-
-def laplacian_neumann_matrix(grid: Grid) -> sp.csr_matrix:
-    return _kron_sum(grid, "neumann", "neumann").tocsr()
-
-
-def laplacian_dirichlet_matrix(grid: Grid) -> sp.csr_matrix:
-    return _kron_sum(grid, "cell", "cell").tocsr()
-
-
-def noslip_viscous_matrix(grid: Grid) -> sp.csr_matrix:
-    """Minus the no-slip vector Laplacian on interior faces (SPD)."""
-    return (-sp.block_diag([_kron_sum(grid, "node", "cell"), _kron_sum(grid, "cell", "node")])).tocsr()
-
-
-def _cell_difference(n: int) -> sp.spmatrix:
-    """Cell j of a grid line reads interior nodes j + 1 and j (the wall nodes are zero)."""
-    return sp.eye(n, n - 1) - sp.eye(n, n - 1, k=-1)
-
-
-def divergence_matrix(grid: Grid) -> sp.csr_matrix:
-    """Divergence D on the interior-face vector; the gradient is -D^T."""
-    nx, ny = grid.nx, grid.ny
-    D = sp.hstack([sp.kron(_cell_difference(nx), sp.identity(ny)),
-                   sp.kron(sp.identity(nx), _cell_difference(ny))])
-    return (D / grid.h).tocsr()
-
-
-def curl_matrix(grid: Grid) -> sp.csr_matrix:
-    """Curl C of the interior-node stream function onto the interior faces
-    (``vector_from_stream`` with zero wall values); D C = 0."""
-    nx, ny = grid.nx, grid.ny
-    C = sp.vstack([sp.kron(sp.identity(nx - 1), _cell_difference(ny)),
-                   -sp.kron(_cell_difference(nx), sp.identity(ny - 1))])
-    return (C / grid.h).tocsr()
 
 
 def _split(grid: Grid, x: np.ndarray):
@@ -479,38 +424,3 @@ def _check_compatibility(g: ScalarField, trace: BoundaryTrace) -> None:
         raise CompatibilityError(
             f"divergence data and boundary flux disagree: volume integral {vol:.3e} "
             f"vs boundary flux {flux:.3e}")
-
-
-def dense_stokes_solve(g: ScalarField, boundary_velocity: BoundaryTrace | None = None,
-                       alpha: float = 0.0, c: float = 1.0, f: VectorField | None = None):
-    """Direct bordered-matrix solve of (alpha I + c K) u + G p = f, D u = g;
-    oracle for small grids (<= 16x16).  The defaults are the Stokes lift."""
-    grid = g.grid
-    if grid.nx > 16:
-        raise ValueError("dense oracle restricted to grids of at most 16x16")
-    trace = boundary_velocity if boundary_velocity is not None else BoundaryTrace.zeros(grid)
-    _check_compatibility(g, trace)
-    nf = (grid.nx - 1) * grid.ny + grid.nx * (grid.ny - 1)
-    nc = grid.nx * grid.ny
-    A = alpha * np.eye(nf) + c * noslip_viscous_matrix(grid).toarray()
-    G = -divergence_matrix(grid).toarray().T
-    b = c * _wall_rhs(grid, trace)
-    if f is not None:
-        b = b + flatten_interior(f)
-    fold = divergence(unflatten_interior(grid, np.zeros(nf), trace)).values.ravel()
-    gprime = g.values.ravel() - fold
-    # bordered symmetric system: [A G 0; G^T 0 1; 0 1^T 0]
-    M = np.zeros((nf + nc + 1, nf + nc + 1))
-    M[:nf, :nf] = A
-    M[:nf, nf:nf + nc] = G
-    M[nf:nf + nc, :nf] = G.T
-    M[nf:nf + nc, nf + nc] = 1.0
-    M[nf + nc, nf:nf + nc] = 1.0
-    rhs = np.zeros(nf + nc + 1)
-    rhs[:nf] = b
-    rhs[nf:nf + nc] = -gprime
-    sol = np.linalg.solve(M, rhs)
-    z = unflatten_interior(grid, sol[:nf], trace)
-    qv = sol[nf:nf + nc]
-    q = ScalarField(grid, (qv - qv.mean()).reshape(grid.shape_cell))
-    return z, q

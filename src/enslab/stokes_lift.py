@@ -68,7 +68,11 @@ def wall_floor(u: VectorField) -> float:
 
 def lift_or_zero(g: ScalarField, u: VectorField, trace: BoundaryTrace | None = None):
     """Lift (g, trace) as (z, q); zeros when both are round-off for the field u."""
-    if scalar_norm(g) <= lift_floor(u) and (trace is None or trace.max_abs() <= wall_floor(u)):
+    # overflowed norms compare as round-off and give the zero lift; in
+    # decompose(), validate() then names the non-finite measurement
+    with np.errstate(over="ignore", invalid="ignore"):
+        negligible = scalar_norm(g) <= lift_floor(u)
+    if negligible and (trace is None or trace.max_abs() <= wall_floor(u)):
         return VectorField.zeros(u.grid), ScalarField.zeros(u.grid)
     return lift_divergence(g) if trace is None else lift_with_boundary(g, trace)
 
@@ -140,16 +144,17 @@ class Decomposition:
         Returns the measurements with the scales they were judged against;
         an overflowed one is a CheckFailure naming it and ``time``.
         """
-        dv = scalar_norm(divergence(self.v))
-        scale_div = max(face_norm(u) / u.grid.h, TINY)  # natural size of div u
-        gv = math.sqrt(max(grad_inner(self.v, self.v), 0.0))
-        gz = math.sqrt(max(grad_inner(self.z, self.z), 0.0))
-        ortho = grad_inner(self.v, self.z)
-        # the pairing equals <div v, q> up to round-off, i.e. solver residual
-        # times pressure; its natural scale is the input gradient energy
-        # (which dominates gv*gz), so degenerate splits stay checkable
-        scale_ortho = max(gv * gz, 0.5 * max(grad_inner(u, u), 0.0), TINY)
-        err = (self.v + self.z - u).max_abs()
+        with np.errstate(over="ignore", invalid="ignore"):  # judged below
+            dv = scalar_norm(divergence(self.v))
+            scale_div = max(face_norm(u) / u.grid.h, TINY)  # natural size of div u
+            gv = math.sqrt(max(grad_inner(self.v, self.v), 0.0))
+            gz = math.sqrt(max(grad_inner(self.z, self.z), 0.0))
+            ortho = grad_inner(self.v, self.z)
+            # the pairing equals <div v, q> up to round-off, i.e. solver residual
+            # times pressure; its natural scale is the input gradient energy
+            # (which dominates gv*gz), so degenerate splits stay checkable
+            scale_ortho = max(gv * gz, 0.5 * max(grad_inner(u, u), 0.0), TINY)
+            err = (self.v + self.z - u).max_abs()
         scale_rec = max(1.0, u.max_abs())
         metrics = {
             "div_v_l2": dv, "div_scale": scale_div,

@@ -37,6 +37,7 @@ from enslab.scenarios import (
     stream_vortex,
 )
 from enslab.stokes_lift import decompose, lift_with_boundary
+from oracles import duhamel_quadrature, fold_energy_ledger
 
 
 def report(n, detail):
@@ -137,7 +138,7 @@ def test_criterion_05_energy_ledger_second_order():
     def imbalance(dt):
         s0 = ens_jl.jl_state(u0, 0.1)
         hist = list(march(ens_jl.step_decomposed, s0, dt, round(horizon / dt)))
-        return ens_jl.check_energy_bound(hist)["imbalance_max"]
+        return fold_energy_ledger(hist)["imbalance_max"]
 
     i1, i2, i3 = imbalance(2e-3), imbalance(1e-3), imbalance(5e-4)
     f1, f2 = i1 / i2, i2 / i3
@@ -150,7 +151,7 @@ def test_criterion_06_growth_envelope_holds():
     grid = Grid(32)
     _, z0 = eigen_lift(grid, "jl", 1e-3, 1)  # v0 = 0, f = 0, small lifted start
     hist = list(march(ens_jl.step_decomposed, ens_jl.jl_state(z0, 0.1), 1e-3, 500))
-    rec = ens_jl.check_energy_bound(hist)
+    rec = fold_energy_ledger(hist)
     margin = rec["envelope_margin_min"]
     assert margin >= -1e-12 * max(1.0, rec["envelope_final"])
     report(6, f"envelope margin min {margin:.2e} over t <= 0.5 (never below)")
@@ -212,7 +213,7 @@ def test_criterion_09_boundary_update_second_order():
     fine = ens_sr.sr_gap_run(g0, h0.trace, lam, nu, dtf, nfine)
     times = np.array([k * dtf for k in range(nfine + 1)])
     samples = np.array([ens_sr.compat_constant(st, lam) for st, _ in fine])
-    href = ens_sr.duhamel_quadrature(h0, times, samples, lam)
+    href = duhamel_quadrature(h0, times, samples, lam)
 
     def stepped_error(dt):
         hist = ens_sr.sr_gap_run(g0, h0.trace, lam, nu, dt, round(horizon / dt))

@@ -15,7 +15,7 @@ from enslab.diagnostics import (
     passes,
 )
 from enslab.grid import Grid, ScalarField, VectorField, scalar_norm
-from enslab.linsolve import laplacian_neumann_matrix
+from oracles import laplacian_neumann_matrix
 
 
 class TestRecord:

@@ -20,6 +20,7 @@ from enslab.reference import ForcingSpec, step_nse_projection
 from enslab.scenarios import march
 from enslab.stokes_lift import lift_divergence, leray_project
 from enslab import ens_jl
+from oracles import fold_energy_ledger
 
 
 def vortex(grid, amplitude=1.0):
@@ -222,7 +223,7 @@ class TestEnergyLedger:
         g = Grid(32)
         s = ens_jl.jl_state(vortex(g), 0.1)
         hist = list(march(ens_jl.step_decomposed, s, 1e-3, 20))
-        rec = ens_jl.check_energy_bound(hist)
+        rec = fold_energy_ledger(hist)
         assert rec["energy_increase_max"] <= 1e-10
         assert rec["envelope_margin_min"] >= -1e-12 * max(1.0, rec["envelope_final"])
 
@@ -233,7 +234,7 @@ class TestEnergyLedger:
 
         def imbalance(dt, n):
             hist = list(march(ens_jl.step_decomposed, ens_jl.jl_state(u1, 0.1), dt, n))
-            return ens_jl.check_energy_bound(hist)["imbalance_max"]
+            return fold_energy_ledger(hist)["imbalance_max"]
 
         i1 = imbalance(2e-3, 10)
         i2 = imbalance(1e-3, 20)
@@ -243,7 +244,7 @@ class TestEnergyLedger:
         g = Grid(32)
         g0, z0 = eigen_lift(g, 1e-3)
         hist = list(march(ens_jl.step_decomposed, ens_jl.jl_state(z0, 0.1), 1e-3, 50))
-        rec = ens_jl.check_energy_bound(hist)
+        rec = fold_energy_ledger(hist)
         assert rec["energy_final"] <= rec["envelope_final"]
         assert rec["envelope_margin_min"] >= -1e-12 * max(1.0, rec["envelope_final"])
 
@@ -251,10 +252,10 @@ class TestEnergyLedger:
         g = Grid(16)
         s = ens_jl.jl_state(vortex(g), 0.1, decomposed=False)
         with pytest.raises(ValueError):
-            ens_jl.check_energy_bound([s, s])
+            fold_energy_ledger([s, s])
         s2 = ens_jl.jl_state(vortex(g), 0.1)
         with pytest.raises(ValueError):
-            ens_jl.check_energy_bound([s2])
+            fold_energy_ledger([s2])
 
 
 class TestCoercivityProbe:

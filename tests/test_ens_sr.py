@@ -33,11 +33,8 @@ from enslab.config import Config
 from enslab.ens_sr import (
     BoundaryNormalState,
     SRState,
-    boundary_divergence_max,
     compat_constant,
     compat_constant_flux,
-    duhamel_closed_form,
-    duhamel_quadrature,
     evolve_h,
     pressure_poisson,
     solvability_gap,
@@ -46,6 +43,7 @@ from enslab.ens_sr import (
     step_constructive,
     step_direct_sr,
 )
+from oracles import boundary_divergence_max, duhamel_closed_form, duhamel_quadrature
 
 
 def vortex(grid, amplitude=1.0):

@@ -20,12 +20,11 @@ from enslab.grid import (
     vector_from_stream,
     vector_laplacian,
 )
-from enslab.linsolve import (
-    curl_matrix, divergence_matrix, flatten_interior, noslip_viscous_matrix,
-)
+from enslab.linsolve import flatten_interior
 from enslab.stokes_lift import leray_project, lift_divergence
 from enslab import ens_jl, galerkin, linsolve
 from enslab.scenarios import march
+from oracles import curl_matrix, divergence_matrix, noslip_viscous_matrix
 
 
 def vortex(grid, amplitude=1.0):
@@ -166,6 +165,22 @@ class TestParityBlocksAgainstDensePencil:
         a = self.fresh_build(monkeypatch, grid, dim)
         b = self.fresh_build(monkeypatch, grid, dim)
         assert a is not b
+        assert np.array_equal(a.lam, b.lam) and np.array_equal(a.stacked, b.stacked)
+
+    @pytest.mark.parametrize("n", [4, 7, 8, 13, 16])
+    def test_mode_signs_do_not_follow_eigh(self, monkeypatch, n):
+        # LAPACK may return either sign of an eigenvector; here every one flips
+        grid = Grid(n)
+        dim = (n - 1) ** 2
+        a = self.fresh_build(monkeypatch, grid, dim)
+        eigh = np.linalg.eigh
+
+        def flipped(m):
+            mu, y = eigh(m)
+            return mu, -y
+
+        monkeypatch.setattr(galerkin.np.linalg, "eigh", flipped)
+        b = self.fresh_build(monkeypatch, grid, dim)
         assert np.array_equal(a.lam, b.lam) and np.array_equal(a.stacked, b.stacked)
 
     @pytest.mark.parametrize("n", range(4, 17))

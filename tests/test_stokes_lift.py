@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enslab.errors import CompatibilityError
 from enslab.grid import (
@@ -67,9 +69,11 @@ class TestLerayProjection:
         pw = leray_project(w)
         assert face_norm(pw - w) <= 1e-10 * max(1.0, face_norm(w))
 
-    def test_idempotent(self):
-        g = Grid(16)
-        rng = np.random.default_rng(3)
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 32), seed=st.integers(0, 2 ** 32 - 1))
+    def test_idempotent(self, n, seed):
+        g = Grid(n)
+        rng = np.random.default_rng(seed)
         w = VectorField(g, rng.standard_normal(g.shape_u), rng.standard_normal(g.shape_v))
         p1 = leray_project(w)
         p2 = leray_project(p1)
@@ -84,9 +88,11 @@ class TestLerayProjection:
         assert np.all(pw.v[:, 0] == 0.0) and np.all(pw.v[:, -1] == 0.0)
         assert scalar_norm(divergence(pw)) <= 1e-10 * max(1.0, face_norm(w) / g.h)
 
-    def test_l2_orthogonality(self):
-        g = Grid(16)
-        rng = np.random.default_rng(5)
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 32), seed=st.integers(0, 2 ** 32 - 1))
+    def test_l2_orthogonality(self, n, seed):
+        g = Grid(n)
+        rng = np.random.default_rng(seed)
         w = VectorField(g, rng.standard_normal(g.shape_u), rng.standard_normal(g.shape_v))
         pw = leray_project(w)
         inner = face_inner(pw, w - pw)
