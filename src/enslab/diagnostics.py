@@ -96,7 +96,8 @@ LEDGER_RATE_TOL = 1e-6      # Galerkin ledger imbalance per unit time
 
 # Defined in linsolve, which cannot import this module, and re-exported:
 # STOKES_TOL bounds the divergence residual ||g' - D u|| of the velocity a
-# generalized-Stokes solve returns, x max(||g'||, ||g' - D u0||, ||D|| ||u||);
+# generalized-Stokes solve returns, x max(||g'||, ||D|| ||u||), and only if
+# that fails, x max(||g'||, ||g' - D u0||, ||D|| ||u||);
 # COMPAT_TOL bounds |int g - oint trace|; x max(1, ||g||, max|trace|).
 
 

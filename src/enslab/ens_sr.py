@@ -54,7 +54,7 @@ from .grid import (
 from .heat_oracle import DivergenceState, divergence_state, heat_step
 from .linsolve import NoslipHelmholtz, heat_solver, neumann_poisson
 from .reference import ForcingSpec, _eval_forcing, cfl_check, perturbed_heun_step
-from .stokes_lift import check_state, lift_or_zero
+from .stokes_lift import check_finite, check_state, lift_or_zero
 
 __all__ = [
     "BoundaryNormalState",
@@ -279,12 +279,16 @@ def step_direct_sr(s: SRState, dt: float) -> SRState:
     grid = s.u.grid
     u, du = s.u, s.div_u
     fa = _eval_forcing(s.forcing, grid, s.time) - skew_advect(u, u)
+    rhs = u + fa * dt
+    # a blown-up update is the next state's fault, judged as its check judges
+    # u, before the pressure source and the solve compute with it
+    check_finite(s.time + dt, velocity=rhs)
     _pressure_source(s, fa)
     gp_field = _adopt(ScalarField, grid,
                       heat_solver(grid, s.nu * dt, "dirichlet", theta="be")(du.values))
     cbar = _step_average_constant(integral(du), integral(gp_field), s.lam, dt)
     hp = evolve_h(s.h, cbar, s.lam, dt)
-    ustar = NoslipHelmholtz(grid, s.nu * dt).solve(u + fa * dt, trace=hp.trace)
+    ustar = NoslipHelmholtz(grid, s.nu * dt).solve(rhs, trace=hp.trace)
     chi = neumann_poisson(grid).solve(divergence(ustar) - gp_field)
     up = ustar - gradient(chi)
     gp = divergence_state(gp_field, "dirichlet", s.nu, time=s.time + dt)

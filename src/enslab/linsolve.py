@@ -8,12 +8,15 @@ Contents
   heat steps with Neumann or Dirichlet walls and the dual-norm realization
   (I - Lap_N)^{-1}.
 * ``GeneralizedStokes``: (alpha I + c K) u + G p = f, D u = g with wall-normal
-  velocity data, solved directly: an exact free-slip solve (one Neumann
-  Poisson and one separable velocity solve) and a capacitance correction on
-  the 4(N - 1) wall faces, factored at 1-D sizes.  Its post-condition is the
-  divergence residual of the returned velocity.  alpha = 0 is the
-  stationary Stokes lift, alpha = 1 the viscous step on the divergence-free
-  subspace.
+  velocity data, solved directly in one spectral pass: an exact free-slip
+  solve, pointwise in the cached 1-D eigenbases, and a capacitance
+  correction on the 4(N - 1) wall faces, factored at 1-D sizes.  One
+  forward transform of f and g and one inverse transform of u, and of p
+  when the caller keeps it: at most 12 dense N x N products.  Its
+  post-condition is the divergence residual of the returned velocity,
+  judged on a scale that needs a second velocity solve only when the first
+  scale fails.  alpha = 0 is the stationary Stokes lift, alpha = 1 the
+  viscous step on the divergence-free subspace.
 * ``NoslipHelmholtz``: the velocity block alone, with wall data.
 
 A solve owns its workspace.  The cache of eigenbases and solvers is
@@ -97,11 +100,16 @@ def unflatten_interior(grid: Grid, x: np.ndarray, trace: BoundaryTrace | None = 
     v = np.zeros(grid.shape_v)
     u[1:-1, :], v[:, 1:-1] = _split(grid, x)
     if trace is not None:
-        u[0, :] = -trace.left
-        u[-1, :] = trace.right
-        v[:, 0] = -trace.bottom
-        v[:, -1] = trace.top
+        _fill_walls(u, v, trace)
     return _adopt(VectorField, grid, u, v)
+
+
+def _fill_walls(u: np.ndarray, v: np.ndarray, trace: BoundaryTrace) -> None:
+    """Write the outward wall-normal trace into the wall faces of u and v."""
+    u[0, :] = -trace.left
+    u[-1, :] = trace.right
+    v[:, 0] = -trace.bottom
+    v[:, -1] = trace.top
 
 
 # ---------------------------------------------------------------------------
@@ -215,36 +223,28 @@ class SolveReport:
     residual: float
 
 
-def _velocity_solver(grid: Grid, alpha: float, c: float, wall: str):
+def _velocity_solver(grid: Grid, alpha: float, c: float):
     """Cached (alpha I + c K)^{-1} on the interior-face vector, K minus the
-    vector Laplacian with tangential walls of kind "cell" (no-slip) or
-    "neumann" (free-slip): both components are separable."""
+    no-slip vector Laplacian: both components are separable."""
     def build():
         blocks = []
-        for kinds in (("node", wall), (wall, "node")):
+        for kinds in (("node", "cell"), ("cell", "node")):
             qx, qy, lam = _separable_eigenbasis(grid, *kinds)
             blocks.append((qx, qy, 1.0 / (alpha - c * lam)))
         n_u = blocks[0][2].size
         return lambda b: np.concatenate([_diagonalized_solve(b[:n_u], *blocks[0]),
                                          _diagonalized_solve(b[n_u:], *blocks[1])])
-    return _cached(("velocity_solver", grid.nx, grid.ny, alpha, c, wall), build)
+    return _cached(("velocity_solver", grid.nx, grid.ny, alpha, c), build)
 
 
-def _div(grid: Grid, x: np.ndarray) -> np.ndarray:
-    """D x, the divergence of an interior-face vector (zero wall faces)."""
-    u, v = _split(grid, x)
+def _div(grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """D x, the divergence of the interior-face arrays u and v of x (zero wall faces)."""
     d = np.zeros(grid.shape_cell)
     d[:-1] += u
     d[1:] -= u
     d[:, :-1] += v
     d[:, 1:] -= v
-    return (d / grid.h).ravel()
-
-
-def _div_t(grid: Grid, p: np.ndarray) -> np.ndarray:
-    """D^T p = -G p for a cell vector p."""
-    q = p.reshape(grid.shape_cell)
-    return np.concatenate([(q[:-1] - q[1:]).ravel(), (q[:, :-1] - q[:, 1:]).ravel()]) / grid.h
+    return d / grid.h
 
 
 def _wall_faces(grid: Grid) -> np.ndarray:
@@ -254,13 +254,23 @@ def _wall_faces(grid: Grid) -> np.ndarray:
     return np.stack([u[:, 0], u[:, -1], v[0, :], v[-1, :]])
 
 
+def _difference_factors(n: int, h: float) -> np.ndarray:
+    """sigma_k = s_k sqrt(-lam_k), k < n - 1: the cell differences E map the
+    Neumann eigenvectors onto the node eigenvectors, E^T q_k = h sigma_k qn_k
+    and E qn_k = h sigma_k q_k."""
+    lam, q = _tridiagonal_eigh(n, h, "neumann")
+    _, qn = _tridiagonal_eigh(n, h, "node")
+    sign = np.sign(np.einsum("ik,ik->k", qn, q[:-1, :-1] - q[1:, :-1]))
+    return sign * np.sqrt(-lam[:-1])
+
+
 def _capacitance(grid: Grid, alpha: float, c: float):
     """C = I + c w U^T T U, T the free-slip solution operator, factored.
 
     T = (alpha I + c K_fs)^{-1} + D^T (alpha I - c Lap_N)^{-1} Lap_N^+ D, and
-    the cell differences map Neumann onto node eigenvectors,
-    E^T q_k = s_k h sqrt(-lam_k) qn_k.  So in the node eigenbasis along each
-    wall, opposite walls combined as sum and difference (the square's
+    D is diagonal between the node and Neumann eigenbases
+    (``_difference_factors``).  So in the node eigenbasis along each wall,
+    opposite walls combined as sum and difference (the square's
     reflections), the u-u and v-v parts of C are one diagonal, and the u-v
     part couples u walls of kind b in modes of parity a only with v walls of
     kind a in modes of parity b: four systems of order about N - 1, each
@@ -269,13 +279,12 @@ def _capacitance(grid: Grid, alpha: float, c: float):
     n, h = grid.nx, grid.h
     lam, q = _tridiagonal_eigh(n, h, "neumann")
     _, qn = _tridiagonal_eigh(n, h, "node")
-    sign = np.sign(np.einsum("ik,ik->k", qn, q[:-1, :-1] - q[1:, :-1]))
     both = lam[:-1, None] + lam[None, :]                # lam_k + lam_l, k < n - 1
     mult = 1.0 / (both * (alpha - c * both))            # (alpha I - c Lap_N)^{-1} Lap_N^+
     ends = np.stack([q[0] + q[-1], q[0] - q[-1]]) / math.sqrt(2.0)
     cw = 2.0 * c / (h * h)
     diag = 1.0 + cw * (ends * ends) @ (lam * mult).T    # [sum or difference, mode]
-    e = sign * np.sqrt(-lam[:-1]) * ends[:, :-1]
+    e = _difference_factors(n, h) * ends[:, :-1]
     odd = np.abs(ends[1, :-1]) > np.abs(ends[0, :-1])
     modes = (np.flatnonzero(~odd), np.flatnonzero(odd))
     blocks = []
@@ -288,6 +297,11 @@ def _capacitance(grid: Grid, alpha: float, c: float):
     return qn, np.kron(np.eye(2), half), diag, blocks
 
 
+def _reciprocal(a: np.ndarray) -> np.ndarray:
+    """1 / a, with 0 where a is 0."""
+    return np.divide(1.0, a, out=np.zeros_like(a), where=a != 0.0)
+
+
 class GeneralizedStokes:
     """Direct solver for (alpha I + c K) u + G p = f, D u = g with wall-normal data.
 
@@ -295,12 +309,21 @@ class GeneralizedStokes:
     K_fs (zero tangential stress) plus w = 2/h^2 on the 4(N - 1) tangential
     faces next to a wall, K = K_fs + w U U^T.  As D K_fs = -Lap_N D and
     D D^T = -Lap_N, the free-slip system is solved exactly by
-    p = Lap_N^+ (D f - alpha g) + c g and the separable
-    u = (alpha I + c K_fs)^{-1} (f - G p).  The Woodbury identity makes it
-    no-slip through the capacitance C on the wall faces (Buzbee, Dorr,
-    George and Golub 1971; Proskurowski and Widlund 1976): the free-slip
-    solve with force U C^{-1} (c w U^T u) is subtracted.  At c = 0 there is
-    no correction, and the solve is the Leray projection.
+    p = Lap_N^+ (D f - alpha g) + c g and u = (alpha I + c K_fs)^{-1} (f - G p).
+    The Woodbury identity makes it no-slip through the capacitance C on the
+    wall faces (Buzbee, Dorr, George and Golub 1971; Proskurowski and
+    Widlund 1976): the free-slip solve with force U C^{-1} (c w U^T u) is
+    subtracted.  At c = 0 there is no correction, and the solve is the Leray
+    projection.
+
+    The whole solve is one spectral pass.  The u faces are expanded in the
+    node eigenbasis qn along x and the Neumann eigenbasis q along y, the v
+    faces the other way round, and cells in q along both.  There Lap_N is
+    Lam[k, l] = lam_k + lam_l, K_fs is -Lam on the matching modes, and D and
+    D^T multiply by sigma (``_difference_factors``), so the free-slip p and
+    u are pointwise functions of the transformed f and g.  The wall values
+    U^T u are node coordinates, u times a row of q, and the correction force
+    is two outer products per component, so neither needs a transform.
     """
 
     def __init__(self, grid: Grid, alpha: float, c: float):
@@ -310,70 +333,129 @@ class GeneralizedStokes:
         if not (self.alpha >= 0.0 and self.c >= 0.0 and 0.0 < self.alpha + self.c < math.inf):
             raise ValueError(f"need alpha, c >= 0 with alpha + c > 0 and finite, "
                              f"got alpha = {alpha!r}, c = {c!r}")
-        self._free = _velocity_solver(grid, self.alpha, self.c, "neumann")
+        n, h = grid.nx, grid.h
+        lam, self._q = _tridiagonal_eigh(n, h, "neumann")
+        self._qn = _tridiagonal_eigh(n, h, "node")[1]
+        self._ends = self._q[[0, -1]]                        # wall rows of q
+        self._sigma = _difference_factors(n, h)
+        lap = lam[:, None] + lam[None, :]                    # Lam; only [-1, -1] is 0
+        self._inv_lap = _reciprocal(lap)                     # Lap_N^+
+        self._g_mult = self.c - self.alpha * self._inv_lap   # p's part from g
+        self._g_mult[-1, -1] = 0.0                           # p is mean-zero
+        self._mult = _reciprocal(self.alpha - self.c * lap)  # (alpha I + c K_fs)^{-1}
+        self._norm_d = math.sqrt(-lap[0, 0])                 # ||D||_2, as D D^T = -Lap_N
         self._noslip = NoslipHelmholtz(grid, self.c, self.alpha)
-        self._poisson = neumann_poisson(grid)
-        self._norm_d = math.sqrt(-_separable_eigenbasis(grid, "neumann")[2][0, 0])  # D D^T = -Lap_N
         self._capacitance = _capacitance(grid, self.alpha, self.c) if self.c > 0.0 else None
-        self._walls = _wall_faces(grid)
 
-    def _free_slip(self, b: np.ndarray, g):
-        """(u, p) of (alpha I + c K_fs) u + G p = b, D u = g."""
-        p = self._poisson.solve_values(_div(self.grid, b) - self.alpha * g).ravel() + self.c * g
-        return self._free(b + _div_t(self.grid, p)), p
+    def _free_slip_modes(self, fu: np.ndarray, fv: np.ndarray, gm: np.ndarray | None):
+        """Spectral (u, v, p) of the free-slip solve with spectral force (fu, fv)
+        and p's part gm from the divergence data."""
+        s = self._sigma
+        d = np.zeros(self._inv_lap.shape)
+        d[:-1] = s[:, None] * fu
+        d[:, :-1] += fv * s
+        p = d * self._inv_lap
+        if gm is not None:
+            p += gm
+        u = (fu + s[:, None] * p[:-1]) * self._mult[:-1]
+        v = (fv + p[:, :-1] * s) * self._mult[:, :-1]
+        return u, v, p
 
-    def _wall_solve(self, r: np.ndarray) -> np.ndarray:
-        """C^{-1} r for wall data r, one column per row of ``_wall_faces``."""
-        qn, half, diag, blocks = self._capacitance
-        z = (qn.T @ r @ half).T          # u sum, u difference, v sum, v difference
+    def _wall_modes_solve(self, z: np.ndarray) -> np.ndarray:
+        """C^{-1} in node coordinates along the walls, one column per row of
+        ``_wall_faces``."""
+        _, half, diag, blocks = self._capacitance
+        z = (z @ half).T                 # u sum, u difference, v sum, v difference
         out = np.empty_like(z)
         out[:2] = z[:2] / diag
         for a, b, ia, ib, x, schur_inv in blocks:
             zv = schur_inv @ (z[2 + a, ib] - x.T @ out[b, ia])
             out[2 + a, ib] = zv
             out[b, ia] -= (x @ zv) / diag[b, ia]
-        return qn @ out.T @ half
+        return out.T @ half
+
+    def _wall_solve(self, r: np.ndarray) -> np.ndarray:
+        """C^{-1} r for wall data r, one column per row of ``_wall_faces``."""
+        qn = self._capacitance[0]
+        return qn @ self._wall_modes_solve(qn.T @ r)
 
     def solve(self, f: VectorField | None = None, g: ScalarField | None = None,
-              trace: BoundaryTrace | None = None):
+              trace: BoundaryTrace | None = None, *, pressure: bool = True):
         """Solve with body force f, divergence g and outward wall-normal velocity trace.
 
         Missing data is zero.  Returns (u, p, SolveReport): u carries the
-        wall data and p is mean-zero.  The report gives the divergence
-        residual of the returned u, ||g' - D u|| over its mean-zero part (the
-        mean is the compatibility check's), relative to
-        max(||g'||, ||g' - D u0||, ||D||_2 ||u||); g' is g less the wall
-        flux, u0 = (alpha I + c K)^{-1} f the velocity at p = 0.  Raises
-        SolverError on non-finite data or a residual above STOKES_TOL.
+        wall data and p is mean-zero, or None with ``pressure=False``.  The
+        solve makes one forward transform of f (4 dense N x N products) and
+        of g' (2), each only when it is given, and one inverse transform of
+        u (4) and of p (2, only when kept): at most 12 products, and 8 for a
+        velocity from a force alone or for a lift.  The wall data's force
+        lies on two grid lines per component and is transformed by outer
+        products.
+
+        The report gives the divergence residual of the returned u,
+        ||g' - D u|| over its mean-zero part (the mean is the compatibility
+        check's); g' is g less the wall flux.  It is judged on the scale
+        max(||g'||, ||D||_2 ||u||) and, only if it fails there, again on
+        max(||g'||, ||g' - D u0||, ||D||_2 ||u||) with
+        u0 = (alpha I + c K)^{-1} f the velocity at p = 0.  The second scale
+        is never smaller, so the first stage passes only what the second
+        would.  Raises SolverError on non-finite data or a residual above
+        STOKES_TOL on the second scale.
         """
         grid = self.grid
-        b = np.zeros(2 * grid.nx * (grid.nx - 1)) if f is None else flatten_interior(f)
-        gp = np.zeros(grid.nx * grid.ny)
+        q, qn = self._q, self._qn
+        b = None if f is None else flatten_interior(f)
+        gp = np.zeros(grid.shape_cell)
         if g is not None or trace is not None:
             g = ScalarField.zeros(grid) if g is None else g
-            trace = BoundaryTrace.zeros(grid) if trace is None else trace
-            _check_compatibility(g, trace)
-            b = b + self.c * _wall_rhs(grid, trace)
-            walls = unflatten_interior(grid, np.zeros(b.size), trace)
-            gp = (g.values - divergence(walls).values).ravel()
-        norms = (np.linalg.norm(gp), np.linalg.norm(gp - _div(grid, self._noslip.velocity_solve(b))))
-        if not np.isfinite(norms).all():
+            _check_compatibility(g, BoundaryTrace.zeros(grid) if trace is None else trace)
+            gp = g.values
+            if trace is not None:
+                wall_rhs = self.c * _wall_rhs(grid, trace)
+                b = wall_rhs if b is None else b + wall_rhs
+                walls = unflatten_interior(grid, np.zeros(wall_rhs.size), trace)
+                gp = gp - divergence(walls).values
+        norm_g = np.linalg.norm(gp)
+        if not (math.isfinite(norm_g) and (b is None or math.isfinite(np.linalg.norm(b)))):
             raise SolverError("generalized Stokes solve: non-finite data")
-        x, p = self._free_slip(b, gp)
+        fu, fv = np.zeros((grid.nx - 1, grid.ny)), np.zeros((grid.nx, grid.ny - 1))
+        if f is not None:
+            fu, fv = qn.T @ f.u[1:-1] @ q, q.T @ f.v[:, 1:-1] @ qn
+        if trace is not None:            # the wall data's force lies on two lines per component
+            wu, wv = _split(grid, wall_rhs)
+            ends_n = qn[[0, -1]]
+            fu = fu + ends_n.T @ (wu[[0, -1]] @ q)
+            fv = fv + (q.T @ wv[:, [0, -1]]) @ ends_n
+        gm = (q.T @ gp @ q) * self._g_mult if norm_g > 0.0 else None
+        uh, vh, ph = self._free_slip_modes(fu, fv, gm)
         if self._capacitance is not None:
-            force = np.zeros_like(x)
-            force[self._walls] = self._wall_solve((2.0 * self.c / (grid.h * grid.h)) * x[self._walls].T).T
-            xc, pc = self._free_slip(force, 0.0)
-            x -= xc
-            p -= pc
-        r = gp - _div(grid, x)
-        scale = max(*norms, self._norm_d * np.linalg.norm(x))
-        res = float(np.linalg.norm(r - r.mean()) / scale) if scale > 0.0 else 0.0
+            ends = self._ends
+            z = np.concatenate([uh @ ends.T, (ends @ vh).T], axis=1)
+            force = self._wall_modes_solve((2.0 * self.c / (grid.h * grid.h)) * z)
+            uh, vh, ph = self._free_slip_modes(fu - force[:, :2] @ ends,
+                                               fv - ends.T @ force[:, 2:].T, gm)
+        u, v = np.zeros(grid.shape_u), np.zeros(grid.shape_v)
+        xu, xv = u[1:-1], v[:, 1:-1]
+        xu[...] = qn @ uh @ q.T
+        xv[...] = q @ vh @ qn.T
+        r = gp - _div(grid, xu, xv)
+        r = np.linalg.norm(r - r.mean())
+        scale = max(norm_g, self._norm_d * math.hypot(np.linalg.norm(xu), np.linalg.norm(xv)))
+        res = float(r / scale) if scale > 0.0 else 0.0
         if not res <= STOKES_TOL:
-            raise SolverError(f"generalized Stokes solve: divergence residual {res:.3e} "
-                              f"above tol {STOKES_TOL:.1e}")
-        u = unflatten_interior(grid, x, trace)
-        return u, _adopt(ScalarField, grid, (p - p.mean()).reshape(grid.shape_cell)), SolveReport(res)
+            u0 = self._noslip.velocity_solve(np.zeros(2 * xu.size) if b is None else b)
+            scale = max(scale, np.linalg.norm(gp - _div(grid, *_split(grid, u0))))
+            res = float(r / scale) if scale > 0.0 else 0.0
+            if not res <= STOKES_TOL:
+                raise SolverError(f"generalized Stokes solve: divergence residual {res:.3e} "
+                                  f"above tol {STOKES_TOL:.1e}")
+        if trace is not None:
+            _fill_walls(u, v, trace)
+        u = _adopt(VectorField, grid, u, v)
+        if not pressure:
+            return u, None, SolveReport(res)
+        p = q @ ph @ q.T
+        return u, _adopt(ScalarField, grid, p - p.mean()), SolveReport(res)
 
 
 def generalized_stokes(grid: Grid, alpha: float, c: float) -> GeneralizedStokes:
@@ -394,7 +476,7 @@ class NoslipHelmholtz:
     def __init__(self, grid: Grid, c: float, alpha: float = 1.0):
         self.grid = grid
         self.c = float(c)
-        self.velocity_solve = _velocity_solver(grid, float(alpha), self.c, "cell")
+        self.velocity_solve = _velocity_solver(grid, float(alpha), self.c)
 
     def solve(self, rhs: VectorField, trace: BoundaryTrace | None = None) -> VectorField:
         b = flatten_interior(rhs)

@@ -123,7 +123,7 @@ def perturbed_heun_step(v: VectorField, z0: VectorField, z1: VectorField,
 
     def solve(rhs: VectorField) -> VectorField:
         check_finite(time, velocity=rhs)
-        return stokes.solve(rhs)[0]
+        return stokes.solve(rhs, pressure=False)[0]
 
     a1 = slope(v)
     v1 = solve(v + a1 * dt + lap_v * c)
@@ -153,6 +153,6 @@ def step_nse_projection(u: VectorField, t: float, dt: float, nu: float,
     lap_u = vector_laplacian(u, "noslip")
     a1 = f_mid - skew_advect(u, u)
     solve = generalized_stokes(g, 1.0, c).solve
-    v1 = solve(u + a1 * dt + lap_u * c)[0]
+    v1 = solve(u + a1 * dt + lap_u * c, pressure=False)[0]
     a2 = f_mid - skew_advect(v1, v1)
-    return solve(u + (a1 + a2) * (dt * 0.5) + lap_u * c)[0]
+    return solve(u + (a1 + a2) * (dt * 0.5) + lap_u * c, pressure=False)[0]

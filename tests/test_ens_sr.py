@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enslab.diagnostics import GAP_DECAY_TOL
 from enslab.errors import CFLError, CheckFailure, CompatibilityError, SolvabilityError
 from enslab.grid import (
     BoundaryTrace,
@@ -480,6 +481,20 @@ class TestGapSubsystem:
             gap = solvability_gap(gs, hs)
             expected = math.exp(-lam * n * dt) * gap0
             assert abs(gap - expected) <= 1e-12 * max(1.0, abs(gap0))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 32), seed=st.integers(0, 2 ** 32 - 1),
+           lam=st.floats(1e-2, 1e2), dt=st.floats(1e-4, 1e-1), nu=st.floats(1e-3, 1.0))
+    def test_gap_decays_by_exact_factor_each_step(self, n, seed, lam, dt, nu):
+        g = Grid(n)
+        rng = np.random.default_rng(seed)
+        g0 = ScalarField(g, rng.standard_normal(g.shape_cell))
+        h0 = BoundaryTrace(g, *(rng.standard_normal(n) for _ in range(4)))
+        hist = sr_gap_run(g0, h0, lam, nu, dt, 4)
+        for (gs, hs), (gs1, hs1) in zip(hist, hist[1:]):
+            scale = max(1.0, scalar_norm(gs.g), hs.trace.max_abs())
+            excess = solvability_gap(gs1, hs1) - math.exp(-lam * dt) * solvability_gap(gs, hs)
+            assert abs(excess) <= GAP_DECAY_TOL * scale
 
 
 class TestDuhamel:
