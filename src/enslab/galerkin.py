@@ -20,6 +20,15 @@ re-orthogonalization: the modes C psi / h are divergence-free by
 construction.  ``advect`` is a sum of products of advecting coefficients
 and centered differences, so each transport tensor is one contraction over
 the stacked modes.
+
+The transport form is invariant under the square's x and y reflections, and
+every mode is symmetric or antisymmetric under both: its reflection class
+sets bit 0 when its stream function is odd in x and bit 1 when it is odd in
+y.  b(w_r, w_s, w_j) is zero unless the classes of r, s and j XOR to 3, about
+a quarter of the triples.  For those the integrand is even about both centre
+lines, so ``coupling_tensor`` sums it over one quarter of the faces with
+mirror weights, 2 off a centre line and 1 on it.  The lift z has no parity,
+so ``lift_tensors`` sums over every face.
 """
 
 from __future__ import annotations
@@ -31,7 +40,8 @@ import numpy as np
 
 from .advection import centered_differences, transport_coefficients
 from .diagnostics import (
-    EIGEN_ORDER_RTOL, EIGEN_RESIDUAL_TOL, GRAM_TOL, STEP_COUNT_RTOL, DiagnosticsRecord,
+    EIGEN_ORDER_RTOL, EIGEN_RESIDUAL_TOL, GRAM_TOL, PARITY_RTOL, STEP_COUNT_RTOL,
+    DiagnosticsRecord,
 )
 from .errors import CheckFailure, DimensionMismatchError
 from .fieldio import ensure_dir, read_vector, write_vector
@@ -72,17 +82,45 @@ def _split(grid: Grid, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[..., :n_u].reshape(lead + grid.shape_u), x[..., n_u:].reshape(lead + grid.shape_v)
 
 
+def _reflection_classes(grid: Grid, stacked: np.ndarray) -> np.ndarray:
+    """The reflection class of each stacked mode: bit 0 set when its stream
+    function is odd in x, bit 1 when it is odd in y.  The first mode whose
+    part of the other parity exceeds PARITY_RTOL of its norm raises
+    CheckFailure."""
+    u, v = _split(grid, stacked)
+    norm = np.sqrt(np.einsum("ij,ij->i", stacked, stacked))
+    classes = np.zeros(len(stacked), dtype=np.intp)
+    # a stream function even in x keeps u and negates v under the x flip
+    flips = ((u[:, ::-1, :], -v[:, ::-1, :]), (-u[:, :, ::-1], v[:, :, ::-1]))
+    for bit, (fu, fv) in enumerate(flips):
+        # twice the norms of each mode's even and odd parts
+        even, odd = ([np.sqrt(((u + sign * fu) ** 2).sum(axis=(1, 2))
+                              + ((v + sign * fv) ** 2).sum(axis=(1, 2)))
+                      for sign in (1.0, -1.0)])
+        off = 0.5 * np.minimum(even, odd) / norm
+        mixed = np.flatnonzero(off > PARITY_RTOL)
+        if mixed.size:
+            j = int(mixed[0])
+            raise CheckFailure(
+                f"mode {j} is neither symmetric nor antisymmetric under the "
+                f"{'xy'[bit]} reflection: off-parity part {off[j]:.3e} of its norm")
+        classes |= (even < odd) << bit
+    return classes
+
+
 @dataclass(frozen=True)
 class GalerkinBasis:
     """Lowest eigenpairs of the Stokes operator, L2-orthonormal; ``stacked``
-    holds the modes as rows of face vectors and ``gram_deviation`` the
-    measured max |<w_i, w_j> - delta_ij|."""
+    holds the modes as rows of face vectors, ``gram_deviation`` the measured
+    max |<w_i, w_j> - delta_ij| and ``parity`` each mode's reflection class
+    (bit 0: stream function odd in x, bit 1: odd in y)."""
 
     grid: Grid
     lam: np.ndarray
     modes: tuple
     stacked: np.ndarray = field(init=False, repr=False, compare=False)
     gram_deviation: float = field(init=False, repr=False, compare=False)
+    parity: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lam = np.asarray(self.lam, dtype=np.float64).copy()
@@ -105,6 +143,9 @@ class GalerkinBasis:
         if dev[i, j] > GRAM_TOL:
             raise CheckFailure(
                 f"basis not orthonormal: <w_{i}, w_{j}> = {float(gram[i, j])!r}")
+        parity = _reflection_classes(self.grid, stacked)
+        parity.setflags(write=False)
+        object.__setattr__(self, "parity", parity)
         for j, w in enumerate(self.modes):
             aw = leray_project(-vector_laplacian(w, "noslip"))
             res = face_norm(aw - w * float(lam[j]))
@@ -209,26 +250,66 @@ def load_basis(directory: str, k: int | None = None) -> GalerkinBasis:
     return GalerkinBasis(modes[0].grid if modes else None, np.array(lams[:k]), modes)
 
 
-def _transport(grid: Grid, ws, bs, cs) -> np.ndarray:
+def _mirror_weights(m: int) -> np.ndarray:
+    """Weights of the first half of m points mirrored about their centre:
+    2 for each mirrored pair, 1 for a centre point (m odd)."""
+    w = np.full((m + 1) // 2, 2.0)
+    if m % 2:
+        w[-1] = 1.0
+    return w
+
+
+def _transport(grid: Grid, ws, bs, cs, blocks=None) -> np.ndarray:
     """A[r, s, j] = <advect(w_r, b_s), c_j> over stacks of fields.
 
-    Each stack is a (u, v) pair of arrays with a leading field axis.
+    Each stack is a (u, v) pair of arrays with a leading field axis.  Given
+    ``blocks``, the field indices of each reflection class, only the triples
+    whose classes XOR to 3 are summed, over the lower-left quarter of the
+    interior faces with mirror weights; every other entry is 0.
     """
     def flat(parts) -> np.ndarray:
         return np.concatenate([p.reshape(p.shape[0], -1) for p in parts], axis=1)
 
-    a = flat(transport_coefficients(*ws))
-    d = flat(centered_differences(*bs, grid.h))
+    if blocks is not None:
+        # the quarter and the neighbours its differences and averages read
+        cut = (..., slice(None, (grid.nx + 1) // 2 + 2), slice(None, (grid.ny + 1) // 2 + 2))
+        ws, bs, cs = ([p[cut] for p in stack] for stack in (ws, bs, cs))
+    a = transport_coefficients(*ws)
+    d = centered_differences(*bs, grid.h)
     cu, cv = cs[0][:, 1:-1, :], cs[1][:, :, 1:-1]
-    c = flat((cu, cu, cv, cv))
-    # one product per advecting field keeps the workspace at one stack
-    return (grid.h * grid.h) * np.stack([(d * ar) @ c.T for ar in a])
+    if blocks is not None:
+        weights = np.outer(_mirror_weights(grid.nx - 1), _mirror_weights(grid.ny))
+        mx, my = weights.shape  # the x-faces' quarter; the y-faces' is (my, mx)
+        xq, yq = (..., slice(mx), slice(my)), (..., slice(my), slice(mx))
+
+        def quarter(parts) -> tuple:
+            return parts[0][xq], parts[1][xq], parts[2][yq], parts[3][yq]
+        a, d = quarter(a), quarter(d)
+        cu, cv = cu[xq] * weights, cv[yq] * weights.T
+    a, d, c = flat(a), flat(d), flat((cu, cu, cv, cv))
+    h2 = grid.h * grid.h
+    if blocks is None:
+        # one product per advecting field keeps the workspace at one stack
+        return h2 * np.stack([(d * ar) @ c.T for ar in a])
+    out = np.zeros((a.shape[0], d.shape[0], c.shape[0]))
+    for cr, r in enumerate(blocks):
+        for cb, s in enumerate(blocks):
+            j = blocks[3 ^ cr ^ cb]
+            prod = (a[r, None, :] * d[None, s, :]).reshape(r.size * s.size, c.shape[1])
+            out[np.ix_(r, s, j)] = h2 * (prod @ c[j].T).reshape(r.size, s.size, j.size)
+    return out
 
 
 def coupling_tensor(basis: GalerkinBasis) -> np.ndarray:
-    """T[r, s, j] = b(w_r, w_s, w_j) for all basis triples."""
+    """T[r, s, j] = b(w_r, w_s, w_j) for all basis triples.
+
+    T[r, s, j] is exactly 0 unless parity[r] ^ parity[s] ^ parity[j] == 3;
+    the other entries are summed over a quarter of the faces with mirror
+    weights (see the module docstring).
+    """
     w = _split(basis.grid, basis.stacked)
-    A = _transport(basis.grid, w, w, w)
+    blocks = [np.flatnonzero(basis.parity == c) for c in range(4)]
+    A = _transport(basis.grid, w, w, w, blocks)
     return 0.5 * (A - A.transpose(0, 2, 1))
 
 
@@ -274,36 +355,38 @@ def integrate_galerkin(basis: GalerkinBasis, state: GalerkinState, nu: float,
     nsteps = round(T / dt)
     if abs(nsteps * dt - T) > STEP_COUNT_RTOL * max(1.0, T):
         raise ValueError("T must be an integer multiple of dt")
-    lam = basis.lam
     k = basis.k
+    decay = -nu * basis.lam
     quadratic = coupling_tensor(basis).reshape(k, k * k)
 
-    def rhs(g: np.ndarray, fvec: np.ndarray, bmat) -> np.ndarray:
-        # a blow-up is reported by GalerkinState, not by floating-point warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            transport = g @ (g @ quadratic).reshape(k, k)
-        out = -nu * lam * g - transport + fvec
+    def rhs(g: np.ndarray, fvec, bmat) -> np.ndarray:
+        out = decay * g - g @ (g @ quadratic).reshape(k, k)
+        if fvec is not None:
+            out += fvec
         if bmat is not None:
-            out = out - g @ bmat
+            out -= g @ bmat
         return out
+
+    def data(t: float) -> tuple:
+        """Forcing coefficients and lift matrix at t; None for an absent path."""
+        return (None if f_path is None else _forcing_vector(basis, f_path, t),
+                None if z_path is None else _lift_matrix(basis, z_path, t))
 
     history = [state]
     g = state.coeffs.copy()
     t = state.time
-    for _ in range(nsteps):
-        f0 = _forcing_vector(basis, f_path, t)
-        fh = _forcing_vector(basis, f_path, t + 0.5 * dt)
-        f1 = _forcing_vector(basis, f_path, t + dt)
-        b0 = _lift_matrix(basis, z_path, t)
-        bh = _lift_matrix(basis, z_path, t + 0.5 * dt)
-        b1 = _lift_matrix(basis, z_path, t + dt)
-        k1 = rhs(g, f0, b0)
-        k2 = rhs(g + 0.5 * dt * k1, fh, bh)
-        k3 = rhs(g + 0.5 * dt * k2, fh, bh)
-        k4 = rhs(g + dt * k3, f1, b1)
-        g = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-        history.append(GalerkinState(g, t))
+    end = data(t)
+    # a blow-up is reported by GalerkinState, not by floating-point warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(nsteps):
+            start, mid, end = end, data(t + 0.5 * dt), data(t + dt)
+            k1 = rhs(g, *start)
+            k2 = rhs(g + 0.5 * dt * k1, *mid)
+            k3 = rhs(g + 0.5 * dt * k2, *mid)
+            k4 = rhs(g + dt * k3, *end)
+            g = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += dt
+            history.append(GalerkinState(g, t))
     return history
 
 

@@ -21,7 +21,7 @@ Two reference steppers for the *standard* incompressible equations live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .advection import skew_advect
 from .errors import CFLError
@@ -43,11 +43,15 @@ class ForcingSpec:
     """Closed-form body force (x, y, t) -> components, sampled on faces.
 
     ``fu``/``fv`` are broadcasting callables or None for the zero forcing.
+    A ``steady`` force ignores t: it is sampled once per grid and the frozen
+    field is returned at every later time.
     """
 
     fu: object = None
     fv: object = None
     name: str = "zero"
+    steady: bool = False
+    _sampled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def zero() -> "ForcingSpec":
@@ -59,8 +63,13 @@ class ForcingSpec:
     def evaluate(self, grid: Grid, t: float) -> VectorField:
         if self.is_zero():
             return VectorField.zeros(grid)
-        return vector_from_functions(grid, lambda x, y: self.fu(x, y, t),
-                                     lambda x, y: self.fv(x, y, t))
+        if self.steady and grid in self._sampled:
+            return self._sampled[grid]
+        f = vector_from_functions(grid, lambda x, y: self.fu(x, y, t),
+                                  lambda x, y: self.fv(x, y, t))
+        if self.steady:
+            self._sampled[grid] = f
+        return f
 
 
 def _eval_forcing(forcing, grid: Grid, t: float) -> VectorField:

@@ -146,7 +146,7 @@ def mms_forcing(nu: float) -> ForcingSpec:
     def fv(x, y, t):
         return _mms_adv2(x, y) - nu * _mms_lap_u2(x, y)
 
-    return ForcingSpec(fu, fv, "mms")
+    return ForcingSpec(fu, fv, "mms", steady=True)
 
 
 def _through_flow(grid: Grid, amplitude: float) -> VectorField:
@@ -199,7 +199,7 @@ def forcing_spec(preset: str, amplitude: float = 1.0, nu: float = 1.0) -> Forcin
         def fv(x, y, t):
             return amplitude * _mms_u2(x, y)
 
-        return ForcingSpec(fu, fv, "rotational")
+        return ForcingSpec(fu, fv, "rotational", steady=True)
     if preset == "mms":
         return mms_forcing(nu)
     raise ValueError(f"unknown forcing preset {preset!r}")

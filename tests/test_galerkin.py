@@ -105,6 +105,24 @@ class TestBasisConstruction:
         with pytest.raises(CheckFailure, match="mode 3 eigen-residual"):
             galerkin.GalerkinBasis(basis.grid, lam, basis.modes)
 
+    def test_reflection_classes_of_the_parity_blocks(self):
+        # (even, even) ground mode; each twin pair is (even, odd) then (odd, even)
+        basis = galerkin.build_basis(Grid(16), 16)
+        assert basis.parity[0] == 0
+        for i in np.flatnonzero(np.diff(basis.lam) == 0.0):
+            assert (basis.parity[i], basis.parity[i + 1]) == (2, 1)
+
+    def test_constructor_rejects_mode_of_mixed_parity(self):
+        # a rotated twin pair is still an orthonormal pair of eigenmodes
+        basis = galerkin.build_basis(Grid(16), 6)
+        i = int(np.flatnonzero(np.diff(basis.lam) == 0.0)[0])
+        modes = list(basis.modes)
+        a, b = modes[i], modes[i + 1]
+        modes[i] = (a + b) * math.sqrt(0.5)
+        modes[i + 1] = (a - b) * math.sqrt(0.5)
+        with pytest.raises(CheckFailure, match=f"mode {i} is neither symmetric"):
+            galerkin.GalerkinBasis(basis.grid, basis.lam, tuple(modes))
+
     def test_grid_too_large_for_dense_solve(self):
         with pytest.raises(ValueError, match="grid <= 64"):
             galerkin.build_basis(Grid(128), 4)
@@ -286,16 +304,30 @@ class TestTrilinearForm:
 
 class TestTensorContraction:
     def test_coupling_tensor_matches_per_triple_oracle(self):
-        basis = galerkin.build_basis(Grid(16), 8)
-        w = basis.modes
-        oracle = np.array([[[trilinear(w[r], w[s], w[j]) for j in range(8)]
-                            for s in range(8)] for r in range(8)])
-        tensor = galerkin.coupling_tensor(basis)
-        assert np.abs(tensor - oracle).max() <= 1e-13 * np.abs(oracle).max()
+        # k = 12 reaches all four reflection classes on these grids; the odd
+        # grids put a centre line of each face set on the quarter's edge
+        for n in (8, 9, 15, 16):
+            basis = galerkin.build_basis(Grid(n), 12)
+            assert set(basis.parity.tolist()) == {0, 1, 2, 3}
+            w = basis.modes
+            oracle = np.array([[[trilinear(w[r], w[s], w[j]) for j in range(12)]
+                                for s in range(12)] for r in range(12)])
+            tensor = galerkin.coupling_tensor(basis)
+            assert np.abs(tensor - oracle).max() <= 1e-13 * np.abs(oracle).max(), n
 
     def test_coupling_tensor_is_exactly_skew_in_last_two_slots(self):
-        tensor = galerkin.coupling_tensor(galerkin.build_basis(Grid(16), 8))
-        assert not (tensor + tensor.transpose(0, 2, 1)).any()
+        for n in (9, 16):
+            tensor = galerkin.coupling_tensor(galerkin.build_basis(Grid(n), 16))
+            assert not (tensor + tensor.transpose(0, 2, 1)).any(), n
+
+    @pytest.mark.parametrize("n", [9, 16])
+    def test_entries_the_class_rule_forbids_are_exactly_zero(self, n):
+        basis = galerkin.build_basis(Grid(n), 16)
+        p = basis.parity
+        tensor = galerkin.coupling_tensor(basis)
+        allowed = (p[:, None, None] ^ p[None, :, None] ^ p[None, None, :]) == 3
+        assert not tensor[~allowed].any()
+        assert np.abs(tensor[allowed]).max() > 0.0
 
     def test_lift_tensors_match_per_triple_oracle(self):
         grid = Grid(16)
@@ -359,6 +391,28 @@ class TestIntegration:
         a = nu * float(basis.lam[0])
         exact = 0.2 * math.exp(-a * horizon) + (phi / a) * (1.0 - math.exp(-a * horizon))
         assert abs(float(hist[-1].coeffs[0]) - exact) <= 1e-12
+
+    def test_absent_paths_are_never_sampled(self, monkeypatch):
+        def absent(*args):
+            raise AssertionError("an absent path was sampled")
+        monkeypatch.setattr(galerkin, "_forcing_vector", absent)
+        monkeypatch.setattr(galerkin, "_lift_matrix", absent)
+        basis = galerkin.build_basis(Grid(16), 4)
+        hist = galerkin.integrate_galerkin(
+            basis, galerkin.GalerkinState(np.full(4, 0.1)), 0.1, 1e-3, 5e-3)
+        assert len(hist) == 6
+
+    def test_each_path_time_is_sampled_once(self):
+        # the start, midpoint and end of every step; an end is the next start
+        basis = galerkin.build_basis(Grid(16), 4)
+        times = []
+
+        def f_path(t):
+            times.append(t)
+            return basis.modes[0]
+        galerkin.integrate_galerkin(
+            basis, galerkin.GalerkinState(np.full(4, 0.1)), 0.1, 1e-3, 5e-3, f_path=f_path)
+        assert len(times) == len(set(times)) == 2 * 5 + 1
 
     def test_lift_coupling_matches_linearized_flow(self):
         grid = Grid(16)

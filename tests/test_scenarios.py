@@ -11,6 +11,7 @@ from enslab.grid import (
     normal_trace,
     scalar_norm,
 )
+from enslab.reference import ForcingSpec
 from enslab.scenarios import (
     FORCING_PRESETS,
     IC_PRESETS,
@@ -204,6 +205,23 @@ class TestForcingPresets:
         b = forcing_spec("rotational", amplitude=2.5).evaluate(GRID, 0.0)
         assert np.allclose(b.u, 2.5 * a.u, rtol=0.0, atol=1e-15)
         assert np.max(np.abs(a.u)) > 0.5
+
+    @pytest.mark.parametrize("preset", ["rotational", "mms"])
+    def test_steady_preset_is_sampled_once_per_grid(self, preset):
+        f = forcing_spec(preset, amplitude=0.5, nu=0.1)
+        assert f.steady
+        first = f.evaluate(GRID, 0.0)
+        assert f.evaluate(GRID, 0.25) is first
+        other = f.evaluate(Grid(8), 0.25)
+        assert other.grid == Grid(8) and f.evaluate(Grid(8), 0.5) is other
+        fresh = forcing_spec(preset, amplitude=0.5, nu=0.1).evaluate(GRID, 0.25)
+        assert np.array_equal(first.u, fresh.u) and np.array_equal(first.v, fresh.v)
+
+    def test_unsteady_force_is_sampled_at_each_time(self):
+        f = ForcingSpec(lambda x, y, t: t + 0.0 * x, lambda x, y, t: 0.0 * x)
+        assert not f.steady
+        assert f.evaluate(GRID, 0.5).u.max() == 0.5
+        assert f.evaluate(GRID, 0.25).u.max() == 0.25
 
     def test_mms_preset_matches_mms_forcing(self):
         a = forcing_spec("mms", nu=0.07).evaluate(GRID, 0.0)
