@@ -87,6 +87,9 @@ def _field_metrics(cfg: Config, state) -> dict:
 
 def _field_states(cfg: Config, u0):
     """The configured route's states: the initial one, then one per step."""
+    if cfg.route not in ("decomposed", "direct"):
+        raise ConfigError(f"route = {cfg.route} is not a field route; "
+                          "use route = decomposed or direct")
     fspec = scenarios.forcing_spec(cfg.forcing, cfg.forcing_amplitude, cfg.nu)
     decomposed = cfg.route == "decomposed"
     if cfg.system == "jl":

@@ -141,8 +141,8 @@ def htilde_norm(g: ScalarField) -> float:
     is documented precisely so results are reproducible.
     """
     vals = g.values - g.values.mean()
-    x = htilde_solver(g.grid)(vals.ravel())
-    q = float(np.dot(vals.ravel(), x)) * g.grid.h ** 2
+    x = htilde_solver(g.grid)(vals)
+    q = float(np.dot(vals.ravel(), x.ravel())) * g.grid.h ** 2
     return math.sqrt(max(q, 0.0))
 
 

@@ -49,7 +49,6 @@ from .heat_oracle import DivergenceState, divergence_state, heat_step
 from .linsolve import generalized_stokes, heat_solver, neumann_poisson
 from .reference import (
     ForcingSpec,
-    _eval_forcing,
     cfl_check,
     perturbed_heun_step,
     poincare_constant,
@@ -126,7 +125,7 @@ def step_decomposed(s: JLState, dt: float) -> JLState:
     cfl_check(s.u, dt)
     gp = heat_step(s.g, dt)
     zp, qp = lift_or_zero(gp.g, s.u)
-    f_mid = _eval_forcing(s.forcing, s.u.grid, s.time + 0.5 * dt)
+    f_mid = s.forcing.evaluate(s.u.grid, s.time + 0.5 * dt)
     vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, f_mid, s.time + dt)
     return JLState(s.time + dt, vp + zp, gp, s.nu, s.forcing, vp, zp, qp)
 
@@ -146,7 +145,7 @@ def step_direct(s: JLState, dt: float) -> JLState:
     grid = s.u.grid
     u = s.u
     a = skew_advect(u, u)
-    f = _eval_forcing(s.forcing, grid, s.time)
+    f = s.forcing.evaluate(grid, s.time)
     du = s.div_u
     gp_vals = heat_solver(grid, s.nu * dt, "neumann", theta="be")(du.values)
     gp_field = ScalarField(grid, gp_vals)
@@ -209,7 +208,7 @@ class EnergyLedger:
         vbar = (s0.v + s1.v) * 0.5
         zbar = (s0.z + s1.z) * 0.5
         dz = (s1.z - s0.z) * (1.0 / dt)
-        fhat = _eval_forcing(s0.forcing, s0.u.grid, s0.time + 0.5 * dt) - dz
+        fhat = s0.forcing.evaluate(s0.u.grid, s0.time + 0.5 * dt) - dz
         e0, e1 = self._energies[-2:]
         diss = grad_inner(vbar, vbar)
         lhs = (e1 - e0) / (2.0 * dt) + s0.nu * diss

@@ -53,7 +53,7 @@ from .grid import (
 )
 from .heat_oracle import DivergenceState, divergence_state, heat_step
 from .linsolve import NoslipHelmholtz, heat_solver, neumann_poisson
-from .reference import ForcingSpec, _eval_forcing, cfl_check, perturbed_heun_step
+from .reference import ForcingSpec, cfl_check, perturbed_heun_step
 from .stokes_lift import check_finite, check_state, lift_or_zero
 
 __all__ = [
@@ -200,7 +200,7 @@ def step_constructive(s: SRState, dt: float) -> SRState:
     cbar = _step_average_constant(integral(s.g.g), integral(gp.g), s.lam, dt)
     hp = evolve_h(s.h, cbar, s.lam, dt)
     zp, qp = lift_or_zero(gp.g, s.u, hp.trace)
-    f_mid = _eval_forcing(s.forcing, s.u.grid, s.time + 0.5 * dt)
+    f_mid = s.forcing.evaluate(s.u.grid, s.time + 0.5 * dt)
     vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, f_mid, s.time + dt)
     gap_plus = solvability_gap(gp, hp)
     if abs(gap_plus) > math.exp(-s.lam * dt) * abs(gap) + GAP_DECAY_TOL * scale:
@@ -251,7 +251,7 @@ def pressure_poisson(s: SRState) -> tuple[ScalarField, DiagnosticsRecord]:
     divergence with the tangential vector Laplacian plus the divergence
     theorem), which is what the record certifies.
     """
-    fa = _eval_forcing(s.forcing, s.u.grid, s.time) - skew_advect(s.u, s.u)
+    fa = s.forcing.evaluate(s.u.grid, s.time) - skew_advect(s.u, s.u)
     rhs, cc, total, scale = _pressure_source(s, fa)
     p = neumann_poisson(s.u.grid).solve(rhs)
     rec = DiagnosticsRecord(s.time, {
@@ -278,7 +278,7 @@ def step_direct_sr(s: SRState, dt: float) -> SRState:
     cfl_check(s.u, dt)
     grid = s.u.grid
     u, du = s.u, s.div_u
-    fa = _eval_forcing(s.forcing, grid, s.time) - skew_advect(u, u)
+    fa = s.forcing.evaluate(grid, s.time) - skew_advect(u, u)
     rhs = u + fa * dt
     # a blown-up update is the next state's fault, judged as its check judges
     # u, before the pressure source and the solve compute with it

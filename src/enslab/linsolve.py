@@ -17,8 +17,11 @@ Contents
   judged on a scale that needs a second velocity solve only when the first
   scale fails.  alpha = 0 is the stationary Stokes lift, alpha = 1 the
   viscous step on the divergence-free subspace.
-* ``NoslipHelmholtz``: the velocity block alone, with wall data.
+* ``NoslipHelmholtz``: the velocity block alone, with wall data, solved
+  component by component in the same eigenbases.
 
+Every solve takes and returns the grid's own 2-D cell or face arrays: the
+operators act along each axis, so no stacked vector of unknowns is formed.
 A solve owns its workspace.  The cache of eigenbases and solvers is
 append-only and keyed by immutable tuples; it takes no lock, as nothing in
 the package solves on more than one thread.
@@ -42,6 +45,7 @@ from .grid import (
     integral,
     scalar_norm,
     trace_integral,
+    with_normal_trace,
 )
 
 __all__ = [
@@ -55,8 +59,6 @@ __all__ = [
     "htilde_solver",
     "heat_solver",
     "NoslipHelmholtz",
-    "flatten_interior",
-    "unflatten_interior",
 ]
 
 # Post-condition of a generalized-Stokes solve: its divergence residual,
@@ -70,7 +72,7 @@ COMPAT_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# 1-D stencil blocks and the interior-face vector
+# 1-D stencil blocks
 # ---------------------------------------------------------------------------
 
 def _tridiagonal(n: int, h: float, kind: str) -> np.ndarray:
@@ -81,35 +83,6 @@ def _tridiagonal(n: int, h: float, kind: str) -> np.ndarray:
     t = np.eye(m, k=1) + np.eye(m, k=-1) - 2.0 * np.eye(m)
     t[0, 0] = t[-1, -1] = {"neumann": -1.0, "cell": -3.0, "node": -2.0}[kind]
     return t * (1.0 / (h * h))  # not t / h^2: the eigenbases round with this form
-
-
-def _split(grid: Grid, x: np.ndarray):
-    """Views of an interior-face vector as its u and v arrays."""
-    n_u = (grid.nx - 1) * grid.ny
-    return x[:n_u].reshape(grid.nx - 1, grid.ny), x[n_u:].reshape(grid.nx, grid.ny - 1)
-
-
-def flatten_interior(w: VectorField) -> np.ndarray:
-    """Stack the interior-face values (wall faces dropped) into one vector."""
-    return np.concatenate([w.u[1:-1, :].ravel(), w.v[:, 1:-1].ravel()])
-
-
-def unflatten_interior(grid: Grid, x: np.ndarray, trace: BoundaryTrace | None = None) -> VectorField:
-    """Rebuild a vector field from interior values; walls from trace or zero."""
-    u = np.zeros(grid.shape_u)
-    v = np.zeros(grid.shape_v)
-    u[1:-1, :], v[:, 1:-1] = _split(grid, x)
-    if trace is not None:
-        _fill_walls(u, v, trace)
-    return _adopt(VectorField, grid, u, v)
-
-
-def _fill_walls(u: np.ndarray, v: np.ndarray, trace: BoundaryTrace) -> None:
-    """Write the outward wall-normal trace into the wall faces of u and v."""
-    u[0, :] = -trace.left
-    u[-1, :] = trace.right
-    v[:, 0] = -trace.bottom
-    v[:, -1] = trace.top
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +122,9 @@ def _separable_eigenbasis(grid: Grid, kind_x: str, kind_y: str | None = None):
 
 def _diagonalized_solve(b: np.ndarray, qx: np.ndarray, qy: np.ndarray,
                         mult: np.ndarray) -> np.ndarray:
-    """Apply a separable operator given by its eigenbases and multiplier."""
-    return (qx @ ((qx.T @ b.reshape(mult.shape) @ qy) * mult) @ qy.T).ravel()
+    """Apply a separable operator, given by its eigenbases and multiplier, to
+    the 2-D array b."""
+    return qx @ ((qx.T @ b @ qy) * mult) @ qy.T
 
 
 class NeumannPoisson:
@@ -171,7 +145,7 @@ class NeumannPoisson:
     def solve_values(self, rhs: np.ndarray) -> np.ndarray:
         x = _diagonalized_solve(rhs - rhs.mean(), *self._block)
         x -= x.mean()
-        return x.reshape(self.grid.shape_cell)
+        return x
 
     def solve(self, rhs: ScalarField) -> ScalarField:
         return _adopt(ScalarField, self.grid, self.solve_values(rhs.values))
@@ -182,7 +156,8 @@ def neumann_poisson(grid: Grid) -> NeumannPoisson:
 
 
 def htilde_solver(grid: Grid):
-    """Cached solver for (I - laplacian_neumann), the dual-norm realization."""
+    """Cached solver for (I - laplacian_neumann), the dual-norm realization:
+    a callable cell values -> cell values."""
     def build():
         qx, qy, lam = _separable_eigenbasis(grid, "neumann")
         inv = 1.0 / (1.0 - lam)
@@ -196,7 +171,7 @@ def heat_solver(grid: Grid, a: float, bc: str, theta: str = "cn"):
     theta="cn":  g+ = (I - a/2 L)^{-1} (I + a/2 L) g      (trapezoidal)
     theta="be":  g+ = (I - a L)^{-1} g                     (backward Euler)
     L is the Neumann or Dirichlet cell Laplacian.  Returns a callable
-    values -> values.
+    cell values -> cell values.
     """
     if bc not in ("neumann", "dirichlet"):
         raise ValueError(f"unknown bc {bc!r}")
@@ -209,7 +184,7 @@ def heat_solver(grid: Grid, a: float, bc: str, theta: str = "cn"):
             mult = (1.0 + (a / 2.0) * lam) / (1.0 - (a / 2.0) * lam)
         else:
             mult = 1.0 / (1.0 - a * lam)
-        return lambda vals: _diagonalized_solve(vals, qx, qy, mult).reshape(grid.shape_cell)
+        return lambda vals: _diagonalized_solve(vals, qx, qy, mult)
 
     return _cached(("heat", grid.nx, grid.ny, float(a), bc, theta), build)
 
@@ -223,20 +198,6 @@ class SolveReport:
     residual: float
 
 
-def _velocity_solver(grid: Grid, alpha: float, c: float):
-    """Cached (alpha I + c K)^{-1} on the interior-face vector, K minus the
-    no-slip vector Laplacian: both components are separable."""
-    def build():
-        blocks = []
-        for kinds in (("node", "cell"), ("cell", "node")):
-            qx, qy, lam = _separable_eigenbasis(grid, *kinds)
-            blocks.append((qx, qy, 1.0 / (alpha - c * lam)))
-        n_u = blocks[0][2].size
-        return lambda b: np.concatenate([_diagonalized_solve(b[:n_u], *blocks[0]),
-                                         _diagonalized_solve(b[n_u:], *blocks[1])])
-    return _cached(("velocity_solver", grid.nx, grid.ny, alpha, c), build)
-
-
 def _div(grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """D x, the divergence of the interior-face arrays u and v of x (zero wall faces)."""
     d = np.zeros(grid.shape_cell)
@@ -247,11 +208,24 @@ def _div(grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return d / grid.h
 
 
-def _wall_faces(grid: Grid) -> np.ndarray:
-    """U: one row of interior-face indices per wall (bottom, top, left and
-    right), the tangential faces next to it."""
-    u, v = _split(grid, np.arange(2 * grid.nx * (grid.nx - 1)))
-    return np.stack([u[:, 0], u[:, -1], v[0, :], v[-1, :]])
+def _wall_force(c: float, walls: VectorField):
+    """The force of the wall-normal values of ``walls`` on c K: c / h^2 times
+    them, on the first and last interior rows of u and columns of v."""
+    h2 = walls.grid.h * walls.grid.h
+    return c * (walls.u[[0, -1]] / h2), c * (walls.v[:, [0, -1]] / h2)
+
+
+def _interior_force(c: float, f: VectorField, walls: VectorField | None):
+    """The u and v arrays of f on the interior faces, plus the force of the
+    wall data ``walls`` when given."""
+    fu, fv = f.u[1:-1], f.v[:, 1:-1]
+    if walls is None:
+        return fu, fv
+    wu, wv = _wall_force(c, walls)
+    fu, fv = fu.copy(), fv.copy()
+    fu[[0, -1]] += wu
+    fv[:, [0, -1]] += wv
+    return fu, fv
 
 
 def _difference_factors(n: int, h: float) -> np.ndarray:
@@ -278,7 +252,6 @@ def _capacitance(grid: Grid, alpha: float, c: float):
     """
     n, h = grid.nx, grid.h
     lam, q = _tridiagonal_eigh(n, h, "neumann")
-    _, qn = _tridiagonal_eigh(n, h, "node")
     both = lam[:-1, None] + lam[None, :]                # lam_k + lam_l, k < n - 1
     mult = 1.0 / (both * (alpha - c * both))            # (alpha I - c Lap_N)^{-1} Lap_N^+
     ends = np.stack([q[0] + q[-1], q[0] - q[-1]]) / math.sqrt(2.0)
@@ -294,7 +267,7 @@ def _capacitance(grid: Grid, alpha: float, c: float):
         schur = np.diag(diag[a, ib]) - x.T @ (x / diag[b, ia, None])
         blocks.append((a, b, ia, ib, x, np.linalg.inv(schur)))
     half = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    return qn, np.kron(np.eye(2), half), diag, blocks
+    return np.kron(np.eye(2), half), diag, blocks
 
 
 def _reciprocal(a: np.ndarray) -> np.ndarray:
@@ -362,9 +335,10 @@ class GeneralizedStokes:
         return u, v, p
 
     def _wall_modes_solve(self, z: np.ndarray) -> np.ndarray:
-        """C^{-1} in node coordinates along the walls, one column per row of
-        ``_wall_faces``."""
-        _, half, diag, blocks = self._capacitance
+        """C^{-1} in node coordinates along the walls, one column per wall:
+        the u faces next to the bottom and the top, the v faces next to the
+        left and the right."""
+        half, diag, blocks = self._capacitance
         z = (z @ half).T                 # u sum, u difference, v sum, v difference
         out = np.empty_like(z)
         out[:2] = z[:2] / diag
@@ -373,11 +347,6 @@ class GeneralizedStokes:
             out[2 + a, ib] = zv
             out[b, ia] -= (x @ zv) / diag[b, ia]
         return out.T @ half
-
-    def _wall_solve(self, r: np.ndarray) -> np.ndarray:
-        """C^{-1} r for wall data r, one column per row of ``_wall_faces``."""
-        qn = self._capacitance[0]
-        return qn @ self._wall_modes_solve(qn.T @ r)
 
     def solve(self, f: VectorField | None = None, g: ScalarField | None = None,
               trace: BoundaryTrace | None = None, *, pressure: bool = True):
@@ -404,28 +373,30 @@ class GeneralizedStokes:
         """
         grid = self.grid
         q, qn = self._q, self._qn
-        b = None if f is None else flatten_interior(f)
         gp = np.zeros(grid.shape_cell)
+        walls = None
         if g is not None or trace is not None:
             g = ScalarField.zeros(grid) if g is None else g
             _check_compatibility(g, BoundaryTrace.zeros(grid) if trace is None else trace)
             gp = g.values
             if trace is not None:
-                wall_rhs = self.c * _wall_rhs(grid, trace)
-                b = wall_rhs if b is None else b + wall_rhs
-                walls = unflatten_interior(grid, np.zeros(wall_rhs.size), trace)
+                walls = with_normal_trace(VectorField.zeros(grid), trace)
                 gp = gp - divergence(walls).values
         norm_g = np.linalg.norm(gp)
-        if not (math.isfinite(norm_g) and (b is None or math.isfinite(np.linalg.norm(b)))):
+        force_sq = 0.0                   # of the force plus the wall data's force
+        if f is not None or walls is not None:
+            bu, bv = _interior_force(self.c, VectorField.zeros(grid) if f is None else f, walls)
+            force_sq = float(np.vdot(bu, bu)) + float(np.vdot(bv, bv))
+        if not (math.isfinite(norm_g) and math.isfinite(force_sq)):
             raise SolverError("generalized Stokes solve: non-finite data")
         fu, fv = np.zeros((grid.nx - 1, grid.ny)), np.zeros((grid.nx, grid.ny - 1))
         if f is not None:
             fu, fv = qn.T @ f.u[1:-1] @ q, q.T @ f.v[:, 1:-1] @ qn
-        if trace is not None:            # the wall data's force lies on two lines per component
-            wu, wv = _split(grid, wall_rhs)
+        if walls is not None:            # the wall data's force lies on two lines per component
+            wu, wv = _wall_force(self.c, walls)
             ends_n = qn[[0, -1]]
-            fu = fu + ends_n.T @ (wu[[0, -1]] @ q)
-            fv = fv + (q.T @ wv[:, [0, -1]]) @ ends_n
+            fu = fu + ends_n.T @ (wu @ q)
+            fv = fv + (q.T @ wv) @ ends_n
         gm = (q.T @ gp @ q) * self._g_mult if norm_g > 0.0 else None
         uh, vh, ph = self._free_slip_modes(fu, fv, gm)
         if self._capacitance is not None:
@@ -434,7 +405,10 @@ class GeneralizedStokes:
             force = self._wall_modes_solve((2.0 * self.c / (grid.h * grid.h)) * z)
             uh, vh, ph = self._free_slip_modes(fu - force[:, :2] @ ends,
                                                fv - ends.T @ force[:, 2:].T, gm)
-        u, v = np.zeros(grid.shape_u), np.zeros(grid.shape_v)
+        if walls is None:
+            u, v = np.zeros(grid.shape_u), np.zeros(grid.shape_v)
+        else:
+            u, v = walls.u.copy(), walls.v.copy()
         xu, xv = u[1:-1], v[:, 1:-1]
         xu[...] = qn @ uh @ q.T
         xv[...] = q @ vh @ qn.T
@@ -443,14 +417,12 @@ class GeneralizedStokes:
         scale = max(norm_g, self._norm_d * math.hypot(np.linalg.norm(xu), np.linalg.norm(xv)))
         res = float(r / scale) if scale > 0.0 else 0.0
         if not res <= STOKES_TOL:
-            u0 = self._noslip.velocity_solve(np.zeros(2 * xu.size) if b is None else b)
-            scale = max(scale, np.linalg.norm(gp - _div(grid, *_split(grid, u0))))
+            u0 = self._noslip.solve(VectorField.zeros(grid) if f is None else f, trace)
+            scale = max(scale, np.linalg.norm(gp - _div(grid, u0.u[1:-1], u0.v[:, 1:-1])))
             res = float(r / scale) if scale > 0.0 else 0.0
             if not res <= STOKES_TOL:
                 raise SolverError(f"generalized Stokes solve: divergence residual {res:.3e} "
                                   f"above tol {STOKES_TOL:.1e}")
-        if trace is not None:
-            _fill_walls(u, v, trace)
         u = _adopt(VectorField, grid, u, v)
         if not pressure:
             return u, None, SolveReport(res)
@@ -465,36 +437,38 @@ def generalized_stokes(grid: Grid, alpha: float, c: float) -> GeneralizedStokes:
 
 class NoslipHelmholtz:
     """Solver for (alpha I - c * Lap_noslip) on interior faces (alpha = 1
-    unless given), with optional wall data; ``velocity_solve`` applies it to
-    an interior-face vector.
+    unless given), with optional wall data.  Each component is separable: u
+    in the node eigenbasis along x and the cell eigenbasis along y, v the
+    other way round.
 
     With a wall trace given, the wall-normal faces are treated as Dirichlet
-    data (their values folded into the right-hand side) and the returned
-    field carries them; tangential wall values are zero by the closure.
+    data (their force added on the first and last interior lines) and the
+    returned field carries them; tangential wall values are zero by the
+    closure.
     """
 
     def __init__(self, grid: Grid, c: float, alpha: float = 1.0):
         self.grid = grid
-        self.c = float(c)
-        self.velocity_solve = _velocity_solver(grid, float(alpha), self.c)
+        self.c = c = float(c)
+        alpha = float(alpha)
+
+        def build():
+            return [(qx, qy, 1.0 / (alpha - c * lam))
+                    for qx, qy, lam in (_separable_eigenbasis(grid, *kinds)
+                                        for kinds in (("node", "cell"), ("cell", "node")))]
+        self._blocks = _cached(("noslip_helmholtz", grid.nx, grid.ny, alpha, c), build)
 
     def solve(self, rhs: VectorField, trace: BoundaryTrace | None = None) -> VectorField:
-        b = flatten_interior(rhs)
-        if trace is not None:
-            b = b + self.c * _wall_rhs(self.grid, trace)
-        return unflatten_interior(self.grid, self.velocity_solve(b), trace)
-
-
-def _wall_rhs(grid: Grid, trace: BoundaryTrace) -> np.ndarray:
-    """RHS contribution of Dirichlet wall-normal data to K z = -Lap z."""
-    h2 = grid.h * grid.h
-    b = np.zeros(2 * grid.nx * (grid.nx - 1))
-    u, v = _split(grid, b)
-    u[0, :] = (-trace.left) / h2
-    u[-1, :] = trace.right / h2
-    v[:, 0] = (-trace.bottom) / h2
-    v[:, -1] = trace.top / h2
-    return b
+        grid = self.grid
+        if trace is None:
+            walls, u, v = None, np.zeros(grid.shape_u), np.zeros(grid.shape_v)
+        else:
+            walls = with_normal_trace(VectorField.zeros(grid), trace)
+            u, v = walls.u.copy(), walls.v.copy()
+        bu, bv = _interior_force(self.c, rhs, walls)
+        u[1:-1] = _diagonalized_solve(bu, *self._blocks[0])
+        v[:, 1:-1] = _diagonalized_solve(bv, *self._blocks[1])
+        return _adopt(VectorField, grid, u, v)
 
 
 def _check_compatibility(g: ScalarField, trace: BoundaryTrace) -> None:

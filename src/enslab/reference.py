@@ -72,12 +72,6 @@ class ForcingSpec:
         return f
 
 
-def _eval_forcing(forcing, grid: Grid, t: float) -> VectorField:
-    if forcing is None:
-        return VectorField.zeros(grid)
-    return forcing.evaluate(grid, t)
-
-
 def cfl_check(u: VectorField, dt: float) -> None:
     """Step-size guards of every stepper: dt > 0 (ValueError) and the
     advective limit dt <= h / (2 max |u|) (CFLError)."""
@@ -150,14 +144,15 @@ def step_nse_projection(u: VectorField, t: float, dt: float, nu: float,
     """
     cfl_check(u, dt)
     g = u.grid
+    forcing = ForcingSpec.zero() if forcing is None else forcing
     if order == 1:
         a = skew_advect(u, u)
-        f = _eval_forcing(forcing, g, t)
+        f = forcing.evaluate(g, t)
         w = NoslipHelmholtz(g, nu * dt).solve(u + (f - a) * dt)
         return leray_project(w)
     if order != 2:
         raise ValueError(f"unknown order {order!r} (expected 1 or 2)")
-    f_mid = _eval_forcing(forcing, g, t + 0.5 * dt)
+    f_mid = forcing.evaluate(g, t + 0.5 * dt)
     c = 0.5 * nu * dt
     lap_u = vector_laplacian(u, "noslip")
     a1 = f_mid - skew_advect(u, u)

@@ -1,7 +1,8 @@
 """Test oracles: assembled matrices, a dense saddle-point solve and closed forms.
 
-The package steps with matrix-free operators only.  The functions here build
-the same operators as explicit scipy matrices, solve the Stokes problem
+The package steps with matrix-free operators on the grid's own arrays.  The
+functions here stack the interior faces into one vector, build the same
+operators on it as explicit scipy matrices, solve the Stokes problem
 through one dense bordered system, evaluate the wall-relaxation Duhamel
 integral in closed form and by quadrature, extrapolate the divergence to the
 walls and fold the energy ledger over a whole history, so that the tests can
@@ -18,8 +19,51 @@ import scipy.sparse as sp
 
 from enslab.ens_jl import EnergyLedger
 from enslab.ens_sr import BoundaryNormalState, SRState
-from enslab.grid import BoundaryTrace, Grid, ScalarField, VectorField, divergence
-from enslab.linsolve import _check_compatibility, _tridiagonal, _wall_rhs, flatten_interior, unflatten_interior
+from enslab.grid import BoundaryTrace, Grid, ScalarField, VectorField, divergence, with_normal_trace
+from enslab.linsolve import _check_compatibility, _tridiagonal
+
+
+# ---------------------------------------------------------------------------
+# The interior-face vector: the u faces, then the v faces, wall faces dropped
+# ---------------------------------------------------------------------------
+
+def _split(grid: Grid, x: np.ndarray):
+    """Views of an interior-face vector as its u and v arrays."""
+    n_u = (grid.nx - 1) * grid.ny
+    return x[:n_u].reshape(grid.nx - 1, grid.ny), x[n_u:].reshape(grid.nx, grid.ny - 1)
+
+
+def flatten_interior(w: VectorField) -> np.ndarray:
+    """Stack the interior-face values (wall faces dropped) into one vector."""
+    return np.concatenate([w.u[1:-1, :].ravel(), w.v[:, 1:-1].ravel()])
+
+
+def unflatten_interior(grid: Grid, x: np.ndarray, trace: BoundaryTrace | None = None) -> VectorField:
+    """Rebuild a vector field from interior values; walls from trace or zero."""
+    u = np.zeros(grid.shape_u)
+    v = np.zeros(grid.shape_v)
+    u[1:-1, :], v[:, 1:-1] = _split(grid, x)
+    w = VectorField(grid, u, v)
+    return w if trace is None else with_normal_trace(w, trace)
+
+
+def wall_rhs(grid: Grid, trace: BoundaryTrace) -> np.ndarray:
+    """RHS contribution of Dirichlet wall-normal data to K z = -Lap z."""
+    h2 = grid.h * grid.h
+    b = np.zeros(2 * grid.nx * (grid.nx - 1))
+    u, v = _split(grid, b)
+    u[0, :] = (-trace.left) / h2
+    u[-1, :] = trace.right / h2
+    v[:, 0] = (-trace.bottom) / h2
+    v[:, -1] = trace.top / h2
+    return b
+
+
+def wall_faces(grid: Grid) -> np.ndarray:
+    """U: one row of interior-face indices per wall (bottom, top, left and
+    right), the tangential faces next to it."""
+    u, v = _split(grid, np.arange(2 * grid.nx * (grid.nx - 1)))
+    return np.stack([u[:, 0], u[:, -1], v[0, :], v[-1, :]])
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +125,7 @@ def dense_stokes_solve(g: ScalarField, boundary_velocity: BoundaryTrace | None =
     nc = grid.nx * grid.ny
     A = alpha * np.eye(nf) + c * noslip_viscous_matrix(grid).toarray()
     G = -divergence_matrix(grid).toarray().T
-    b = c * _wall_rhs(grid, trace)
+    b = c * wall_rhs(grid, trace)
     if f is not None:
         b = b + flatten_interior(f)
     fold = divergence(unflatten_interior(grid, np.zeros(nf), trace)).values.ravel()

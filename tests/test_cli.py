@@ -400,6 +400,12 @@ class TestStudies:
         assert "ratio_spread_within_10pct" in summary
         assert "overall PASS" in summary
 
+    def test_stability_rejects_the_galerkin_route(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "stability", GALERKIN_RUN)
+        assert code == 1
+        assert "route = galerkin" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 # Run in a fresh interpreter that refuses every scipy import: each case is
 # (command, config path, output directory); the exit codes and the scipy

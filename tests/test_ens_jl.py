@@ -15,12 +15,11 @@ from enslab.grid import (
     vector_laplacian,
 )
 from enslab.heat_oracle import DivergenceState, divergence_state, heat_step
-from enslab.linsolve import unflatten_interior
 from enslab.reference import ForcingSpec, step_nse_projection
 from enslab.scenarios import march
 from enslab.stokes_lift import lift_divergence, leray_project
 from enslab import ens_jl
-from oracles import fold_energy_ledger
+from oracles import fold_energy_ledger, unflatten_interior
 
 
 def vortex(grid, amplitude=1.0):

@@ -20,11 +20,10 @@ from enslab.grid import (
     vector_from_stream,
     vector_laplacian,
 )
-from enslab.linsolve import flatten_interior
 from enslab.stokes_lift import leray_project, lift_divergence
 from enslab import ens_jl, galerkin, linsolve
 from enslab.scenarios import march
-from oracles import curl_matrix, divergence_matrix, noslip_viscous_matrix
+from oracles import curl_matrix, divergence_matrix, flatten_interior, noslip_viscous_matrix
 
 
 def vortex(grid, amplitude=1.0):

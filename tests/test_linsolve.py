@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from enslab import linsolve
@@ -22,6 +22,7 @@ from enslab.grid import (
     laplacian_dirichlet,
     laplacian_neumann,
     mean,
+    normal_trace,
     scalar_norm,
     trace_integral,
     vector_from_stream,
@@ -32,12 +33,10 @@ from enslab.linsolve import (
     GeneralizedStokes,
     NeumannPoisson,
     NoslipHelmholtz,
-    flatten_interior,
     generalized_stokes,
     heat_solver,
     htilde_solver,
     neumann_poisson,
-    unflatten_interior,
 )
 from enslab.reference import poincare_constant
 from enslab.stokes_lift import leray_project
@@ -45,9 +44,13 @@ from oracles import (
     curl_matrix,
     dense_stokes_solve,
     divergence_matrix,
+    flatten_interior,
     laplacian_dirichlet_matrix,
     laplacian_neumann_matrix,
     noslip_viscous_matrix,
+    unflatten_interior,
+    wall_faces,
+    wall_rhs,
 )
 
 
@@ -124,10 +127,10 @@ class TestNeumannPoisson:
     def test_htilde_solver_roundtrip(self):
         g = Grid(16)
         rng = np.random.default_rng(10)
-        b = rng.standard_normal(g.nx * g.ny)
+        b = rng.standard_normal(g.shape_cell)
         x = htilde_solver(g)(b)
-        field = ScalarField(g, x.reshape(g.shape_cell))
-        back = x - laplacian_neumann(field).values.ravel()
+        field = ScalarField(g, x)
+        back = x - laplacian_neumann(field).values
         assert np.linalg.norm(back - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -184,7 +187,7 @@ class TestSeparableScalarSolves:
         b = np.random.default_rng(seed).standard_normal(n * n)
         A = sp.identity(n * n) - laplacian_neumann_matrix(g)
         ref = spla.spsolve(A.tocsc(), b)
-        assert rel_err(htilde_solver(g)(b), ref) <= 1e-12
+        assert rel_err(htilde_solver(g)(b.reshape(g.shape_cell)).ravel(), ref) <= 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(4, 32), seed=st.integers(0, 2 ** 32 - 1),
@@ -249,6 +252,26 @@ class TestNoslipHelmholtz:
         assert np.allclose(flatten_interior(x), y, atol=1e-10)
         assert np.allclose(x.u[0, :], -tr.left)
         assert np.allclose(x.v[:, -1], tr.top)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 32), alpha=st.sampled_from([0.0, 1.0, 2.0]),
+           c=st.one_of(st.just(0.0), st.floats(1e-5, 1.0)), walls=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_sparse_solve(self, n, alpha, c, walls, seed):
+        # (alpha I + c K) x = f + c (the wall data's force), with the wall
+        # faces of f ignored and those of the result set from the trace
+        assume(alpha + c > 0.0)
+        g = Grid(n)
+        rng = np.random.default_rng(seed)
+        f = random_field(g, rng, walls=True)
+        tr = BoundaryTrace(g, *(rng.standard_normal(n) for _ in range(4))) if walls else None
+        b = flatten_interior(f) + (c * wall_rhs(g, tr) if walls else 0.0)
+        A = alpha * sp.identity(b.size) + c * noslip_viscous_matrix(g)
+        x = spla.spsolve(A.tocsc(), b)
+        got = NoslipHelmholtz(g, c, alpha).solve(f, tr)
+        assert np.abs(flatten_interior(got) - x).max() <= 1e-12 * np.abs(x).max()
+        walls_ref = tr if walls else BoundaryTrace.zeros(g)
+        assert all(np.array_equal(w, r) for w, r in zip(normal_trace(got).arrays, walls_ref.arrays))
 
 
 def coscos(grid, k=1, m=1):
@@ -347,7 +370,7 @@ class TestStokesSolve:
         stokes = generalized_stokes(g, 0.0, 1.0)
         z, q, rep = stokes.solve(g=gsrc, trace=tr)
         terms = (flatten_interior(gradient(q)), flatten_interior(vector_laplacian(z, "noslip")),
-                 linsolve._wall_rhs(g, tr))
+                 wall_rhs(g, tr))
         mom = terms[0] - terms[1] - terms[2]
         assert np.linalg.norm(mom) <= 1e-12 * max(np.linalg.norm(t) for t in terms)
         fold = divergence(unflatten_interior(g, np.zeros(terms[2].size), tr)).values
@@ -376,22 +399,12 @@ def random_field(g, rng, walls=False):
 def count_u0_solves(stokes, monkeypatch):
     """Record each call of the no-slip velocity solve behind the residual's
     second scale."""
-    calls, real = [], stokes._noslip.velocity_solve
-    monkeypatch.setattr(stokes._noslip, "velocity_solve", lambda b: calls.append(b) or real(b))
+    calls, real = [], stokes._noslip.solve
+    monkeypatch.setattr(stokes._noslip, "solve", lambda *args: calls.append(args) or real(*args))
     return calls
 
 
 class TestGeneralizedStokes:
-    @pytest.mark.parametrize("alpha,c", [(0.0, 1.0), (1.0, 0.03), (2.0, 0.0)])
-    def test_velocity_block_matches_sparse_solve(self, alpha, c):
-        g = Grid(16)
-        rng = np.random.default_rng(20)
-        b = rng.standard_normal((g.nx - 1) * g.ny + g.nx * (g.ny - 1))
-        A = alpha * sp.identity(b.size) + c * noslip_viscous_matrix(g)
-        x = spla.spsolve(A.tocsc(), b)
-        got = NoslipHelmholtz(g, c, alpha).velocity_solve(b)
-        assert np.abs(got - x).max() <= 1e-12 * np.abs(x).max()
-
     @pytest.mark.parametrize("c", [1e-3, 0.05])
     def test_matches_dense_alpha_one_oracle(self, c):
         # (I + c PKP) x = P f with P the Euclidean projector onto ker D
@@ -456,7 +469,7 @@ class TestGeneralizedStokes:
         mom = x + c * (noslip_viscous_matrix(g) @ x) + flatten_interior(gradient(p)) - flatten_interior(f)
         assert np.linalg.norm(mom) <= 1e-12 * np.linalg.norm(flatten_interior(f))
         D = divergence_matrix(g)
-        div0 = D @ NoslipHelmholtz(g, c).velocity_solve(flatten_interior(f))
+        div0 = D @ flatten_interior(NoslipHelmholtz(g, c).solve(f))
         assert np.linalg.norm(D @ x) <= STOKES_TOL * np.linalg.norm(div0)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -513,7 +526,7 @@ def reflect_y(w):
 def dense_capacitance(g, alpha, c):
     """I + c w U^T T U from the assembled operators, T the free-slip solution operator."""
     m = g.nx - 1
-    U = np.eye(2 * g.nx * m)[:, linsolve._wall_faces(g).ravel()]
+    U = np.eye(2 * g.nx * m)[:, wall_faces(g).ravel()]
     w = 2.0 / (g.h * g.h)
     K_fs = noslip_viscous_matrix(g).toarray() - w * U @ U.T
     D = divergence_matrix(g).toarray()
@@ -557,14 +570,15 @@ class TestDirectStokes:
         g = Grid(n)
         r = np.random.default_rng(n).standard_normal((n - 1, 4))
         ref = np.linalg.solve(dense_capacitance(g, alpha, c), r.T.ravel())
-        got = GeneralizedStokes(g, alpha, c)._wall_solve(r)
+        stokes = GeneralizedStokes(g, alpha, c)
+        got = stokes._qn @ stokes._wall_modes_solve(stokes._qn.T @ r)
         assert np.abs(got.T.ravel() - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_holds_no_sparse_matrix_and_nothing_of_wall_order(self):
         n = 32
         stokes = GeneralizedStokes(Grid(n), 1.0, 1e-3)
-        qn, half, diag, blocks = stokes._capacitance
-        held = [qn, half, diag] + [a for block in blocks for a in block[2:]]
+        half, diag, blocks = stokes._capacitance
+        held = [half, diag] + [a for block in blocks for a in block[2:]]
         held += [v for v in vars(stokes).values() if isinstance(v, np.ndarray) or sp.issparse(v)]
         assert not any(sp.issparse(a) for a in held)
         assert max(np.size(a) for a in held) < (2 * (n - 1)) ** 2
