@@ -405,6 +405,16 @@ def count_u0_solves(stokes, monkeypatch):
 
 
 class TestGeneralizedStokes:
+    @pytest.mark.parametrize("alpha,c", [(0.0, 1.0), (1.0, 0.03), (2.0, 0.0)])
+    def test_velocity_block_matches_sparse_solve(self, alpha, c):
+        g = Grid(16)
+        rng = np.random.default_rng(20)
+        b = rng.standard_normal((g.nx - 1) * g.ny + g.nx * (g.ny - 1))
+        A = alpha * sp.identity(b.size) + c * noslip_viscous_matrix(g)
+        x = spla.spsolve(A.tocsc(), b)
+        got = flatten_interior(NoslipHelmholtz(g, c, alpha).solve(unflatten_interior(g, b)))
+        assert np.abs(got - x).max() <= 1e-12 * np.abs(x).max()
+
     @pytest.mark.parametrize("c", [1e-3, 0.05])
     def test_matches_dense_alpha_one_oracle(self, c):
         # (I + c PKP) x = P f with P the Euclidean projector onto ker D
