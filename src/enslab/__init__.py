@@ -10,6 +10,7 @@ stokes_lift  divergence lifting, orthogonal decomposition, Leray projection
 advection    skew-symmetric transport operator
 ens_jl       no-slip system: decomposition stepper and direct pressure stepper
 ens_sr       tangential-boundary system with boundary relaxation
+stokes_modes lowest eigenpairs of the Stokes operator, split by the square's symmetries
 galerkin     discrete eigenbasis of the projected Laplacian and its ODE system
 diagnostics  norms, margins, decay fits, convergence orders
 cli          configuration, run drivers, file formats

@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .advection import skew_advect
 from .diagnostics import (
     GAP_DECAY_TOL, NET_SOURCE_TOL, SOLVABILITY_TOL, WALL_FOLLOW_TOL, DiagnosticsRecord,
@@ -233,9 +235,16 @@ def _pressure_source(s: SRState, fa: VectorField):
     rhs[:, 0] -= (-bv[0] - cc) / h
     rhs[:, -1] -= (bv[1] - cc) / h
     rhs = _adopt(ScalarField, grid, rhs)
-    total = integral(rhs)
-    scale = max(1.0, scalar_norm(rhs))
-    if abs(total) > NET_SOURCE_TOL * scale:
+    # a non-finite net source is judged below, and so is an overflowed sum
+    # of squares: it is measured again on the source scaled by its largest entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = integral(rhs)
+        norm = scalar_norm(rhs)
+        if norm == math.inf:
+            top = float(np.abs(rhs.values).max())
+            norm = top * scalar_norm(_adopt(ScalarField, grid, rhs.values / top))
+    scale = max(1.0, norm)
+    if not math.isfinite(total) or abs(total) > NET_SOURCE_TOL * scale:
         raise CompatibilityError(
             f"pressure problem incompatible: net source {total:.3e} "
             "(compatibility constant mis-assembled)")

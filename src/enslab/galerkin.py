@@ -14,12 +14,15 @@ inherits the exact energy ledger of the full discretization.
 
 The subspace is exactly the range of the stream-function curl C, so the
 basis comes from the pencil (C^T K C, C^T C), a sine-diagonal plus a wall
-term (Bjorstad 1983) that the square's reflections split into parity blocks
-(Bossavit 1986), with no projector matrix, spectral shift or
-re-orthogonalization: the modes C psi / h are divergence-free by
-construction.  ``advect`` is a sum of products of advecting coefficients
-and centered differences, so each transport tensor is one contraction over
-the stacked modes.
+term (Bjorstad 1983), solved by ``stokes_modes`` in five symmetry blocks
+(Bossavit 1986): the x and y reflections give the parity blocks, and the
+x <-> y swap splits the (even, even) and (odd, odd) ones into symmetric and
+antisymmetric halves.  The modes C psi / h are divergence-free by
+construction.  Construction checks every mode's eigen-residual in one pass
+over the stacked modes, with the grid's and the Leray projection's own
+stencils and solve.  ``advect`` is a sum of products of advecting
+coefficients and centered differences, so each transport tensor is one
+contraction over the stacked modes.
 
 The transport form is invariant under the square's x and y reflections, and
 every mode is symmetric or antisymmetric under both: its reflection class
@@ -45,9 +48,10 @@ from .diagnostics import (
 )
 from .errors import CheckFailure, DimensionMismatchError
 from .fieldio import ensure_dir, read_vector, write_vector
-from .grid import Grid, VectorField, face_norm, vector_from_stream, vector_laplacian
-from .linsolve import _cached, _tridiagonal_eigh
-from .stokes_lift import leray_project
+from .grid import Grid, VectorField, _noslip_laplacian
+from .linsolve import _cached
+from .stokes_lift import _remove_gradient
+from .stokes_modes import lowest_modes
 
 __all__ = [
     "GalerkinBasis",
@@ -63,9 +67,10 @@ __all__ = [
     "galerkin_energy_ledger",
 ]
 
-# Largest grid of the basis build, whose eigensolves grow as N^6 (2 cores)
+# Largest grid of the basis build, whose eigensolves grow as N^6: measured
+# at 64 with one BLAS thread; at 128 scaled by the cubes of the block orders
 BASIS_GRID_MAX = 64
-BASIS_COST = "the eigensolves take ~0.7 s at grid 64 and ~22 s at grid 128"
+BASIS_COST = "the basis build takes ~0.45 s at grid 64 and would take ~12 s at grid 128"
 
 
 def _face_vector(grid: Grid, w: VectorField) -> np.ndarray:
@@ -108,6 +113,24 @@ def _reflection_classes(grid: Grid, stacked: np.ndarray) -> np.ndarray:
     return classes
 
 
+def _eigen_residuals(grid: Grid, stacked: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """||P K w_j - lam_j w_j|| of every stacked mode w_j, in one pass.
+
+    P and h^2 K are applied to the whole stack by the grid's and the Leray
+    projection's own array routines, and the residual is formed in their
+    output arrays: h^2 (P K w_j - lam_j w_j) = -(P h^2 Lap w_j + h^2 lam_j w_j).
+    """
+    h2 = grid.h * grid.h
+    u, v = _split(grid, stacked)
+    ru, rv = _noslip_laplacian(u, v)
+    _remove_gradient(grid, ru, rv)
+    scale = (h2 * lam)[:, None, None]
+    ru += scale * u
+    rv += scale * v
+    sq = np.einsum("jab,jab->j", ru, ru) + np.einsum("jab,jab->j", rv, rv)
+    return np.sqrt(sq) / grid.h
+
+
 @dataclass(frozen=True)
 class GalerkinBasis:
     """Lowest eigenpairs of the Stokes operator, L2-orthonormal; ``stacked``
@@ -146,12 +169,12 @@ class GalerkinBasis:
         parity = _reflection_classes(self.grid, stacked)
         parity.setflags(write=False)
         object.__setattr__(self, "parity", parity)
-        for j, w in enumerate(self.modes):
-            aw = leray_project(-vector_laplacian(w, "noslip"))
-            res = face_norm(aw - w * float(lam[j]))
-            if res > EIGEN_RESIDUAL_TOL * (1.0 + float(lam[j])):
-                raise CheckFailure(
-                    f"mode {j} eigen-residual {res:.3e} at eigenvalue {lam[j]:.6g}")
+        res = _eigen_residuals(self.grid, stacked, lam)
+        failed = np.flatnonzero(res > EIGEN_RESIDUAL_TOL * (1.0 + lam))
+        if failed.size:
+            j = int(failed[0])
+            raise CheckFailure(
+                f"mode {j} eigen-residual {res[j]:.3e} at eigenvalue {lam[j]:.6g}")
 
     @property
     def k(self) -> int:
@@ -180,54 +203,26 @@ class GalerkinState:
 
 
 def build_basis(grid: Grid, k: int) -> GalerkinBasis:
-    """Compute the k lowest eigenpairs of the Stokes operator.
+    """Compute the k lowest eigenpairs of the Stokes operator, cached by
+    grid and k.
 
-    In the node sine basis (1-D eigenpairs lam, q), B = C^T C is diagonal,
-    -(lam_k + lam_l), and C^T K C = B^2 + (2/h^4) (I x P + P x I), with
-    P = q_0 q_0^T + q_last q_last^T from K's wall term.  Three parity blocks
-    (even, even), (even, odd) and (odd, odd) of the scaled B^(-1/2) C^T K C
-    B^(-1/2) are solved; the (odd, even) modes are the x-y swaps of the
-    (even, odd) ones, with bit-identical eigenvalues.  A k that splits a twin
-    pair keeps the (even, odd) member: stream function even in x, odd in y.
-    Each block eigenvector's largest entry is made positive, so the modes'
+    ``stokes_modes.lowest_modes`` solves five symmetry blocks of the scaled
+    stream-function pencil: (even, even) swap-symmetric and antisymmetric,
+    (even, odd), and (odd, odd) swap-symmetric and antisymmetric.  The
+    (odd, even) modes are the x-y swaps of the (even, odd) ones, with
+    bit-identical eigenvalues; a k that splits such a twin pair keeps the
+    (even, odd) member.  Each eigenvector's largest entry in its parity
+    block's coordinates, the first on ties, is made positive, so the modes'
     signs do not depend on the LAPACK build.
     """
     if grid.nx > BASIS_GRID_MAX:
         raise ValueError(f"the Galerkin basis needs grid <= {BASIS_GRID_MAX}, got "
                          f"{grid.nx}: {BASIS_COST}")
-    n, h = grid.nx, grid.h
-    if not (1 <= k <= (n - 1) ** 2):
-        raise ValueError(f"k = {k} outside the divergence-free subspace dimension {(n - 1) ** 2}")
-
-    def build() -> GalerkinBasis:
-        lam, q = _tridiagonal_eigh(n, h, "node")
-        odd = np.abs(q[0] - q[-1]) > np.abs(q[0] + q[-1])
-        parity = (np.flatnonzero(~odd), np.flatnonzero(odd))
-        wall = np.outer(q[0], q[0]) + np.outer(q[-1], q[-1])
-        vals, psi = [], []
-        for a, b in ((0, 0), (0, 1), (1, 1)):
-            ix, iy = parity[a], parity[b]
-            d = -(lam[ix, None] + lam[iy]).ravel()
-            s = 1.0 / np.sqrt(d)
-            block = (np.kron(np.eye(ix.size), wall[np.ix_(iy, iy)])
-                     + np.kron(wall[np.ix_(ix, ix)], np.eye(iy.size)))
-            block *= (2.0 / h ** 4) * np.outer(s, s)
-            block[np.diag_indices_from(block)] += d
-            mu, y = np.linalg.eigh(block)
-            y = y[:, :k]
-            # eigh fixes no signs: the largest entry (the first on ties) is positive
-            y = y * np.sign(y[np.argmax(np.abs(y), axis=0), np.arange(y.shape[1])])
-            coeffs = (s[:, None] * y).T.reshape(-1, ix.size, iy.size)
-            vals.append(mu[:k])
-            psi.append(q[:, ix] @ coeffs @ q[:, iy].T)
-            if a != b:  # the swapped twins, (odd, even)
-                vals.append(mu[:k])
-                psi.append(psi[-1].transpose(0, 2, 1))
-        order = np.argsort(np.concatenate(vals), kind="stable")[:k]
-        nodes = np.pad(np.concatenate(psi)[order], ((0, 0), (1, 1), (1, 1))) / h
-        return GalerkinBasis(grid, np.concatenate(vals)[order],
-                             tuple(vector_from_stream(grid, p) for p in nodes))
-    return _cached(("galerkin_basis", grid.nx, grid.ny, k), build)
+    dim = (grid.nx - 1) ** 2
+    if not (1 <= k <= dim):
+        raise ValueError(f"k = {k} outside the divergence-free subspace dimension {dim}")
+    return _cached(("galerkin_basis", grid.nx, grid.ny, k),
+                   lambda: GalerkinBasis(grid, *lowest_modes(grid, k)))
 
 
 def save_basis(basis: GalerkinBasis, directory: str) -> None:
@@ -292,11 +287,16 @@ def _transport(grid: Grid, ws, bs, cs, blocks=None) -> np.ndarray:
         # one product per advecting field keeps the workspace at one stack
         return h2 * np.stack([(d * ar) @ c.T for ar in a])
     out = np.zeros((a.shape[0], d.shape[0], c.shape[0]))
+    # one workspace, sized for the largest pair of classes, holds each product
+    m = c.shape[1]
+    work = np.empty(max(r.size for r in blocks) ** 2 * m)
     for cr, r in enumerate(blocks):
         for cb, s in enumerate(blocks):
             j = blocks[3 ^ cr ^ cb]
-            prod = (a[r, None, :] * d[None, s, :]).reshape(r.size * s.size, c.shape[1])
-            out[np.ix_(r, s, j)] = h2 * (prod @ c[j].T).reshape(r.size, s.size, j.size)
+            prod = work[:r.size * s.size * m].reshape(r.size, s.size, m)
+            np.multiply(a[r, None, :], d[None, s, :], out=prod)
+            out[np.ix_(r, s, j)] = h2 * (prod.reshape(r.size * s.size, m) @ c[j].T).reshape(
+                r.size, s.size, j.size)
     return out
 
 

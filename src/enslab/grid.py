@@ -270,9 +270,12 @@ def _same_grid(a: Grid, b: Grid) -> None:
 
 def divergence(w: VectorField) -> ScalarField:
     """Flux-form divergence per cell: includes wall-face contributions."""
-    g = w.grid
-    d = (w.u[1:, :] - w.u[:-1, :] + w.v[:, 1:] - w.v[:, :-1]) / g.h
-    return _adopt(ScalarField, g, d)
+    return _adopt(ScalarField, w.grid, _divergence_values(w.u, w.v, w.grid.h))
+
+
+def _divergence_values(u: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
+    """Cell divergence of face arrays; leading stack axes are kept."""
+    return (u[..., 1:, :] - u[..., :-1, :] + v[..., :, 1:] - v[..., :, :-1]) / h
 
 
 def gradient(p: ScalarField) -> VectorField:
@@ -322,37 +325,46 @@ def laplacian_dirichlet(p: ScalarField) -> ScalarField:
 
 
 def _odd_difference(a: np.ndarray) -> np.ndarray:
-    """Second difference along axis 1 with the odd ghost at both ends."""
+    """Second difference along the last axis with the odd ghost at both ends;
+    leading axes are kept."""
     d = np.empty(a.shape)
-    d[:, 1:-1] = a[:, 2:] - 2.0 * a[:, 1:-1] + a[:, :-2]
-    d[:, 0] = a[:, 1] - 3.0 * a[:, 0]
-    d[:, -1] = a[:, -2] - 3.0 * a[:, -1]
+    d[..., 1:-1] = a[..., 2:] - 2.0 * a[..., 1:-1] + a[..., :-2]
+    d[..., 0] = a[..., 1] - 3.0 * a[..., 0]
+    d[..., -1] = a[..., -2] - 3.0 * a[..., -1]
     return d
 
 
 def _tangential_wall_rows(a: np.ndarray) -> np.ndarray:
     """Rows 0 and -1 of h^2 times the tangential Laplacian of one component.
 
-    Axis 0 of a runs along the component's normal (u, or v.T): its end rows
-    are the wall-normal faces, closed with the even ghost across the wall;
-    along axis 1 the tangential value vanishes at the walls (odd ghost).
+    Axis -2 of a runs along the component's normal (u, or v with its last
+    two axes swapped): its end rows are the wall-normal faces, closed with
+    the even ghost across the wall; along axis -1 the tangential value
+    vanishes at the walls (odd ghost).  Leading axes are kept.
     """
-    ends = a[[0, -1]]
-    return 2.0 * (a[[1, -2]] - ends) + _odd_difference(ends)
+    ends = a[..., [0, -1], :]
+    return 2.0 * (a[..., [1, -2], :] - ends) + _odd_difference(ends)
 
 
 def _tangential_laplacian(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """h^2 times the "tangential" closure of the Laplacian on face arrays.
+    """h^2 times the "tangential" closure of the Laplacian on face arrays,
+    over their last two axes; leading stack axes are kept.
 
     Tangential components use the odd ghost; wall-normal faces are unknowns
     closed with the even ghost across the wall.
     """
     lu = np.empty(u.shape)
     lv = np.empty(v.shape)
-    # each component is written through a view whose axis 0 is its normal
-    for a, lap in ((u, lu), (v.T, lv.T)):
-        lap[1:-1] = a[2:] - 2.0 * a[1:-1] + a[:-2] + _odd_difference(a[1:-1])
-        lap[[0, -1]] = _tangential_wall_rows(a)
+    # each component is written through a view whose axis -2 is its normal
+    for a, lap in ((u, lu), (v.swapaxes(-1, -2), lv.swapaxes(-1, -2))):
+        # a[2:] - 2 a[1:-1] + a[:-2] + the odd difference, in this order,
+        # formed in the output
+        inner = lap[..., 1:-1, :]
+        np.multiply(a[..., 1:-1, :], 2.0, out=inner)
+        np.subtract(a[..., 2:, :], inner, out=inner)
+        inner += a[..., :-2, :]
+        inner += _odd_difference(a[..., 1:-1, :])
+        lap[..., [0, -1], :] = _tangential_wall_rows(a)
     return lu, lv
 
 
@@ -369,17 +381,22 @@ def vector_laplacian(w: VectorField, bc: str) -> VectorField:
     """
     if bc not in ("noslip", "tangential"):
         raise ValueError(f"unknown bc {bc!r}; expected 'noslip' or 'tangential'")
-    u, v = w.u, w.v
-    if bc == "noslip":
-        u, v = u.copy(), v.copy()
-        u[[0, -1], :] = 0.0
-        v[:, [0, -1]] = 0.0
-    lu, lv = _tangential_laplacian(u, v)
-    if bc == "noslip":
-        lu[[0, -1], :] = 0.0
-        lv[:, [0, -1]] = 0.0
+    closure = _noslip_laplacian if bc == "noslip" else _tangential_laplacian
+    lu, lv = closure(w.u, w.v)
     h2 = w.grid.h * w.grid.h
     return _adopt(VectorField, w.grid, lu / h2, lv / h2)
+
+
+def _noslip_laplacian(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h^2 times the "noslip" closure of the Laplacian on face arrays, over
+    their last two axes; leading stack axes are kept."""
+    u, v = u.copy(), v.copy()
+    u[..., [0, -1], :] = 0.0
+    v[..., :, [0, -1]] = 0.0
+    lu, lv = _tangential_laplacian(u, v)
+    lu[..., [0, -1], :] = 0.0
+    lv[..., :, [0, -1]] = 0.0
+    return lu, lv
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +530,10 @@ def vector_from_stream(grid: Grid, psi: np.ndarray) -> VectorField:
     psi = np.asarray(psi, dtype=np.float64)
     if psi.shape != (grid.nx + 1, grid.ny + 1):
         raise DimensionMismatchError(f"stream function: expected {(grid.nx + 1, grid.ny + 1)}, got {psi.shape}")
-    u = (psi[:, 1:] - psi[:, :-1]) / grid.h
-    v = -(psi[1:, :] - psi[:-1, :]) / grid.h
-    return VectorField(grid, u, v)
+    return VectorField(grid, *_curl_values(psi, grid.h))
+
+
+def _curl_values(psi: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The face arrays of the discrete curl of node stream functions; leading
+    stack axes are kept."""
+    return (psi[..., :, 1:] - psi[..., :, :-1]) / h, -(psi[..., 1:, :] - psi[..., :-1, :]) / h

@@ -123,7 +123,7 @@ def _separable_eigenbasis(grid: Grid, kind_x: str, kind_y: str | None = None):
 def _diagonalized_solve(b: np.ndarray, qx: np.ndarray, qy: np.ndarray,
                         mult: np.ndarray) -> np.ndarray:
     """Apply a separable operator, given by its eigenbases and multiplier, to
-    the 2-D array b."""
+    the last two axes of b."""
     return qx @ ((qx.T @ b @ qy) * mult) @ qy.T
 
 
@@ -143,8 +143,10 @@ class NeumannPoisson:
         self._block = (qx, qy, 1.0 / lam)
 
     def solve_values(self, rhs: np.ndarray) -> np.ndarray:
-        x = _diagonalized_solve(rhs - rhs.mean(), *self._block)
-        x -= x.mean()
+        """The solve on cell arrays; leading stack axes are kept.  On a 2-D
+        array the means reduce over all axes, as rhs.mean() does."""
+        x = _diagonalized_solve(rhs - rhs.mean(axis=(-2, -1), keepdims=True), *self._block)
+        x -= x.mean(axis=(-2, -1), keepdims=True)
         return x
 
     def solve(self, rhs: ScalarField) -> ScalarField:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import EnslabError
 from .grid import (
     BoundaryTrace,
     Grid,
@@ -210,9 +211,14 @@ def march(step, state, dt: float, nsteps: int):
 
     Only the current state is held, so a consumer that folds the states as
     they come runs in memory independent of nsteps; list(march(...)) gives
-    the whole history.
+    the whole history.  An EnslabError raised in step k (counted from 1) is
+    raised again as the same class, its message prefixed with
+    "step k, t = <the time the step starts from>: ".
     """
     yield state
-    for _ in range(nsteps):
-        state = step(state, dt)
+    for k in range(1, nsteps + 1):
+        try:
+            state = step(state, dt)
+        except EnslabError as exc:
+            raise type(exc)(f"step {k}, t = {state.time:.6g}: {exc}") from exc
         yield state

@@ -28,12 +28,13 @@ from .diagnostics import (
 from .errors import CheckFailure, CompatibilityError
 from .grid import (
     BoundaryTrace,
+    Grid,
     ScalarField,
     VectorField,
+    _divergence_values,
     divergence,
     face_norm,
     grad_inner,
-    gradient,
     normal_trace,
     scalar_norm,
     with_normal_trace,
@@ -186,10 +187,18 @@ def leray_project(u: VectorField) -> VectorField:
     """
     g = u.grid
     interior = with_normal_trace(u, BoundaryTrace.zeros(g))
-    rhs = divergence(interior)
-    phi = neumann_poisson(g).solve(rhs)
-    gp = gradient(phi)
-    return VectorField(g, interior.u - gp.u, interior.v - gp.v)
+    pu, pv = interior.u.copy(), interior.v.copy()
+    _remove_gradient(g, pu, pv)
+    return VectorField(g, pu, pv)
+
+
+def _remove_gradient(grid: Grid, u: np.ndarray, v: np.ndarray) -> None:
+    """The Leray projection of face arrays whose wall-normal faces are zero,
+    in place: subtract the gradient of the zero-flux potential of their
+    divergence.  Leading stack axes are kept."""
+    phi = neumann_poisson(grid).solve_values(_divergence_values(u, v, grid.h))
+    u[..., 1:-1, :] -= np.diff(phi, axis=-2) / grid.h
+    v[..., :, 1:-1] -= np.diff(phi, axis=-1) / grid.h
 
 
 def lift_divergence(g: ScalarField):

@@ -19,8 +19,12 @@ import scipy.sparse as sp
 
 from enslab.ens_jl import EnergyLedger
 from enslab.ens_sr import BoundaryNormalState, SRState
-from enslab.grid import BoundaryTrace, Grid, ScalarField, VectorField, divergence, with_normal_trace
-from enslab.linsolve import _check_compatibility, _tridiagonal
+from enslab.grid import (
+    BoundaryTrace, Grid, ScalarField, VectorField, divergence, face_norm, vector_laplacian,
+    with_normal_trace,
+)
+from enslab.linsolve import _check_compatibility, _tridiagonal, _tridiagonal_eigh
+from enslab.stokes_lift import leray_project
 
 
 # ---------------------------------------------------------------------------
@@ -230,3 +234,48 @@ def fold_energy_ledger(history):
     for s in history:
         ledger.add(s)
     return ledger.record()
+
+
+# ---------------------------------------------------------------------------
+# The Galerkin basis, one parity block at a time, checked mode by mode
+# ---------------------------------------------------------------------------
+
+def parity_block_basis(grid: Grid, k: int):
+    """The k lowest eigenvalues and stream functions of the scaled pencil of
+    ``galerkin.build_basis``, from three dense parity blocks (even, even),
+    (even, odd) and (odd, odd), assembled with Kronecker products and solved
+    whole; the (odd, even) modes are the swaps of the (even, odd) ones.
+    Returns (lam, nodes): nodes are the stream functions on all nodes,
+    divided by h, signed as ``build_basis`` signs them."""
+    n, h = grid.nx, grid.h
+    lam, q = _tridiagonal_eigh(n, h, "node")
+    odd = np.abs(q[0] - q[-1]) > np.abs(q[0] + q[-1])
+    parity = (np.flatnonzero(~odd), np.flatnonzero(odd))
+    wall = np.outer(q[0], q[0]) + np.outer(q[-1], q[-1])
+    vals, psi = [], []
+    for a, b in ((0, 0), (0, 1), (1, 1)):
+        ix, iy = parity[a], parity[b]
+        d = -(lam[ix, None] + lam[iy]).ravel()
+        s = 1.0 / np.sqrt(d)
+        block = (np.kron(np.eye(ix.size), wall[np.ix_(iy, iy)])
+                 + np.kron(wall[np.ix_(ix, ix)], np.eye(iy.size)))
+        block *= (2.0 / h ** 4) * np.outer(s, s)
+        block[np.diag_indices_from(block)] += d
+        mu, y = np.linalg.eigh(block)
+        y = y[:, :k]
+        y = y * np.sign(y[np.argmax(np.abs(y), axis=0), np.arange(y.shape[1])])
+        coeffs = (s[:, None] * y).T.reshape(-1, ix.size, iy.size)
+        vals.append(mu[:k])
+        psi.append(q[:, ix] @ coeffs @ q[:, iy].T)
+        if a != b:
+            vals.append(mu[:k])
+            psi.append(psi[-1].transpose(0, 2, 1))
+    order = np.argsort(np.concatenate(vals), kind="stable")[:k]
+    nodes = np.pad(np.concatenate(psi)[order], ((0, 0), (1, 1), (1, 1))) / h
+    return np.concatenate(vals)[order], nodes
+
+
+def eigen_residual_loop(modes, lam) -> np.ndarray:
+    """||P K w_j - lam_j w_j|| of each mode, one field operation at a time."""
+    return np.array([face_norm(leray_project(-vector_laplacian(w, "noslip")) - w * float(mu))
+                     for w, mu in zip(modes, lam)])

@@ -170,6 +170,27 @@ class TestExitCodes:
             [n * 2e-3 for n in range(step)])
         assert "overall FAIL" in open(os.path.join(out, "summary.txt")).read()
 
+    @pytest.mark.parametrize("text, error, message", [
+        # lambda times the round-off of int div u of the vortex, left in the
+        # wall data, is a net source of order one against the source's norm
+        (SR_RUN.replace("lambda = 2.0", "lambda = 1e300").replace("eigenmode_div", "vortex")
+         + "route = direct\n", "CompatibilityError", "pressure problem incompatible"),
+        (JL_RUN.replace("nu = 0.1", "nu = 1e300") + "route = direct\n",
+         "SolverError", "generalized Stokes solve: non-finite data"),
+        (JL_RUN + "route = direct\nforcing_amplitude = 1e308\n",
+         "SolverError", "generalized Stokes solve: non-finite data"),
+    ], ids=["sr-direct-huge-lambda", "jl-direct-huge-nu", "jl-direct-huge-forcing"])
+    def test_overflowing_data_exit_two_naming_the_step(self, tmp_path, capsys, text, error,
+                                                       message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run_cli(tmp_path, "run", text)
+        assert code == 2
+        assert not [(w.filename, w.lineno, str(w.message)) for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith(f"solver error ({error}): step 1, t = 0: {message}")
+
     def test_usage_errors_exit_one(self):
         with pytest.raises(SystemExit) as exc:
             main([])

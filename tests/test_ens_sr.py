@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -423,6 +424,30 @@ class TestPressureSource:
         assert scalar_norm(rhs - ref) <= 1e-13 * scalar_norm(ref)
         assert abs(total - ref_total) <= 1e-13 * scale
         assert scale == max(1.0, scalar_norm(rhs))
+
+    @pytest.mark.parametrize("n", [4, 7, 16])
+    def test_overflowing_sum_of_squares_gives_a_finite_scale(self, n):
+        # entries near 1e200 square past the float range; the scale is still
+        # the norm of the source, with no numpy warning on the way
+        g = Grid(n)
+        rng = np.random.default_rng(n)
+        s = sr_state(random_vector(g, rng), 1.5, 0.03, decomposed=False)
+        fa = random_vector(g, rng) * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rhs, _, total, scale = ens_sr._pressure_source(s, fa)
+        assert scale == pytest.approx(g.h * math.hypot(*rhs.values.ravel()), rel=1e-13)
+        assert abs(total) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("cc", [math.inf, math.nan])
+    def test_non_finite_net_source_is_incompatible(self, cc, monkeypatch):
+        g = Grid(16)
+        s = sr_state(vortex(g), 1.0, 0.02, decomposed=False)
+        monkeypatch.setattr(ens_sr, "compat_constant", lambda gs, lam: cc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(CompatibilityError, match="net source"):
+                ens_sr._pressure_source(s, VectorField.zeros(g))
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_off_constant_is_detected_with_wall_flux_and_forcing(self, n, monkeypatch):

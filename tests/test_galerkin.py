@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enslab.advection import advect, trilinear
 from enslab.errors import CheckFailure
@@ -21,9 +23,13 @@ from enslab.grid import (
     vector_laplacian,
 )
 from enslab.stokes_lift import leray_project, lift_divergence
+from enslab.stokes_modes import lowest_modes
 from enslab import ens_jl, galerkin, linsolve
 from enslab.scenarios import march
-from oracles import curl_matrix, divergence_matrix, flatten_interior, noslip_viscous_matrix
+from oracles import (
+    curl_matrix, divergence_matrix, eigen_residual_loop, flatten_interior, noslip_viscous_matrix,
+    parity_block_basis,
+)
 
 
 def vortex(grid, amplitude=1.0):
@@ -102,6 +108,14 @@ class TestBasisConstruction:
         lam = basis.lam.copy()
         lam[3] *= 1.001
         with pytest.raises(CheckFailure, match="mode 3 eigen-residual"):
+            galerkin.GalerkinBasis(basis.grid, lam, basis.modes)
+
+    def test_first_of_two_wrong_eigenvalues_is_named(self):
+        basis = galerkin.build_basis(Grid(16), 8)
+        lam = basis.lam.copy()
+        lam[[2, 5]] *= 1.001
+        assert np.all(np.diff(lam) >= 0.0)
+        with pytest.raises(CheckFailure, match="^mode 2 eigen-residual"):
             galerkin.GalerkinBasis(basis.grid, lam, basis.modes)
 
     def test_reflection_classes_of_the_parity_blocks(self):
@@ -241,6 +255,57 @@ class TestParityBlocksAgainstDensePencil:
         assert peak <= bound
 
 
+class TestSwapSplitAgainstParityBlocks:
+    # oracles.parity_block_basis solves the (even, even) and (odd, odd) blocks
+    # whole, with no x <-> y swap split, and checks each mode's residual with
+    # its own field operations.  A round-off change of a matrix of order m
+    # moves an eigenvector by up to ~ m eps lam_max / gap (Davis-Kahan),
+    # where gap is the distance to the nearest other eigenvalue: the modes
+    # are held to 1e-12, or to 1e-14 lam_max / gap where that neighbour lies
+    # within 1e-2 lam_max (the worst seen over n = 4...24 is 1.0e-15).
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.integers(4, 24), data=st.data())
+    def test_matches_the_unsplit_blocks(self, n, data):
+        grid = Grid(n)
+        dim = (n - 1) ** 2
+        k = data.draw(st.integers(1, dim), label="k")
+        basis = galerkin.GalerkinBasis(grid, *lowest_modes(grid, k))  # uncached
+        spectrum, nodes = parity_block_basis(grid, dim)
+        lam = spectrum[:k]
+        assert np.abs(basis.lam - lam).max() <= 1e-12 * lam.max()
+        oracle = galerkin.GalerkinBasis(grid, lam, [vector_from_stream(grid, p) for p in nodes[:k]])
+        assert np.array_equal(basis.parity, oracle.parity)
+        sign = np.sign(np.einsum("ij,ij->i", basis.stacked, oracle.stacked))
+        moved = grid.h * np.linalg.norm(basis.stacked - sign[:, None] * oracle.stacked, axis=1)
+        gap = np.array([np.abs(spectrum[spectrum != mu] - mu).min() for mu in lam])
+        assert np.all(moved <= 1e-12 * np.maximum(1.0, 1e-2 * spectrum.max() / gap))
+        # the stacked residuals against the loop, at the basis's own
+        # eigenvalues (round-off) and at shifted ones (~1e-3 lam each)
+        stacked = galerkin._eigen_residuals(grid, basis.stacked, basis.lam)
+        loop = eigen_residual_loop(basis.modes, basis.lam)
+        assert np.all(np.abs(stacked - loop) <= 1e-12 * (1.0 + basis.lam))
+        shifted = basis.lam * (1.0 + 1e-3)
+        stacked = galerkin._eigen_residuals(grid, basis.stacked, shifted)
+        loop = eigen_residual_loop(basis.modes, shifted)
+        assert np.all(np.abs(stacked - loop) <= 1e-12 * loop)
+
+    @pytest.mark.parametrize("n", [4, 7, 8, 16])
+    def test_same_parity_modes_are_swap_symmetric_or_antisymmetric(self, n):
+        # the swap of x and y takes (u, v) to (-v^T, -u^T); a block of one
+        # parity class holds m (m + 1) / 2 symmetric and m (m - 1) / 2
+        # antisymmetric modes, m the size of its 1-D index set
+        basis = galerkin.build_basis(Grid(n), (n - 1) ** 2)
+        for cls, m in ((0, n // 2), (3, (n - 1) // 2)):
+            kinds = []
+            for j in np.flatnonzero(basis.parity == cls):
+                w = basis.modes[j]
+                scale = max(np.abs(w.u).max(), np.abs(w.v).max())
+                sym, anti = np.abs(w.u + w.v.T).max(), np.abs(w.u - w.v.T).max()
+                assert min(sym, anti) <= 1e-12 * scale, j
+                kinds.append(sym < anti)
+            assert (sum(kinds), len(kinds) - sum(kinds)) == (m * (m + 1) // 2, m * (m - 1) // 2)
+
+
 class TestBasisCache:
     def test_round_trip_is_bitwise(self, tmp_path):
         basis = galerkin.build_basis(Grid(16), 8)
@@ -256,6 +321,15 @@ class TestBasisCache:
         small = galerkin.load_basis(str(tmp_path), 3)
         assert small.k == 3
         assert np.array_equal(small.lam, basis.lam[:3])
+
+    def test_tampered_eigenvalues_name_the_first_wrong_mode(self, tmp_path):
+        basis = galerkin.build_basis(Grid(16), 8)
+        galerkin.save_basis(basis, str(tmp_path))
+        lam = basis.lam.copy()
+        lam[[2, 5]] *= 1.001
+        (tmp_path / "lambda.txt").write_text("".join(f"{x:.17g}\n" for x in lam))
+        with pytest.raises(CheckFailure, match="^mode 2 eigen-residual"):
+            galerkin.load_basis(str(tmp_path))
 
     def test_load_more_than_cached_rejected(self, tmp_path):
         basis = galerkin.build_basis(Grid(16), 4)

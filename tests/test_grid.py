@@ -10,6 +10,9 @@ from enslab.errors import DimensionMismatchError
 from enslab.grid import (
     BoundaryTrace,
     Grid,
+    _divergence_values,
+    _noslip_laplacian,
+    _tangential_laplacian,
     ScalarField,
     VectorField,
     divergence,
@@ -365,6 +368,25 @@ class TestVectorLaplacianClosures:
         lv[:, [0, -1]] = 0.0
         ln = vector_laplacian(w, "noslip")
         assert np.array_equal(ln.u, lu) and np.array_equal(ln.v, lv)
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(4, 32), m=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_stacked_stencils_give_each_field_its_own_result(self, n, m, seed):
+        # the stencils act on the last two axes, entry by entry, so a stack
+        # of fields gives each field's result bit for bit
+        g = Grid(n)
+        rng = np.random.default_rng(seed)
+        fields = [random_vector(g, rng, zero_walls=False) for _ in range(m)]
+        u, v = np.stack([w.u for w in fields]), np.stack([w.v for w in fields])
+        h2 = g.h * g.h
+        for bc, closure in (("noslip", _noslip_laplacian), ("tangential", _tangential_laplacian)):
+            lu, lv = closure(u, v)
+            for j, w in enumerate(fields):
+                lap = vector_laplacian(w, bc)
+                assert np.array_equal(lu[j] / h2, lap.u) and np.array_equal(lv[j] / h2, lap.v)
+        div = _divergence_values(u, v, g.h)
+        for j, w in enumerate(fields):
+            assert np.array_equal(div[j], divergence(w).values)
 
 
 class TestNormsAndTraces:

@@ -124,6 +124,29 @@ class TestNeumannPoisson:
         g = Grid(8)
         assert neumann_poisson(g) is neumann_poisson(Grid(8))
 
+    @pytest.mark.parametrize("n", [4, 7, 32])
+    def test_field_solve_deflates_by_whole_array_means(self, n):
+        # a 2-D array, in any memory layout, is deflated by its mean over all
+        # entries before and after the transform
+        g = Grid(n)
+        solver = neumann_poisson(g)
+        rng = np.random.default_rng(n)
+        for rhs in (rng.standard_normal(g.shape_cell) + 3.0, rng.standard_normal(g.shape_cell).T):
+            ref = linsolve._diagonalized_solve(rhs - rhs.mean(), *solver._block)
+            ref -= ref.mean()
+            assert np.array_equal(solver.solve_values(rhs), ref)
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(4, 32), m=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_stacked_solve_equals_each_solve(self, n, m, seed):
+        g = Grid(n)
+        solver = neumann_poisson(g)
+        rhs = np.random.default_rng(seed).standard_normal((m,) + g.shape_cell) + 3.0
+        stacked = solver.solve_values(rhs)
+        for j in range(m):
+            single = solver.solve_values(rhs[j])
+            assert np.abs(stacked[j] - single).max() <= 1e-14 * np.abs(single).max()
+
     def test_htilde_solver_roundtrip(self):
         g = Grid(16)
         rng = np.random.default_rng(10)
@@ -549,7 +572,7 @@ class TestDirectStokes:
     # The free-slip solve with the wall capacitance correction against the
     # bordered dense oracle, the square's symmetries and the dense capacitance.
     @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(4, 16), alpha=st.sampled_from([0.0, 1.0]), c=st.floats(1e-5, 1.0),
+    @given(n=st.integers(4, 16), alpha=st.sampled_from([0.0, 1.0, 2.0]), c=st.floats(1e-5, 1.0),
            walls=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_dense_oracle(self, n, alpha, c, walls, seed):
         g = Grid(n)
@@ -562,7 +585,7 @@ class TestDirectStokes:
         assert rep.residual <= STOKES_TOL
 
     @settings(max_examples=20, deadline=None)
-    @given(n=st.integers(4, 16), alpha=st.sampled_from([0.0, 1.0]), c=st.floats(1e-5, 1.0),
+    @given(n=st.integers(4, 16), alpha=st.sampled_from([0.0, 1.0, 2.0]), c=st.floats(1e-5, 1.0),
            seed=st.integers(0, 2 ** 32 - 1), reflect=st.sampled_from([reflect_x, reflect_y]))
     def test_reflected_data_give_reflected_solution(self, n, alpha, c, seed, reflect):
         g = Grid(n)

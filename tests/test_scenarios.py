@@ -1,8 +1,11 @@
 """Initial-condition and forcing presets."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from enslab.errors import CFLError, CheckFailure, SolverError
 from enslab.grid import (
     Grid,
     divergence,
@@ -44,6 +47,27 @@ class TestMarch:
         states = march(step, 0, 1.0, 5)
         assert next(states) == 0 and calls == []
         assert next(states) == 1 and calls == [0]
+
+    @pytest.mark.parametrize("error", [CFLError, CheckFailure, SolverError])
+    def test_step_error_names_the_step_and_its_start_time(self, error):
+        def step(s, dt):
+            if s.time >= 0.2:
+                raise error("dt too large")
+            return SimpleNamespace(time=s.time + dt)
+
+        states = march(step, SimpleNamespace(time=0.0), 0.1, 5)
+        assert [next(states).time for _ in range(3)] == pytest.approx([0.0, 0.1, 0.2])
+        with pytest.raises(error, match=r"^step 3, t = 0\.2: dt too large$") as caught:
+            next(states)
+        assert type(caught.value) is error
+        assert type(caught.value.__cause__) is error
+
+    def test_other_errors_pass_unchanged(self):
+        def step(s, dt):
+            raise ValueError("not a package error")
+
+        with pytest.raises(ValueError, match="^not a package error$"):
+            list(march(step, SimpleNamespace(time=0.0), 0.1, 2))
 
 
 class TestRegistry:

@@ -25,6 +25,7 @@ from enslab.grid import (
 )
 from enslab.stokes_lift import (
     Decomposition,
+    _remove_gradient,
     check_weak_lifting_bound,
     decompose,
     leray_project,
@@ -88,6 +89,18 @@ class TestLerayProjection:
         assert np.all(pw.u[0, :] == 0.0) and np.all(pw.u[-1, :] == 0.0)
         assert np.all(pw.v[:, 0] == 0.0) and np.all(pw.v[:, -1] == 0.0)
         assert scalar_norm(divergence(pw)) <= 1e-10 * max(1.0, face_norm(w) / g.h)
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(4, 32), m=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_stacked_projection_equals_each_projection(self, n, m, seed):
+        g = Grid(n)
+        rng = np.random.default_rng(seed)
+        fields = [random_zero_wall_vector(g, rng) for _ in range(m)]
+        u, v = np.stack([w.u for w in fields]), np.stack([w.v for w in fields])
+        _remove_gradient(g, u, v)
+        for j, w in enumerate(fields):
+            pw = leray_project(w)
+            assert max(np.abs(u[j] - pw.u).max(), np.abs(v[j] - pw.v).max()) <= 1e-14 * pw.max_abs()
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(4, 32), seed=st.integers(0, 2 ** 32 - 1))
