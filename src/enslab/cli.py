@@ -3,7 +3,8 @@
 Every subcommand reads one config file, writes artifacts under the output
 directory (per-step CSV, final field dumps, a margin summary), and maps
 failures to exit codes: 1 config, 2 solver (including step-size guards),
-3 check failure.  A check failure still writes whatever artifacts exist.
+3 check failure.  A check failure still writes whatever artifacts exist; a
+run ended by a solver error writes a failing summary and no other artifact.
 
 Field runs step through scenarios.march and fold each state as it comes
 into diagnostics rows and the energy ledger, so only the current state (and
@@ -14,6 +15,7 @@ another; compare steps its two routes in lockstep in one thread.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -76,9 +78,9 @@ def _field_metrics(cfg: Config, state) -> dict:
     if cfg.system == "jl":
         m["u_h1_semi"] = math.sqrt(max(grad_inner(u, u), 0.0))
     else:
-        m["wall_gap_linf"] = state.h.trace.blend(1.0, normal_trace(u), -1.0).max_abs()
+        m["wall_gap_linf"] = state.h.blend(1.0, normal_trace(u), -1.0).max_abs()
         m["solvability_gap"] = ens_sr.solvability_gap(state.g, state.h)
-        m["h_linf"] = state.h.trace.max_abs()
+        m["h_linf"] = state.h.max_abs()
     if state.decomposed:
         m["v_l2"] = face_norm(state.v)
         m["z_l2"] = face_norm(state.z)
@@ -240,14 +242,28 @@ def _run_galerkin(cfg: Config, out_dir: str) -> int:
     return EXIT_OK if ok else EXIT_CHECK
 
 
+def _write_solver_failure(out_dir: str) -> None:
+    """The failing verdict of a run cut short by a solver error; an earlier
+    run's diagnostics and final fields in out_dir go, so none contradicts it."""
+    fieldio.ensure_dir(out_dir)
+    for name in ("diagnostics.csv", "final_u.u.ensf", "final_u.v.ensf", "final_g.ensf"):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
+    fieldio.write_summary(os.path.join(out_dir, "summary.txt"), [("run_completed", 0.0, False)])
+
+
 def cmd_run(cfg: Config, quiet: bool) -> int:
     out_dir = cfg.out
     _say(quiet, f"run: system={cfg.system} route={cfg.route} grid={cfg.grid} "
                 f"nu={cfg.nu:g} dt={cfg.dt:g} steps={cfg.nsteps}")
-    if cfg.route == "galerkin":
-        code = _run_galerkin(cfg, out_dir)
-    else:
-        code = _run_field(cfg, _initial_velocity(cfg, Grid(cfg.grid))).code
+    try:
+        if cfg.route == "galerkin":
+            code = _run_galerkin(cfg, out_dir)
+        else:
+            code = _run_field(cfg, _initial_velocity(cfg, Grid(cfg.grid))).code
+    except SolverError:
+        _write_solver_failure(out_dir)
+        raise
     _say(quiet, f"artifacts in {out_dir} ({'PASS' if code == EXIT_OK else 'FAIL'})")
     return code
 

@@ -71,8 +71,8 @@ __all__ = [
 class JLState:
     """Velocity with heat-evolving divergence under no-slip walls.
 
-    The decomposition cache (v, z, q) is maintained by the decomposed route:
-    v is the divergence-free part, z the Stokes lifting of g, q its pressure.
+    The decomposition cache (v, z) is maintained by the decomposed route:
+    v is the divergence-free part, z the Stokes lifting of g.
     Direct-route states carry no cache.  ``div_u`` is taken once, when the
     state is checked, and read by the steppers and diagnostics.
     """
@@ -84,10 +84,9 @@ class JLState:
     forcing: ForcingSpec
     v: VectorField | None = None
     z: VectorField | None = None
-    q: ScalarField | None = None
 
     def __post_init__(self) -> None:
-        check_state(self, "neumann", (self.g.time,), self.div_u - self.g.g)
+        check_state(self, "neumann", self.div_u - self.g.g)
         walls = normal_trace(self.u).max_abs()
         if walls > wall_floor(self.u):
             raise CheckFailure(f"wall-normal faces must vanish (max {walls:.3e})")
@@ -109,7 +108,7 @@ def jl_state(u: VectorField, nu: float, forcing: ForcingSpec | None = None,
     if not decomposed:
         return JLState(time, u, g, nu, forcing)
     dec = decompose(u, time)
-    return JLState(time, u, g, nu, forcing, dec.v, dec.z, dec.q)
+    return JLState(time, u, g, nu, forcing, dec.v, dec.z)
 
 
 def step_decomposed(s: JLState, dt: float) -> JLState:
@@ -124,10 +123,10 @@ def step_decomposed(s: JLState, dt: float) -> JLState:
                          "build the state with jl_state(u, nu, ...)")
     cfl_check(s.u, dt)
     gp = heat_step(s.g, dt)
-    zp, qp = lift_or_zero(gp.g, s.u)
+    zp, _ = lift_or_zero(gp.g, s.u)
     f_mid = s.forcing.evaluate(s.u.grid, s.time + 0.5 * dt)
     vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, f_mid, s.time + dt)
-    return JLState(s.time + dt, vp + zp, gp, s.nu, s.forcing, vp, zp, qp)
+    return JLState(s.time + dt, vp + zp, gp, s.nu, s.forcing, vp, zp)
 
 
 def step_direct(s: JLState, dt: float) -> JLState:

@@ -59,7 +59,6 @@ from .reference import ForcingSpec, cfl_check, perturbed_heun_step
 from .stokes_lift import check_finite, check_state, lift_or_zero
 
 __all__ = [
-    "BoundaryNormalState",
     "SRState",
     "sr_state",
     "compat_constant",
@@ -76,21 +75,14 @@ _PERIMETER = 4.0
 
 
 @dataclass(frozen=True)
-class BoundaryNormalState:
-    """Wall-normal velocity data: one value per boundary face, outward-signed."""
-
-    trace: BoundaryTrace
-    time: float = 0.0
-
-
-@dataclass(frozen=True)
 class SRState:
     """Velocity with Dirichlet-heat divergence and relaxing wall-normal data.
 
     Tangential wall values are pinned to zero through the operator closures
     (the staggered layout stores no tangential wall unknowns); the wall-normal
-    faces carry h.  The cache (v, z, q) is maintained by the constructive
-    route: z lifts (g, h), v is the zero-wall divergence-free remainder.
+    faces carry h, one outward-signed value per boundary face.  The cache
+    (v, z) is maintained by the constructive route: z lifts (g, h), v is the
+    zero-wall divergence-free remainder.
     ``div_u`` is taken once, when the state is checked, and read by the
     steppers and diagnostics.
     """
@@ -98,13 +90,12 @@ class SRState:
     time: float
     u: VectorField
     g: DivergenceState
-    h: BoundaryNormalState
+    h: BoundaryTrace
     lam: float
     nu: float
     forcing: ForcingSpec
     v: VectorField | None = None
     z: VectorField | None = None
-    q: ScalarField | None = None
 
     def __post_init__(self) -> None:
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
@@ -112,9 +103,9 @@ class SRState:
         # a solvability gap spreads uniformly, so only the deviation from the
         # mean is constrained
         r = (self.div_u - self.g.g).values
-        check_state(self, "dirichlet", (self.g.time, self.h.time),
-                    _adopt(ScalarField, self.u.grid, r - r.mean()), self.h.trace)
-        wall_gap = self.h.trace.blend(1.0, normal_trace(self.u), -1.0).max_abs()
+        check_state(self, "dirichlet", _adopt(ScalarField, self.u.grid, r - r.mean()),
+                    self.h)
+        wall_gap = self.h.blend(1.0, normal_trace(self.u), -1.0).max_abs()
         if wall_gap > WALL_FOLLOW_TOL * max(1.0, self.u.max_abs()):
             raise CheckFailure(
                 f"wall-normal faces disagree with boundary data by {wall_gap:.3e}")
@@ -133,11 +124,11 @@ def sr_state(u: VectorField, lam: float, nu: float, forcing: ForcingSpec | None 
     """Build a consistent state from a velocity field (wall-normal faces free)."""
     forcing = forcing if forcing is not None else ForcingSpec.zero()
     g = divergence_state(divergence(u), "dirichlet", nu, time=time)
-    h = BoundaryNormalState(normal_trace(u), time)
+    h = normal_trace(u)
     if not decomposed:
         return SRState(time, u, g, h, lam, nu, forcing)
-    z, q = lift_or_zero(g.g, u, h.trace)
-    return SRState(time, u, g, h, lam, nu, forcing, u - z, z, q)
+    z, _ = lift_or_zero(g.g, u, h)
+    return SRState(time, u, g, h, lam, nu, forcing, u - z, z)
 
 
 def compat_constant(g: DivergenceState, lam: float) -> float:
@@ -163,21 +154,19 @@ def compat_constant_flux(g: DivergenceState, lam: float) -> float:
     return (g.nu * (-2.0) * wall_sum + lam * integral(g.g)) / _PERIMETER
 
 
-def evolve_h(h: BoundaryNormalState, cbar: float, lam: float, dt: float) -> BoundaryNormalState:
+def evolve_h(h: BoundaryTrace, cbar: float, lam: float, dt: float) -> BoundaryTrace:
     """Exact integrating-factor update of dh/dt = -lambda h + cbar per face."""
     if not (dt > 0.0):
         raise ValueError(f"time step must be positive, got {dt!r}")
     if not (lam > 0.0):
         raise ValueError(f"relaxation rate must be positive, got {lam!r}")
     decay = math.exp(-lam * dt)
-    grid = h.trace.grid
-    new = h.trace.blend(decay, BoundaryTrace.constant(grid, 1.0), (1.0 - decay) * cbar / lam)
-    return BoundaryNormalState(new, h.time + dt)
+    return h.blend(decay, BoundaryTrace.constant(h.grid, 1.0), (1.0 - decay) * cbar / lam)
 
 
-def solvability_gap(g: DivergenceState, h: BoundaryNormalState) -> float:
+def solvability_gap(g: DivergenceState, h: BoundaryTrace) -> float:
     """Defect of the lifting solvability condition: oint h - int g."""
-    return trace_integral(h.trace) - integral(g.g)
+    return trace_integral(h) - integral(g.g)
 
 
 def _step_average_constant(m0: float, m1: float, lam: float, dt: float) -> float:
@@ -193,7 +182,7 @@ def step_constructive(s: SRState, dt: float) -> SRState:
                          "build the state with sr_state(u, lam, nu, ...)")
     cfl_check(s.u, dt)
     gap = solvability_gap(s.g, s.h)
-    scale = max(1.0, scalar_norm(s.g.g), s.h.trace.max_abs())
+    scale = max(1.0, scalar_norm(s.g.g), s.h.max_abs())
     if abs(gap) > SOLVABILITY_TOL * scale:
         raise SolvabilityError(
             f"solvability gap {gap:.3e} exceeds tolerance; boundary and "
@@ -201,14 +190,14 @@ def step_constructive(s: SRState, dt: float) -> SRState:
     gp = heat_step(s.g, dt)
     cbar = _step_average_constant(integral(s.g.g), integral(gp.g), s.lam, dt)
     hp = evolve_h(s.h, cbar, s.lam, dt)
-    zp, qp = lift_or_zero(gp.g, s.u, hp.trace)
+    zp, _ = lift_or_zero(gp.g, s.u, hp)
     f_mid = s.forcing.evaluate(s.u.grid, s.time + 0.5 * dt)
     vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, f_mid, s.time + dt)
     gap_plus = solvability_gap(gp, hp)
     if abs(gap_plus) > math.exp(-s.lam * dt) * abs(gap) + GAP_DECAY_TOL * scale:
         raise CheckFailure(
             f"solvability gap grew across the step: {gap:.3e} -> {gap_plus:.3e}")
-    return SRState(s.time + dt, vp + zp, gp, hp, s.lam, s.nu, s.forcing, vp, zp, qp)
+    return SRState(s.time + dt, vp + zp, gp, hp, s.lam, s.nu, s.forcing, vp, zp)
 
 
 def _pressure_source(s: SRState, fa: VectorField):
@@ -297,7 +286,7 @@ def step_direct_sr(s: SRState, dt: float) -> SRState:
                       heat_solver(grid, s.nu * dt, "dirichlet", theta="be")(du.values))
     cbar = _step_average_constant(integral(du), integral(gp_field), s.lam, dt)
     hp = evolve_h(s.h, cbar, s.lam, dt)
-    ustar = NoslipHelmholtz(grid, s.nu * dt).solve(rhs, trace=hp.trace)
+    ustar = NoslipHelmholtz(grid, s.nu * dt).solve(rhs, trace=hp)
     chi = neumann_poisson(grid).solve(divergence(ustar) - gp_field)
     up = ustar - gradient(chi)
     gp = divergence_state(gp_field, "dirichlet", s.nu, time=s.time + dt)
@@ -305,14 +294,14 @@ def step_direct_sr(s: SRState, dt: float) -> SRState:
 
 
 def sr_gap_run(g0: ScalarField, h0: BoundaryTrace, lam: float, nu: float,
-               dt: float, nsteps: int) -> list[tuple[DivergenceState, BoundaryNormalState]]:
+               dt: float, nsteps: int) -> list[tuple[DivergenceState, BoundaryTrace]]:
     """Evolve the (divergence, boundary-data) subsystem alone.
 
     The pair need not satisfy the solvability condition; the run exposes the
     exact per-step decay of the gap  oint h - int g.
     """
     g = divergence_state(g0, "dirichlet", nu)
-    h = BoundaryNormalState(h0, 0.0)
+    h = h0
     history = [(g, h)]
     for _ in range(nsteps):
         gp = heat_step(g, dt)

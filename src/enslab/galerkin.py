@@ -195,7 +195,7 @@ class GalerkinState:
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a nonempty vector")
         if not np.all(np.isfinite(c)):
-            raise CheckFailure("coefficients grew non-finite (blow-up)")
+            raise CheckFailure(f"coefficients grew non-finite (blow-up) at t = {self.time:.6g}")
 
     @property
     def k(self) -> int:

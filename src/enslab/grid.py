@@ -114,18 +114,12 @@ class Grid:
     def shape_v(self) -> tuple[int, int]:
         return (self.nx, self.ny + 1)
 
-    # 1D coordinate arrays ------------------------------------------------
+    # 1D coordinate arrays; node_x (node_y) is also the x (y) of the u (v) faces
     def cell_x(self) -> np.ndarray:
         return (np.arange(self.nx) + 0.5) * self.h
 
     def cell_y(self) -> np.ndarray:
         return (np.arange(self.ny) + 0.5) * self.h
-
-    def xface_x(self) -> np.ndarray:
-        return np.arange(self.nx + 1) * self.h
-
-    def yface_y(self) -> np.ndarray:
-        return np.arange(self.ny + 1) * self.h
 
     def node_x(self) -> np.ndarray:
         return np.arange(self.nx + 1) * self.h
@@ -513,10 +507,10 @@ def scalar_from_function(grid: Grid, f) -> ScalarField:
 
 
 def vector_from_functions(grid: Grid, fu, fv) -> VectorField:
-    xu = grid.xface_x()[:, None]
+    xu = grid.node_x()[:, None]
     yu = grid.cell_y()[None, :]
     xv = grid.cell_x()[:, None]
-    yv = grid.yface_y()[None, :]
+    yv = grid.node_y()[None, :]
     u = np.broadcast_to(fu(xu, yu), grid.shape_u).copy()
     v = np.broadcast_to(fv(xv, yv), grid.shape_v).copy()
     return VectorField(grid, u, v)

@@ -86,29 +86,25 @@ def check_finite(time: float, **fields) -> None:
             raise CheckFailure(f"non-finite {name.replace('_', ' ')} at t = {time:.6g}")
 
 
-def check_state(state, bc: str, times, residual: ScalarField,
+def check_state(state, bc: str, residual: ScalarField,
                 trace: BoundaryTrace | None = None) -> None:
     """Invariants shared by the states of both systems.
 
-    The viscosity is positive and shared by the divergence state, whose
-    closure is ``bc``; each of ``times`` (the component states' times)
-    agrees with state.time; u, g, the wall data ``trace`` and the cache hold
-    finite values only, the one finiteness scan a state gets; ``residual``,
-    the part of div u - g that the system constrains, stays within the drift
-    bound; the cache (v, z, q) is all present or all absent and, when
-    present, reconstructs u.
+    The divergence state has closure ``bc`` and shares the state's viscosity
+    (whose positivity it checks itself) and time; u, g, the wall data
+    ``trace`` and the cache hold finite values only, the one finiteness scan
+    a state gets; ``residual``, the part of div u - g that the system
+    constrains, stays within the drift bound; the cache (v, z) is both
+    present or both absent and, when present, reconstructs u.
     """
-    if not (state.nu > 0.0 and math.isfinite(state.nu)):
-        raise ValueError(f"viscosity must be positive, got {state.nu!r}")
     if state.g.bc != bc:
         raise ValueError(f"divergence state must be {bc}, got {state.g.bc!r}")
     if state.g.nu != state.nu:
         raise ValueError("divergence state carries a different viscosity")
-    for t in times:
-        if abs(t - state.time) > TIME_RTOL * max(1.0, abs(state.time)):
-            raise ValueError("component state times disagree with the state time")
+    if abs(state.g.time - state.time) > TIME_RTOL * max(1.0, abs(state.time)):
+        raise ValueError("divergence state time disagrees with the state time")
     check_finite(state.time, velocity=state.u, divergence=state.g.g, wall_data=trace,
-                 divergence_free_part=state.v, lift=state.z, lift_pressure=state.q)
+                 divergence_free_part=state.v, lift=state.z)
     u = state.u
     err = scalar_norm(residual)
     scale = max(scalar_norm(state.g.g), face_norm(u) / u.grid.h)
@@ -116,9 +112,8 @@ def check_state(state, bc: str, times, residual: ScalarField,
         raise CheckFailure(
             f"velocity divergence drifted from its heat state: {err:.3e} "
             f"against scale {scale:.3e}")
-    have = [f is not None for f in (state.v, state.z, state.q)]
-    if any(have) and not all(have):
-        raise ValueError("decomposition cache must be all present or absent")
+    if (state.v is None) != (state.z is None):
+        raise ValueError("decomposition cache must be both present or absent")
     if state.v is not None:
         gap = (u - (state.v + state.z)).max_abs()
         if gap > RECONSTRUCT_TOL * max(1.0, u.max_abs()):

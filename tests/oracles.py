@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from enslab.ens_jl import EnergyLedger
-from enslab.ens_sr import BoundaryNormalState, SRState
+from enslab.ens_sr import SRState
 from enslab.grid import (
     BoundaryTrace, Grid, ScalarField, VectorField, divergence, face_norm, vector_laplacian,
     with_normal_trace,
@@ -155,7 +155,7 @@ def dense_stokes_solve(g: ScalarField, boundary_velocity: BoundaryTrace | None =
 # Open walls: the Duhamel integral and the wall trace of the divergence
 # ---------------------------------------------------------------------------
 
-def duhamel_closed_form(h0: BoundaryNormalState, cbars, lam: float, dt: float) -> BoundaryNormalState:
+def duhamel_closed_form(h0: BoundaryTrace, cbars, lam: float, dt: float) -> BoundaryTrace:
     """Compose the exact per-step updates in closed form (piecewise-constant data)."""
     if not (lam > 0.0 and dt > 0.0):
         raise ValueError("need lam > 0 and dt > 0")
@@ -164,12 +164,10 @@ def duhamel_closed_form(h0: BoundaryNormalState, cbars, lam: float, dt: float) -
     acc = 0.0
     for k, c in enumerate(cbars):
         acc += math.exp(-lam * dt * (n - 1 - k)) * gain * c / lam
-    grid = h0.trace.grid
-    trace = h0.trace.blend(math.exp(-lam * dt * n), BoundaryTrace.constant(grid, 1.0), acc)
-    return BoundaryNormalState(trace, h0.time + n * dt)
+    return h0.blend(math.exp(-lam * dt * n), BoundaryTrace.constant(h0.grid, 1.0), acc)
 
 
-def duhamel_quadrature(h0: BoundaryNormalState, times, cbar_samples, lam: float) -> BoundaryNormalState:
+def duhamel_quadrature(h0: BoundaryTrace, times, cbar_samples, lam: float) -> BoundaryTrace:
     """Duhamel value at the final sample time by Simpson quadrature.
 
     h(T) = e^{-lam (T-t0)} h0 + int_{t0}^{T} e^{-lam (T-s)} cbar(s) ds, with
@@ -184,10 +182,8 @@ def duhamel_quadrature(h0: BoundaryNormalState, times, cbar_samples, lam: float)
     T = float(times[-1])
     weights = np.exp(-lam * (T - times))
     val = float(simpson(weights * cb, x=times))
-    grid = h0.trace.grid
-    trace = h0.trace.blend(math.exp(-lam * (T - float(times[0]))),
-                           BoundaryTrace.constant(grid, 1.0), val)
-    return BoundaryNormalState(trace, T)
+    return h0.blend(math.exp(-lam * (T - float(times[0]))),
+                    BoundaryTrace.constant(h0.grid, 1.0), val)
 
 
 def boundary_divergence_trace(p: ScalarField) -> BoundaryTrace:

@@ -207,17 +207,17 @@ def test_criterion_09_boundary_update_second_order():
     grid = Grid(32)
     lam, nu, horizon = 2.0, 0.05, 0.2
     g0 = eigen_divergence(grid, "sr", 1.0, 1)
-    h0 = ens_sr.BoundaryNormalState(BoundaryTrace.constant(grid, 0.3), 0.0)
+    h0 = BoundaryTrace.constant(grid, 0.3)
     nfine = 160
     dtf = horizon / nfine
-    fine = ens_sr.sr_gap_run(g0, h0.trace, lam, nu, dtf, nfine)
+    fine = ens_sr.sr_gap_run(g0, h0, lam, nu, dtf, nfine)
     times = np.array([k * dtf for k in range(nfine + 1)])
     samples = np.array([ens_sr.compat_constant(st, lam) for st, _ in fine])
     href = duhamel_quadrature(h0, times, samples, lam)
 
     def stepped_error(dt):
-        hist = ens_sr.sr_gap_run(g0, h0.trace, lam, nu, dt, round(horizon / dt))
-        return hist[-1][1].trace.blend(1.0, href.trace, -1.0).max_abs()
+        hist = ens_sr.sr_gap_run(g0, h0, lam, nu, dt, round(horizon / dt))
+        return hist[-1][1].blend(1.0, href, -1.0).max_abs()
 
     e1, e2 = stepped_error(0.02), stepped_error(0.01)
     factor = e1 / e2

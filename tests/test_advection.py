@@ -86,7 +86,7 @@ class TestAdvectForm:
     def test_uniform_stream_of_linear_profile_is_exact(self):
         g = Grid(16)
         w = VectorField(g, np.ones(g.shape_u), np.zeros(g.shape_v))
-        bu = np.broadcast_to(g.xface_x()[:, None], g.shape_u).copy()
+        bu = np.broadcast_to(g.node_x()[:, None], g.shape_u).copy()
         b = VectorField(g, bu, np.zeros(g.shape_v))
         a = advect(w, b)
         assert np.allclose(a.u[1:-1, :], 1.0, atol=1e-14)

@@ -191,6 +191,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"solver error ({error}): step 1, t = 0: {message}")
 
+    def test_solver_error_leaves_only_a_failing_summary(self, tmp_path, capsys):
+        # a run into the directory of an earlier, passing run ends in a
+        # solver error: the earlier verdict and artifacts must not stay
+        text = SR_RUN.replace("eigenmode_div", "vortex") + "route = direct\n"
+        code, out = run_cli(tmp_path, "run", text)
+        assert code == 0
+        assert "overall PASS" in open(os.path.join(out, "summary.txt")).read()
+        code, out = run_cli(tmp_path, "run", text.replace("lambda = 2.0", "lambda = 1e300"),
+                            name="again.cfg")
+        assert code == 2
+        assert "solver error (CompatibilityError)" in capsys.readouterr().err
+        assert os.listdir(out) == ["summary.txt"]
+        summary = open(os.path.join(out, "summary.txt")).read()
+        assert summary == "margin run_completed = 0 FAIL\noverall FAIL\n"
+
     def test_usage_errors_exit_one(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -247,31 +262,41 @@ class TestRunArtifacts:
         assert "coeff_l2" in header
 
     def test_runs_are_bit_deterministic(self, tmp_path):
-        outputs = {
-            "run": ["diagnostics.csv"],
-            "compare": ["compare.csv", "route_a/diagnostics.csv", "route_b/diagnostics.csv"],
-        }
-        for command, files in outputs.items():
-            _, out1 = run_cli(tmp_path, command, JL_RUN, sub=f"{command}1")
-            _, out2 = run_cli(tmp_path, command, JL_RUN, sub=f"{command}2",
-                              name="again.cfg")
+        cases = [
+            ("run", JL_RUN, ["diagnostics.csv"]),
+            ("run", SR_RUN, ["diagnostics.csv"]),
+            ("run", SR_RUN + "route = direct\n", ["diagnostics.csv"]),
+            ("compare", JL_RUN,
+             ["compare.csv", "route_a/diagnostics.csv", "route_b/diagnostics.csv"]),
+        ]
+        for k, (command, text, files) in enumerate(cases):
+            _, out1 = run_cli(tmp_path, command, text, sub=f"{k}a")
+            _, out2 = run_cli(tmp_path, command, text, sub=f"{k}b", name="again.cfg")
             for name in files:
                 a = open(os.path.join(out1, name), "rb").read()
                 b = open(os.path.join(out2, name), "rb").read()
-                assert a == b, f"{command}: {name}"
+                assert a == b, f"{command}: {text!r}: {name}"
 
     def test_memory_does_not_grow_with_step_count(self, tmp_path):
         # Each extra state of a kept history would cost ~27 kB (a velocity)
         # or ~8 kB (a divergence) at N = 32; a streaming run keeps one row of
         # scalars per step (~0.6 kB).
+        # The decomposed routes' states also carry the cache (v, z).
         run_text = """
         system = sr
-        route = direct
         lambda = 2.0
         nu = 0.1
         dt = 1e-3
         grid = 32
         ic = boundary_flux
+        forcing = rotational
+        """
+        jl_text = """
+        system = jl
+        nu = 0.1
+        dt = 1e-3
+        grid = 32
+        ic = lift_plus_flow
         forcing = rotational
         """
         heat_text = """
@@ -292,10 +317,11 @@ class TestRunArtifacts:
             assert code == 0
             return peak
 
-        for command, text in (("run", run_text), ("heat", heat_text)):
+        for command, text in (("run", run_text + "route = direct\n"), ("run", run_text),
+                              ("run", jl_text), ("heat", heat_text)):
             peak_bytes(command, text, 10)  # builds the factor caches, which outlive a run
             short, long = peak_bytes(command, text, 20), peak_bytes(command, text, 200)
-            assert long - short < 2 ** 20, (command, short, long)
+            assert long - short < 2 ** 20, (text, short, long)
 
     def test_seed_flag_controls_random_start(self, tmp_path):
         text = JL_RUN.replace("lift_plus_flow", "random_solenoidal")

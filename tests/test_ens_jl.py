@@ -68,14 +68,14 @@ class TestJLState:
         u = vortex(g)
         gs = divergence_state(divergence(u), "neumann", 0.1)
         with pytest.raises(ValueError):
-            ens_jl.JLState(0.0, u, gs, 0.1, ForcingSpec.zero(), v=u, z=None, q=None)
+            ens_jl.JLState(0.0, u, gs, 0.1, ForcingSpec.zero(), v=u, z=None)
 
     def test_rejects_cache_that_does_not_reconstruct(self):
         g = Grid(16)
         u = vortex(g)
         s = ens_jl.jl_state(u, 0.1)
         with pytest.raises(CheckFailure):
-            ens_jl.JLState(0.0, u, s.g, 0.1, s.forcing, s.v * 0.5, s.z, s.q)
+            ens_jl.JLState(0.0, u, s.g, 0.1, s.forcing, s.v * 0.5, s.z)
 
 
 class TestStepDecomposed:

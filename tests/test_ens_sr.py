@@ -33,7 +33,6 @@ from enslab.stokes_lift import lift_with_boundary
 from enslab import cli, ens_sr, grid as grid_module
 from enslab.config import Config
 from enslab.ens_sr import (
-    BoundaryNormalState,
     SRState,
     compat_constant,
     compat_constant_flux,
@@ -96,14 +95,6 @@ def literal_source(s, fa):
     return rhs, integral(rhs)
 
 
-class TestBoundaryNormalState:
-    def test_holds_trace_and_time(self):
-        g = Grid(16)
-        s = BoundaryNormalState(BoundaryTrace.constant(g, 0.25), 1.5)
-        assert s.trace.max_abs() == 0.25
-        assert s.time == 1.5
-
-
 class TestCompatConstant:
     def test_zero_divergence_gives_zero(self):
         g = Grid(16)
@@ -144,36 +135,46 @@ class TestEvolveH:
         h0 = BoundaryTrace(g, rng.standard_normal(g.ny), rng.standard_normal(g.ny),
                            rng.standard_normal(g.nx), rng.standard_normal(g.nx))
         lam, dt = 1.3, 0.05
-        s = BoundaryNormalState(h0, 0.0)
+        h = h0
         for n in range(1, 41):
-            s = evolve_h(s, 0.0, lam, dt)
+            h = evolve_h(h, 0.0, lam, dt)
             exact = h0 * math.exp(-lam * n * dt)
-            assert trace_gap(s.trace, exact) <= 1e-12
-        assert abs(s.time - 40 * dt) <= 1e-12
+            assert trace_gap(h, exact) <= 1e-12
 
     def test_relaxation_to_equilibrium_is_exact(self):
         g = Grid(16)
         lam, dt, c = 2.0, 0.1, 0.7
-        s = BoundaryNormalState(BoundaryTrace.zeros(g), 0.0)
+        h = BoundaryTrace.zeros(g)
         for n in range(1, 31):
-            s = evolve_h(s, c, lam, dt)
+            h = evolve_h(h, c, lam, dt)
             level = (c / lam) * (1.0 - math.exp(-lam * n * dt))
             exact = BoundaryTrace.constant(g, level)
-            assert trace_gap(s.trace, exact) <= 1e-12
+            assert trace_gap(h, exact) <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(4, 32), seed=st.integers(0, 2 ** 32 - 1),
+           lam=st.floats(1e-2, 1e2), dt=st.floats(1e-4, 1e-1),
+           cbars=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=40))
+    def test_composed_updates_match_duhamel_closed_form(self, n, seed, lam, dt, cbars):
+        g = Grid(n)
+        rng = np.random.default_rng(seed)
+        h0 = BoundaryTrace(g, *(rng.standard_normal(n) for _ in range(4)))
+        h = h0
+        for c in cbars:
+            h = evolve_h(h, c, lam, dt)
+        scale = max(h0.max_abs(), max(abs(c) for c in cbars) / lam)
+        assert trace_gap(h, duhamel_closed_form(h0, cbars, lam, dt)) <= 1e-13 * scale
 
     def test_rejects_nonpositive_rate(self):
-        g = Grid(16)
-        s = BoundaryNormalState(BoundaryTrace.zeros(g), 0.0)
+        h = BoundaryTrace.zeros(Grid(16))
         with pytest.raises(ValueError):
-            evolve_h(s, 0.0, 0.0, 0.1)
+            evolve_h(h, 0.0, 0.0, 0.1)
         with pytest.raises(ValueError):
-            evolve_h(s, 0.0, -1.0, 0.1)
+            evolve_h(h, 0.0, -1.0, 0.1)
 
     def test_rejects_nonpositive_step(self):
-        g = Grid(16)
-        s = BoundaryNormalState(BoundaryTrace.zeros(g), 0.0)
         with pytest.raises(ValueError):
-            evolve_h(s, 0.0, 1.0, 0.0)
+            evolve_h(BoundaryTrace.zeros(Grid(16)), 0.0, 1.0, 0.0)
 
 
 class TestSRStateConstruction:
@@ -185,7 +186,7 @@ class TestSRStateConstruction:
         assert s.decomposed
         assert s.g.bc == "dirichlet"
         assert (s.u - (s.v + s.z)).max_abs() <= 1e-13
-        assert trace_gap(normal_trace(s.u), s.h.trace) == 0.0
+        assert trace_gap(normal_trace(s.u), s.h) == 0.0
 
     def test_plain_state_has_no_cache(self):
         g = Grid(16)
@@ -197,7 +198,7 @@ class TestSRStateConstruction:
         u = through_flow(g)
         wrong = divergence_state(divergence(u), "neumann", 0.02)
         with pytest.raises(ValueError):
-            SRState(0.0, u, wrong, BoundaryNormalState(normal_trace(u)), 1.0, 0.02,
+            SRState(0.0, u, wrong, normal_trace(u), 1.0, 0.02,
                     ForcingSpec.zero())
 
     def test_rejects_wall_data_mismatch(self):
@@ -205,7 +206,7 @@ class TestSRStateConstruction:
         u = through_flow(g)
         gs = divergence_state(divergence(u), "dirichlet", 0.02)
         with pytest.raises(CheckFailure):
-            SRState(0.0, u, gs, BoundaryNormalState(BoundaryTrace.zeros(g)), 1.0, 0.02,
+            SRState(0.0, u, gs, BoundaryTrace.zeros(g), 1.0, 0.02,
                     ForcingSpec.zero())
 
     def test_rejects_divergence_drift(self):
@@ -214,7 +215,7 @@ class TestSRStateConstruction:
         u = vortex(g) + z0
         fake = divergence_state(ScalarField.zeros(g), "dirichlet", 0.02)
         with pytest.raises(CheckFailure):
-            SRState(0.0, u, fake, BoundaryNormalState(normal_trace(u)), 1.0, 0.02,
+            SRState(0.0, u, fake, normal_trace(u), 1.0, 0.02,
                     ForcingSpec.zero())
 
     def test_rejects_partial_cache(self):
@@ -222,8 +223,8 @@ class TestSRStateConstruction:
         u = through_flow(g)
         gs = divergence_state(divergence(u), "dirichlet", 0.02)
         with pytest.raises(ValueError):
-            SRState(0.0, u, gs, BoundaryNormalState(normal_trace(u)), 1.0, 0.02,
-                    ForcingSpec.zero(), v=u, z=None, q=None)
+            SRState(0.0, u, gs, normal_trace(u), 1.0, 0.02,
+                    ForcingSpec.zero(), v=u, z=None)
 
     def test_rejects_nonpositive_relaxation_rate(self):
         g = Grid(16)
@@ -235,7 +236,7 @@ class TestSRStateConstruction:
         u = through_flow(g)
         gs = divergence_state(divergence(u), "dirichlet", 0.02, time=0.5)
         with pytest.raises(ValueError):
-            SRState(0.0, u, gs, BoundaryNormalState(normal_trace(u)), 1.0, 0.02,
+            SRState(0.0, u, gs, normal_trace(u), 1.0, 0.02,
                     ForcingSpec.zero())
 
 
@@ -272,22 +273,22 @@ class TestStepConstructive:
             s = step_constructive(s, 4e-3)
             assert abs(solvability_gap(s.g, s.h)) <= 1e-9
             scale = max(1.0, s.u.max_abs())
-            assert trace_gap(normal_trace(s.u), s.h.trace) <= 1e-8 * scale
+            assert trace_gap(normal_trace(s.u), s.h) <= 1e-8 * scale
 
     def test_boundary_relaxation_decays_exactly(self):
         g = Grid(16)
         u0 = through_flow(g)
         lam, dt = 5.0, 0.02
         s = sr_state(u0, lam, 0.01)
-        h0 = s.h.trace
+        h0 = s.h
         for n in range(1, 101):
             s = step_constructive(s, dt)
             assert scalar_norm(s.g.g) <= 1e-12
             exact = h0 * math.exp(-lam * n * dt)
-            assert trace_gap(s.h.trace, exact) <= 1e-12
-            assert trace_gap(normal_trace(s.u), s.h.trace) <= 1e-12
+            assert trace_gap(s.h, exact) <= 1e-12
+            assert trace_gap(normal_trace(s.u), s.h) <= 1e-12
         # by t = 10/lam the normal flux is gone to 1e-4
-        assert s.h.trace.max_abs() <= 1e-4
+        assert s.h.max_abs() <= 1e-4
 
     def test_dirichlet_divergence_decay_rate(self):
         g = Grid(32)
@@ -308,9 +309,8 @@ class TestStepConstructive:
         u0 = vortex(g) + z0
         shifted = divergence(u0) - ScalarField(g, np.full(g.shape_cell, 1e-3))
         gs = divergence_state(shifted, "dirichlet", 0.02)
-        s = SRState(0.0, u0, gs, BoundaryNormalState(normal_trace(u0)), 1.0, 0.02,
-                    ForcingSpec.zero(), v=u0, z=VectorField.zeros(g),
-                    q=ScalarField.zeros(g))
+        s = SRState(0.0, u0, gs, normal_trace(u0), 1.0, 0.02,
+                    ForcingSpec.zero(), v=u0, z=VectorField.zeros(g))
         with pytest.raises(SolvabilityError):
             step_constructive(s, 1e-3)
 
@@ -385,7 +385,7 @@ class TestStepDirectSR:
         s = sr_state(vortex(g) + z0, 2.0, 0.02, decomposed=False)
         for _ in range(10):
             s = step_direct_sr(s, 1e-3)
-            assert trace_gap(normal_trace(s.u), s.h.trace) == 0.0
+            assert trace_gap(normal_trace(s.u), s.h) == 0.0
 
     def test_misassembled_constant_is_detected(self, monkeypatch):
         g = Grid(32)
@@ -517,7 +517,7 @@ class TestGapSubsystem:
         h0 = BoundaryTrace(g, *(rng.standard_normal(n) for _ in range(4)))
         hist = sr_gap_run(g0, h0, lam, nu, dt, 4)
         for (gs, hs), (gs1, hs1) in zip(hist, hist[1:]):
-            scale = max(1.0, scalar_norm(gs.g), hs.trace.max_abs())
+            scale = max(1.0, scalar_norm(gs.g), hs.max_abs())
             excess = solvability_gap(gs1, hs1) - math.exp(-lam * dt) * solvability_gap(gs, hs)
             assert abs(excess) <= GAP_DECAY_TOL * scale
 
@@ -526,38 +526,37 @@ class TestDuhamel:
     def test_closed_form_matches_stepped_updates(self):
         g = Grid(32)
         lam, nu, dt, n = 2.0, 0.05, 0.02, 10
-        h0 = BoundaryNormalState(BoundaryTrace.constant(g, 0.3), 0.0)
-        hist = sr_gap_run(sinsin(g), h0.trace, lam, nu, dt, n)
+        h0 = BoundaryTrace.constant(g, 0.3)
+        hist = sr_gap_run(sinsin(g), h0, lam, nu, dt, n)
         cbars = [ens_sr._step_average_constant(integral(hist[k][0].g),
                                                integral(hist[k + 1][0].g), lam, dt)
                  for k in range(n)]
         closed = duhamel_closed_form(h0, cbars, lam, dt)
-        assert trace_gap(closed.trace, hist[-1][1].trace) <= 1e-8
+        assert trace_gap(closed, hist[-1][1]) <= 1e-8
 
     def test_stepped_update_is_second_order_against_quadrature(self):
         g = Grid(32)
         lam, nu, T = 2.0, 0.05, 0.2
         g0 = sinsin(g)
-        h0 = BoundaryNormalState(BoundaryTrace.constant(g, 0.3), 0.0)
+        h0 = BoundaryTrace.constant(g, 0.3)
         nfine = 160
         dtf = T / nfine
-        fine = sr_gap_run(g0, h0.trace, lam, nu, dtf, nfine)
+        fine = sr_gap_run(g0, h0, lam, nu, dtf, nfine)
         times = np.array([k * dtf for k in range(nfine + 1)])
         samples = np.array([compat_constant(st, lam) for st, _ in fine])
         href = duhamel_quadrature(h0, times, samples, lam)
 
         def stepped(dt):
             n = round(T / dt)
-            hist = sr_gap_run(g0, h0.trace, lam, nu, dt, n)
+            hist = sr_gap_run(g0, h0, lam, nu, dt, n)
             return hist[-1][1]
 
-        e1 = trace_gap(stepped(0.02).trace, href.trace)
-        e2 = trace_gap(stepped(0.01).trace, href.trace)
+        e1 = trace_gap(stepped(0.02), href)
+        e2 = trace_gap(stepped(0.01), href)
         assert e1 / e2 == pytest.approx(4.0, abs=0.8)
 
     def test_quadrature_validates_samples(self):
-        g = Grid(16)
-        h0 = BoundaryNormalState(BoundaryTrace.zeros(g), 0.0)
+        h0 = BoundaryTrace.zeros(Grid(16))
         with pytest.raises(ValueError):
             duhamel_quadrature(h0, [0.0, 0.1], [1.0, 2.0, 3.0], 1.0)
         with pytest.raises(ValueError):

@@ -440,6 +440,13 @@ class TestStateAndProjection:
         with pytest.raises(CheckFailure):
             galerkin.GalerkinState(np.array([1.0, np.nan]))
 
+    def test_blow_up_names_its_time(self):
+        # at dt = 0.5 the coefficients reach ~1e14, then ~1e224, then overflow
+        basis = galerkin.build_basis(Grid(16), 8)
+        start = galerkin.project_onto_basis(basis, vortex(Grid(16)) * 1e6)
+        with pytest.raises(CheckFailure, match=r"\(blow-up\) at t = 1\.5$"):
+            galerkin.integrate_galerkin(basis, start, 1e-3, 0.5, 50.0)
+
     def test_state_rejects_empty(self):
         with pytest.raises(ValueError):
             galerkin.GalerkinState(np.zeros(0))

@@ -204,7 +204,7 @@ class TestDivergence:
     def test_linear_profile_gives_unit_divergence(self):
         # u equal to the face x coordinate: (x_{i+1} - x_i)/h = 1 per cell
         g = Grid(8, 8)
-        u = np.repeat(g.xface_x()[:, None], g.ny, axis=1)
+        u = np.repeat(g.node_x()[:, None], g.ny, axis=1)
         w = VectorField(g, u, np.zeros(g.shape_v))
         d = divergence(w)
         np.testing.assert_allclose(d.values, 1.0, rtol=0, atol=1e-14)
@@ -455,5 +455,5 @@ class TestStreamFunction:
     def test_from_functions_sampling(self):
         g = Grid(8, 8)
         w = vector_from_functions(g, lambda x, y: x + 0 * y, lambda x, y: 0 * x + y)
-        np.testing.assert_allclose(w.u[:, 0], g.xface_x(), atol=1e-14)
-        np.testing.assert_allclose(w.v[0, :], g.yface_y(), atol=1e-14)
+        np.testing.assert_allclose(w.u[:, 0], g.node_x(), atol=1e-14)
+        np.testing.assert_allclose(w.v[0, :], g.node_y(), atol=1e-14)

@@ -174,13 +174,13 @@ class TestEigenmodeData:
 class TestManufactured:
     def test_velocity_matches_closed_form_samples(self):
         u = mms_velocity(GRID)
-        xs = GRID.xface_x()
+        xs = GRID.node_x()
         ys = GRID.cell_y()
         i, j = 5, 9
         expected = np.sin(np.pi * xs[i]) ** 2 * np.sin(2 * np.pi * ys[j])
         assert abs(u.u[i, j] - expected) <= 1e-15
         xv = GRID.cell_x()
-        yv = GRID.yface_y()
+        yv = GRID.node_y()
         expected_v = -np.sin(2 * np.pi * xv[i]) * np.sin(np.pi * yv[j]) ** 2
         assert abs(u.v[i, j] - expected_v) <= 1e-15
 
