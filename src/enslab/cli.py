@@ -4,7 +4,9 @@ Every subcommand reads one config file, writes artifacts under the output
 directory (per-step CSV, final field dumps, a margin summary), and maps
 failures to exit codes: 1 config, 2 solver (including step-size guards),
 3 check failure.  A check failure still writes whatever artifacts exist; a
-run ended by a solver error writes a failing summary and no other artifact.
+run or study ended by a solver error writes failing summaries, for itself
+and for each sub-run it did not finish, and removes the artifacts an
+earlier one left there.
 
 Field runs step through scenarios.march and fold each state as it comes
 into diagnostics rows and the energy ledger, so only the current state (and
@@ -180,14 +182,12 @@ class _FieldRun:
         self.code = EXIT_CHECK if (self.failure or not ok) else EXIT_OK
         return self.code
 
-
-def _run_field(cfg: Config, u0) -> _FieldRun:
-    """Step one field run to its end and write its artifacts."""
-    run = _FieldRun(cfg)
-    for _ in run.states(u0):
-        pass
-    run.finish()
-    return run
+    def run(self, u0) -> "_FieldRun":
+        """Step to the end and write the artifacts."""
+        for _ in self.states(u0):
+            pass
+        self.finish()
+        return self
 
 
 def _build_basis_checked(grid: Grid, modes: int):
@@ -242,28 +242,45 @@ def _run_galerkin(cfg: Config, out_dir: str) -> int:
     return EXIT_OK if ok else EXIT_CHECK
 
 
-def _write_solver_failure(out_dir: str) -> None:
-    """The failing verdict of a run cut short by a solver error; an earlier
-    run's diagnostics and final fields in out_dir go, so none contradicts it."""
+_RUN_ARTIFACTS = ("diagnostics.csv", "final_u.u.ensf", "final_u.v.ensf", "final_g.ensf")
+
+
+def _write_solver_failure(out_dir: str, margin: str = "run_completed",
+                          names=_RUN_ARTIFACTS) -> None:
+    """The failing verdict of a run or study cut short by a solver error; the
+    artifacts ``names`` that an earlier one left in out_dir go, so none
+    contradicts it."""
     fieldio.ensure_dir(out_dir)
-    for name in ("diagnostics.csv", "final_u.u.ensf", "final_u.v.ensf", "final_g.ensf"):
+    for name in names:
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, name))
-    fieldio.write_summary(os.path.join(out_dir, "summary.txt"), [("run_completed", 0.0, False)])
+    fieldio.write_summary(os.path.join(out_dir, "summary.txt"), [(margin, 0.0, False)])
+
+
+@contextlib.contextmanager
+def _failing_on_solver_error(out_dir: str, margin: str = "run_completed",
+                             names=_RUN_ARTIFACTS, runs=()):
+    """On a solver error, write the failing verdict in out_dir and in the
+    directory of every field run in runs that did not finish, then re-raise."""
+    try:
+        yield
+    except SolverError:
+        for run in runs:
+            if run.code is None:
+                _write_solver_failure(run.cfg.out)
+        _write_solver_failure(out_dir, margin, names)
+        raise
 
 
 def cmd_run(cfg: Config, quiet: bool) -> int:
     out_dir = cfg.out
     _say(quiet, f"run: system={cfg.system} route={cfg.route} grid={cfg.grid} "
                 f"nu={cfg.nu:g} dt={cfg.dt:g} steps={cfg.nsteps}")
-    try:
+    with _failing_on_solver_error(out_dir):
         if cfg.route == "galerkin":
             code = _run_galerkin(cfg, out_dir)
         else:
-            code = _run_field(cfg, _initial_velocity(cfg, Grid(cfg.grid))).code
-    except SolverError:
-        _write_solver_failure(out_dir)
-        raise
+            code = _FieldRun(cfg).run(_initial_velocity(cfg, Grid(cfg.grid))).code
     _say(quiet, f"artifacts in {out_dir} ({'PASS' if code == EXIT_OK else 'FAIL'})")
     return code
 
@@ -275,17 +292,17 @@ def cmd_convergence(cfg: Config, quiet: bool) -> int:
     if cfg.grid > 64:
         raise ConfigError("convergence study refines twice; grid must be <= 64")
     grids = [cfg.grid, cfg.grid * 2, cfg.grid * 4]
-    subdirs = [os.path.join(cfg.out, f"grid_{n:03d}") for n in grids]
-    sub_cfgs = [replace(cfg, grid=n, dt=cfg.dt * cfg.grid / n, out=d)
-                for n, d in zip(grids, subdirs)]
+    runs = [_FieldRun(replace(cfg, grid=n, dt=cfg.dt * cfg.grid / n,
+                              out=os.path.join(cfg.out, f"grid_{n:03d}"))) for n in grids]
 
     codes, errors = [], []
-    for sub in sub_cfgs:
-        grid = Grid(sub.grid)
-        run = _run_field(sub, _initial_velocity(sub, grid))
-        codes.append(run.code)
-        errors.append(float("nan") if run.failure
-                      else face_norm(run.final.u - scenarios.mms_velocity(grid)))
+    with _failing_on_solver_error(cfg.out, "runs_completed", ("errors.csv",), runs):
+        for run in runs:
+            grid = Grid(run.cfg.grid)
+            run.run(_initial_velocity(run.cfg, grid))
+            codes.append(run.code)
+            errors.append(float("nan") if run.failure
+                          else face_norm(run.final.u - scenarios.mms_velocity(grid)))
     fieldio.ensure_dir(cfg.out)
     fieldio.write_csv(os.path.join(cfg.out, "errors.csv"),
                       [(float(n), {"h": 1.0 / n, "error_l2": e})
@@ -303,16 +320,18 @@ def cmd_convergence(cfg: Config, quiet: bool) -> int:
 
 
 def cmd_compare(cfg: Config, quiet: bool) -> int:
-    u0 = _initial_velocity(cfg, Grid(cfg.grid))
     run_a = _FieldRun(replace(cfg, route="decomposed", out=os.path.join(cfg.out, "route_a")))
     run_b = _FieldRun(replace(cfg, route="direct", out=os.path.join(cfg.out, "route_b")))
     rows = []
-    # Lockstep; a route that fails yields None from then on while the other goes on.
-    for sa, sb in zip_longest(run_a.states(u0), run_b.states(u0)):
-        if sa is not None and sb is not None:
-            gap = face_norm(sa.u - sb.u)
-            ref = max(face_norm(sa.u), TINY)
-            rows.append((sa.time, {"gap_l2": gap, "gap_rel": gap / ref}))
+    # Lockstep; a route that fails a check yields None from then on while the
+    # other goes on.  A solver error ends both.
+    with _failing_on_solver_error(cfg.out, "routes_completed", ("compare.csv",), (run_a, run_b)):
+        u0 = _initial_velocity(cfg, Grid(cfg.grid))
+        for sa, sb in zip_longest(run_a.states(u0), run_b.states(u0)):
+            if sa is not None and sb is not None:
+                gap = face_norm(sa.u - sb.u)
+                ref = max(face_norm(sa.u), TINY)
+                rows.append((sa.time, {"gap_l2": gap, "gap_rel": gap / ref}))
     code_a, code_b = run_a.finish(), run_b.finish()
     fieldio.ensure_dir(cfg.out)
     if rows:
@@ -331,15 +350,16 @@ def cmd_compare(cfg: Config, quiet: bool) -> int:
 
 def cmd_stability(cfg: Config, quiet: bool) -> int:
     grid = Grid(cfg.grid)
-    base_u0 = _initial_velocity(cfg, grid)
-    direction = scenarios.perturbation_field(grid)
     labels = ["base"] + [f"eps_{i}" for i in range(len(_STABILITY_EPS))]
-    fields = [base_u0] + [base_u0 + direction * e for e in _STABILITY_EPS]
-    codes, finals = [], []
-    for label, u0 in zip(labels, fields):
-        run = _run_field(replace(cfg, out=os.path.join(cfg.out, label)), u0)
-        codes.append(run.code)
-        finals.append(run.final)
+    runs = [_FieldRun(replace(cfg, out=os.path.join(cfg.out, label))) for label in labels]
+    with _failing_on_solver_error(cfg.out, "runs_completed", ("ratios.csv",), runs):
+        base_u0 = _initial_velocity(cfg, grid)
+        direction = scenarios.perturbation_field(grid)
+        fields = [base_u0] + [base_u0 + direction * e for e in _STABILITY_EPS]
+        for run, u0 in zip(runs, fields):
+            run.run(u0)
+    codes = [run.code for run in runs]
+    finals = [run.final for run in runs]
     entries = [("runs_completed", 1.0 if max(codes) == EXIT_OK else 0.0,
                 max(codes) == EXIT_OK)]
     fieldio.ensure_dir(cfg.out)

@@ -161,7 +161,8 @@ def evolve_h(h: BoundaryTrace, cbar: float, lam: float, dt: float) -> BoundaryTr
     if not (lam > 0.0):
         raise ValueError(f"relaxation rate must be positive, got {lam!r}")
     decay = math.exp(-lam * dt)
-    return h.blend(decay, BoundaryTrace.constant(h.grid, 1.0), (1.0 - decay) * cbar / lam)
+    k = (1.0 - decay) * cbar / lam
+    return _adopt(BoundaryTrace, h.grid, *[decay * x + k for x in h.arrays])
 
 
 def solvability_gap(g: DivergenceState, h: BoundaryTrace) -> float:

@@ -287,17 +287,29 @@ def _transport(grid: Grid, ws, bs, cs, blocks=None) -> np.ndarray:
         # one product per advecting field keeps the workspace at one stack
         return h2 * np.stack([(d * ar) @ c.T for ar in a])
     out = np.zeros((a.shape[0], d.shape[0], c.shape[0]))
-    # one workspace, sized for the largest pair of classes, holds each product
+    # One workspace, sized for the largest pair of classes, holds each
+    # product.  It and each class's rows of c start on a 64-byte line: a
+    # vector store or product operand off the line spans two lines, and the
+    # loop then runs up to ~40% slower.
     m = c.shape[1]
-    work = np.empty(max(r.size for r in blocks) ** 2 * m)
+    work = _line_aligned(max(r.size for r in blocks) ** 2 * m)
+    cc = [np.take(c, j, axis=0, out=_line_aligned(j.size * m).reshape(j.size, m))
+          for j in blocks]
     for cr, r in enumerate(blocks):
         for cb, s in enumerate(blocks):
-            j = blocks[3 ^ cr ^ cb]
+            cj = 3 ^ cr ^ cb
+            j = blocks[cj]
             prod = work[:r.size * s.size * m].reshape(r.size, s.size, m)
             np.multiply(a[r, None, :], d[None, s, :], out=prod)
-            out[np.ix_(r, s, j)] = h2 * (prod.reshape(r.size * s.size, m) @ c[j].T).reshape(
+            out[np.ix_(r, s, j)] = h2 * (prod.reshape(r.size * s.size, m) @ cc[cj].T).reshape(
                 r.size, s.size, j.size)
     return out
+
+
+def _line_aligned(n: int) -> np.ndarray:
+    """An uninitialized float64 vector of n entries starting on a 64-byte line."""
+    raw = np.empty(n + 8)
+    return raw[(-raw.ctypes.data % 64) // 8:][:n]
 
 
 def coupling_tensor(basis: GalerkinBasis) -> np.ndarray:

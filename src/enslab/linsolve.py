@@ -6,7 +6,9 @@ Contents
   cached eigenbases of the 1-D tridiagonals (Lynch, Rice and Thomas 1964):
   the zero-flux ``NeumannPoisson`` solve (the mean-zero pseudo-inverse), the
   heat steps with Neumann or Dirichlet walls and the dual-norm realization
-  (I - Lap_N)^{-1}.
+  (I - Lap_N)^{-1}.  The eigenbases are the DCT-II (Neumann cells), DST-II
+  (Dirichlet cells) and DST-I (Dirichlet nodes) bases, built in closed form
+  from one sine table (Strang, SIAM Review 41, 1999; ``_tridiagonal_eigh``).
 * ``GeneralizedStokes``: (alpha I + c K) u + G p = f, D u = g with wall-normal
   velocity data, solved directly in one spectral pass: an exact free-slip
   solve, pointwise in the cached 1-D eigenbases, and a capacitance
@@ -72,20 +74,6 @@ COMPAT_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# 1-D stencil blocks
-# ---------------------------------------------------------------------------
-
-def _tridiagonal(n: int, h: float, kind: str) -> np.ndarray:
-    """Dense 1-D second difference over n cells, of kind "neumann" (zero
-    flux, ghost = interior), "cell" (zero wall value, ghost = -interior) or
-    "node" (the n - 1 interior nodes, zero data at nodes 0 and n)."""
-    m = n - 1 if kind == "node" else n
-    t = np.eye(m, k=1) + np.eye(m, k=-1) - 2.0 * np.eye(m)
-    t[0, 0] = t[-1, -1] = {"neumann": -1.0, "cell": -3.0, "node": -2.0}[kind]
-    return t * (1.0 / (h * h))  # not t / h^2: the eigenbases round with this form
-
-
-# ---------------------------------------------------------------------------
 # Cache and separable scalar solves
 # ---------------------------------------------------------------------------
 
@@ -100,16 +88,32 @@ def _cached(key, builder):
 
 
 def _tridiagonal_eigh(n: int, h: float, kind: str):
-    """Eigenpairs, ascending, of the 1-D tridiagonal of kind "node" (Dirichlet
-    on nodes), "cell" (Dirichlet on cells) or "neumann" (zero flux on cells).
+    """Eigenpairs, ascending, of the 1-D second difference over n cells of
+    kind "neumann" (zero flux, ghost = interior), "cell" (zero wall value,
+    ghost = -interior) or "node" (the n - 1 interior nodes, zero data at
+    nodes 0 and n), in closed form: the DCT-II, DST-II and DST-I bases
+    (Strang, SIAM Review 41, 1999).
 
-    The largest Neumann eigenvalue, the constant mode's, is set to exactly 0.
+    lam_k = -(4 / h^2) sin^2(pi k / 2n), and row i of column k of q is
+    cos(pi k (i + 1/2) / n) for k = n - 1 ... 0 ("neumann"),
+    sin(pi k (i + 1/2) / n) for k = n ... 1 ("cell") or
+    sin(pi k (i + 1) / n) for k = n - 1 ... 1 ("node"), scaled to unit norm
+    by sqrt(1/n) at k = 0 and k = n and by sqrt(2/n) otherwise.  Every value
+    is read from one table of sin(pi r / 2n), r = 0 ... 4n - 1, at the angle
+    index reduced mod 4n in integers: cos of the whole angle loses a digit
+    of orthonormality at N = 128.  So the Neumann constant mode, the last,
+    is exactly constant, with eigenvalue exactly 0.
     """
     def build():
-        lam, q = np.linalg.eigh(_tridiagonal(n, h, kind))
-        if kind == "neumann":
-            lam[-1] = 0.0
-        return lam, q
+        table = np.sin((np.pi / (2 * n)) * np.arange(4 * n))
+        if kind == "node":
+            k = np.arange(n - 1, 0, -1)
+            r = 2 * np.outer(np.arange(1, n), k)
+        else:                                                # cos x = sin(x + pi / 2)
+            k = np.arange(n - 1, -1, -1) if kind == "neumann" else np.arange(n, 0, -1)
+            r = np.outer(2 * np.arange(n) + 1, k) + (n if kind == "neumann" else 0)
+        q = table[r % (4 * n)] * np.where(k % n == 0, math.sqrt(1.0 / n), math.sqrt(2.0 / n))
+        return (-4.0 / (h * h)) * table[k] ** 2, q
     return _cached(("tridiagonal_eigh", n, h, kind), build)
 
 
@@ -231,13 +235,10 @@ def _interior_force(c: float, f: VectorField, walls: VectorField | None):
 
 
 def _difference_factors(n: int, h: float) -> np.ndarray:
-    """sigma_k = s_k sqrt(-lam_k), k < n - 1: the cell differences E map the
+    """sigma_k = sqrt(-lam_k), k < n - 1: the cell differences E map the
     Neumann eigenvectors onto the node eigenvectors, E^T q_k = h sigma_k qn_k
-    and E qn_k = h sigma_k q_k."""
-    lam, q = _tridiagonal_eigh(n, h, "neumann")
-    _, qn = _tridiagonal_eigh(n, h, "node")
-    sign = np.sign(np.einsum("ik,ik->k", qn, q[:-1, :-1] - q[1:, :-1]))
-    return sign * np.sqrt(-lam[:-1])
+    and E qn_k = h sigma_k q_k (cos a - cos b = 2 sin((a + b) / 2) sin((b - a) / 2))."""
+    return np.sqrt(-_tridiagonal_eigh(n, h, "neumann")[0][:-1])
 
 
 def _capacitance(grid: Grid, alpha: float, c: float):

@@ -2,10 +2,11 @@
 no-slip subspace (K = -Lap_noslip, P the Leray projector), by symmetry.
 
 The subspace is the range of the stream-function curl C.  In the node sine
-basis (1-D eigenpairs lam, q) of the pencil (C^T K C, C^T C), B = C^T C is
-diagonal, -(lam_k + lam_l), and C^T K C = B^2 + (2/h^4) (I x P + P x I),
-with P = q_0 q_0^T + q_last q_last^T from K's wall term (Bjorstad 1983).
-The modes C psi / h are divergence-free by construction.
+basis (the closed-form DST-I eigenpairs lam, q of ``linsolve``) of the
+pencil (C^T K C, C^T C), B = C^T C is diagonal, -(lam_k + lam_l), and
+C^T K C = B^2 + (2/h^4) (I x P + P x I), with P = q_0 q_0^T +
+q_last q_last^T from K's wall term (Bjorstad 1983).  The modes C psi / h
+are divergence-free by construction.
 
 The square's symmetries split B^(-1/2) C^T K C B^(-1/2) into five blocks,
 each solved by ``numpy.linalg.eigh`` (Bossavit 1986).  The x and y

@@ -2,11 +2,12 @@
 
 The package steps with matrix-free operators on the grid's own arrays.  The
 functions here stack the interior faces into one vector, build the same
-operators on it as explicit scipy matrices, solve the Stokes problem
-through one dense bordered system, evaluate the wall-relaxation Duhamel
-integral in closed form and by quadrature, extrapolate the divergence to the
-walls and fold the energy ledger over a whole history, so that the tests can
-check the package against an independent construction.  They are the only
+operators on it as explicit scipy matrices from the dense 1-D second
+differences, solve the Stokes problem through one dense bordered system,
+evaluate the wall-relaxation Duhamel integral in closed form and by
+quadrature, extrapolate the divergence to the walls and fold the energy
+ledger over a whole history, so that the tests can check the package
+against an independent construction.  They are the only
 users of scipy.
 """
 
@@ -23,7 +24,7 @@ from enslab.grid import (
     BoundaryTrace, Grid, ScalarField, VectorField, divergence, face_norm, vector_laplacian,
     with_normal_trace,
 )
-from enslab.linsolve import _check_compatibility, _tridiagonal, _tridiagonal_eigh
+from enslab.linsolve import _check_compatibility, _tridiagonal_eigh
 from enslab.stokes_lift import leray_project
 
 
@@ -73,6 +74,16 @@ def wall_faces(grid: Grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Assembled operators on the interior-face and cell vectors
 # ---------------------------------------------------------------------------
+
+def _tridiagonal(n: int, h: float, kind: str) -> np.ndarray:
+    """Dense 1-D second difference over n cells, of kind "neumann" (zero
+    flux, ghost = interior), "cell" (zero wall value, ghost = -interior) or
+    "node" (the n - 1 interior nodes, zero data at nodes 0 and n)."""
+    m = n - 1 if kind == "node" else n
+    t = np.eye(m, k=1) + np.eye(m, k=-1) - 2.0 * np.eye(m)
+    t[0, 0] = t[-1, -1] = {"neumann": -1.0, "cell": -3.0, "node": -2.0}[kind]
+    return t * (1.0 / (h * h))
+
 
 def _kron_sum(grid: Grid, kind_x: str, kind_y: str) -> sp.spmatrix:
     """The assembled 2-D Kronecker sum of two 1-D tridiagonals."""

@@ -388,6 +388,13 @@ class TestTensorContraction:
             tensor = galerkin.coupling_tensor(basis)
             assert np.abs(tensor - oracle).max() <= 1e-13 * np.abs(oracle).max(), n
 
+    def test_workspaces_start_on_a_cache_line(self):
+        # the class-pair loop of the tensor runs up to ~40% slower on
+        # products stored, or operands read, off a 64-byte line
+        for n in (1, 7, 100, 100_000):
+            x = galerkin._line_aligned(n)
+            assert x.shape == (n,) and x.flags.c_contiguous and x.ctypes.data % 64 == 0
+
     def test_coupling_tensor_is_exactly_skew_in_last_two_slots(self):
         for n in (9, 16):
             tensor = galerkin.coupling_tensor(galerkin.build_basis(Grid(n), 16))
