@@ -3,15 +3,17 @@
 Every subcommand reads one config file, writes artifacts under the output
 directory (per-step CSV, final field dumps, a margin summary), and maps
 failures to exit codes: 1 config, 2 solver (including step-size guards),
-3 check failure.  A check failure still writes whatever artifacts exist; a
-run or study ended by a solver error writes failing summaries, for itself
-and for each sub-run it did not finish, and removes the artifacts an
-earlier one left there.
+3 check failure.  Config errors are raised before any directory is made.
+Every run and study then opens its directory (_open): it removes the
+artifacts an earlier one left and writes a failing summary, which only its
+verdict (_verdict) overwrites, so whatever ends it early leaves no stale
+verdict or artifact.  A check failure still writes the artifacts made.
 
-Field runs step through scenarios.march and fold each state as it comes
-into diagnostics rows and the energy ledger, so only the current state (and
-the ledger's previous one) is held.  Studies run their sub-runs one after
-another; compare steps its two routes in lockstep in one thread.
+Every run (field routes, Galerkin, heat) is one _Run: it folds each state
+as it comes into diagnostics rows, so only the current state is held (the
+Galerkin route keeps its trajectory for the energy ledger).  Studies run
+their sub-runs one after another; compare steps its two routes in lockstep
+in one thread.
 """
 
 from __future__ import annotations
@@ -34,12 +36,7 @@ from .diagnostics import (
 )
 from .errors import CheckFailure, SolverError
 from .grid import (
-    Grid,
-    divergence,
-    face_norm,
-    grad_inner,
-    normal_trace,
-    scalar_norm,
+    Grid, VectorField, divergence, face_norm, grad_inner, normal_trace, scalar_norm,
 )
 from .heat_oracle import HeatEstimates, divergence_state, heat_step
 from .stokes_lift import decompose
@@ -89,11 +86,12 @@ def _field_metrics(cfg: Config, state) -> dict:
     return m
 
 
-def _field_states(cfg: Config, u0):
-    """The configured route's states: the initial one, then one per step."""
-    if cfg.route not in ("decomposed", "direct"):
-        raise ConfigError(f"route = {cfg.route} is not a field route; "
-                          "use route = decomposed or direct")
+def _field_states(cfg: Config, u0=None):
+    """The configured route's states from u0 (by default the configured one):
+    the initial state, then one per step.  The steppers are looked up on their
+    modules at each call, so a rebound module attribute is used."""
+    if u0 is None:
+        u0 = _initial_velocity(cfg, Grid(cfg.grid))
     fspec = scenarios.forcing_spec(cfg.forcing, cfg.forcing_amplitude, cfg.nu)
     decomposed = cfg.route == "decomposed"
     if cfg.system == "jl":
@@ -105,16 +103,17 @@ def _field_states(cfg: Config, u0):
     return scenarios.march(step, state, cfg.dt, cfg.nsteps)
 
 
-def _field_margins(cfg: Config, rows, failure, ledger) -> list:
-    entries = [("run_completed", 0.0 if failure else 1.0, failure is None)]
+def _field_margins(run: "_FieldRun") -> list:
+    cfg, rows = run.cfg, run.rows
+    entries = [run.completed]
     if not rows:
         return entries
     if cfg.ic in _DIV_FREE_PRESETS:
         worst = max(m["div_linf"] for _, m in rows)
         entries.append(("divergence_ceiling", DIV_CEILING - worst, worst <= DIV_CEILING))
-    if ledger is not None and not failure and len(rows) >= 2:
+    if run.ledger is not None and not run.failure and len(rows) >= 2:
         try:
-            rec = ledger.record()
+            rec = run.ledger.record()
         except CheckFailure as exc:
             print(f"check failure: {exc}", file=sys.stderr)
             entries.append(("energy_envelope_min", -math.inf, False))
@@ -136,58 +135,100 @@ def _field_margins(cfg: Config, rows, failure, ledger) -> list:
     return entries
 
 
-class _FieldRun:
-    """One field run, folded a state at a time into rows and the energy ledger.
+_RUN_ARTIFACTS = ("diagnostics.csv", "final_u.u.ensf", "final_u.v.ensf", "final_g.ensf")
 
-    Holds the final state, not the history.  Solver errors (step-size guard,
-    linear solver breakdown) propagate; a CheckFailure ends the stepping and
-    is kept, so that finish() still writes the artifacts.
+
+def _open(out_dir: str, names, margin: str = "run_completed") -> None:
+    """Open out_dir for a run or study: the artifacts ``names`` that an
+    earlier one left there go, and a failing summary stands until the
+    verdict overwrites it, so nothing that ends the run early leaves a stale
+    verdict or artifact."""
+    fieldio.ensure_dir(out_dir)
+    for name in names:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
+    fieldio.write_summary(os.path.join(out_dir, "summary.txt"), [(margin, 0.0, False)])
+
+
+def _verdict(out_dir: str, entries, codes=()) -> int:
+    """Write the summary; the exit code is the worst of its own and ``codes``."""
+    ok = fieldio.write_summary(os.path.join(out_dir, "summary.txt"), entries)
+    return max([EXIT_OK if ok else EXIT_CHECK, *codes])
+
+
+class _Run:
+    """One run, folded a state at a time into diagnostics rows.
+
+    ``source()`` builds the states, the initial one first; ``measure(state)``
+    gives each one's row.  Holds the final state, not the history, and drops
+    the source once called, with whatever it held.  The output directory is
+    opened (see _open) at construction.  Solver errors propagate; a
+    CheckFailure ends the stepping and is kept, so that write() still writes
+    the artifacts.
     """
 
-    def __init__(self, cfg: Config):
-        self.cfg = cfg
-        self.rows = []
-        self.final = None
-        self.failure = None
-        self.code = None
-        jl_decomposed = cfg.system == "jl" and cfg.route == "decomposed"
-        self.ledger = ens_jl.EnergyLedger() if jl_decomposed else None
+    def __init__(self, out: str, measure, source):
+        self.out, self.measure, self.source = out, measure, source
+        self.rows, self.final, self.failure = [], None, None
+        _open(out, _RUN_ARTIFACTS)
 
-    def states(self, u0):
+    def states(self):
         """Yield each state as it is stepped, after folding it in."""
         try:
-            for state in _field_states(self.cfg, u0):
-                if self.ledger is not None:
-                    self.ledger.add(state)
-                self.rows.append((state.time, _field_metrics(self.cfg, state)))
+            states, self.source = self.source(), None
+            for state in states:
+                self.rows.append((state.time, self.measure(state)))
                 self.final = state
                 yield state
         except CheckFailure as exc:
             self.failure = f"{type(exc).__name__}: {exc}"
 
-    def finish(self) -> int:
-        """Write the margins and artifacts under cfg.out; returns the exit code."""
-        out_dir = self.cfg.out
-        entries = _field_margins(self.cfg, self.rows, self.failure, self.ledger)
-        fieldio.ensure_dir(out_dir)
+    def run(self) -> "_Run":
+        """Fold every state."""
+        for _ in self.states():
+            pass
+        return self
+
+    @property
+    def completed(self) -> tuple:
+        return ("run_completed", 0.0 if self.failure else 1.0, self.failure is None)
+
+    def write(self, entries, fields) -> int:
+        """Write diagnostics.csv, the fields (name, field) that fields(final)
+        lists, and the summary of entries, which hold ``completed`` when the
+        run failed; returns the exit code."""
         if self.rows:
-            fieldio.write_csv(os.path.join(out_dir, "diagnostics.csv"), self.rows)
-        if self.final is not None:
-            s = self.final
-            fieldio.write_vector(os.path.join(out_dir, "final_u"), s.u, s.time)
-            fieldio.write_scalar(os.path.join(out_dir, "final_g.ensf"), s.g.g, s.time)
-        ok = fieldio.write_summary(os.path.join(out_dir, "summary.txt"), entries)
+            fieldio.write_csv(os.path.join(self.out, "diagnostics.csv"), self.rows)
+        for name, f in () if self.final is None else fields(self.final):
+            write = fieldio.write_vector if isinstance(f, VectorField) else fieldio.write_scalar
+            write(os.path.join(self.out, name), f, self.final.time)
         if self.failure:
             print(f"check failure: {self.failure}", file=sys.stderr)
-        self.code = EXIT_CHECK if (self.failure or not ok) else EXIT_OK
-        return self.code
+        return _verdict(self.out, entries)
 
-    def run(self, u0) -> "_FieldRun":
-        """Step to the end and write the artifacts."""
-        for _ in self.states(u0):
-            pass
-        self.finish()
-        return self
+
+class _FieldRun(_Run):
+    """A field run from u0 (by default the configured initial velocity); on
+    jl decomposed it also folds the states into the energy ledger."""
+
+    def __init__(self, cfg: Config, u0=None):
+        if cfg.route not in ("decomposed", "direct"):
+            raise ConfigError(f"route = {cfg.route} is not a field route; "
+                              "use route = decomposed or direct")
+        self.cfg = cfg
+        jl_decomposed = cfg.system == "jl" and cfg.route == "decomposed"
+        self.ledger = ens_jl.EnergyLedger() if jl_decomposed else None
+        super().__init__(cfg.out, self._measure, lambda: _field_states(cfg, u0))
+
+    def _measure(self, state) -> dict:
+        if self.ledger is not None:
+            self.ledger.add(state)
+        return _field_metrics(self.cfg, state)
+
+    def finish(self) -> int:
+        """Write the margins and artifacts; returns the exit code."""
+        return self.write(_field_margins(self),
+                          lambda s: [("final_u", s.u), ("final_g.ensf", s.g.g)])
 
 
 def _build_basis_checked(grid: Grid, modes: int):
@@ -197,91 +238,45 @@ def _build_basis_checked(grid: Grid, modes: int):
         raise ConfigError(str(exc)) from exc
 
 
-def _run_galerkin(cfg: Config, out_dir: str) -> int:
+def _run_galerkin(cfg: Config) -> int:
     grid = Grid(cfg.grid)
-    u0 = _initial_velocity(cfg, grid)
     basis = _build_basis_checked(grid, cfg.modes)
-    start = galerkin.project_onto_basis(basis, u0)
     fspec = scenarios.forcing_spec(cfg.forcing, cfg.forcing_amplitude, cfg.nu)
     f_path = None if fspec.is_zero() else (lambda t: fspec.evaluate(grid, t))
-    horizon = cfg.nsteps * cfg.dt
-    failure = None
-    try:
-        trajectory = galerkin.integrate_galerkin(
-            basis, start, cfg.nu, cfg.dt, horizon, f_path=f_path)
-    except CheckFailure as exc:
-        trajectory = [start]
-        failure = f"{type(exc).__name__}: {exc}"
-    rows = []
-    for s in trajectory:
+    trajectory = []
+
+    def measure(s) -> dict:
+        trajectory.append(s)
         coeff_l2 = math.sqrt(float(s.coeffs @ s.coeffs))
-        rows.append((s.time, {
-            "coeff_l2": coeff_l2,
-            "energy": 0.5 * coeff_l2 ** 2,
-            "grad_energy": float(basis.lam @ (s.coeffs * s.coeffs)),
-        }))
-    entries = [("run_completed", 0.0 if failure else 1.0, failure is None)]
-    if not failure and len(trajectory) >= 3:
+        return {"coeff_l2": coeff_l2, "energy": 0.5 * coeff_l2 ** 2,
+                "grad_energy": float(basis.lam @ (s.coeffs * s.coeffs))}
+
+    def states():
+        # integrate_galerkin runs every step in one call; its first state is start
+        start = galerkin.project_onto_basis(basis, _initial_velocity(cfg, grid))
+        yield start
+        yield from galerkin.integrate_galerkin(
+            basis, start, cfg.nu, cfg.dt, cfg.nsteps * cfg.dt, f_path=f_path)[1:]
+
+    run = _Run(cfg.out, measure, states).run()
+    entries = [run.completed]
+    if not run.failure and len(trajectory) >= 3:
         rec = galerkin.galerkin_energy_ledger(
             basis, trajectory, cfg.nu, cfg.dt, f_path=f_path)
         rate = rec.metrics["imbalance_rate_max"]
         entries.append(("ledger_rate", LEDGER_RATE_TOL - rate, rate <= LEDGER_RATE_TOL))
         if fspec.is_zero():
-            energies = [m["energy"] for _, m in rows]
+            energies = [m["energy"] for _, m in run.rows]
             worst_rise = max(b - a for a, b in zip(energies, energies[1:]))
             entries.append(("energy_monotone", -worst_rise, passes(-worst_rise, energies[0])))
-    fieldio.ensure_dir(out_dir)
-    fieldio.write_csv(os.path.join(out_dir, "diagnostics.csv"), rows)
-    final_field = galerkin.reconstruct(basis, trajectory[-1])
-    fieldio.write_vector(os.path.join(out_dir, "final_u"), final_field,
-                         trajectory[-1].time)
-    ok = fieldio.write_summary(os.path.join(out_dir, "summary.txt"), entries)
-    if failure:
-        print(f"check failure: {failure}", file=sys.stderr)
-        return EXIT_CHECK
-    return EXIT_OK if ok else EXIT_CHECK
-
-
-_RUN_ARTIFACTS = ("diagnostics.csv", "final_u.u.ensf", "final_u.v.ensf", "final_g.ensf")
-
-
-def _write_solver_failure(out_dir: str, margin: str = "run_completed",
-                          names=_RUN_ARTIFACTS) -> None:
-    """The failing verdict of a run or study cut short by a solver error; the
-    artifacts ``names`` that an earlier one left in out_dir go, so none
-    contradicts it."""
-    fieldio.ensure_dir(out_dir)
-    for name in names:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(out_dir, name))
-    fieldio.write_summary(os.path.join(out_dir, "summary.txt"), [(margin, 0.0, False)])
-
-
-@contextlib.contextmanager
-def _failing_on_solver_error(out_dir: str, margin: str = "run_completed",
-                             names=_RUN_ARTIFACTS, runs=()):
-    """On a solver error, write the failing verdict in out_dir and in the
-    directory of every field run in runs that did not finish, then re-raise."""
-    try:
-        yield
-    except SolverError:
-        for run in runs:
-            if run.code is None:
-                _write_solver_failure(run.cfg.out)
-        _write_solver_failure(out_dir, margin, names)
-        raise
+    return run.write(entries, lambda s: [("final_u", galerkin.reconstruct(basis, s))])
 
 
 def cmd_run(cfg: Config, quiet: bool) -> int:
-    out_dir = cfg.out
     _say(quiet, f"run: system={cfg.system} route={cfg.route} grid={cfg.grid} "
                 f"nu={cfg.nu:g} dt={cfg.dt:g} steps={cfg.nsteps}")
-    with _failing_on_solver_error(out_dir):
-        if cfg.route == "galerkin":
-            code = _run_galerkin(cfg, out_dir)
-        else:
-            code = _FieldRun(cfg).run(_initial_velocity(cfg, Grid(cfg.grid))).code
-    _say(quiet, f"artifacts in {out_dir} ({'PASS' if code == EXIT_OK else 'FAIL'})")
+    code = _run_galerkin(cfg) if cfg.route == "galerkin" else _FieldRun(cfg).run().finish()
+    _say(quiet, f"artifacts in {cfg.out} ({'PASS' if code == EXIT_OK else 'FAIL'})")
     return code
 
 
@@ -294,16 +289,11 @@ def cmd_convergence(cfg: Config, quiet: bool) -> int:
     grids = [cfg.grid, cfg.grid * 2, cfg.grid * 4]
     runs = [_FieldRun(replace(cfg, grid=n, dt=cfg.dt * cfg.grid / n,
                               out=os.path.join(cfg.out, f"grid_{n:03d}"))) for n in grids]
-
-    codes, errors = [], []
-    with _failing_on_solver_error(cfg.out, "runs_completed", ("errors.csv",), runs):
-        for run in runs:
-            grid = Grid(run.cfg.grid)
-            run.run(_initial_velocity(run.cfg, grid))
-            codes.append(run.code)
-            errors.append(float("nan") if run.failure
-                          else face_norm(run.final.u - scenarios.mms_velocity(grid)))
-    fieldio.ensure_dir(cfg.out)
+    _open(cfg.out, ("errors.csv",), "runs_completed")
+    codes = [run.run().finish() for run in runs]
+    errors = [float("nan") if run.failure
+              else face_norm(run.final.u - scenarios.mms_velocity(run.final.u.grid))
+              for run in runs]
     fieldio.write_csv(os.path.join(cfg.out, "errors.csv"),
                       [(float(n), {"h": 1.0 / n, "error_l2": e})
                        for n, e in zip(grids, errors)])
@@ -315,57 +305,53 @@ def cmd_convergence(cfg: Config, quiet: bool) -> int:
                     f"orders {est.order_coarse:.3f}, {est.order_fine:.3f}")
         entries.append(("order_mean_above_1.8", est.mean - 1.8, est.mean >= 1.8))
         entries.append(("errors_monotone", 1.0 if est.monotone else 0.0, est.monotone))
-    ok = fieldio.write_summary(os.path.join(cfg.out, "summary.txt"), entries)
-    return EXIT_OK if (ok and max(codes) == EXIT_OK) else max(max(codes), EXIT_CHECK)
+    return _verdict(cfg.out, entries, codes)
 
 
 def cmd_compare(cfg: Config, quiet: bool) -> int:
-    run_a = _FieldRun(replace(cfg, route="decomposed", out=os.path.join(cfg.out, "route_a")))
-    run_b = _FieldRun(replace(cfg, route="direct", out=os.path.join(cfg.out, "route_b")))
+    u0 = _initial_velocity(cfg, Grid(cfg.grid))
+    run_a = _FieldRun(replace(cfg, route="decomposed", out=os.path.join(cfg.out, "route_a")), u0)
+    run_b = _FieldRun(replace(cfg, route="direct", out=os.path.join(cfg.out, "route_b")), u0)
+    del u0  # the routes drop it once their initial states are built
+    _open(cfg.out, ("compare.csv",), "routes_completed")
     rows = []
-    # Lockstep; a route that fails a check yields None from then on while the
-    # other goes on.  A solver error ends both.
-    with _failing_on_solver_error(cfg.out, "routes_completed", ("compare.csv",), (run_a, run_b)):
-        u0 = _initial_velocity(cfg, Grid(cfg.grid))
-        for sa, sb in zip_longest(run_a.states(u0), run_b.states(u0)):
-            if sa is not None and sb is not None:
-                gap = face_norm(sa.u - sb.u)
-                ref = max(face_norm(sa.u), TINY)
-                rows.append((sa.time, {"gap_l2": gap, "gap_rel": gap / ref}))
-    code_a, code_b = run_a.finish(), run_b.finish()
-    fieldio.ensure_dir(cfg.out)
+    # Lockstep; a route that fails a check, its initial state included,
+    # yields None from then on while the other goes on.  A solver error ends
+    # both.
+    for sa, sb in zip_longest(run_a.states(), run_b.states()):
+        if sa is not None and sb is not None:
+            gap = face_norm(sa.u - sb.u)
+            ref = max(face_norm(sa.u), TINY)
+            rows.append((sa.time, {"gap_l2": gap, "gap_rel": gap / ref}))
+    codes = [run_a.finish(), run_b.finish()]
     if rows:
         fieldio.write_csv(os.path.join(cfg.out, "compare.csv"), rows)
-    both_ok = max(code_a, code_b) == EXIT_OK
+    both_ok = max(codes) == EXIT_OK
     entries = [("routes_completed", 1.0 if both_ok else 0.0, both_ok)]
     if rows and both_ok:
         final_rel = rows[-1][1]["gap_rel"]
         _say(quiet, f"route gap at T: {rows[-1][1]['gap_l2']:.3e} "
                     f"(relative {final_rel:.3e})")
         entries.append(("route_gap_rel_sane", 1.0 - final_rel, final_rel <= 1.0))
-    ok = fieldio.write_summary(os.path.join(cfg.out, "summary.txt"), entries)
-    codes = [code_a, code_b, EXIT_OK if ok else EXIT_CHECK]
-    return max(codes)
+    return _verdict(cfg.out, entries, codes)
 
 
 def cmd_stability(cfg: Config, quiet: bool) -> int:
     grid = Grid(cfg.grid)
+    base_u0 = _initial_velocity(cfg, grid)
+    direction = scenarios.perturbation_field(grid)
+    fields = [base_u0] + [base_u0 + direction * e for e in _STABILITY_EPS]
     labels = ["base"] + [f"eps_{i}" for i in range(len(_STABILITY_EPS))]
-    runs = [_FieldRun(replace(cfg, out=os.path.join(cfg.out, label))) for label in labels]
-    with _failing_on_solver_error(cfg.out, "runs_completed", ("ratios.csv",), runs):
-        base_u0 = _initial_velocity(cfg, grid)
-        direction = scenarios.perturbation_field(grid)
-        fields = [base_u0] + [base_u0 + direction * e for e in _STABILITY_EPS]
-        for run, u0 in zip(runs, fields):
-            run.run(u0)
-    codes = [run.code for run in runs]
-    finals = [run.final for run in runs]
+    runs = [_FieldRun(replace(cfg, out=os.path.join(cfg.out, label)), u0)
+            for label, u0 in zip(labels, fields)]
+    _open(cfg.out, ("ratios.csv",), "runs_completed")
+    codes = [run.run().finish() for run in runs]
     entries = [("runs_completed", 1.0 if max(codes) == EXIT_OK else 0.0,
                 max(codes) == EXIT_OK)]
-    fieldio.ensure_dir(cfg.out)
     if max(codes) == EXIT_OK:
-        ratios = [face_norm(s.u - finals[0].u) / eps
-                  for eps, s in zip(_STABILITY_EPS, finals[1:])]
+        base = runs[0].final.u
+        ratios = [face_norm(run.final.u - base) / eps
+                  for eps, run in zip(_STABILITY_EPS, runs[1:])]
         fieldio.write_csv(os.path.join(cfg.out, "ratios.csv"),
                           [(e, {"gap_ratio": r})
                            for e, r in zip(_STABILITY_EPS, ratios)])
@@ -373,62 +359,64 @@ def cmd_stability(cfg: Config, quiet: bool) -> int:
         _say(quiet, "gap ratios " + ", ".join(f"{r:.6f}" for r in ratios)
                     + f"  spread {spread:.3%}")
         entries.append(("ratio_spread_within_10pct", 0.10 - spread, spread <= 0.10))
-    ok = fieldio.write_summary(os.path.join(cfg.out, "summary.txt"), entries)
-    return EXIT_OK if (ok and max(codes) == EXIT_OK) else max(max(codes), EXIT_CHECK)
+    return _verdict(cfg.out, entries, codes)
 
 
 def cmd_basis(cfg: Config, quiet: bool) -> int:
     basis = _build_basis_checked(Grid(cfg.grid), cfg.modes)
-    fieldio.ensure_dir(cfg.out)
+    _open(cfg.out, ("lambda.txt",))
     galerkin.save_basis(basis, cfg.out)
     gram_dev = basis.gram_deviation
     div_max = max(float(np.abs(divergence(w).values).max()) for w in basis.modes)
     wall_max = max(normal_trace(w).max_abs() for w in basis.modes)
     _say(quiet, "eigenvalues: " + ", ".join(f"{v:.6g}" for v in basis.lam))
-    entries = [
+    return _verdict(cfg.out, [
         ("gram_deviation", GRAM_TOL - gram_dev, gram_dev <= GRAM_TOL),
         ("mode_divergence", DIV_CEILING - div_max, div_max <= DIV_CEILING),
         ("mode_wall_flux", DIV_CEILING - wall_max, wall_max <= DIV_CEILING),
-    ]
-    ok = fieldio.write_summary(os.path.join(cfg.out, "summary.txt"), entries)
-    return EXIT_OK if ok else EXIT_CHECK
+    ])
 
 
 def cmd_heat(cfg: Config, quiet: bool) -> int:
     if cfg.nsteps < 10:
         raise ConfigError("heat study needs at least 10 steps for the rate fit")
-    grid = Grid(cfg.grid)
     bc = "neumann" if cfg.system == "jl" else "dirichlet"
-    g0 = scenarios.eigen_divergence(grid, cfg.system, cfg.ic_eps, cfg.ic_mode)
     estimates = HeatEstimates()
-    rows = []
-    for final in scenarios.march(heat_step, divergence_state(g0, bc, cfg.nu), cfg.dt, cfg.nsteps):
-        rows.append((final.time, norms(final.g, final.time).metrics))
-        estimates.add(final)
-    fieldio.ensure_dir(cfg.out)
-    fieldio.write_csv(os.path.join(cfg.out, "diagnostics.csv"), rows)
-    fieldio.write_scalar(os.path.join(cfg.out, "final_g.ensf"), final.g, final.time)
-    times = [t for t, _ in rows]
-    values = [m["l2"] for _, m in rows]
-    rate = fit_decay_rate(times, values)
-    analytic = -2.0 * cfg.nu * (cfg.ic_mode * math.pi) ** 2
-    rel = abs(rate / analytic - 1.0)
-    _say(quiet, f"fitted decay rate {rate:.6f} vs analytic {analytic:.6f} "
-                f"(relative gap {rel:.2e})")
-    rec = estimates.record()
-    g0_norm = rec["initial_l2"]
-    entries = [
-        ("decay_rate_within_1pct", 0.01 - rel, rel <= 0.01),
-        ("sup_estimate", rec["sup_margin"], passes(rec["sup_margin"], g0_norm)),
-        ("grad_estimate", rec["grad_margin"], passes(rec["grad_margin"], g0_norm)),
-    ]
-    ok = fieldio.write_summary(os.path.join(cfg.out, "summary.txt"), entries)
-    return EXIT_OK if ok else EXIT_CHECK
+
+    def measure(s) -> dict:
+        row = norms(s.g, s.time).metrics
+        estimates.add(s)
+        return row
+
+    def states():
+        g0 = scenarios.eigen_divergence(Grid(cfg.grid), cfg.system, cfg.ic_eps, cfg.ic_mode)
+        return scenarios.march(heat_step, divergence_state(g0, bc, cfg.nu), cfg.dt, cfg.nsteps)
+
+    run = _Run(cfg.out, measure, states).run()
+    entries = [run.completed]
+    if not run.failure:
+        rate = fit_decay_rate([t for t, _ in run.rows], [m["l2"] for _, m in run.rows])
+        analytic = -2.0 * cfg.nu * (cfg.ic_mode * math.pi) ** 2
+        rel = abs(rate / analytic - 1.0)
+        _say(quiet, f"fitted decay rate {rate:.6f} vs analytic {analytic:.6f} "
+                    f"(relative gap {rel:.2e})")
+        rec = estimates.record()
+        g0_norm = rec["initial_l2"]
+        entries = [
+            ("decay_rate_within_1pct", 0.01 - rel, rel <= 0.01),
+            ("sup_estimate", rec["sup_margin"], passes(rec["sup_margin"], g0_norm)),
+            ("grad_estimate", rec["grad_margin"], passes(rec["grad_margin"], g0_norm)),
+        ]
+    return run.write(entries, lambda s: [("final_g.ensf", s.g)])
+
+
+_SPLIT_ARTIFACTS = ("diagnostics.csv", "part_v.u.ensf", "part_v.v.ensf", "part_z.u.ensf",
+                    "part_z.v.ensf", "pressure_q.ensf")
 
 
 def cmd_decompose(cfg: Config, quiet: bool) -> int:
+    _open(cfg.out, _SPLIT_ARTIFACTS)
     dec = decompose(_initial_velocity(cfg, Grid(cfg.grid)))
-    fieldio.ensure_dir(cfg.out)
     fieldio.write_vector(os.path.join(cfg.out, "part_v"), dec.v, 0.0)
     fieldio.write_vector(os.path.join(cfg.out, "part_z"), dec.z, 0.0)
     fieldio.write_scalar(os.path.join(cfg.out, "pressure_q.ensf"), dec.q, 0.0)
@@ -443,13 +431,11 @@ def cmd_decompose(cfg: Config, quiet: bool) -> int:
     div_bound = SPLIT_TOL * m["div_scale"]
     ortho_bound = SPLIT_TOL * m["orthogonality_scale"]
     rec_bound = RECONSTRUCT_TOL * m["reconstruction_scale"]
-    entries = [
+    return _verdict(cfg.out, [
         ("div_v_ceiling", div_bound - div_v, div_v <= div_bound),
         ("grad_orthogonality", ortho_bound - abs(ortho), abs(ortho) <= ortho_bound),
         ("reconstruction", rec_bound - rec_err, rec_err <= rec_bound),
-    ]
-    ok = fieldio.write_summary(os.path.join(cfg.out, "summary.txt"), entries)
-    return EXIT_OK if ok else EXIT_CHECK
+    ])
 
 
 _DISPATCH = {

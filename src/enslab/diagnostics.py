@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import CheckFailure
 from .grid import (
     ScalarField,
     VectorField,
@@ -147,23 +148,30 @@ def htilde_norm(g: ScalarField) -> float:
 
 
 def norms(f, time: float = 0.0) -> DiagnosticsRecord:
-    """L2, H1-seminorm, and (for scalars) dual-norm measurements."""
-    if isinstance(f, ScalarField):
-        l2 = scalar_norm(f)
-        h1 = math.sqrt(max(scalar_grad_inner(f, f, "neumann"), 0.0))
-        metrics = {
-            "l2": l2,
-            "h1_semi": h1,
-            "h1": math.sqrt(l2 * l2 + h1 * h1),
-            "mean": mean(f),
-            "htilde_minus1": htilde_norm(f),
-        }
-    elif isinstance(f, VectorField):
-        l2 = face_norm(f)
-        h1 = math.sqrt(max(grad_inner(f, f), 0.0))
-        metrics = {"l2": l2, "h1_semi": h1, "h1": math.sqrt(l2 * l2 + h1 * h1)}
-    else:
-        raise TypeError(f"norms: unsupported field type {type(f).__name__}")
+    """L2, H1-seminorm, and (for scalars) dual-norm measurements.
+
+    An overflowed measurement is a CheckFailure naming it and ``time``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # judged below
+        if isinstance(f, ScalarField):
+            l2 = scalar_norm(f)
+            h1 = math.sqrt(max(scalar_grad_inner(f, f, "neumann"), 0.0))
+            metrics = {
+                "l2": l2,
+                "h1_semi": h1,
+                "h1": math.sqrt(l2 * l2 + h1 * h1),
+                "mean": mean(f),
+                "htilde_minus1": htilde_norm(f),
+            }
+        elif isinstance(f, VectorField):
+            l2 = face_norm(f)
+            h1 = math.sqrt(max(grad_inner(f, f), 0.0))
+            metrics = {"l2": l2, "h1_semi": h1, "h1": math.sqrt(l2 * l2 + h1 * h1)}
+        else:
+            raise TypeError(f"norms: unsupported field type {type(f).__name__}")
+    for name, value in metrics.items():
+        if not math.isfinite(value):
+            raise CheckFailure(f"non-finite measurement {name} at t = {time:.6g}")
     return DiagnosticsRecord(time=time, metrics=metrics, provenance="norms")
 
 

@@ -203,37 +203,59 @@ class TestExitCodes:
         assert open(os.path.join(out, "summary.txt")).read().endswith("overall PASS\n")
 
     def test_solver_error_leaves_only_a_failing_summary(self, tmp_path, capsys):
-        # a run into the directory of an earlier, passing run ends in a
-        # solver error: the earlier verdict and artifacts must not stay
-        text = SR_RUN.replace("eigenmode_div", "vortex") + "route = direct\n"
-        code, out = run_cli(tmp_path, "run", text)
-        assert code == 0
-        assert "overall PASS" in open(os.path.join(out, "summary.txt")).read()
-        code, out = run_cli(tmp_path, "run", text.replace("lambda = 2.0", "lambda = 1e300"),
-                            name="again.cfg")
-        assert code == 2
-        assert "solver error (CompatibilityError)" in capsys.readouterr().err
-        assert os.listdir(out) == ["summary.txt"]
-        summary = open(os.path.join(out, "summary.txt")).read()
-        assert summary == "margin run_completed = 0 FAIL\noverall FAIL\n"
+        # a command into the directory of an earlier, passing one ends early:
+        # the earlier verdict and artifacts must not stay
+        huge_amplitude = ("lift_plus_flow", "lift_plus_flow\nic_amplitude = 1e300")
+        split_overflow = "non-finite split measurement div_v_l2 at t = 0"
+        cases = [
+            # a solver error in step 1
+            ("run", SR_RUN.replace("eigenmode_div", "vortex") + "route = direct\n",
+             ("lambda = 2.0", "lambda = 1e300"), 2, "solver error (CompatibilityError)"),
+            # check failures before the first state: measurements overflow
+            ("run", JL_RUN, huge_amplitude, 3, split_overflow),
+            ("decompose", JL_RUN, huge_amplitude, 3, split_overflow),
+            ("heat", HEAT_RUN.replace("grid = 32", "grid = 16"),
+             ("ic_mode = 1", "ic_mode = 1\nic_eps = 1e300"), 3,
+             "non-finite measurement l2 at t = 0"),
+        ]
+        for k, (command, text, change, code, error) in enumerate(cases):
+            code0, out = run_cli(tmp_path, command, text, sub=f"out{k}")
+            assert code0 == 0
+            assert "overall PASS" in open(os.path.join(out, "summary.txt")).read()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code1, out = run_cli(tmp_path, command, text.replace(*change),
+                                     name="again.cfg", sub=f"out{k}")
+            assert code1 == code
+            assert not [(w.filename, w.lineno, str(w.message)) for w in caught
+                        if issubclass(w.category, RuntimeWarning)]
+            assert error in capsys.readouterr().err
+            assert os.listdir(out) == ["summary.txt"]
+            summary = open(os.path.join(out, "summary.txt")).read()
+            assert summary == "margin run_completed = 0 FAIL\noverall FAIL\n"
 
-    @pytest.mark.parametrize("command, text, table, subdirs", [
-        ("compare", SR_RUN.replace("eigenmode_div", "vortex"), "compare.csv",
-         ["route_a", "route_b"]),
+    @pytest.mark.parametrize("command, text, change, table, subdirs, code, error", [
+        ("compare", SR_RUN.replace("eigenmode_div", "vortex"), ("lambda = 2.0", "lambda = 1e300"),
+         "compare.csv", ["route_a", "route_b"], 2, "solver error (CompatibilityError)"),
         ("stability", SR_RUN.replace("eigenmode_div", "vortex") + "route = direct\n",
-         "ratios.csv", ["base", "eps_0", "eps_1", "eps_2"]),
+         ("lambda = 2.0", "lambda = 1e300"), "ratios.csv", ["base", "eps_0", "eps_1", "eps_2"],
+         2, "solver error (CompatibilityError)"),
         ("convergence", SR_RUN.replace("eigenmode_div", "mms").replace("grid = 16", "grid = 8")
-         + "forcing = mms\nroute = direct\n", "errors.csv", ["grid_008", "grid_016", "grid_032"]),
-    ], ids=["compare", "stability", "convergence"])
+         + "forcing = mms\nroute = direct\n", ("lambda = 2.0", "lambda = 1e300"), "errors.csv",
+         ["grid_008", "grid_016", "grid_032"], 2, "solver error (CompatibilityError)"),
+        # every sub-run fails a check before its first state
+        ("stability", JL_RUN, ("lift_plus_flow", "lift_plus_flow\nic_amplitude = 1e300"),
+         "ratios.csv", ["base", "eps_0", "eps_1", "eps_2"], 3,
+         "non-finite split measurement div_v_l2 at t = 0"),
+    ], ids=["compare", "stability", "convergence", "stability-check-failure-at-t0"])
     def test_solver_error_leaves_no_stale_study_verdict(self, tmp_path, capsys, command, text,
-                                                         table, subdirs):
-        code, out = run_cli(tmp_path, command, text)
-        assert code == 0
+                                                         change, table, subdirs, code, error):
+        code0, out = run_cli(tmp_path, command, text)
+        assert code0 == 0
         assert sorted(os.listdir(out)) == sorted(subdirs + ["summary.txt", table])
-        code, out = run_cli(tmp_path, command, text.replace("lambda = 2.0", "lambda = 1e300"),
-                            name="again.cfg")
-        assert code == 2
-        assert "solver error (CompatibilityError)" in capsys.readouterr().err
+        code1, out = run_cli(tmp_path, command, text.replace(*change), name="again.cfg")
+        assert code1 == code
+        assert error in capsys.readouterr().err
         assert sorted(os.listdir(out)) == sorted(subdirs + ["summary.txt"])
         margin = "routes_completed" if command == "compare" else "runs_completed"
         summary = open(os.path.join(out, "summary.txt")).read()
@@ -435,6 +457,21 @@ class TestStudies:
         assert len(csv_rows(os.path.join(out, "compare.csv"))) == 4
         assert "overall FAIL" in open(os.path.join(out, "route_b", "summary.txt")).read()
         assert "overall PASS" in open(os.path.join(out, "route_a", "summary.txt")).read()
+
+        # route a's initial state fails a check (only the decomposed route
+        # splits u0): route b still runs to the end
+        def refuse(u, time=0.0):
+            raise CheckFailure("injected failure of the initial split")
+
+        monkeypatch.setattr(ens_jl, "decompose", refuse)
+        code, out = run_cli(tmp_path, "compare", JL_RUN, sub="jl")
+        assert code == 3
+        assert "injected failure of the initial split" in capsys.readouterr().err
+        assert os.listdir(os.path.join(out, "route_a")) == ["summary.txt"]
+        assert "overall FAIL" in open(os.path.join(out, "route_a", "summary.txt")).read()
+        assert len(csv_rows(os.path.join(out, "route_b", "diagnostics.csv"))) == 11
+        assert "overall PASS" in open(os.path.join(out, "route_b", "summary.txt")).read()
+        assert sorted(os.listdir(out)) == ["route_a", "route_b", "summary.txt"]
 
     def test_compare_routes(self, tmp_path):
         code, out = run_cli(tmp_path, "compare", SR_RUN)
