@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
 from dataclasses import replace
-from itertools import zip_longest
+from itertools import islice, zip_longest
 
 import numpy as np
 
@@ -86,12 +87,11 @@ def _field_metrics(cfg: Config, state) -> dict:
     return m
 
 
-def _field_states(cfg: Config, u0=None):
-    """The configured route's states from u0 (by default the configured one):
-    the initial state, then one per step.  The steppers are looked up on their
-    modules at each call, so a rebound module attribute is used."""
-    if u0 is None:
-        u0 = _initial_velocity(cfg, Grid(cfg.grid))
+def _field_states(cfg: Config, initial=None):
+    """The configured route's states from the velocity initial() (by default
+    the configured one): the initial state, then one per step.  Steppers are
+    looked up on their modules at each call, so rebound attributes are used."""
+    u0 = _initial_velocity(cfg, Grid(cfg.grid)) if initial is None else initial()
     fspec = scenarios.forcing_spec(cfg.forcing, cfg.forcing_amplitude, cfg.nu)
     decomposed = cfg.route == "decomposed"
     if cfg.system == "jl":
@@ -208,22 +208,23 @@ class _Run:
 
 
 class _FieldRun(_Run):
-    """A field run from u0 (by default the configured initial velocity); on
-    jl decomposed it also folds the states into the energy ledger."""
+    """A field run from the velocity initial(), built in the fold (see
+    _field_states); on jl decomposed it also folds the energy ledger."""
 
-    def __init__(self, cfg: Config, u0=None):
+    def __init__(self, cfg: Config, initial=None):
         if cfg.route not in ("decomposed", "direct"):
             raise ConfigError(f"route = {cfg.route} is not a field route; "
                               "use route = decomposed or direct")
         self.cfg = cfg
         jl_decomposed = cfg.system == "jl" and cfg.route == "decomposed"
-        self.ledger = ens_jl.EnergyLedger() if jl_decomposed else None
-        super().__init__(cfg.out, self._measure, lambda: _field_states(cfg, u0))
+        ledger = self.ledger = ens_jl.EnergyLedger() if jl_decomposed else None
 
-    def _measure(self, state) -> dict:
-        if self.ledger is not None:
-            self.ledger.add(state)
-        return _field_metrics(self.cfg, state)
+        def measure(state) -> dict:  # not a bound method: no cycle keeps the run
+            if ledger is not None:
+                ledger.add(state)
+            return _field_metrics(cfg, state)
+
+        super().__init__(cfg.out, measure, lambda: _field_states(cfg, initial))
 
     def finish(self) -> int:
         """Write the margins and artifacts; returns the exit code."""
@@ -246,17 +247,18 @@ def _run_galerkin(cfg: Config) -> int:
     trajectory = []
 
     def measure(s) -> dict:
-        trajectory.append(s)
         coeff_l2 = math.sqrt(float(s.coeffs @ s.coeffs))
         return {"coeff_l2": coeff_l2, "energy": 0.5 * coeff_l2 ** 2,
                 "grad_energy": float(basis.lam @ (s.coeffs * s.coeffs))}
 
     def states():
         # integrate_galerkin runs every step in one call; its first state is start
+        nonlocal trajectory
         start = galerkin.project_onto_basis(basis, _initial_velocity(cfg, grid))
         yield start
-        yield from galerkin.integrate_galerkin(
-            basis, start, cfg.nu, cfg.dt, cfg.nsteps * cfg.dt, f_path=f_path)[1:]
+        trajectory = galerkin.integrate_galerkin(
+            basis, start, cfg.nu, cfg.dt, cfg.nsteps * cfg.dt, f_path=f_path)
+        yield from islice(trajectory, 1, None)
 
     run = _Run(cfg.out, measure, states).run()
     entries = [run.completed]
@@ -309,10 +311,10 @@ def cmd_convergence(cfg: Config, quiet: bool) -> int:
 
 
 def cmd_compare(cfg: Config, quiet: bool) -> int:
-    u0 = _initial_velocity(cfg, Grid(cfg.grid))
+    u0 = functools.cache(lambda: _initial_velocity(cfg, Grid(cfg.grid)))
     run_a = _FieldRun(replace(cfg, route="decomposed", out=os.path.join(cfg.out, "route_a")), u0)
     run_b = _FieldRun(replace(cfg, route="direct", out=os.path.join(cfg.out, "route_b")), u0)
-    del u0  # the routes drop it once their initial states are built
+    del u0  # built in route a's fold, freed once both initial states are built
     _open(cfg.out, ("compare.csv",), "routes_completed")
     rows = []
     # Lockstep; a route that fails a check, its initial state included,
@@ -338,12 +340,13 @@ def cmd_compare(cfg: Config, quiet: bool) -> int:
 
 def cmd_stability(cfg: Config, quiet: bool) -> int:
     grid = Grid(cfg.grid)
-    base_u0 = _initial_velocity(cfg, grid)
+    # the velocities are built in the sub-runs' folds, after every _open
+    base = functools.cache(lambda: _initial_velocity(cfg, grid))
     direction = scenarios.perturbation_field(grid)
-    fields = [base_u0] + [base_u0 + direction * e for e in _STABILITY_EPS]
+    fields = [base] + [lambda e=e: base() + direction * e for e in _STABILITY_EPS]
     labels = ["base"] + [f"eps_{i}" for i in range(len(_STABILITY_EPS))]
-    runs = [_FieldRun(replace(cfg, out=os.path.join(cfg.out, label)), u0)
-            for label, u0 in zip(labels, fields)]
+    runs = [_FieldRun(replace(cfg, out=os.path.join(cfg.out, label)), initial)
+            for label, initial in zip(labels, fields)]
     _open(cfg.out, ("ratios.csv",), "runs_completed")
     codes = [run.run().finish() for run in runs]
     entries = [("runs_completed", 1.0 if max(codes) == EXIT_OK else 0.0,

@@ -247,7 +247,14 @@ class TestExitCodes:
         ("stability", JL_RUN, ("lift_plus_flow", "lift_plus_flow\nic_amplitude = 1e300"),
          "ratios.csv", ["base", "eps_0", "eps_1", "eps_2"], 3,
          "non-finite split measurement div_v_l2 at t = 0"),
-    ], ids=["compare", "stability", "convergence", "stability-check-failure-at-t0"])
+        # the initial velocity's Stokes lift overflows, before any state
+        ("compare", SR_RUN, ("eigenmode_div", "eigenmode_div\nic_eps = 1e300"), "compare.csv",
+         ["route_a", "route_b"], 2, "solver error (SolverError): generalized Stokes solve"),
+        ("stability", SR_RUN, ("eigenmode_div", "eigenmode_div\nic_eps = 1e300"), "ratios.csv",
+         ["base", "eps_0", "eps_1", "eps_2"], 2,
+         "solver error (SolverError): generalized Stokes solve"),
+    ], ids=["compare", "stability", "convergence", "stability-check-failure-at-t0",
+            "compare-initial-lift", "stability-initial-lift"])
     def test_solver_error_leaves_no_stale_study_verdict(self, tmp_path, capsys, command, text,
                                                          change, table, subdirs, code, error):
         code0, out = run_cli(tmp_path, command, text)
