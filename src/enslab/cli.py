@@ -19,7 +19,7 @@ in one thread.
 from __future__ import annotations
 
 import argparse
-import contextlib
+import fnmatch
 import functools
 import math
 import os
@@ -59,6 +59,11 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
+def _check_failure(exc: CheckFailure) -> str:
+    """The one form of a check failure's message."""
+    return f"check failure: {exc}"
+
+
 def _initial_velocity(cfg: Config, grid: Grid):
     return scenarios.initial_velocity(
         grid, cfg.system, cfg.ic, eps=cfg.ic_eps, mode=cfg.ic_mode,
@@ -68,9 +73,10 @@ def _initial_velocity(cfg: Config, grid: Grid):
 def _field_metrics(cfg: Config, state) -> dict:
     u = state.u
     div = state.div_u
+    u_l2 = face_norm(u)
     m = {
-        "u_l2": face_norm(u),
-        "energy": 0.5 * face_norm(u) ** 2,
+        "u_l2": u_l2,
+        "energy": 0.5 * u_l2 ** 2,
         "div_l2": scalar_norm(div),
         "div_linf": float(np.abs(div.values).max()),
         "g_l2": scalar_norm(state.g.g),
@@ -115,7 +121,7 @@ def _field_margins(run: "_FieldRun") -> list:
         try:
             rec = run.ledger.record()
         except CheckFailure as exc:
-            print(f"check failure: {exc}", file=sys.stderr)
+            print(_check_failure(exc), file=sys.stderr)
             entries.append(("energy_envelope_min", -math.inf, False))
         else:
             scale = max(rec["envelope_final"], rec["energy_initial"], 1.0)
@@ -139,13 +145,13 @@ _RUN_ARTIFACTS = ("diagnostics.csv", "final_u.u.ensf", "final_u.v.ensf", "final_
 
 
 def _open(out_dir: str, names, margin: str = "run_completed") -> None:
-    """Open out_dir for a run or study: the artifacts ``names`` that an
-    earlier one left there go, and a failing summary stands until the
-    verdict overwrites it, so nothing that ends the run early leaves a stale
-    verdict or artifact."""
+    """Open out_dir for a run or study: the artifacts that an earlier one
+    left there (the files that ``names``, names or shell patterns, match) go,
+    and a failing summary stands until the verdict overwrites it, so nothing
+    that ends the run early leaves a stale verdict or artifact."""
     fieldio.ensure_dir(out_dir)
-    for name in names:
-        with contextlib.suppress(FileNotFoundError):
+    for name in os.listdir(out_dir):
+        if any(fnmatch.fnmatchcase(name, pattern) for pattern in names):
             os.remove(os.path.join(out_dir, name))
     fieldio.write_summary(os.path.join(out_dir, "summary.txt"), [(margin, 0.0, False)])
 
@@ -181,7 +187,7 @@ class _Run:
                 self.final = state
                 yield state
         except CheckFailure as exc:
-            self.failure = f"{type(exc).__name__}: {exc}"
+            self.failure = _check_failure(exc)
 
     def run(self) -> "_Run":
         """Fold every state."""
@@ -203,7 +209,7 @@ class _Run:
             write = fieldio.write_vector if isinstance(f, VectorField) else fieldio.write_scalar
             write(os.path.join(self.out, name), f, self.final.time)
         if self.failure:
-            print(f"check failure: {self.failure}", file=sys.stderr)
+            print(self.failure, file=sys.stderr)
         return _verdict(self.out, entries)
 
 
@@ -367,7 +373,7 @@ def cmd_stability(cfg: Config, quiet: bool) -> int:
 
 def cmd_basis(cfg: Config, quiet: bool) -> int:
     basis = _build_basis_checked(Grid(cfg.grid), cfg.modes)
-    _open(cfg.out, ("lambda.txt",))
+    _open(cfg.out, ("lambda.txt", "mode_*.ensf"))
     galerkin.save_basis(basis, cfg.out)
     gram_dev = basis.gram_deviation
     div_max = max(float(np.abs(divergence(w).values).max()) for w in basis.modes)
@@ -452,6 +458,17 @@ _DISPATCH = {
 }
 
 
+_HELPS = {
+    "run": "integrate one configured system and write diagnostics",
+    "convergence": "manufactured-solution spatial-order study over three grids",
+    "compare": "integrate both routes of a system and report their gap",
+    "stability": "perturbation-growth ratios for a family of amplitudes",
+    "basis": "build and cache the spectral velocity basis",
+    "heat": "evolve divergence data under the heat oracle alone",
+    "decompose": "one-shot orthogonal splitting of the initial velocity",
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit 1, matching config errors."""
 
@@ -459,36 +476,40 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command's options; every command takes the same four."""
+    parser = _Parser(prog=f"enslab {name}", description=_HELPS[name])
+    parser.add_argument("--config", required=True, help="path to a key = value config file")
+    parser.add_argument("--out", default=None, help="output directory (overrides config)")
+    parser.add_argument("--seed", type=int, default=None, help="seed override (u64)")
+    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, which lists the commands; main builds it only
+    to print help or a usage error."""
     parser = _Parser(
         prog="enslab",
         description="Numerical laboratory for incompressible flow with "
                     "relaxed divergence constraints on the unit square.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="path to a key = value config file")
-    common.add_argument("--out", default=None, help="output directory (overrides config)")
-    common.add_argument("--seed", type=int, default=None, help="seed override (u64)")
-    common.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "run": "integrate one configured system and write diagnostics",
-        "convergence": "manufactured-solution spatial-order study over three grids",
-        "compare": "integrate both routes of a system and report their gap",
-        "stability": "perturbation-growth ratios for a family of amplitudes",
-        "basis": "build and cache the spectral velocity basis",
-        "heat": "evolve divergence data under the heat oracle alone",
-        "decompose": "one-shot orthogonal splitting of the initial velocity",
-    }
-    for name, text in helps.items():
-        sub.add_parser(name, parents=[common], help=text)
+    for name, text in _HELPS.items():
+        sub.add_parser(name, help=text)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in _DISPATCH:
+        parser = build_parser()
+        parser.parse_args(argv)                  # prints help or a usage error and exits
+        parser.error("the command must be the first argument")
+    command = argv[0]
+    args = command_parser(command).parse_args(argv[1:])
     try:
         cfg = load_config(args.config, out=args.out, seed=args.seed)
-        return _DISPATCH[args.command](cfg, args.quiet)
+        return _DISPATCH[command](cfg, args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -496,7 +517,7 @@ def main(argv=None) -> int:
         print(f"solver error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except CheckFailure as exc:
-        print(f"check failure: {exc}", file=sys.stderr)
+        print(_check_failure(exc), file=sys.stderr)
         return EXIT_CHECK
 
 

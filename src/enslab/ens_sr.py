@@ -50,6 +50,7 @@ from .grid import (
     integral,
     laplacian_dirichlet,
     normal_trace,
+    rescaled_norm,
     scalar_norm,
     trace_integral,
 )
@@ -225,15 +226,10 @@ def _pressure_source(s: SRState, fa: VectorField):
     rhs[:, 0] -= (-bv[0] - cc) / h
     rhs[:, -1] -= (bv[1] - cc) / h
     rhs = _adopt(ScalarField, grid, rhs)
-    # a non-finite net source is judged below, and so is an overflowed sum
-    # of squares: it is measured again on the source scaled by its largest entry
+    # a non-finite net source is judged below; the scale cannot overflow
     with np.errstate(over="ignore", invalid="ignore"):
         total = integral(rhs)
-        norm = scalar_norm(rhs)
-        if norm == math.inf:
-            top = float(np.abs(rhs.values).max())
-            norm = top * scalar_norm(_adopt(ScalarField, grid, rhs.values / top))
-    scale = max(1.0, norm)
+    scale = max(1.0, rescaled_norm(scalar_norm, rhs))
     if not math.isfinite(total) or abs(total) > NET_SOURCE_TOL * scale:
         raise CompatibilityError(
             f"pressure problem incompatible: net source {total:.3e} "

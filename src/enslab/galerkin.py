@@ -322,7 +322,11 @@ def coupling_tensor(basis: GalerkinBasis) -> np.ndarray:
     w = _split(basis.grid, basis.stacked)
     blocks = [np.flatnonzero(basis.parity == c) for c in range(4)]
     A = _transport(basis.grid, w, w, w, blocks)
-    return 0.5 * (A - A.transpose(0, 2, 1))
+    # every step's product reads T: on a 64-byte line its speed does not
+    # depend on where the heap happens to place it
+    T = np.subtract(A, A.transpose(0, 2, 1), out=_line_aligned(A.size).reshape(A.shape))
+    T *= 0.5
+    return T
 
 
 def lift_tensors(basis: GalerkinBasis, z: VectorField) -> tuple[np.ndarray, np.ndarray]:

@@ -70,6 +70,7 @@ __all__ = [
     "mean",
     "face_inner",
     "face_norm",
+    "rescaled_norm",
     "scalar_grad_inner",
     "grad_inner",
     "normal_trace",
@@ -423,6 +424,19 @@ def face_inner(a: VectorField, b: VectorField) -> float:
 
 def face_norm(a: VectorField) -> float:
     return float(np.sqrt(max(face_inner(a, a), 0.0)))
+
+
+def rescaled_norm(norm, x) -> float:
+    """norm(x) of an array or field x, with no overflow warning: a sum of
+    squares that overflows is measured again on x scaled by its largest
+    magnitude.  Finite results are norm(x) bit for bit; non-finite x has a
+    non-finite norm."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = norm(x)
+        if n == np.inf:
+            top = float(np.abs(x).max()) if isinstance(x, np.ndarray) else x.max_abs()
+            n = top * norm(x * (1.0 / top))
+    return n
 
 
 def scalar_grad_inner(p: ScalarField, q: ScalarField, bc: str) -> float:

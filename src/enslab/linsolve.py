@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .grid import (
     _adopt,
     divergence,
     integral,
+    rescaled_norm,
     scalar_norm,
     trace_integral,
     with_normal_trace,
@@ -320,8 +322,13 @@ class GeneralizedStokes:
         self._g_mult[-1, -1] = 0.0                           # p is mean-zero
         self._mult = _reciprocal(self.alpha - self.c * lap)  # (alpha I + c K_fs)^{-1}
         self._norm_d = math.sqrt(-lap[0, 0])                 # ||D||_2, as D D^T = -Lap_N
-        self._noslip = NoslipHelmholtz(grid, self.c, self.alpha)
         self._capacitance = _capacitance(grid, self.alpha, self.c) if self.c > 0.0 else None
+
+    @cached_property
+    def _noslip(self) -> NoslipHelmholtz:
+        """The velocity block alone, for u0 in ``solve``'s second residual
+        scale: built the first time that scale is needed."""
+        return NoslipHelmholtz(self.grid, self.c, self.alpha)
 
     def _free_slip_modes(self, fu: np.ndarray, fv: np.ndarray, gm: np.ndarray | None):
         """Spectral (u, v, p) of the free-slip solve with spectral force (fu, fv)
@@ -385,7 +392,7 @@ class GeneralizedStokes:
             if trace is not None:
                 walls = with_normal_trace(VectorField.zeros(grid), trace)
                 gp = gp - divergence(walls).values
-        norm_g = np.linalg.norm(gp)
+        norm_g = rescaled_norm(np.linalg.norm, gp)
         force_sq = 0.0                   # of the force plus the wall data's force
         if f is not None or walls is not None:
             bu, bv = _interior_force(self.c, VectorField.zeros(grid) if f is None else f, walls)
@@ -478,7 +485,7 @@ def _check_compatibility(g: ScalarField, trace: BoundaryTrace) -> None:
     """The one solvability check of divergence data against a wall flux."""
     vol = integral(g)
     flux = trace_integral(trace)
-    scale = max(1.0, scalar_norm(g), trace.max_abs())
+    scale = max(1.0, rescaled_norm(scalar_norm, g), trace.max_abs())
     if abs(vol - flux) > COMPAT_TOL * scale:
         raise CompatibilityError(
             f"divergence data and boundary flux disagree: volume integral {vol:.3e} "

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -217,6 +218,9 @@ class TestExitCodes:
             ("heat", HEAT_RUN.replace("grid = 32", "grid = 16"),
              ("ic_mode = 1", "ic_mode = 1\nic_eps = 1e300"), 3,
              "non-finite measurement l2 at t = 0"),
+            # the initial Stokes lift of overflowing divergence data
+            ("run", SR_RUN, ("eigenmode_div", "eigenmode_div\nic_eps = 1e300"), 2,
+             "solver error (SolverError): generalized Stokes solve: non-finite data"),
         ]
         for k, (command, text, change, code, error) in enumerate(cases):
             code0, out = run_cli(tmp_path, command, text, sub=f"out{k}")
@@ -260,8 +264,12 @@ class TestExitCodes:
         code0, out = run_cli(tmp_path, command, text)
         assert code0 == 0
         assert sorted(os.listdir(out)) == sorted(subdirs + ["summary.txt", table])
-        code1, out = run_cli(tmp_path, command, text.replace(*change), name="again.cfg")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code1, out = run_cli(tmp_path, command, text.replace(*change), name="again.cfg")
         assert code1 == code
+        assert not [(w.filename, w.lineno, str(w.message)) for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
         assert error in capsys.readouterr().err
         assert sorted(os.listdir(out)) == sorted(subdirs + ["summary.txt"])
         margin = "routes_completed" if command == "compare" else "runs_completed"
@@ -280,10 +288,48 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 1
 
-    def test_help_exits_zero(self):
+    def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
+        listing = capsys.readouterr().out
+        for command in ("run", "convergence", "compare", "stability", "basis", "heat",
+                        "decompose"):
+            assert command in listing
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: enslab run [-h] --config CONFIG")
+
+    def test_a_command_parses_only_its_own_options(self, tmp_path, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run"])
+        assert exc.value.code == 1
+        assert "--config" in capsys.readouterr().err
+        # a named command builds one parser, not the whole command table
+        built, real = [], argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **k: built.append(self) or real(self, *a, **k))
+        code, _ = run_cli(tmp_path, "decompose", JL_RUN, extra=("--quiet", "--seed", "3"))
+        assert code == 0
+        assert len(built) == 1
+
+    def test_check_failures_print_one_message_form(self, tmp_path, capsys):
+        cases = [
+            # kept by the run after its first steps: the Galerkin route blows up
+            ("run", GALERKIN_RUN + "forcing = rotational\nforcing_amplitude = 1e200\n",
+             "coefficients grew non-finite (blow-up) at t = "),
+            # kept by the run at its initial state
+            ("heat", HEAT_RUN.replace("ic_mode = 1", "ic_mode = 1\nic_eps = 1e300"),
+             "non-finite measurement l2 at t = 0\n"),
+            # raised to main
+            ("decompose", JL_RUN + "ic_amplitude = 1e300\n",
+             "non-finite split measurement div_v_l2 at t = 0\n"),
+        ]
+        for k, (command, text, message) in enumerate(cases):
+            code, _ = run_cli(tmp_path, command, text, sub=f"out{k}")
+            assert code == 3
+            assert capsys.readouterr().err.startswith("check failure: " + message)
 
 
 class TestRunArtifacts:
@@ -438,6 +484,16 @@ class TestStudies:
         assert os.path.exists(os.path.join(out, "mode_003.v.ensf"))
         summary = open(os.path.join(out, "summary.txt")).read()
         assert "gram_deviation" in summary and "overall PASS" in summary
+
+    def test_smaller_basis_leaves_no_stale_modes(self, tmp_path):
+        for modes in (8, 4):
+            code, out = run_cli(tmp_path, "basis",
+                                GALERKIN_RUN.replace("modes = 6", f"modes = {modes}"),
+                                name=f"basis{modes}.cfg")
+            assert code == 0
+        assert sorted(name for name in os.listdir(out) if name.startswith("mode_")) == [
+            f"mode_{j:03d}.{c}.ensf" for j in range(4) for c in "uv"]
+        assert len(open(os.path.join(out, "lambda.txt")).read().splitlines()) == 4
 
     def test_basis_modes_beyond_grid_limit_exit_one(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, "basis",

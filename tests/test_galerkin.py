@@ -394,6 +394,9 @@ class TestTensorContraction:
         for n in (1, 7, 100, 100_000):
             x = galerkin._line_aligned(n)
             assert x.shape == (n,) and x.flags.c_contiguous and x.ctypes.data % 64 == 0
+        # so does the tensor that every step's product reads
+        tensor = galerkin.coupling_tensor(galerkin.build_basis(Grid(9), 16))
+        assert tensor.flags.c_contiguous and tensor.ctypes.data % 64 == 0
 
     def test_coupling_tensor_is_exactly_skew_in_last_two_slots(self):
         for n in (9, 16):

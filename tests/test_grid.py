@@ -1,5 +1,7 @@
 """Grid module: operators, exact adjointness, closures, eigenfunction checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from enslab.grid import (
     laplacian_neumann,
     mean,
     normal_trace,
+    rescaled_norm,
     scalar_from_function,
     scalar_grad_inner,
     scalar_inner,
@@ -407,6 +410,25 @@ class TestNormsAndTraces:
         g = Grid(8, 8)
         w = random_vector(g, rng, zero_walls=False)
         assert abs(face_norm(3.0 * w) - 3.0 * face_norm(w)) <= 1e-12 * face_norm(w)
+
+    def test_rescaled_norm_is_the_norm_unless_it_overflows(self):
+        rng = np.random.default_rng(41)
+        g = Grid(16, 16)
+        p = random_scalar(g, rng)
+        # finite norms are the plain norms, bit for bit
+        assert rescaled_norm(scalar_norm, p) == scalar_norm(p)
+        assert rescaled_norm(np.linalg.norm, p.values) == np.linalg.norm(p.values)
+        bad = p.values.copy()
+        bad[3, 4] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the plain sums of squares overflow; the rescaled ones do not warn
+            huge = p * 1e300
+            assert rescaled_norm(scalar_norm, huge) == pytest.approx(1e300 * scalar_norm(p),
+                                                                     rel=1e-14)
+            assert rescaled_norm(np.linalg.norm, huge.values) == pytest.approx(
+                1e300 * np.linalg.norm(p.values), rel=1e-14)
+            assert not np.isfinite(rescaled_norm(np.linalg.norm, bad))
 
     def test_trace_roundtrip_and_signs(self):
         g = Grid(8, 8)

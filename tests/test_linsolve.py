@@ -522,6 +522,17 @@ class TestGeneralizedStokes:
             assert rep.residual <= STOKES_TOL
         assert calls == []
 
+    def test_velocity_block_is_built_on_first_use(self):
+        # the u0 solve behind the second residual scale is built only when
+        # a solve needs that scale
+        g = Grid(16)
+        f = random_field(g, np.random.default_rng(25))
+        stokes = GeneralizedStokes(g, 1.0, 0.02)
+        stokes.solve(f)
+        assert "_noslip" not in vars(stokes)
+        stokes.solve(gradient(coscos(g, 2, 3)))
+        assert isinstance(vars(stokes)["_noslip"], NoslipHelmholtz)
+
     def test_gradient_force_is_all_pressure(self, monkeypatch):
         # u and g' vanish to round-off, so only the second scale, with the
         # velocity u0 at p = 0, can pass the solve
