@@ -58,7 +58,7 @@ def main() -> None:
     g0 = eigen_divergence(grid, "sr", eps=1.0, mode=1)
     mass = integral(g0)
     h0 = BoundaryTrace.constant(grid, mass / 4.0)
-    z0, _ = lift_with_boundary(g0, h0)
+    z0 = lift_with_boundary(g0, h0)
     tr = normal_trace(z0)
     flux = grid.h * (np.sum(tr.left) + np.sum(tr.right)
                      + np.sum(tr.bottom) + np.sum(tr.top))

@@ -123,7 +123,7 @@ def step_decomposed(s: JLState, dt: float) -> JLState:
                          "build the state with jl_state(u, nu, ...)")
     cfl_check(s.u, dt)
     gp = heat_step(s.g, dt)
-    zp, _ = lift_or_zero(gp.g, s.u)
+    zp = lift_or_zero(gp.g, s.u)
     f_mid = s.forcing.evaluate(s.u.grid, s.time + 0.5 * dt)
     vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, f_mid, s.time + dt)
     return JLState(s.time + dt, vp + zp, gp, s.nu, s.forcing, vp, zp)

@@ -128,7 +128,7 @@ def sr_state(u: VectorField, lam: float, nu: float, forcing: ForcingSpec | None 
     h = normal_trace(u)
     if not decomposed:
         return SRState(time, u, g, h, lam, nu, forcing)
-    z, _ = lift_or_zero(g.g, u, h)
+    z = lift_or_zero(g.g, u, h)
     return SRState(time, u, g, h, lam, nu, forcing, u - z, z)
 
 
@@ -192,7 +192,7 @@ def step_constructive(s: SRState, dt: float) -> SRState:
     gp = heat_step(s.g, dt)
     cbar = _step_average_constant(integral(s.g.g), integral(gp.g), s.lam, dt)
     hp = evolve_h(s.h, cbar, s.lam, dt)
-    zp, _ = lift_or_zero(gp.g, s.u, hp)
+    zp = lift_or_zero(gp.g, s.u, hp)
     f_mid = s.forcing.evaluate(s.u.grid, s.time + 0.5 * dt)
     vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, f_mid, s.time + dt)
     gap_plus = solvability_gap(gp, hp)

@@ -142,6 +142,12 @@ def _adopt(cls, grid: "Grid", *arrays: np.ndarray):
     return obj
 
 
+def _line_aligned(n: int) -> np.ndarray:
+    """An uninitialized float64 vector of n entries starting on a 64-byte line."""
+    raw = np.empty(n + 8)
+    return raw[(-raw.ctypes.data % 64) // 8:][:n]
+
+
 @dataclass(frozen=True)
 class _Field:
     """The one field implementation: immutable float64 arrays on a grid,

@@ -12,19 +12,20 @@ Contents
 * ``GeneralizedStokes``: (alpha I + c K) u + G p = f, D u = g with wall-normal
   velocity data, solved directly in one spectral pass: an exact free-slip
   solve, pointwise in the cached 1-D eigenbases, and a capacitance
-  correction on the 4(N - 1) wall faces, factored at 1-D sizes.  One
-  forward transform of f and g and one inverse transform of u, and of p
-  when the caller keeps it: at most 12 dense N x N products.  Its
-  post-condition is the divergence residual of the returned velocity,
-  judged on a scale that needs a second velocity solve only when the first
-  scale fails.  alpha = 0 is the stationary Stokes lift, alpha = 1 the
-  viscous step on the divergence-free subspace.
+  correction on the 4(N - 1) wall faces, the dense inverses of four parity
+  systems of order about N.  One forward transform of f and g and one
+  inverse transform of u, and of p only when the caller keeps it: at most
+  12 dense N x N products.  Its post-condition is the divergence residual
+  of the returned velocity, judged on a scale that needs a second velocity
+  solve only when the first scale fails.  alpha = 0 is the stationary
+  Stokes lift, alpha = 1 the viscous step on the divergence-free subspace.
 * ``NoslipHelmholtz``: the velocity block alone, with wall data, solved
   component by component in the same eigenbases.
 
 Every solve takes and returns the grid's own 2-D cell or face arrays: the
 operators act along each axis, so no stacked vector of unknowns is formed.
-A solve owns its workspace.  The cache of eigenbases and solvers is
+The generalized Stokes solves of a grid share its spectral workspaces; every
+returned array is fresh.  The cache of eigenbases, solvers and workspaces is
 append-only and keyed by immutable tuples; it takes no lock, as nothing in
 the package solves on more than one thread.
 """
@@ -44,6 +45,7 @@ from .grid import (
     ScalarField,
     VectorField,
     _adopt,
+    _line_aligned,
     divergence,
     integral,
     rescaled_norm,
@@ -107,16 +109,22 @@ def _tridiagonal_eigh(n: int, h: float, kind: str):
     is exactly constant, with eigenvalue exactly 0.
     """
     def build():
-        table = np.sin((np.pi / (2 * n)) * np.arange(4 * n))
+        lam, table, k = _tridiagonal_eigvals(n, h, kind)
         if kind == "node":
-            k = np.arange(n - 1, 0, -1)
             r = 2 * np.outer(np.arange(1, n), k)
         else:                                                # cos x = sin(x + pi / 2)
-            k = np.arange(n - 1, -1, -1) if kind == "neumann" else np.arange(n, 0, -1)
             r = np.outer(2 * np.arange(n) + 1, k) + (n if kind == "neumann" else 0)
         q = table[r % (4 * n)] * np.where(k % n == 0, math.sqrt(1.0 / n), math.sqrt(2.0 / n))
-        return (-4.0 / (h * h)) * table[k] ** 2, q
+        return lam, q
     return _cached(("tridiagonal_eigh", n, h, kind), build)
+
+
+def _tridiagonal_eigvals(n: int, h: float, kind: str):
+    """``_tridiagonal_eigh``'s eigenvalues, sine table and column modes k."""
+    table = np.sin((np.pi / (2 * n)) * np.arange(4 * n))
+    k = np.arange(n - 1, 0, -1) if kind == "node" else (
+        np.arange(n - 1, -1, -1) if kind == "neumann" else np.arange(n, 0, -1))
+    return (-4.0 / (h * h)) * table[k] ** 2, table, k
 
 
 def _separable_eigenbasis(grid: Grid, kind_x: str, kind_y: str | None = None):
@@ -206,34 +214,11 @@ class SolveReport:
     residual: float
 
 
-def _div(grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """D x, the divergence of the interior-face arrays u and v of x (zero wall faces)."""
-    d = np.zeros(grid.shape_cell)
-    d[:-1] += u
-    d[1:] -= u
-    d[:, :-1] += v
-    d[:, 1:] -= v
-    return d / grid.h
-
-
 def _wall_force(c: float, walls: VectorField):
     """The force of the wall-normal values of ``walls`` on c K: c / h^2 times
     them, on the first and last interior rows of u and columns of v."""
     h2 = walls.grid.h * walls.grid.h
     return c * (walls.u[[0, -1]] / h2), c * (walls.v[:, [0, -1]] / h2)
-
-
-def _interior_force(c: float, f: VectorField, walls: VectorField | None):
-    """The u and v arrays of f on the interior faces, plus the force of the
-    wall data ``walls`` when given."""
-    fu, fv = f.u[1:-1], f.v[:, 1:-1]
-    if walls is None:
-        return fu, fv
-    wu, wv = _wall_force(c, walls)
-    fu, fv = fu.copy(), fv.copy()
-    fu[[0, -1]] += wu
-    fv[:, [0, -1]] += wv
-    return fu, fv
 
 
 def _difference_factors(n: int, h: float) -> np.ndarray:
@@ -244,7 +229,9 @@ def _difference_factors(n: int, h: float) -> np.ndarray:
 
 
 def _capacitance(grid: Grid, alpha: float, c: float):
-    """C = I + c w U^T T U, T the free-slip solution operator, factored.
+    """-c w C^{-1}, C = I + c w U^T T U and T the free-slip solution operator:
+    returns the wall rows of q as sum and difference over sqrt 2, the index
+    of the unknowns of four systems in turn, and their dense inverses.
 
     T = (alpha I + c K_fs)^{-1} + D^T (alpha I - c Lap_N)^{-1} Lap_N^+ D, and
     D is diagonal between the node and Neumann eigenbases
@@ -252,8 +239,9 @@ def _capacitance(grid: Grid, alpha: float, c: float):
     opposite walls combined as sum and difference (the square's
     reflections), the u-u and v-v parts of C are one diagonal, and the u-v
     part couples u walls of kind b in modes of parity a only with v walls of
-    kind a in modes of parity b: four systems of order about N - 1, each
-    stored as its u-v block and its inverted v-side Schur complement.
+    kind a in modes of parity b: four systems of order about N - 1, of which
+    (1, 0) is (0, 1) mirrored in the diagonal.  Each inverse is the
+    block-inverse formula on the inverted v-side Schur complement.
     """
     n, h = grid.nx, grid.h
     lam, q = _tridiagonal_eigh(n, h, "neumann")
@@ -262,22 +250,51 @@ def _capacitance(grid: Grid, alpha: float, c: float):
     ends = np.stack([q[0] + q[-1], q[0] - q[-1]]) / math.sqrt(2.0)
     cw = 2.0 * c / (h * h)
     diag = 1.0 + cw * (ends * ends) @ (lam * mult).T    # [sum or difference, mode]
-    e = _difference_factors(n, h) * ends[:, :-1]
     odd = np.abs(ends[1, :-1]) > np.abs(ends[0, :-1])
-    modes = (np.flatnonzero(~odd), np.flatnonzero(odd))
-    blocks = []
-    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        ia, ib = modes[a], modes[b]
-        x = cw * e[a, ia, None] * mult[np.ix_(ia, ib)] * e[b, ib]
-        schur = np.diag(diag[a, ib]) - x.T @ (x / diag[b, ia, None])
-        blocks.append((a, b, ia, ib, x, np.linalg.inv(schur)))
-    half = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    return np.kron(np.eye(2), half), diag, blocks
+    order = np.argsort(odd, kind="stable")              # the even modes, then the odd
+    e = (_difference_factors(n, h) * np.where(odd, ends[1, :-1], ends[0, :-1]))[order]
+    coupling = (cw * e[:, None]) * np.take(mult[order], order, axis=1) * e
+    diag, even = diag[:, order], n - 1 - np.count_nonzero(odd)
+    modes = (slice(0, even), slice(even, n - 1))
+    index, inverses = [], []
+    for a, b in ((0, 0), (0, 1), (1, 1)):
+        x = coupling[modes[a], modes[b]]
+        du, dv = diag[b, modes[a]], diag[a, modes[b]]
+        y = x / du[:, None]
+        s = np.linalg.inv(np.diag(dv) - x.T @ y) * -cw    # -c w S^-1, S the v-side Schur
+        ys, k = y @ s, len(y)
+        inverse = np.empty((k + len(s),) * 2)   # -c w [[D^-1 + y S^-1 y^T, -y S^-1], [., S^-1]]
+        np.matmul(ys, y.T, out=inverse[:k, :k])
+        inverse.reshape(-1)[:k * (len(inverse) + 1):len(inverse) + 1] -= cw / du
+        inverse[:k, k:], inverse[k:, :k], inverse[k:, k:] = -ys, -ys.T, s
+        u, v = order[modes[a]] + b * n, order[modes[b]] + (2 + a) * n
+        index += [u, v] if a == b else [u, v, u + 2 * n, v - 2 * n]
+        inverses += [inverse] * (1 if a == b else 2)
+    return ends, np.concatenate(index), inverses
 
 
 def _reciprocal(a: np.ndarray) -> np.ndarray:
     """1 / a, with 0 where a is 0."""
     return np.divide(1.0, a, out=np.zeros_like(a), where=a != 0.0)
+
+
+class _Workspace:
+    """The spectral arrays of the generalized Stokes solves on the n x n grid,
+    shared, as solves run on one thread and never nest, and never returned:
+    the force and velocity modes of u and v, g's modes, the wall values and
+    a scratch array, each on a 64-byte line.  The v modes and the wall values
+    are padded to n columns, the last always 0, so every pointwise step runs
+    over whole rows."""
+
+    def __init__(self, n: int):
+        self.fu, self.uh = (_line_aligned(n * n - n).reshape(n - 1, n) for _ in range(2))
+        self.fv, self.vh, self.gh = (_line_aligned(n * n).reshape(n, n) for _ in range(3))
+        self.fv[:, -1] = self.vh[:, -1] = 0.0
+        self.walls = np.zeros((4, n))
+        self._scratch = _line_aligned(n * n)
+
+    def scratch(self, shape) -> np.ndarray:
+        return self._scratch[:math.prod(shape)].reshape(shape)
 
 
 class GeneralizedStokes:
@@ -298,10 +315,13 @@ class GeneralizedStokes:
     node eigenbasis qn along x and the Neumann eigenbasis q along y, the v
     faces the other way round, and cells in q along both.  There Lap_N is
     Lam[k, l] = lam_k + lam_l, K_fs is -Lam on the matching modes, and D and
-    D^T multiply by sigma (``_difference_factors``), so the free-slip p and
-    u are pointwise functions of the transformed f and g.  The wall values
+    D^T multiply by sigma (``_difference_factors``), so the free-slip u is a
+    pointwise function of the transformed f and g, p eliminated: three held
+    multipliers of f, and two of g built on first use.  The wall values
     U^T u are node coordinates, u times a row of q, and the correction force
     is two outer products per component, so neither needs a transform.
+    C^{-1} is dense per system (``_capacitance``): one gather, four products
+    with vectors and one scatter.
     """
 
     def __init__(self, grid: Grid, alpha: float, c: float):
@@ -312,64 +332,86 @@ class GeneralizedStokes:
             raise ValueError(f"need alpha, c >= 0 with alpha + c > 0 and finite, "
                              f"got alpha = {alpha!r}, c = {c!r}")
         n, h = grid.nx, grid.h
-        lam, self._q = _tridiagonal_eigh(n, h, "neumann")
+        self._q = _tridiagonal_eigh(n, h, "neumann")[1]
         self._qn = _tridiagonal_eigh(n, h, "node")[1]
-        self._ends = self._q[[0, -1]]                        # wall rows of q
-        self._sigma = _difference_factors(n, h)
-        lap = lam[:, None] + lam[None, :]                    # Lam; only [-1, -1] is 0
-        self._inv_lap = _reciprocal(lap)                     # Lap_N^+
-        self._g_mult = self.c - self.alpha * self._inv_lap   # p's part from g
-        self._g_mult[-1, -1] = 0.0                           # p is mean-zero
-        self._mult = _reciprocal(self.alpha - self.c * lap)  # (alpha I + c K_fs)^{-1}
-        self._norm_d = math.sqrt(-lap[0, 0])                 # ||D||_2, as D D^T = -Lap_N
+        s, lam, inv, mult = self._symbols()
+        self._norm_d = math.sqrt(-(lam[0] + lam[0]))          # ||D||_2, as D D^T = -Lap_N
+        # u = mult (f_u + s_k p), p = Lap^+ (s_k f_u + s_l f_v) and
+        # 1 + s_k^2 / Lam = lam_l / Lam: the multipliers of u's and v's own
+        # force, and of the other's on the modes both have; 0 on the pad
+        # column of the v modes
+        inv *= mult
+        self._uu = inv[:-1] * lam
+        self._vv = inv * lam[:, None]
+        self._vv[:, -1] = 0.0
+        self._cross = inv[:-1] * np.outer(s, np.append(s, 0.0))
         self._capacitance = _capacitance(grid, self.alpha, self.c) if self.c > 0.0 else None
+        self._work = _cached(("stokes_workspace", n), lambda: _Workspace(n))
+
+    def _symbols(self):
+        """sigma, lam, Lap_N^+ and (alpha I + c K_fs)^{-1} on the cell modes."""
+        n, h = self.grid.nx, self.grid.h
+        lam = _tridiagonal_eigh(n, h, "neumann")[0]
+        lap = lam[:, None] + lam[None, :]                    # Lam; only [-1, -1] is 0
+        return (_difference_factors(n, h), lam, _reciprocal(lap),
+                _reciprocal(self.alpha - self.c * lap))
+
+    @cached_property
+    def _g_modes(self):
+        """u's and v's multipliers of g's transform, through p's part c - alpha Lap_N^+."""
+        s, _, inv, mult = self._symbols()
+        mult *= self.c - self.alpha * inv
+        return s[:, None] * mult[:-1], mult * np.append(s, 0.0)
 
     @cached_property
     def _noslip(self) -> NoslipHelmholtz:
-        """The velocity block alone, for u0 in ``solve``'s second residual
-        scale: built the first time that scale is needed."""
+        """The velocity block alone, for u0 in ``solve``'s second scale."""
         return NoslipHelmholtz(self.grid, self.c, self.alpha)
 
-    def _free_slip_modes(self, fu: np.ndarray, fv: np.ndarray, gm: np.ndarray | None):
-        """Spectral (u, v, p) of the free-slip solve with spectral force (fu, fv)
-        and p's part gm from the divergence data."""
-        s = self._sigma
-        d = np.zeros(self._inv_lap.shape)
-        d[:-1] = s[:, None] * fu
-        d[:, :-1] += fv * s
-        p = d * self._inv_lap
-        if gm is not None:
-            p += gm
-        u = (fu + s[:, None] * p[:-1]) * self._mult[:-1]
-        v = (fv + p[:, :-1] * s) * self._mult[:, :-1]
-        return u, v, p
+    def _velocity_modes(self, fu, fv, gh) -> None:
+        """The free-slip velocity in modes, into the workspaces uh and vh,
+        from the spectral force (fu, fv), None for none, and g's transform gh."""
+        w = self._work
+        uh, vh = w.uh, w.vh
+        if fu is not None:
+            x = w.scratch(uh.shape)
+            np.multiply(self._uu, fu, out=uh)
+            np.add(uh, np.multiply(self._cross, fv[:-1], out=x), out=uh)
+            np.multiply(self._vv, fv, out=vh)
+            np.add(vh[:-1], np.multiply(self._cross, fu, out=x), out=vh[:-1])
+        if gh is not None:
+            for out, mult, part in zip((uh, vh), self._g_modes, (gh[:-1], gh)):
+                if fu is None:
+                    np.multiply(mult, part, out=out)
+                else:
+                    out += np.multiply(mult, part, out=w.scratch(out.shape))
 
-    def _wall_modes_solve(self, z: np.ndarray) -> np.ndarray:
-        """C^{-1} in node coordinates along the walls, one column per wall:
-        the u faces next to the bottom and the top, the v faces next to the
-        left and the right."""
-        half, diag, blocks = self._capacitance
-        z = (z @ half).T                 # u sum, u difference, v sum, v difference
-        out = np.empty_like(z)
-        out[:2] = z[:2] / diag
-        for a, b, ia, ib, x, schur_inv in blocks:
-            zv = schur_inv @ (z[2 + a, ib] - x.T @ out[b, ia])
-            out[2 + a, ib] = zv
-            out[b, ia] -= (x @ zv) / diag[b, ia]
-        return out.T @ half
+    def _wall_modes_solve(self, z: np.ndarray) -> None:
+        """z <- -c w C^{-1} z in place, z in node coordinates along the walls
+        and padded by one column: the u faces next to the bottom and top, then
+        the v faces next to the left and right, each pair as sum and
+        difference over sqrt 2."""
+        _, index, inverses = self._capacitance
+        flat = z.reshape(-1)
+        r, out, lo = flat[index], np.empty(index.size), 0
+        for inverse in inverses:
+            np.matmul(inverse, r[lo:lo + len(inverse)], out=out[lo:lo + len(inverse)])
+            lo += len(inverse)
+        flat[index] = out
 
     def solve(self, f: VectorField | None = None, g: ScalarField | None = None,
               trace: BoundaryTrace | None = None, *, pressure: bool = True):
         """Solve with body force f, divergence g and outward wall-normal velocity trace.
 
         Missing data is zero.  Returns (u, p, SolveReport): u carries the
-        wall data and p is mean-zero, or None with ``pressure=False``.  The
-        solve makes one forward transform of f (4 dense N x N products) and
-        of g' (2), each only when it is given, and one inverse transform of
-        u (4) and of p (2, only when kept): at most 12 products, and 8 for a
-        velocity from a force alone or for a lift.  The wall data's force
-        lies on two grid lines per component and is transformed by outer
-        products.
+        wall data and p is mean-zero, or None with ``pressure=False``, and
+        then never formed.  One forward transform of f (4 dense N x N
+        products) and of g' (2), each only when given, and one inverse
+        transform of u (4) and of p (2, only when kept): at most 12
+        products, and 8 for a velocity from a force alone or for a lift.
+        The wall data's force lies on two lines per component and is
+        transformed by outer products.  The spectral arrays are the grid's
+        ``_Workspace``; u and p are always fresh.
 
         The report gives the divergence residual of the returned u,
         ||g' - D u|| over its mean-zero part (the mean is the compatibility
@@ -378,66 +420,94 @@ class GeneralizedStokes:
         max(||g'||, ||g' - D u0||, ||D||_2 ||u||) with
         u0 = (alpha I + c K)^{-1} f the velocity at p = 0.  The second scale
         is never smaller, so the first stage passes only what the second
-        would.  Raises SolverError on non-finite data or a residual above
-        STOKES_TOL on the second scale.
+        would.  Raises SolverError on non-finite data, on finite data whose
+        sum of squares overflows (naming its largest entry) or on a residual
+        above STOKES_TOL on the second scale.
         """
-        grid = self.grid
-        q, qn = self._q, self._qn
-        gp = np.zeros(grid.shape_cell)
-        walls = None
+        grid, q, qn, w = self.grid, self._q, self._qn, self._work
+        if f is None and g is None and trace is None:
+            f = VectorField.zeros(grid)
+        walls, gp = None, (None if g is None else g.values)
+        if trace is not None:            # g' and the wall data's force, judged just below
+            walls = with_normal_trace(VectorField.zeros(grid), trace)
+            with np.errstate(over="ignore", invalid="ignore"):
+                div = divergence(walls).values
+                gp = -div if g is None else gp - div
+                wu, wv = _wall_force(self.c, walls)
+        # the sums of squares are finite only if every entry is, and then
+        # nothing after them overflows
+        sq_g = 0.0 if gp is None else float(np.vdot(gp, gp))
+        forces = (() if f is None else f.arrays) + (() if walls is None else (wu, wv))
+        if not math.isfinite(sq_g + sum(float(np.vdot(a, a)) for a in forces)):
+            data = [d for d in (f, g, trace) if d is not None]
+            if not all(np.isfinite(a).all() for d in data for a in d.arrays):
+                raise SolverError("generalized Stokes solve: non-finite data")
+            raise SolverError(f"generalized Stokes solve: the measure of finite data overflows "
+                              f"(largest entry {max(d.max_abs() for d in data):.3e})")
         if g is not None or trace is not None:
-            g = ScalarField.zeros(grid) if g is None else g
-            _check_compatibility(g, BoundaryTrace.zeros(grid) if trace is None else trace)
-            gp = g.values
-            if trace is not None:
-                walls = with_normal_trace(VectorField.zeros(grid), trace)
-                gp = gp - divergence(walls).values
-        norm_g = rescaled_norm(np.linalg.norm, gp)
-        force_sq = 0.0                   # of the force plus the wall data's force
-        if f is not None or walls is not None:
-            bu, bv = _interior_force(self.c, VectorField.zeros(grid) if f is None else f, walls)
-            force_sq = float(np.vdot(bu, bu)) + float(np.vdot(bv, bv))
-        if not (math.isfinite(norm_g) and math.isfinite(force_sq)):
-            raise SolverError("generalized Stokes solve: non-finite data")
-        fu, fv = np.zeros((grid.nx - 1, grid.ny)), np.zeros((grid.nx, grid.ny - 1))
+            _check_compatibility(g, trace)
+        fu = fv = gh = None
         if f is not None:
-            fu, fv = qn.T @ f.u[1:-1] @ q, q.T @ f.v[:, 1:-1] @ qn
+            f_u, f_v = f.u[1:-1], f.v[:, 1:-1]
+            fu = np.matmul(np.matmul(qn.T, f_u, out=w.scratch(f_u.shape)), q, out=w.fu)
+            np.matmul(np.matmul(q.T, f_v, out=w.scratch(f_v.shape)), qn, out=w.fv[:, :-1])
+            fv = w.fv
         if walls is not None:            # the wall data's force lies on two lines per component
-            wu, wv = _wall_force(self.c, walls)
-            ends_n = qn[[0, -1]]
-            fu = fu + ends_n.T @ (wu @ q)
-            fv = fv + (q.T @ wv) @ ends_n
-        gm = (q.T @ gp @ q) * self._g_mult if norm_g > 0.0 else None
-        uh, vh, ph = self._free_slip_modes(fu, fv, gm)
+            wfu, wfv = qn[[0, -1]].T @ (wu @ q), (q.T @ wv) @ np.pad(qn[[0, -1]], ((0, 0), (0, 1)))
+            fu = wfu if fu is None else np.add(fu, wfu, out=fu)
+            fv = wfv if fv is None else np.add(fv, wfv, out=fv)
+        if gp is not None:
+            gh = np.matmul(np.matmul(q.T, gp, out=w.scratch(gp.shape)), q, out=w.gh)
+        self._velocity_modes(fu, fv, gh)
         if self._capacitance is not None:
-            ends = self._ends
-            z = np.concatenate([uh @ ends.T, (ends @ vh).T], axis=1)
-            force = self._wall_modes_solve((2.0 * self.c / (grid.h * grid.h)) * z)
-            uh, vh, ph = self._free_slip_modes(fu - force[:, :2] @ ends,
-                                               fv - ends.T @ force[:, 2:].T, gm)
-        if walls is None:
-            u, v = np.zeros(grid.shape_u), np.zeros(grid.shape_v)
-        else:
-            u, v = walls.u.copy(), walls.v.copy()
-        xu, xv = u[1:-1], v[:, 1:-1]
-        xu[...] = qn @ uh @ q.T
-        xv[...] = q @ vh @ qn.T
-        r = gp - _div(grid, xu, xv)
-        r = np.linalg.norm(r - r.mean())
-        scale = max(norm_g, self._norm_d * math.hypot(np.linalg.norm(xu), np.linalg.norm(xv)))
-        res = float(r / scale) if scale > 0.0 else 0.0
+            ends, z = self._capacitance[0], w.walls
+            np.matmul(ends, w.uh.T, out=z[:2, :-1])
+            np.matmul(ends, w.vh, out=z[2:])
+            self._wall_modes_solve(z)
+            du = np.matmul(z[:2, :-1].T, ends, out=w.fu if fu is None else w.scratch(w.fu.shape))
+            fu = du if fu is None else np.add(fu, du, out=fu)
+            dv = np.matmul(ends.T, z[2:], out=w.fv if fv is None else w.scratch(w.fv.shape))
+            fv = dv if fv is None else np.add(fv, dv, out=fv)
+            self._velocity_modes(fu, fv, gh)
+        p = self._pressure(fu, fv, gh) if pressure else None
+        u, v = ((np.zeros(grid.shape_u), np.zeros(grid.shape_v)) if walls is None
+                else (walls.u.copy(), walls.v.copy()))
+        np.matmul(np.matmul(qn, w.uh, out=w.scratch(w.uh.shape)), q.T, out=u[1:-1])
+        xu, xv = u[1:-1], w.fv                   # f's modes are spent: v's interior, padded
+        t = np.matmul(q, w.vh[:, :-1], out=w.scratch(v[:, 1:-1].shape))
+        v[:, 1:-1] = np.matmul(t, qn.T, out=xv[:, :-1])
+        # the residual from one divergence of the returned arrays: div u - g = D u - g'
+        r = np.subtract(u[1:], u[:-1], out=w.scratch(grid.shape_cell))
+        r += v[:, 1:]
+        r -= v[:, :-1]
+        r /= grid.h
+        if g is not None:
+            r -= g.values
+        r -= r.sum() / r.size
+        r = math.sqrt(float(np.vdot(r, r)))
+        scale = max(math.sqrt(sq_g),
+                    self._norm_d * math.sqrt(float(np.vdot(xu, xu)) + float(np.vdot(xv, xv))))
+        res = r / scale if scale > 0.0 else 0.0
         if not res <= STOKES_TOL:
-            u0 = self._noslip.solve(VectorField.zeros(grid) if f is None else f, trace)
-            scale = max(scale, np.linalg.norm(gp - _div(grid, u0.u[1:-1], u0.v[:, 1:-1])))
-            res = float(r / scale) if scale > 0.0 else 0.0
+            d0 = divergence(self._noslip.solve(VectorField.zeros(grid) if f is None else f, trace))
+            scale = max(scale, float(np.linalg.norm(d0.values - (0.0 if g is None else g.values))))
+            res = r / scale if scale > 0.0 else 0.0
             if not res <= STOKES_TOL:
                 raise SolverError(f"generalized Stokes solve: divergence residual {res:.3e} "
                                   f"above tol {STOKES_TOL:.1e}")
-        u = _adopt(VectorField, grid, u, v)
-        if not pressure:
-            return u, None, SolveReport(res)
-        p = q @ ph @ q.T
-        return u, _adopt(ScalarField, grid, p - p.mean()), SolveReport(res)
+        return _adopt(VectorField, grid, u, v), p, SolveReport(res)
+
+    def _pressure(self, fu, fv, gh) -> ScalarField:
+        """The mean-zero p of the spectral force (fu, fv), None for none, and
+        g's transform gh."""
+        s, _, inv, _ = self._symbols()          # p's constant mode goes with its mean
+        ph = np.zeros(self.grid.shape_cell) if gh is None else (self.c - self.alpha * inv) * gh
+        if fu is not None:
+            ph[:-1] += s[:, None] * fu * inv[:-1]
+            ph[:, :-1] += fv[:, :-1] * s * inv[:, :-1]
+        p = self._q @ ph @ self._q.T
+        p -= p.mean()
+        return _adopt(ScalarField, self.grid, p)
 
 
 def generalized_stokes(grid: Grid, alpha: float, c: float) -> GeneralizedStokes:
@@ -470,22 +540,28 @@ class NoslipHelmholtz:
 
     def solve(self, rhs: VectorField, trace: BoundaryTrace | None = None) -> VectorField:
         grid = self.grid
+        bu, bv = rhs.u[1:-1], rhs.v[:, 1:-1]
         if trace is None:
-            walls, u, v = None, np.zeros(grid.shape_u), np.zeros(grid.shape_v)
+            u, v = np.zeros(grid.shape_u), np.zeros(grid.shape_v)
         else:
             walls = with_normal_trace(VectorField.zeros(grid), trace)
             u, v = walls.u.copy(), walls.v.copy()
-        bu, bv = _interior_force(self.c, rhs, walls)
+            wu, wv = _wall_force(self.c, walls)
+            bu, bv = bu.copy(), bv.copy()
+            bu[[0, -1]] += wu
+            bv[:, [0, -1]] += wv
         u[1:-1] = _diagonalized_solve(bu, *self._blocks[0])
         v[:, 1:-1] = _diagonalized_solve(bv, *self._blocks[1])
         return _adopt(VectorField, grid, u, v)
 
 
-def _check_compatibility(g: ScalarField, trace: BoundaryTrace) -> None:
-    """The one solvability check of divergence data against a wall flux."""
-    vol = integral(g)
-    flux = trace_integral(trace)
-    scale = max(1.0, rescaled_norm(scalar_norm, g), trace.max_abs())
+def _check_compatibility(g: ScalarField | None, trace: BoundaryTrace | None) -> None:
+    """The one solvability check of divergence data against a wall flux;
+    either may be None, for zero."""
+    vol = 0.0 if g is None else integral(g)
+    flux = 0.0 if trace is None else trace_integral(trace)
+    scale = max(1.0, 0.0 if g is None else rescaled_norm(scalar_norm, g),
+                0.0 if trace is None else trace.max_abs())
     if abs(vol - flux) > COMPAT_TOL * scale:
         raise CompatibilityError(
             f"divergence data and boundary flux disagree: volume integral {vol:.3e} "

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from .advection import skew_advect
 from .errors import CFLError
 from .grid import Grid, VectorField, vector_from_functions, vector_laplacian
-from .linsolve import NoslipHelmholtz, _separable_eigenbasis, generalized_stokes
+from .linsolve import NoslipHelmholtz, _tridiagonal_eigvals, generalized_stokes
 from .stokes_lift import check_finite, leray_project
 
 __all__ = [
@@ -94,11 +94,11 @@ def poincare_constant(grid: Grid) -> float:
     guaranteed lower bound for the divergence-free (Stokes) ground eigenvalue
     and is what the Gronwall envelope uses, keeping the envelope a true bound.
     Each block of K = -Lap_noslip is a Kronecker sum of the 1-D Dirichlet
-    tridiagonals on nodes and on cells, so lambda is the smaller over the two
-    blocks of -(max lambda_node + max lambda_cell).
+    tridiagonals on nodes and on cells, alike on the square grid: lambda is
+    -(max lambda_node + max lambda_cell), from the closed-form eigenvalues.
     """
-    return min(-float(_separable_eigenbasis(grid, *kinds)[2].max())
-               for kinds in (("node", "cell"), ("cell", "node")))
+    top = [_tridiagonal_eigvals(grid.nx, grid.h, kind)[0].max() for kind in ("node", "cell")]
+    return -float(top[0] + top[1])
 
 
 def perturbed_heun_step(v: VectorField, z0: VectorField, z1: VectorField,

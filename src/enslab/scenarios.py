@@ -99,10 +99,10 @@ def eigen_lift(grid: Grid, system: str, eps: float, mode: int):
     """
     g0 = eigen_divergence(grid, system, eps, mode)
     if system == "jl":
-        z0, _ = lift_divergence(g0)
+        z0 = lift_divergence(g0)
     else:
         h0 = BoundaryTrace.constant(grid, integral(g0) / 4.0)
-        z0, _ = lift_with_boundary(g0, h0)
+        z0 = lift_with_boundary(g0, h0)
     return g0, z0
 
 

@@ -67,14 +67,19 @@ def wall_floor(u: VectorField) -> float:
     return WALL_FLOOR * max(1.0, u.max_abs())
 
 
-def lift_or_zero(g: ScalarField, u: VectorField, trace: BoundaryTrace | None = None):
-    """Lift (g, trace) as (z, q); zeros when both are round-off for the field u."""
+def _negligible(g: ScalarField, u: VectorField, trace: BoundaryTrace | None = None) -> bool:
+    """Whether g and the wall data ``trace`` are both round-off for the field u."""
     # overflowed norms compare as round-off and give the zero lift; in
     # decompose(), validate() then names the non-finite measurement
     with np.errstate(over="ignore", invalid="ignore"):
-        negligible = scalar_norm(g) <= lift_floor(u)
-    if negligible and (trace is None or trace.max_abs() <= wall_floor(u)):
-        return VectorField.zeros(u.grid), ScalarField.zeros(u.grid)
+        return (scalar_norm(g) <= lift_floor(u)
+                and (trace is None or trace.max_abs() <= wall_floor(u)))
+
+
+def lift_or_zero(g: ScalarField, u: VectorField, trace: BoundaryTrace | None = None):
+    """The lift of (g, trace); zero when both are round-off for the field u."""
+    if _negligible(g, u, trace):
+        return VectorField.zeros(u.grid)
     return lift_divergence(g) if trace is None else lift_with_boundary(g, trace)
 
 
@@ -196,26 +201,24 @@ def _remove_gradient(grid: Grid, u: np.ndarray, v: np.ndarray) -> None:
     v[..., :, 1:-1] -= np.diff(phi, axis=-1) / grid.h
 
 
-def lift_divergence(g: ScalarField):
-    """Velocity lift of a mean-zero divergence field: returns (z, q).
+def lift_divergence(g: ScalarField) -> VectorField:
+    """Velocity lift z of a mean-zero divergence field.
 
-    z solves the zero-wall Stokes system with div z = g; q is the mean-zero
-    lifting pressure.  The measured stability ratio ||z||_H1 / ||g||_L2 is
-    available via :func:`lifting_constant`.
+    z solves the zero-wall Stokes system with div z = g; its pressure is not
+    formed (``decompose`` keeps it).  The measured stability ratio
+    ||z||_H1 / ||g||_L2 is available via :func:`lifting_constant`.
     """
-    z, q, _ = generalized_stokes(g.grid, 0.0, 1.0).solve(g=g)
-    return z, q
+    return generalized_stokes(g.grid, 0.0, 1.0).solve(g=g, pressure=False)[0]
 
 
-def lift_with_boundary(g: ScalarField, h: BoundaryTrace):
-    """Lift with prescribed outward wall-normal velocity h: returns (z, q).
+def lift_with_boundary(g: ScalarField, h: BoundaryTrace) -> VectorField:
+    """Lift z with prescribed outward wall-normal velocity h.
 
     Solvability requires the volume integral of g to equal the boundary flux
     of h to COMPAT_TOL (the solve raises CompatibilityError otherwise);
     tangential wall velocity is zero by construction.
     """
-    z, q, _ = generalized_stokes(g.grid, 0.0, 1.0).solve(g=g, trace=h)
-    return z, q
+    return generalized_stokes(g.grid, 0.0, 1.0).solve(g=g, trace=h, pressure=False)[0]
 
 
 def lifting_constant(g: ScalarField) -> float:
@@ -223,7 +226,7 @@ def lifting_constant(g: ScalarField) -> float:
     ng = scalar_norm(g)
     if ng == 0.0:
         return 0.0
-    z, _ = lift_divergence(g)
+    z = lift_divergence(g)
     l2 = face_norm(z)
     h1s = max(grad_inner(z, z), 0.0)
     return math.sqrt(l2 * l2 + h1s) / ng
@@ -243,7 +246,9 @@ def decompose(u: VectorField, time: float = 0.0) -> Decomposition:
         raise CompatibilityError(
             f"decompose: wall-normal faces must vanish, max {wall_flux:.3e} "
             "(project the flux away first)")
-    z, q = lift_or_zero(divergence(u), u)
+    g = divergence(u)                    # the one lift that keeps its pressure
+    z, q = ((VectorField.zeros(u.grid), ScalarField.zeros(u.grid)) if _negligible(g, u)
+            else generalized_stokes(u.grid, 0.0, 1.0).solve(g=g)[:2])
     dec = Decomposition(v=u - z, z=z, q=q)
     return replace(dec, record=dec.validate(u, time))
 
@@ -259,7 +264,7 @@ def check_weak_lifting_bound(g: ScalarField, time: float = 0.0) -> DiagnosticsRe
     if ng == 0.0:
         metrics = {"lift_l2": 0.0, "dual_norm": 0.0, "ratio": 0.0}
     else:
-        z, _ = lift_divergence(g)
+        z = lift_divergence(g)
         dual = htilde_norm(g)
         metrics = {
             "lift_l2": face_norm(z),

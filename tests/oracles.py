@@ -24,7 +24,7 @@ from enslab.grid import (
     BoundaryTrace, Grid, ScalarField, VectorField, divergence, face_norm, vector_laplacian,
     with_normal_trace,
 )
-from enslab.linsolve import _check_compatibility, _tridiagonal_eigh
+from enslab.linsolve import _check_compatibility, _separable_eigenbasis, _tridiagonal_eigh
 from enslab.stokes_lift import leray_project
 
 
@@ -103,6 +103,13 @@ def laplacian_dirichlet_matrix(grid: Grid) -> sp.csr_matrix:
 def noslip_viscous_matrix(grid: Grid) -> sp.csr_matrix:
     """Minus the no-slip vector Laplacian on interior faces (SPD)."""
     return (-sp.block_diag([_kron_sum(grid, "node", "cell"), _kron_sum(grid, "cell", "node")])).tocsr()
+
+
+def poincare_constant_from_eigenbases(grid: Grid) -> float:
+    """The largest eigenvalue of each block of -K read off its two full 1-D
+    eigenbases; ``reference.poincare_constant`` equals it bit for bit."""
+    return min(-float(_separable_eigenbasis(grid, *kinds)[2].max())
+               for kinds in (("node", "cell"), ("cell", "node")))
 
 
 def _cell_difference(n: int) -> sp.spmatrix:

@@ -183,7 +183,7 @@ def test_criterion_08_solvability_gap_conserved_and_decaying():
     # compatible data: mass-matched wall trace, gap stays at round-off
     g0 = eigen_divergence(grid, "sr", 0.01, 1)
     h0 = BoundaryTrace.constant(grid, integral(g0) / 4.0)
-    z0, _ = lift_with_boundary(g0, h0)
+    z0 = lift_with_boundary(g0, h0)
     u0 = stream_vortex(grid) + z0
     hist = list(march(ens_sr.step_constructive,
                       ens_sr.sr_state(u0, 1.0, 0.1), 1e-3, 500))
@@ -312,7 +312,7 @@ def test_criterion_12_routes_converge_to_each_other():
 
     g0 = eigen_divergence(grid, "sr", 0.01, 1)
     h0 = BoundaryTrace.constant(grid, integral(g0) / 4.0)
-    z0, _ = lift_with_boundary(g0, h0)
+    z0 = lift_with_boundary(g0, h0)
     u0 = stream_vortex(grid) + z0
     horizon = 0.1
     gaps = []

@@ -176,8 +176,10 @@ class TestExitCodes:
         # wall data, is a net source of order one against the source's norm
         (SR_RUN.replace("lambda = 2.0", "lambda = 1e300").replace("eigenmode_div", "vortex")
          + "route = direct\n", "CompatibilityError", "pressure problem incompatible"),
+        # a finite right-hand side whose sum of squares overflows
         (JL_RUN + "route = direct\nforcing_amplitude = 1e308\n",
-         "SolverError", "generalized Stokes solve: non-finite data"),
+         "SolverError", "generalized Stokes solve: the measure of finite data overflows "
+         "(largest entry 1.962e+305)"),
     ], ids=["sr-direct-huge-lambda", "jl-direct-huge-forcing"])
     def test_overflowing_data_exit_two_naming_the_step(self, tmp_path, capsys, text, error,
                                                        message):
@@ -218,9 +220,10 @@ class TestExitCodes:
             ("heat", HEAT_RUN.replace("grid = 32", "grid = 16"),
              ("ic_mode = 1", "ic_mode = 1\nic_eps = 1e300"), 3,
              "non-finite measurement l2 at t = 0"),
-            # the initial Stokes lift of overflowing divergence data
+            # the initial Stokes lift of finite divergence data whose measure overflows
             ("run", SR_RUN, ("eigenmode_div", "eigenmode_div\nic_eps = 1e300"), 2,
-             "solver error (SolverError): generalized Stokes solve: non-finite data"),
+             "solver error (SolverError): generalized Stokes solve: the measure of finite "
+             "data overflows (largest entry 9.9"),
         ]
         for k, (command, text, change, code, error) in enumerate(cases):
             code0, out = run_cli(tmp_path, command, text, sub=f"out{k}")

@@ -17,8 +17,8 @@ from enslab.grid import (
 from enslab.heat_oracle import DivergenceState, divergence_state, heat_step
 from enslab.reference import ForcingSpec, step_nse_projection
 from enslab.scenarios import march
-from enslab.stokes_lift import lift_divergence, leray_project
-from enslab import ens_jl
+from enslab.stokes_lift import decompose, lift_divergence, leray_project
+from enslab import ens_jl, linsolve
 from oracles import fold_energy_ledger, unflatten_interior
 
 
@@ -32,7 +32,7 @@ def vortex(grid, amplitude=1.0):
 def eigen_lift(grid, eps):
     g0 = scalar_from_function(
         grid, lambda x, y: eps * np.cos(np.pi * x) * np.cos(np.pi * y))
-    z0, _ = lift_divergence(g0)
+    z0 = lift_divergence(g0)
     return g0, z0
 
 
@@ -107,6 +107,24 @@ class TestStepDecomposed:
         for _ in range(5):
             s = ens_jl.step_decomposed(s, 1e-3)
             assert (s.u - (s.v + s.z)).max_abs() <= 1e-13 * max(1.0, s.u.max_abs())
+
+    def test_lift_forms_no_pressure_and_decompose_keeps_it(self, monkeypatch):
+        # every solve of a step passes pressure=False; decompose, whose q
+        # becomes pressure_q.ensf, asks for it
+        g = Grid(16)
+        s = ens_jl.jl_state(vortex(g, 0.3) + eigen_lift(g, 1e-2)[1], 0.1)
+        calls, real = [], linsolve.GeneralizedStokes.solve
+
+        def spy(self, *args, pressure=True, **kwargs):
+            calls.append((self.alpha, pressure))
+            return real(self, *args, pressure=pressure, **kwargs)
+
+        monkeypatch.setattr(linsolve.GeneralizedStokes, "solve", spy)
+        ens_jl.step_decomposed(s, 1e-3)
+        assert (0.0, False) in calls and all(not kept for _, kept in calls)
+        calls.clear()
+        dec = decompose(s.u)
+        assert calls == [(0.0, True)] and scalar_norm(dec.q) > 0.0
 
     def test_cfl_violation_raises(self):
         g = Grid(16)

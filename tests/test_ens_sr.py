@@ -63,7 +63,7 @@ def matched_lift(grid, eps):
     """Eigenmode divergence, boundary trace a constant carrying its mass."""
     g0 = sinsin(grid, eps)
     h0 = BoundaryTrace.constant(grid, integral(g0) / 4.0)
-    z0, _ = lift_with_boundary(g0, h0)
+    z0 = lift_with_boundary(g0, h0)
     return g0, h0, z0
 
 

@@ -42,7 +42,7 @@ def vortex(grid, amplitude=1.0):
 def generic_lift(grid):
     g0 = scalar_from_function(
         grid, lambda x, y: np.cos(np.pi * x) * np.cos(2 * np.pi * y))
-    z0, _ = lift_divergence(g0)
+    z0 = lift_divergence(g0)
     return z0
 
 

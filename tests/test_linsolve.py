@@ -1,6 +1,7 @@
 """Linear solvers: separable scalar solves and Stokes solves, checked against
 the assembled operators and the dense solve of ``oracles``."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from enslab.grid import (
     Grid,
     ScalarField,
     VectorField,
+    _adopt,
     divergence,
     gradient,
     integral,
@@ -51,6 +53,7 @@ from oracles import (
     laplacian_dirichlet_matrix,
     laplacian_neumann_matrix,
     noslip_viscous_matrix,
+    poincare_constant_from_eigenbases,
     unflatten_interior,
     wall_faces,
     wall_rhs,
@@ -277,6 +280,14 @@ class TestSeparableScalarSolves:
         ref = spla.eigsh(noslip_viscous_matrix(g).tocsc(), k=1, sigma=0.0, which="LM",
                          tol=1e-14, return_eigenvectors=False)[0]
         assert abs(poincare_constant(g) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 127])
+    def test_poincare_constant_is_the_eigenbases_maximum_and_builds_no_basis(self, n):
+        g = Grid(n)
+        with mock.patch.dict(linsolve._cache, clear=True):
+            got = poincare_constant(g)
+            assert not [k for k in linsolve._cache if k[0] == "tridiagonal_eigh"]
+        assert got == poincare_constant_from_eigenbases(g)
 
 
 class TestNoslipHelmholtz:
@@ -558,12 +569,51 @@ class TestGeneralizedStokes:
         div0 = D @ flatten_interior(NoslipHelmholtz(g, c).solve(f))
         assert np.linalg.norm(D @ x) <= STOKES_TOL * np.linalg.norm(div0)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_data_raises(self):
+        # fields built by the package's own operators may hold non-finite values
         g = Grid(8)
-        huge = VectorField(g, np.full(g.shape_u, 1e308), np.zeros(g.shape_v))
-        with pytest.raises(SolverError, match="non-finite"):
-            generalized_stokes(g, 1.0, 0.01).solve(huge)
+        solve = generalized_stokes(g, 1.0, 0.01).solve
+        for bad in (np.inf, -np.inf, np.nan):
+            u = np.zeros(g.shape_u)
+            u[3, 4] = bad
+            with pytest.raises(SolverError, match="generalized Stokes solve: non-finite data$"):
+                solve(_adopt(VectorField, g, u, np.zeros(g.shape_v)))
+            vals = np.zeros(g.shape_cell)
+            vals[2, 5] = bad
+            with pytest.raises(SolverError, match="non-finite data$"):
+                solve(g=_adopt(ScalarField, g, vals))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_data_whose_measure_overflows_raises(self):
+        g = Grid(8)
+        solve = generalized_stokes(g, 1.0, 0.01).solve
+        overflows = "the measure of finite data overflows (largest entry {})"
+        with pytest.raises(SolverError, match=re.escape(overflows.format("1.000e+308"))):
+            solve(VectorField(g, np.full(g.shape_u, 1e308), np.zeros(g.shape_v)))
+        vals = np.full(g.shape_cell, 3e200)
+        vals[::2] = -3e200
+        with pytest.raises(SolverError, match=re.escape(overflows.format("3.000e+200"))):
+            solve(g=ScalarField(g, vals))
+        # a wall flux of 1e299 balanced by a source of 4e299: each finite
+        tr = BoundaryTrace.constant(g, 1e299)
+        with pytest.raises(SolverError, match=re.escape(overflows.format("4.000e+299"))):
+            solve(g=ScalarField(g, np.full(g.shape_cell, 4e299)), trace=tr, pressure=False)
+
+    def test_consecutive_solves_share_no_memory_with_the_workspaces(self):
+        g = Grid(16)
+        stokes = generalized_stokes(g, 1.0, 0.02)
+        f1, g1, tr = random_stokes_data(g, np.random.default_rng(27), True)
+        u1, p1, _ = stokes.solve(f1, g1, tr)
+        kept = [a.copy() for a in (*u1.arrays, p1.values)]
+        f2, g2, tr2 = random_stokes_data(g, np.random.default_rng(28), True)
+        u2, p2, _ = stokes.solve(f2, g2, tr2)
+        stokes.solve(f2, pressure=False)
+        work = vars(linsolve._cache[("stokes_workspace", g.nx)]).values()
+        for old, new in zip(kept, (*u1.arrays, p1.values)):
+            assert np.array_equal(old, new)
+        for result in (*u1.arrays, p1.values, *u2.arrays, p2.values):
+            assert not any(np.shares_memory(result, w) for w in work)
 
     def test_violated_postcondition_raises_naming_residual(self, monkeypatch):
         monkeypatch.setattr(linsolve, "STOKES_TOL", 0.0)
@@ -610,15 +660,40 @@ def reflect_y(w):
 
 
 def dense_capacitance(g, alpha, c):
-    """I + c w U^T T U from the assembled operators, T the free-slip solution operator."""
+    """I + c w U^T T U from the assembled operators, T the free-slip solution operator.
+
+    P U = U - D^T (D D^T)^+ D U; D^T maps constants to 0, so the Poisson
+    solve may pin one cell.  Both solves are sparse LU factorizations with
+    one step of iterative refinement.
+    """
+    def solve(A, b):
+        lu = spla.splu(A.tocsc())
+        x = lu.solve(b)
+        return x + lu.solve(b - A @ x)
+
     m = g.nx - 1
-    U = np.eye(2 * g.nx * m)[:, wall_faces(g).ravel()]
+    U = sp.identity(2 * g.nx * m, format="csc")[:, wall_faces(g).ravel()]
     w = 2.0 / (g.h * g.h)
-    K_fs = noslip_viscous_matrix(g).toarray() - w * U @ U.T
-    D = divergence_matrix(g).toarray()
-    PU = U - D.T @ np.linalg.pinv(D @ D.T) @ (D @ U)
-    TU = np.linalg.solve(alpha * np.eye(U.shape[0]) + c * K_fs, PU)
-    return np.eye(4 * m) + c * w * U.T @ TU
+    K_fs = noslip_viscous_matrix(g) - w * (U @ U.T)
+    D = divergence_matrix(g)
+    pinned = (D @ D.T).tolil()
+    pinned[0, :] = 0.0
+    pinned[0, 0] = 1.0
+    DU = (D @ U).toarray()
+    DU[0] = 0.0
+    PU = U.toarray() - D.T @ solve(pinned.tocsr(), DU)
+    TU = solve(alpha * sp.identity(U.shape[0]) + c * K_fs, PU)
+    return np.eye(4 * m) + c * w * (U.T @ TU)
+
+
+def capacitance_solve(stokes, r):
+    """C^{-1} r through the solver's factored form, r holding one column of
+    wall values per wall (bottom, top, left, right)."""
+    half = np.kron(np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+    z = np.zeros((4, len(r) + 1))                     # rows padded by one column
+    z[:, :-1] = (stokes._qn.T @ r @ half).T
+    stokes._wall_modes_solve(z)                       # z <- -c w C^{-1} z
+    return stokes._qn @ (z[:, :-1].T @ half) / (-2.0 * stokes.c / stokes.grid.h ** 2)
 
 
 class TestDirectStokes:
@@ -656,15 +731,25 @@ class TestDirectStokes:
         g = Grid(n)
         r = np.random.default_rng(n).standard_normal((n - 1, 4))
         ref = np.linalg.solve(dense_capacitance(g, alpha, c), r.T.ravel())
-        stokes = GeneralizedStokes(g, alpha, c)
-        got = stokes._qn @ stokes._wall_modes_solve(stokes._qn.T @ r)
+        got = capacitance_solve(GeneralizedStokes(g, alpha, c), r)
+        assert np.abs(got.T.ravel() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.integers(4, 40), alpha=st.sampled_from([0.0, 1.0, 2.0]), c=st.floats(1e-5, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=40, alpha=1.0, c=1e-5, seed=0)
+    def test_capacitance_solve_matches_dense_solve(self, n, alpha, c, seed):
+        g = Grid(n)
+        r = np.random.default_rng(seed).standard_normal((n - 1, 4))
+        ref = np.linalg.solve(dense_capacitance(g, alpha, c), r.T.ravel())
+        got = capacitance_solve(GeneralizedStokes(g, alpha, c), r)
         assert np.abs(got.T.ravel() - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_holds_no_sparse_matrix_and_nothing_of_wall_order(self):
         n = 32
         stokes = GeneralizedStokes(Grid(n), 1.0, 1e-3)
-        half, diag, blocks = stokes._capacitance
-        held = [half, diag] + [a for block in blocks for a in block[2:]]
+        ends, index, inverses = stokes._capacitance
+        held = [ends, index, *inverses]
         held += [v for v in vars(stokes).values() if isinstance(v, np.ndarray) or sp.issparse(v)]
         assert not any(sp.issparse(a) for a in held)
         assert max(np.size(a) for a in held) < (2 * (n - 1)) ** 2
