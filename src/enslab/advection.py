@@ -1,31 +1,36 @@
 """Centered advective transport on the staggered grid and its exact skew part.
 
-``advect(w, b)`` is the advective-form transport (w . grad) b evaluated on
-interior faces (wall faces of the result are zero).  Cross components of the
-advecting velocity are four-point averages onto the target face; tangential
-derivatives next to a wall use the odd-reflection closure consistent with
-zero tangential velocity at walls.  Wall values of both arguments are read as
-data.
+The advective form (w . grad) b is evaluated on interior faces (wall faces
+of the result are zero): cross components of the advecting velocity are
+four-point averages onto the target face, tangential derivatives next to a
+wall use the odd-reflection closure consistent with zero tangential velocity
+at walls, and wall values of both arguments are read as data.
+``transport_coefficients`` and ``centered_differences`` are its two factors.
 
-``adjoint_advect(w, c)`` is the exact transpose of ``advect(w, .)`` in the
-uniform face inner product, derived stencil by stencil (including the
-odd-reflection feedback and the wall-face couplings), so that
+``skew_advect`` is half the difference of that form and its exact transpose
+in the uniform face inner product, so that its trilinear form
+<skew_advect(w, b), c> is antisymmetric in the last two slots for every
+advecting field w, which is what makes discrete energy ledgers close without
+any divergence condition.  It is evaluated in flux-pair form (Morinishi,
+Lund, Vasilyev and Moin, J. Comput. Phys. 143, 1998): along the normal of
+the u faces,
 
-    <advect(w, b), c> = <b, adjoint_advect(w, c)>   for all b, c.
+    4h skew_u[i] = S[i] b[i+1] - S[i-1] b[i-1] + T[j] b[j+1] - T[j-1] b[j-1],
 
-``skew_advect`` is the skew-symmetric half-difference; its trilinear form is
-antisymmetric in the last two slots for every advecting field w, which is
-what makes discrete energy ledgers close without any divergence condition.
+with S the sum of the two normal velocities w.u bounding each cell (wall
+faces taken as 0) and T the sum of the two four-point averages of w.v on
+neighbouring x-faces.  Terms that reach past a wall are dropped: the wall
+rows keep only their S term, and the odd reflection of b cancels the even
+one of the transpose exactly.  The v component is the mirror image.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import VectorField, _adopt, face_inner
+from .grid import VectorField, _adopt
 
-__all__ = ["advect", "adjoint_advect", "skew_advect", "trilinear",
-           "transport_coefficients", "centered_differences"]
+__all__ = ["skew_advect", "transport_coefficients", "centered_differences"]
 
 
 def transport_coefficients(u: np.ndarray, v: np.ndarray) -> tuple:
@@ -51,78 +56,72 @@ def centered_differences(u: np.ndarray, v: np.ndarray, h: float) -> tuple:
     return dxu, dyu, dxv, dyv
 
 
-def _advect(w: VectorField, coeffs: tuple, b: VectorField) -> tuple:
-    """The arrays of advect(w, b), given coeffs = transport_coefficients of w."""
-    g = w.grid
-    if b.grid != g:
-        raise ValueError("advect: operands live on different grids")
-    wu, wy, wx, wv = coeffs
-    dxu, dyu, dxv, dyv = centered_differences(b.u, b.v, g.h)
-    au = np.zeros(g.shape_u)
-    av = np.zeros(g.shape_v)
-    au[1:-1, :] = wu * dxu + wy * dyu
-    av[:, 1:-1] = wx * dxv + wv * dyv
-    return au, av
+def _skew_u(w: VectorField, b: VectorField, out: np.ndarray) -> None:
+    """4h times the u component of skew_advect into out.  Every operand is
+    read as a flat array: the cells' S pair the rows, and the y-terms run on
+    the interior rows, T zeroed where j + 1 wraps onto the next row.  Two
+    scratch arrays serve every stage, each reused once spent."""
+    wu, wv, bu, n = w.u, w.v, b.u, w.grid.ny
+    work = np.empty(wu.size)
+    s = work[:-n].reshape(n, n)
+    np.add(wu[1:-2], wu[2:-1], out=s[1:-1])
+    s[0], s[-1] = wu[1], wu[-2]                       # wall faces as 0
+    np.multiply(s, bu[1:], out=out[:-1])
+    out[-1] = 0.0
+    out[1:] -= np.multiply(s, bu[:-1], out=s)
+    pair = np.add(wv[:-1], wv[1:], out=work[:wv.size - n - 1].reshape(n - 1, n + 1))
+    quad = np.add(pair[:, :-1], pair[:, 1:]).ravel()  # 4 x the four-point average
+    t = np.add(quad[:-1], quad[1:], out=work[:quad.size - 1])
+    t[n - 1::n] = 0.0
+    _tangential_pairs(t, bu[1:-1].ravel(), out[1:-1].ravel(), 1, quad)
 
 
-def _adjoint_advect(w: VectorField, coeffs: tuple, c: VectorField) -> tuple:
-    """The arrays of adjoint_advect(w, c), given coeffs = transport_coefficients of w."""
-    g = w.grid
-    if c.grid != g:
-        raise ValueError("adjoint_advect: operands live on different grids")
-    wu, wy, wx, wv = coeffs
-    h2 = 2.0 * g.h
-
-    # Each product is written into the interior of a buffer whose edges
-    # carry the closure (zero across the walls, the edge value along them),
-    # so the neighbours are read as shifted slices of one array.
-
-    # u-component output
-    nx, ny = g.nx, g.ny
-    pp = np.empty((nx + 3, ny))
-    pp[[0, 1, -2, -1], :] = 0.0
-    np.multiply(wu, c.u[1:-1, :], out=pp[2:-2, :])
-    atu = (pp[:-2, :] - pp[2:, :]) / h2
-    qq = np.empty((nx - 1, ny + 2))
-    np.multiply(wy, c.u[1:-1, :], out=qq[:, 1:-1])
-    qq[:, 0], qq[:, -1] = qq[:, 1], qq[:, -2]
-    atu[1:-1, :] += (qq[:, :-2] - qq[:, 2:]) / h2
-
-    # v-component output
-    pp2 = np.empty((nx, ny + 3))
-    pp2[:, [0, 1, -2, -1]] = 0.0
-    np.multiply(wv, c.v[:, 1:-1], out=pp2[:, 2:-2])
-    atv = (pp2[:, :-2] - pp2[:, 2:]) / h2
-    qq2 = np.empty((nx + 2, ny - 1))
-    np.multiply(wx, c.v[:, 1:-1], out=qq2[1:-1, :])
-    qq2[0, :], qq2[-1, :] = qq2[1, :], qq2[-2, :]
-    atv[:, 1:-1] += (qq2[:-2, :] - qq2[2:, :]) / h2
-    return atu, atv
+def _skew_v(w: VectorField, b: VectorField, out: np.ndarray) -> None:
+    """4h times the v component of skew_advect into out, the mirror image of
+    _skew_u: the cells' S pair neighbours along the rows, zeroed where c + 1
+    wraps onto the next row, and the x-terms pair the rows, T zeroed on the
+    wall columns."""
+    wv, bv, n = w.v, b.v, w.grid.ny
+    work = np.empty(wv.size)
+    s = np.add(wv.ravel()[:-1], wv.ravel()[1:], out=work[:-1])
+    cells = work.reshape(wv.shape)
+    cells[:, 0], cells[:, n - 1], cells[:, n] = wv[:, 1], wv[:, n - 1], 0.0
+    flat, bf = out.ravel(), bv.ravel()
+    np.multiply(s, bf[1:], out=flat[:-1])
+    flat[-1] = 0.0
+    flat[1:] -= np.multiply(s, bf[:-1], out=s)
+    pair = np.empty((n + 1, n + 1))                   # on the interior y-faces' nodes
+    np.add(w.u[:, :-1], w.u[:, 1:], out=pair[:, 1:-1])
+    pair[:, 0] = pair[:, -1] = 0.0
+    quad = np.add(pair[:-1], pair[1:], out=cells)     # 4 x the four-point average
+    t = np.add(quad[:-1], quad[1:], out=pair[:-2])
+    _tangential_pairs(t.ravel(), bf, flat, n + 1, work)
 
 
-def advect(w: VectorField, b: VectorField) -> VectorField:
-    """Advective form (w . grad) b on interior faces; wall faces are zero."""
-    return _adopt(VectorField, w.grid, *_advect(w, transport_coefficients(w.u, w.v), b))
-
-
-def adjoint_advect(w: VectorField, c: VectorField) -> VectorField:
-    """Exact transpose of ``advect(w, .)``; wall faces of the result carry
-    the couplings through which ``advect`` reads wall data."""
-    return _adopt(VectorField, w.grid, *_adjoint_advect(w, transport_coefficients(w.u, w.v), c))
+def _tangential_pairs(t: np.ndarray, b: np.ndarray, out: np.ndarray, k: int,
+                      scratch: np.ndarray) -> None:
+    """out[i] += T[i] b[i + k] - T[i - k] b[i - k] over flat arrays, with
+    T = t / 4; t and the first t.size entries of scratch are spent."""
+    t *= 0.25
+    m = t.size
+    out[:m] += np.multiply(t, b[k:k + m], out=scratch[:m])
+    out[k:k + m] -= np.multiply(t, b[:m], out=t)
 
 
 def skew_advect(w: VectorField, b: VectorField) -> VectorField:
-    """Skew-symmetric transport: half the difference of form and transpose.
+    """Skew-symmetric transport: half the difference of the advective form
+    and its transpose, in flux-pair form.
 
     <skew_advect(w, b), c> = -<skew_advect(w, c), b> for all w, b, c, hence
-    <skew_advect(w, b), b> = 0 identically.  The transport coefficients of w
-    are computed once for both halves.
+    <skew_advect(w, b), b> = 0 identically.
     """
-    coeffs = transport_coefficients(w.u, w.v)
-    (fu, fv), (bu, bv) = _advect(w, coeffs, b), _adjoint_advect(w, coeffs, b)
-    return _adopt(VectorField, w.grid, 0.5 * (fu - bu), 0.5 * (fv - bv))
-
-
-def trilinear(w: VectorField, b: VectorField, c: VectorField) -> float:
-    """The trilinear energy-exchange form <skew_advect(w, b), c>."""
-    return face_inner(skew_advect(w, b), c)
+    g = w.grid
+    if b.grid != g:
+        raise ValueError("skew_advect: operands live on different grids")
+    su, sv = np.empty(g.shape_u), np.empty(g.shape_v)
+    _skew_u(w, b, su)
+    _skew_v(w, b, sv)
+    scale = 1.0 / (4.0 * g.h)
+    su *= scale
+    sv *= scale
+    return _adopt(VectorField, g, su, sv)

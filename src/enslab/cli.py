@@ -71,20 +71,18 @@ def _initial_velocity(cfg: Config, grid: Grid):
 
 
 def _field_metrics(cfg: Config, state) -> dict:
-    u = state.u
-    div = state.div_u
-    u_l2 = face_norm(u)
+    u, div = state.u, state.div_u
     m = {
-        "u_l2": u_l2,
-        "energy": 0.5 * u_l2 ** 2,
+        "u_l2": state.u_l2,
+        "energy": 0.5 * state.u_l2 ** 2,
         "div_l2": scalar_norm(div),
         "div_linf": float(np.abs(div.values).max()),
-        "g_l2": scalar_norm(state.g.g),
+        "g_l2": state.g_l2,
     }
     if cfg.system == "jl":
         m["u_h1_semi"] = math.sqrt(max(grad_inner(u, u), 0.0))
     else:
-        m["wall_gap_linf"] = state.h.blend(1.0, normal_trace(u), -1.0).max_abs()
+        m["wall_gap_linf"] = state.wall_gap
         m["solvability_gap"] = ens_sr.solvability_gap(state.g, state.h)
         m["h_linf"] = state.h.max_abs()
     if state.decomposed:
@@ -93,19 +91,23 @@ def _field_metrics(cfg: Config, state) -> dict:
     return m
 
 
+_INITIAL = "initial state, t = 0"
+
+
 def _field_states(cfg: Config, initial=None):
     """The configured route's states from the velocity initial() (by default
     the configured one): the initial state, then one per step.  Steppers are
     looked up on their modules at each call, so rebound attributes are used."""
-    u0 = _initial_velocity(cfg, Grid(cfg.grid)) if initial is None else initial()
     fspec = scenarios.forcing_spec(cfg.forcing, cfg.forcing_amplitude, cfg.nu)
     decomposed = cfg.route == "decomposed"
-    if cfg.system == "jl":
-        state = ens_jl.jl_state(u0, cfg.nu, fspec, decomposed=decomposed)
-        step = ens_jl.step_decomposed if decomposed else ens_jl.step_direct
-    else:
-        state = ens_sr.sr_state(u0, cfg.lam, cfg.nu, fspec, decomposed=decomposed)
-        step = ens_sr.step_constructive if decomposed else ens_sr.step_direct_sr
+    with scenarios.located(_INITIAL):
+        u0 = _initial_velocity(cfg, Grid(cfg.grid)) if initial is None else initial()
+        if cfg.system == "jl":
+            state = ens_jl.jl_state(u0, cfg.nu, fspec, decomposed=decomposed)
+            step = ens_jl.step_decomposed if decomposed else ens_jl.step_direct
+        else:
+            state = ens_sr.sr_state(u0, cfg.lam, cfg.nu, fspec, decomposed=decomposed)
+            step = ens_sr.step_constructive if decomposed else ens_sr.step_direct_sr
     return scenarios.march(step, state, cfg.dt, cfg.nsteps)
 
 
@@ -260,7 +262,8 @@ def _run_galerkin(cfg: Config) -> int:
     def states():
         # integrate_galerkin runs every step in one call; its first state is start
         nonlocal trajectory
-        start = galerkin.project_onto_basis(basis, _initial_velocity(cfg, grid))
+        with scenarios.located(_INITIAL):
+            start = galerkin.project_onto_basis(basis, _initial_velocity(cfg, grid))
         yield start
         trajectory = galerkin.integrate_galerkin(
             basis, start, cfg.nu, cfg.dt, cfg.nsteps * cfg.dt, f_path=f_path)
@@ -329,7 +332,7 @@ def cmd_compare(cfg: Config, quiet: bool) -> int:
     for sa, sb in zip_longest(run_a.states(), run_b.states()):
         if sa is not None and sb is not None:
             gap = face_norm(sa.u - sb.u)
-            ref = max(face_norm(sa.u), TINY)
+            ref = max(sa.u_l2, TINY)
             rows.append((sa.time, {"gap_l2": gap, "gap_rel": gap / ref}))
     codes = [run_a.finish(), run_b.finish()]
     if rows:

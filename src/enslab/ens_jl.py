@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .advection import skew_advect
-from .diagnostics import TINY, DiagnosticsRecord
+from .diagnostics import DiagnosticsRecord
 from .errors import CheckFailure
 from .grid import (
     ScalarField,
@@ -40,9 +39,7 @@ from .grid import (
     face_inner,
     grad_inner,
     gradient,
-    laplacian_neumann,
     normal_trace,
-    scalar_norm,
     vector_laplacian,
 )
 from .heat_oracle import DivergenceState, divergence_state, heat_step
@@ -53,7 +50,9 @@ from .reference import (
     perturbed_heun_step,
     poincare_constant,
 )
-from .stokes_lift import check_finite, check_state, decompose, leray_project, lift_or_zero, wall_floor
+from .stokes_lift import (
+    MeasuredState, check_finite, check_state, decompose, lift_or_zero, wall_floor,
+)
 
 __all__ = [
     "JLState",
@@ -62,19 +61,17 @@ __all__ = [
     "step_decomposed",
     "step_direct",
     "EnergyLedger",
-    "coercivity_probe",
-    "stokes_pressure",
-    "check_stokes_pressure",
 ]
 
 @dataclass(frozen=True)
-class JLState:
+class JLState(MeasuredState):
     """Velocity with heat-evolving divergence under no-slip walls.
 
     The decomposition cache (v, z) is maintained by the decomposed route:
     v is the divergence-free part, z the Stokes lifting of g.
-    Direct-route states carry no cache.  ``div_u`` is taken once, when the
-    state is checked, and read by the steppers and diagnostics.
+    Direct-route states carry no cache.  The state's measurements
+    (``MeasuredState``) are taken once, when it is checked, and read by the
+    steppers and diagnostics.
     """
 
     time: float
@@ -90,10 +87,6 @@ class JLState:
         walls = normal_trace(self.u).max_abs()
         if walls > wall_floor(self.u):
             raise CheckFailure(f"wall-normal faces must vanish (max {walls:.3e})")
-
-    @cached_property
-    def div_u(self) -> ScalarField:
-        return divergence(self.u)
 
     @property
     def decomposed(self) -> bool:
@@ -137,8 +130,7 @@ def step_direct(s: JLState, dt: float) -> JLState:
     gives exactly that), its gradient potential is reconstructed, and the
     projected part sees explicit transport with implicit projected viscosity.
     The pressure-potential content of the update equals the backward-Euler
-    value of the gradient part; the recovered potential itself is available
-    through stokes_pressure().
+    value of the gradient part.
     """
     cfl_check(s.u, dt)
     grid = s.u.grid
@@ -255,65 +247,3 @@ class EnergyLedger:
                                                 for a, b in zip(energies, energies[1:])]),
         }
         return DiagnosticsRecord(self._prev.time, metrics, "ens_jl.EnergyLedger")
-
-
-def coercivity_probe(u: VectorField) -> DiagnosticsRecord:
-    """Evaluate the quadratic-form remainder that breaks zero-wall coercivity.
-
-    remainder(u) = -<u, P Lap u + grad div u> - ||grad Pu||^2 - ||div u||^2.
-
-    For divergence-free u the remainder vanishes; in general it equals the
-    gradient-pairing between the projected part and the potential part, whose
-    sign is indefinite.
-    """
-    walls = normal_trace(u).max_abs()
-    if walls > wall_floor(u):
-        raise ValueError(f"probe requires zero wall faces (max {walls:.3e})")
-    pu = leray_project(u)
-    du = divergence(u)
-    lap = vector_laplacian(u, "noslip")
-    quad = -face_inner(u, leray_project(lap) + gradient(du))
-    remainder = quad - grad_inner(pu, pu) - scalar_norm(du) ** 2
-    scale = max(grad_inner(u, u), TINY)
-    metrics = {
-        "remainder": remainder,
-        "relative": remainder / scale,
-        "sign": float(np.sign(remainder)),
-        "gradient_energy": grad_inner(u, u),
-    }
-    return DiagnosticsRecord(0.0, metrics, "ens_jl.coercivity_probe")
-
-
-def stokes_pressure(u: VectorField) -> ScalarField:
-    """Mean-zero potential of the non-projected part of (Lap u - grad div u).
-
-    Its gradient is the complement-of-projection of the extended viscous
-    term; taking the divergence of that term and inverting the Neumann
-    Laplacian recovers the potential directly.
-    """
-    walls = normal_trace(u).max_abs()
-    if walls > wall_floor(u):
-        raise ValueError(f"pressure recovery requires zero wall faces (max {walls:.3e})")
-    w = vector_laplacian(u, "noslip") - gradient(divergence(u))
-    return neumann_poisson(u.grid).solve(divergence(w))
-
-
-def check_stokes_pressure(u: VectorField) -> DiagnosticsRecord:
-    """Interior harmonicity of the recovered pressure potential.
-
-    The cell Laplacian of the potential reproduces its construction data
-    everywhere; the harmonicity content lives on interior cells, where the
-    data is a genuine commutator.  Wall-adjacent cells carry O(1/h) flux data
-    by construction and are reported separately, not asserted against.
-    """
-    p = stokes_pressure(u)
-    lap = laplacian_neumann(p)
-    grid = u.grid
-    full = scalar_norm(lap)
-    interior = grid.h * float(np.linalg.norm(lap.values[1:-1, 1:-1]))
-    metrics = {
-        "residual_interior": interior,
-        "residual_full": full,
-        "relative": interior / max(full, TINY),
-    }
-    return DiagnosticsRecord(0.0, metrics, "ens_jl.check_stokes_pressure")

@@ -44,11 +44,9 @@ from .grid import (
     ScalarField,
     VectorField,
     _adopt,
-    _tangential_wall_rows,
+    _divergence_values,
     divergence,
-    gradient,
     integral,
-    laplacian_dirichlet,
     normal_trace,
     rescaled_norm,
     scalar_norm,
@@ -57,13 +55,12 @@ from .grid import (
 from .heat_oracle import DivergenceState, divergence_state, heat_step
 from .linsolve import NoslipHelmholtz, heat_solver, neumann_poisson
 from .reference import ForcingSpec, cfl_check, perturbed_heun_step
-from .stokes_lift import check_finite, check_state, lift_or_zero
+from .stokes_lift import MeasuredState, check_finite, check_state, lift_or_zero
 
 __all__ = [
     "SRState",
     "sr_state",
     "compat_constant",
-    "compat_constant_flux",
     "evolve_h",
     "step_constructive",
     "step_direct_sr",
@@ -76,7 +73,7 @@ _PERIMETER = 4.0
 
 
 @dataclass(frozen=True)
-class SRState:
+class SRState(MeasuredState):
     """Velocity with Dirichlet-heat divergence and relaxing wall-normal data.
 
     Tangential wall values are pinned to zero through the operator closures
@@ -84,8 +81,8 @@ class SRState:
     faces carry h, one outward-signed value per boundary face.  The cache
     (v, z) is maintained by the constructive route: z lifts (g, h), v is the
     zero-wall divergence-free remainder.
-    ``div_u`` is taken once, when the state is checked, and read by the
-    steppers and diagnostics.
+    The state's measurements (``MeasuredState`` and the wall gap) are taken
+    once, when it is checked, and read by the steppers and diagnostics.
     """
 
     time: float
@@ -103,17 +100,22 @@ class SRState:
             raise ValueError(f"relaxation rate must be positive, got {self.lam!r}")
         # a solvability gap spreads uniformly, so only the deviation from the
         # mean is constrained
-        r = (self.div_u - self.g.g).values
-        check_state(self, "dirichlet", _adopt(ScalarField, self.u.grid, r - r.mean()),
-                    self.h)
-        wall_gap = self.h.blend(1.0, normal_trace(self.u), -1.0).max_abs()
-        if wall_gap > WALL_FOLLOW_TOL * max(1.0, self.u.max_abs()):
+        r = np.subtract(self.div_u.values, self.g.g.values)
+        r -= r.mean()
+        check_state(self, "dirichlet", _adopt(ScalarField, self.u.grid, r), self.h)
+        # the gap is judged against max(1, max |u|); max |u| is taken only
+        # when the gap exceeds the bound at 1
+        gap = self.wall_gap
+        if gap > WALL_FOLLOW_TOL and gap > WALL_FOLLOW_TOL * self.u.max_abs():
             raise CheckFailure(
-                f"wall-normal faces disagree with boundary data by {wall_gap:.3e}")
+                f"wall-normal faces disagree with boundary data by {gap:.3e}")
 
     @cached_property
-    def div_u(self) -> ScalarField:
-        return divergence(self.u)
+    def wall_gap(self) -> float:
+        """max |h - u.n| over the wall faces."""
+        u, v, h = self.u.u, self.u.v, self.h
+        return float(np.abs(np.concatenate(
+            [h.left + u[0], h.right - u[-1], h.bottom + v[:, 0], h.top - v[:, -1]])).max())
 
     @property
     def decomposed(self) -> bool:
@@ -135,20 +137,9 @@ def sr_state(u: VectorField, lam: float, nu: float, forcing: ForcingSpec | None 
 def compat_constant(g: DivergenceState, lam: float) -> float:
     """Compatibility constant: mean of (nu Lap g + lambda g) per boundary length.
 
-    Evaluated with the interior (Dirichlet-closure) Laplacian; by the exact
-    telescoping of its fluxes this equals the boundary-flux quadrature form,
-    see compat_constant_flux.
-    """
-    vals = integral(laplacian_dirichlet(g.g)) * g.nu + integral(g.g) * lam
-    return vals / _PERIMETER
-
-
-def compat_constant_flux(g: DivergenceState, lam: float) -> float:
-    """Flux form of the compatibility constant.
-
-    The Laplacian volume term is replaced by the outward wall flux of g under
-    the zero-trace closure, whose value per wall face is -2 g_adjacent / h;
-    discretely identical to compat_constant by telescoping.
+    The fluxes of the interior (Dirichlet-closure) Laplacian telescope, so
+    its integral is the outward wall flux of g under the zero-trace closure,
+    -2 g_adjacent / h per wall face: only the wall sum is formed.
     """
     v = g.g.values
     wall_sum = float(v[0, :].sum() + v[-1, :].sum() + v[:, 0].sum() + v[:, -1].sum())
@@ -216,15 +207,24 @@ def _pressure_source(s: SRState, fa: VectorField):
     u, grid = s.u, s.u.grid
     h = grid.h
     cc = compat_constant(divergence_state(s.div_u, "dirichlet", s.nu, time=s.time), s.lam)
-    # b on the wall-normal faces: rows x = 0, 1 and y = 0, 1
-    bu = (_tangential_wall_rows(u.u) / (h * h)) * s.nu + u.u[[0, -1]] * s.lam + fa.u[[0, -1]]
-    bv = (_tangential_wall_rows(u.v.T) / (h * h)) * s.nu + u.v[:, [0, -1]].T * s.lam \
-        + fa.v[:, [0, -1]].T
-    rhs = divergence(fa).values.copy()
-    rhs[0, :] -= (-bu[0] - cc) / h
-    rhs[-1, :] -= (bu[1] - cc) / h
-    rhs[:, 0] -= (-bv[0] - cc) / h
-    rhs[:, -1] -= (bv[1] - cc) / h
+    # b.n on the walls x = 0, x = 1, y = 0, y = 1: the wall lines, with the
+    # odd ghosts of the tangential closure at both ends, and the lines next
+    # to them, across which the closure is even
+    wall = np.empty((4, grid.nx + 2))
+    wall[:2, 1:-1], wall[2:, 1:-1] = u.u[[0, -1]], u.v[:, [0, -1]].T
+    wall[:, [0, -1]] = -wall[:, [1, -2]]
+    a = wall[:, 1:-1]
+    lap = 2.0 * (np.concatenate([u.u[[1, -2]], u.v[:, [1, -2]].T]) - a) \
+        + (wall[:, 2:] - 2.0 * a + wall[:, :-2])
+    b = lap * (s.nu / (h * h)) + a * s.lam + np.concatenate([fa.u[[0, -1]], fa.v[:, [0, -1]].T])
+    b[::2] *= -1.0                                  # x = 0 and y = 0 face -x and -y
+    b -= cc
+    b /= h
+    rhs = _divergence_values(fa.u, fa.v, h)
+    rhs[0] -= b[0]
+    rhs[-1] -= b[1]
+    rhs[:, 0] -= b[2]
+    rhs[:, -1] -= b[3]
     rhs = _adopt(ScalarField, grid, rhs)
     # a non-finite net source is judged below; the scale cannot overflow
     with np.errstate(over="ignore", invalid="ignore"):
@@ -258,6 +258,22 @@ def pressure_poisson(s: SRState) -> tuple[ScalarField, DiagnosticsRecord]:
     return p, rec
 
 
+def _explicit_update(s: SRState, dt: float) -> VectorField:
+    """u + dt (f - a), once the pressure source of fa = f - a passes its
+    compatibility check; a function of its own, so that fa is freed before
+    the viscous solve."""
+    fa = s.forcing.evaluate(s.u.grid, s.time) - skew_advect(s.u, s.u)
+    update = [x * dt for x in fa.arrays]
+    for x, u in zip(update, s.u.arrays):
+        x += u                                   # u + dt fa, formed in dt fa
+    rhs = _adopt(VectorField, s.u.grid, *update)
+    # a blown-up update is the next state's fault, judged as its check judges
+    # u, before the pressure source and the solve compute with it
+    check_finite(s.time + dt, velocity=rhs)
+    _pressure_source(s, fa)
+    return rhs
+
+
 def step_direct_sr(s: SRState, dt: float) -> SRState:
     """One direct step: pinned implicit viscosity plus divergence repair.
 
@@ -271,23 +287,24 @@ def step_direct_sr(s: SRState, dt: float) -> SRState:
     needed, so it is not solved for.
     """
     cfl_check(s.u, dt)
-    grid = s.u.grid
-    u, du = s.u, s.div_u
-    fa = s.forcing.evaluate(grid, s.time) - skew_advect(u, u)
-    rhs = u + fa * dt
-    # a blown-up update is the next state's fault, judged as its check judges
-    # u, before the pressure source and the solve compute with it
-    check_finite(s.time + dt, velocity=rhs)
-    _pressure_source(s, fa)
+    grid, du = s.u.grid, s.div_u
     gp_field = _adopt(ScalarField, grid,
                       heat_solver(grid, s.nu * dt, "dirichlet", theta="be")(du.values))
     cbar = _step_average_constant(integral(du), integral(gp_field), s.lam, dt)
     hp = evolve_h(s.h, cbar, s.lam, dt)
-    ustar = NoslipHelmholtz(grid, s.nu * dt).solve(rhs, trace=hp)
-    chi = neumann_poisson(grid).solve(divergence(ustar) - gp_field)
-    up = ustar - gradient(chi)
+    ustar = NoslipHelmholtz(grid, s.nu * dt).solve(_explicit_update(s, dt), trace=hp)
+    # the repair u+ = u* - grad chi, with chi from div u* - g+, leaves u*'s walls
+    chi = _divergence_values(ustar.u, ustar.v, grid.h)
+    chi -= gp_field.values
+    chi = neumann_poisson(grid).solve_values(chi)
+    up, vp = ustar.u.copy(), ustar.v.copy()
+    for faces, step in ((up[1:-1], np.subtract(chi[1:], chi[:-1])),
+                        (vp[:, 1:-1], np.subtract(chi[:, 1:], chi[:, :-1]))):
+        step /= grid.h
+        faces -= step
     gp = divergence_state(gp_field, "dirichlet", s.nu, time=s.time + dt)
-    return SRState(s.time + dt, up, gp, hp, s.lam, s.nu, s.forcing)
+    return SRState(s.time + dt, _adopt(VectorField, grid, up, vp), gp, hp, s.lam, s.nu,
+                   s.forcing)
 
 
 def sr_gap_run(g0: ScalarField, h0: BoundaryTrace, lam: float, nu: float,

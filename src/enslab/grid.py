@@ -275,8 +275,12 @@ def divergence(w: VectorField) -> ScalarField:
 
 
 def _divergence_values(u: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
-    """Cell divergence of face arrays; leading stack axes are kept."""
-    return (u[..., 1:, :] - u[..., :-1, :] + v[..., :, 1:] - v[..., :, :-1]) / h
+    """Cell divergence of face arrays, fresh; leading stack axes are kept."""
+    d = np.subtract(u[..., 1:, :], u[..., :-1, :])
+    d += v[..., :, 1:]
+    d -= v[..., :, :-1]
+    d /= h
+    return d
 
 
 def gradient(p: ScalarField) -> VectorField:

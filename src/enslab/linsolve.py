@@ -135,10 +135,13 @@ def _separable_eigenbasis(grid: Grid, kind_x: str, kind_y: str | None = None):
 
 
 def _diagonalized_solve(b: np.ndarray, qx: np.ndarray, qy: np.ndarray,
-                        mult: np.ndarray) -> np.ndarray:
+                        mult: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Apply a separable operator, given by its eigenbases and multiplier, to
-    the last two axes of b."""
-    return qx @ ((qx.T @ b @ qy) * mult) @ qy.T
+    the last two axes of b; the result goes to out when given."""
+    half = qx.T @ b
+    modes = half @ qy
+    modes *= mult
+    return np.matmul(np.matmul(qx, modes, out=half), qy.T, out=out)
 
 
 class NeumannPoisson:
@@ -214,11 +217,12 @@ class SolveReport:
     residual: float
 
 
-def _wall_force(c: float, walls: VectorField):
-    """The force of the wall-normal values of ``walls`` on c K: c / h^2 times
-    them, on the first and last interior rows of u and columns of v."""
-    h2 = walls.grid.h * walls.grid.h
-    return c * (walls.u[[0, -1]] / h2), c * (walls.v[:, [0, -1]] / h2)
+def _wall_force(c: float, u: np.ndarray, v: np.ndarray, h: float):
+    """The force of the wall-normal values of the face arrays (u, v) on c K:
+    c / h^2 times them, on the first and last interior rows of u and columns
+    of v."""
+    h2 = h * h
+    return c * (u[[0, -1]] / h2), c * (v[:, [0, -1]] / h2)
 
 
 def _difference_factors(n: int, h: float) -> np.ndarray:
@@ -433,7 +437,7 @@ class GeneralizedStokes:
             with np.errstate(over="ignore", invalid="ignore"):
                 div = divergence(walls).values
                 gp = -div if g is None else gp - div
-                wu, wv = _wall_force(self.c, walls)
+                wu, wv = _wall_force(self.c, walls.u, walls.v, grid.h)
         # the sums of squares are finite only if every entry is, and then
         # nothing after them overflows
         sq_g = 0.0 if gp is None else float(np.vdot(gp, gp))
@@ -540,18 +544,18 @@ class NoslipHelmholtz:
 
     def solve(self, rhs: VectorField, trace: BoundaryTrace | None = None) -> VectorField:
         grid = self.grid
+        u, v = np.empty(grid.shape_u), np.empty(grid.shape_v)
         bu, bv = rhs.u[1:-1], rhs.v[:, 1:-1]
         if trace is None:
-            u, v = np.zeros(grid.shape_u), np.zeros(grid.shape_v)
+            u[[0, -1]] = v[:, [0, -1]] = 0.0
         else:
-            walls = with_normal_trace(VectorField.zeros(grid), trace)
-            u, v = walls.u.copy(), walls.v.copy()
-            wu, wv = _wall_force(self.c, walls)
+            u[0], u[-1], v[:, 0], v[:, -1] = -trace.left, trace.right, -trace.bottom, trace.top
+            wu, wv = _wall_force(self.c, u, v, grid.h)
             bu, bv = bu.copy(), bv.copy()
             bu[[0, -1]] += wu
             bv[:, [0, -1]] += wv
-        u[1:-1] = _diagonalized_solve(bu, *self._blocks[0])
-        v[:, 1:-1] = _diagonalized_solve(bv, *self._blocks[1])
+        _diagonalized_solve(bu, *self._blocks[0], out=u[1:-1])
+        _diagonalized_solve(bv, *self._blocks[1], out=v[:, 1:-1])
         return _adopt(VectorField, grid, u, v)
 
 

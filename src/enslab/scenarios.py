@@ -15,6 +15,8 @@ still up to O(h^2) truncation.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .errors import EnslabError
@@ -41,6 +43,7 @@ __all__ = [
     "mms_velocity",
     "mms_forcing",
     "eigen_lift",
+    "located",
     "march",
 ]
 
@@ -204,6 +207,16 @@ def forcing_spec(preset: str, amplitude: float = 1.0, nu: float = 1.0) -> Forcin
     if preset == "mms":
         return mms_forcing(nu)
     raise ValueError(f"unknown forcing preset {preset!r}")
+
+
+@contextmanager
+def located(where: str):
+    """Raise an EnslabError raised inside again as the same class, its
+    message prefixed with "<where>: ", as march does for each step's."""
+    try:
+        yield
+    except EnslabError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def march(step, state, dt: float, nsteps: int):

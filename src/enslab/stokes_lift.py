@@ -9,21 +9,21 @@ wall-normal velocity, used by the boundary-relaxation system.
 
 Also here: the discrete Leray projection (L2-orthogonal projection onto
 divergence-free fields with zero wall-normal flux), the round-off floors of
-a velocity field, the invariants shared by the states of both systems and
-the informational dual-norm bound check for the lift.
+a velocity field, and the invariants and measurements shared by the states
+of both systems.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .diagnostics import (
     DRIFT_ABS, DRIFT_RTOL, LIFT_FLOOR, RECONSTRUCT_TOL, SPLIT_RECONSTRUCT_TOL,
     SPLIT_TOL, SPLIT_WALL_TOL, TIME_RTOL, TINY, WALL_FLOOR, DiagnosticsRecord,
-    htilde_norm,
 )
 from .errors import CheckFailure, CompatibilityError
 from .grid import (
@@ -46,14 +46,13 @@ __all__ = [
     "leray_project",
     "lift_divergence",
     "lift_with_boundary",
-    "lifting_constant",
     "decompose",
-    "check_weak_lifting_bound",
     "lift_floor",
     "wall_floor",
     "lift_or_zero",
     "check_finite",
     "check_state",
+    "MeasuredState",
 ]
 
 
@@ -85,13 +84,33 @@ def lift_or_zero(g: ScalarField, u: VectorField, trace: BoundaryTrace | None = N
 
 def check_finite(time: float, **fields) -> None:
     """Raise CheckFailure naming the first field (None skipped) with a
-    non-finite value, and the time of the state it belongs to."""
+    non-finite value, and the time of the state it belongs to.  A sum of
+    squares is finite only if every entry is, so only an array whose sum is
+    not is scanned."""
     for name, f in fields.items():
-        if f is not None and not all(np.isfinite(a).all() for a in f.arrays):
+        if f is not None and not all(math.isfinite(float(np.vdot(a, a))) or np.isfinite(a).all()
+                                     for a in f.arrays):
             raise CheckFailure(f"non-finite {name.replace('_', ' ')} at t = {time:.6g}")
 
 
-def check_state(state, bc: str, residual: ScalarField,
+class MeasuredState:
+    """The measurements of a flow state (u, g) that its check, its stepper
+    and the diagnostics share, each taken once, when first read."""
+
+    @cached_property
+    def div_u(self) -> ScalarField:
+        return divergence(self.u)
+
+    @cached_property
+    def u_l2(self) -> float:
+        return face_norm(self.u)
+
+    @cached_property
+    def g_l2(self) -> float:
+        return scalar_norm(self.g.g)
+
+
+def check_state(state: MeasuredState, bc: str, residual: ScalarField,
                 trace: BoundaryTrace | None = None) -> None:
     """Invariants shared by the states of both systems.
 
@@ -112,7 +131,7 @@ def check_state(state, bc: str, residual: ScalarField,
                  divergence_free_part=state.v, lift=state.z)
     u = state.u
     err = scalar_norm(residual)
-    scale = max(scalar_norm(state.g.g), face_norm(u) / u.grid.h)
+    scale = max(state.g_l2, state.u_l2 / u.grid.h)
     if err > DRIFT_RTOL * scale + DRIFT_ABS:
         raise CheckFailure(
             f"velocity divergence drifted from its heat state: {err:.3e} "
@@ -221,17 +240,6 @@ def lift_with_boundary(g: ScalarField, h: BoundaryTrace) -> VectorField:
     return generalized_stokes(g.grid, 0.0, 1.0).solve(g=g, trace=h, pressure=False)[0]
 
 
-def lifting_constant(g: ScalarField) -> float:
-    """Measured stability ratio ||z||_H1 / ||g||_L2 of the zero-wall lift."""
-    ng = scalar_norm(g)
-    if ng == 0.0:
-        return 0.0
-    z = lift_divergence(g)
-    l2 = face_norm(z)
-    h1s = max(grad_inner(z, z), 0.0)
-    return math.sqrt(l2 * l2 + h1s) / ng
-
-
 def decompose(u: VectorField, time: float = 0.0) -> Decomposition:
     """Split u (zero wall-normal faces) into divergence-free v plus lift z.
 
@@ -251,24 +259,3 @@ def decompose(u: VectorField, time: float = 0.0) -> Decomposition:
             else generalized_stokes(u.grid, 0.0, 1.0).solve(g=g)[:2])
     dec = Decomposition(v=u - z, z=z, q=q)
     return replace(dec, record=dec.validate(u, time))
-
-
-def check_weak_lifting_bound(g: ScalarField, time: float = 0.0) -> DiagnosticsRecord:
-    """Informational dual-norm ratio ||z||_L2 / ||g||_dual for the lift.
-
-    The continuum bound needs a curved-smooth boundary, which the unit square
-    is not; the ratio is therefore recorded for trend inspection across
-    refinement, never asserted.
-    """
-    ng = scalar_norm(g)
-    if ng == 0.0:
-        metrics = {"lift_l2": 0.0, "dual_norm": 0.0, "ratio": 0.0}
-    else:
-        z = lift_divergence(g)
-        dual = htilde_norm(g)
-        metrics = {
-            "lift_l2": face_norm(z),
-            "dual_norm": dual,
-            "ratio": face_norm(z) / dual if dual > 0 else 0.0,
-        }
-    return DiagnosticsRecord(time=time, metrics=metrics, provenance="check_weak_lifting_bound")

@@ -8,7 +8,12 @@ evaluate the wall-relaxation Duhamel integral in closed form and by
 quadrature, extrapolate the divergence to the walls and fold the energy
 ledger over a whole history, so that the tests can check the package
 against an independent construction.  They are the only
-users of scipy.
+users of scipy.  The transport is here in its two halves, the advective
+form and its exact transpose, whose half-difference the package evaluates
+in flux-pair form, and the compatibility constant in its Laplacian form,
+which the package evaluates as a wall sum.  The measurements that only
+the tests make, of the lift's stability and of the no-slip system's
+viscous term, are here too.
 """
 
 from __future__ import annotations
@@ -18,14 +23,20 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from enslab.advection import centered_differences, skew_advect, transport_coefficients
+from enslab.diagnostics import TINY, DiagnosticsRecord, htilde_norm
 from enslab.ens_jl import EnergyLedger
 from enslab.ens_sr import SRState
 from enslab.grid import (
-    BoundaryTrace, Grid, ScalarField, VectorField, divergence, face_norm, vector_laplacian,
-    with_normal_trace,
+    BoundaryTrace, Grid, ScalarField, VectorField, _adopt, divergence, face_inner, face_norm,
+    grad_inner, gradient, integral, laplacian_dirichlet, laplacian_neumann, normal_trace,
+    scalar_norm, vector_laplacian, with_normal_trace,
 )
-from enslab.linsolve import _check_compatibility, _separable_eigenbasis, _tridiagonal_eigh
-from enslab.stokes_lift import leray_project
+from enslab.heat_oracle import DivergenceState
+from enslab.linsolve import (
+    _check_compatibility, _separable_eigenbasis, _tridiagonal_eigh, neumann_poisson,
+)
+from enslab.stokes_lift import leray_project, lift_divergence, wall_floor
 
 
 # ---------------------------------------------------------------------------
@@ -293,3 +304,195 @@ def eigen_residual_loop(modes, lam) -> np.ndarray:
     """||P K w_j - lam_j w_j|| of each mode, one field operation at a time."""
     return np.array([face_norm(leray_project(-vector_laplacian(w, "noslip")) - w * float(mu))
                      for w, mu in zip(modes, lam)])
+
+
+# ---------------------------------------------------------------------------
+# Transport: the advective form, its exact transpose and their half-difference
+# ---------------------------------------------------------------------------
+
+def _advect(w: VectorField, coeffs: tuple, b: VectorField) -> tuple:
+    """The arrays of advect(w, b), given coeffs = transport_coefficients of w."""
+    g = w.grid
+    if b.grid != g:
+        raise ValueError("advect: operands live on different grids")
+    wu, wy, wx, wv = coeffs
+    dxu, dyu, dxv, dyv = centered_differences(b.u, b.v, g.h)
+    au = np.zeros(g.shape_u)
+    av = np.zeros(g.shape_v)
+    au[1:-1, :] = wu * dxu + wy * dyu
+    av[:, 1:-1] = wx * dxv + wv * dyv
+    return au, av
+
+
+def _adjoint_advect(w: VectorField, coeffs: tuple, c: VectorField) -> tuple:
+    """The arrays of adjoint_advect(w, c), given coeffs = transport_coefficients of w."""
+    g = w.grid
+    if c.grid != g:
+        raise ValueError("adjoint_advect: operands live on different grids")
+    wu, wy, wx, wv = coeffs
+    h2 = 2.0 * g.h
+
+    # Each product is written into the interior of a buffer whose edges
+    # carry the closure (zero across the walls, the edge value along them),
+    # so the neighbours are read as shifted slices of one array.
+
+    # u-component output
+    nx, ny = g.nx, g.ny
+    pp = np.empty((nx + 3, ny))
+    pp[[0, 1, -2, -1], :] = 0.0
+    np.multiply(wu, c.u[1:-1, :], out=pp[2:-2, :])
+    atu = (pp[:-2, :] - pp[2:, :]) / h2
+    qq = np.empty((nx - 1, ny + 2))
+    np.multiply(wy, c.u[1:-1, :], out=qq[:, 1:-1])
+    qq[:, 0], qq[:, -1] = qq[:, 1], qq[:, -2]
+    atu[1:-1, :] += (qq[:, :-2] - qq[:, 2:]) / h2
+
+    # v-component output
+    pp2 = np.empty((nx, ny + 3))
+    pp2[:, [0, 1, -2, -1]] = 0.0
+    np.multiply(wv, c.v[:, 1:-1], out=pp2[:, 2:-2])
+    atv = (pp2[:, :-2] - pp2[:, 2:]) / h2
+    qq2 = np.empty((nx + 2, ny - 1))
+    np.multiply(wx, c.v[:, 1:-1], out=qq2[1:-1, :])
+    qq2[0, :], qq2[-1, :] = qq2[1, :], qq2[-2, :]
+    atv[:, 1:-1] += (qq2[:-2, :] - qq2[2:, :]) / h2
+    return atu, atv
+
+
+def advect(w: VectorField, b: VectorField) -> VectorField:
+    """Advective form (w . grad) b on interior faces; wall faces are zero.
+
+    Cross components of w are four-point averages onto the target face;
+    tangential derivatives next to a wall use the odd reflection; wall
+    values of both arguments are read as data."""
+    return _adopt(VectorField, w.grid, *_advect(w, transport_coefficients(w.u, w.v), b))
+
+
+def adjoint_advect(w: VectorField, c: VectorField) -> VectorField:
+    """Exact transpose of ``advect(w, .)`` in the uniform face inner product,
+    derived stencil by stencil: <advect(w, b), c> = <b, adjoint_advect(w, c)>.
+    Wall faces of the result carry the couplings through which ``advect``
+    reads wall data."""
+    return _adopt(VectorField, w.grid, *_adjoint_advect(w, transport_coefficients(w.u, w.v), c))
+
+
+def half_difference(w: VectorField, b: VectorField) -> VectorField:
+    """0.5 (advect(w, b) - adjoint_advect(w, b)), the transport coefficients
+    of w computed once for both halves: the skew transport in the form it
+    was evaluated in before the flux-pair form."""
+    coeffs = transport_coefficients(w.u, w.v)
+    (fu, fv), (bu, bv) = _advect(w, coeffs, b), _adjoint_advect(w, coeffs, b)
+    return _adopt(VectorField, w.grid, 0.5 * (fu - bu), 0.5 * (fv - bv))
+
+
+def trilinear(w: VectorField, b: VectorField, c: VectorField) -> float:
+    """The trilinear energy-exchange form <skew_advect(w, b), c>."""
+    return face_inner(skew_advect(w, b), c)
+
+
+# ---------------------------------------------------------------------------
+# The compatibility constant in its Laplacian form
+# ---------------------------------------------------------------------------
+
+def compat_constant_laplacian(g: DivergenceState, lam: float) -> float:
+    """Mean of (nu Lap g + lambda g) per boundary length, with the volume
+    integral of the interior (Dirichlet-closure) Laplacian formed whole."""
+    return (integral(laplacian_dirichlet(g.g)) * g.nu + integral(g.g) * lam) / 4.0
+
+
+# ---------------------------------------------------------------------------
+# Measurements of the lift and of the no-slip viscous term
+# ---------------------------------------------------------------------------
+
+def lifting_constant(g: ScalarField) -> float:
+    """Measured stability ratio ||z||_H1 / ||g||_L2 of the zero-wall lift."""
+    ng = scalar_norm(g)
+    if ng == 0.0:
+        return 0.0
+    z = lift_divergence(g)
+    l2 = face_norm(z)
+    h1s = max(grad_inner(z, z), 0.0)
+    return math.sqrt(l2 * l2 + h1s) / ng
+
+
+def check_weak_lifting_bound(g: ScalarField, time: float = 0.0) -> DiagnosticsRecord:
+    """Informational dual-norm ratio ||z||_L2 / ||g||_dual for the lift.
+
+    The continuum bound needs a curved-smooth boundary, which the unit square
+    is not; the ratio is therefore recorded for trend inspection across
+    refinement, never asserted.
+    """
+    ng = scalar_norm(g)
+    if ng == 0.0:
+        metrics = {"lift_l2": 0.0, "dual_norm": 0.0, "ratio": 0.0}
+    else:
+        z = lift_divergence(g)
+        dual = htilde_norm(g)
+        metrics = {
+            "lift_l2": face_norm(z),
+            "dual_norm": dual,
+            "ratio": face_norm(z) / dual if dual > 0 else 0.0,
+        }
+    return DiagnosticsRecord(time=time, metrics=metrics, provenance="check_weak_lifting_bound")
+
+
+def coercivity_probe(u: VectorField) -> DiagnosticsRecord:
+    """Evaluate the quadratic-form remainder that breaks zero-wall coercivity.
+
+    remainder(u) = -<u, P Lap u + grad div u> - ||grad Pu||^2 - ||div u||^2.
+
+    For divergence-free u the remainder vanishes; in general it equals the
+    gradient-pairing between the projected part and the potential part, whose
+    sign is indefinite.
+    """
+    walls = normal_trace(u).max_abs()
+    if walls > wall_floor(u):
+        raise ValueError(f"probe requires zero wall faces (max {walls:.3e})")
+    pu = leray_project(u)
+    du = divergence(u)
+    lap = vector_laplacian(u, "noslip")
+    quad = -face_inner(u, leray_project(lap) + gradient(du))
+    remainder = quad - grad_inner(pu, pu) - scalar_norm(du) ** 2
+    scale = max(grad_inner(u, u), TINY)
+    metrics = {
+        "remainder": remainder,
+        "relative": remainder / scale,
+        "sign": float(np.sign(remainder)),
+        "gradient_energy": grad_inner(u, u),
+    }
+    return DiagnosticsRecord(0.0, metrics, "coercivity_probe")
+
+
+def stokes_pressure(u: VectorField) -> ScalarField:
+    """Mean-zero potential of the non-projected part of (Lap u - grad div u).
+
+    Its gradient is the complement-of-projection of the extended viscous
+    term; taking the divergence of that term and inverting the Neumann
+    Laplacian recovers the potential directly.
+    """
+    walls = normal_trace(u).max_abs()
+    if walls > wall_floor(u):
+        raise ValueError(f"pressure recovery requires zero wall faces (max {walls:.3e})")
+    w = vector_laplacian(u, "noslip") - gradient(divergence(u))
+    return neumann_poisson(u.grid).solve(divergence(w))
+
+
+def check_stokes_pressure(u: VectorField) -> DiagnosticsRecord:
+    """Interior harmonicity of the recovered pressure potential.
+
+    The cell Laplacian of the potential reproduces its construction data
+    everywhere; the harmonicity content lives on interior cells, where the
+    data is a genuine commutator.  Wall-adjacent cells carry O(1/h) flux data
+    by construction and are reported separately, not asserted against.
+    """
+    p = stokes_pressure(u)
+    lap = laplacian_neumann(p)
+    grid = u.grid
+    full = scalar_norm(lap)
+    interior = grid.h * float(np.linalg.norm(lap.values[1:-1, 1:-1]))
+    metrics = {
+        "residual_interior": interior,
+        "residual_full": full,
+        "relative": interior / max(full, TINY),
+    }
+    return DiagnosticsRecord(0.0, metrics, "check_stokes_pressure")

@@ -171,18 +171,21 @@ class TestExitCodes:
             [n * 2e-3 for n in range(step)])
         assert "overall FAIL" in open(os.path.join(out, "summary.txt")).read()
 
-    @pytest.mark.parametrize("text, error, message", [
+    @pytest.mark.parametrize("text, error, where, message", [
         # lambda times the round-off of int div u of the vortex, left in the
         # wall data, is a net source of order one against the source's norm
         (SR_RUN.replace("lambda = 2.0", "lambda = 1e300").replace("eigenmode_div", "vortex")
-         + "route = direct\n", "CompatibilityError", "pressure problem incompatible"),
+         + "route = direct\n", "CompatibilityError", "step 1", "pressure problem incompatible"),
         # a finite right-hand side whose sum of squares overflows
         (JL_RUN + "route = direct\nforcing_amplitude = 1e308\n",
-         "SolverError", "generalized Stokes solve: the measure of finite data overflows "
-         "(largest entry 1.962e+305)"),
-    ], ids=["sr-direct-huge-lambda", "jl-direct-huge-forcing"])
+         "SolverError", "step 1", "generalized Stokes solve: the measure of finite data "
+         "overflows (largest entry 1.962e+305)"),
+        # the initial Stokes lift of finite divergence data whose measure overflows
+        (SR_RUN + "ic_eps = 1e300\n", "SolverError", "initial state", "generalized Stokes "
+         "solve: the measure of finite data overflows (largest entry 9.904e+299)"),
+    ], ids=["sr-direct-huge-lambda", "jl-direct-huge-forcing", "sr-initial-lift"])
     def test_overflowing_data_exit_two_naming_the_step(self, tmp_path, capsys, text, error,
-                                                       message):
+                                                       where, message):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, _ = run_cli(tmp_path, "run", text)
@@ -190,7 +193,7 @@ class TestExitCodes:
         assert not [(w.filename, w.lineno, str(w.message)) for w in caught
                     if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
-        assert err.startswith(f"solver error ({error}): step 1, t = 0: {message}")
+        assert err.startswith(f"solver error ({error}): {where}, t = 0: {message}")
 
     def test_huge_viscosity_on_jl_direct_passes(self, tmp_path):
         # at nu * dt = 2e297 the heat step keeps only the Neumann constant
@@ -222,8 +225,8 @@ class TestExitCodes:
              "non-finite measurement l2 at t = 0"),
             # the initial Stokes lift of finite divergence data whose measure overflows
             ("run", SR_RUN, ("eigenmode_div", "eigenmode_div\nic_eps = 1e300"), 2,
-             "solver error (SolverError): generalized Stokes solve: the measure of finite "
-             "data overflows (largest entry 9.9"),
+             "solver error (SolverError): initial state, t = 0: generalized Stokes solve: "
+             "the measure of finite data overflows (largest entry 9.9"),
         ]
         for k, (command, text, change, code, error) in enumerate(cases):
             code0, out = run_cli(tmp_path, command, text, sub=f"out{k}")
@@ -256,10 +259,11 @@ class TestExitCodes:
          "non-finite split measurement div_v_l2 at t = 0"),
         # the initial velocity's Stokes lift overflows, before any state
         ("compare", SR_RUN, ("eigenmode_div", "eigenmode_div\nic_eps = 1e300"), "compare.csv",
-         ["route_a", "route_b"], 2, "solver error (SolverError): generalized Stokes solve"),
+         ["route_a", "route_b"], 2,
+         "solver error (SolverError): initial state, t = 0: generalized Stokes solve"),
         ("stability", SR_RUN, ("eigenmode_div", "eigenmode_div\nic_eps = 1e300"), "ratios.csv",
          ["base", "eps_0", "eps_1", "eps_2"], 2,
-         "solver error (SolverError): generalized Stokes solve"),
+         "solver error (SolverError): initial state, t = 0: generalized Stokes solve"),
     ], ids=["compare", "stability", "convergence", "stability-check-failure-at-t0",
             "compare-initial-lift", "stability-initial-lift"])
     def test_solver_error_leaves_no_stale_study_verdict(self, tmp_path, capsys, command, text,
@@ -328,6 +332,9 @@ class TestExitCodes:
             # raised to main
             ("decompose", JL_RUN + "ic_amplitude = 1e300\n",
              "non-finite split measurement div_v_l2 at t = 0\n"),
+            # kept by the run while it builds its initial state
+            ("run", JL_RUN + "ic_amplitude = 1e300\n",
+             "initial state, t = 0: non-finite split measurement div_v_l2 at t = 0\n"),
         ]
         for k, (command, text, message) in enumerate(cases):
             code, _ = run_cli(tmp_path, command, text, sub=f"out{k}")

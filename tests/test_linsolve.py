@@ -31,6 +31,7 @@ from enslab.grid import (
     trace_integral,
     vector_from_stream,
     vector_laplacian,
+    with_normal_trace,
 )
 from enslab.linsolve import (
     STOKES_TOL,
@@ -348,6 +349,31 @@ class TestNoslipHelmholtz:
         assert np.abs(flatten_interior(got) - x).max() <= 1e-12 * np.abs(x).max()
         walls_ref = tr if walls else BoundaryTrace.zeros(g)
         assert all(np.array_equal(w, r) for w, r in zip(normal_trace(got).arrays, walls_ref.arrays))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 32), alpha=st.sampled_from([0.0, 1.0, 2.0]),
+           c=st.floats(1e-5, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_wall_trace_solve_is_bit_identical_to_field_assembly(self, n, alpha, c, seed):
+        # the solve sets the wall faces and adds their force in place; the
+        # oracle builds the wall field whole, takes its force and solves into
+        # fresh arrays
+        g = Grid(n)
+        rng = np.random.default_rng(seed)
+        f = random_field(g, rng, walls=True)
+        tr = BoundaryTrace(g, *(rng.standard_normal(n) for _ in range(4)))
+        solver = NoslipHelmholtz(g, c, alpha)
+        walls = with_normal_trace(VectorField.zeros(g), tr)
+        wu, wv = linsolve._wall_force(c, walls.u, walls.v, g.h)
+        bu, bv = f.u[1:-1].copy(), f.v[:, 1:-1].copy()
+        bu[[0, -1]] += wu
+        bv[:, [0, -1]] += wv
+        u, v = walls.u.copy(), walls.v.copy()
+        (qx, qy, mx), (px, py, mv) = solver._blocks
+        u[1:-1] = qx @ ((qx.T @ bu @ qy) * mx) @ qy.T
+        v[:, 1:-1] = px @ ((px.T @ bv @ py) * mv) @ py.T
+        got = solver.solve(f, tr)
+        for a, b in zip(got.arrays, (u, v)):
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def coscos(grid, k=1, m=1):

@@ -27,13 +27,12 @@ from enslab.linsolve import generalized_stokes
 from enslab.stokes_lift import (
     Decomposition,
     _remove_gradient,
-    check_weak_lifting_bound,
     decompose,
     leray_project,
     lift_divergence,
     lift_with_boundary,
-    lifting_constant,
 )
+from oracles import check_weak_lifting_bound, lifting_constant
 
 
 def coscos(grid, k=1, m=1):
