@@ -5,9 +5,12 @@ Neumann heat equation instead of vanishing.  Route one ("decomposed") mirrors
 the constructive splitting: advance the divergence by the heat oracle, lift it
 to a velocity by the Stokes lifting, and advance the remaining divergence-free
 part by a projected perturbed-flow step.  Route two ("direct") advances the
-velocity itself with a backward-Euler implicit treatment of both the viscous
-term and the divergence-gradient term, splitting the field into its projected
-part and the gradient potential that carries the divergence.
+velocity itself by one generalized Stokes solve per step,
+
+    (I - nu dt Lap) u+ + grad pi = u + dt (f - a),    div u+ = g+,
+
+with no-slip walls, the transport a taken at the old velocity and g+ the
+backward-Euler Neumann heat step of div u; pi is never formed.
 
 EnergyLedger certifies, per step, the exact discrete ledger
 
@@ -35,15 +38,14 @@ from .errors import CheckFailure
 from .grid import (
     ScalarField,
     VectorField,
+    _adopt,
     divergence,
     face_inner,
     grad_inner,
-    gradient,
     normal_trace,
-    vector_laplacian,
 )
 from .heat_oracle import DivergenceState, divergence_state, heat_step
-from .linsolve import generalized_stokes, heat_solver, neumann_poisson
+from .linsolve import generalized_stokes, heat_solver
 from .reference import (
     ForcingSpec,
     cfl_check,
@@ -123,33 +125,23 @@ def step_decomposed(s: JLState, dt: float) -> JLState:
 
 
 def step_direct(s: JLState, dt: float) -> JLState:
-    """One step of the direct route: implicit viscosity and divergence gradient.
+    """One step of the direct route: one generalized Stokes solve.
 
-    The momentum equation is split along the projection: the divergence rides
-    a backward-Euler Neumann heat step (taking the divergence of the update
-    gives exactly that), its gradient potential is reconstructed, and the
-    projected part sees explicit transport with implicit projected viscosity.
-    The pressure-potential content of the update equals the backward-Euler
-    value of the gradient part.
+    u+ solves (I - nu dt Lap) u+ + grad pi = u + dt (f - a), div u+ = g+
+    with zero wall velocity, where a is the skew-symmetric transport of u,
+    f the forcing at the old time and g+ the backward-Euler Neumann heat
+    step of div u; the pressure pi is not formed.
     """
     cfl_check(s.u, dt)
-    grid = s.u.grid
-    u = s.u
-    a = skew_advect(u, u)
-    f = s.forcing.evaluate(grid, s.time)
-    du = s.div_u
-    gp_vals = heat_solver(grid, s.nu * dt, "neumann", theta="be")(du.values)
-    gp_field = ScalarField(grid, gp_vals)
-    phi = neumann_poisson(grid).solve(gp_field)
-    gphi = gradient(phi)
-    lap_gphi = vector_laplacian(gphi, "noslip")
-    rhs = u + (f - a) * dt + lap_gphi * (s.nu * dt)
+    grid, u, c = s.u.grid, s.u, s.nu * dt
+    gp = _adopt(ScalarField, grid, heat_solver(grid, c, "neumann", theta="be")(s.div_u.values))
+    rhs = u + (s.forcing.evaluate(grid, s.time) - skew_advect(u, u)) * dt
     # the Stokes solve refuses non-finite data as a solver fault; a blown-up
     # update is the next state's fault, judged as its check judges u
     check_finite(s.time + dt, velocity=rhs)
-    y, _, _ = generalized_stokes(grid, 1.0, s.nu * dt).solve(rhs, pressure=False)
-    gp = DivergenceState(gp_field, s.time + dt, "neumann", s.nu, s.g.m0)
-    return JLState(s.time + dt, y + gphi, gp, s.nu, s.forcing)
+    up = generalized_stokes(grid, 1.0, c).solve(rhs, gp, pressure=False)[0]
+    return JLState(s.time + dt, up, DivergenceState(gp, s.time + dt, "neumann", s.nu, s.g.m0),
+                   s.nu, s.forcing)
 
 
 class EnergyLedger:

@@ -55,7 +55,7 @@ from .grid import (
 from .heat_oracle import DivergenceState, divergence_state, heat_step
 from .linsolve import NoslipHelmholtz, heat_solver, neumann_poisson
 from .reference import ForcingSpec, cfl_check, perturbed_heun_step
-from .stokes_lift import MeasuredState, check_finite, check_state, lift_or_zero
+from .stokes_lift import MeasuredState, _remove_gradient, check_finite, check_state, lift_or_zero
 
 __all__ = [
     "SRState",
@@ -294,14 +294,8 @@ def step_direct_sr(s: SRState, dt: float) -> SRState:
     hp = evolve_h(s.h, cbar, s.lam, dt)
     ustar = NoslipHelmholtz(grid, s.nu * dt).solve(_explicit_update(s, dt), trace=hp)
     # the repair u+ = u* - grad chi, with chi from div u* - g+, leaves u*'s walls
-    chi = _divergence_values(ustar.u, ustar.v, grid.h)
-    chi -= gp_field.values
-    chi = neumann_poisson(grid).solve_values(chi)
     up, vp = ustar.u.copy(), ustar.v.copy()
-    for faces, step in ((up[1:-1], np.subtract(chi[1:], chi[:-1])),
-                        (vp[:, 1:-1], np.subtract(chi[:, 1:], chi[:, :-1]))):
-        step /= grid.h
-        faces -= step
+    _remove_gradient(grid, up, vp, gp_field.values)
     gp = divergence_state(gp_field, "dirichlet", s.nu, time=s.time + dt)
     return SRState(s.time + dt, _adopt(VectorField, grid, up, vp), gp, hp, s.lam, s.nu,
                    s.forcing)

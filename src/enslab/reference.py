@@ -1,13 +1,17 @@
 """Shared time-stepping core and reference incompressible-flow steppers.
 
-The implicit viscous solve used by every flow route is the generalized
-Stokes solve of ``linsolve`` at alpha = 1: (I - c Lap) u + grad p = rhs,
-div u = 0 with zero walls, Lap the no-slip vector Laplacian.  Its velocity
-solves (I - c * P Lap P) u = P rhs with P the discrete Leray projection.
-Solving on the divergence-free subspace (rather than projecting after an
+The projected viscous steps (the order-2 reference here and the lifted-flow
+steppers of both systems) solve the generalized Stokes problem of
+``linsolve`` at alpha = 1: (I - c Lap) u + grad p = rhs, div u = 0 with zero
+walls, Lap the no-slip vector Laplacian.  Its velocity solves
+(I - c * P Lap P) u = P rhs with P the discrete Leray projection.  Solving
+on the divergence-free subspace (rather than projecting after an
 unconstrained solve) is what makes the discrete energy ledger close exactly:
 pairing the update with the midpoint velocity leaves no uncontrolled O(dt)
-pressure-coupling term.
+pressure-coupling term.  The no-slip direct step makes the same solve with
+divergence data, div u = g+, in place of div u = 0.  The order-1 reference
+and the tangential-system direct step solve the velocity block alone
+(``NoslipHelmholtz``) and then project or repair the divergence.
 
 Two reference steppers for the *standard* incompressible equations live here:
 

@@ -212,7 +212,7 @@ def forcing_spec(preset: str, amplitude: float = 1.0, nu: float = 1.0) -> Forcin
 @contextmanager
 def located(where: str):
     """Raise an EnslabError raised inside again as the same class, its
-    message prefixed with "<where>: ", as march does for each step's."""
+    message prefixed with "<where>: "; march locates each step's with it."""
     try:
         yield
     except EnslabError as exc:
@@ -232,6 +232,7 @@ def march(step, state, dt: float, nsteps: int):
     for k in range(1, nsteps + 1):
         try:
             state = step(state, dt)
-        except EnslabError as exc:
-            raise type(exc)(f"step {k}, t = {state.time:.6g}: {exc}") from exc
+        except EnslabError:
+            with located(f"step {k}, t = {state.time:.6g}"):  # formatted only when a step fails
+                raise
         yield state

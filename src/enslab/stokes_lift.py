@@ -211,13 +211,21 @@ def leray_project(u: VectorField) -> VectorField:
     return VectorField(g, pu, pv)
 
 
-def _remove_gradient(grid: Grid, u: np.ndarray, v: np.ndarray) -> None:
-    """The Leray projection of face arrays whose wall-normal faces are zero,
-    in place: subtract the gradient of the zero-flux potential of their
-    divergence.  Leading stack axes are kept."""
-    phi = neumann_poisson(grid).solve_values(_divergence_values(u, v, grid.h))
-    u[..., 1:-1, :] -= np.diff(phi, axis=-2) / grid.h
-    v[..., :, 1:-1] -= np.diff(phi, axis=-1) / grid.h
+def _remove_gradient(grid: Grid, u: np.ndarray, v: np.ndarray,
+                     g: np.ndarray | None = None) -> None:
+    """Subtract from the face arrays (u, v), in place, the gradient of the
+    zero-flux potential of div(u, v) - g (None for zero), leaving their
+    wall-normal faces as they are: the divergence becomes g up to a
+    constant.  With zero wall-normal faces and no g this is the Leray
+    projection.  Leading stack axes are kept; g is one cell array."""
+    chi = _divergence_values(u, v, grid.h)
+    if g is not None:
+        chi -= g
+    chi = neumann_poisson(grid).solve_values(chi)
+    for faces, step in ((u[..., 1:-1, :], np.subtract(chi[..., 1:, :], chi[..., :-1, :])),
+                        (v[..., 1:-1], np.subtract(chi[..., 1:], chi[..., :-1]))):
+        step /= grid.h
+        faces -= step
 
 
 def lift_divergence(g: ScalarField) -> VectorField:

@@ -5,10 +5,11 @@ functions here stack the interior faces into one vector, build the same
 operators on it as explicit scipy matrices from the dense 1-D second
 differences, solve the Stokes problem through one dense bordered system,
 evaluate the wall-relaxation Duhamel integral in closed form and by
-quadrature, extrapolate the divergence to the walls and fold the energy
-ledger over a whole history, so that the tests can check the package
-against an independent construction.  They are the only
-users of scipy.  The transport is here in its two halves, the advective
+quadrature, extrapolate the divergence to the walls, fold the energy
+ledger over a whole history and compose the no-slip direct step from a
+Poisson solve and a divergence-free solve, so that the tests can check the
+package against an independent construction.  They are the only users of
+scipy.  The transport is here in its two halves, the advective
 form and its exact transpose, whose half-difference the package evaluates
 in flux-pair form, and the compatibility constant in its Laplacian form,
 which the package evaluates as a wall sum.  The measurements that only
@@ -25,7 +26,7 @@ import scipy.sparse as sp
 
 from enslab.advection import centered_differences, skew_advect, transport_coefficients
 from enslab.diagnostics import TINY, DiagnosticsRecord, htilde_norm
-from enslab.ens_jl import EnergyLedger
+from enslab.ens_jl import EnergyLedger, JLState
 from enslab.ens_sr import SRState
 from enslab.grid import (
     BoundaryTrace, Grid, ScalarField, VectorField, _adopt, divergence, face_inner, face_norm,
@@ -34,7 +35,8 @@ from enslab.grid import (
 )
 from enslab.heat_oracle import DivergenceState
 from enslab.linsolve import (
-    _check_compatibility, _separable_eigenbasis, _tridiagonal_eigh, neumann_poisson,
+    _check_compatibility, _separable_eigenbasis, _tridiagonal_eigh, generalized_stokes,
+    heat_solver, neumann_poisson,
 )
 from enslab.stokes_lift import leray_project, lift_divergence, wall_floor
 
@@ -250,7 +252,8 @@ def boundary_divergence_max(s: SRState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# No-slip energy ledger over a whole history
+# The no-slip system: the energy ledger over a whole history, the direct step
+# as a chain of solves
 # ---------------------------------------------------------------------------
 
 def fold_energy_ledger(history):
@@ -259,6 +262,25 @@ def fold_energy_ledger(history):
     for s in history:
         ledger.add(s)
     return ledger.record()
+
+
+def jl_direct_composed(s: JLState, dt: float) -> JLState:
+    """The no-slip direct step as a chain of solves, with the same g+.
+
+    g+ is the backward-Euler Neumann heat step of div u and phi its zero-flux
+    potential; y solves the divergence-free problem
+    (I - nu dt Lap) y + G p = u + dt (f - a) + nu dt Lap grad phi, div y = 0,
+    and u+ = y + grad phi.  As div grad phi = g+ and grad phi is a gradient
+    with zero wall faces, u+ solves the step's one generalized Stokes problem.
+    """
+    grid, u, c = s.u.grid, s.u, s.nu * dt
+    gp = ScalarField(grid, heat_solver(grid, c, "neumann", theta="be")(s.div_u.values))
+    gphi = gradient(neumann_poisson(grid).solve(gp))
+    rhs = (u + (s.forcing.evaluate(grid, s.time) - skew_advect(u, u)) * dt
+           + vector_laplacian(gphi, "noslip") * c)
+    y = generalized_stokes(grid, 1.0, c).solve(rhs, pressure=False)[0]
+    gp = DivergenceState(gp, s.time + dt, "neumann", s.nu, s.g.m0)
+    return JLState(s.time + dt, y + gphi, gp, s.nu, s.forcing)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,12 +18,12 @@ from enslab.grid import (
 )
 from enslab.heat_oracle import DivergenceState, divergence_state, heat_step
 from enslab.reference import ForcingSpec, step_nse_projection
-from enslab.scenarios import march
+from enslab.scenarios import forcing_spec, initial_velocity, march
 from enslab.stokes_lift import decompose, lift_divergence, leray_project
 from enslab import ens_jl, linsolve
 from oracles import (
-    check_stokes_pressure, coercivity_probe, fold_energy_ledger, stokes_pressure,
-    unflatten_interior,
+    check_stokes_pressure, coercivity_probe, fold_energy_ledger, jl_direct_composed,
+    stokes_pressure, unflatten_interior,
 )
 
 
@@ -159,6 +161,44 @@ class TestStepDecomposed:
 
 
 class TestStepDirect:
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
+    def test_matches_composed_chain_each_step(self, n):
+        g = Grid(n)
+        u0 = initial_velocity(g, "jl", "lift_plus_flow")
+        s = ens_jl.jl_state(u0, 0.1, forcing_spec("rotational"), decomposed=False)
+        dt = 0.25 * g.h / u0.max_abs()
+        for _ in range(4):
+            got, want = ens_jl.step_direct(s, dt), jl_direct_composed(s, dt)
+            assert got.time == want.time
+            assert np.array_equal(got.g.g.values, want.g.g.values)
+            assert (got.u - want.u).max_abs() <= 1e-13 * want.u.max_abs()
+            s = got
+
+    def test_one_generalized_stokes_solve_with_the_heat_step_as_data(self, monkeypatch):
+        grid = Grid(16)
+        s = ens_jl.jl_state(initial_velocity(grid, "jl", "lift_plus_flow"), 0.1,
+                            forcing_spec("rotational"), decomposed=False)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the direct step formed a potential")
+        for name in ("neumann_poisson", "gradient", "vector_laplacian"):
+            monkeypatch.setattr(ens_jl, name, forbidden, raising=False)
+            for mod in [m for k, m in sys.modules.items() if k.startswith("enslab")]:
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, forbidden)
+        calls = []
+        solve = linsolve.GeneralizedStokes.solve
+
+        def counted(self, f=None, g=None, trace=None, **kwargs):
+            calls.append((self.alpha, self.c, f, g, trace, kwargs))
+            return solve(self, f, g, trace, **kwargs)
+        monkeypatch.setattr(linsolve.GeneralizedStokes, "solve", counted)
+        sp = ens_jl.step_direct(s, 1e-3)
+        assert len(calls) == 1
+        alpha, c, f, gdata, trace, kwargs = calls[0]
+        assert (alpha, c, trace, kwargs) == (1.0, 0.1 * 1e-3, None, {"pressure": False})
+        assert f is not None and gdata is sp.g.g
+
     def test_zero_data_stays_zero(self):
         g = Grid(16)
         s = ens_jl.jl_state(VectorField.zeros(g), 0.1, decomposed=False)

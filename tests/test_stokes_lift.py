@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from enslab.diagnostics import SPLIT_RECONSTRUCT_TOL, SPLIT_TOL
 from enslab.errors import CompatibilityError
+from enslab import galerkin
 from enslab.grid import (
     BoundaryTrace,
     Grid,
     ScalarField,
     VectorField,
+    _divergence_values,
     divergence,
     face_inner,
     face_norm,
@@ -23,7 +25,7 @@ from enslab.grid import (
     scalar_norm,
     vector_from_stream,
 )
-from enslab.linsolve import generalized_stokes
+from enslab.linsolve import generalized_stokes, neumann_poisson
 from enslab.stokes_lift import (
     Decomposition,
     _remove_gradient,
@@ -52,6 +54,16 @@ def random_zero_wall_vector(grid, rng):
     u[0, :] = u[-1, :] = 0.0
     v[:, 0] = v[:, -1] = 0.0
     return VectorField(grid, u, v)
+
+
+GRID_SIZES = st.integers(4, 64).filter(lambda n: (1.0 / n) * n == 1.0)
+
+
+def remove_gradient_diff_form(grid, u, v):
+    """The target-free gradient removal written with np.diff, not in place."""
+    phi = neumann_poisson(grid).solve_values(_divergence_values(u, v, grid.h))
+    u[..., 1:-1, :] -= np.diff(phi, axis=-2) / grid.h
+    v[..., :, 1:-1] -= np.diff(phi, axis=-1) / grid.h
 
 
 def stream_vector(grid, rng=None, seed=0):
@@ -116,6 +128,56 @@ class TestLerayProjection:
         pw = leray_project(w)
         inner = face_inner(pw, w - pw)
         assert abs(inner) <= 1e-9 * face_norm(w) ** 2
+
+
+class TestRemoveGradient:
+    @staticmethod
+    def _data(n, m, seed):
+        """Face arrays with nonzero wall faces, m stacked (m = 0: 2-D), and a
+        divergence target of the natural size of their divergence."""
+        g = Grid(n)
+        rng = np.random.default_rng(seed)
+        lead = (m,) if m else ()
+        return (g, rng.standard_normal(lead + g.shape_u), rng.standard_normal(lead + g.shape_v),
+                rng.standard_normal(g.shape_cell) / g.h)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=GRID_SIZES, m=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_wall_normal_faces_stay_bit_for_bit(self, n, m, seed):
+        g, u, v, target = self._data(n, m, seed)
+        u0, v0 = u.copy(), v.copy()
+        _remove_gradient(g, u, v, target)
+        assert np.array_equal(u[..., [0, -1], :], u0[..., [0, -1], :])
+        assert np.array_equal(v[..., [0, -1]], v0[..., [0, -1]])
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=GRID_SIZES, m=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_divergence_is_the_target_up_to_a_constant(self, n, m, seed):
+        g, u, v, target = self._data(n, m, seed)
+        _remove_gradient(g, u, v, target)
+        r = _divergence_values(u, v, g.h) - target
+        r -= r.mean(axis=(-2, -1), keepdims=True)
+        scale = max(np.abs(target).max(), max(np.abs(u).max(), np.abs(v).max()) / g.h)
+        assert np.abs(r).max() <= 1e-12 * scale
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=GRID_SIZES, seed=st.integers(0, 2 ** 32 - 1))
+    def test_leray_projection_is_the_difference_form_bit_for_bit(self, n, seed):
+        g = Grid(n)
+        rng = np.random.default_rng(seed)
+        w = VectorField(g, rng.standard_normal(g.shape_u), rng.standard_normal(g.shape_v))
+        u, v = w.u.copy(), w.v.copy()
+        u[[0, -1]] = v[:, [0, -1]] = 0.0
+        remove_gradient_diff_form(g, u, v)
+        pw = leray_project(w)
+        assert np.array_equal(pw.u, u) and np.array_equal(pw.v, v)
+
+    def test_galerkin_eigen_residuals_are_the_difference_form_bit_for_bit(self, monkeypatch):
+        basis = galerkin.build_basis(Grid(16), 16)
+        got = galerkin._eigen_residuals(basis.grid, basis.stacked, basis.lam)
+        monkeypatch.setattr(galerkin, "_remove_gradient", remove_gradient_diff_form)
+        want = galerkin._eigen_residuals(basis.grid, basis.stacked, basis.lam)
+        assert np.array_equal(got, want)
 
 
 class TestLiftDivergence:
