@@ -24,7 +24,7 @@ from .grid import (
     VectorField,
     face_norm,
     grad_inner,
-    mean,
+    integral,
     scalar_grad_inner,
     scalar_norm,
 )
@@ -160,7 +160,7 @@ def norms(f, time: float = 0.0) -> DiagnosticsRecord:
                 "l2": l2,
                 "h1_semi": h1,
                 "h1": math.sqrt(l2 * l2 + h1 * h1),
-                "mean": mean(f),
+                "mean": integral(f),
                 "htilde_minus1": htilde_norm(f),
             }
         elif isinstance(f, VectorField):
@@ -206,9 +206,6 @@ class OrderEstimate:
     order_fine: float     # log2(e2/e3)
     mean: float
     monotone: bool
-
-    def __float__(self) -> float:
-        return self.mean
 
 
 def convergence_order(e1: float, e2: float, e3: float) -> OrderEstimate:

@@ -35,9 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .advection import skew_advect
-from .diagnostics import (
-    GAP_DECAY_TOL, NET_SOURCE_TOL, SOLVABILITY_TOL, WALL_FOLLOW_TOL, DiagnosticsRecord,
-)
+from .diagnostics import GAP_DECAY_TOL, NET_SOURCE_TOL, SOLVABILITY_TOL, WALL_FOLLOW_TOL
 from .errors import CheckFailure, CompatibilityError, SolvabilityError
 from .grid import (
     BoundaryTrace,
@@ -45,6 +43,7 @@ from .grid import (
     VectorField,
     _adopt,
     _divergence_values,
+    _tangential_wall_rows,
     divergence,
     integral,
     normal_trace,
@@ -53,7 +52,7 @@ from .grid import (
     trace_integral,
 )
 from .heat_oracle import DivergenceState, divergence_state, heat_step
-from .linsolve import NoslipHelmholtz, heat_solver, neumann_poisson
+from .linsolve import NoslipHelmholtz, heat_solver
 from .reference import ForcingSpec, cfl_check, perturbed_heun_step
 from .stokes_lift import MeasuredState, _remove_gradient, check_finite, check_state, lift_or_zero
 
@@ -64,7 +63,6 @@ __all__ = [
     "evolve_h",
     "step_constructive",
     "step_direct_sr",
-    "pressure_poisson",
     "solvability_gap",
     "sr_gap_run",
 ]
@@ -113,9 +111,7 @@ class SRState(MeasuredState):
     @cached_property
     def wall_gap(self) -> float:
         """max |h - u.n| over the wall faces."""
-        u, v, h = self.u.u, self.u.v, self.h
-        return float(np.abs(np.concatenate(
-            [h.left + u[0], h.right - u[-1], h.bottom + v[:, 0], h.top - v[:, -1]])).max())
+        return (self.h - normal_trace(self.u)).max_abs()
 
     @property
     def decomposed(self) -> bool:
@@ -134,16 +130,20 @@ def sr_state(u: VectorField, lam: float, nu: float, forcing: ForcingSpec | None 
     return SRState(time, u, g, h, lam, nu, forcing, u - z, z)
 
 
-def compat_constant(g: DivergenceState, lam: float) -> float:
-    """Compatibility constant: mean of (nu Lap g + lambda g) per boundary length.
+def compat_constant(g: ScalarField, nu: float, lam: float, mass: float) -> float:
+    """Compatibility constant: mean of (nu Lap g + lambda g) per boundary
+    length, with mass the integral of g that lambda multiplies.
 
     The fluxes of the interior (Dirichlet-closure) Laplacian telescope, so
     its integral is the outward wall flux of g under the zero-trace closure,
-    -2 g_adjacent / h per wall face: only the wall sum is formed.
+    -2 g_adjacent / h per wall face: only the wall sum is formed.  For
+    g = div u the mass is also the outward wall flux of u; the pressure
+    source passes that flux, so that its lambda terms and those of its wall
+    data are sums over the same faces and cancel to round-off.
     """
-    v = g.g.values
+    v = g.values
     wall_sum = float(v[0, :].sum() + v[-1, :].sum() + v[:, 0].sum() + v[:, -1].sum())
-    return (g.nu * (-2.0) * wall_sum + lam * integral(g.g)) / _PERIMETER
+    return (nu * (-2.0) * wall_sum + lam * mass) / _PERIMETER
 
 
 def evolve_h(h: BoundaryTrace, cbar: float, lam: float, dt: float) -> BoundaryTrace:
@@ -199,24 +199,20 @@ def _pressure_source(s: SRState, fa: VectorField):
     Interior data div(f - a); each wall datum (b.n - cc) with
     b = nu Lap_t u + lambda u + (f - a) leaves its wall cell through the
     face, i.e. is subtracted over h, so only the wall-normal rows of the
-    tangential Laplacian are evaluated.  Returns (rhs, cc, total, scale):
+    tangential Laplacian are evaluated, and the lambda term of the constant
+    takes the outward flux of those faces.  Returns (rhs, cc, total, scale):
     the source, the instantaneous compatibility constant and the net source
     with its scale.  Raises CompatibilityError when the net source exceeds
     NET_SOURCE_TOL * scale.
     """
     u, grid = s.u, s.u.grid
     h = grid.h
-    cc = compat_constant(divergence_state(s.div_u, "dirichlet", s.nu, time=s.time), s.lam)
-    # b.n on the walls x = 0, x = 1, y = 0, y = 1: the wall lines, with the
-    # odd ghosts of the tangential closure at both ends, and the lines next
-    # to them, across which the closure is even
-    wall = np.empty((4, grid.nx + 2))
-    wall[:2, 1:-1], wall[2:, 1:-1] = u.u[[0, -1]], u.v[:, [0, -1]].T
-    wall[:, [0, -1]] = -wall[:, [1, -2]]
-    a = wall[:, 1:-1]
-    lap = 2.0 * (np.concatenate([u.u[[1, -2]], u.v[:, [1, -2]].T]) - a) \
-        + (wall[:, 2:] - 2.0 * a + wall[:, :-2])
-    b = lap * (s.nu / (h * h)) + a * s.lam + np.concatenate([fa.u[[0, -1]], fa.v[:, [0, -1]].T])
+    cc = compat_constant(s.div_u, s.nu, s.lam, trace_integral(normal_trace(u)))
+    # b.n on the walls x = 0, x = 1, y = 0, y = 1: each component is read
+    # through a view whose axis 0 runs along its normal
+    lap = np.concatenate([_tangential_wall_rows(u.u), _tangential_wall_rows(u.v.T)])
+    a = np.concatenate([u.u[[0, -1]], u.v.T[[0, -1]]])
+    b = lap * (s.nu / (h * h)) + a * s.lam + np.concatenate([fa.u[[0, -1]], fa.v.T[[0, -1]]])
     b[::2] *= -1.0                                  # x = 0 and y = 0 face -x and -y
     b -= cc
     b /= h
@@ -235,27 +231,6 @@ def _pressure_source(s: SRState, fa: VectorField):
             f"pressure problem incompatible: net source {total:.3e} "
             "(compatibility constant mis-assembled)")
     return rhs, cc, total, scale
-
-
-def pressure_poisson(s: SRState) -> tuple[ScalarField, DiagnosticsRecord]:
-    """Assemble and solve the literal pressure problem; report compatibility.
-
-    Interior data: div(f - transport); wall data: (nu Lap_t u - transport
-    + lambda u + f) . n - Cbar, with the instantaneous compatibility constant.
-    The assembled right-hand side sums to zero exactly (commutation of the
-    divergence with the tangential vector Laplacian plus the divergence
-    theorem), which is what the record certifies.
-    """
-    fa = s.forcing.evaluate(s.u.grid, s.time) - skew_advect(s.u, s.u)
-    rhs, cc, total, scale = _pressure_source(s, fa)
-    p = neumann_poisson(s.u.grid).solve(rhs)
-    rec = DiagnosticsRecord(s.time, {
-        "net_source": total,
-        "net_source_relative": total / scale,
-        "compat_constant": cc,
-        "pressure_norm": scalar_norm(p),
-    }, "ens_sr.pressure_poisson")
-    return p, rec
 
 
 def _explicit_update(s: SRState, dt: float) -> VectorField:
@@ -290,13 +265,14 @@ def step_direct_sr(s: SRState, dt: float) -> SRState:
     grid, du = s.u.grid, s.div_u
     gp_field = _adopt(ScalarField, grid,
                       heat_solver(grid, s.nu * dt, "dirichlet", theta="be")(du.values))
-    cbar = _step_average_constant(integral(du), integral(gp_field), s.lam, dt)
+    mass = integral(gp_field)
+    cbar = _step_average_constant(integral(du), mass, s.lam, dt)
     hp = evolve_h(s.h, cbar, s.lam, dt)
     ustar = NoslipHelmholtz(grid, s.nu * dt).solve(_explicit_update(s, dt), trace=hp)
     # the repair u+ = u* - grad chi, with chi from div u* - g+, leaves u*'s walls
     up, vp = ustar.u.copy(), ustar.v.copy()
     _remove_gradient(grid, up, vp, gp_field.values)
-    gp = divergence_state(gp_field, "dirichlet", s.nu, time=s.time + dt)
+    gp = DivergenceState(gp_field, s.time + dt, "dirichlet", s.nu, mass)
     return SRState(s.time + dt, _adopt(VectorField, grid, up, vp), gp, hp, s.lam, s.nu,
                    s.forcing)
 

@@ -17,33 +17,36 @@ adjoints of each other, which in turn makes the orthogonal-decomposition and
 projection identities of the higher modules machine-precision statements
 instead of O(h) ones.
 
-Boundary closures (ghost values) used by the Laplacians:
+Boundary closures (ghost values) of the Laplacians:
 
-* scalar, zero-flux ("neumann"):   ghost = interior value
-* scalar, zero-value ("dirichlet"): ghost = -interior value
-* vector, bc="noslip": wall-normal faces are pinned to zero (their rows
-  return 0 and their values are read as 0), tangential components use the
-  odd ghost (value at the wall itself is zero);
-* vector, bc="tangential": tangential components use the odd ghost, while
-  wall-normal faces remain genuine unknowns closed with an even ghost across
-  the wall.  The even ghost is exactly the closure that makes
-  divergence(vector_laplacian(w, "tangential")) == laplacian_dirichlet(divergence(w))
-  hold to round-off, i.e. the vector heat flow drives the divergence by the
+* scalar, zero-flux ("neumann", Lap_N):   ghost = interior value
+* scalar, zero-value ("dirichlet", Lap_D): ghost = -interior value
+* vector, no-slip (``vector_laplacian``): wall-normal faces are pinned to
+  zero (their rows return 0 and their values are read as 0), tangential
+  components use the odd ghost (value at the wall itself is zero);
+* vector, tangential (``_tangential_laplacian``, Lap_t): tangential
+  components use the odd ghost, while wall-normal faces remain genuine
+  unknowns closed with an even ghost across the wall.  The even ghost is
+  exactly the closure that makes div Lap_t w == Lap_D div w hold to
+  round-off, i.e. the vector heat flow drives the divergence by the
   zero-value scalar heat flow.
+
+The scalar Laplacians act only inside the solvers of ``linsolve``, through
+their eigenbases.  The outward-normal signs of the wall faces are stated
+once, in ``normal_trace`` and ``_write_normal_trace``.
 
 Fields
 ------
 ``ScalarField``, ``VectorField`` and ``BoundaryTrace`` are three shapes of
 one field implementation, ``_Field``: each names its arrays and their
-shapes, and construction, ``zeros``, the arithmetic, ``blend`` and
-``max_abs`` exist once, array by array.  Fields are validated where data
-enters: public construction copies the arrays, checks the shapes, rejects
-non-finite values and freezes.  The operators of this module, of
-``linsolve`` and of ``advection`` build their results with ``_adopt``, which
-freezes the arrays they have just allocated and trusts them.  Each state of
-the flow systems scans its fields for finiteness once
-(``stokes_lift.check_state``), so a non-finite value is still caught at the
-step that makes it.
+shapes, and construction, ``zeros``, the arithmetic and ``max_abs`` exist
+once, array by array.  Fields are validated where data enters: public
+construction copies the arrays, checks the shapes, rejects non-finite values
+and freezes.  The operators of this module, of ``linsolve`` and of
+``advection`` build their results with ``_adopt``, which freezes the arrays
+they have just allocated and trusts them.  Each state of the flow systems
+scans its fields for finiteness once (``stokes_lift.check_state``), so a
+non-finite value is still caught at the step that makes it.
 """
 
 from __future__ import annotations
@@ -61,13 +64,10 @@ __all__ = [
     "BoundaryTrace",
     "divergence",
     "gradient",
-    "laplacian_neumann",
-    "laplacian_dirichlet",
     "vector_laplacian",
     "scalar_inner",
     "scalar_norm",
     "integral",
-    "mean",
     "face_inner",
     "face_norm",
     "rescaled_norm",
@@ -196,12 +196,6 @@ class _Field:
     def __neg__(self):
         return _adopt(type(self), self.grid, *map(np.negative, self.arrays))
 
-    def blend(self, a: float, other, b: float):
-        """a * self + b * other."""
-        self._like(other)
-        return _adopt(type(self), self.grid,
-                      *[a * x + b * y for x, y in zip(self.arrays, other.arrays)])
-
     def max_abs(self) -> float:
         return max([float(np.max(np.abs(x))) for x in self.arrays])
 
@@ -301,34 +295,6 @@ def gradient(p: ScalarField) -> VectorField:
 # Laplacians
 # ---------------------------------------------------------------------------
 
-def _pad_scalar(vals: np.ndarray, sign: float) -> np.ndarray:
-    """Ghost-pad a cell array: ghost = sign * adjacent interior value."""
-    padded = np.empty((vals.shape[0] + 2, vals.shape[1] + 2))
-    padded[1:-1, 1:-1] = vals
-    padded[0, 1:-1] = sign * vals[0, :]
-    padded[-1, 1:-1] = sign * vals[-1, :]
-    padded[1:-1, 0] = sign * vals[:, 0]
-    padded[1:-1, -1] = sign * vals[:, -1]
-    # corners are never read by the 5-point stencil
-    padded[0, 0] = padded[0, -1] = padded[-1, 0] = padded[-1, -1] = 0.0
-    return padded
-
-
-def _five_point(padded: np.ndarray, h: float) -> np.ndarray:
-    c = padded[1:-1, 1:-1]
-    return (padded[2:, 1:-1] + padded[:-2, 1:-1] + padded[1:-1, 2:] + padded[1:-1, :-2] - 4.0 * c) / (h * h)
-
-
-def laplacian_neumann(p: ScalarField) -> ScalarField:
-    """5-point Laplacian with zero-flux closure (ghost = interior)."""
-    return ScalarField(p.grid, _five_point(_pad_scalar(p.values, +1.0), p.grid.h))
-
-
-def laplacian_dirichlet(p: ScalarField) -> ScalarField:
-    """5-point Laplacian with zero-value closure (ghost = -interior)."""
-    return ScalarField(p.grid, _five_point(_pad_scalar(p.values, -1.0), p.grid.h))
-
-
 def _odd_difference(a: np.ndarray) -> np.ndarray:
     """Second difference along the last axis with the odd ghost at both ends;
     leading axes are kept."""
@@ -373,21 +339,15 @@ def _tangential_laplacian(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.
     return lu, lv
 
 
-def vector_laplacian(w: VectorField, bc: str) -> VectorField:
-    """Component-wise 5-point Laplacian with velocity boundary closure.
+def vector_laplacian(w: VectorField) -> VectorField:
+    """Component-wise 5-point Laplacian with the no-slip closure.
 
-    bc="noslip": wall-normal faces are read as zero and their rows return
-    zero; tangential components use the odd ghost.  This is the
-    "tangential" closure applied to w with its wall-normal faces zeroed,
-    with the wall-normal rows of the result then zeroed.
-
-    bc="tangential": tangential components use the odd ghost; wall-normal
-    faces are genuine unknowns closed with the even ghost across the wall.
+    Wall-normal faces are read as zero and their rows return zero;
+    tangential components use the odd ghost.  This is the tangential
+    closure applied to w with its wall-normal faces zeroed, with the
+    wall-normal rows of the result then zeroed.
     """
-    if bc not in ("noslip", "tangential"):
-        raise ValueError(f"unknown bc {bc!r}; expected 'noslip' or 'tangential'")
-    closure = _noslip_laplacian if bc == "noslip" else _tangential_laplacian
-    lu, lv = closure(w.u, w.v)
+    lu, lv = _noslip_laplacian(w.u, w.v)
     h2 = w.grid.h * w.grid.h
     return _adopt(VectorField, w.grid, lu / h2, lv / h2)
 
@@ -422,10 +382,6 @@ def integral(p: ScalarField) -> float:
     return float(np.sum(p.values) * p.grid.h * p.grid.h)
 
 
-def mean(p: ScalarField) -> float:
-    return integral(p)  # |domain| = 1
-
-
 def face_inner(a: VectorField, b: VectorField) -> float:
     _same_grid(a.grid, b.grid)
     h2 = a.grid.h * a.grid.h
@@ -450,7 +406,8 @@ def rescaled_norm(norm, x) -> float:
 
 
 def scalar_grad_inner(p: ScalarField, q: ScalarField, bc: str) -> float:
-    """Gradient-energy pairing equal to <-laplacian_bc p, q> exactly.
+    """Gradient-energy pairing equal to <-Lap p, q> exactly, with Lap the
+    cell Laplacian of closure bc (Lap_N or Lap_D).
 
     bc="neumann": interior cell-to-cell differences only.
     bc="dirichlet": interior differences plus the wall terms 2*p0*q0 coming
@@ -475,7 +432,7 @@ def scalar_grad_inner(p: ScalarField, q: ScalarField, bc: str) -> float:
 def grad_inner(a: VectorField, b: VectorField) -> float:
     """Discrete <grad a, grad b> for no-slip vector fields.
 
-    Equals <-vector_laplacian(a, "noslip"), b> exactly whenever the
+    Equals <-vector_laplacian(a), b> exactly whenever the
     wall-normal faces of both fields vanish; the pairing underlies every
     energy ledger and orthogonality statement downstream.
     """
@@ -507,11 +464,13 @@ def with_normal_trace(w: VectorField, trace: BoundaryTrace) -> VectorField:
     _same_grid(w.grid, trace.grid)
     u = w.u.copy()
     v = w.v.copy()
-    u[0, :] = -trace.left
-    u[-1, :] = trace.right
-    v[:, 0] = -trace.bottom
-    v[:, -1] = trace.top
+    _write_normal_trace(u, v, trace)
     return _adopt(VectorField, w.grid, u, v)
+
+
+def _write_normal_trace(u: np.ndarray, v: np.ndarray, trace: BoundaryTrace) -> None:
+    """Write the outward-signed trace into the wall faces of u and v in place."""
+    u[0], u[-1], v[:, 0], v[:, -1] = -trace.left, trace.right, -trace.bottom, trace.top
 
 
 def trace_integral(trace: BoundaryTrace) -> float:

@@ -46,6 +46,7 @@ from .grid import (
     VectorField,
     _adopt,
     _line_aligned,
+    _write_normal_trace,
     divergence,
     integral,
     rescaled_norm,
@@ -175,8 +176,8 @@ def neumann_poisson(grid: Grid) -> NeumannPoisson:
 
 
 def htilde_solver(grid: Grid):
-    """Cached solver for (I - laplacian_neumann), the dual-norm realization:
-    a callable cell values -> cell values."""
+    """Cached solver for (I - Lap_N), Lap_N the zero-flux cell Laplacian: the
+    dual-norm realization, a callable cell values -> cell values."""
     def build():
         qx, qy, lam = _separable_eigenbasis(grid, "neumann")
         inv = 1.0 / (1.0 - lam)
@@ -549,7 +550,7 @@ class NoslipHelmholtz:
         if trace is None:
             u[[0, -1]] = v[:, [0, -1]] = 0.0
         else:
-            u[0], u[-1], v[:, 0], v[:, -1] = -trace.left, trace.right, -trace.bottom, trace.top
+            _write_normal_trace(u, v, trace)
             wu, wv = _wall_force(self.c, u, v, grid.h)
             bu, bv = bu.copy(), bv.copy()
             bu[[0, -1]] += wu

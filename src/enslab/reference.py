@@ -121,7 +121,7 @@ def perturbed_heun_step(v: VectorField, z0: VectorField, z1: VectorField,
     c = 0.5 * nu * dt
     zbar = (z0 + z1) * 0.5
     dz = (z1 - z0) * (1.0 / dt)
-    lap_v = vector_laplacian(v, "noslip")
+    lap_v = vector_laplacian(v)
 
     def slope(w: VectorField) -> VectorField:
         wz = w + zbar
@@ -159,7 +159,7 @@ def step_nse_projection(u: VectorField, t: float, dt: float, nu: float,
         raise ValueError(f"unknown order {order!r} (expected 1 or 2)")
     f_mid = forcing.evaluate(g, t + 0.5 * dt)
     c = 0.5 * nu * dt
-    lap_u = vector_laplacian(u, "noslip")
+    lap_u = vector_laplacian(u)
     a1 = f_mid - skew_advect(u, u)
     solve = generalized_stokes(g, 1.0, c).solve
     v1 = solve(u + a1 * dt + lap_u * c, pressure=False)[0]

@@ -30,8 +30,8 @@ from enslab.ens_jl import EnergyLedger, JLState
 from enslab.ens_sr import SRState
 from enslab.grid import (
     BoundaryTrace, Grid, ScalarField, VectorField, _adopt, divergence, face_inner, face_norm,
-    grad_inner, gradient, integral, laplacian_dirichlet, laplacian_neumann, normal_trace,
-    scalar_norm, vector_laplacian, with_normal_trace,
+    grad_inner, gradient, integral, normal_trace, scalar_norm, vector_laplacian,
+    with_normal_trace,
 )
 from enslab.heat_oracle import DivergenceState
 from enslab.linsolve import (
@@ -111,6 +111,11 @@ def laplacian_neumann_matrix(grid: Grid) -> sp.csr_matrix:
 
 def laplacian_dirichlet_matrix(grid: Grid) -> sp.csr_matrix:
     return _kron_sum(grid, "cell", "cell").tocsr()
+
+
+def apply_cell(matrix: sp.spmatrix, p: ScalarField) -> ScalarField:
+    """A matrix on the cell vector applied to a cell field."""
+    return ScalarField(p.grid, (matrix @ p.values.ravel()).reshape(p.grid.shape_cell))
 
 
 def noslip_viscous_matrix(grid: Grid) -> sp.csr_matrix:
@@ -195,7 +200,7 @@ def duhamel_closed_form(h0: BoundaryTrace, cbars, lam: float, dt: float) -> Boun
     acc = 0.0
     for k, c in enumerate(cbars):
         acc += math.exp(-lam * dt * (n - 1 - k)) * gain * c / lam
-    return h0.blend(math.exp(-lam * dt * n), BoundaryTrace.constant(h0.grid, 1.0), acc)
+    return h0 * math.exp(-lam * dt * n) + BoundaryTrace.constant(h0.grid, acc)
 
 
 def duhamel_quadrature(h0: BoundaryTrace, times, cbar_samples, lam: float) -> BoundaryTrace:
@@ -213,8 +218,7 @@ def duhamel_quadrature(h0: BoundaryTrace, times, cbar_samples, lam: float) -> Bo
     T = float(times[-1])
     weights = np.exp(-lam * (T - times))
     val = float(simpson(weights * cb, x=times))
-    return h0.blend(math.exp(-lam * (T - float(times[0]))),
-                    BoundaryTrace.constant(h0.grid, 1.0), val)
+    return h0 * math.exp(-lam * (T - float(times[0]))) + BoundaryTrace.constant(h0.grid, val)
 
 
 def boundary_divergence_trace(p: ScalarField) -> BoundaryTrace:
@@ -277,7 +281,7 @@ def jl_direct_composed(s: JLState, dt: float) -> JLState:
     gp = ScalarField(grid, heat_solver(grid, c, "neumann", theta="be")(s.div_u.values))
     gphi = gradient(neumann_poisson(grid).solve(gp))
     rhs = (u + (s.forcing.evaluate(grid, s.time) - skew_advect(u, u)) * dt
-           + vector_laplacian(gphi, "noslip") * c)
+           + vector_laplacian(gphi) * c)
     y = generalized_stokes(grid, 1.0, c).solve(rhs, pressure=False)[0]
     gp = DivergenceState(gp, s.time + dt, "neumann", s.nu, s.g.m0)
     return JLState(s.time + dt, y + gphi, gp, s.nu, s.forcing)
@@ -324,7 +328,7 @@ def parity_block_basis(grid: Grid, k: int):
 
 def eigen_residual_loop(modes, lam) -> np.ndarray:
     """||P K w_j - lam_j w_j|| of each mode, one field operation at a time."""
-    return np.array([face_norm(leray_project(-vector_laplacian(w, "noslip")) - w * float(mu))
+    return np.array([face_norm(leray_project(-vector_laplacian(w)) - w * float(mu))
                      for w, mu in zip(modes, lam)])
 
 
@@ -419,7 +423,8 @@ def trilinear(w: VectorField, b: VectorField, c: VectorField) -> float:
 def compat_constant_laplacian(g: DivergenceState, lam: float) -> float:
     """Mean of (nu Lap g + lambda g) per boundary length, with the volume
     integral of the interior (Dirichlet-closure) Laplacian formed whole."""
-    return (integral(laplacian_dirichlet(g.g)) * g.nu + integral(g.g) * lam) / 4.0
+    lap = apply_cell(laplacian_dirichlet_matrix(g.g.grid), g.g)
+    return (integral(lap) * g.nu + integral(g.g) * lam) / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +477,7 @@ def coercivity_probe(u: VectorField) -> DiagnosticsRecord:
         raise ValueError(f"probe requires zero wall faces (max {walls:.3e})")
     pu = leray_project(u)
     du = divergence(u)
-    lap = vector_laplacian(u, "noslip")
+    lap = vector_laplacian(u)
     quad = -face_inner(u, leray_project(lap) + gradient(du))
     remainder = quad - grad_inner(pu, pu) - scalar_norm(du) ** 2
     scale = max(grad_inner(u, u), TINY)
@@ -495,7 +500,7 @@ def stokes_pressure(u: VectorField) -> ScalarField:
     walls = normal_trace(u).max_abs()
     if walls > wall_floor(u):
         raise ValueError(f"pressure recovery requires zero wall faces (max {walls:.3e})")
-    w = vector_laplacian(u, "noslip") - gradient(divergence(u))
+    w = vector_laplacian(u) - gradient(divergence(u))
     return neumann_poisson(u.grid).solve(divergence(w))
 
 
@@ -508,8 +513,8 @@ def check_stokes_pressure(u: VectorField) -> DiagnosticsRecord:
     by construction and are reported separately, not asserted against.
     """
     p = stokes_pressure(u)
-    lap = laplacian_neumann(p)
     grid = u.grid
+    lap = apply_cell(laplacian_neumann_matrix(grid), p)
     full = scalar_norm(lap)
     interior = grid.h * float(np.linalg.norm(lap.values[1:-1, 1:-1]))
     metrics = {

@@ -116,11 +116,11 @@ class TestOrderEstimate:
     def test_second_order_triple(self):
         est = convergence_order(4.0, 1.0, 0.25)
         assert est.order_coarse == 2.0 and est.order_fine == 2.0
-        assert float(est) == 2.0 and est.monotone
+        assert est.mean == 2.0 and est.monotone
 
     def test_first_order_triple(self):
         est = convergence_order(2.0, 1.0, 0.5)
-        assert float(est) == 1.0
+        assert est.mean == 1.0
 
     def test_non_monotone_flagged_not_rejected(self):
         est = convergence_order(1.0, 2.0, 0.5)

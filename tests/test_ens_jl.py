@@ -257,7 +257,7 @@ class TestStokesPressure:
     def test_gradient_matches_projection_complement_for_divergence_free(self):
         g = Grid(32)
         u = vortex(g)
-        lap = vector_laplacian(u, "noslip")
+        lap = vector_laplacian(u)
         target = lap - leray_project(lap)
         p = stokes_pressure(u)
         err = face_norm(gradient(p) - target)

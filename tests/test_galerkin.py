@@ -68,7 +68,7 @@ class TestBasisConstruction:
     def test_eigen_residual_small(self):
         basis = galerkin.build_basis(Grid(16), 6)
         for lam, w in zip(basis.lam, basis.modes):
-            aw = leray_project(-vector_laplacian(w, "noslip"))
+            aw = leray_project(-vector_laplacian(w))
             res = face_norm(aw - w * float(lam))
             assert res <= 1e-8 * (1.0 + float(lam))
 
