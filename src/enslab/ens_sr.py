@@ -168,6 +168,15 @@ def _step_average_constant(m0: float, m1: float, lam: float, dt: float) -> float
     return 0.25 * lam * (m1 - decay * m0) / (1.0 - decay)
 
 
+def _advance_gh(g: DivergenceState, h: BoundaryTrace, lam: float,
+                dt: float) -> tuple[DivergenceState, BoundaryTrace]:
+    """One step of the (divergence, boundary-data) subsystem: the Dirichlet
+    heat step of g, then the exact update of h under the step's constant."""
+    gp = heat_step(g, dt)
+    cbar = _step_average_constant(integral(g.g), integral(gp.g), lam, dt)
+    return gp, evolve_h(h, cbar, lam, dt)
+
+
 def step_constructive(s: SRState, dt: float) -> SRState:
     """One constructive step: Dirichlet heat, boundary ODE, lift, projected flow."""
     if not s.decomposed:
@@ -180,9 +189,7 @@ def step_constructive(s: SRState, dt: float) -> SRState:
         raise SolvabilityError(
             f"solvability gap {gap:.3e} exceeds tolerance; boundary and "
             "divergence data are inconsistent")
-    gp = heat_step(s.g, dt)
-    cbar = _step_average_constant(integral(s.g.g), integral(gp.g), s.lam, dt)
-    hp = evolve_h(s.h, cbar, s.lam, dt)
+    gp, hp = _advance_gh(s.g, s.h, s.lam, dt)
     zp = lift_or_zero(gp.g, s.u, hp)
     f_mid = s.forcing.evaluate(s.u.grid, s.time + 0.5 * dt)
     vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, f_mid, s.time + dt)
@@ -282,15 +289,12 @@ def sr_gap_run(g0: ScalarField, h0: BoundaryTrace, lam: float, nu: float,
     """Evolve the (divergence, boundary-data) subsystem alone.
 
     The pair need not satisfy the solvability condition; the run exposes the
-    exact per-step decay of the gap  oint h - int g.
+    exact per-step decay of the gap  oint h - int g.  Each step is the update
+    the constructive route makes.
     """
-    g = divergence_state(g0, "dirichlet", nu)
-    h = h0
+    g, h = divergence_state(g0, "dirichlet", nu), h0
     history = [(g, h)]
     for _ in range(nsteps):
-        gp = heat_step(g, dt)
-        cbar = _step_average_constant(integral(g.g), integral(gp.g), lam, dt)
-        h = evolve_h(h, cbar, lam, dt)
-        g = gp
+        g, h = _advance_gh(g, h, lam, dt)
         history.append((g, h))
     return history

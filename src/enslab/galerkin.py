@@ -5,12 +5,13 @@ Its lowest eigenmodes form an L2-orthonormal basis; expanding the velocity
 in that basis turns the flow problem into a small ODE system for the
 coefficients,
 
-    g_j' + nu lam_j g_j + sum_rs b(w_r, w_s, w_j) g_r g_s
-        = <f, w_j> - sum_r [b(w_r, z, w_j) + b(z, w_r, w_j)] g_r,
+    g_j' + nu lam_j g_j + sum_rs b(w_r, w_s, w_j) g_r g_s = <f, w_j>,
 
-integrated by classical RK4.  The quadratic term is energy-neutral because
-the transport form is skew in its last two slots, so the solved system
-inherits the exact energy ledger of the full discretization.
+integrated by classical RK4.  The route takes divergence-free data only, on
+which the extended system is Navier-Stokes, so no lift term enters.  The
+quadratic term is energy-neutral because the transport form is skew in its
+last two slots, so the solved system inherits the exact energy ledger of
+the full discretization.
 
 The subspace is exactly the range of the stream-function curl C, so the
 basis comes from the pencil (C^T K C, C^T C), a sine-diagonal plus a wall
@@ -20,9 +21,9 @@ x <-> y swap splits the (even, even) and (odd, odd) ones into symmetric and
 antisymmetric halves.  The modes C psi / h are divergence-free by
 construction.  Construction checks every mode's eigen-residual in one pass
 over the stacked modes, with the grid's and the Leray projection's own
-stencils and solve.  ``advect`` is a sum of products of advecting
-coefficients and centered differences, so each transport tensor is one
-contraction over the stacked modes.
+stencils and solve.  The advective part of the transport form is a sum of
+products of advecting coefficients and centered differences, so the
+coupling tensor is one contraction over the stacked modes.
 
 The transport form is invariant under the square's x and y reflections, and
 every mode is symmetric or antisymmetric under both: its reflection class
@@ -30,8 +31,7 @@ sets bit 0 when its stream function is odd in x and bit 1 when it is odd in
 y.  b(w_r, w_s, w_j) is zero unless the classes of r, s and j XOR to 3, about
 a quarter of the triples.  For those the integrand is even about both centre
 lines, so ``coupling_tensor`` sums it over one quarter of the faces with
-mirror weights, 2 off a centre line and 1 on it.  The lift z has no parity,
-so ``lift_tensors`` sums over every face.
+mirror weights, 2 off a centre line and 1 on it.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from .diagnostics import (
     DiagnosticsRecord,
 )
 from .errors import CheckFailure, DimensionMismatchError
-from .fieldio import ensure_dir, read_vector, write_vector
-from .grid import Grid, VectorField, _noslip_laplacian
+from .fieldio import ensure_dir, write_vector
+from .grid import Grid, VectorField, _line_aligned, _noslip_laplacian
 from .linsolve import _cached
 from .stokes_lift import _remove_gradient
 from .stokes_modes import lowest_modes
@@ -58,9 +58,7 @@ __all__ = [
     "GalerkinState",
     "build_basis",
     "save_basis",
-    "load_basis",
     "coupling_tensor",
-    "lift_tensors",
     "project_onto_basis",
     "reconstruct",
     "integrate_galerkin",
@@ -234,17 +232,6 @@ def save_basis(basis: GalerkinBasis, directory: str) -> None:
         write_vector(os.path.join(directory, f"mode_{j:03d}"), w, 0.0)
 
 
-def load_basis(directory: str, k: int | None = None) -> GalerkinBasis:
-    """Read a cached basis; validation re-runs in the constructor."""
-    with open(os.path.join(directory, "lambda.txt"), encoding="ascii") as f:
-        lams = [float(line) for line in f if line.strip()]
-    k = len(lams) if k is None else k
-    if k > len(lams):
-        raise ValueError(f"cache holds {len(lams)} modes, requested {k}")
-    modes = [read_vector(os.path.join(directory, f"mode_{j:03d}"))[0] for j in range(k)]
-    return GalerkinBasis(modes[0].grid if modes else None, np.array(lams[:k]), modes)
-
-
 def _mirror_weights(m: int) -> np.ndarray:
     """Weights of the first half of m points mirrored about their centre:
     2 for each mirrored pair, 1 for a centre point (m odd)."""
@@ -254,39 +241,35 @@ def _mirror_weights(m: int) -> np.ndarray:
     return w
 
 
-def _transport(grid: Grid, ws, bs, cs, blocks=None) -> np.ndarray:
-    """A[r, s, j] = <advect(w_r, b_s), c_j> over stacks of fields.
+def coupling_tensor(basis: GalerkinBasis) -> np.ndarray:
+    """T[r, s, j] = b(w_r, w_s, w_j) = (A[r, s, j] - A[r, j, s]) / 2 for all
+    basis triples, A[r, s, j] the products of w_r's advecting coefficients
+    and w_s's centered differences summed against w_j.
 
-    Each stack is a (u, v) pair of arrays with a leading field axis.  Given
-    ``blocks``, the field indices of each reflection class, only the triples
-    whose classes XOR to 3 are summed, over the lower-left quarter of the
-    interior faces with mirror weights; every other entry is 0.
+    A[r, s, j] is summed only where parity[r] ^ parity[s] ^ parity[j] == 3,
+    over the lower-left quarter of the interior faces with mirror weights
+    (see the module docstring); every other entry is exactly 0.
     """
+    grid = basis.grid
+    # the quarter and the neighbours its differences and averages read
+    cut = (..., slice(None, (grid.nx + 1) // 2 + 2), slice(None, (grid.ny + 1) // 2 + 2))
+    u, v = (p[cut] for p in _split(grid, basis.stacked))
+    weights = np.outer(_mirror_weights(grid.nx - 1), _mirror_weights(grid.ny))
+    mx, my = weights.shape  # the x-faces' quarter; the y-faces' is (my, mx)
+    xq, yq = (..., slice(mx), slice(my)), (..., slice(my), slice(mx))
+
     def flat(parts) -> np.ndarray:
         return np.concatenate([p.reshape(p.shape[0], -1) for p in parts], axis=1)
 
-    if blocks is not None:
-        # the quarter and the neighbours its differences and averages read
-        cut = (..., slice(None, (grid.nx + 1) // 2 + 2), slice(None, (grid.ny + 1) // 2 + 2))
-        ws, bs, cs = ([p[cut] for p in stack] for stack in (ws, bs, cs))
-    a = transport_coefficients(*ws)
-    d = centered_differences(*bs, grid.h)
-    cu, cv = cs[0][:, 1:-1, :], cs[1][:, :, 1:-1]
-    if blocks is not None:
-        weights = np.outer(_mirror_weights(grid.nx - 1), _mirror_weights(grid.ny))
-        mx, my = weights.shape  # the x-faces' quarter; the y-faces' is (my, mx)
-        xq, yq = (..., slice(mx), slice(my)), (..., slice(my), slice(mx))
-
-        def quarter(parts) -> tuple:
-            return parts[0][xq], parts[1][xq], parts[2][yq], parts[3][yq]
-        a, d = quarter(a), quarter(d)
-        cu, cv = cu[xq] * weights, cv[yq] * weights.T
-    a, d, c = flat(a), flat(d), flat((cu, cu, cv, cv))
+    def quarter(parts) -> np.ndarray:
+        return flat((parts[0][xq], parts[1][xq], parts[2][yq], parts[3][yq]))
+    a = quarter(transport_coefficients(u, v))
+    d = quarter(centered_differences(u, v, grid.h))
+    cu, cv = u[:, 1:-1, :][xq] * weights, v[:, :, 1:-1][yq] * weights.T
+    c = flat((cu, cu, cv, cv))
     h2 = grid.h * grid.h
-    if blocks is None:
-        # one product per advecting field keeps the workspace at one stack
-        return h2 * np.stack([(d * ar) @ c.T for ar in a])
-    out = np.zeros((a.shape[0], d.shape[0], c.shape[0]))
+    blocks = [np.flatnonzero(basis.parity == cls) for cls in range(4)]
+    A = np.zeros((basis.k,) * 3)
     # One workspace, sized for the largest pair of classes, holds each
     # product.  It and each class's rows of c start on a 64-byte line: a
     # vector store or product operand off the line spans two lines, and the
@@ -301,43 +284,17 @@ def _transport(grid: Grid, ws, bs, cs, blocks=None) -> np.ndarray:
             j = blocks[cj]
             prod = work[:r.size * s.size * m].reshape(r.size, s.size, m)
             np.multiply(a[r, None, :], d[None, s, :], out=prod)
-            out[np.ix_(r, s, j)] = h2 * (prod.reshape(r.size * s.size, m) @ cc[cj].T).reshape(
+            A[np.ix_(r, s, j)] = h2 * (prod.reshape(r.size * s.size, m) @ cc[cj].T).reshape(
                 r.size, s.size, j.size)
-    return out
-
-
-def _line_aligned(n: int) -> np.ndarray:
-    """An uninitialized float64 vector of n entries starting on a 64-byte line."""
-    raw = np.empty(n + 8)
-    return raw[(-raw.ctypes.data % 64) // 8:][:n]
-
-
-def coupling_tensor(basis: GalerkinBasis) -> np.ndarray:
-    """T[r, s, j] = b(w_r, w_s, w_j) for all basis triples.
-
-    T[r, s, j] is exactly 0 unless parity[r] ^ parity[s] ^ parity[j] == 3;
-    the other entries are summed over a quarter of the faces with mirror
-    weights (see the module docstring).
-    """
-    w = _split(basis.grid, basis.stacked)
-    blocks = [np.flatnonzero(basis.parity == c) for c in range(4)]
-    A = _transport(basis.grid, w, w, w, blocks)
+    # T takes the operands' heap space once they are freed; allocated above
+    # them, it left that space to be trimmed, and each call faulted it in
+    # again (478 pages at N = 32 with 32 modes, against 0)
+    del a, d, c, cc, work, prod
     # every step's product reads T: on a 64-byte line its speed does not
     # depend on where the heap happens to place it
     T = np.subtract(A, A.transpose(0, 2, 1), out=_line_aligned(A.size).reshape(A.shape))
     T *= 0.5
     return T
-
-
-def lift_tensors(basis: GalerkinBasis, z: VectorField) -> tuple[np.ndarray, np.ndarray]:
-    """B1[r, j] = b(w_r, z, w_j) and B2[r, j] = b(z, w_r, w_j)."""
-    grid = basis.grid
-    w = _split(grid, basis.stacked)
-    zs = _split(grid, _face_vector(grid, z)[None, :])
-    wzw = _transport(grid, w, zs, w)[:, 0, :]
-    wwz = _transport(grid, w, w, zs)[:, :, 0]
-    zww = _transport(grid, zs, w, w)[0]
-    return 0.5 * (wzw - wwz), 0.5 * (zww - zww.T)
 
 
 def project_onto_basis(basis: GalerkinBasis, u: VectorField) -> GalerkinState:
@@ -356,13 +313,8 @@ def _forcing_vector(basis: GalerkinBasis, f_path, t: float) -> np.ndarray:
     return np.zeros(basis.k) if forcing is None else project_onto_basis(basis, forcing).coeffs
 
 
-def _lift_matrix(basis: GalerkinBasis, z_path, t: float) -> np.ndarray | None:
-    z = None if z_path is None else z_path(t)
-    return None if z is None else np.add(*lift_tensors(basis, z))
-
-
 def integrate_galerkin(basis: GalerkinBasis, state: GalerkinState, nu: float,
-                       dt: float, T: float, z_path=None, f_path=None) -> list:
+                       dt: float, T: float, f_path=None) -> list:
     """RK4 trajectory of the spectral ODE system from state.time to +T."""
     if not (nu > 0.0 and dt > 0.0 and T >= dt):
         raise ValueError("need nu > 0, dt > 0, T >= dt")
@@ -375,18 +327,15 @@ def integrate_galerkin(basis: GalerkinBasis, state: GalerkinState, nu: float,
     decay = -nu * basis.lam
     quadratic = coupling_tensor(basis).reshape(k, k * k)
 
-    def rhs(g: np.ndarray, fvec, bmat) -> np.ndarray:
+    def rhs(g: np.ndarray, fvec) -> np.ndarray:
         out = decay * g - g @ (g @ quadratic).reshape(k, k)
         if fvec is not None:
             out += fvec
-        if bmat is not None:
-            out -= g @ bmat
         return out
 
-    def data(t: float) -> tuple:
-        """Forcing coefficients and lift matrix at t; None for an absent path."""
-        return (None if f_path is None else _forcing_vector(basis, f_path, t),
-                None if z_path is None else _lift_matrix(basis, z_path, t))
+    def data(t: float) -> np.ndarray | None:
+        """Forcing coefficients at t; None for an absent path."""
+        return None if f_path is None else _forcing_vector(basis, f_path, t)
 
     history = [state]
     g = state.coeffs.copy()
@@ -396,10 +345,10 @@ def integrate_galerkin(basis: GalerkinBasis, state: GalerkinState, nu: float,
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(nsteps):
             start, mid, end = end, data(t + 0.5 * dt), data(t + dt)
-            k1 = rhs(g, *start)
-            k2 = rhs(g + 0.5 * dt * k1, *mid)
-            k3 = rhs(g + 0.5 * dt * k2, *mid)
-            k4 = rhs(g + dt * k3, *end)
+            k1 = rhs(g, start)
+            k2 = rhs(g + 0.5 * dt * k1, mid)
+            k3 = rhs(g + 0.5 * dt * k2, mid)
+            k4 = rhs(g + dt * k3, end)
             g = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t += dt
             history.append(GalerkinState(g, t))
@@ -407,38 +356,26 @@ def integrate_galerkin(basis: GalerkinBasis, state: GalerkinState, nu: float,
 
 
 def galerkin_energy_ledger(basis: GalerkinBasis, trajectory, nu: float, dt: float,
-                           z_path=None, f_path=None) -> DiagnosticsRecord:
+                           f_path=None) -> DiagnosticsRecord:
     """Energy-ledger audit of a trajectory with Simpson quadrature per step pair.
 
-    The identity (d/dt) E + nu ||grad v||^2 = <f, v> - b(v, z, v) - b(z, v, v)
-    is integrated over each two-step window; the reported imbalance rate is
-    the worst window defect per unit time, O(dt^4) for the RK4 trajectory.
-    Also records the finite-difference velocity-derivative norms that the
-    smooth-data boundedness check consumes.
+    The identity (d/dt) E + nu ||grad v||^2 = <f, v> is integrated over each
+    two-step window; the reported imbalance rate is the worst window defect
+    per unit time, O(dt^4) for the RK4 trajectory.
     """
     states = list(trajectory)
     if len(states) < 3:
         raise ValueError("need at least three states (two steps)")
-    lam = basis.lam
     g = np.stack([s.coeffs for s in states])
-
-    def supply(s) -> float:
-        val = float(_forcing_vector(basis, f_path, s.time) @ s.coeffs)
-        bmat = _lift_matrix(basis, z_path, s.time)
-        return val if bmat is None else val - float(s.coeffs @ bmat @ s.coeffs)
     E = 0.5 * np.einsum("ij,ij->i", g, g)
     # the identity integrates to E(t2) - E(t0) + int(G - R) dt = 0
-    net = nu * (g * g) @ lam - np.array([supply(s) for s in states])
+    net = nu * (g * g) @ basis.lam - np.array(
+        [float(_forcing_vector(basis, f_path, s.time) @ s.coeffs) for s in states])
     worst = float(np.abs((E[2:] - E[:-2])
                          + (dt / 3.0) * (net[:-2] + 4.0 * net[1:-1] + net[2:])).max())
-    gp = (g[2:] - g[:-2]) / (2.0 * dt)
-    dvdt_max = float(np.sqrt(np.einsum("ij,ij->i", gp, gp)).max())
-    grad_dvdt_max = float(np.sqrt((gp * gp) @ lam).max())
     return DiagnosticsRecord(states[-1].time, {
         "imbalance_max": worst,
         "imbalance_rate_max": worst / (2.0 * dt),
         "energy_initial": float(E[0]),
         "energy_final": float(E[-1]),
-        "dvdt_max": dvdt_max,
-        "grad_dvdt_max": grad_dvdt_max,
     }, "galerkin.energy_ledger")

@@ -675,3 +675,63 @@ class TestNoSuperLU:
 
     def test_no_scipy_module_is_loaded(self, blocked):
         assert blocked["scipy"] == []
+
+
+_RUN_ALL = """
+import json, sys
+from enslab.cli import main
+
+sys.exit(max(main(["run", "--config", cfg, "--out", out, "--quiet"])
+             for cfg, out in json.loads(sys.argv[1])))
+"""
+
+_N64 = "grid = 64\nnu = 0.1\ndt = 1e-3\nT = 0.01\nforcing = rotational\n"
+
+_FIELD_ROUTES_N64 = {
+    "jl-decomposed": "system = jl\nic = lift_plus_flow\n" + _N64,
+    "jl-direct": "system = jl\nroute = direct\nic = lift_plus_flow\n" + _N64,
+    "sr-constructive": "system = sr\nlambda = 2\nic = eigenmode_div\n" + _N64,
+    "sr-direct": "system = sr\nlambda = 2\nroute = direct\nic = boundary_flux\n" + _N64,
+}
+
+_GALERKIN_N32 = {"galerkin": (
+    "system = jl\nroute = galerkin\ngrid = 32\nmodes = 32\nnu = 0.01\ndt = 1e-3\n"
+    "T = 0.01\nic = vortex\n")}
+
+
+def run_pinned(tmp, threads, cases):
+    """Run each case ({name: config text}) in one fresh interpreter whose
+    BLAS uses `threads` threads; returns each run's artifacts as bytes."""
+    tmp.mkdir()
+    runs = []
+    for name, text in cases.items():
+        (tmp / f"{name}.cfg").write_text(text)
+        runs.append((str(tmp / f"{name}.cfg"), str(tmp / name)))
+    src = os.path.dirname(os.path.dirname(enslab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_ALL, json.dumps(runs)],
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=str(threads)),
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return {(name, f): (tmp / name / f).read_bytes()
+            for name in cases for f in sorted(os.listdir(tmp / name))}
+
+
+class TestBlasThreadCount:
+    """Reruns are bit-identical at a fixed BLAS thread count.  The field
+    routes' artifacts do not depend on the count; the Galerkin route's do,
+    through its basis and coupling tensor, so only its runs at one count
+    are compared."""
+
+    def test_field_routes_match_at_one_and_two_threads(self, tmp_path):
+        one = run_pinned(tmp_path / "one", 1, _FIELD_ROUTES_N64)
+        two = run_pinned(tmp_path / "two", 2, _FIELD_ROUTES_N64)
+        assert one.keys() == two.keys()
+        assert [key for key in one if one[key] != two[key]] == []
+
+    def test_galerkin_reruns_match_at_a_fixed_count(self, tmp_path):
+        first = run_pinned(tmp_path / "first", 2, _GALERKIN_N32)
+        again = run_pinned(tmp_path / "again", 2, _GALERKIN_N32)
+        assert first.keys() == again.keys()
+        assert [key for key in first if first[key] != again[key]] == []

@@ -1,5 +1,6 @@
 """Spectral basis, trilinear transport form, and coefficient-ODE tests."""
 import math
+import tokenize
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enslab.errors import CheckFailure
+from enslab.fieldio import read_vector
 from enslab.grid import (
     Grid,
     VectorField,
@@ -17,13 +19,12 @@ from enslab.grid import (
     face_norm,
     grad_inner,
     normal_trace,
-    scalar_from_function,
     vector_from_stream,
     vector_laplacian,
 )
-from enslab.stokes_lift import leray_project, lift_divergence
+from enslab.stokes_lift import leray_project
 from enslab.stokes_modes import lowest_modes
-from enslab import ens_jl, galerkin, linsolve
+from enslab import ens_jl, galerkin, grid as grid_module, linsolve
 from enslab.scenarios import march
 from oracles import (
     advect, curl_matrix, divergence_matrix, eigen_residual_loop, flatten_interior,
@@ -36,13 +37,6 @@ def vortex(grid, amplitude=1.0):
     y = grid.node_y()[None, :]
     psi = amplitude * np.sin(np.pi * x) ** 2 * np.sin(np.pi * y) ** 2 / np.pi
     return vector_from_stream(grid, psi)
-
-
-def generic_lift(grid):
-    g0 = scalar_from_function(
-        grid, lambda x, y: np.cos(np.pi * x) * np.cos(2 * np.pi * y))
-    z0 = lift_divergence(g0)
-    return z0
 
 
 class TestBasisConstruction:
@@ -309,32 +303,18 @@ class TestBasisCache:
     def test_round_trip_is_bitwise(self, tmp_path):
         basis = galerkin.build_basis(Grid(16), 8)
         galerkin.save_basis(basis, str(tmp_path))
-        loaded = galerkin.load_basis(str(tmp_path))
-        assert np.array_equal(loaded.lam, basis.lam)
-        for a, b in zip(basis.modes, loaded.modes):
-            assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+        lam = np.loadtxt(tmp_path / "lambda.txt")
+        assert np.array_equal(lam, basis.lam)
+        for j, w in enumerate(basis.modes):
+            read, _ = read_vector(str(tmp_path / f"mode_{j:03d}"))
+            assert np.array_equal(read.u, w.u) and np.array_equal(read.v, w.v)
 
-    def test_load_prefix(self, tmp_path):
+    def test_tampered_eigenvalues_name_the_first_wrong_mode(self):
         basis = galerkin.build_basis(Grid(16), 8)
-        galerkin.save_basis(basis, str(tmp_path))
-        small = galerkin.load_basis(str(tmp_path), 3)
-        assert small.k == 3
-        assert np.array_equal(small.lam, basis.lam[:3])
-
-    def test_tampered_eigenvalues_name_the_first_wrong_mode(self, tmp_path):
-        basis = galerkin.build_basis(Grid(16), 8)
-        galerkin.save_basis(basis, str(tmp_path))
         lam = basis.lam.copy()
         lam[[2, 5]] *= 1.001
-        (tmp_path / "lambda.txt").write_text("".join(f"{x:.17g}\n" for x in lam))
         with pytest.raises(CheckFailure, match="^mode 2 eigen-residual"):
-            galerkin.load_basis(str(tmp_path))
-
-    def test_load_more_than_cached_rejected(self, tmp_path):
-        basis = galerkin.build_basis(Grid(16), 4)
-        galerkin.save_basis(basis, str(tmp_path))
-        with pytest.raises(ValueError):
-            galerkin.load_basis(str(tmp_path), 9)
+            galerkin.GalerkinBasis(basis.grid, lam, basis.modes)
 
 
 class TestTrilinearForm:
@@ -391,7 +371,7 @@ class TestTensorContraction:
         # the class-pair loop of the tensor runs up to ~40% slower on
         # products stored, or operands read, off a 64-byte line
         for n in (1, 7, 100, 100_000):
-            x = galerkin._line_aligned(n)
+            x = grid_module._line_aligned(n)
             assert x.shape == (n,) and x.flags.c_contiguous and x.ctypes.data % 64 == 0
         # so does the tensor that every step's product reads
         tensor = galerkin.coupling_tensor(galerkin.build_basis(Grid(9), 16))
@@ -410,24 +390,6 @@ class TestTensorContraction:
         allowed = (p[:, None, None] ^ p[None, :, None] ^ p[None, None, :]) == 3
         assert not tensor[~allowed].any()
         assert np.abs(tensor[allowed]).max() > 0.0
-
-    def test_lift_tensors_match_per_triple_oracle(self):
-        grid = Grid(16)
-        basis = galerkin.build_basis(grid, 8)
-        w = basis.modes
-        rng = np.random.default_rng(11)
-        # wall faces of z are nonzero, so the wall couplings of the
-        # transport stencil enter as well
-        z = VectorField(grid, rng.standard_normal(grid.shape_u),
-                        rng.standard_normal(grid.shape_v))
-        b1, b2 = galerkin.lift_tensors(basis, z)
-        o1 = np.array([[trilinear(w[r], z, w[j]) for j in range(8)]
-                       for r in range(8)])
-        o2 = np.array([[trilinear(z, w[r], w[j]) for j in range(8)]
-                       for r in range(8)])
-        assert np.abs(b1 - o1).max() <= 1e-13 * np.abs(o1).max()
-        assert np.abs(b2 - o2).max() <= 1e-13 * np.abs(o2).max()
-
 
 class TestStateAndProjection:
     def test_project_reconstruct_round_trip(self):
@@ -485,7 +447,6 @@ class TestIntegration:
         def absent(*args):
             raise AssertionError("an absent path was sampled")
         monkeypatch.setattr(galerkin, "_forcing_vector", absent)
-        monkeypatch.setattr(galerkin, "_lift_matrix", absent)
         basis = galerkin.build_basis(Grid(16), 4)
         hist = galerkin.integrate_galerkin(
             basis, galerkin.GalerkinState(np.full(4, 0.1)), 0.1, 1e-3, 5e-3)
@@ -502,33 +463,6 @@ class TestIntegration:
         galerkin.integrate_galerkin(
             basis, galerkin.GalerkinState(np.full(4, 0.1)), 0.1, 1e-3, 5e-3, f_path=f_path)
         assert len(times) == len(set(times)) == 2 * 5 + 1
-
-    def test_lift_coupling_matches_linearized_flow(self):
-        grid = Grid(16)
-        basis = galerkin.build_basis(grid, 3)
-        z0 = generic_lift(grid)
-        b1, b2 = galerkin.lift_tensors(basis, z0)
-        assert np.abs(b1 + b2).max() > 1e-2
-        nu, dt, horizon, eps = 0.02, 1e-3, 0.3, 1e-6
-        start = galerkin.GalerkinState(eps * np.array([0.6, -0.3, 0.8]))
-        hist = galerkin.integrate_galerkin(
-            basis, start, nu, dt, horizon, z_path=lambda t: z0)
-        drift = np.diag(nu * basis.lam) + (b1 + b2).T
-        exact = sla.expm(-drift * horizon) @ start.coeffs
-        assert np.abs(hist[-1].coeffs - exact).max() <= 1e-6 * eps
-
-    def test_time_dependent_lift_path(self):
-        grid = Grid(16)
-        basis = galerkin.build_basis(grid, 1)
-        z0 = generic_lift(grid)
-        beta = trilinear(basis.modes[0], z0, basis.modes[0])
-        nu, dt, horizon = 0.02, 1e-3, 0.5
-        hist = galerkin.integrate_galerkin(
-            basis, galerkin.GalerkinState(np.array([1.0])), nu, dt, horizon,
-            z_path=lambda t: z0 * math.cos(3.0 * t))
-        a = nu * float(basis.lam[0])
-        exact = math.exp(-(a * horizon + beta * math.sin(3.0 * horizon) / 3.0))
-        assert abs(float(hist[-1].coeffs[0]) - exact) <= 1e-12
 
     def test_unforced_energy_monotone(self):
         grid = Grid(16)
@@ -601,42 +535,30 @@ class TestEnergyLedger:
             basis, hist, 0.02, 1e-3, f_path=lambda t: forcing_field)
         assert rec.metrics["imbalance_rate_max"] <= 1e-10
 
-    def test_velocity_derivative_records_bounded(self):
-        grid = Grid(16)
-        basis = galerkin.build_basis(grid, 8)
-        start = galerkin.project_onto_basis(basis, vortex(grid))
-        hist = galerkin.integrate_galerkin(basis, start, 0.01, 1e-3, 0.2)
-        rec = galerkin.galerkin_energy_ledger(basis, hist, 0.01, 1e-3)
-        assert 0.0 < rec.metrics["dvdt_max"] <= 10.0
-        assert 0.0 < rec.metrics["grad_dvdt_max"] <= 50.0
-
     def test_matches_per_state_loop(self):
         # the ledger sums every state at once; this is the loop it replaced,
         # agreeing to a few roundings of the energy (summation order differs)
         grid = Grid(16)
         basis = galerkin.build_basis(grid, 8)
-        z0, forcing = generic_lift(grid), basis.modes[0] * 0.5 + basis.modes[3] * 0.3
-        paths = dict(z_path=lambda t: z0 * (1.0 + t), f_path=lambda t: forcing)
+        forcing = basis.modes[0] * 0.5 + basis.modes[3] * 0.3
+
+        def f_path(t):
+            return forcing * (1.0 + t)
         start = galerkin.project_onto_basis(basis, vortex(grid))
         nu, dt = 0.02, 1e-2
-        hist = galerkin.integrate_galerkin(basis, start, nu, dt, 0.1, **paths)
-        rec = galerkin.galerkin_energy_ledger(basis, hist, nu, dt, **paths)
+        hist = galerkin.integrate_galerkin(basis, start, nu, dt, 0.1, f_path=f_path)
+        rec = galerkin.galerkin_energy_ledger(basis, hist, nu, dt, f_path=f_path)
         E, net = [], []
         for s in hist:
             g = s.coeffs
-            B1, B2 = galerkin.lift_tensors(basis, paths["z_path"](s.time))
-            f = galerkin.project_onto_basis(basis, paths["f_path"](s.time)).coeffs
+            f = galerkin.project_onto_basis(basis, f_path(s.time)).coeffs
             E.append(0.5 * float(g @ g))
-            net.append(nu * float(basis.lam @ (g * g)) - float(f @ g) + float(g @ (B1 + B2) @ g))
+            net.append(nu * float(basis.lam @ (g * g)) - float(f @ g))
         worst = max(abs(E[i + 2] - E[i] + dt / 3.0 * (net[i] + 4.0 * net[i + 1] + net[i + 2]))
                     for i in range(len(hist) - 2))
-        gp = [(hist[i + 1].coeffs - hist[i - 1].coeffs) / (2.0 * dt) for i in range(1, len(hist) - 1)]
         eps = np.finfo(float).eps
         assert abs(rec["imbalance_max"] - worst) <= 16 * eps * max(E)
         assert rec["energy_final"] == pytest.approx(E[-1], rel=4 * eps)
-        assert rec["dvdt_max"] == pytest.approx(max(math.sqrt(p @ p) for p in gp), rel=16 * eps)
-        assert rec["grad_dvdt_max"] == pytest.approx(
-            max(math.sqrt(basis.lam @ (p * p)) for p in gp), rel=16 * eps)
 
     def test_short_trajectory_rejected(self):
         basis = galerkin.build_basis(Grid(16), 2)
@@ -686,3 +608,13 @@ class TestCrossValidation:
             errors.append(face_norm(seed_field - galerkin.reconstruct(basis, state)))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= coarse + 1e-12
+
+
+def test_module_stays_below_the_parser_token_step():
+    # CPython's parser grows its token array by doubling; at 4,540 tokens,
+    # compiled with no bytecode cache, galerkin.py raised the peak RSS of
+    # an import by 384 KiB.  tokenize also counts comments and blank lines,
+    # which the parser skips, so the bound is conservative.
+    with open(galerkin.__file__, "rb") as f:
+        count = sum(1 for _ in tokenize.tokenize(f.readline))
+    assert count < 4096
