@@ -80,12 +80,12 @@ def lowest_modes(grid: Grid, k: int) -> tuple[np.ndarray, tuple]:
     order = np.argsort(np.concatenate(vals), kind="stable")[:k]
     part = np.repeat(np.arange(len(vals)), [v.size for v in vals])[order]
     nodes = np.zeros((k, n + 1, n + 1))
-    for p, blocks in enumerate(parts):
+    for p, entry in enumerate(parts):
         kept = np.flatnonzero(part == p)
-        if blocks is None:  # a twin's nodes are the transposes of its (even, odd) pair
+        if entry is None:  # a twin's nodes are the transposes of its (even, odd) pair
             nodes[kept] = nodes[np.flatnonzero(part == p - 1)[:kept.size]].transpose(0, 2, 1)
         else:
-            ix, iy, coeffs = blocks
+            ix, iy, coeffs = entry
             nodes[kept, 1:-1, 1:-1] = q[:, ix] @ coeffs[:kept.size] @ q[:, iy].T
     nodes /= h
     u, v = _curl_values(nodes, h)
