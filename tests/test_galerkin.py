@@ -443,6 +443,21 @@ class TestIntegration:
         exact = 0.2 * math.exp(-a * horizon) + (phi / a) * (1.0 - math.exp(-a * horizon))
         assert abs(float(hist[-1].coeffs[0]) - exact) <= 1e-12
 
+    def test_time_dependent_forcing_closed_form(self):
+        # the forcing is sampled at each step's start, midpoint and end; one
+        # held at the step's start misses this by ~2e-4
+        basis = galerkin.build_basis(Grid(16), 1)
+        nu, dt, horizon, phi, omega = 0.02, 1e-3, 0.5, 0.7, 3.0
+        mode = basis.modes[0]
+        hist = galerkin.integrate_galerkin(
+            basis, galerkin.GalerkinState(np.array([0.2])), nu, dt, horizon,
+            f_path=lambda t: mode * (phi * math.cos(omega * t)))
+        a = nu * float(basis.lam[0])
+        decay = math.exp(-a * horizon)
+        wave = a * math.cos(omega * horizon) + omega * math.sin(omega * horizon)
+        exact = 0.2 * decay + phi * (wave - a * decay) / (a * a + omega * omega)
+        assert abs(float(hist[-1].coeffs[0]) - exact) <= 1e-12
+
     def test_absent_paths_are_never_sampled(self, monkeypatch):
         def absent(*args):
             raise AssertionError("an absent path was sampled")
@@ -534,6 +549,23 @@ class TestEnergyLedger:
         rec = galerkin.galerkin_energy_ledger(
             basis, hist, 0.02, 1e-3, f_path=lambda t: forcing_field)
         assert rec.metrics["imbalance_rate_max"] <= 1e-10
+
+    def test_record_holds_the_metrics_its_readers_read(self):
+        # `enslab run` reads the rate, the spectral demo the energies
+        grid = Grid(16)
+        basis = galerkin.build_basis(grid, 8)
+        start = galerkin.project_onto_basis(basis, vortex(grid))
+        dt = 1e-3
+        hist = galerkin.integrate_galerkin(basis, start, 0.01, dt, 0.02)
+        rec = galerkin.galerkin_energy_ledger(basis, hist, 0.01, dt)
+        assert set(rec.metrics) == {
+            "imbalance_max", "imbalance_rate_max", "energy_initial", "energy_final"}
+        assert rec.time == hist[-1].time
+        assert rec["imbalance_rate_max"] == rec["imbalance_max"] / (2.0 * dt)
+        eps = np.finfo(float).eps
+        e0 = 0.5 * float(start.coeffs @ start.coeffs)
+        assert rec["energy_initial"] == pytest.approx(e0, rel=4 * eps)
+        assert rec["energy_final"] < rec["energy_initial"]
 
     def test_matches_per_state_loop(self):
         # the ledger sums every state at once; this is the loop it replaced,
