@@ -52,13 +52,13 @@ def main() -> None:
     print()
     print("=== 3. Open-wall lift balances interior mass against wall flux ===")
     from enslab.grid import BoundaryTrace, integral, normal_trace
-    from enslab.stokes_lift import lift_with_boundary
+    from enslab.stokes_lift import lift_divergence
     from enslab.scenarios import eigen_divergence
 
     g0 = eigen_divergence(grid, "sr", eps=1.0, mode=1)
     mass = integral(g0)
     h0 = BoundaryTrace.constant(grid, mass / 4.0)
-    z0 = lift_with_boundary(g0, h0)
+    z0 = lift_divergence(g0, h0)
     tr = normal_trace(z0)
     flux = grid.h * (np.sum(tr.left) + np.sum(tr.right)
                      + np.sum(tr.bottom) + np.sum(tr.top))

@@ -113,13 +113,11 @@ class DiagnosticsRecord:
     """One named measurement bundle.
 
     ``metrics`` maps metric names to finite scalars; margins follow the
-    convention margin >= 0 iff the inequality holds.  ``provenance`` names
-    the producing check.
+    convention margin >= 0 iff the inequality holds.
     """
 
     time: float
     metrics: dict = field(default_factory=dict)
-    provenance: str = ""
 
     def __post_init__(self):
         clean = {}
@@ -172,7 +170,7 @@ def norms(f, time: float = 0.0) -> DiagnosticsRecord:
     for name, value in metrics.items():
         if not math.isfinite(value):
             raise CheckFailure(f"non-finite measurement {name} at t = {time:.6g}")
-    return DiagnosticsRecord(time=time, metrics=metrics, provenance="norms")
+    return DiagnosticsRecord(time=time, metrics=metrics)
 
 
 def fit_decay_rate(times, values) -> float:

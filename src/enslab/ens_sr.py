@@ -119,15 +119,15 @@ class SRState(MeasuredState):
 
 
 def sr_state(u: VectorField, lam: float, nu: float, forcing: ForcingSpec | None = None,
-             time: float = 0.0, decomposed: bool = True) -> SRState:
-    """Build a consistent state from a velocity field (wall-normal faces free)."""
+             decomposed: bool = True) -> SRState:
+    """Build a consistent state at t = 0 from a velocity field (wall-normal faces free)."""
     forcing = forcing if forcing is not None else ForcingSpec.zero()
-    g = divergence_state(divergence(u), "dirichlet", nu, time=time)
+    g = divergence_state(divergence(u), "dirichlet", nu)
     h = normal_trace(u)
     if not decomposed:
-        return SRState(time, u, g, h, lam, nu, forcing)
+        return SRState(0.0, u, g, h, lam, nu, forcing)
     z = lift_or_zero(g.g, u, h)
-    return SRState(time, u, g, h, lam, nu, forcing, u - z, z)
+    return SRState(0.0, u, g, h, lam, nu, forcing, u - z, z)
 
 
 def compat_constant(g: ScalarField, nu: float, lam: float, mass: float) -> float:

@@ -343,15 +343,18 @@ def integrate_galerkin(basis: GalerkinBasis, state: GalerkinState, nu: float,
     end = data(t)
     # a blow-up is reported by GalerkinState, not by floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(nsteps):
+        for n in range(1, nsteps + 1):
             start, mid, end = end, data(t + 0.5 * dt), data(t + dt)
             k1 = rhs(g, start)
             k2 = rhs(g + 0.5 * dt * k1, mid)
             k3 = rhs(g + 0.5 * dt * k2, mid)
             k4 = rhs(g + dt * k3, end)
             g = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            try:
+                history.append(GalerkinState(g, t + dt))
+            except CheckFailure as exc:  # the prefix march gives an error in step n
+                raise CheckFailure(f"step {n}, t = {t:.6g}: {exc}") from exc
             t += dt
-            history.append(GalerkinState(g, t))
     return history
 
 
@@ -378,4 +381,4 @@ def galerkin_energy_ledger(basis: GalerkinBasis, trajectory, nu: float, dt: floa
         "imbalance_rate_max": worst / (2.0 * dt),
         "energy_initial": float(E[0]),
         "energy_final": float(E[-1]),
-    }, "galerkin.energy_ledger")
+    })

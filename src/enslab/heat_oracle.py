@@ -24,8 +24,7 @@ from .errors import CheckFailure
 from .grid import ScalarField, integral, scalar_grad_inner, scalar_norm
 from .linsolve import heat_solver
 
-__all__ = ["DivergenceState", "divergence_state", "heat_step",
-           "check_heat_estimates", "HeatEstimates"]
+__all__ = ["DivergenceState", "divergence_state", "heat_step", "HeatEstimates"]
 
 
 @dataclass(frozen=True)
@@ -69,28 +68,16 @@ def heat_step(s: DivergenceState, dt: float) -> DivergenceState:
     return DivergenceState(g=out, time=s.time + dt, bc=s.bc, nu=s.nu, m0=s.m0)
 
 
-def check_heat_estimates(history) -> DiagnosticsRecord:
+class HeatEstimates:
     """Margins of the a-priori estimates along a fixed-step history.
 
-    Asserted margins (>= 0 up to global slack):
+    add() states in time order, then record().  Asserted margins (>= 0 up
+    to global slack):
       sup-norm:   ||g0|| - max_t ||g(t)||
       gradient:   (2 nu)^{-1/2} ||g0|| - sqrt(integral of the gradient energy)
     Reported only (the discrete dual-norm realization is a documented choice,
     not canonical):
       dual-rate:  sqrt(nu/2) ||g0|| - sqrt(integral of ||dg/dt||_dual^2)
-
-    history is any iterable of states in time order, such as a list or a
-    march(); it is folded by a HeatEstimates, which holds only the previous
-    state.
-    """
-    estimates = HeatEstimates()
-    for s in history:
-        estimates.add(s)
-    return estimates.record()
-
-
-class HeatEstimates:
-    """The fold behind check_heat_estimates: add() states in time order, then record().
 
     add() holds only the previous state and keeps three scalars per state.
     """
@@ -106,10 +93,10 @@ class HeatEstimates:
         a, self._prev = self._prev, s
         if a is not None:
             if s.bc != a.bc or s.nu != a.nu:
-                raise ValueError("check_heat_estimates: mixed bc or viscosity in history")
+                raise ValueError("HeatEstimates: mixed bc or viscosity in history")
             dt = s.time - a.time
             if dt <= 0:
-                raise ValueError("check_heat_estimates: non-increasing times")
+                raise ValueError("HeatEstimates: non-increasing times")
             dg = ScalarField(a.g.grid, (s.g.values - a.g.values) / dt)
             self._rate_sq += htilde_norm(dg) ** 2 * dt
         self._times.append(s.time)
@@ -118,7 +105,7 @@ class HeatEstimates:
 
     def record(self) -> DiagnosticsRecord:
         if self._prev is None:
-            raise ValueError("check_heat_estimates: empty history")
+            raise ValueError("HeatEstimates: empty history")
         nu = self._prev.nu
         times = np.array(self._times)
         l2 = np.array(self._l2)
@@ -131,8 +118,6 @@ class HeatEstimates:
         grad_margin = g0 / math.sqrt(2.0 * nu) - math.sqrt(max(grad_integral, 0.0))
         metrics = {
             "initial_l2": g0,
-            "max_l2": float(l2.max()),
-            "final_l2": float(l2[-1]),
             "grad_energy_integral": grad_integral,
             "sup_margin": sup_margin,
             "grad_margin": grad_margin,
@@ -141,5 +126,4 @@ class HeatEstimates:
         }
         if len(times) > 1:
             metrics["dual_rate_margin"] = math.sqrt(nu / 2.0) * g0 - math.sqrt(self._rate_sq)
-        return DiagnosticsRecord(time=float(times[-1]), metrics=metrics,
-                                 provenance="check_heat_estimates")
+        return DiagnosticsRecord(time=float(times[-1]), metrics=metrics)

@@ -53,13 +53,12 @@ class ForcingSpec:
 
     fu: object = None
     fv: object = None
-    name: str = "zero"
     steady: bool = False
     _sampled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def zero() -> "ForcingSpec":
-        return ForcingSpec(None, None, "zero")
+        return ForcingSpec()
 
     def is_zero(self) -> bool:
         return self.fu is None and self.fv is None

@@ -31,7 +31,7 @@ from .grid import (
     vector_from_stream,
 )
 from .reference import ForcingSpec
-from .stokes_lift import leray_project, lift_divergence, lift_with_boundary
+from .stokes_lift import leray_project, lift_divergence
 
 __all__ = [
     "IC_PRESETS",
@@ -105,7 +105,7 @@ def eigen_lift(grid: Grid, system: str, eps: float, mode: int):
         z0 = lift_divergence(g0)
     else:
         h0 = BoundaryTrace.constant(grid, integral(g0) / 4.0)
-        z0 = lift_with_boundary(g0, h0)
+        z0 = lift_divergence(g0, h0)
     return g0, z0
 
 
@@ -150,7 +150,7 @@ def mms_forcing(nu: float) -> ForcingSpec:
     def fv(x, y, t):
         return _mms_adv2(x, y) - nu * _mms_lap_u2(x, y)
 
-    return ForcingSpec(fu, fv, "mms", steady=True)
+    return ForcingSpec(fu, fv, steady=True)
 
 
 def _through_flow(grid: Grid, amplitude: float) -> VectorField:
@@ -203,7 +203,7 @@ def forcing_spec(preset: str, amplitude: float = 1.0, nu: float = 1.0) -> Forcin
         def fv(x, y, t):
             return amplitude * _mms_u2(x, y)
 
-        return ForcingSpec(fu, fv, "rotational", steady=True)
+        return ForcingSpec(fu, fv, steady=True)
     if preset == "mms":
         return mms_forcing(nu)
     raise ValueError(f"unknown forcing preset {preset!r}")

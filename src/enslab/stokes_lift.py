@@ -4,8 +4,8 @@ The central construction: given a prescribed divergence g (mean zero), the
 *lift* z is the velocity field solving the stationary Stokes system
 -Lap z + grad q = 0, div z = g with zero wall velocity; subtracting it from
 any admissible velocity field u leaves v = u - z that is discretely
-divergence-free and H1-orthogonal to the lift.  A variant admits prescribed
-wall-normal velocity, used by the boundary-relaxation system.
+divergence-free and H1-orthogonal to the lift.  The lift also admits
+prescribed wall-normal velocity, used by the boundary-relaxation system.
 
 Also here: the discrete Leray projection (L2-orthogonal projection onto
 divergence-free fields with zero wall-normal flux), the round-off floors of
@@ -45,7 +45,6 @@ __all__ = [
     "Decomposition",
     "leray_project",
     "lift_divergence",
-    "lift_with_boundary",
     "decompose",
     "lift_floor",
     "wall_floor",
@@ -79,7 +78,7 @@ def lift_or_zero(g: ScalarField, u: VectorField, trace: BoundaryTrace | None = N
     """The lift of (g, trace); zero when both are round-off for the field u."""
     if _negligible(g, u, trace):
         return VectorField.zeros(u.grid)
-    return lift_divergence(g) if trace is None else lift_with_boundary(g, trace)
+    return lift_divergence(g, trace)
 
 
 def check_finite(time: float, **fields) -> None:
@@ -191,7 +190,7 @@ class Decomposition:
             raise CompatibilityError(f"decomposition: gradient orthogonality {ortho:.3e}")
         if err > SPLIT_RECONSTRUCT_TOL * scale_rec:
             raise CompatibilityError(f"decomposition: reconstruction error {err:.3e}")
-        return DiagnosticsRecord(time, metrics, "stokes_lift.Decomposition.validate")
+        return DiagnosticsRecord(time, metrics)
 
 
 def leray_project(u: VectorField) -> VectorField:
@@ -228,24 +227,17 @@ def _remove_gradient(grid: Grid, u: np.ndarray, v: np.ndarray,
         faces -= step
 
 
-def lift_divergence(g: ScalarField) -> VectorField:
-    """Velocity lift z of a mean-zero divergence field.
+def lift_divergence(g: ScalarField, trace: BoundaryTrace | None = None) -> VectorField:
+    """Velocity lift z of a divergence field g with outward wall-normal
+    velocity ``trace`` (None for zero walls).
 
-    z solves the zero-wall Stokes system with div z = g; its pressure is not
-    formed (``decompose`` keeps it).  The measured stability ratio
-    ||z||_H1 / ||g||_L2 is available via :func:`lifting_constant`.
-    """
-    return generalized_stokes(g.grid, 0.0, 1.0).solve(g=g, pressure=False)[0]
-
-
-def lift_with_boundary(g: ScalarField, h: BoundaryTrace) -> VectorField:
-    """Lift z with prescribed outward wall-normal velocity h.
-
+    z solves the Stokes system with div z = g and zero tangential wall
+    velocity; its pressure is not formed (``decompose`` keeps it).
     Solvability requires the volume integral of g to equal the boundary flux
-    of h to COMPAT_TOL (the solve raises CompatibilityError otherwise);
-    tangential wall velocity is zero by construction.
+    of the trace (zero without one) to COMPAT_TOL; the solve raises
+    CompatibilityError otherwise.
     """
-    return generalized_stokes(g.grid, 0.0, 1.0).solve(g=g, trace=h, pressure=False)[0]
+    return generalized_stokes(g.grid, 0.0, 1.0).solve(g=g, trace=trace, pressure=False)[0]
 
 
 def decompose(u: VectorField, time: float = 0.0) -> Decomposition:

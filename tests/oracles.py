@@ -33,7 +33,7 @@ from enslab.grid import (
     grad_inner, gradient, integral, normal_trace, scalar_norm, vector_laplacian,
     with_normal_trace,
 )
-from enslab.heat_oracle import DivergenceState
+from enslab.heat_oracle import DivergenceState, HeatEstimates
 from enslab.linsolve import (
     _check_compatibility, _separable_eigenbasis, _tridiagonal_eigh, generalized_stokes,
     heat_solver, neumann_poisson,
@@ -185,6 +185,18 @@ def dense_stokes_solve(g: ScalarField, boundary_velocity: BoundaryTrace | None =
     qv = sol[nf:nf + nc]
     q = ScalarField(grid, (qv - qv.mean()).reshape(grid.shape_cell))
     return z, q
+
+
+# ---------------------------------------------------------------------------
+# The divergence: the heat estimates over a whole history
+# ---------------------------------------------------------------------------
+
+def fold_heat_estimates(history):
+    """HeatEstimates.record() after add() of every state of history, in order."""
+    estimates = HeatEstimates()
+    for s in history:
+        estimates.add(s)
+    return estimates.record()
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +472,7 @@ def check_weak_lifting_bound(g: ScalarField, time: float = 0.0) -> DiagnosticsRe
             "dual_norm": dual,
             "ratio": face_norm(z) / dual if dual > 0 else 0.0,
         }
-    return DiagnosticsRecord(time=time, metrics=metrics, provenance="check_weak_lifting_bound")
+    return DiagnosticsRecord(time=time, metrics=metrics)
 
 
 def coercivity_probe(u: VectorField) -> DiagnosticsRecord:
@@ -487,7 +499,7 @@ def coercivity_probe(u: VectorField) -> DiagnosticsRecord:
         "sign": float(np.sign(remainder)),
         "gradient_energy": grad_inner(u, u),
     }
-    return DiagnosticsRecord(0.0, metrics, "coercivity_probe")
+    return DiagnosticsRecord(0.0, metrics)
 
 
 def stokes_pressure(u: VectorField) -> ScalarField:
@@ -522,4 +534,4 @@ def check_stokes_pressure(u: VectorField) -> DiagnosticsRecord:
         "residual_full": full,
         "relative": interior / max(full, TINY),
     }
-    return DiagnosticsRecord(0.0, metrics, "check_stokes_pressure")
+    return DiagnosticsRecord(0.0, metrics)

@@ -24,7 +24,7 @@ from enslab.grid import (
     integral,
     scalar_norm,
 )
-from enslab.heat_oracle import check_heat_estimates, divergence_state, heat_step
+from enslab.heat_oracle import divergence_state, heat_step
 from enslab.reference import step_nse_projection
 from enslab.scenarios import (
     eigen_divergence,
@@ -36,8 +36,8 @@ from enslab.scenarios import (
     march,
     stream_vortex,
 )
-from enslab.stokes_lift import decompose, lift_with_boundary
-from oracles import duhamel_quadrature, fold_energy_ledger
+from enslab.stokes_lift import decompose, lift_divergence
+from oracles import duhamel_quadrature, fold_energy_ledger, fold_heat_estimates
 
 
 def report(n, detail):
@@ -183,7 +183,7 @@ def test_criterion_08_solvability_gap_conserved_and_decaying():
     # compatible data: mass-matched wall trace, gap stays at round-off
     g0 = eigen_divergence(grid, "sr", 0.01, 1)
     h0 = BoundaryTrace.constant(grid, integral(g0) / 4.0)
-    z0 = lift_with_boundary(g0, h0)
+    z0 = lift_divergence(g0, h0)
     u0 = stream_vortex(grid) + z0
     hist = list(march(ens_sr.step_constructive,
                       ens_sr.sr_state(u0, 1.0, 0.1), 1e-3, 500))
@@ -272,7 +272,7 @@ def test_criterion_11_divergence_estimates_hold():
             for mode in (1, 2):
                 grid = Grid(32)
                 g0 = eigen_divergence(grid, system, 1.0, mode)
-                rec = check_heat_estimates(
+                rec = fold_heat_estimates(
                     march(heat_step, divergence_state(g0, bc, nu), 1e-3, 100))
                 worst_sup = min(worst_sup, rec["sup_margin"])
                 worst_grad = min(worst_grad, rec["grad_margin"])
@@ -283,7 +283,7 @@ def test_criterion_11_divergence_estimates_hold():
         g0 = eigen_divergence(grid, system, 1.0, 1)
         rough = g0.values + 0.5 * (vals - vals.mean())
         from enslab.grid import ScalarField
-        rec = check_heat_estimates(
+        rec = fold_heat_estimates(
             march(heat_step, divergence_state(ScalarField(grid, rough), bc, 0.1), 1e-3, 100))
         worst_sup = min(worst_sup, rec["sup_margin"])
         worst_grad = min(worst_grad, rec["grad_margin"])
@@ -312,7 +312,7 @@ def test_criterion_12_routes_converge_to_each_other():
 
     g0 = eigen_divergence(grid, "sr", 0.01, 1)
     h0 = BoundaryTrace.constant(grid, integral(g0) / 4.0)
-    z0 = lift_with_boundary(g0, h0)
+    z0 = lift_divergence(g0, h0)
     u0 = stream_vortex(grid) + z0
     horizon = 0.1
     gaps = []

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def run_cli(tmp_path, command, text, extra=(), name="run.cfg", sub="out"):
 
 def csv_rows(path):
     """Data rows of a diagnostics CSV (header excluded)."""
-    return open(path).read().strip().splitlines()[1:]
+    return Path(path).read_text().strip().splitlines()[1:]
 
 
 class TestExitCodes:
@@ -103,7 +104,7 @@ class TestExitCodes:
         code, out = run_cli(tmp_path, "run", text)
         assert code == 3
         assert "check failure" in capsys.readouterr().err
-        summary = open(os.path.join(out, "summary.txt")).read()
+        summary = Path(out, "summary.txt").read_text()
         assert "overall FAIL" in summary
         assert os.path.exists(os.path.join(out, "final_u.u.ensf"))
 
@@ -117,7 +118,7 @@ class TestExitCodes:
         assert code == 3
         assert "cannot certify" in capsys.readouterr().err
         assert len(csv_rows(os.path.join(out, "diagnostics.csv"))) == 11
-        summary = open(os.path.join(out, "summary.txt")).read()
+        summary = Path(out, "summary.txt").read_text()
         assert "margin run_completed = 1 PASS" in summary
         assert "margin energy_envelope_min = -inf FAIL" in summary
         assert "overall FAIL" in summary
@@ -169,7 +170,7 @@ class TestExitCodes:
         assert os.path.exists(csv) == (step > 0)
         assert [float(r.split(",")[0]) for r in rows] == pytest.approx(
             [n * 2e-3 for n in range(step)])
-        assert "overall FAIL" in open(os.path.join(out, "summary.txt")).read()
+        assert "overall FAIL" in Path(out, "summary.txt").read_text()
 
     @pytest.mark.parametrize("text, error, where, message", [
         # step 1 relaxes the walls to the same value on every face, so the
@@ -216,7 +217,7 @@ class TestExitCodes:
         assert code == 0
         assert not [(w.filename, w.lineno, str(w.message)) for w in caught
                     if issubclass(w.category, RuntimeWarning)]
-        assert open(os.path.join(out, "summary.txt")).read().endswith("overall PASS\n")
+        assert Path(out, "summary.txt").read_text().endswith("overall PASS\n")
 
     def test_solver_error_leaves_only_a_failing_summary(self, tmp_path, capsys):
         # a command into the directory of an earlier, passing one ends early:
@@ -241,7 +242,7 @@ class TestExitCodes:
         for k, (command, text, change, code, error) in enumerate(cases):
             code0, out = run_cli(tmp_path, command, text, sub=f"out{k}")
             assert code0 == 0
-            assert "overall PASS" in open(os.path.join(out, "summary.txt")).read()
+            assert "overall PASS" in Path(out, "summary.txt").read_text()
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 code1, out = run_cli(tmp_path, command, text.replace(*change),
@@ -251,7 +252,7 @@ class TestExitCodes:
                         if issubclass(w.category, RuntimeWarning)]
             assert error in capsys.readouterr().err
             assert os.listdir(out) == ["summary.txt"]
-            summary = open(os.path.join(out, "summary.txt")).read()
+            summary = Path(out, "summary.txt").read_text()
             assert summary == "margin run_completed = 0 FAIL\noverall FAIL\n"
 
     @pytest.mark.parametrize("command, text, change, table, subdirs, code, error", [
@@ -290,11 +291,11 @@ class TestExitCodes:
         assert error in capsys.readouterr().err
         assert sorted(os.listdir(out)) == sorted(subdirs + ["summary.txt"])
         margin = "routes_completed" if command == "compare" else "runs_completed"
-        summary = open(os.path.join(out, "summary.txt")).read()
+        summary = Path(out, "summary.txt").read_text()
         assert summary == f"margin {margin} = 0 FAIL\noverall FAIL\n"
         for sub in subdirs:
             assert os.listdir(os.path.join(out, sub)) == ["summary.txt"]
-            summary = open(os.path.join(out, sub, "summary.txt")).read()
+            summary = Path(out, sub, "summary.txt").read_text()
             assert summary == "margin run_completed = 0 FAIL\noverall FAIL\n"
 
     def test_usage_errors_exit_one(self):
@@ -333,9 +334,9 @@ class TestExitCodes:
 
     def test_check_failures_print_one_message_form(self, tmp_path, capsys):
         cases = [
-            # kept by the run after its first steps: the Galerkin route blows up
+            # kept by the run after its first state: the Galerkin route blows up
             ("run", GALERKIN_RUN + "forcing = rotational\nforcing_amplitude = 1e200\n",
-             "coefficients grew non-finite (blow-up) at t = "),
+             "step 1, t = 0: coefficients grew non-finite (blow-up) at t = 0.002\n"),
             # kept by the run at its initial state
             ("heat", HEAT_RUN.replace("ic_mode = 1", "ic_mode = 1\nic_eps = 1e300"),
              "non-finite measurement l2 at t = 0\n"),
@@ -356,10 +357,10 @@ class TestRunArtifacts:
     def test_jl_run_writes_expected_files(self, tmp_path):
         code, out = run_cli(tmp_path, "run", JL_RUN)
         assert code == 0
-        header = open(os.path.join(out, "diagnostics.csv")).readline()
+        header = Path(out, "diagnostics.csv").read_text().splitlines()[0]
         assert header.startswith("t,")
         assert "div_linf" in header and "energy" in header
-        summary = open(os.path.join(out, "summary.txt")).read()
+        summary = Path(out, "summary.txt").read_text()
         assert "overall PASS" in summary
         assert "divergence_ceiling" not in summary  # lifted start is not solenoidal
         u, t = read_vector(os.path.join(out, "final_u"))
@@ -371,7 +372,7 @@ class TestRunArtifacts:
     def test_sr_run_reports_relaxation_margins(self, tmp_path):
         code, out = run_cli(tmp_path, "run", SR_RUN)
         assert code == 0
-        summary = open(os.path.join(out, "summary.txt")).read()
+        summary = Path(out, "summary.txt").read_text()
         assert "gap_decay_excess" in summary
         assert "wall_follow" in summary
         assert "overall PASS" in summary
@@ -379,18 +380,18 @@ class TestRunArtifacts:
     def test_solenoidal_run_claims_divergence_ceiling(self, tmp_path):
         code, out = run_cli(tmp_path, "run", JL_RUN.replace("lift_plus_flow", "vortex"))
         assert code == 0
-        summary = open(os.path.join(out, "summary.txt")).read()
+        summary = Path(out, "summary.txt").read_text()
         assert "divergence_ceiling" in summary
         assert "overall PASS" in summary
 
     def test_galerkin_run_margins(self, tmp_path):
         code, out = run_cli(tmp_path, "run", GALERKIN_RUN)
         assert code == 0
-        summary = open(os.path.join(out, "summary.txt")).read()
+        summary = Path(out, "summary.txt").read_text()
         assert "ledger_rate" in summary
         assert "energy_monotone" in summary
         assert "overall PASS" in summary
-        header = open(os.path.join(out, "diagnostics.csv")).readline()
+        header = Path(out, "diagnostics.csv").read_text().splitlines()[0]
         assert "coeff_l2" in header
 
     def test_runs_are_bit_deterministic(self, tmp_path):
@@ -405,8 +406,8 @@ class TestRunArtifacts:
             _, out1 = run_cli(tmp_path, command, text, sub=f"{k}a")
             _, out2 = run_cli(tmp_path, command, text, sub=f"{k}b", name="again.cfg")
             for name in files:
-                a = open(os.path.join(out1, name), "rb").read()
-                b = open(os.path.join(out2, name), "rb").read()
+                a = Path(out1, name).read_bytes()
+                b = Path(out2, name).read_bytes()
                 assert a == b, f"{command}: {text!r}: {name}"
 
     def test_memory_does_not_grow_with_step_count(self, tmp_path):
@@ -460,9 +461,9 @@ class TestRunArtifacts:
         _, out1 = run_cli(tmp_path, "run", text, extra=("--seed", "1"), sub="s1")
         _, out2 = run_cli(tmp_path, "run", text, extra=("--seed", "2"), sub="s2")
         _, out3 = run_cli(tmp_path, "run", text, extra=("--seed", "1"), sub="s3")
-        rows1 = open(os.path.join(out1, "diagnostics.csv")).read()
-        rows2 = open(os.path.join(out2, "diagnostics.csv")).read()
-        rows3 = open(os.path.join(out3, "diagnostics.csv")).read()
+        rows1 = Path(out1, "diagnostics.csv").read_text()
+        rows2 = Path(out2, "diagnostics.csv").read_text()
+        rows3 = Path(out3, "diagnostics.csv").read_text()
         assert rows1 != rows2
         assert rows1 == rows3
 
@@ -476,7 +477,7 @@ class TestStudies:
     def test_heat_decay_within_one_percent(self, tmp_path):
         code, out = run_cli(tmp_path, "heat", HEAT_RUN)
         assert code == 0
-        summary = open(os.path.join(out, "summary.txt")).read()
+        summary = Path(out, "summary.txt").read_text()
         assert "decay_rate_within_1pct" in summary
         assert "overall PASS" in summary
         assert os.path.exists(os.path.join(out, "final_g.ensf"))
@@ -491,7 +492,7 @@ class TestStudies:
         assert code == 0
         for stem in ("part_v.u.ensf", "part_z.u.ensf", "pressure_q.ensf"):
             assert os.path.exists(os.path.join(out, stem))
-        summary = open(os.path.join(out, "summary.txt")).read()
+        summary = Path(out, "summary.txt").read_text()
         assert "grad_orthogonality" in summary
         assert "overall PASS" in summary
 
@@ -502,7 +503,7 @@ class TestStudies:
         assert os.path.exists(os.path.join(out, "lambda.txt"))
         assert os.path.exists(os.path.join(out, "mode_000.u.ensf"))
         assert os.path.exists(os.path.join(out, "mode_003.v.ensf"))
-        summary = open(os.path.join(out, "summary.txt")).read()
+        summary = Path(out, "summary.txt").read_text()
         assert "gram_deviation" in summary and "overall PASS" in summary
 
     def test_smaller_basis_leaves_no_stale_modes(self, tmp_path):
@@ -513,7 +514,7 @@ class TestStudies:
             assert code == 0
         assert sorted(name for name in os.listdir(out) if name.startswith("mode_")) == [
             f"mode_{j:03d}.{c}.ensf" for j in range(4) for c in "uv"]
-        assert len(open(os.path.join(out, "lambda.txt")).read().splitlines()) == 4
+        assert len(Path(out, "lambda.txt").read_text().splitlines()) == 4
 
     def test_basis_modes_beyond_grid_limit_exit_one(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, "basis",
@@ -538,8 +539,8 @@ class TestStudies:
         assert len(csv_rows(os.path.join(out, "route_a", "diagnostics.csv"))) == 11
         assert len(csv_rows(os.path.join(out, "route_b", "diagnostics.csv"))) == 4
         assert len(csv_rows(os.path.join(out, "compare.csv"))) == 4
-        assert "overall FAIL" in open(os.path.join(out, "route_b", "summary.txt")).read()
-        assert "overall PASS" in open(os.path.join(out, "route_a", "summary.txt")).read()
+        assert "overall FAIL" in Path(out, "route_b", "summary.txt").read_text()
+        assert "overall PASS" in Path(out, "route_a", "summary.txt").read_text()
 
         # route a's initial state fails a check (only the decomposed route
         # splits u0): route b still runs to the end
@@ -551,17 +552,17 @@ class TestStudies:
         assert code == 3
         assert "injected failure of the initial split" in capsys.readouterr().err
         assert os.listdir(os.path.join(out, "route_a")) == ["summary.txt"]
-        assert "overall FAIL" in open(os.path.join(out, "route_a", "summary.txt")).read()
+        assert "overall FAIL" in Path(out, "route_a", "summary.txt").read_text()
         assert len(csv_rows(os.path.join(out, "route_b", "diagnostics.csv"))) == 11
-        assert "overall PASS" in open(os.path.join(out, "route_b", "summary.txt")).read()
+        assert "overall PASS" in Path(out, "route_b", "summary.txt").read_text()
         assert sorted(os.listdir(out)) == ["route_a", "route_b", "summary.txt"]
 
     def test_compare_routes(self, tmp_path):
         code, out = run_cli(tmp_path, "compare", SR_RUN)
         assert code == 0
-        header = open(os.path.join(out, "compare.csv")).readline()
+        header = Path(out, "compare.csv").read_text().splitlines()[0]
         assert "gap_l2" in header and "gap_rel" in header
-        assert "overall PASS" in open(os.path.join(out, "summary.txt")).read()
+        assert "overall PASS" in Path(out, "summary.txt").read_text()
 
     def test_convergence_study_orders(self, tmp_path):
         text = """
@@ -575,9 +576,9 @@ class TestStudies:
         """
         code, out = run_cli(tmp_path, "convergence", text)
         assert code == 0
-        rows = open(os.path.join(out, "errors.csv")).read().strip().splitlines()
+        rows = Path(out, "errors.csv").read_text().strip().splitlines()
         assert len(rows) == 4  # header + three grids
-        summary = open(os.path.join(out, "summary.txt")).read()
+        summary = Path(out, "summary.txt").read_text()
         assert "order_mean_above_1.8" in summary
         assert "overall PASS" in summary
 
@@ -598,9 +599,9 @@ class TestStudies:
         """
         code, out = run_cli(tmp_path, "stability", text)
         assert code == 0
-        ratios = open(os.path.join(out, "ratios.csv")).read().strip().splitlines()
+        ratios = Path(out, "ratios.csv").read_text().strip().splitlines()
         assert len(ratios) == 4  # header + three amplitudes
-        summary = open(os.path.join(out, "summary.txt")).read()
+        summary = Path(out, "summary.txt").read_text()
         assert "ratio_spread_within_10pct" in summary
         assert "overall PASS" in summary
 

@@ -20,7 +20,7 @@ from oracles import laplacian_neumann_matrix
 
 class TestRecord:
     def test_metrics_coerced_and_finite(self):
-        r = DiagnosticsRecord(time=1.0, metrics={"a": 2, "b": 0.5}, provenance="x")
+        r = DiagnosticsRecord(time=1.0, metrics={"a": 2, "b": 0.5})
         assert r["a"] == 2.0 and r["b"] == 0.5
 
     def test_nonfinite_metric_rejected(self):

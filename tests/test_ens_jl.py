@@ -9,6 +9,7 @@ from enslab.grid import (
     ScalarField,
     VectorField,
     divergence,
+    face_inner,
     face_norm,
     gradient,
     scalar_from_function,
@@ -152,7 +153,7 @@ class TestStepDecomposed:
     def test_forced_run_carries_forcing(self):
         g = Grid(16)
         f = ForcingSpec(lambda x, y, t: np.sin(np.pi * x) * np.sin(2 * np.pi * y) * np.cos(t),
-                        lambda x, y, t: 0.0 * x, "test")
+                        lambda x, y, t: 0.0 * x)
         s = ens_jl.jl_state(vortex(g, 0.1), 0.1, forcing=f)
         s2 = ens_jl.step_decomposed(s, 1e-3)
         s_un = ens_jl.jl_state(vortex(g, 0.1), 0.1)
@@ -307,6 +308,21 @@ class TestEnergyLedger:
         rec = fold_energy_ledger(hist)
         assert rec["energy_final"] <= rec["envelope_final"]
         assert rec["envelope_margin_min"] >= -1e-12 * max(1.0, rec["envelope_final"])
+
+    def test_record_holds_the_metrics_its_readers_read(self):
+        # `enslab run` reads the envelope and the first energy, the lifecycle
+        # demo the imbalance and the envelope margin, these tests the rest
+        g = Grid(16)
+        s = ens_jl.jl_state(vortex(g) + eigen_lift(g, 1e-2)[1], 0.1)
+        hist = list(march(ens_jl.step_decomposed, s, 1e-3, 5))
+        rec = fold_energy_ledger(hist)
+        assert set(rec.metrics) == {
+            "energy_initial", "energy_final", "envelope_final", "envelope_margin_min",
+            "imbalance_max", "energy_increase_max"}
+        assert rec.time == hist[-1].time
+        assert rec["energy_initial"] == face_inner(hist[0].v, hist[0].v)
+        assert rec["energy_final"] == face_inner(hist[-1].v, hist[-1].v)
+        assert rec["envelope_margin_min"] <= rec["envelope_final"] - rec["energy_final"]
 
     def test_requires_cache_and_two_states(self):
         g = Grid(16)

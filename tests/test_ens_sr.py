@@ -30,7 +30,7 @@ from enslab.heat_oracle import divergence_state
 from enslab.linsolve import neumann_poisson
 from enslab.reference import ForcingSpec, step_nse_projection
 from enslab.scenarios import forcing_spec, initial_velocity, march
-from enslab.stokes_lift import lift_with_boundary
+from enslab.stokes_lift import lift_divergence
 from enslab import cli, ens_sr, grid as grid_module
 from enslab.config import Config
 from enslab.ens_sr import (
@@ -69,7 +69,7 @@ def matched_lift(grid, eps):
     """Eigenmode divergence, boundary trace a constant carrying its mass."""
     g0 = sinsin(grid, eps)
     h0 = BoundaryTrace.constant(grid, integral(g0) / 4.0)
-    z0 = lift_with_boundary(g0, h0)
+    z0 = lift_divergence(g0, h0)
     return g0, h0, z0
 
 

@@ -494,6 +494,16 @@ class TestIntegration:
         with pytest.raises(CheckFailure):
             galerkin.integrate_galerkin(basis, start, 0.01, 1e-3, 0.01)
 
+    def test_blow_up_names_its_step_and_start_time(self):
+        # the prefix march gives an error raised inside step k
+        grid = Grid(16)
+        basis = galerkin.build_basis(grid, 8)
+        start = galerkin.project_onto_basis(basis, vortex(grid, 1e3))
+        with pytest.raises(CheckFailure) as exc:
+            galerkin.integrate_galerkin(basis, start, 1e-3, 0.01, 0.2)
+        assert str(exc.value) == ("step 6, t = 0.05: coefficients grew non-finite "
+                                  "(blow-up) at t = 0.06")
+
     def test_horizon_must_be_step_multiple(self):
         basis = galerkin.build_basis(Grid(16), 1)
         with pytest.raises(ValueError):

@@ -10,11 +10,11 @@ from enslab.errors import CheckFailure
 from enslab.grid import Grid, ScalarField, integral, scalar_inner, scalar_norm
 from enslab.heat_oracle import (
     DivergenceState,
-    check_heat_estimates,
     divergence_state,
     heat_step,
 )
 from enslab.scenarios import march
+from oracles import fold_heat_estimates
 
 NU = 0.1
 
@@ -110,12 +110,12 @@ class TestHeatStep:
 class TestEstimates:
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            check_heat_estimates([])
+            fold_heat_estimates([])
 
     def test_single_constant_state(self):
         g = Grid(16)
         s = divergence_state(ScalarField(g, np.full(g.shape_cell, 2.0)), "neumann", NU)
-        rec = check_heat_estimates([s])
+        rec = fold_heat_estimates([s])
         assert rec["grad_energy_integral"] == 0.0
         assert rec["sup_margin"] >= 0.0 and rec["grad_margin"] >= 0.0
         assert rec["sup_ok"] == 1.0 and rec["grad_ok"] == 1.0
@@ -123,15 +123,28 @@ class TestEstimates:
     def test_zero_initial_data_tight(self):
         g = Grid(16)
         s = divergence_state(ScalarField.zeros(g), "neumann", NU)
-        rec = check_heat_estimates(march(heat_step, s, 1e-3, 3))
+        rec = fold_heat_estimates(march(heat_step, s, 1e-3, 3))
         assert rec["initial_l2"] == 0.0
         assert rec["sup_margin"] == 0.0 and rec["grad_margin"] == 0.0
+
+    def test_record_holds_the_metrics_its_readers_read(self):
+        # `enslab heat` reads the first norm and the two asserted margins,
+        # these tests the gradient integral, the verdicts and the dual rate
+        g = Grid(16)
+        hist = list(march(heat_step, divergence_state(coscos(g), "neumann", NU), 1e-3, 4))
+        rec = fold_heat_estimates(hist)
+        assert set(rec.metrics) == {
+            "initial_l2", "grad_energy_integral", "sup_margin", "grad_margin",
+            "sup_ok", "grad_ok", "dual_rate_margin"}
+        assert rec.time == hist[-1].time
+        assert rec["initial_l2"] == scalar_norm(hist[0].g)
+        assert rec["sup_margin"] == rec["initial_l2"] - max(scalar_norm(s.g) for s in hist)
 
     @pytest.mark.parametrize("bc,mode", [("neumann", coscos), ("dirichlet", sinsin)])
     def test_eigen_decay_margins_nonnegative(self, bc, mode):
         g = Grid(32)
         s = divergence_state(mode(g), bc, NU)
-        rec = check_heat_estimates(march(heat_step, s, 2e-3, 50))
+        rec = fold_heat_estimates(march(heat_step, s, 2e-3, 50))
         assert rec["sup_ok"] == 1.0
         assert rec["grad_ok"] == 1.0
         assert "dual_rate_margin" in rec.metrics

@@ -32,7 +32,6 @@ from enslab.stokes_lift import (
     decompose,
     leray_project,
     lift_divergence,
-    lift_with_boundary,
 )
 from oracles import check_weak_lifting_bound, lifting_constant
 
@@ -223,7 +222,7 @@ class TestLiftDivergence:
 class TestLiftWithBoundary:
     def test_zero_data_zero_solution(self):
         g = Grid(16)
-        z = lift_with_boundary(ScalarField.zeros(g), BoundaryTrace.zeros(g))
+        z = lift_divergence(ScalarField.zeros(g), BoundaryTrace.zeros(g))
         q = lift_pressure(ScalarField.zeros(g), BoundaryTrace.zeros(g))
         assert face_norm(z) == 0.0 and scalar_norm(q) == 0.0
 
@@ -231,14 +230,14 @@ class TestLiftWithBoundary:
         # volume integral 4 over the unit square equals perimeter flux 4 x 1
         g = Grid(32)
         gsrc = ScalarField(g, np.full(g.shape_cell, 4.0))
-        z = lift_with_boundary(gsrc, BoundaryTrace.constant(g, 1.0))
+        z = lift_divergence(gsrc, BoundaryTrace.constant(g, 1.0))
         assert scalar_norm(divergence(z) - gsrc) <= 1e-9 * scalar_norm(gsrc)
         assert np.allclose(z.u[0, :], -1.0) and np.allclose(z.v[:, -1], 1.0)
 
     def test_unbalanced_data_rejected(self):
         g = Grid(16)
         with pytest.raises(CompatibilityError):
-            lift_with_boundary(ScalarField.zeros(g), BoundaryTrace.constant(g, 1.0))
+            lift_divergence(ScalarField.zeros(g), BoundaryTrace.constant(g, 1.0))
 
 
 class TestDecompose:
