@@ -43,10 +43,10 @@ def main() -> None:
     print()
     print("=== 2. The lift is no larger than its divergence demands ===")
     print("  grid    ||z||_H1 / ||g||_L2")
-    for nx in (16, 32, 64):
-        g0, z0 = eigen_lift(Grid(nx), "jl", eps=1.0, mode=1)
+    for n in (16, 32, 64):
+        g0, z0 = eigen_lift(Grid(n), "jl", eps=1.0, mode=1)
         c = norms(z0)["h1"] / scalar_norm(g0)
-        print(f"   {nx:3d}    {c:.6f}")
+        print(f"   {n:3d}    {c:.6f}")
     print("  (the ratio settles as the grid refines: the bound is uniform)")
 
     print()

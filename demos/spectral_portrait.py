@@ -11,8 +11,6 @@ Run:  python3 demos/spectral_portrait.py
 
 import math
 
-import numpy as np
-
 from enslab import ens_jl, galerkin
 from enslab.grid import Grid, face_norm
 from enslab.scenarios import march, stream_vortex
@@ -44,7 +42,7 @@ def main() -> None:
         b = galerkin.build_basis(grid, k)
         start = galerkin.project_onto_basis(b, seed)
         shared = galerkin.reconstruct(b, start)
-        traj = galerkin.integrate_galerkin(b, start, nu, dt, horizon)
+        traj = galerkin.integrate_galerkin(b, start, nu, dt, round(horizon / dt))
         spectral = galerkin.reconstruct(b, traj[-1])
         full = list(march(ens_jl.step_decomposed, ens_jl.jl_state(shared, nu),
                           dt, round(horizon / dt)))[-1].u
@@ -55,7 +53,7 @@ def main() -> None:
     print("=== 4. The reduced system keeps the energy honest ===")
     b = galerkin.build_basis(grid, 8)
     start = galerkin.project_onto_basis(b, seed)
-    traj = galerkin.integrate_galerkin(b, start, nu, 2e-3, 0.2)
+    traj = galerkin.integrate_galerkin(b, start, nu, 2e-3, 100)
     rec = galerkin.galerkin_energy_ledger(b, traj, nu, 2e-3)
     print(f"  energy {rec['energy_initial']:.6f} -> {rec['energy_final']:.6f} "
           f"(transport moves energy, only viscosity removes it)")

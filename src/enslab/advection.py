@@ -61,7 +61,7 @@ def _skew_u(w: VectorField, b: VectorField, out: np.ndarray) -> None:
     read as a flat array: the cells' S pair the rows, and the y-terms run on
     the interior rows, T zeroed where j + 1 wraps onto the next row.  Two
     scratch arrays serve every stage, each reused once spent."""
-    wu, wv, bu, n = w.u, w.v, b.u, w.grid.ny
+    wu, wv, bu, n = w.u, w.v, b.u, w.grid.n
     work = np.empty(wu.size)
     s = work[:-n].reshape(n, n)
     np.add(wu[1:-2], wu[2:-1], out=s[1:-1])
@@ -81,7 +81,7 @@ def _skew_v(w: VectorField, b: VectorField, out: np.ndarray) -> None:
     _skew_u: the cells' S pair neighbours along the rows, zeroed where c + 1
     wraps onto the next row, and the x-terms pair the rows, T zeroed on the
     wall columns."""
-    wv, bv, n = w.v, b.v, w.grid.ny
+    wv, bv, n = w.v, b.v, w.grid.n
     work = np.empty(wv.size)
     s = np.add(wv.ravel()[:-1], wv.ravel()[1:], out=work[:-1])
     cells = work.reshape(wv.shape)

@@ -266,7 +266,7 @@ def _run_galerkin(cfg: Config) -> int:
             start = galerkin.project_onto_basis(basis, _initial_velocity(cfg, grid))
         yield start
         trajectory = galerkin.integrate_galerkin(
-            basis, start, cfg.nu, cfg.dt, cfg.nsteps * cfg.dt, f_path=f_path)
+            basis, start, cfg.nu, cfg.dt, cfg.nsteps, f_path=f_path)
         yield from islice(trajectory, 1, None)
 
     run = _Run(cfg.out, measure, states).run()
@@ -466,7 +466,7 @@ _HELPS = {
     "convergence": "manufactured-solution spatial-order study over three grids",
     "compare": "integrate both routes of a system and report their gap",
     "stability": "perturbation-growth ratios for a family of amplitudes",
-    "basis": "build and cache the spectral velocity basis",
+    "basis": "build, check and export the spectral velocity basis",
     "heat": "evolve divergence data under the heat oracle alone",
     "decompose": "one-shot orthogonal splitting of the initial velocity",
 }

@@ -43,7 +43,7 @@ __all__ = [
     "DRIFT_RTOL", "DRIFT_ABS", "RECONSTRUCT_TOL", "WALL_FOLLOW_TOL", "SPLIT_TOL",
     "SPLIT_RECONSTRUCT_TOL", "SPLIT_WALL_TOL", "SOLVABILITY_TOL", "GAP_DECAY_TOL",
     "NET_SOURCE_TOL", "MASS_TOL", "CONTRACTION_RTOL", "GRAM_TOL", "EIGEN_RESIDUAL_TOL",
-    "EIGEN_ORDER_RTOL", "PARITY_RTOL", "STEP_COUNT_RTOL", "DIV_CEILING", "WALL_FOLLOW_RUN_TOL",
+    "EIGEN_ORDER_RTOL", "PARITY_RTOL", "DIV_CEILING", "WALL_FOLLOW_RUN_TOL",
     "LEDGER_RATE_TOL", "STOKES_TOL", "COMPAT_TOL",
 ]
 
@@ -89,7 +89,6 @@ GRAM_TOL = 1e-10            # max |<w_i, w_j> - delta_ij|
 EIGEN_RESIDUAL_TOL = 1e-8   # ||P K w - lam w||; x (1 + lam)
 EIGEN_ORDER_RTOL = 1e-9     # lam_j - lam_{j+1}; x lam_max
 PARITY_RTOL = 1e-10         # a mode's part of the other reflection parity; x ||w||
-STEP_COUNT_RTOL = 1e-9      # |round(T / dt) dt - T|; x max(1, T)
 
 # Margins of the run summaries (cli).
 DIV_CEILING = 1e-9          # max|div u| of a divergence-free run; max|div w|, max|w.n| of modes

@@ -1,10 +1,11 @@
 """File formats: ENSF1 field dumps, diagnostics CSV, margin summaries.
 
-ENSF1 is one ASCII header line ``ENSF1 <nx> <ny> <kind> <time>`` followed by
+ENSF1 is one ASCII header line ``ENSF1 <n> <n> <kind> <time>`` followed by
 the raw row-major 64-bit little-endian IEEE floats of one field component.
-``kind`` fixes the array shape on the grid: ``cell`` is (nx, ny), ``xface``
-is (nx+1, ny), ``yface`` is (nx, ny+1).  One file per component; bit-exact
-round-trip.
+The header gives the size n of the square grid once per axis; a header whose
+two sizes differ is rejected.  ``kind`` fixes the array shape on the grid:
+``cell`` is (n, n), ``xface`` is (n+1, n), ``yface`` is (n, n+1).  One file
+per component; bit-exact round-trip.
 
 The CSV schema is fixed: first column ``t``, remaining columns the metric
 names in sorted order, header row mandatory, values printed with %.17g so
@@ -32,20 +33,16 @@ __all__ = [
 ]
 
 _MAGIC = "ENSF1"
-_KIND_SHAPE = {
-    "cell": lambda nx, ny: (nx, ny),
-    "xface": lambda nx, ny: (nx + 1, ny),
-    "yface": lambda nx, ny: (nx, ny + 1),
-}
+_KIND_SHAPE = {"cell": "shape_cell", "xface": "shape_u", "yface": "shape_v"}
 
 
 def write_component(path: str, values: np.ndarray, grid: Grid, kind: str, time: float) -> None:
     if kind not in _KIND_SHAPE:
         raise ValueError(f"unknown field kind {kind!r}")
-    expected = _KIND_SHAPE[kind](grid.nx, grid.ny)
+    expected = getattr(grid, _KIND_SHAPE[kind])
     if values.shape != expected:
         raise ValueError(f"kind {kind!r} expects shape {expected}, got {values.shape}")
-    header = f"{_MAGIC} {grid.nx} {grid.ny} {kind} {time:.17g}\n"
+    header = f"{_MAGIC} {grid.n} {grid.n} {kind} {time:.17g}\n"
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
         f.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
@@ -58,17 +55,19 @@ def read_component(path: str):
         parts = header.split()
         if len(parts) != 5 or parts[0] != _MAGIC:
             raise ValueError(f"{path}: not a {_MAGIC} file (header {header!r})")
-        nx, ny = int(parts[1]), int(parts[2])
-        kind, time = parts[3], float(parts[4])
+        n, kind, time = int(parts[1]), parts[3], float(parts[4])
+        if int(parts[2]) != n:
+            raise ValueError(f"{path}: grid {n} x {parts[2]} is not square")
         if kind not in _KIND_SHAPE:
             raise ValueError(f"{path}: unknown field kind {kind!r}")
-        shape = _KIND_SHAPE[kind](nx, ny)
+        grid = Grid(n)
+        shape = getattr(grid, _KIND_SHAPE[kind])
         raw = f.read()
     count = shape[0] * shape[1]
     if len(raw) != 8 * count:
         raise ValueError(f"{path}: expected {8 * count} payload bytes, got {len(raw)}")
     values = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-    return Grid(nx, ny), kind, time, values
+    return grid, kind, time, values
 
 
 def write_scalar(path: str, p: ScalarField, time: float) -> None:

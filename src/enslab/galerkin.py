@@ -43,13 +43,13 @@ import numpy as np
 
 from .advection import centered_differences, transport_coefficients
 from .diagnostics import (
-    EIGEN_ORDER_RTOL, EIGEN_RESIDUAL_TOL, GRAM_TOL, PARITY_RTOL, STEP_COUNT_RTOL,
-    DiagnosticsRecord,
+    EIGEN_ORDER_RTOL, EIGEN_RESIDUAL_TOL, GRAM_TOL, PARITY_RTOL, DiagnosticsRecord,
 )
 from .errors import CheckFailure, DimensionMismatchError
 from .fieldio import ensure_dir, write_vector
 from .grid import Grid, VectorField, _line_aligned, _noslip_laplacian
 from .linsolve import _cached
+from .scenarios import located
 from .stokes_lift import _remove_gradient
 from .stokes_modes import lowest_modes
 
@@ -213,13 +213,13 @@ def build_basis(grid: Grid, k: int) -> GalerkinBasis:
     block's coordinates, the first on ties, is made positive, so the modes'
     signs do not depend on the LAPACK build.
     """
-    if grid.nx > BASIS_GRID_MAX:
+    if grid.n > BASIS_GRID_MAX:
         raise ValueError(f"the Galerkin basis needs grid <= {BASIS_GRID_MAX}, got "
-                         f"{grid.nx}: {BASIS_COST}")
-    dim = (grid.nx - 1) ** 2
+                         f"{grid.n}: {BASIS_COST}")
+    dim = (grid.n - 1) ** 2
     if not (1 <= k <= dim):
         raise ValueError(f"k = {k} outside the divergence-free subspace dimension {dim}")
-    return _cached(("galerkin_basis", grid.nx, grid.ny, k),
+    return _cached(("galerkin_basis", grid.n, k),
                    lambda: GalerkinBasis(grid, *lowest_modes(grid, k)))
 
 
@@ -252,9 +252,9 @@ def coupling_tensor(basis: GalerkinBasis) -> np.ndarray:
     """
     grid = basis.grid
     # the quarter and the neighbours its differences and averages read
-    cut = (..., slice(None, (grid.nx + 1) // 2 + 2), slice(None, (grid.ny + 1) // 2 + 2))
+    cut = (..., slice(None, (grid.n + 1) // 2 + 2), slice(None, (grid.n + 1) // 2 + 2))
     u, v = (p[cut] for p in _split(grid, basis.stacked))
-    weights = np.outer(_mirror_weights(grid.nx - 1), _mirror_weights(grid.ny))
+    weights = np.outer(_mirror_weights(grid.n - 1), _mirror_weights(grid.n))
     mx, my = weights.shape  # the x-faces' quarter; the y-faces' is (my, mx)
     xq, yq = (..., slice(mx), slice(my)), (..., slice(my), slice(mx))
 
@@ -314,15 +314,12 @@ def _forcing_vector(basis: GalerkinBasis, f_path, t: float) -> np.ndarray:
 
 
 def integrate_galerkin(basis: GalerkinBasis, state: GalerkinState, nu: float,
-                       dt: float, T: float, f_path=None) -> list:
-    """RK4 trajectory of the spectral ODE system from state.time to +T."""
-    if not (nu > 0.0 and dt > 0.0 and T >= dt):
-        raise ValueError("need nu > 0, dt > 0, T >= dt")
+                       dt: float, nsteps: int, f_path=None) -> list:
+    """RK4 trajectory of the spectral ODE system: state, then nsteps states dt apart."""
+    if not (nu > 0.0 and dt > 0.0 and nsteps >= 1):
+        raise ValueError("need nu > 0, dt > 0, nsteps >= 1")
     if state.k != basis.k:
         raise ValueError(f"state has {state.k} coefficients, basis {basis.k} modes")
-    nsteps = round(T / dt)
-    if abs(nsteps * dt - T) > STEP_COUNT_RTOL * max(1.0, T):
-        raise ValueError("T must be an integer multiple of dt")
     k = basis.k
     decay = -nu * basis.lam
     quadratic = coupling_tensor(basis).reshape(k, k * k)
@@ -352,8 +349,9 @@ def integrate_galerkin(basis: GalerkinBasis, state: GalerkinState, nu: float,
             g = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             try:
                 history.append(GalerkinState(g, t + dt))
-            except CheckFailure as exc:  # the prefix march gives an error in step n
-                raise CheckFailure(f"step {n}, t = {t:.6g}: {exc}") from exc
+            except CheckFailure:  # formatted only when a step fails, as in march
+                with located(f"step {n}, t = {t:.6g}"):
+                    raise
             t += dt
     return history
 

@@ -2,15 +2,15 @@
 
 Layout
 ------
-The domain is [0,1] x [0,1] split into nx * ny square cells of side h = 1/nx.
+The domain is [0,1] x [0,1] split into n * n square cells of side h = 1/n.
 
 * Cell-centered scalars (pressure, divergence) live at
-  ((i + 1/2) h, (j + 1/2) h), array shape (nx, ny), index [i, j] with i the
+  ((i + 1/2) h, (j + 1/2) h), array shape (n, n), index [i, j] with i the
   x index.
 * x-face values (first velocity component) live at (i h, (j + 1/2) h),
-  shape (nx + 1, ny).  Faces i = 0 and i = nx lie on the left/right walls.
+  shape (n + 1, n).  Faces i = 0 and i = n lie on the left/right walls.
 * y-face values (second velocity component) live at ((i + 1/2) h, j h),
-  shape (nx, ny + 1).  Faces j = 0 and j = ny lie on the bottom/top walls.
+  shape (n, n + 1).  Faces j = 0 and j = n lie on the bottom/top walls.
 
 This staggering makes the discrete divergence and gradient exact negative
 adjoints of each other, which in turn makes the orthogonal-decomposition and
@@ -84,49 +84,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Geometry of the staggered unit-square grid (square cells, nx == ny)."""
+    """Geometry of the staggered unit-square grid: n x n square cells."""
 
-    nx: int
-    ny: int = -1
+    n: int
 
     def __post_init__(self) -> None:
-        if self.ny == -1:
-            object.__setattr__(self, "ny", self.nx)
-        if self.nx != self.ny:
-            raise ValueError(f"square cells required: nx={self.nx} != ny={self.ny}")
-        if self.nx < 4:
-            raise ValueError(f"grid too coarse: nx={self.nx} < 4")
-        if (1.0 / self.nx) * self.nx != 1.0:
-            raise ValueError(f"1/nx*nx != 1 in floating point for nx={self.nx}")
+        if self.n < 4:
+            raise ValueError(f"grid too coarse: n={self.n} < 4")
+        if (1.0 / self.n) * self.n != 1.0:
+            raise ValueError(f"1/n*n != 1 in floating point for n={self.n}")
 
     @property
     def h(self) -> float:
-        return 1.0 / self.nx
+        return 1.0 / self.n
 
     @property
     def shape_cell(self) -> tuple[int, int]:
-        return (self.nx, self.ny)
+        return (self.n, self.n)
 
     @property
     def shape_u(self) -> tuple[int, int]:
-        return (self.nx + 1, self.ny)
+        return (self.n + 1, self.n)
 
     @property
     def shape_v(self) -> tuple[int, int]:
-        return (self.nx, self.ny + 1)
+        return (self.n, self.n + 1)
 
-    # 1D coordinate arrays; node_x (node_y) is also the x (y) of the u (v) faces
-    def cell_x(self) -> np.ndarray:
-        return (np.arange(self.nx) + 0.5) * self.h
+    # 1D coordinates along either axis; nodes() is also the x (y) of the u (v) faces
+    def cells(self) -> np.ndarray:
+        return (np.arange(self.n) + 0.5) * self.h
 
-    def cell_y(self) -> np.ndarray:
-        return (np.arange(self.ny) + 0.5) * self.h
-
-    def node_x(self) -> np.ndarray:
-        return np.arange(self.nx + 1) * self.h
-
-    def node_y(self) -> np.ndarray:
-        return np.arange(self.ny + 1) * self.h
+    def nodes(self) -> np.ndarray:
+        return np.arange(self.n + 1) * self.h
 
 
 def _adopt(cls, grid: "Grid", *arrays: np.ndarray):
@@ -216,8 +205,8 @@ class ScalarField(_Field):
 class VectorField(_Field):
     """Face-normal velocity components; immutable.
 
-    ``u`` holds the x component on x-faces (shape (nx+1, ny)), ``v`` the
-    y component on y-faces (shape (nx, ny+1)).
+    ``u`` holds the x component on x-faces (shape (n+1, n)), ``v`` the
+    y component on y-faces (shape (n, n+1)).
     """
 
     u: np.ndarray
@@ -233,8 +222,8 @@ class VectorField(_Field):
 class BoundaryTrace(_Field):
     """Outward normal velocity u.n, one value per boundary face.
 
-    ``left``/``right`` have length ny (x-faces on the walls x = 0 and x = 1),
-    ``bottom``/``top`` length nx (y-faces on the walls y = 0 and y = 1).
+    Each array has length n: ``left``/``right`` hold the x-faces on the
+    walls x = 0 and x = 1, ``bottom``/``top`` the y-faces on y = 0 and y = 1.
     Values are signed with respect to the outward normal: a positive value
     means outflow on every wall.
     """
@@ -247,7 +236,7 @@ class BoundaryTrace(_Field):
 
     @staticmethod
     def shapes(grid: Grid) -> tuple[tuple[int, ...], ...]:
-        return ((grid.ny,), (grid.ny,), (grid.nx,), (grid.nx,))
+        return ((grid.n,),) * 4
 
     @staticmethod
     def constant(grid: Grid, value: float) -> "BoundaryTrace":
@@ -484,29 +473,25 @@ def trace_integral(trace: BoundaryTrace) -> float:
 # ---------------------------------------------------------------------------
 
 def scalar_from_function(grid: Grid, f) -> ScalarField:
-    x = grid.cell_x()[:, None]
-    y = grid.cell_y()[None, :]
-    return ScalarField(grid, np.broadcast_to(f(x, y), grid.shape_cell).copy())
+    c = grid.cells()
+    return ScalarField(grid, np.broadcast_to(f(c[:, None], c[None, :]), grid.shape_cell).copy())
 
 
 def vector_from_functions(grid: Grid, fu, fv) -> VectorField:
-    xu = grid.node_x()[:, None]
-    yu = grid.cell_y()[None, :]
-    xv = grid.cell_x()[:, None]
-    yv = grid.node_y()[None, :]
-    u = np.broadcast_to(fu(xu, yu), grid.shape_u).copy()
-    v = np.broadcast_to(fv(xv, yv), grid.shape_v).copy()
+    nodes, cells = grid.nodes(), grid.cells()
+    u = np.broadcast_to(fu(nodes[:, None], cells[None, :]), grid.shape_u).copy()
+    v = np.broadcast_to(fv(cells[:, None], nodes[None, :]), grid.shape_v).copy()
     return VectorField(grid, u, v)
 
 
 def vector_from_stream(grid: Grid, psi: np.ndarray) -> VectorField:
-    """Discrete curl of a node-based stream function (shape (nx+1, ny+1)).
+    """Discrete curl of a node-based stream function (shape (n+1, n+1)).
 
     The result is divergence-free to round-off by telescoping.
     """
     psi = np.asarray(psi, dtype=np.float64)
-    if psi.shape != (grid.nx + 1, grid.ny + 1):
-        raise DimensionMismatchError(f"stream function: expected {(grid.nx + 1, grid.ny + 1)}, got {psi.shape}")
+    if psi.shape != (grid.n + 1, grid.n + 1):
+        raise DimensionMismatchError(f"stream function: expected {(grid.n + 1, grid.n + 1)}, got {psi.shape}")
     return VectorField(grid, *_curl_values(psi, grid.h))
 
 

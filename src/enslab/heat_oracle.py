@@ -49,9 +49,9 @@ class DivergenceState:
                     f"zero-flux divergence state lost mass: drift {drift:.3e}")
 
 
-def divergence_state(g: ScalarField, bc: str, nu: float, time: float = 0.0) -> DivergenceState:
-    """Build a state; the conserved mass is frozen from the initial field."""
-    return DivergenceState(g=g, time=float(time), bc=bc, nu=float(nu), m0=integral(g))
+def divergence_state(g: ScalarField, bc: str, nu: float) -> DivergenceState:
+    """Build the state at t = 0; the conserved mass is frozen from g."""
+    return DivergenceState(g=g, time=0.0, bc=bc, nu=float(nu), m0=integral(g))
 
 
 def heat_step(s: DivergenceState, dt: float) -> DivergenceState:

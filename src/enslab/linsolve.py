@@ -130,8 +130,8 @@ def _tridiagonal_eigvals(n: int, h: float, kind: str):
 
 def _separable_eigenbasis(grid: Grid, kind_x: str, kind_y: str | None = None):
     """Eigenbases and eigenvalues lambda_x + lambda_y of a 2-D Kronecker sum."""
-    lx, qx = _tridiagonal_eigh(grid.nx, grid.h, kind_x)
-    ly, qy = _tridiagonal_eigh(grid.ny, grid.h, kind_y or kind_x)
+    lx, qx = _tridiagonal_eigh(grid.n, grid.h, kind_x)
+    ly, qy = _tridiagonal_eigh(grid.n, grid.h, kind_y or kind_x)
     return qx, qy, lx[:, None] + ly[None, :]
 
 
@@ -172,7 +172,7 @@ class NeumannPoisson:
 
 
 def neumann_poisson(grid: Grid) -> NeumannPoisson:
-    return _cached(("neumann_poisson", grid.nx, grid.ny), lambda: NeumannPoisson(grid))
+    return _cached(("neumann_poisson", grid.n), lambda: NeumannPoisson(grid))
 
 
 def htilde_solver(grid: Grid):
@@ -182,7 +182,7 @@ def htilde_solver(grid: Grid):
         qx, qy, lam = _separable_eigenbasis(grid, "neumann")
         inv = 1.0 / (1.0 - lam)
         return lambda b: _diagonalized_solve(b, qx, qy, inv)
-    return _cached(("htilde", grid.nx, grid.ny), build)
+    return _cached(("htilde", grid.n), build)
 
 
 def heat_solver(grid: Grid, a: float, bc: str, theta: str = "cn"):
@@ -206,7 +206,7 @@ def heat_solver(grid: Grid, a: float, bc: str, theta: str = "cn"):
             mult = 1.0 / (1.0 - a * lam)
         return lambda vals: _diagonalized_solve(vals, qx, qy, mult)
 
-    return _cached(("heat", grid.nx, grid.ny, float(a), bc, theta), build)
+    return _cached(("heat", grid.n, float(a), bc, theta), build)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +248,7 @@ def _capacitance(grid: Grid, alpha: float, c: float):
     (1, 0) is (0, 1) mirrored in the diagonal.  Each inverse is the
     block-inverse formula on the inverted v-side Schur complement.
     """
-    n, h = grid.nx, grid.h
+    n, h = grid.n, grid.h
     lam, q = _tridiagonal_eigh(n, h, "neumann")
     both = lam[:-1, None] + lam[None, :]                # lam_k + lam_l, k < n - 1
     mult = 1.0 / (both * (alpha - c * both))            # (alpha I - c Lap_N)^{-1} Lap_N^+
@@ -336,7 +336,7 @@ class GeneralizedStokes:
         if not (self.alpha >= 0.0 and self.c >= 0.0 and 0.0 < self.alpha + self.c < math.inf):
             raise ValueError(f"need alpha, c >= 0 with alpha + c > 0 and finite, "
                              f"got alpha = {alpha!r}, c = {c!r}")
-        n, h = grid.nx, grid.h
+        n, h = grid.n, grid.h
         self._q = _tridiagonal_eigh(n, h, "neumann")[1]
         self._qn = _tridiagonal_eigh(n, h, "node")[1]
         s, lam, inv, mult = self._symbols()
@@ -355,7 +355,7 @@ class GeneralizedStokes:
 
     def _symbols(self):
         """sigma, lam, Lap_N^+ and (alpha I + c K_fs)^{-1} on the cell modes."""
-        n, h = self.grid.nx, self.grid.h
+        n, h = self.grid.n, self.grid.h
         lam = _tridiagonal_eigh(n, h, "neumann")[0]
         lap = lam[:, None] + lam[None, :]                    # Lam; only [-1, -1] is 0
         return (_difference_factors(n, h), lam, _reciprocal(lap),
@@ -516,7 +516,7 @@ class GeneralizedStokes:
 
 
 def generalized_stokes(grid: Grid, alpha: float, c: float) -> GeneralizedStokes:
-    return _cached(("generalized_stokes", grid.nx, grid.ny, float(alpha), float(c)),
+    return _cached(("generalized_stokes", grid.n, float(alpha), float(c)),
                    lambda: GeneralizedStokes(grid, alpha, c))
 
 
@@ -541,7 +541,7 @@ class NoslipHelmholtz:
             return [(qx, qy, 1.0 / (alpha - c * lam))
                     for qx, qy, lam in (_separable_eigenbasis(grid, *kinds)
                                         for kinds in (("node", "cell"), ("cell", "node")))]
-        self._blocks = _cached(("noslip_helmholtz", grid.nx, grid.ny, alpha, c), build)
+        self._blocks = _cached(("noslip_helmholtz", grid.n, alpha, c), build)
 
     def solve(self, rhs: VectorField, trace: BoundaryTrace | None = None) -> VectorField:
         grid = self.grid

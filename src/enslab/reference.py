@@ -101,7 +101,7 @@ def poincare_constant(grid: Grid) -> float:
     tridiagonals on nodes and on cells, alike on the square grid: lambda is
     -(max lambda_node + max lambda_cell), from the closed-form eigenvalues.
     """
-    top = [_tridiagonal_eigvals(grid.nx, grid.h, kind)[0].max() for kind in ("node", "cell")]
+    top = [_tridiagonal_eigvals(grid.n, grid.h, kind)[0].max() for kind in ("node", "cell")]
     return -float(top[0] + top[1])
 
 

@@ -61,16 +61,16 @@ FORCING_PRESETS = ("zero", "rotational", "mms")
 
 def stream_vortex(grid: Grid, amplitude: float = 1.0) -> VectorField:
     """Single smooth vortex: exactly divergence-free, all wall values zero."""
-    x = grid.node_x()[:, None]
-    y = grid.node_y()[None, :]
+    x = grid.nodes()[:, None]
+    y = x.T
     psi = amplitude * np.sin(np.pi * x) ** 2 * np.sin(np.pi * y) ** 2 / np.pi
     return vector_from_stream(grid, psi)
 
 
 def perturbation_field(grid: Grid) -> VectorField:
     """Unit-norm divergence-free no-slip field independent of stream_vortex."""
-    x = grid.node_x()[:, None]
-    y = grid.node_y()[None, :]
+    x = grid.nodes()[:, None]
+    y = x.T
     psi = np.sin(np.pi * x) ** 2 * np.sin(2.0 * np.pi * y) ** 2 / np.pi
     w = vector_from_stream(grid, psi)
     return w * (1.0 / face_norm(w))
@@ -155,8 +155,8 @@ def mms_forcing(nu: float) -> ForcingSpec:
 
 def _through_flow(grid: Grid, amplitude: float) -> VectorField:
     """Balanced wall-to-wall flow: u rows constant in x, exactly solenoidal."""
-    profile = amplitude * np.sin(2.0 * np.pi * grid.cell_y())
-    u = np.tile(profile, (grid.nx + 1, 1))
+    profile = amplitude * np.sin(2.0 * np.pi * grid.cells())
+    u = np.tile(profile, (grid.n + 1, 1))
     return VectorField(grid, u, np.zeros(grid.shape_v))
 
 

@@ -157,11 +157,11 @@ class Decomposition:
     q: ScalarField
     record: DiagnosticsRecord | None = field(default=None, compare=False, repr=False)
 
-    def validate(self, u: VectorField, time: float = 0.0) -> DiagnosticsRecord:
-        """Re-check the three structural invariants against the input u.
+    def validate(self, u: VectorField) -> DiagnosticsRecord:
+        """Re-check the three structural invariants against the input u at t = 0.
 
         Returns the measurements with the scales they were judged against;
-        an overflowed one is a CheckFailure naming it and ``time``.
+        an overflowed one is a CheckFailure naming it.
         """
         with np.errstate(over="ignore", invalid="ignore"):  # judged below
             dv = scalar_norm(divergence(self.v))
@@ -183,14 +183,14 @@ class Decomposition:
         }
         for name, value in metrics.items():
             if not math.isfinite(value):
-                raise CheckFailure(f"non-finite split measurement {name} at t = {time:.6g}")
+                raise CheckFailure(f"non-finite split measurement {name} at t = 0")
         if dv > SPLIT_TOL * scale_div:
             raise CompatibilityError(f"decomposition: div v = {dv:.3e} not zero")
         if abs(ortho) > SPLIT_TOL * scale_ortho:
             raise CompatibilityError(f"decomposition: gradient orthogonality {ortho:.3e}")
         if err > SPLIT_RECONSTRUCT_TOL * scale_rec:
             raise CompatibilityError(f"decomposition: reconstruction error {err:.3e}")
-        return DiagnosticsRecord(time, metrics)
+        return DiagnosticsRecord(0.0, metrics)
 
 
 def leray_project(u: VectorField) -> VectorField:
@@ -240,14 +240,14 @@ def lift_divergence(g: ScalarField, trace: BoundaryTrace | None = None) -> Vecto
     return generalized_stokes(g.grid, 0.0, 1.0).solve(g=g, trace=trace, pressure=False)[0]
 
 
-def decompose(u: VectorField, time: float = 0.0) -> Decomposition:
+def decompose(u: VectorField) -> Decomposition:
     """Split u (zero wall-normal faces) into divergence-free v plus lift z.
 
     The lift's divergence residual is relative to ||div u||, which is ~1/h
     times larger than ||u||; its tolerance STOKES_TOL is well below the
     SPLIT_TOL invariant level.  A divergence at round-off level (lift_floor)
     is not lifted at all (z = 0).  The returned split carries the
-    measurements of its validation, at ``time``, as ``record``.
+    measurements of its validation, at t = 0, as ``record``.
     """
     wall_flux = normal_trace(u).max_abs()
     if wall_flux > SPLIT_WALL_TOL * max(1.0, u.max_abs()):
@@ -258,4 +258,4 @@ def decompose(u: VectorField, time: float = 0.0) -> Decomposition:
     z, q = ((VectorField.zeros(u.grid), ScalarField.zeros(u.grid)) if _negligible(g, u)
             else generalized_stokes(u.grid, 0.0, 1.0).solve(g=g)[:2])
     dec = Decomposition(v=u - z, z=z, q=q)
-    return replace(dec, record=dec.validate(u, time))
+    return replace(dec, record=dec.validate(u))

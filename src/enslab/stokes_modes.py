@@ -36,7 +36,7 @@ __all__ = ["lowest_modes"]
 def lowest_modes(grid: Grid, k: int) -> tuple[np.ndarray, tuple]:
     """The k lowest eigenvalues of the Stokes operator on the grid and their
     modes, in ascending order; see the module docstring."""
-    n, h = grid.nx, grid.h
+    n, h = grid.n, grid.h
     lam, q = _tridiagonal_eigh(n, h, "node")
     odd = np.abs(q[0] - q[-1]) > np.abs(q[0] + q[-1])
     parity = (np.flatnonzero(~odd), np.flatnonzero(odd))

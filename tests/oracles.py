@@ -47,8 +47,8 @@ from enslab.stokes_lift import leray_project, lift_divergence, wall_floor
 
 def _split(grid: Grid, x: np.ndarray):
     """Views of an interior-face vector as its u and v arrays."""
-    n_u = (grid.nx - 1) * grid.ny
-    return x[:n_u].reshape(grid.nx - 1, grid.ny), x[n_u:].reshape(grid.nx, grid.ny - 1)
+    n_u = (grid.n - 1) * grid.n
+    return x[:n_u].reshape(grid.n - 1, grid.n), x[n_u:].reshape(grid.n, grid.n - 1)
 
 
 def flatten_interior(w: VectorField) -> np.ndarray:
@@ -68,7 +68,7 @@ def unflatten_interior(grid: Grid, x: np.ndarray, trace: BoundaryTrace | None = 
 def wall_rhs(grid: Grid, trace: BoundaryTrace) -> np.ndarray:
     """RHS contribution of Dirichlet wall-normal data to K z = -Lap z."""
     h2 = grid.h * grid.h
-    b = np.zeros(2 * grid.nx * (grid.nx - 1))
+    b = np.zeros(2 * grid.n * (grid.n - 1))
     u, v = _split(grid, b)
     u[0, :] = (-trace.left) / h2
     u[-1, :] = trace.right / h2
@@ -80,7 +80,7 @@ def wall_rhs(grid: Grid, trace: BoundaryTrace) -> np.ndarray:
 def wall_faces(grid: Grid) -> np.ndarray:
     """U: one row of interior-face indices per wall (bottom, top, left and
     right), the tangential faces next to it."""
-    u, v = _split(grid, np.arange(2 * grid.nx * (grid.nx - 1)))
+    u, v = _split(grid, np.arange(2 * grid.n * (grid.n - 1)))
     return np.stack([u[:, 0], u[:, -1], v[0, :], v[-1, :]])
 
 
@@ -100,8 +100,8 @@ def _tridiagonal(n: int, h: float, kind: str) -> np.ndarray:
 
 def _kron_sum(grid: Grid, kind_x: str, kind_y: str) -> sp.spmatrix:
     """The assembled 2-D Kronecker sum of two 1-D tridiagonals."""
-    tx = sp.csr_matrix(_tridiagonal(grid.nx, grid.h, kind_x))
-    ty = sp.csr_matrix(_tridiagonal(grid.ny, grid.h, kind_y))
+    tx = sp.csr_matrix(_tridiagonal(grid.n, grid.h, kind_x))
+    ty = sp.csr_matrix(_tridiagonal(grid.n, grid.h, kind_y))
     return sp.kron(tx, sp.identity(ty.shape[0])) + sp.kron(sp.identity(tx.shape[0]), ty)
 
 
@@ -137,7 +137,7 @@ def _cell_difference(n: int) -> sp.spmatrix:
 
 def divergence_matrix(grid: Grid) -> sp.csr_matrix:
     """Divergence D on the interior-face vector; the gradient is -D^T."""
-    nx, ny = grid.nx, grid.ny
+    nx, ny = grid.n, grid.n
     D = sp.hstack([sp.kron(_cell_difference(nx), sp.identity(ny)),
                    sp.kron(sp.identity(nx), _cell_difference(ny))])
     return (D / grid.h).tocsr()
@@ -146,7 +146,7 @@ def divergence_matrix(grid: Grid) -> sp.csr_matrix:
 def curl_matrix(grid: Grid) -> sp.csr_matrix:
     """Curl C of the interior-node stream function onto the interior faces
     (``vector_from_stream`` with zero wall values); D C = 0."""
-    nx, ny = grid.nx, grid.ny
+    nx, ny = grid.n, grid.n
     C = sp.vstack([sp.kron(sp.identity(nx - 1), _cell_difference(ny)),
                    -sp.kron(_cell_difference(nx), sp.identity(ny - 1))])
     return (C / grid.h).tocsr()
@@ -157,12 +157,12 @@ def dense_stokes_solve(g: ScalarField, boundary_velocity: BoundaryTrace | None =
     """Direct bordered-matrix solve of (alpha I + c K) u + G p = f, D u = g;
     oracle for small grids (<= 16x16).  The defaults are the Stokes lift."""
     grid = g.grid
-    if grid.nx > 16:
+    if grid.n > 16:
         raise ValueError("dense oracle restricted to grids of at most 16x16")
     trace = boundary_velocity if boundary_velocity is not None else BoundaryTrace.zeros(grid)
     _check_compatibility(g, trace)
-    nf = (grid.nx - 1) * grid.ny + grid.nx * (grid.ny - 1)
-    nc = grid.nx * grid.ny
+    nf = (grid.n - 1) * grid.n + grid.n * (grid.n - 1)
+    nc = grid.n * grid.n
     A = alpha * np.eye(nf) + c * noslip_viscous_matrix(grid).toarray()
     G = -divergence_matrix(grid).toarray().T
     b = c * wall_rhs(grid, trace)
@@ -310,7 +310,7 @@ def parity_block_basis(grid: Grid, k: int):
     whole; the (odd, even) modes are the swaps of the (even, odd) ones.
     Returns (lam, nodes): nodes are the stream functions on all nodes,
     divided by h, signed as ``build_basis`` signs them."""
-    n, h = grid.nx, grid.h
+    n, h = grid.n, grid.h
     lam, q = _tridiagonal_eigh(n, h, "node")
     odd = np.abs(q[0] - q[-1]) > np.abs(q[0] + q[-1])
     parity = (np.flatnonzero(~odd), np.flatnonzero(odd))
@@ -375,7 +375,7 @@ def _adjoint_advect(w: VectorField, coeffs: tuple, c: VectorField) -> tuple:
     # so the neighbours are read as shifted slices of one array.
 
     # u-component output
-    nx, ny = g.nx, g.ny
+    nx, ny = g.n, g.n
     pp = np.empty((nx + 3, ny))
     pp[[0, 1, -2, -1], :] = 0.0
     np.multiply(wu, c.u[1:-1, :], out=pp[2:-2, :])

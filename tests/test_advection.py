@@ -27,7 +27,7 @@ def quad_advect(w, b, c):
     """Independent plain-loop evaluation of <advect(w, b), c>."""
     g = w.grid
     h = g.h
-    nx, ny = g.nx, g.ny
+    nx, ny = g.n, g.n
     total = 0.0
     for i in range(1, nx):
         for j in range(ny):
@@ -76,7 +76,7 @@ def pack(w):
 
 
 def unpack(grid, x):
-    nu = (grid.nx + 1) * grid.ny
+    nu = (grid.n + 1) * grid.n
     return VectorField(grid, x[:nu].reshape(grid.shape_u), x[nu:].reshape(grid.shape_v))
 
 
@@ -84,7 +84,7 @@ class TestAdvectForm:
     def test_uniform_stream_of_linear_profile_is_exact(self):
         g = Grid(16)
         w = VectorField(g, np.ones(g.shape_u), np.zeros(g.shape_v))
-        bu = np.broadcast_to(g.node_x()[:, None], g.shape_u).copy()
+        bu = np.broadcast_to(g.nodes()[:, None], g.shape_u).copy()
         b = VectorField(g, bu, np.zeros(g.shape_v))
         a = advect(w, b)
         assert np.allclose(a.u[1:-1, :], 1.0, atol=1e-14)
@@ -163,7 +163,7 @@ class TestAdjoint:
         g = Grid(8)
         rng = np.random.default_rng(3)
         w = random_vector(g, rng)
-        nf = (g.nx + 1) * g.ny + g.nx * (g.ny + 1)
+        nf = (g.n + 1) * g.n + g.n * (g.n + 1)
         fwd = np.zeros((nf, nf))
         bwd = np.zeros((nf, nf))
         for k in range(nf):

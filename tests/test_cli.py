@@ -364,7 +364,7 @@ class TestRunArtifacts:
         assert "overall PASS" in summary
         assert "divergence_ceiling" not in summary  # lifted start is not solenoidal
         u, t = read_vector(os.path.join(out, "final_u"))
-        assert u.grid.nx == 16
+        assert u.grid.n == 16
         assert t == pytest.approx(0.02)
         g, _ = read_scalar(os.path.join(out, "final_g.ensf"))
         assert g.values.shape == (16, 16)

@@ -50,8 +50,8 @@ class TestNorms:
 
     def test_cosine_l2_frozen(self):
         g = Grid(64)
-        x = g.cell_x()[:, None]
-        y = g.cell_y()[None, :]
+        x = g.cells()[:, None]
+        y = g.cells()[None, :]
         f = ScalarField(g, np.cos(np.pi * x) * np.cos(np.pi * y))
         r = norms(f)
         assert abs(r["l2"] - 0.5) <= 1e-3

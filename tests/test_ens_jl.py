@@ -17,7 +17,7 @@ from enslab.grid import (
     vector_from_stream,
     vector_laplacian,
 )
-from enslab.heat_oracle import DivergenceState, divergence_state, heat_step
+from enslab.heat_oracle import divergence_state, heat_step
 from enslab.reference import ForcingSpec, step_nse_projection
 from enslab.scenarios import forcing_spec, initial_velocity, march
 from enslab.stokes_lift import decompose, lift_divergence, leray_project
@@ -29,8 +29,8 @@ from oracles import (
 
 
 def vortex(grid, amplitude=1.0):
-    x = grid.node_x()[:, None]
-    y = grid.node_y()[None, :]
+    x = grid.nodes()[:, None]
+    y = grid.nodes()[None, :]
     psi = amplitude * np.sin(np.pi * x) ** 2 * np.sin(np.pi * y) ** 2 / np.pi
     return vector_from_stream(grid, psi)
 
@@ -61,6 +61,18 @@ class TestJLState:
         wrong = divergence_state(divergence(u), "dirichlet", 0.1)
         with pytest.raises(ValueError):
             ens_jl.JLState(0.0, u, wrong, 0.1, ForcingSpec.zero())
+
+    def test_rejects_divergence_state_of_another_viscosity(self):
+        u = vortex(Grid(16))
+        other = divergence_state(divergence(u), "neumann", 0.2)
+        with pytest.raises(ValueError, match="divergence state carries a different viscosity"):
+            ens_jl.JLState(0.0, u, other, 0.1, ForcingSpec.zero())
+
+    def test_rejects_divergence_state_of_another_time(self):
+        u = vortex(Grid(16))
+        gs = divergence_state(divergence(u), "neumann", 0.1)
+        with pytest.raises(ValueError, match="divergence state time disagrees with the state time"):
+            ens_jl.JLState(0.5, u, gs, 0.1, ForcingSpec.zero())
 
     def test_rejects_divergence_drift(self):
         g = Grid(16)
@@ -350,7 +362,7 @@ class TestCoercivityProbe:
     def test_random_scan_finds_both_signs(self):
         g = Grid(32)
         rng = np.random.default_rng(42)
-        n = (g.nx - 1) * g.ny + g.nx * (g.ny - 1)
+        n = (g.n - 1) * g.n + g.n * (g.n - 1)
         signs = set()
         for _ in range(100):
             u = unflatten_interior(g, rng.standard_normal(n))

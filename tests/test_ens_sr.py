@@ -22,11 +22,10 @@ from enslab.grid import (
     normal_trace,
     scalar_from_function,
     scalar_norm,
-    trace_integral,
     vector_from_stream,
     with_normal_trace,
 )
-from enslab.heat_oracle import divergence_state
+from enslab.heat_oracle import DivergenceState, divergence_state
 from enslab.linsolve import neumann_poisson
 from enslab.reference import ForcingSpec, step_nse_projection
 from enslab.scenarios import forcing_spec, initial_velocity, march
@@ -54,8 +53,8 @@ GRID_SIZES = st.integers(4, 64).filter(lambda n: (1.0 / n) * n == 1.0)
 
 
 def vortex(grid, amplitude=1.0):
-    x = grid.node_x()[:, None]
-    y = grid.node_y()[None, :]
+    x = grid.nodes()[:, None]
+    y = grid.nodes()[None, :]
     psi = amplitude * np.sin(np.pi * x) ** 2 * np.sin(np.pi * y) ** 2 / np.pi
     return vector_from_stream(grid, psi)
 
@@ -75,8 +74,8 @@ def matched_lift(grid, eps):
 
 def through_flow(grid):
     """Divergence-free field with nonzero balanced wall-normal trace."""
-    profile = np.sin(2 * np.pi * (np.arange(grid.ny) + 0.5) * grid.h)
-    u = np.tile(profile[None, :], (grid.nx + 1, 1))
+    profile = np.sin(2 * np.pi * (np.arange(grid.n) + 0.5) * grid.h)
+    u = np.tile(profile[None, :], (grid.n + 1, 1))
     return VectorField(grid, u, np.zeros(grid.shape_v))
 
 
@@ -100,7 +99,7 @@ def literal_source(s, fa):
     Laplacian, and the wall data folded in as the divergence of a field that
     carries it on its wall faces."""
     grid = s.u.grid
-    cc = constant_of(divergence_state(divergence(s.u), "dirichlet", s.nu, s.time), s.lam)
+    cc = constant_of(divergence_state(divergence(s.u), "dirichlet", s.nu), s.lam)
     lap = VectorField(grid, *_tangential_laplacian(s.u.u, s.u.v)) * (s.nu / grid.h ** 2)
     b = lap + s.u * s.lam + fa
     btr = normal_trace(b) - BoundaryTrace.constant(grid, cc)
@@ -153,8 +152,8 @@ class TestEvolveH:
     def test_pure_decay_is_exact(self):
         g = Grid(16)
         rng = np.random.default_rng(3)
-        h0 = BoundaryTrace(g, rng.standard_normal(g.ny), rng.standard_normal(g.ny),
-                           rng.standard_normal(g.nx), rng.standard_normal(g.nx))
+        h0 = BoundaryTrace(g, rng.standard_normal(g.n), rng.standard_normal(g.n),
+                           rng.standard_normal(g.n), rng.standard_normal(g.n))
         lam, dt = 1.3, 0.05
         h = h0
         for n in range(1, 41):
@@ -253,11 +252,18 @@ class TestSRStateConstruction:
             sr_state(through_flow(g), 0.0, 0.02)
 
     def test_rejects_component_time_mismatch(self):
-        g = Grid(16)
-        u = through_flow(g)
-        gs = divergence_state(divergence(u), "dirichlet", 0.02, time=0.5)
-        with pytest.raises(ValueError):
+        u = through_flow(Grid(16))
+        div = divergence(u)
+        gs = DivergenceState(g=div, time=0.5, bc="dirichlet", nu=0.02, m0=integral(div))
+        with pytest.raises(ValueError, match="divergence state time disagrees with the state time"):
             SRState(0.0, u, gs, normal_trace(u), 1.0, 0.02,
+                    ForcingSpec.zero())
+
+    def test_rejects_divergence_state_of_another_viscosity(self):
+        u = through_flow(Grid(16))
+        other = divergence_state(divergence(u), "dirichlet", 0.04)
+        with pytest.raises(ValueError, match="divergence state carries a different viscosity"):
+            SRState(0.0, u, other, normal_trace(u), 1.0, 0.02,
                     ForcingSpec.zero())
 
 

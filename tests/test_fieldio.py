@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from enslab.grid import Grid, ScalarField, VectorField, scalar_from_function
+from enslab.grid import Grid, VectorField, scalar_from_function
 from enslab import fieldio
 
 
@@ -74,6 +74,12 @@ class TestFieldDumps:
         path = tmp_path / "short.ensf"
         path.write_bytes(b"ENSF1 8 8 cell 0\n" + b"\0" * 100)
         with pytest.raises(ValueError):
+            fieldio.read_component(str(path))
+
+    def test_non_square_header_rejected(self, tmp_path):
+        path = tmp_path / "wide.ensf"
+        path.write_bytes(b"ENSF1 8 16 cell 0\n" + b"\0" * (8 * 8 * 16))
+        with pytest.raises(ValueError, match=r"wide\.ensf: grid 8 x 16 is not square"):
             fieldio.read_component(str(path))
 
     def test_scalar_reader_rejects_face_file(self, tmp_path):

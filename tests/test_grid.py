@@ -60,40 +60,36 @@ def random_scalar(grid, rng):
 
 
 class TestGridValidity:
-    def test_square_cells_required(self):
-        with pytest.raises(ValueError):
-            Grid(8, 16)
-
     def test_minimum_size(self):
         with pytest.raises(ValueError):
-            Grid(2, 2)
+            Grid(2)
 
     def test_spacing_exact(self):
-        g = Grid(32, 32)
-        assert g.h * g.nx == 1.0
+        g = Grid(32)
+        assert g.h * g.n == 1.0
 
     def test_dof_counts(self):
-        g = Grid(8, 8)
+        g = Grid(8)
         assert g.shape_u == (9, 8)
         assert g.shape_v == (8, 9)
         assert g.shape_cell == (8, 8)
 
     def test_field_shape_mismatch_rejected(self):
-        g = Grid(8, 8)
+        g = Grid(8)
         with pytest.raises(DimensionMismatchError):
             ScalarField(g, np.zeros((8, 9)))
         with pytest.raises(DimensionMismatchError):
             VectorField(g, np.zeros((8, 8)), np.zeros((8, 9)))
 
     def test_nonfinite_rejected(self):
-        g = Grid(8, 8)
+        g = Grid(8)
         vals = np.zeros((8, 8))
         vals[3, 3] = np.nan
         with pytest.raises(ValueError):
             ScalarField(g, vals)
 
     def test_fields_immutable(self):
-        g = Grid(8, 8)
+        g = Grid(8)
         p = ScalarField.zeros(g)
         with pytest.raises(ValueError):
             p.values[0, 0] = 1.0
@@ -198,20 +194,20 @@ class TestFieldArithmetic:
 
 class TestDivergence:
     def test_zero_field(self):
-        g = Grid(8, 8)
+        g = Grid(8)
         d = divergence(VectorField.zeros(g))
         assert np.all(d.values == 0.0)
 
     def test_constant_field(self):
-        g = Grid(8, 8)
+        g = Grid(8)
         w = VectorField(g, np.ones(g.shape_u), np.zeros(g.shape_v))
         d = divergence(w)
         assert np.all(d.values[1:-1, :] == 0.0)
 
     def test_linear_profile_gives_unit_divergence(self):
         # u equal to the face x coordinate: (x_{i+1} - x_i)/h = 1 per cell
-        g = Grid(8, 8)
-        u = np.repeat(g.node_x()[:, None], g.ny, axis=1)
+        g = Grid(8)
+        u = np.repeat(g.nodes()[:, None], g.n, axis=1)
         w = VectorField(g, u, np.zeros(g.shape_v))
         d = divergence(w)
         np.testing.assert_allclose(d.values, 1.0, rtol=0, atol=1e-14)
@@ -219,13 +215,13 @@ class TestDivergence:
 
 class TestGradient:
     def test_constant_scalar(self):
-        g = Grid(8, 8)
+        g = Grid(8)
         gp = gradient(ScalarField(g, np.full(g.shape_cell, 3.25)))
         assert np.all(gp.u == 0.0)
         assert np.all(gp.v == 0.0)
 
     def test_linear_scalar(self):
-        g = Grid(8, 8)
+        g = Grid(8)
         p = scalar_from_function(g, lambda x, y: x + 0.0 * y)
         gp = gradient(p)
         np.testing.assert_allclose(gp.u[1:-1, :], 1.0, atol=1e-13)
@@ -237,7 +233,7 @@ class TestGradient:
         # <div w, p> = -<w, grad p> exactly for w with zero wall-normal faces
         rng = np.random.default_rng(7)
         for n in (8, 16, 32):
-            g = Grid(n, n)
+            g = Grid(n)
             p = random_scalar(g, rng)
             w = random_vector(g, rng, zero_walls=True)
             lhs = scalar_inner(divergence(w), p)
@@ -250,12 +246,12 @@ class TestLaplacians:
     # solvers are checked
 
     def test_neumann_annihilates_constants(self):
-        g = Grid(16, 16)
+        g = Grid(16)
         lp = apply_cell(laplacian_neumann_matrix(g), ScalarField(g, np.full(g.shape_cell, 2.5)))
         np.testing.assert_allclose(lp.values, 0.0, atol=1e-11)
 
     def test_neumann_eigenfunction(self):
-        g = Grid(64, 64)
+        g = Grid(64)
         p = scalar_from_function(g, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
         lp = apply_cell(laplacian_neumann_matrix(g), p)
         target = -2.0 * np.pi**2 * p.values
@@ -265,7 +261,7 @@ class TestLaplacians:
     def test_neumann_eigenfunction_exact_discrete(self):
         # cos(k pi x) cos(m pi y) at cell centers is an exact eigenfunction of
         # the zero-flux closure; the eigenvalue is the discrete symbol
-        g = Grid(32, 32)
+        g = Grid(32)
         k, m = 3, 5
         p = scalar_from_function(g, lambda x, y: np.cos(k * np.pi * x) * np.cos(m * np.pi * y))
         lam = (4.0 / g.h**2) * (np.sin(k * np.pi * g.h / 2) ** 2 + np.sin(m * np.pi * g.h / 2) ** 2)
@@ -273,7 +269,7 @@ class TestLaplacians:
         np.testing.assert_allclose(lp.values, -lam * p.values, rtol=1e-11, atol=1e-9)
 
     def test_dirichlet_eigenfunction(self):
-        g = Grid(64, 64)
+        g = Grid(64)
         p = scalar_from_function(g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
         lp = apply_cell(laplacian_dirichlet_matrix(g), p)
         target = -2.0 * np.pi**2 * p.values
@@ -282,7 +278,7 @@ class TestLaplacians:
 
     def test_divergence_of_gradient_is_neumann_laplacian(self):
         rng = np.random.default_rng(11)
-        g = Grid(16, 16)
+        g = Grid(16)
         p = random_scalar(g, rng)
         composed = divergence(gradient(p))
         direct = apply_cell(laplacian_neumann_matrix(g), p)
@@ -290,7 +286,7 @@ class TestLaplacians:
 
     def test_neumann_row_sums_zero(self):
         # row sums via action on the constant; column sums via symmetry
-        g = Grid(8, 8)
+        g = Grid(8)
         rng = np.random.default_rng(3)
         ones = ScalarField(g, np.ones(g.shape_cell))
         lap = laplacian_neumann_matrix(g)
@@ -301,7 +297,7 @@ class TestLaplacians:
         assert abs(s1 - s2) <= 1e-12 * max(abs(s1), 1.0)
 
     def test_dirichlet_symmetric_negative_definite(self):
-        g = Grid(8, 8)
+        g = Grid(8)
         rng = np.random.default_rng(5)
         p, q = random_scalar(g, rng), random_scalar(g, rng)
         lap = laplacian_dirichlet_matrix(g)
@@ -311,7 +307,7 @@ class TestLaplacians:
         assert scalar_inner(apply_cell(lap, p), p) < 0.0
 
     def test_unknown_bc_flag(self):
-        g = Grid(8, 8)
+        g = Grid(8)
         p = ScalarField.zeros(g)
         with pytest.raises(ValueError, match="unknown bc"):
             scalar_grad_inner(p, p, "slippery")
@@ -320,7 +316,7 @@ class TestLaplacians:
 class TestVectorLaplacianClosures:
     def test_noslip_symmetric_on_interior_fields(self):
         rng = np.random.default_rng(13)
-        g = Grid(12, 12)
+        g = Grid(12)
         a = random_vector(g, rng, zero_walls=True)
         b = random_vector(g, rng, zero_walls=True)
         s1 = face_inner(vector_laplacian(a), b)
@@ -329,7 +325,7 @@ class TestVectorLaplacianClosures:
 
     def test_noslip_wall_rows_vanish(self):
         rng = np.random.default_rng(17)
-        g = Grid(8, 8)
+        g = Grid(8)
         w = random_vector(g, rng, zero_walls=False)
         lw = vector_laplacian(w)
         assert np.all(lw.u[0, :] == 0.0) and np.all(lw.u[-1, :] == 0.0)
@@ -337,7 +333,7 @@ class TestVectorLaplacianClosures:
 
     def test_grad_inner_matches_noslip_laplacian(self):
         rng = np.random.default_rng(19)
-        g = Grid(12, 12)
+        g = Grid(12)
         a = random_vector(g, rng, zero_walls=True)
         b = random_vector(g, rng, zero_walls=True)
         lhs = grad_inner(a, b)
@@ -346,7 +342,7 @@ class TestVectorLaplacianClosures:
 
     def test_scalar_grad_inner_matches_laplacians(self):
         rng = np.random.default_rng(23)
-        g = Grid(12, 12)
+        g = Grid(12)
         p, q = random_scalar(g, rng), random_scalar(g, rng)
         lhs_n = scalar_grad_inner(p, q, "neumann")
         rhs_n = -scalar_inner(apply_cell(laplacian_neumann_matrix(g), p), q)
@@ -405,25 +401,25 @@ class TestVectorLaplacianClosures:
 
 class TestNormsAndTraces:
     def test_scalar_norm_constant(self):
-        g = Grid(16, 16)
+        g = Grid(16)
         p = ScalarField(g, np.ones(g.shape_cell))
         assert abs(scalar_norm(p) - 1.0) <= 1e-14
         assert abs(integral(p) - 1.0) <= 1e-14
 
     def test_cosine_l2_norm(self):
-        g = Grid(64, 64)
+        g = Grid(64)
         p = scalar_from_function(g, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
         assert abs(scalar_norm(p) - 0.5) <= 1e-3
 
     def test_face_norm_homogeneous(self):
         rng = np.random.default_rng(31)
-        g = Grid(8, 8)
+        g = Grid(8)
         w = random_vector(g, rng, zero_walls=False)
         assert abs(face_norm(3.0 * w) - 3.0 * face_norm(w)) <= 1e-12 * face_norm(w)
 
     def test_rescaled_norm_is_the_norm_unless_it_overflows(self):
         rng = np.random.default_rng(41)
-        g = Grid(16, 16)
+        g = Grid(16)
         p = random_scalar(g, rng)
         # finite norms are the plain norms, bit for bit
         assert rescaled_norm(scalar_norm, p) == scalar_norm(p)
@@ -441,7 +437,7 @@ class TestNormsAndTraces:
             assert not np.isfinite(rescaled_norm(np.linalg.norm, bad))
 
     def test_trace_roundtrip_and_signs(self):
-        g = Grid(8, 8)
+        g = Grid(8)
         # uniform outflow of magnitude 1 on every wall
         w = with_normal_trace(VectorField.zeros(g), BoundaryTrace.constant(g, 1.0))
         assert np.all(w.u[0, :] == -1.0) and np.all(w.u[-1, :] == 1.0)
@@ -452,14 +448,14 @@ class TestNormsAndTraces:
 
     def test_divergence_theorem_exact(self):
         rng = np.random.default_rng(37)
-        g = Grid(16, 16)
+        g = Grid(16)
         w = random_vector(g, rng, zero_walls=False)
         vol = integral(divergence(w))
         flux = trace_integral(normal_trace(w))
         assert abs(vol - flux) <= 1e-12 * max(1.0, abs(flux))
 
     def test_boundary_divergence_trace_exact_for_quadratics(self):
-        g = Grid(16, 16)
+        g = Grid(16)
         p = scalar_from_function(g, lambda x, y: 2.0 * x**2 - 3.0 * x + 1.0 + 0.0 * y)
         tr = boundary_divergence_trace(p)
         np.testing.assert_allclose(tr.left, 1.0, atol=1e-12)  # value at x = 0
@@ -469,23 +465,23 @@ class TestNormsAndTraces:
 class TestStreamFunction:
     def test_discrete_curl_is_divergence_free(self):
         rng = np.random.default_rng(41)
-        g = Grid(16, 16)
-        psi = rng.standard_normal((g.nx + 1, g.ny + 1))
+        g = Grid(16)
+        psi = rng.standard_normal((g.n + 1, g.n + 1))
         w = vector_from_stream(g, psi)
         d = divergence(w)
         assert np.max(np.abs(d.values)) <= 1e-11 * (np.max(np.abs(psi)) / g.h**2)
 
     def test_zero_boundary_stream_gives_noflux_field(self):
-        g = Grid(16, 16)
-        x = g.node_x()[:, None]
-        y = g.node_y()[None, :]
+        g = Grid(16)
+        x = g.nodes()[:, None]
+        y = g.nodes()[None, :]
         psi = np.sin(np.pi * x) ** 2 * np.sin(np.pi * y) ** 2
         w = vector_from_stream(g, psi)
         assert np.max(np.abs(w.u[0, :])) == 0.0
         assert np.max(np.abs(w.v[:, 0])) == 0.0
 
     def test_from_functions_sampling(self):
-        g = Grid(8, 8)
+        g = Grid(8)
         w = vector_from_functions(g, lambda x, y: x + 0 * y, lambda x, y: 0 * x + y)
-        np.testing.assert_allclose(w.u[:, 0], g.node_x(), atol=1e-14)
-        np.testing.assert_allclose(w.v[0, :], g.node_y(), atol=1e-14)
+        np.testing.assert_allclose(w.u[:, 0], g.nodes(), atol=1e-14)
+        np.testing.assert_allclose(w.v[0, :], g.nodes(), atol=1e-14)

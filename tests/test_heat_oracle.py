@@ -20,14 +20,14 @@ NU = 0.1
 
 
 def coscos(grid, k=1, m=1):
-    x = grid.cell_x()[:, None]
-    y = grid.cell_y()[None, :]
+    x = grid.cells()[:, None]
+    y = grid.cells()[None, :]
     return ScalarField(grid, np.cos(k * np.pi * x) * np.cos(m * np.pi * y))
 
 
 def sinsin(grid, k=1, m=1):
-    x = grid.cell_x()[:, None]
-    y = grid.cell_y()[None, :]
+    x = grid.cells()[:, None]
+    y = grid.cells()[None, :]
     return ScalarField(grid, np.sin(k * np.pi * x) * np.sin(m * np.pi * y))
 
 

@@ -103,7 +103,7 @@ class TestMatrixAssemblies:
     def test_flatten_unflatten_roundtrip(self):
         g = Grid(8)
         rng = np.random.default_rng(6)
-        x = rng.standard_normal((g.nx - 1) * g.ny + g.nx * (g.ny - 1))
+        x = rng.standard_normal((g.n - 1) * g.n + g.n * (g.n - 1))
         assert np.array_equal(flatten_interior(unflatten_interior(g, x)), x)
         tr = BoundaryTrace.constant(g, 2.5)
         w = unflatten_interior(g, x, tr)
@@ -313,13 +313,13 @@ class TestNoslipHelmholtz:
         g = Grid(8)
         rng = np.random.default_rng(15)
         c = 0.02
-        tr = BoundaryTrace(g, rng.standard_normal(g.ny), rng.standard_normal(g.ny),
-                           rng.standard_normal(g.nx), rng.standard_normal(g.nx))
-        y = rng.standard_normal((g.nx - 1) * g.ny + g.nx * (g.ny - 1))
+        tr = BoundaryTrace(g, rng.standard_normal(g.n), rng.standard_normal(g.n),
+                           rng.standard_normal(g.n), rng.standard_normal(g.n))
+        y = rng.standard_normal((g.n - 1) * g.n + g.n * (g.n - 1))
         K = noslip_viscous_matrix(g)
         h2 = g.h * g.h
-        bu = np.zeros((g.nx - 1, g.ny))
-        bv = np.zeros((g.nx, g.ny - 1))
+        bu = np.zeros((g.n - 1, g.n))
+        bv = np.zeros((g.n, g.n - 1))
         bu[0, :] = -tr.left / h2
         bu[-1, :] = tr.right / h2
         bv[:, 0] = -tr.bottom / h2
@@ -379,8 +379,8 @@ class TestNoslipHelmholtz:
 
 
 def coscos(grid, k=1, m=1):
-    x = grid.cell_x()[:, None]
-    y = grid.cell_y()[None, :]
+    x = grid.cells()[:, None]
+    y = grid.cells()[None, :]
     return ScalarField(grid, np.cos(k * np.pi * x) * np.cos(m * np.pi * y))
 
 
@@ -446,8 +446,8 @@ class TestStokesSolve:
     def test_wall_data_matches_dense_oracle(self):
         g = Grid(8)
         rng = np.random.default_rng(17)
-        tr = BoundaryTrace(g, rng.standard_normal(g.ny), rng.standard_normal(g.ny),
-                           rng.standard_normal(g.nx), rng.standard_normal(g.nx))
+        tr = BoundaryTrace(g, rng.standard_normal(g.n), rng.standard_normal(g.n),
+                           rng.standard_normal(g.n), rng.standard_normal(g.n))
         flux = g.h * (tr.left.sum() + tr.right.sum() + tr.bottom.sum() + tr.top.sum())
         vals = rng.standard_normal(g.shape_cell)
         vals = vals - vals.mean() + flux  # cell volume integral = boundary flux
@@ -513,7 +513,7 @@ class TestGeneralizedStokes:
     def test_velocity_block_matches_sparse_solve(self, alpha, c):
         g = Grid(16)
         rng = np.random.default_rng(20)
-        b = rng.standard_normal((g.nx - 1) * g.ny + g.nx * (g.ny - 1))
+        b = rng.standard_normal((g.n - 1) * g.n + g.n * (g.n - 1))
         A = alpha * sp.identity(b.size) + c * noslip_viscous_matrix(g)
         x = spla.spsolve(A.tocsc(), b)
         got = flatten_interior(NoslipHelmholtz(g, c, alpha).solve(unflatten_interior(g, b)))
@@ -637,7 +637,7 @@ class TestGeneralizedStokes:
         f2, g2, tr2 = random_stokes_data(g, np.random.default_rng(28), True)
         u2, p2, _ = stokes.solve(f2, g2, tr2)
         stokes.solve(f2, pressure=False)
-        work = vars(linsolve._cache[("stokes_workspace", g.nx)]).values()
+        work = vars(linsolve._cache[("stokes_workspace", g.n)]).values()
         for old, new in zip(kept, (*u1.arrays, p1.values)):
             assert np.array_equal(old, new)
         for result in (*u1.arrays, p1.values, *u2.arrays, p2.values):
@@ -662,7 +662,7 @@ def random_stokes_data(g, rng, walls):
     """Random force, and divergence data compatible with a random or zero wall trace."""
     f = random_field(g, rng, walls=True)
     if walls:
-        tr = BoundaryTrace(g, *(rng.standard_normal(g.nx) for _ in range(4)))
+        tr = BoundaryTrace(g, *(rng.standard_normal(g.n) for _ in range(4)))
     else:
         tr = BoundaryTrace.zeros(g)
     vals = rng.standard_normal(g.shape_cell)
@@ -699,8 +699,8 @@ def dense_capacitance(g, alpha, c):
         x = lu.solve(b)
         return x + lu.solve(b - A @ x)
 
-    m = g.nx - 1
-    U = sp.identity(2 * g.nx * m, format="csc")[:, wall_faces(g).ravel()]
+    m = g.n - 1
+    U = sp.identity(2 * g.n * m, format="csc")[:, wall_faces(g).ravel()]
     w = 2.0 / (g.h * g.h)
     K_fs = noslip_viscous_matrix(g) - w * (U @ U.T)
     D = divergence_matrix(g)

@@ -139,15 +139,15 @@ class TestSolenoidalPresets:
 class TestEigenmodeData:
     def test_jl_mode_is_cosine_product(self):
         g = eigen_divergence(GRID, "jl", eps=0.5, mode=2)
-        x = GRID.cell_x()[:, None]
-        y = GRID.cell_y()[None, :]
+        x = GRID.cells()[:, None]
+        y = GRID.cells()[None, :]
         expected = 0.5 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
         assert np.allclose(g.values, expected, rtol=0.0, atol=1e-15)
 
     def test_sr_mode_is_sine_product(self):
         g = eigen_divergence(GRID, "sr", eps=0.25, mode=1)
-        x = GRID.cell_x()[:, None]
-        y = GRID.cell_y()[None, :]
+        x = GRID.cells()[:, None]
+        y = GRID.cells()[None, :]
         expected = 0.25 * np.sin(np.pi * x) * np.sin(np.pi * y)
         assert np.allclose(g.values, expected, rtol=0.0, atol=1e-15)
 
@@ -174,13 +174,13 @@ class TestEigenmodeData:
 class TestManufactured:
     def test_velocity_matches_closed_form_samples(self):
         u = mms_velocity(GRID)
-        xs = GRID.node_x()
-        ys = GRID.cell_y()
+        xs = GRID.nodes()
+        ys = GRID.cells()
         i, j = 5, 9
         expected = np.sin(np.pi * xs[i]) ** 2 * np.sin(2 * np.pi * ys[j])
         assert abs(u.u[i, j] - expected) <= 1e-15
-        xv = GRID.cell_x()
-        yv = GRID.node_y()
+        xv = GRID.cells()
+        yv = GRID.nodes()
         expected_v = -np.sin(2 * np.pi * xv[i]) * np.sin(np.pi * yv[j]) ** 2
         assert abs(u.v[i, j] - expected_v) <= 1e-15
 

@@ -27,7 +27,6 @@ from enslab.grid import (
 )
 from enslab.linsolve import generalized_stokes, neumann_poisson
 from enslab.stokes_lift import (
-    Decomposition,
     _remove_gradient,
     decompose,
     leray_project,
@@ -37,8 +36,8 @@ from oracles import check_weak_lifting_bound, lifting_constant
 
 
 def coscos(grid, k=1, m=1):
-    x = grid.cell_x()[:, None]
-    y = grid.cell_y()[None, :]
+    x = grid.cells()[:, None]
+    y = grid.cells()[None, :]
     return ScalarField(grid, np.cos(k * np.pi * x) * np.cos(m * np.pi * y))
 
 
@@ -67,8 +66,8 @@ def remove_gradient_diff_form(grid, u, v):
 
 def stream_vector(grid, rng=None, seed=0):
     rng = rng or np.random.default_rng(seed)
-    psi = np.zeros((grid.nx + 1, grid.ny + 1))
-    psi[1:-1, 1:-1] = rng.standard_normal((grid.nx - 1, grid.ny - 1))
+    psi = np.zeros((grid.n + 1, grid.n + 1))
+    psi[1:-1, 1:-1] = rng.standard_normal((grid.n - 1, grid.n - 1))
     return vector_from_stream(grid, psi)
 
 

@@ -35,7 +35,6 @@ TABLE = {
     "MASS_TOL": 1e-12, "CONTRACTION_RTOL": 1e-12,
     "GRAM_TOL": 1e-10, "EIGEN_RESIDUAL_TOL": 1e-8, "EIGEN_ORDER_RTOL": 1e-9,
     "PARITY_RTOL": 1e-10,
-    "STEP_COUNT_RTOL": 1e-9,
     "DIV_CEILING": 1e-9, "WALL_FOLLOW_RUN_TOL": 1e-8, "LEDGER_RATE_TOL": 1e-6,
     "STOKES_TOL": 1e-12, "COMPAT_TOL": 1e-10,
 }
