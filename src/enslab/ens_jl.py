@@ -46,19 +46,13 @@ from .grid import (
 )
 from .heat_oracle import DivergenceState, divergence_state, heat_step
 from .linsolve import generalized_stokes, heat_solver
-from .reference import (
-    ForcingSpec,
-    cfl_check,
-    perturbed_heun_step,
-    poincare_constant,
-)
+from .reference import cfl_check, perturbed_heun_step, poincare_constant
 from .stokes_lift import (
     MeasuredState, check_finite, check_state, decompose, lift_or_zero, wall_floor,
 )
 
 __all__ = [
     "JLState",
-    "ForcingSpec",
     "jl_state",
     "step_decomposed",
     "step_direct",
@@ -80,7 +74,7 @@ class JLState(MeasuredState):
     u: VectorField
     g: DivergenceState
     nu: float
-    forcing: ForcingSpec
+    forcing: VectorField
     v: VectorField | None = None
     z: VectorField | None = None
 
@@ -95,10 +89,10 @@ class JLState(MeasuredState):
         return self.v is not None
 
 
-def jl_state(u: VectorField, nu: float, forcing: ForcingSpec | None = None,
+def jl_state(u: VectorField, nu: float, forcing: VectorField | None = None,
              decomposed: bool = True) -> JLState:
     """Build a consistent state at t = 0 from a velocity field with zero wall faces."""
-    forcing = forcing if forcing is not None else ForcingSpec.zero()
+    forcing = VectorField.zeros(u.grid) if forcing is None else forcing
     g = divergence_state(divergence(u), "neumann", nu)
     if not decomposed:
         return JLState(0.0, u, g, nu, forcing)
@@ -119,8 +113,7 @@ def step_decomposed(s: JLState, dt: float) -> JLState:
     cfl_check(s.u, dt)
     gp = heat_step(s.g, dt)
     zp = lift_or_zero(gp.g, s.u)
-    f_mid = s.forcing.evaluate(s.u.grid, s.time + 0.5 * dt)
-    vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, f_mid, s.time + dt)
+    vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, s.forcing, s.time + dt)
     return JLState(s.time + dt, vp + zp, gp, s.nu, s.forcing, vp, zp)
 
 
@@ -129,13 +122,13 @@ def step_direct(s: JLState, dt: float) -> JLState:
 
     u+ solves (I - nu dt Lap) u+ + grad pi = u + dt (f - a), div u+ = g+
     with zero wall velocity, where a is the skew-symmetric transport of u,
-    f the forcing at the old time and g+ the backward-Euler Neumann heat
+    f the body force and g+ the backward-Euler Neumann heat
     step of div u; the pressure pi is not formed.
     """
     cfl_check(s.u, dt)
     grid, u, c = s.u.grid, s.u, s.nu * dt
     gp = _adopt(ScalarField, grid, heat_solver(grid, c, "neumann", theta="be")(s.div_u.values))
-    rhs = u + (s.forcing.evaluate(grid, s.time) - skew_advect(u, u)) * dt
+    rhs = u + (s.forcing - skew_advect(u, u)) * dt
     # the Stokes solve refuses non-finite data as a solver fault; a blown-up
     # update is the next state's fault, judged as its check judges u
     check_finite(s.time + dt, velocity=rhs)
@@ -193,7 +186,7 @@ class EnergyLedger:
         vbar = (s0.v + s1.v) * 0.5
         zbar = (s0.z + s1.z) * 0.5
         dz = (s1.z - s0.z) * (1.0 / dt)
-        fhat = s0.forcing.evaluate(s0.u.grid, s0.time + 0.5 * dt) - dz
+        fhat = s0.forcing - dz
         e0, e1 = self._energies[-2:]
         diss = grad_inner(vbar, vbar)
         lhs = (e1 - e0) / (2.0 * dt) + s0.nu * diss

@@ -53,7 +53,7 @@ from .grid import (
 )
 from .heat_oracle import DivergenceState, divergence_state, heat_step
 from .linsolve import NoslipHelmholtz, heat_solver
-from .reference import ForcingSpec, cfl_check, perturbed_heun_step
+from .reference import cfl_check, perturbed_heun_step
 from .stokes_lift import MeasuredState, _remove_gradient, check_finite, check_state, lift_or_zero
 
 __all__ = [
@@ -89,7 +89,7 @@ class SRState(MeasuredState):
     h: BoundaryTrace
     lam: float
     nu: float
-    forcing: ForcingSpec
+    forcing: VectorField
     v: VectorField | None = None
     z: VectorField | None = None
 
@@ -118,10 +118,10 @@ class SRState(MeasuredState):
         return self.v is not None
 
 
-def sr_state(u: VectorField, lam: float, nu: float, forcing: ForcingSpec | None = None,
+def sr_state(u: VectorField, lam: float, nu: float, forcing: VectorField | None = None,
              decomposed: bool = True) -> SRState:
     """Build a consistent state at t = 0 from a velocity field (wall-normal faces free)."""
-    forcing = forcing if forcing is not None else ForcingSpec.zero()
+    forcing = VectorField.zeros(u.grid) if forcing is None else forcing
     g = divergence_state(divergence(u), "dirichlet", nu)
     h = normal_trace(u)
     if not decomposed:
@@ -191,8 +191,7 @@ def step_constructive(s: SRState, dt: float) -> SRState:
             "divergence data are inconsistent")
     gp, hp = _advance_gh(s.g, s.h, s.lam, dt)
     zp = lift_or_zero(gp.g, s.u, hp)
-    f_mid = s.forcing.evaluate(s.u.grid, s.time + 0.5 * dt)
-    vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, f_mid, s.time + dt)
+    vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, s.forcing, s.time + dt)
     gap_plus = solvability_gap(gp, hp)
     if abs(gap_plus) > math.exp(-s.lam * dt) * abs(gap) + GAP_DECAY_TOL * scale:
         raise CheckFailure(
@@ -244,7 +243,7 @@ def _explicit_update(s: SRState, dt: float) -> VectorField:
     """u + dt (f - a), once the pressure source of fa = f - a passes its
     compatibility check; a function of its own, so that fa is freed before
     the viscous solve."""
-    fa = s.forcing.evaluate(s.u.grid, s.time) - skew_advect(s.u, s.u)
+    fa = s.forcing - skew_advect(s.u, s.u)
     update = [x * dt for x in fa.arrays]
     for x, u in zip(update, s.u.arrays):
         x += u                                   # u + dt fa, formed in dt fa

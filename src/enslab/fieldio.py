@@ -55,12 +55,15 @@ def read_component(path: str):
         parts = header.split()
         if len(parts) != 5 or parts[0] != _MAGIC:
             raise ValueError(f"{path}: not a {_MAGIC} file (header {header!r})")
-        n, kind, time = int(parts[1]), parts[3], float(parts[4])
-        if int(parts[2]) != n:
-            raise ValueError(f"{path}: grid {n} x {parts[2]} is not square")
-        if kind not in _KIND_SHAPE:
-            raise ValueError(f"{path}: unknown field kind {kind!r}")
-        grid = Grid(n)
+        try:
+            n, kind, time = int(parts[1]), parts[3], float(parts[4])
+            if int(parts[2]) != n:
+                raise ValueError(f"grid {n} x {parts[2]} is not square")
+            if kind not in _KIND_SHAPE:
+                raise ValueError(f"unknown field kind {kind!r}")
+            grid = Grid(n)
+        except ValueError as exc:  # every header error names the file
+            raise ValueError(f"{path}: {exc}") from exc
         shape = getattr(grid, _KIND_SHAPE[kind])
         raw = f.read()
     count = shape[0] * shape[1]

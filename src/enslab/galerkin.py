@@ -7,11 +7,11 @@ coefficients,
 
     g_j' + nu lam_j g_j + sum_rs b(w_r, w_s, w_j) g_r g_s = <f, w_j>,
 
-integrated by classical RK4.  The route takes divergence-free data only, on
-which the extended system is Navier-Stokes, so no lift term enters.  The
-quadratic term is energy-neutral because the transport form is skew in its
-last two slots, so the solved system inherits the exact energy ledger of
-the full discretization.
+with f the steady body force, integrated by classical RK4.  The route takes
+divergence-free data only, on which the extended system is Navier-Stokes, so
+no lift term enters.  The quadratic term is energy-neutral because the
+transport form is skew in its last two slots, so the solved system inherits
+the exact energy ledger of the full discretization.
 
 The subspace is exactly the range of the stream-function curl C, so the
 basis comes from the pencil (C^T K C, C^T C), a sine-diagonal plus a wall
@@ -308,14 +308,10 @@ def reconstruct(basis: GalerkinBasis, state: GalerkinState) -> VectorField:
     return VectorField(basis.grid, *_split(basis.grid, state.coeffs @ basis.stacked))
 
 
-def _forcing_vector(basis: GalerkinBasis, f_path, t: float) -> np.ndarray:
-    forcing = None if f_path is None else f_path(t)
-    return np.zeros(basis.k) if forcing is None else project_onto_basis(basis, forcing).coeffs
-
-
 def integrate_galerkin(basis: GalerkinBasis, state: GalerkinState, nu: float,
-                       dt: float, nsteps: int, f_path=None) -> list:
-    """RK4 trajectory of the spectral ODE system: state, then nsteps states dt apart."""
+                       dt: float, nsteps: int, forcing: VectorField | None = None) -> list:
+    """RK4 trajectory of the spectral ODE system: state, then nsteps states dt
+    apart; the body force ``forcing`` is projected once."""
     if not (nu > 0.0 and dt > 0.0 and nsteps >= 1):
         raise ValueError("need nu > 0, dt > 0, nsteps >= 1")
     if state.k != basis.k:
@@ -323,29 +319,24 @@ def integrate_galerkin(basis: GalerkinBasis, state: GalerkinState, nu: float,
     k = basis.k
     decay = -nu * basis.lam
     quadratic = coupling_tensor(basis).reshape(k, k * k)
+    fvec = None if forcing is None else project_onto_basis(basis, forcing).coeffs
 
-    def rhs(g: np.ndarray, fvec) -> np.ndarray:
+    def rhs(g: np.ndarray) -> np.ndarray:
         out = decay * g - g @ (g @ quadratic).reshape(k, k)
         if fvec is not None:
             out += fvec
         return out
 
-    def data(t: float) -> np.ndarray | None:
-        """Forcing coefficients at t; None for an absent path."""
-        return None if f_path is None else _forcing_vector(basis, f_path, t)
-
     history = [state]
     g = state.coeffs.copy()
     t = state.time
-    end = data(t)
     # a blow-up is reported by GalerkinState, not by floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, nsteps + 1):
-            start, mid, end = end, data(t + 0.5 * dt), data(t + dt)
-            k1 = rhs(g, start)
-            k2 = rhs(g + 0.5 * dt * k1, mid)
-            k3 = rhs(g + 0.5 * dt * k2, mid)
-            k4 = rhs(g + dt * k3, end)
+            k1 = rhs(g)
+            k2 = rhs(g + 0.5 * dt * k1)
+            k3 = rhs(g + 0.5 * dt * k2)
+            k4 = rhs(g + dt * k3)
             g = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             try:
                 history.append(GalerkinState(g, t + dt))
@@ -357,23 +348,31 @@ def integrate_galerkin(basis: GalerkinBasis, state: GalerkinState, nu: float,
 
 
 def galerkin_energy_ledger(basis: GalerkinBasis, trajectory, nu: float, dt: float,
-                           f_path=None) -> DiagnosticsRecord:
+                           forcing: VectorField | None = None) -> DiagnosticsRecord:
     """Energy-ledger audit of a trajectory with Simpson quadrature per step pair.
 
     The identity (d/dt) E + nu ||grad v||^2 = <f, v> is integrated over each
     two-step window; the reported imbalance rate is the worst window defect
-    per unit time, O(dt^4) for the RK4 trajectory.
+    per unit time, O(dt^4) for the RK4 trajectory.  A non-finite defect is a
+    CheckFailure naming the time its window ends.
     """
     states = list(trajectory)
     if len(states) < 3:
         raise ValueError("need at least three states (two steps)")
     g = np.stack([s.coeffs for s in states])
-    E = 0.5 * np.einsum("ij,ij->i", g, g)
     # the identity integrates to E(t2) - E(t0) + int(G - R) dt = 0
-    net = nu * (g * g) @ basis.lam - np.array(
-        [float(_forcing_vector(basis, f_path, s.time) @ s.coeffs) for s in states])
-    worst = float(np.abs((E[2:] - E[:-2])
-                         + (dt / 3.0) * (net[:-2] + 4.0 * net[1:-1] + net[2:])).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect is judged below
+        E = 0.5 * np.einsum("ij,ij->i", g, g)
+        net = nu * (g * g) @ basis.lam
+        if forcing is not None:
+            fvec = project_onto_basis(basis, forcing).coeffs
+            net -= np.array([float(fvec @ s.coeffs) for s in states])
+        defect = np.abs((E[2:] - E[:-2]) + (dt / 3.0) * (net[:-2] + 4.0 * net[1:-1] + net[2:]))
+    bad = np.flatnonzero(~np.isfinite(defect))
+    if bad.size:
+        raise CheckFailure(
+            f"non-finite energy ledger defect at t = {states[bad[0] + 2].time:.6g}")
+    worst = float(defect.max())
     return DiagnosticsRecord(states[-1].time, {
         "imbalance_max": worst,
         "imbalance_rate_max": worst / (2.0 * dt),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import CONTRACTION_RTOL, MASS_TOL, TINY, DiagnosticsRecord, htilde_norm, passes
+from .diagnostics import CONTRACTION_RTOL, MASS_TOL, TINY, DiagnosticsRecord
 from .errors import CheckFailure
 from .grid import ScalarField, integral, scalar_grad_inner, scalar_norm
 from .linsolve import heat_solver
@@ -71,13 +71,10 @@ def heat_step(s: DivergenceState, dt: float) -> DivergenceState:
 class HeatEstimates:
     """Margins of the a-priori estimates along a fixed-step history.
 
-    add() states in time order, then record().  Asserted margins (>= 0 up
-    to global slack):
+    add() states in time order, then record().  The margins, each >= 0 up to
+    global slack:
       sup-norm:   ||g0|| - max_t ||g(t)||
       gradient:   (2 nu)^{-1/2} ||g0|| - sqrt(integral of the gradient energy)
-    Reported only (the discrete dual-norm realization is a documented choice,
-    not canonical):
-      dual-rate:  sqrt(nu/2) ||g0|| - sqrt(integral of ||dg/dt||_dual^2)
 
     add() holds only the previous state and keeps three scalars per state.
     """
@@ -87,18 +84,14 @@ class HeatEstimates:
         self._times: list[float] = []
         self._l2: list[float] = []
         self._grad_energy: list[float] = []
-        self._rate_sq = 0.0
 
     def add(self, s: DivergenceState) -> None:
         a, self._prev = self._prev, s
         if a is not None:
             if s.bc != a.bc or s.nu != a.nu:
                 raise ValueError("HeatEstimates: mixed bc or viscosity in history")
-            dt = s.time - a.time
-            if dt <= 0:
+            if s.time <= a.time:
                 raise ValueError("HeatEstimates: non-increasing times")
-            dg = ScalarField(a.g.grid, (s.g.values - a.g.values) / dt)
-            self._rate_sq += htilde_norm(dg) ** 2 * dt
         self._times.append(s.time)
         self._l2.append(scalar_norm(s.g))
         self._grad_energy.append(max(scalar_grad_inner(s.g, s.g, s.bc), 0.0))
@@ -106,24 +99,16 @@ class HeatEstimates:
     def record(self) -> DiagnosticsRecord:
         if self._prev is None:
             raise ValueError("HeatEstimates: empty history")
-        nu = self._prev.nu
         times = np.array(self._times)
         l2 = np.array(self._l2)
         g0 = l2[0]
         sup_margin = g0 - l2.max()
-        if len(times) > 1:
-            grad_integral = float(np.trapezoid(np.array(self._grad_energy), times))
-        else:
-            grad_integral = 0.0
-        grad_margin = g0 / math.sqrt(2.0 * nu) - math.sqrt(max(grad_integral, 0.0))
-        metrics = {
+        # one state integrates to 0.0
+        grad_integral = float(np.trapezoid(np.array(self._grad_energy), times))
+        grad_margin = g0 / math.sqrt(2.0 * self._prev.nu) - math.sqrt(max(grad_integral, 0.0))
+        return DiagnosticsRecord(time=float(times[-1]), metrics={
             "initial_l2": g0,
             "grad_energy_integral": grad_integral,
             "sup_margin": sup_margin,
             "grad_margin": grad_margin,
-            "sup_ok": 1.0 if passes(sup_margin, g0) else 0.0,
-            "grad_ok": 1.0 if passes(grad_margin, g0) else 0.0,
-        }
-        if len(times) > 1:
-            metrics["dual_rate_margin"] = math.sqrt(nu / 2.0) * g0 - math.sqrt(self._rate_sq)
-        return DiagnosticsRecord(time=float(times[-1]), metrics=metrics)
+        })

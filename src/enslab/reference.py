@@ -13,11 +13,12 @@ divergence data, div u = g+, in place of div u = 0.  The order-1 reference
 and the tangential-system direct step solve the velocity block alone
 (``NoslipHelmholtz``) and then project or repair the divergence.
 
-Two reference steppers for the *standard* incompressible equations live here:
+Two reference steppers for the *standard*, unforced incompressible equations
+live here:
 
 * ``order=2``: projected trapezoidal viscosity + Heun (midpoint-averaged)
   transport.  The lifted-flow steppers of the two extended systems reduce to
-  this scheme, call by call, when their divergence data vanishes.
+  this scheme, call by call, when their divergence data and force vanish.
 * ``order=1``: backward-Euler viscosity, explicit transport, projection last
   (the classical splitting).  The tangential-system direct stepper reduces to
   this one.
@@ -25,54 +26,18 @@ Two reference steppers for the *standard* incompressible equations live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .advection import skew_advect
 from .errors import CFLError
-from .grid import Grid, VectorField, vector_from_functions, vector_laplacian
+from .grid import Grid, VectorField, vector_laplacian
 from .linsolve import NoslipHelmholtz, _tridiagonal_eigvals, generalized_stokes
 from .stokes_lift import check_finite, leray_project
 
 __all__ = [
-    "ForcingSpec",
     "cfl_check",
     "poincare_constant",
     "perturbed_heun_step",
     "step_nse_projection",
 ]
-
-
-@dataclass(frozen=True)
-class ForcingSpec:
-    """Closed-form body force (x, y, t) -> components, sampled on faces.
-
-    ``fu``/``fv`` are broadcasting callables or None for the zero forcing.
-    A ``steady`` force ignores t: it is sampled once per grid and the frozen
-    field is returned at every later time.
-    """
-
-    fu: object = None
-    fv: object = None
-    steady: bool = False
-    _sampled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @staticmethod
-    def zero() -> "ForcingSpec":
-        return ForcingSpec()
-
-    def is_zero(self) -> bool:
-        return self.fu is None and self.fv is None
-
-    def evaluate(self, grid: Grid, t: float) -> VectorField:
-        if self.is_zero():
-            return VectorField.zeros(grid)
-        if self.steady and grid in self._sampled:
-            return self._sampled[grid]
-        f = vector_from_functions(grid, lambda x, y: self.fu(x, y, t),
-                                  lambda x, y: self.fv(x, y, t))
-        if self.steady:
-            self._sampled[grid] = f
-        return f
 
 
 def cfl_check(u: VectorField, dt: float) -> None:
@@ -106,15 +71,15 @@ def poincare_constant(grid: Grid) -> float:
 
 
 def perturbed_heun_step(v: VectorField, z0: VectorField, z1: VectorField,
-                        dt: float, nu: float, f_mid: VectorField, time: float) -> VectorField:
+                        dt: float, nu: float, forcing: VectorField, time: float) -> VectorField:
     """One step, reaching ``time``, of the lifted-flow equation for the
     divergence-free part v.
 
-    dv/dt = P[ nu Lap v + f - dz/dt - ((v+z).grad)(v+z) ] with z held on the
-    midpoint (z0 + z1)/2 and dz/dt = (z1 - z0)/dt; trapezoidal viscosity with
-    a Heun (predictor-averaged) transport term, solved on range(P).  A
-    non-finite right-hand side is a CheckFailure naming ``time``, not a
-    solver error.
+    dv/dt = P[ nu Lap v + f - dz/dt - ((v+z).grad)(v+z) ] with f the body
+    force ``forcing``, z held on the midpoint (z0 + z1)/2 and
+    dz/dt = (z1 - z0)/dt; trapezoidal viscosity with a Heun
+    (predictor-averaged) transport term, solved on range(P).  A non-finite
+    right-hand side is a CheckFailure naming ``time``, not a solver error.
     """
     g = v.grid
     c = 0.5 * nu * dt
@@ -124,7 +89,7 @@ def perturbed_heun_step(v: VectorField, z0: VectorField, z1: VectorField,
 
     def slope(w: VectorField) -> VectorField:
         wz = w + zbar
-        return f_mid - dz - skew_advect(wz, wz)
+        return forcing - dz - skew_advect(wz, wz)
 
     stokes = generalized_stokes(g, 1.0, c)
 
@@ -138,9 +103,8 @@ def perturbed_heun_step(v: VectorField, z0: VectorField, z1: VectorField,
     return solve(v + (a1 + a2) * (dt * 0.5) + lap_v * c)
 
 
-def step_nse_projection(u: VectorField, t: float, dt: float, nu: float,
-                        forcing: ForcingSpec | None = None, order: int = 2) -> VectorField:
-    """Reference stepper for the standard incompressible equations.
+def step_nse_projection(u: VectorField, dt: float, nu: float, order: int = 2) -> VectorField:
+    """Reference stepper for the standard unforced incompressible equations.
 
     Input must be discretely divergence-free with zero wall faces.  order=2
     is the projected trapezoidal/Heun scheme; order=1 the classical splitting
@@ -148,19 +112,15 @@ def step_nse_projection(u: VectorField, t: float, dt: float, nu: float,
     """
     cfl_check(u, dt)
     g = u.grid
-    forcing = ForcingSpec.zero() if forcing is None else forcing
     if order == 1:
-        a = skew_advect(u, u)
-        f = forcing.evaluate(g, t)
-        w = NoslipHelmholtz(g, nu * dt).solve(u + (f - a) * dt)
+        w = NoslipHelmholtz(g, nu * dt).solve(u - skew_advect(u, u) * dt)
         return leray_project(w)
     if order != 2:
         raise ValueError(f"unknown order {order!r} (expected 1 or 2)")
-    f_mid = forcing.evaluate(g, t + 0.5 * dt)
     c = 0.5 * nu * dt
     lap_u = vector_laplacian(u)
-    a1 = f_mid - skew_advect(u, u)
+    a1 = -skew_advect(u, u)
     solve = generalized_stokes(g, 1.0, c).solve
     v1 = solve(u + a1 * dt + lap_u * c, pressure=False)[0]
-    a2 = f_mid - skew_advect(v1, v1)
+    a2 = -skew_advect(v1, v1)
     return solve(u + (a1 + a2) * (dt * 0.5) + lap_u * c, pressure=False)[0]

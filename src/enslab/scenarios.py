@@ -1,6 +1,8 @@
 """Initial-condition and forcing presets, and the time march every run uses.
 
-Every preset is deterministic given (grid, parameters, seed).  The
+Every preset is deterministic given (grid, parameters, seed).  No forcing
+preset depends on time: each is a field sampled once, when a run builds its
+initial state, and held by every state after it.  The
 manufactured steady flow used for spatial-order studies is
 
     u*(x, y) = ( sin^2(pi x) sin(2 pi y), -sin(2 pi x) sin^2(pi y) ),
@@ -24,20 +26,20 @@ from .grid import (
     BoundaryTrace,
     Grid,
     VectorField,
+    _adopt,
     face_norm,
     integral,
     scalar_from_function,
     vector_from_functions,
     vector_from_stream,
 )
-from .reference import ForcingSpec
-from .stokes_lift import leray_project, lift_divergence
+from .stokes_lift import check_finite, leray_project, lift_divergence
 
 __all__ = [
     "IC_PRESETS",
     "FORCING_PRESETS",
     "initial_velocity",
-    "forcing_spec",
+    "forcing_field",
     "stream_vortex",
     "perturbation_field",
     "mms_velocity",
@@ -142,15 +144,22 @@ def mms_velocity(grid: Grid) -> VectorField:
     return vector_from_functions(grid, _mms_u1, _mms_u2)
 
 
-def mms_forcing(nu: float) -> ForcingSpec:
+def _force(grid: Grid, fu, fv) -> VectorField:
+    """The body force (fu, fv)(x, y) on the faces, sampled in each run's
+    set-up: each closure returns a fresh full-shape array, adopted without a
+    copy.  A non-finite sample fails the initial state's check, unwarned."""
+    nodes, cells = grid.nodes(), grid.cells()
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = _adopt(VectorField, grid, fu(nodes[:, None], cells[None, :]),
+                   fv(cells[:, None], nodes[None, :]))
+    check_finite(0.0, forcing=f)
+    return f
+
+
+def mms_forcing(grid: Grid, nu: float) -> VectorField:
     """Body force that holds the manufactured flow steady at viscosity nu."""
-    def fu(x, y, t):
-        return _mms_adv1(x, y) - nu * _mms_lap_u1(x, y)
-
-    def fv(x, y, t):
-        return _mms_adv2(x, y) - nu * _mms_lap_u2(x, y)
-
-    return ForcingSpec(fu, fv, steady=True)
+    return _force(grid, lambda x, y: _mms_adv1(x, y) - nu * _mms_lap_u1(x, y),
+                  lambda x, y: _mms_adv2(x, y) - nu * _mms_lap_u2(x, y))
 
 
 def _through_flow(grid: Grid, amplitude: float) -> VectorField:
@@ -192,20 +201,16 @@ def initial_velocity(grid: Grid, system: str, preset: str, eps: float = 0.01,
     raise ValueError(f"unknown initial-condition preset {preset!r}")
 
 
-def forcing_spec(preset: str, amplitude: float = 1.0, nu: float = 1.0) -> ForcingSpec:
-    """Build the body-force preset."""
+def forcing_field(grid: Grid, preset: str, amplitude: float = 1.0,
+                  nu: float = 1.0) -> VectorField:
+    """Sample the body-force preset on the grid."""
     if preset == "zero":
-        return ForcingSpec.zero()
+        return VectorField.zeros(grid)
     if preset == "rotational":
-        def fu(x, y, t):
-            return amplitude * _mms_u1(x, y)
-
-        def fv(x, y, t):
-            return amplitude * _mms_u2(x, y)
-
-        return ForcingSpec(fu, fv, steady=True)
+        return _force(grid, lambda x, y: amplitude * _mms_u1(x, y),
+                      lambda x, y: amplitude * _mms_u2(x, y))
     if preset == "mms":
-        return mms_forcing(nu)
+        return mms_forcing(grid, nu)
     raise ValueError(f"unknown forcing preset {preset!r}")
 
 

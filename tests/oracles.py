@@ -292,7 +292,7 @@ def jl_direct_composed(s: JLState, dt: float) -> JLState:
     grid, u, c = s.u.grid, s.u, s.nu * dt
     gp = ScalarField(grid, heat_solver(grid, c, "neumann", theta="be")(s.div_u.values))
     gphi = gradient(neumann_poisson(grid).solve(gp))
-    rhs = (u + (s.forcing.evaluate(grid, s.time) - skew_advect(u, u)) * dt
+    rhs = (u + (s.forcing - skew_advect(u, u)) * dt
            + vector_laplacian(gphi) * c)
     y = generalized_stokes(grid, 1.0, c).solve(rhs, pressure=False)[0]
     gp = DivergenceState(gp, s.time + dt, "neumann", s.nu, s.g.m0)

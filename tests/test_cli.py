@@ -200,6 +200,41 @@ class TestExitCodes:
         assert err.startswith(f"solver error ({error}): {where}: {message}")
 
     @pytest.mark.parametrize("text", [
+        JL_RUN.replace("nu = 0.1", "nu = 1e307").replace("rotational", "mms")
+        + "route = direct\n",
+        GALERKIN_RUN.replace("nu = 0.01", "nu = 1e307") + "forcing = mms\n",
+    ], ids=["jl-direct", "galerkin"])
+    def test_overflowing_force_fails_the_initial_state(self, tmp_path, capsys, text):
+        # nu Lap u* of the manufactured force overflows; the force is scanned
+        # once, when the run builds its initial state
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(tmp_path, "run", text)
+        assert code == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err == "check failure: initial state, t = 0: non-finite forcing at t = 0\n"
+        assert Path(out, "summary.txt").read_text() == (
+            "margin run_completed = 0 FAIL\noverall FAIL\n")
+
+    def test_overflowing_galerkin_ledger_fails_as_a_check(self, tmp_path, capsys):
+        # the coefficients stay finite; the energies of the ledger overflow
+        text = ("system = jl\nroute = galerkin\ngrid = 16\nmodes = 8\nic = vortex\n"
+                "ic_amplitude = 1e154\nnu = 0.1\ndt = 1e-200\nT = 3e-200\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(tmp_path, "run", text)
+        assert code == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err == "check failure: non-finite energy ledger defect at t = 2e-200\n"
+        summary = Path(out, "summary.txt").read_text()
+        assert "margin run_completed = 1 PASS\nmargin ledger_rate = -inf FAIL\n" in summary
+        assert summary.endswith("overall FAIL\n")
+        assert len(csv_rows(os.path.join(out, "diagnostics.csv"))) == 4
+        assert os.path.exists(os.path.join(out, "final_u.u.ensf"))
+
+    @pytest.mark.parametrize("text", [
         # at nu * dt = 2e297 the heat step keeps in effect only the constant
         # mode of div u, which the Stokes solve's divergence data carry into
         # no velocity, and the solve's multipliers at c = nu * dt stay finite

@@ -14,12 +14,13 @@ from enslab.grid import (
     gradient,
     scalar_from_function,
     scalar_norm,
+    vector_from_functions,
     vector_from_stream,
     vector_laplacian,
 )
 from enslab.heat_oracle import divergence_state, heat_step
-from enslab.reference import ForcingSpec, step_nse_projection
-from enslab.scenarios import forcing_spec, initial_velocity, march
+from enslab.reference import step_nse_projection
+from enslab.scenarios import forcing_field, initial_velocity, march
 from enslab.stokes_lift import decompose, lift_divergence, leray_project
 from enslab import ens_jl, linsolve
 from oracles import (
@@ -60,33 +61,33 @@ class TestJLState:
         u = vortex(g)
         wrong = divergence_state(divergence(u), "dirichlet", 0.1)
         with pytest.raises(ValueError):
-            ens_jl.JLState(0.0, u, wrong, 0.1, ForcingSpec.zero())
+            ens_jl.JLState(0.0, u, wrong, 0.1, VectorField.zeros(u.grid))
 
     def test_rejects_divergence_state_of_another_viscosity(self):
         u = vortex(Grid(16))
         other = divergence_state(divergence(u), "neumann", 0.2)
         with pytest.raises(ValueError, match="divergence state carries a different viscosity"):
-            ens_jl.JLState(0.0, u, other, 0.1, ForcingSpec.zero())
+            ens_jl.JLState(0.0, u, other, 0.1, VectorField.zeros(u.grid))
 
     def test_rejects_divergence_state_of_another_time(self):
         u = vortex(Grid(16))
         gs = divergence_state(divergence(u), "neumann", 0.1)
         with pytest.raises(ValueError, match="divergence state time disagrees with the state time"):
-            ens_jl.JLState(0.5, u, gs, 0.1, ForcingSpec.zero())
+            ens_jl.JLState(0.5, u, gs, 0.1, VectorField.zeros(u.grid))
 
     def test_rejects_divergence_drift(self):
         g = Grid(16)
         _, z0 = eigen_lift(g, 1e-2)
         fake = divergence_state(ScalarField.zeros(g), "neumann", 0.1)
         with pytest.raises(CheckFailure):
-            ens_jl.JLState(0.0, z0, fake, 0.1, ForcingSpec.zero())
+            ens_jl.JLState(0.0, z0, fake, 0.1, VectorField.zeros(g))
 
     def test_rejects_partial_cache(self):
         g = Grid(16)
         u = vortex(g)
         gs = divergence_state(divergence(u), "neumann", 0.1)
         with pytest.raises(ValueError):
-            ens_jl.JLState(0.0, u, gs, 0.1, ForcingSpec.zero(), v=u, z=None)
+            ens_jl.JLState(0.0, u, gs, 0.1, VectorField.zeros(u.grid), v=u, z=None)
 
     def test_rejects_cache_that_does_not_reconstruct(self):
         g = Grid(16)
@@ -102,9 +103,9 @@ class TestStepDecomposed:
         u0 = vortex(g)
         s = ens_jl.jl_state(u0, 0.1)
         r = u0
-        for k in range(5):
+        for _ in range(5):
             s = ens_jl.step_decomposed(s, 1e-3)
-            r = step_nse_projection(r, k * 1e-3, 1e-3, 0.1, None, order=2)
+            r = step_nse_projection(r, 1e-3, 0.1, order=2)
             assert (s.u - r).max_abs() <= 1e-8
             assert scalar_norm(divergence(s.u)) <= 1e-10
 
@@ -164,10 +165,11 @@ class TestStepDecomposed:
 
     def test_forced_run_carries_forcing(self):
         g = Grid(16)
-        f = ForcingSpec(lambda x, y, t: np.sin(np.pi * x) * np.sin(2 * np.pi * y) * np.cos(t),
-                        lambda x, y, t: 0.0 * x)
+        f = vector_from_functions(g, lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y),
+                                  lambda x, y: 0.0 * x)
         s = ens_jl.jl_state(vortex(g, 0.1), 0.1, forcing=f)
         s2 = ens_jl.step_decomposed(s, 1e-3)
+        assert s2.forcing is f
         s_un = ens_jl.jl_state(vortex(g, 0.1), 0.1)
         s2_un = ens_jl.step_decomposed(s_un, 1e-3)
         assert (s2.u - s2_un.u).max_abs() > 1e-7
@@ -178,7 +180,7 @@ class TestStepDirect:
     def test_matches_composed_chain_each_step(self, n):
         g = Grid(n)
         u0 = initial_velocity(g, "jl", "lift_plus_flow")
-        s = ens_jl.jl_state(u0, 0.1, forcing_spec("rotational"), decomposed=False)
+        s = ens_jl.jl_state(u0, 0.1, forcing_field(g, "rotational"), decomposed=False)
         dt = 0.25 * g.h / u0.max_abs()
         for _ in range(4):
             got, want = ens_jl.step_direct(s, dt), jl_direct_composed(s, dt)
@@ -190,7 +192,7 @@ class TestStepDirect:
     def test_one_generalized_stokes_solve_with_the_heat_step_as_data(self, monkeypatch):
         grid = Grid(16)
         s = ens_jl.jl_state(initial_velocity(grid, "jl", "lift_plus_flow"), 0.1,
-                            forcing_spec("rotational"), decomposed=False)
+                            forcing_field(grid, "rotational"), decomposed=False)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the direct step formed a potential")

@@ -27,8 +27,8 @@ from enslab.grid import (
 )
 from enslab.heat_oracle import DivergenceState, divergence_state
 from enslab.linsolve import neumann_poisson
-from enslab.reference import ForcingSpec, step_nse_projection
-from enslab.scenarios import forcing_spec, initial_velocity, march
+from enslab.reference import step_nse_projection
+from enslab.scenarios import forcing_field, initial_velocity, march
 from enslab.stokes_lift import lift_divergence
 from enslab import cli, ens_sr, grid as grid_module
 from enslab.config import Config
@@ -219,7 +219,7 @@ class TestSRStateConstruction:
         wrong = divergence_state(divergence(u), "neumann", 0.02)
         with pytest.raises(ValueError):
             SRState(0.0, u, wrong, normal_trace(u), 1.0, 0.02,
-                    ForcingSpec.zero())
+                    VectorField.zeros(u.grid))
 
     def test_rejects_wall_data_mismatch(self):
         g = Grid(16)
@@ -227,7 +227,7 @@ class TestSRStateConstruction:
         gs = divergence_state(divergence(u), "dirichlet", 0.02)
         with pytest.raises(CheckFailure):
             SRState(0.0, u, gs, BoundaryTrace.zeros(g), 1.0, 0.02,
-                    ForcingSpec.zero())
+                    VectorField.zeros(u.grid))
 
     def test_rejects_divergence_drift(self):
         g = Grid(32)
@@ -236,7 +236,7 @@ class TestSRStateConstruction:
         fake = divergence_state(ScalarField.zeros(g), "dirichlet", 0.02)
         with pytest.raises(CheckFailure):
             SRState(0.0, u, fake, normal_trace(u), 1.0, 0.02,
-                    ForcingSpec.zero())
+                    VectorField.zeros(u.grid))
 
     def test_rejects_partial_cache(self):
         g = Grid(16)
@@ -244,7 +244,7 @@ class TestSRStateConstruction:
         gs = divergence_state(divergence(u), "dirichlet", 0.02)
         with pytest.raises(ValueError):
             SRState(0.0, u, gs, normal_trace(u), 1.0, 0.02,
-                    ForcingSpec.zero(), v=u, z=None)
+                    VectorField.zeros(u.grid), v=u, z=None)
 
     def test_rejects_nonpositive_relaxation_rate(self):
         g = Grid(16)
@@ -257,14 +257,14 @@ class TestSRStateConstruction:
         gs = DivergenceState(g=div, time=0.5, bc="dirichlet", nu=0.02, m0=integral(div))
         with pytest.raises(ValueError, match="divergence state time disagrees with the state time"):
             SRState(0.0, u, gs, normal_trace(u), 1.0, 0.02,
-                    ForcingSpec.zero())
+                    VectorField.zeros(u.grid))
 
     def test_rejects_divergence_state_of_another_viscosity(self):
         u = through_flow(Grid(16))
         other = divergence_state(divergence(u), "dirichlet", 0.04)
         with pytest.raises(ValueError, match="divergence state carries a different viscosity"):
             SRState(0.0, u, other, normal_trace(u), 1.0, 0.02,
-                    ForcingSpec.zero())
+                    VectorField.zeros(u.grid))
 
 
 class TestStepConstructive:
@@ -274,9 +274,9 @@ class TestStepConstructive:
         nu, dt = 0.01, 2e-3
         s = sr_state(u0, 1.0, nu)
         ref = u0
-        for k in range(5):
+        for _ in range(5):
             s = step_constructive(s, dt)
-            ref = step_nse_projection(ref, k * dt, dt, nu, order=2)
+            ref = step_nse_projection(ref, dt, nu, order=2)
             assert (s.u - ref).max_abs() <= 1e-8
 
     def test_reduction_is_lambda_independent(self):
@@ -337,7 +337,7 @@ class TestStepConstructive:
         shifted = divergence(u0) - ScalarField(g, np.full(g.shape_cell, 1e-3))
         gs = divergence_state(shifted, "dirichlet", 0.02)
         s = SRState(0.0, u0, gs, normal_trace(u0), 1.0, 0.02,
-                    ForcingSpec.zero(), v=u0, z=VectorField.zeros(g))
+                    VectorField.zeros(g), v=u0, z=VectorField.zeros(g))
         with pytest.raises(SolvabilityError):
             step_constructive(s, 1e-3)
 
@@ -364,9 +364,9 @@ class TestStepDirectSR:
         nu, dt = 0.01, 2e-3
         s = sr_state(u0, 1.0, nu, decomposed=False)
         ref = u0
-        for k in range(50):
+        for _ in range(50):
             s = step_direct_sr(s, dt)
-            ref = step_nse_projection(ref, k * dt, dt, nu, order=1)
+            ref = step_nse_projection(ref, dt, nu, order=1)
         assert (s.u - ref).max_abs() <= 1e-7
 
     def test_cross_route_gap_is_first_order(self):
@@ -492,7 +492,7 @@ class TestPressureSource:
     def test_off_constant_is_detected_with_wall_flux_and_forcing(self, n, monkeypatch):
         g = Grid(n)
         u0 = initial_velocity(g, "sr", "boundary_flux")
-        s = sr_state(u0, 2.0, 0.1, forcing_spec("rotational", 1.0, 0.1), decomposed=False)
+        s = sr_state(u0, 2.0, 0.1, forcing_field(g, "rotational", 1.0, 0.1), decomposed=False)
         step_direct_sr(s, 1e-3)
         real = ens_sr.compat_constant
         monkeypatch.setattr(ens_sr, "compat_constant",
@@ -517,7 +517,7 @@ class TestPressureSource:
         cfg = Config(system="sr", nu=0.1, dt=1e-3, horizon=n * 1e-3, grid=16,
                      route="direct", lam=2.0)
         u0 = initial_velocity(g, "sr", "boundary_flux")
-        s0 = sr_state(u0, 2.0, 0.1, forcing_spec("rotational", 1.0, 0.1), decomposed=False)
+        s0 = sr_state(u0, 2.0, 0.1, forcing_field(g, "rotational", 1.0, 0.1), decomposed=False)
         for s in march(step_direct_sr, s0, 1e-3, n):
             cli._field_metrics(cfg, s)
             boundary_divergence_max(s)
@@ -619,7 +619,7 @@ class TestPressurePoisson:
     def solve(s):
         """The pressure source of the state's own forcing and transport, and
         the Neumann solve of it."""
-        fa = s.forcing.evaluate(s.u.grid, s.time) - skew_advect(s.u, s.u)
+        fa = s.forcing - skew_advect(s.u, s.u)
         rhs, _, total, scale = ens_sr._pressure_source(s, fa)
         return neumann_poisson(s.u.grid).solve(rhs), total / scale
 

@@ -1,4 +1,6 @@
 """Field dump, CSV, and summary file format tests."""
+import re
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,15 @@ class TestFieldDumps:
         path.write_bytes(b"ENSF1 8 16 cell 0\n" + b"\0" * (8 * 8 * 16))
         with pytest.raises(ValueError, match=r"wide\.ensf: grid 8 x 16 is not square"):
             fieldio.read_component(str(path))
+
+    def test_every_header_error_names_the_file(self, tmp_path):
+        # a bad size, a bad time and a grid too coarse
+        for i, header in enumerate([b"ENSF1 x 8 cell 0", b"ENSF1 8 8 cell zz",
+                                    b"ENSF1 2 2 cell 0"]):
+            path = tmp_path / f"bad{i}.ensf"
+            path.write_bytes(header + b"\n" + b"\0" * 512)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+                fieldio.read_component(str(path))
 
     def test_scalar_reader_rejects_face_file(self, tmp_path):
         grid = Grid(8)

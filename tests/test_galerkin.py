@@ -2,6 +2,7 @@
 import math
 import tokenize
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -435,49 +436,34 @@ class TestIntegration:
     def test_forced_single_mode_closed_form(self):
         basis = galerkin.build_basis(Grid(16), 1)
         nu, dt, horizon, phi = 0.02, 1e-3, 0.5, 0.7
-        forcing_field = basis.modes[0] * phi
         hist = galerkin.integrate_galerkin(
             basis, galerkin.GalerkinState(np.array([0.2])), nu, dt, round(horizon / dt),
-            f_path=lambda t: forcing_field)
+            basis.modes[0] * phi)
         a = nu * float(basis.lam[0])
         exact = 0.2 * math.exp(-a * horizon) + (phi / a) * (1.0 - math.exp(-a * horizon))
         assert abs(float(hist[-1].coeffs[0]) - exact) <= 1e-12
 
-    def test_time_dependent_forcing_closed_form(self):
-        # the forcing is sampled at each step's start, midpoint and end; one
-        # held at the step's start misses this by ~2e-4
-        basis = galerkin.build_basis(Grid(16), 1)
-        nu, dt, horizon, phi, omega = 0.02, 1e-3, 0.5, 0.7, 3.0
-        mode = basis.modes[0]
-        hist = galerkin.integrate_galerkin(
-            basis, galerkin.GalerkinState(np.array([0.2])), nu, dt, round(horizon / dt),
-            f_path=lambda t: mode * (phi * math.cos(omega * t)))
-        a = nu * float(basis.lam[0])
-        decay = math.exp(-a * horizon)
-        wave = a * math.cos(omega * horizon) + omega * math.sin(omega * horizon)
-        exact = 0.2 * decay + phi * (wave - a * decay) / (a * a + omega * omega)
-        assert abs(float(hist[-1].coeffs[0]) - exact) <= 1e-12
-
-    def test_absent_paths_are_never_sampled(self, monkeypatch):
+    def test_absent_force_is_never_projected(self, monkeypatch):
         def absent(*args):
-            raise AssertionError("an absent path was sampled")
-        monkeypatch.setattr(galerkin, "_forcing_vector", absent)
+            raise AssertionError("an absent force was projected")
         basis = galerkin.build_basis(Grid(16), 4)
+        monkeypatch.setattr(galerkin, "project_onto_basis", absent)
         hist = galerkin.integrate_galerkin(
             basis, galerkin.GalerkinState(np.full(4, 0.1)), 0.1, 1e-3, 5)
         assert len(hist) == 6
+        galerkin.galerkin_energy_ledger(basis, hist, 0.1, 1e-3)
 
-    def test_each_path_time_is_sampled_once(self):
-        # the start, midpoint and end of every step; an end is the next start
+    def test_forced_run_projects_its_force_once(self, monkeypatch):
         basis = galerkin.build_basis(Grid(16), 4)
-        times = []
+        real, calls = galerkin.project_onto_basis, []
 
-        def f_path(t):
-            times.append(t)
-            return basis.modes[0]
+        def counted(b, w):
+            calls.append(w)
+            return real(b, w)
+        monkeypatch.setattr(galerkin, "project_onto_basis", counted)
         galerkin.integrate_galerkin(
-            basis, galerkin.GalerkinState(np.full(4, 0.1)), 0.1, 1e-3, 5, f_path=f_path)
-        assert len(times) == len(set(times)) == 2 * 5 + 1
+            basis, galerkin.GalerkinState(np.full(4, 0.1)), 0.1, 1e-3, 5, basis.modes[0])
+        assert calls == [basis.modes[0]]
 
     def test_unforced_energy_monotone(self):
         grid = Grid(16)
@@ -548,13 +534,21 @@ class TestEnergyLedger:
     def test_forced_run_still_balances(self):
         grid = Grid(16)
         basis = galerkin.build_basis(grid, 8)
-        forcing_field = basis.modes[0] * 0.5 + basis.modes[3] * 0.3
+        forcing = basis.modes[0] * 0.5 + basis.modes[3] * 0.3
         start = galerkin.GalerkinState(0.1 * np.arange(1.0, 9.0) / 8.0)
-        hist = galerkin.integrate_galerkin(
-            basis, start, 0.02, 1e-3, 200, f_path=lambda t: forcing_field)
-        rec = galerkin.galerkin_energy_ledger(
-            basis, hist, 0.02, 1e-3, f_path=lambda t: forcing_field)
+        hist = galerkin.integrate_galerkin(basis, start, 0.02, 1e-3, 200, forcing)
+        rec = galerkin.galerkin_energy_ledger(basis, hist, 0.02, 1e-3, forcing)
         assert rec.metrics["imbalance_rate_max"] <= 1e-10
+
+    def test_non_finite_defect_names_its_time(self):
+        # the energies overflow: a CheckFailure, with no numpy warning
+        basis = galerkin.build_basis(Grid(16), 8)
+        states = [galerkin.GalerkinState(np.full(8, 1e154), t) for t in (0.0, 0.1, 0.2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(CheckFailure,
+                               match=r"^non-finite energy ledger defect at t = 0\.2$"):
+                galerkin.galerkin_energy_ledger(basis, states, 0.1, 0.1)
 
     def test_record_holds_the_metrics_its_readers_read(self):
         # `enslab run` reads the rate, the spectral demo the energies
@@ -579,17 +573,14 @@ class TestEnergyLedger:
         grid = Grid(16)
         basis = galerkin.build_basis(grid, 8)
         forcing = basis.modes[0] * 0.5 + basis.modes[3] * 0.3
-
-        def f_path(t):
-            return forcing * (1.0 + t)
         start = galerkin.project_onto_basis(basis, vortex(grid))
         nu, dt = 0.02, 1e-2
-        hist = galerkin.integrate_galerkin(basis, start, nu, dt, 10, f_path=f_path)
-        rec = galerkin.galerkin_energy_ledger(basis, hist, nu, dt, f_path=f_path)
+        hist = galerkin.integrate_galerkin(basis, start, nu, dt, 10, forcing)
+        rec = galerkin.galerkin_energy_ledger(basis, hist, nu, dt, forcing)
+        f = galerkin.project_onto_basis(basis, forcing).coeffs
         E, net = [], []
         for s in hist:
             g = s.coeffs
-            f = galerkin.project_onto_basis(basis, f_path(s.time)).coeffs
             E.append(0.5 * float(g @ g))
             net.append(nu * float(basis.lam @ (g * g)) - float(f @ g))
         worst = max(abs(E[i + 2] - E[i] + dt / 3.0 * (net[i] + 4.0 * net[i + 1] + net[i + 2]))

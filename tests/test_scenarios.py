@@ -1,5 +1,6 @@
 """Initial-condition and forcing presets."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,13 +15,12 @@ from enslab.grid import (
     normal_trace,
     scalar_norm,
 )
-from enslab.reference import ForcingSpec
 from enslab.scenarios import (
     FORCING_PRESETS,
     IC_PRESETS,
     eigen_divergence,
     eigen_lift,
-    forcing_spec,
+    forcing_field,
     initial_velocity,
     march,
     mms_forcing,
@@ -88,7 +88,7 @@ class TestRegistry:
         with pytest.raises(ValueError, match="preset"):
             initial_velocity(GRID, "jl", "swirl")
         with pytest.raises(ValueError, match="preset"):
-            forcing_spec("wind")
+            forcing_field(GRID, "wind")
 
 
 class TestSolenoidalPresets:
@@ -207,47 +207,37 @@ class TestManufactured:
         grid = Grid(32)
         u0 = mms_velocity(grid)
         nu = 0.05
-        state = jl_state(u0, nu, forcing=mms_forcing(nu), decomposed=False)
+        state = jl_state(u0, nu, forcing=mms_forcing(grid, nu), decomposed=False)
         hist = list(march(step_direct, state, 1e-3, 10))
         drift = face_norm(hist[-1].u - u0)
         assert drift <= 5e-3 * face_norm(u0)
 
     def test_forcing_scales_with_nu(self):
-        f1 = mms_forcing(0.1).evaluate(GRID, 0.0)
-        f2 = mms_forcing(0.2).evaluate(GRID, 0.0)
+        f1 = mms_forcing(GRID, 0.1)
+        f2 = mms_forcing(GRID, 0.2)
         lap = f2.u - f1.u  # = -0.1 * lap_u1 samples
         assert np.max(np.abs(lap)) > 0.1
 
 
 class TestForcingPresets:
     def test_zero_is_zero(self):
-        f = forcing_spec("zero")
-        assert f.is_zero()
+        f = forcing_field(GRID, "zero")
+        assert f.grid == GRID and f.max_abs() == 0.0
 
     def test_rotational_scales_with_amplitude(self):
-        a = forcing_spec("rotational", amplitude=1.0).evaluate(GRID, 0.0)
-        b = forcing_spec("rotational", amplitude=2.5).evaluate(GRID, 0.0)
+        a = forcing_field(GRID, "rotational", amplitude=1.0)
+        b = forcing_field(GRID, "rotational", amplitude=2.5)
         assert np.allclose(b.u, 2.5 * a.u, rtol=0.0, atol=1e-15)
         assert np.max(np.abs(a.u)) > 0.5
 
-    @pytest.mark.parametrize("preset", ["rotational", "mms"])
-    def test_steady_preset_is_sampled_once_per_grid(self, preset):
-        f = forcing_spec(preset, amplitude=0.5, nu=0.1)
-        assert f.steady
-        first = f.evaluate(GRID, 0.0)
-        assert f.evaluate(GRID, 0.25) is first
-        other = f.evaluate(Grid(8), 0.25)
-        assert other.grid == Grid(8) and f.evaluate(Grid(8), 0.5) is other
-        fresh = forcing_spec(preset, amplitude=0.5, nu=0.1).evaluate(GRID, 0.25)
-        assert np.array_equal(first.u, fresh.u) and np.array_equal(first.v, fresh.v)
-
-    def test_unsteady_force_is_sampled_at_each_time(self):
-        f = ForcingSpec(lambda x, y, t: t + 0.0 * x, lambda x, y, t: 0.0 * x)
-        assert not f.steady
-        assert f.evaluate(GRID, 0.5).u.max() == 0.5
-        assert f.evaluate(GRID, 0.25).u.max() == 0.25
-
     def test_mms_preset_matches_mms_forcing(self):
-        a = forcing_spec("mms", nu=0.07).evaluate(GRID, 0.0)
-        b = mms_forcing(0.07).evaluate(GRID, 0.0)
+        a = forcing_field(GRID, "mms", nu=0.07)
+        b = mms_forcing(GRID, 0.07)
         assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+
+    def test_overflowing_force_fails_the_initial_check(self):
+        # nu Lap u* overflows; sampled with no warning and scanned once
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(CheckFailure, match=r"^non-finite forcing at t = 0$"):
+                forcing_field(GRID, "mms", nu=1e307)
