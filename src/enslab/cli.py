@@ -411,11 +411,18 @@ def cmd_heat(cfg: Config, quiet: bool) -> int:
     run = _Run(cfg.out, measure, states).run()
     entries = [run.completed]
     if not run.failure:
-        rate = fit_decay_rate([t for t, _ in run.rows], [m["l2"] for _, m in run.rows])
-        analytic = -2.0 * cfg.nu * (cfg.ic_mode * math.pi) ** 2
-        rel = abs(rate / analytic - 1.0)
-        _say(quiet, f"fitted decay rate {rate:.6f} vs analytic {analytic:.6f} "
-                    f"(relative gap {rel:.2e})")
+        times, l2 = [t for t, _ in run.rows], [m["l2"] for _, m in run.rows]
+        vanished = next((t for t, n in zip(times, l2) if n == 0.0), None)
+        if vanished is None:
+            rate = fit_decay_rate(times, l2)
+            analytic = -2.0 * cfg.nu * (cfg.ic_mode * math.pi) ** 2
+            rel = abs(rate / analytic - 1.0)
+            _say(quiet, f"fitted decay rate {rate:.6f} vs analytic {analytic:.6f} "
+                        f"(relative gap {rel:.2e})")
+        else:  # a norm of 0 has no logarithm to fit
+            print(_check_failure(CheckFailure(
+                f"||g|| = 0 at t = {vanished:.6g}: no decay rate to fit")), file=sys.stderr)
+            rel = math.inf
         rec = estimates.record()
         g0_norm = rec["initial_l2"]
         entries = [

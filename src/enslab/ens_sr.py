@@ -12,14 +12,15 @@ with the shared projected step; the direct route advances the velocity with
 implicit viscosity under pinned wall faces and repairs the divergence to the
 heat-evolved target by a potential correction.
 
-Per-step bookkeeping keeps the solvability gap  oint h - int g  decaying by
-the exact factor exp(-lambda dt): the per-step constant
+Each step relaxes the wall data in closed form from the divergence masses
+M = int g before and M+ after it, per face:
 
-    cbar = (lambda/4) (M+ - e^{-lambda dt} M) / (1 - e^{-lambda dt})
+    h+ = e^{-lambda dt} h + (M+ - e^{-lambda dt} M) / 4,
 
-is the exponentially-weighted average of the instantaneous constant along any
-mass path with those endpoints, which makes the composed h-update agree with
-the Duhamel closed form exactly in the masses.
+the exact integrating-factor step of dh/dt = -lambda h + cbar for cbar the
+exponentially-weighted step average of the instantaneous constant.  The
+solvability gap then contracts exactly in the masses:
+oint h+ - M+ = e^{-lambda dt} (oint h - M).
 
 The steppers map one state to the next; a run is
 scenarios.march(step_direct_sr, sr_state(u, lam, nu), dt, nsteps), which
@@ -146,14 +147,11 @@ def compat_constant(g: ScalarField, nu: float, lam: float, mass: float) -> float
     return (nu * (-2.0) * wall_sum + lam * mass) / _PERIMETER
 
 
-def evolve_h(h: BoundaryTrace, cbar: float, lam: float, dt: float) -> BoundaryTrace:
-    """Exact integrating-factor update of dh/dt = -lambda h + cbar per face."""
-    if not (dt > 0.0):
-        raise ValueError(f"time step must be positive, got {dt!r}")
-    if not (lam > 0.0):
-        raise ValueError(f"relaxation rate must be positive, got {lam!r}")
+def evolve_h(h: BoundaryTrace, m0: float, m1: float, lam: float, dt: float) -> BoundaryTrace:
+    """Closed-form relaxation of the wall data per face over a step that
+    carries the divergence mass from m0 to m1."""
     decay = math.exp(-lam * dt)
-    k = (1.0 - decay) * cbar / lam
+    k = 0.25 * (m1 - decay * m0)                  # spread over the perimeter 4
     return _adopt(BoundaryTrace, h.grid, *[decay * x + k for x in h.arrays])
 
 
@@ -162,19 +160,12 @@ def solvability_gap(g: DivergenceState, h: BoundaryTrace) -> float:
     return trace_integral(h) - integral(g.g)
 
 
-def _step_average_constant(m0: float, m1: float, lam: float, dt: float) -> float:
-    """Per-step constant from the mass endpoints (exp-weighted step average)."""
-    decay = math.exp(-lam * dt)
-    return 0.25 * lam * (m1 - decay * m0) / (1.0 - decay)
-
-
 def _advance_gh(g: DivergenceState, h: BoundaryTrace, lam: float,
                 dt: float) -> tuple[DivergenceState, BoundaryTrace]:
     """One step of the (divergence, boundary-data) subsystem: the Dirichlet
-    heat step of g, then the exact update of h under the step's constant."""
+    heat step of g, then the closed-form relaxation of h."""
     gp = heat_step(g, dt)
-    cbar = _step_average_constant(integral(g.g), integral(gp.g), lam, dt)
-    return gp, evolve_h(h, cbar, lam, dt)
+    return gp, evolve_h(h, integral(g.g), integral(gp.g), lam, dt)
 
 
 def step_constructive(s: SRState, dt: float) -> SRState:
@@ -272,8 +263,7 @@ def step_direct_sr(s: SRState, dt: float) -> SRState:
     gp_field = _adopt(ScalarField, grid,
                       heat_solver(grid, s.nu * dt, "dirichlet", theta="be")(du.values))
     mass = integral(gp_field)
-    cbar = _step_average_constant(integral(du), mass, s.lam, dt)
-    hp = evolve_h(s.h, cbar, s.lam, dt)
+    hp = evolve_h(s.h, integral(du), mass, s.lam, dt)
     ustar = NoslipHelmholtz(grid, s.nu * dt).solve(_explicit_update(s, dt), trace=hp)
     # the repair u+ = u* - grad chi, with chi from div u* - g+, leaves u*'s walls
     up, vp = ustar.u.copy(), ustar.v.copy()

@@ -50,8 +50,10 @@ class DivergenceState:
 
 
 def divergence_state(g: ScalarField, bc: str, nu: float) -> DivergenceState:
-    """Build the state at t = 0; the conserved mass is frozen from g."""
-    return DivergenceState(g=g, time=0.0, bc=bc, nu=float(nu), m0=integral(g))
+    """Build the state at t = 0; the conserved mass is frozen from g.  A mass
+    that overflows is not judged here but where g is measured."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return DivergenceState(g=g, time=0.0, bc=bc, nu=float(nu), m0=integral(g))
 
 
 def heat_step(s: DivergenceState, dt: float) -> DivergenceState:

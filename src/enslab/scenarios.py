@@ -28,7 +28,6 @@ from .grid import (
     VectorField,
     _adopt,
     face_norm,
-    integral,
     scalar_from_function,
     vector_from_functions,
     vector_from_stream,
@@ -100,14 +99,16 @@ def eigen_lift(grid: Grid, system: str, eps: float, mode: int):
 
     Returns (g0, z0).  The zero-flux system uses a zero-trace lift; the
     relaxed-boundary system pairs its eigenmode with the mass-matched
-    constant wall flux that compatibility needs.
+    constant wall flux that compatibility needs.  The mass sums g0 scaled by
+    h^2, so that finite data have a finite mass, and the lift judges data
+    too large to solve for.
     """
     g0 = eigen_divergence(grid, system, eps, mode)
     if system == "jl":
         z0 = lift_divergence(g0)
     else:
-        h0 = BoundaryTrace.constant(grid, integral(g0) / 4.0)
-        z0 = lift_divergence(g0, h0)
+        mass = float(np.sum(g0.values * (grid.h * grid.h)))
+        z0 = lift_divergence(g0, BoundaryTrace.constant(grid, mass / 4.0))
     return g0, z0
 
 

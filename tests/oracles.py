@@ -203,6 +203,14 @@ def fold_heat_estimates(history):
 # Open walls: the Duhamel integral and the wall trace of the divergence
 # ---------------------------------------------------------------------------
 
+def step_average_constant(m0: float, m1: float, lam: float, dt: float) -> float:
+    """The constant cbar of a step that carries the divergence mass from m0
+    to m1: the exponentially-weighted step average of the instantaneous
+    constant, (lam/4) (m1 - e^{-lam dt} m0) / (1 - e^{-lam dt})."""
+    decay = math.exp(-lam * dt)
+    return 0.25 * lam * (m1 - decay * m0) / (1.0 - decay)
+
+
 def duhamel_closed_form(h0: BoundaryTrace, cbars, lam: float, dt: float) -> BoundaryTrace:
     """Compose the exact per-step updates in closed form (piecewise-constant data)."""
     if not (lam > 0.0 and dt > 0.0):

