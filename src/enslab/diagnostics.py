@@ -14,7 +14,7 @@ there and are re-exported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +31,10 @@ from .grid import (
 from .linsolve import COMPAT_TOL, STOKES_TOL, htilde_solver
 
 __all__ = [
-    "DiagnosticsRecord",
     "OrderEstimate",
     "passes",
     "norms",
+    "fine_norm",
     "htilde_norm",
     "fit_decay_rate",
     "convergence_order",
@@ -107,30 +107,6 @@ def passes(margin: float, scale: float = 1.0) -> bool:
     return margin >= -(SLACK_ABS + SLACK_REL * abs(scale))
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """One named measurement bundle.
-
-    ``metrics`` maps metric names to finite scalars; margins follow the
-    convention margin >= 0 iff the inequality holds.
-    """
-
-    time: float
-    metrics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for k, v in self.metrics.items():
-            fv = float(v)
-            if not math.isfinite(fv):
-                raise ValueError(f"diagnostics metric {k!r} is not finite: {v!r}")
-            clean[str(k)] = fv
-        object.__setattr__(self, "metrics", clean)
-
-    def __getitem__(self, key: str) -> float:
-        return self.metrics[key]
-
-
 def htilde_norm(g: ScalarField) -> float:
     """Dual-space norm sqrt(<g, (I - Lap_N)^{-1} g>) of the mean-adjusted part.
 
@@ -144,14 +120,24 @@ def htilde_norm(g: ScalarField) -> float:
     return math.sqrt(max(q, 0.0))
 
 
-def norms(f, time: float = 0.0) -> DiagnosticsRecord:
+def fine_norm(g: ScalarField) -> float:
+    """scalar_norm(g), measured on g scaled exactly by a power of two when its
+    data lie below 2**-500, so that their squares do not underflow."""
+    top = g.max_abs()
+    if not 0.0 < top < 2.0 ** -500:
+        return scalar_norm(g)
+    e = math.frexp(top)[1]
+    return math.ldexp(scalar_norm(ScalarField(g.grid, np.ldexp(g.values, -e))), e)
+
+
+def norms(f, time: float = 0.0) -> dict:
     """L2, H1-seminorm, and (for scalars) dual-norm measurements.
 
     An overflowed measurement is a CheckFailure naming it and ``time``.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # judged below
         if isinstance(f, ScalarField):
-            l2 = scalar_norm(f)
+            l2 = fine_norm(f)
             h1 = math.sqrt(max(scalar_grad_inner(f, f, "neumann"), 0.0))
             metrics = {
                 "l2": l2,
@@ -169,7 +155,7 @@ def norms(f, time: float = 0.0) -> DiagnosticsRecord:
     for name, value in metrics.items():
         if not math.isfinite(value):
             raise CheckFailure(f"non-finite measurement {name} at t = {time:.6g}")
-    return DiagnosticsRecord(time=time, metrics=metrics)
+    return metrics
 
 
 def fit_decay_rate(times, values) -> float:
@@ -177,7 +163,8 @@ def fit_decay_rate(times, values) -> float:
 
     Requires at least 10 samples with positive values and non-degenerate
     times; the fitted slope of an exact exponential is recovered to
-    round-off.
+    round-off.  It is fitted in closed form over the times less the first,
+    divided by their span, so that steps of 1e-300 fit as others do.
     """
     t = np.asarray(times, dtype=np.float64).ravel()
     y = np.asarray(values, dtype=np.float64).ravel()
@@ -189,10 +176,13 @@ def fit_decay_rate(times, values) -> float:
         raise ValueError("fit_decay_rate: non-finite samples")
     if np.any(y <= 0.0):
         raise ValueError("fit_decay_rate: values must be positive")
-    if np.ptp(t) == 0.0:
+    span = np.ptp(t)
+    if span == 0.0:
         raise ValueError("fit_decay_rate: degenerate time series")
-    slope = np.polyfit(t, np.log(y), 1)[0]
-    return float(slope)
+    s = (t - t[0]) / span
+    s -= s.mean()
+    logy = np.log(y)
+    return float(s @ (logy - logy.mean()) / (s @ s)) / float(span)
 
 
 @dataclass(frozen=True)

@@ -97,11 +97,7 @@ class SRState(MeasuredState):
     def __post_init__(self) -> None:
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise ValueError(f"relaxation rate must be positive, got {self.lam!r}")
-        # a solvability gap spreads uniformly, so only the deviation from the
-        # mean is constrained
-        r = np.subtract(self.div_u.values, self.g.g.values)
-        r -= r.mean()
-        check_state(self, "dirichlet", _adopt(ScalarField, self.u.grid, r), self.h)
+        check_state(self, "dirichlet", self.h)
         # the gap is judged against max(1, max |u|); max |u| is taken only
         # when the gap exceeds the bound at 1
         gap = self.wall_gap
@@ -123,7 +119,8 @@ def sr_state(u: VectorField, lam: float, nu: float, forcing: VectorField | None 
              decomposed: bool = True) -> SRState:
     """Build a consistent state at t = 0 from a velocity field (wall-normal faces free)."""
     forcing = VectorField.zeros(u.grid) if forcing is None else forcing
-    g = divergence_state(divergence(u), "dirichlet", nu)
+    with np.errstate(over="ignore", invalid="ignore"):  # the lift or the state judges u
+        g = divergence_state(divergence(u), "dirichlet", nu)
     h = normal_trace(u)
     if not decomposed:
         return SRState(0.0, u, g, h, lam, nu, forcing)

@@ -118,7 +118,8 @@ def write_csv(path: str, rows) -> None:
     lines = [",".join(["t"] + names)]
     for t, metrics in rows:
         lines.append(",".join(f"{float(x):.17g}" for x in [t] + [metrics[n] for n in names]))
-    with open(path, "w", encoding="ascii", newline="\n") as f:
+    # UTF-8 (same bytes here) skips the ascii codec's first lookup, as in write_summary
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 
 

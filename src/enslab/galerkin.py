@@ -43,7 +43,7 @@ import numpy as np
 
 from .advection import centered_differences, transport_coefficients
 from .diagnostics import (
-    EIGEN_ORDER_RTOL, EIGEN_RESIDUAL_TOL, GRAM_TOL, PARITY_RTOL, DiagnosticsRecord,
+    EIGEN_ORDER_RTOL, EIGEN_RESIDUAL_TOL, GRAM_TOL, PARITY_RTOL,
 )
 from .errors import CheckFailure, DimensionMismatchError
 from .fieldio import ensure_dir, write_vector
@@ -298,8 +298,10 @@ def coupling_tensor(basis: GalerkinBasis) -> np.ndarray:
 
 
 def project_onto_basis(basis: GalerkinBasis, u: VectorField) -> GalerkinState:
+    """The coefficients of u; ones that overflow fail GalerkinState's check."""
     h2 = basis.grid.h * basis.grid.h
-    return GalerkinState(h2 * (basis.stacked @ _face_vector(basis.grid, u)), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return GalerkinState(h2 * (basis.stacked @ _face_vector(basis.grid, u)), 0.0)
 
 
 def reconstruct(basis: GalerkinBasis, state: GalerkinState) -> VectorField:
@@ -348,7 +350,7 @@ def integrate_galerkin(basis: GalerkinBasis, state: GalerkinState, nu: float,
 
 
 def galerkin_energy_ledger(basis: GalerkinBasis, trajectory, nu: float, dt: float,
-                           forcing: VectorField | None = None) -> DiagnosticsRecord:
+                           forcing: VectorField | None = None) -> dict:
     """Energy-ledger audit of a trajectory with Simpson quadrature per step pair.
 
     The identity (d/dt) E + nu ||grad v||^2 = <f, v> is integrated over each
@@ -373,9 +375,9 @@ def galerkin_energy_ledger(basis: GalerkinBasis, trajectory, nu: float, dt: floa
         raise CheckFailure(
             f"non-finite energy ledger defect at t = {states[bad[0] + 2].time:.6g}")
     worst = float(defect.max())
-    return DiagnosticsRecord(states[-1].time, {
+    return {
         "imbalance_max": worst,
         "imbalance_rate_max": worst / (2.0 * dt),
         "energy_initial": float(E[0]),
         "energy_final": float(E[-1]),
-    })
+    }

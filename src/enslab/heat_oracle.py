@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import CONTRACTION_RTOL, MASS_TOL, TINY, DiagnosticsRecord
+from .diagnostics import CONTRACTION_RTOL, MASS_TOL, TINY, fine_norm
 from .errors import CheckFailure
 from .grid import ScalarField, integral, scalar_grad_inner, scalar_norm
 from .linsolve import heat_solver
@@ -95,22 +95,19 @@ class HeatEstimates:
             if s.time <= a.time:
                 raise ValueError("HeatEstimates: non-increasing times")
         self._times.append(s.time)
-        self._l2.append(scalar_norm(s.g))
+        self._l2.append(fine_norm(s.g))
         self._grad_energy.append(max(scalar_grad_inner(s.g, s.g, s.bc), 0.0))
 
-    def record(self) -> DiagnosticsRecord:
+    def record(self) -> dict:
         if self._prev is None:
             raise ValueError("HeatEstimates: empty history")
-        times = np.array(self._times)
-        l2 = np.array(self._l2)
-        g0 = l2[0]
-        sup_margin = g0 - l2.max()
+        g0 = self._l2[0]
         # one state integrates to 0.0
-        grad_integral = float(np.trapezoid(np.array(self._grad_energy), times))
+        grad_integral = float(np.trapezoid(self._grad_energy, self._times))
         grad_margin = g0 / math.sqrt(2.0 * self._prev.nu) - math.sqrt(max(grad_integral, 0.0))
-        return DiagnosticsRecord(time=float(times[-1]), metrics={
+        return {
             "initial_l2": g0,
             "grad_energy_integral": grad_integral,
-            "sup_margin": sup_margin,
+            "sup_margin": g0 - max(self._l2),
             "grad_margin": grad_margin,
-        })
+        }

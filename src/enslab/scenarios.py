@@ -198,7 +198,8 @@ def initial_velocity(grid: Grid, system: str, preset: str, eps: float = 0.01,
         nrm = face_norm(w)
         if nrm == 0.0:
             return w
-        return w * (amplitude / nrm)
+        with np.errstate(over="ignore"):  # an overflowed velocity fails where it is checked
+            return w * (amplitude / nrm)
     raise ValueError(f"unknown initial-condition preset {preset!r}")
 
 

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from enslab.advection import centered_differences, skew_advect, transport_coefficients
-from enslab.diagnostics import TINY, DiagnosticsRecord, htilde_norm
+from enslab.diagnostics import TINY, htilde_norm
 from enslab.ens_jl import EnergyLedger, JLState
 from enslab.ens_sr import SRState
 from enslab.grid import (
@@ -462,7 +462,7 @@ def lifting_constant(g: ScalarField) -> float:
     return math.sqrt(l2 * l2 + h1s) / ng
 
 
-def check_weak_lifting_bound(g: ScalarField, time: float = 0.0) -> DiagnosticsRecord:
+def check_weak_lifting_bound(g: ScalarField) -> dict:
     """Informational dual-norm ratio ||z||_L2 / ||g||_dual for the lift.
 
     The continuum bound needs a curved-smooth boundary, which the unit square
@@ -480,10 +480,10 @@ def check_weak_lifting_bound(g: ScalarField, time: float = 0.0) -> DiagnosticsRe
             "dual_norm": dual,
             "ratio": face_norm(z) / dual if dual > 0 else 0.0,
         }
-    return DiagnosticsRecord(time=time, metrics=metrics)
+    return metrics
 
 
-def coercivity_probe(u: VectorField) -> DiagnosticsRecord:
+def coercivity_probe(u: VectorField) -> dict:
     """Evaluate the quadratic-form remainder that breaks zero-wall coercivity.
 
     remainder(u) = -<u, P Lap u + grad div u> - ||grad Pu||^2 - ||div u||^2.
@@ -507,7 +507,7 @@ def coercivity_probe(u: VectorField) -> DiagnosticsRecord:
         "sign": float(np.sign(remainder)),
         "gradient_energy": grad_inner(u, u),
     }
-    return DiagnosticsRecord(0.0, metrics)
+    return metrics
 
 
 def stokes_pressure(u: VectorField) -> ScalarField:
@@ -524,7 +524,7 @@ def stokes_pressure(u: VectorField) -> ScalarField:
     return neumann_poisson(u.grid).solve(divergence(w))
 
 
-def check_stokes_pressure(u: VectorField) -> DiagnosticsRecord:
+def check_stokes_pressure(u: VectorField) -> dict:
     """Interior harmonicity of the recovered pressure potential.
 
     The cell Laplacian of the potential reproduces its construction data
@@ -542,4 +542,4 @@ def check_stokes_pressure(u: VectorField) -> DiagnosticsRecord:
         "residual_full": full,
         "relative": interior / max(full, TINY),
     }
-    return DiagnosticsRecord(0.0, metrics)
+    return metrics

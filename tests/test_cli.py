@@ -72,6 +72,21 @@ HEAT_SMALL_SR = HEAT_SMALL.replace("jl", "sr") + "lambda = 2\n"
 VANISHED = "margin decay_rate_within_1pct = -inf FAIL\nmargin sup_estimate = 0 PASS\n"
 NO_RATE = "check failure: ||g|| = 0 at t = {}: no decay rate to fit\n"
 INITIAL_FAIL = "margin run_completed = 0 FAIL\n"
+JL_ENVELOPE = ("system = jl\ngrid = 16\nnu = 1e-308\ndt = 1e-12\nT = 2e-12\nic = vortex\n"
+               "forcing = rotational\nforcing_amplitude = 1e6\n")
+HEAT_TINY_DT = HEAT_SMALL.replace("dt = 2e-3", "dt = 1e-300").replace("T = 0.02", "T = 1e-299")
+HUGE = "nu = 0.1\ndt = 2e-3\nT = 0.02\ngrid = 16\nic_amplitude = 1e308\n"
+HUGE_JL, HUGE_SR = "system = jl\n" + HUGE, "system = sr\nlambda = 2\n" + HUGE
+HUGE_GALERKIN = HUGE_JL + "route = galerkin\nmodes = 8\n"
+TOO_FAST = ("solver error (CFLError): step 1, t = 0: time step 2.000e-03 exceeds the advective "
+            "limit 0.000e+00 (max speed {}e+307, h = 6.250e-02)\n")
+NON_FINITE_LIFT = ("solver error (SolverError): initial state, t = 0: generalized Stokes solve: "
+                   "non-finite data\n")
+NON_FINITE_U = "check failure: initial state, t = 0: non-finite velocity at t = 0\n"
+BLOW_UP = "coefficients grew non-finite (blow-up) at t = 0\n"
+ROUTES = ["route_a", "route_b", "summary.txt"]
+SUBRUNS = ["base", "eps_0", "eps_1", "eps_2", "summary.txt"]
+ROUTES_FAIL, RUNS_FAIL = "margin routes_completed = 0 FAIL\n", "margin runs_completed = 0 FAIL\n"
 
 # accepted configs at the extremes: (id, command, config, exit code, stderr,
 # the artifacts, a part of summary.txt)
@@ -100,13 +115,71 @@ EXTREMES = [
      "check failure: non-finite measurement l2 at t = 0\n", ["summary.txt"], INITIAL_FAIL),
     ("heat-sr-overflow", "heat", HEAT_SMALL_SR + "ic_eps = 1e308\n", 3,
      "check failure: non-finite measurement l2 at t = 0\n", ["summary.txt"], INITIAL_FAIL),
-    # heat data that vanish, at once or a few steps in, leave no rate to fit
+    # heat data that vanish leave no rate to fit
     ("heat-jl-zero", "heat", HEAT_SMALL + "ic_eps = 0\n", 3, NO_RATE.format(0), HEAT_FILES,
      VANISHED),
-    ("heat-sr-subnormal", "heat", HEAT_SMALL_SR + "ic_eps = 1e-320\n", 3, NO_RATE.format(0),
-     HEAT_FILES, VANISHED),
+    # tiny data are measured scaled by a power of two, so their norms do not
+    # underflow; norms of 1e-320 data are subnormal, and their fit rests on
+    # about ten significant bits
+    ("heat-sr-subnormal", "heat", HEAT_SMALL_SR + "ic_eps = 1e-320\n", 0, "", HEAT_FILES,
+     "overall PASS\n"),
+    ("heat-jl-subnormal", "heat", HEAT_SMALL + "ic_eps = 1e-320\n", 3, "", HEAT_FILES,
+     "margin decay_rate_within_1pct = -0.0468"),
     ("heat-jl-vanishing", "heat", "system = jl\nnu = 1\ndt = 0.01\nT = 0.1\ngrid = 16\n"
-     "ic_eps = 1e-161\n", 3, NO_RATE.format(0.06), HEAT_FILES, VANISHED),
+     "ic_eps = 1e-161\n", 0, "", HEAT_FILES, "overall PASS\n"),
+    ("heat-jl-tiny", "heat", HEAT_SMALL + "ic_eps = 1e-161\n", 0, "", HEAT_FILES,
+     "overall PASS\n"),
+    # steps of 1e-300 fit a rate in closed form: the slope of round-off, far
+    # from the analytic one, and finite (no check-failure line)
+    ("heat-jl-tiny-dt", "heat", HEAT_TINY_DT, 3, "", HEAT_FILES,
+     "margin decay_rate_within_1pct = -"),
+    ("heat-sr-tiny-dt", "heat", HEAT_TINY_DT.replace("jl", "sr") + "lambda = 2\n", 3, "",
+     HEAT_FILES, "margin decay_rate_within_1pct = -"),
+    # a Gronwall envelope that overflows fails as a check, artifacts written
+    ("jl-envelope-overflow", "run", JL_ENVELOPE, 3,
+     "check failure: non-finite energy envelope at t = 1e-12\n", RUN_FILES,
+     "margin energy_envelope_min = -inf FAIL\n"),
+    ("jl-compare-envelope-overflow", "compare", JL_ENVELOPE, 3,
+     "check failure: non-finite energy envelope at t = 1e-12\n",
+     ["compare.csv"] + ROUTES, ROUTES_FAIL),
+    # finite data of amplitude 1e308, whose measurements overflow, end as
+    # each route judges them
+    ("huge-vortex-jl-direct", "run", HUGE_JL + "ic = vortex\nroute = direct\n", 2,
+     TOO_FAST.format(9.745), ["summary.txt"], INITIAL_FAIL),
+    ("huge-vortex-sr-decomposed", "run", HUGE_SR + "ic = vortex\n", 2, TOO_FAST.format(9.745),
+     ["summary.txt"], INITIAL_FAIL),
+    ("huge-vortex-jl-compare", "compare", HUGE_JL + "ic = vortex\n", 2, TOO_FAST.format(9.745),
+     ROUTES, ROUTES_FAIL),
+    ("huge-vortex-sr-stability", "stability", HUGE_SR + "ic = vortex\nroute = direct\n", 2,
+     TOO_FAST.format(9.745), SUBRUNS, RUNS_FAIL),
+    ("huge-lift-plus-flow-jl-direct", "run", HUGE_JL + "ic = lift_plus_flow\nroute = direct\n",
+     2, TOO_FAST.format(9.745), ["summary.txt"], INITIAL_FAIL),
+    ("huge-lift-plus-flow-sr-compare", "compare", HUGE_SR + "ic = lift_plus_flow\n", 2,
+     TOO_FAST.format(9.745), ROUTES, ROUTES_FAIL),
+    ("huge-lift-plus-flow-jl-stability", "stability",
+     HUGE_JL + "ic = lift_plus_flow\nroute = direct\n", 2, TOO_FAST.format(9.745), SUBRUNS,
+     RUNS_FAIL),
+    ("huge-boundary-flux-sr-direct", "run", HUGE_SR + "ic = boundary_flux\nroute = direct\n",
+     2, TOO_FAST.format(9.808), ["summary.txt"], INITIAL_FAIL),
+    ("huge-boundary-flux-sr-stability", "stability",
+     HUGE_SR + "ic = boundary_flux\nroute = direct\n", 2, TOO_FAST.format(9.808), SUBRUNS,
+     RUNS_FAIL),
+    ("huge-random-jl-decomposed", "run", HUGE_JL + "ic = random_solenoidal\n", 2,
+     NON_FINITE_LIFT, ["summary.txt"], INITIAL_FAIL),
+    ("huge-random-sr-direct", "run", HUGE_SR + "ic = random_solenoidal\nroute = direct\n", 3,
+     NON_FINITE_U, ["summary.txt"], INITIAL_FAIL),
+    ("huge-random-jl-compare", "compare", HUGE_JL + "ic = random_solenoidal\n", 2,
+     NON_FINITE_LIFT, ROUTES, ROUTES_FAIL),
+    ("huge-random-sr-stability", "stability",
+     HUGE_SR + "ic = random_solenoidal\nroute = direct\n", 3, NON_FINITE_U * 4, SUBRUNS,
+     RUNS_FAIL),
+    ("huge-galerkin-vortex", "run", HUGE_GALERKIN + "ic = vortex\n", 3,
+     "check failure: initial state, t = 0: " + BLOW_UP, ["summary.txt"], INITIAL_FAIL),
+    ("huge-galerkin-random", "run", HUGE_GALERKIN + "ic = random_solenoidal\n", 3,
+     "check failure: initial state, t = 0: " + BLOW_UP, ["summary.txt"], INITIAL_FAIL),
+    ("huge-galerkin-forcing", "run", HUGE_GALERKIN.replace("ic_amplitude", "forcing_amplitude")
+     + "ic = vortex\nforcing = rotational\n", 3, "check failure: " + BLOW_UP,
+     ["diagnostics.csv", "final_u.u.ensf", "final_u.v.ensf", "summary.txt"], INITIAL_FAIL),
 ]
 
 
