@@ -402,7 +402,7 @@ def cmd_heat(cfg: Config, quiet: bool) -> int:
 
     def measure(s) -> dict:
         row = norms(s.g, s.time)
-        estimates.add(s)
+        estimates.add(s, row["l2"])
         return row
 
     def states():
@@ -418,7 +418,7 @@ def cmd_heat(cfg: Config, quiet: bool) -> int:
             rate = fit_decay_rate(times, l2)
             analytic = -2.0 * cfg.nu * (cfg.ic_mode * math.pi) ** 2
             rel = abs(rate / analytic - 1.0)
-            _say(quiet, f"fitted decay rate {rate:.6f} vs analytic {analytic:.6f} "
+            _say(quiet, f"fitted decay rate {rate:.7g} vs analytic {analytic:.7g} "
                         f"(relative gap {rel:.2e})")
         else:  # a norm of 0 has no logarithm to fit
             print(_check_failure(CheckFailure(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import CONTRACTION_RTOL, MASS_TOL, TINY, fine_norm
+from .diagnostics import CONTRACTION_RTOL, MASS_TOL, TINY
 from .errors import CheckFailure
 from .grid import ScalarField, integral, scalar_grad_inner, scalar_norm
 from .linsolve import heat_solver
@@ -73,8 +73,8 @@ def heat_step(s: DivergenceState, dt: float) -> DivergenceState:
 class HeatEstimates:
     """Margins of the a-priori estimates along a fixed-step history.
 
-    add() states in time order, then record().  The margins, each >= 0 up to
-    global slack:
+    add() states in time order, each with its measured L2 norm, then
+    record().  The margins, each >= 0 up to global slack:
       sup-norm:   ||g0|| - max_t ||g(t)||
       gradient:   (2 nu)^{-1/2} ||g0|| - sqrt(integral of the gradient energy)
 
@@ -87,7 +87,7 @@ class HeatEstimates:
         self._l2: list[float] = []
         self._grad_energy: list[float] = []
 
-    def add(self, s: DivergenceState) -> None:
+    def add(self, s: DivergenceState, l2: float) -> None:
         a, self._prev = self._prev, s
         if a is not None:
             if s.bc != a.bc or s.nu != a.nu:
@@ -95,7 +95,7 @@ class HeatEstimates:
             if s.time <= a.time:
                 raise ValueError("HeatEstimates: non-increasing times")
         self._times.append(s.time)
-        self._l2.append(fine_norm(s.g))
+        self._l2.append(l2)
         self._grad_energy.append(max(scalar_grad_inner(s.g, s.g, s.bc), 0.0))
 
     def record(self) -> dict:

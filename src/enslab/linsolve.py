@@ -33,7 +33,6 @@ the package solves on more than one thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -58,7 +57,6 @@ from .grid import (
 __all__ = [
     "STOKES_TOL",
     "COMPAT_TOL",
-    "SolveReport",
     "GeneralizedStokes",
     "generalized_stokes",
     "NeumannPoisson",
@@ -212,11 +210,6 @@ def heat_solver(grid: Grid, a: float, bc: str, theta: str = "cn"):
 # ---------------------------------------------------------------------------
 # Generalized Stokes solver: a free-slip solve and a wall correction
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SolveReport:
-    residual: float
-
 
 def _wall_force(c: float, u: np.ndarray, v: np.ndarray, h: float):
     """The force of the wall-normal values of the face arrays (u, v) on c K:
@@ -408,17 +401,17 @@ class GeneralizedStokes:
               trace: BoundaryTrace | None = None, *, pressure: bool = True):
         """Solve with body force f, divergence g and outward wall-normal velocity trace.
 
-        Missing data is zero.  Returns (u, p, SolveReport): u carries the
-        wall data and p is mean-zero, or None with ``pressure=False``, and
-        then never formed.  One forward transform of f (4 dense N x N
-        products) and of g' (2), each only when given, and one inverse
-        transform of u (4) and of p (2, only when kept): at most 12
-        products, and 8 for a velocity from a force alone or for a lift.
+        Missing data is zero.  Returns (u, p): u carries the wall data and p
+        is mean-zero, or None with ``pressure=False``, and then never
+        formed.  One forward transform of f (4 dense N x N products) and of
+        g' (2), each only when given, and one inverse transform of u (4) and
+        of p (2, only when kept): at most 12 products, and 8 for a velocity
+        from a force alone or for a lift.
         The wall data's force lies on two lines per component and is
         transformed by outer products.  The spectral arrays are the grid's
         ``_Workspace``; u and p are always fresh.
 
-        The report gives the divergence residual of the returned u,
+        The solve checks the divergence residual of the returned u,
         ||g' - D u|| over its mean-zero part (the mean is the compatibility
         check's); g' is g less the wall flux.  It is judged on the scale
         max(||g'||, ||D||_2 ||u||) and, only if it fails there, again on
@@ -500,7 +493,7 @@ class GeneralizedStokes:
             if not res <= STOKES_TOL:
                 raise SolverError(f"generalized Stokes solve: divergence residual {res:.3e} "
                                   f"above tol {STOKES_TOL:.1e}")
-        return _adopt(VectorField, grid, u, v), p, SolveReport(res)
+        return _adopt(VectorField, grid, u, v), p
 
     def _pressure(self, fu, fv, gh) -> ScalarField:
         """The mean-zero p of the spectral force (fu, fv), None for none, and

@@ -262,6 +262,6 @@ def decompose(u: VectorField) -> Decomposition:
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite data fail the solve
         g = divergence(u)                # the one lift that keeps its pressure
     z, q = ((VectorField.zeros(u.grid), ScalarField.zeros(u.grid)) if _negligible(g, u)
-            else generalized_stokes(u.grid, 0.0, 1.0).solve(g=g)[:2])
+            else generalized_stokes(u.grid, 0.0, 1.0).solve(g=g))
     dec = Decomposition(v=u - z, z=z, q=q)
     return replace(dec, record=dec.validate(u))

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from enslab.advection import centered_differences, skew_advect, transport_coefficients
-from enslab.diagnostics import TINY, htilde_norm
+from enslab.diagnostics import TINY, fine_norm, htilde_norm
 from enslab.ens_jl import EnergyLedger, JLState
 from enslab.ens_sr import SRState
 from enslab.grid import (
@@ -192,10 +192,11 @@ def dense_stokes_solve(g: ScalarField, boundary_velocity: BoundaryTrace | None =
 # ---------------------------------------------------------------------------
 
 def fold_heat_estimates(history):
-    """HeatEstimates.record() after add() of every state of history, in order."""
+    """HeatEstimates.record() after add() of every state of history, in order,
+    each with its norm as `enslab heat` measures it."""
     estimates = HeatEstimates()
     for s in history:
-        estimates.add(s)
+        estimates.add(s, fine_norm(s.g))
     return estimates.record()
 
 

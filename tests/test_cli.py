@@ -62,19 +62,21 @@ ic_mode = 1
 RUN_FILES = ["diagnostics.csv", "final_g.ensf", "final_u.u.ensf", "final_u.v.ensf",
              "summary.txt"]
 HEAT_FILES = ["diagnostics.csv", "final_g.ensf", "summary.txt"]
+GALERKIN_FILES = ["diagnostics.csv", "final_u.u.ensf", "final_u.v.ensf", "summary.txt"]
 SR_TINY_DT = SR_RUN.replace("dt = 2e-3", "dt = 1e-300").replace("T = 0.02", "T = 1e-300")
 SR_TINY_LAMBDA = SR_RUN.replace("lambda = 2.0", "lambda = 1e-300").replace("dt = 2e-3", "dt = 1e-3")
+SR_TINY_LAMBDA_2 = SR_TINY_LAMBDA.replace("T = 0.02", "T = 2e-3")
 SR_HUGE_LIFT = SR_RUN + "ic_eps = 1e308\n"
 LIFT_OVERFLOWS = ("solver error (SolverError): initial state, t = 0: generalized Stokes solve: "
                   "the measure of finite data overflows (largest entry 9.904e+307)\n")
-HEAT_SMALL = "system = jl\nnu = 0.1\ndt = 2e-3\nT = 0.02\ngrid = 16\n"
-HEAT_SMALL_SR = HEAT_SMALL.replace("jl", "sr") + "lambda = 2\n"
+SMALL_JL = "system = jl\nnu = 0.1\ndt = 2e-3\nT = 0.02\ngrid = 16\n"
+SMALL_SR = SMALL_JL.replace("jl", "sr") + "lambda = 2\n"
 VANISHED = "margin decay_rate_within_1pct = -inf FAIL\nmargin sup_estimate = 0 PASS\n"
 NO_RATE = "check failure: ||g|| = 0 at t = {}: no decay rate to fit\n"
 INITIAL_FAIL = "margin run_completed = 0 FAIL\n"
 JL_ENVELOPE = ("system = jl\ngrid = 16\nnu = 1e-308\ndt = 1e-12\nT = 2e-12\nic = vortex\n"
                "forcing = rotational\nforcing_amplitude = 1e6\n")
-HEAT_TINY_DT = HEAT_SMALL.replace("dt = 2e-3", "dt = 1e-300").replace("T = 0.02", "T = 1e-299")
+HEAT_TINY_DT = SMALL_JL.replace("dt = 2e-3", "dt = 1e-300").replace("T = 0.02", "T = 1e-299")
 HUGE = "nu = 0.1\ndt = 2e-3\nT = 0.02\ngrid = 16\nic_amplitude = 1e308\n"
 HUGE_JL, HUGE_SR = "system = jl\n" + HUGE, "system = sr\nlambda = 2\n" + HUGE
 HUGE_GALERKIN = HUGE_JL + "route = galerkin\nmodes = 8\n"
@@ -83,13 +85,16 @@ TOO_FAST = ("solver error (CFLError): step 1, t = 0: time step 2.000e-03 exceeds
 NON_FINITE_LIFT = ("solver error (SolverError): initial state, t = 0: generalized Stokes solve: "
                    "non-finite data\n")
 NON_FINITE_U = "check failure: initial state, t = 0: non-finite velocity at t = 0\n"
+NON_FINITE_FORCE = "check failure: initial state, t = 0: non-finite forcing at t = 0\n"
+MMS_OVERFLOW = "system = jl\nforcing = mms\nnu = 1e307\ngrid = 16\ndt = 1e-3\nT = 2e-3\n"
+SPLIT_OVERFLOW = "check failure: non-finite split measurement div_v_l2 at t = 0\n"
 BLOW_UP = "coefficients grew non-finite (blow-up) at t = 0\n"
 ROUTES = ["route_a", "route_b", "summary.txt"]
 SUBRUNS = ["base", "eps_0", "eps_1", "eps_2", "summary.txt"]
 ROUTES_FAIL, RUNS_FAIL = "margin routes_completed = 0 FAIL\n", "margin runs_completed = 0 FAIL\n"
 
-# accepted configs at the extremes: (id, command, config, exit code, stderr,
-# the artifacts, a part of summary.txt)
+# accepted configs, at the extremes and a few ordinary ones: (id, command,
+# config, exit code, stderr, the artifacts, a part of summary.txt)
 EXTREMES = [
     # the open walls relax in closed form, however small lambda dt is
     ("sr-direct-tiny-dt", "run", SR_TINY_DT + "route = direct\n", 0, "", RUN_FILES,
@@ -98,7 +103,13 @@ EXTREMES = [
     ("sr-direct-tiny-lambda", "run", SR_TINY_LAMBDA + "route = direct\n", 0, "", RUN_FILES,
      "overall PASS\n"),
     ("sr-constructive-tiny-lambda", "run", SR_TINY_LAMBDA, 0, "", RUN_FILES, "overall PASS\n"),
+    ("sr-direct-tiny-lambda-two-steps", "run", SR_TINY_LAMBDA_2 + "route = direct\n", 0, "",
+     RUN_FILES, "margin gap_decay_excess = "),
+    ("sr-constructive-tiny-lambda-two-steps", "run", SR_TINY_LAMBDA_2, 0, "", RUN_FILES,
+     "margin gap_decay_excess = "),
     # the open-wall eigen lift of finite data whose mass would overflow
+    ("sr-constructive-eigen-lift", "run", SR_HUGE_LIFT, 2, LIFT_OVERFLOWS, ["summary.txt"],
+     INITIAL_FAIL),
     ("sr-direct-eigen-lift", "run", SR_HUGE_LIFT + "route = direct\n", 2, LIFT_OVERFLOWS,
      ["summary.txt"], INITIAL_FAIL),
     ("sr-constructive-lift-plus-flow", "run",
@@ -111,23 +122,26 @@ EXTREMES = [
      LIFT_OVERFLOWS, ["base", "eps_0", "eps_1", "eps_2", "summary.txt"],
      "margin runs_completed = 0 FAIL\n"),
     # heat data whose mass and norm overflow, judged by the first row
-    ("heat-jl-overflow", "heat", HEAT_SMALL + "ic_eps = 1e308\n", 3,
+    ("heat-jl-lift-plus-flow-overflow", "heat",
+     SMALL_JL + "ic = lift_plus_flow\nic_eps = 1e300\n", 3,
      "check failure: non-finite measurement l2 at t = 0\n", ["summary.txt"], INITIAL_FAIL),
-    ("heat-sr-overflow", "heat", HEAT_SMALL_SR + "ic_eps = 1e308\n", 3,
+    ("heat-jl-overflow", "heat", SMALL_JL + "ic_eps = 1e308\n", 3,
+     "check failure: non-finite measurement l2 at t = 0\n", ["summary.txt"], INITIAL_FAIL),
+    ("heat-sr-overflow", "heat", SMALL_SR + "ic_eps = 1e308\n", 3,
      "check failure: non-finite measurement l2 at t = 0\n", ["summary.txt"], INITIAL_FAIL),
     # heat data that vanish leave no rate to fit
-    ("heat-jl-zero", "heat", HEAT_SMALL + "ic_eps = 0\n", 3, NO_RATE.format(0), HEAT_FILES,
+    ("heat-jl-zero", "heat", SMALL_JL + "ic_eps = 0\n", 3, NO_RATE.format(0), HEAT_FILES,
      VANISHED),
     # tiny data are measured scaled by a power of two, so their norms do not
     # underflow; norms of 1e-320 data are subnormal, and their fit rests on
     # about ten significant bits
-    ("heat-sr-subnormal", "heat", HEAT_SMALL_SR + "ic_eps = 1e-320\n", 0, "", HEAT_FILES,
+    ("heat-sr-subnormal", "heat", SMALL_SR + "ic_eps = 1e-320\n", 0, "", HEAT_FILES,
      "overall PASS\n"),
-    ("heat-jl-subnormal", "heat", HEAT_SMALL + "ic_eps = 1e-320\n", 3, "", HEAT_FILES,
+    ("heat-jl-subnormal", "heat", SMALL_JL + "ic_eps = 1e-320\n", 3, "", HEAT_FILES,
      "margin decay_rate_within_1pct = -0.0468"),
     ("heat-jl-vanishing", "heat", "system = jl\nnu = 1\ndt = 0.01\nT = 0.1\ngrid = 16\n"
      "ic_eps = 1e-161\n", 0, "", HEAT_FILES, "overall PASS\n"),
-    ("heat-jl-tiny", "heat", HEAT_SMALL + "ic_eps = 1e-161\n", 0, "", HEAT_FILES,
+    ("heat-jl-tiny", "heat", SMALL_JL + "ic_eps = 1e-161\n", 0, "", HEAT_FILES,
      "overall PASS\n"),
     # steps of 1e-300 fit a rate in closed form: the slope of round-off, far
     # from the analytic one, and finite (no check-failure line)
@@ -135,6 +149,16 @@ EXTREMES = [
      "margin decay_rate_within_1pct = -"),
     ("heat-sr-tiny-dt", "heat", HEAT_TINY_DT.replace("jl", "sr") + "lambda = 2\n", 3, "",
      HEAT_FILES, "margin decay_rate_within_1pct = -"),
+    # split measurements that overflow fail before any artifact
+    ("decompose-huge-amplitude", "decompose",
+     SMALL_JL + "ic = lift_plus_flow\nic_amplitude = 1e300\n", 3, SPLIT_OVERFLOW,
+     ["summary.txt"], INITIAL_FAIL),
+    # a manufactured force that overflows where it is sampled
+    ("mms-force-overflow-jl-direct", "run", MMS_OVERFLOW + "route = direct\nic = mms\n", 3,
+     NON_FINITE_FORCE, ["summary.txt"], INITIAL_FAIL),
+    ("mms-force-overflow-galerkin", "run",
+     MMS_OVERFLOW + "route = galerkin\nmodes = 8\nic = vortex\n", 3, NON_FINITE_FORCE,
+     ["summary.txt"], INITIAL_FAIL),
     # a Gronwall envelope that overflows fails as a check, artifacts written
     ("jl-envelope-overflow", "run", JL_ENVELOPE, 3,
      "check failure: non-finite energy envelope at t = 1e-12\n", RUN_FILES,
@@ -142,6 +166,11 @@ EXTREMES = [
     ("jl-compare-envelope-overflow", "compare", JL_ENVELOPE, 3,
      "check failure: non-finite energy envelope at t = 1e-12\n",
      ["compare.csv"] + ROUTES, ROUTES_FAIL),
+    # a finite right-hand side whose sum of squares overflows
+    ("huge-forcing-jl-direct", "run", JL_RUN.replace("lift_plus_flow", "vortex")
+     + "route = direct\nforcing_amplitude = 1e308\n", 2,
+     "solver error (SolverError): step 1, t = 0: generalized Stokes solve: the measure of "
+     "finite data overflows (largest entry 1.962e+305)\n", ["summary.txt"], INITIAL_FAIL),
     # finite data of amplitude 1e308, whose measurements overflow, end as
     # each route judges them
     ("huge-vortex-jl-direct", "run", HUGE_JL + "ic = vortex\nroute = direct\n", 2,
@@ -179,7 +208,20 @@ EXTREMES = [
      "check failure: initial state, t = 0: " + BLOW_UP, ["summary.txt"], INITIAL_FAIL),
     ("huge-galerkin-forcing", "run", HUGE_GALERKIN.replace("ic_amplitude", "forcing_amplitude")
      + "ic = vortex\nforcing = rotational\n", 3, "check failure: " + BLOW_UP,
-     ["diagnostics.csv", "final_u.u.ensf", "final_u.v.ensf", "summary.txt"], INITIAL_FAIL),
+     GALERKIN_FILES, INITIAL_FAIL),
+    # ordinary configs, and nu = 1e300 on jl direct, end 0
+    ("jl-direct", "run", JL_RUN + "route = direct\n", 0, "", RUN_FILES,
+     "margin run_completed = 1 PASS\n"),
+    ("jl-direct-huge-viscosity-vortex", "run",
+     SMALL_JL.replace("nu = 0.1", "nu = 1e300") + "ic = vortex\nroute = direct\n", 0, "",
+     RUN_FILES, "margin divergence_ceiling = "),
+    ("galerkin", "run", SMALL_JL + "route = galerkin\nmodes = 8\nic = vortex\n", 0, "",
+     GALERKIN_FILES, "margin energy_monotone = "),
+    ("galerkin-forced", "run",
+     SMALL_JL + "route = galerkin\nmodes = 8\nic = vortex\nforcing = rotational\n", 0, "",
+     GALERKIN_FILES, "margin ledger_rate = "),
+    ("heat-jl-lift-plus-flow", "heat", JL_RUN, 0, "", HEAT_FILES,
+     "margin decay_rate_within_1pct = 0.00679"),
 ]
 
 
@@ -314,12 +356,8 @@ class TestExitCodes:
     ], ids=["sr-direct-huge-lambda", "jl-direct-huge-forcing", "sr-initial-lift"])
     def test_overflowing_data_exit_two_naming_the_step(self, tmp_path, capsys, text, error,
                                                        where, message):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, _ = run_cli(tmp_path, "run", text)
+        code, _ = run_cli(tmp_path, "run", text)
         assert code == 2
-        assert not [(w.filename, w.lineno, str(w.message)) for w in caught
-                    if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert err.startswith(f"solver error ({error}): {where}: {message}")
 
@@ -331,13 +369,9 @@ class TestExitCodes:
     def test_overflowing_force_fails_the_initial_state(self, tmp_path, capsys, text):
         # nu Lap u* of the manufactured force overflows; the force is scanned
         # once, when the run builds its initial state
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out = run_cli(tmp_path, "run", text)
+        code, out = run_cli(tmp_path, "run", text)
         assert code == 3
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        err = capsys.readouterr().err
-        assert err == "check failure: initial state, t = 0: non-finite forcing at t = 0\n"
+        assert capsys.readouterr().err == NON_FINITE_FORCE
         assert Path(out, "summary.txt").read_text() == (
             "margin run_completed = 0 FAIL\noverall FAIL\n")
 
@@ -345,11 +379,8 @@ class TestExitCodes:
         # the coefficients stay finite; the energies of the ledger overflow
         text = ("system = jl\nroute = galerkin\ngrid = 16\nmodes = 8\nic = vortex\n"
                 "ic_amplitude = 1e154\nnu = 0.1\ndt = 1e-200\nT = 3e-200\n")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out = run_cli(tmp_path, "run", text)
+        code, out = run_cli(tmp_path, "run", text)
         assert code == 3
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert err == "check failure: non-finite energy ledger defect at t = 2e-200\n"
         summary = Path(out, "summary.txt").read_text()
@@ -370,15 +401,16 @@ class TestExitCodes:
         + "route = direct\n",
     ], ids=["jl-direct-huge-viscosity", "sr-direct-large-lambda"])
     def test_extreme_valid_data_pass(self, tmp_path, text):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out = run_cli(tmp_path, "run", text)
+        code, out = run_cli(tmp_path, "run", text)
         assert code == 0
-        assert not [(w.filename, w.lineno, str(w.message)) for w in caught
-                    if issubclass(w.category, RuntimeWarning)]
         assert Path(out, "summary.txt").read_text().endswith("overall PASS\n")
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_numpy_warnings_are_errors(self):
+        # pyproject's filterwarnings turns each RuntimeWarning into an error,
+        # so every test here fails on one
+        with pytest.raises(RuntimeWarning):
+            np.float64(1e308) * 10
+
     @pytest.mark.parametrize("command, text, code, error, files, summary",
                              [case[1:] for case in EXTREMES], ids=[case[0] for case in EXTREMES])
     def test_accepted_extremes(self, tmp_path, capsys, command, text, code, error, files,
@@ -387,7 +419,9 @@ class TestExitCodes:
         assert got == code
         assert capsys.readouterr().err == error
         assert sorted(os.listdir(out)) == files
-        assert summary in Path(out, "summary.txt").read_text()
+        verdict = Path(out, "summary.txt").read_text()
+        assert summary in verdict
+        assert verdict.endswith("overall PASS\n" if code == 0 else "overall FAIL\n")
         if "diagnostics.csv" in files:
             rows = [r.split(",")[1:] for r in csv_rows(os.path.join(out, "diagnostics.csv"))]
             assert rows and np.isfinite(np.array(rows, dtype=float)).all()
@@ -416,13 +450,9 @@ class TestExitCodes:
             code0, out = run_cli(tmp_path, command, text, sub=f"out{k}")
             assert code0 == 0
             assert "overall PASS" in Path(out, "summary.txt").read_text()
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code1, out = run_cli(tmp_path, command, text.replace(*change),
-                                     name="again.cfg", sub=f"out{k}")
+            code1, out = run_cli(tmp_path, command, text.replace(*change), name="again.cfg",
+                                 sub=f"out{k}")
             assert code1 == code
-            assert not [(w.filename, w.lineno, str(w.message)) for w in caught
-                        if issubclass(w.category, RuntimeWarning)]
             assert error in capsys.readouterr().err
             assert os.listdir(out) == ["summary.txt"]
             summary = Path(out, "summary.txt").read_text()
@@ -455,12 +485,8 @@ class TestExitCodes:
         code0, out = run_cli(tmp_path, command, text)
         assert code0 == 0
         assert sorted(os.listdir(out)) == sorted(subdirs + ["summary.txt", table])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code1, out = run_cli(tmp_path, command, text.replace(*change), name="again.cfg")
+        code1, out = run_cli(tmp_path, command, text.replace(*change), name="again.cfg")
         assert code1 == code
-        assert not [(w.filename, w.lineno, str(w.message)) for w in caught
-                    if issubclass(w.category, RuntimeWarning)]
         assert error in capsys.readouterr().err
         assert sorted(os.listdir(out)) == sorted(subdirs + ["summary.txt"])
         margin = "routes_completed" if command == "compare" else "runs_completed"
@@ -576,8 +602,9 @@ class TestRunArtifacts:
              ["compare.csv", "route_a/diagnostics.csv", "route_b/diagnostics.csv"]),
         ]
         for k, (command, text, files) in enumerate(cases):
-            _, out1 = run_cli(tmp_path, command, text, sub=f"{k}a")
-            _, out2 = run_cli(tmp_path, command, text, sub=f"{k}b", name="again.cfg")
+            code1, out1 = run_cli(tmp_path, command, text, sub=f"{k}a")
+            code2, out2 = run_cli(tmp_path, command, text, sub=f"{k}b", name="again.cfg")
+            assert code1 == code2 == 0
             for name in files:
                 a = Path(out1, name).read_bytes()
                 b = Path(out2, name).read_bytes()
