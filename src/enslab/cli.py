@@ -39,7 +39,7 @@ from .errors import CheckFailure, SolverError
 from .grid import (
     Grid, VectorField, divergence, face_norm, grad_inner, normal_trace, scalar_norm,
 )
-from .heat_oracle import HeatEstimates, divergence_state, heat_step
+from .heat_oracle import HeatEstimates, divergence_state, step_divergence
 from .stokes_lift import decompose
 
 __all__ = ["main"]
@@ -238,7 +238,7 @@ class _FieldRun(_Run):
     def finish(self) -> int:
         """Write the margins and artifacts; returns the exit code."""
         return self.write(_field_margins(self),
-                          lambda s: [("final_u", s.u), ("final_g.ensf", s.g.g)])
+                          lambda s: [("final_u", s.u), ("final_g.ensf", s.g)])
 
 
 def _build_basis_checked(grid: Grid, modes: int):
@@ -407,7 +407,8 @@ def cmd_heat(cfg: Config, quiet: bool) -> int:
 
     def states():
         g0 = scenarios.eigen_divergence(Grid(cfg.grid), cfg.system, cfg.ic_eps, cfg.ic_mode)
-        return scenarios.march(heat_step, divergence_state(g0, bc, cfg.nu), cfg.dt, cfg.nsteps)
+        return scenarios.march(step_divergence, divergence_state(g0, bc, cfg.nu), cfg.dt,
+                               cfg.nsteps)
 
     run = _Run(cfg.out, measure, states).run()
     entries = [run.completed]

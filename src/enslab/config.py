@@ -12,6 +12,7 @@ __all__ = ["Config", "ConfigError", "parse_config", "load_config"]
 
 _SYSTEMS = ("jl", "sr")
 _ROUTES = ("decomposed", "direct", "galerkin")
+_TENSOR_BYTES_MAX = 2 ** 28  # the Galerkin coupling tensors, 2 modes^3 float64: modes <= 256
 
 
 @dataclass(frozen=True)
@@ -72,16 +73,23 @@ class Config:
                 raise ConfigError(
                     "route = galerkin models the divergence-free flow only; "
                     "ic must be zero, vortex, or random_solenoidal")
+            if 16 * self.modes ** 3 > _TENSOR_BYTES_MAX:
+                raise ConfigError(f"route = galerkin with modes = {self.modes} needs coupling "
+                                  f"tensors of 2 * modes^3 * 8 = {16 * self.modes ** 3:.3g} "
+                                  f"bytes, above {_TENSOR_BYTES_MAX} (modes <= 256)")
         if self.ic_mode < 1:
             raise ConfigError(f"ic_mode must be a positive integer, got {self.ic_mode!r}")
         if self.modes < 1:
             raise ConfigError(f"modes must be a positive integer, got {self.modes!r}")
         if not (0 <= self.seed < 2 ** 64):
             raise ConfigError(f"seed must fit in an unsigned 64-bit value, got {self.seed!r}")
-        for key in ("ic_eps", "ic_amplitude", "forcing_amplitude"):
-            value = getattr(self, key)
-            if not (abs(value) < float("inf")):
+        for key in ("nu", "lambda", "dt", "T", "ic_eps", "ic_amplitude", "forcing_amplitude"):
+            value = getattr(self, _KEY_FIELDS[key][0])
+            if value is not None and not (abs(value) < float("inf")):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
+        if not (self.horizon / self.dt < 2.0 ** 63):
+            raise ConfigError(f"T / dt = {self.horizon / self.dt:.3g} steps do not fit in a "
+                              "64-bit integer; lower T or raise dt")
 
     @property
     def nsteps(self) -> int:

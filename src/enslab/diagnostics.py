@@ -39,8 +39,8 @@ __all__ = [
     "fit_decay_rate",
     "convergence_order",
     # the tolerance table
-    "SLACK_ABS", "SLACK_REL", "TINY", "LIFT_FLOOR", "WALL_FLOOR", "TIME_RTOL",
-    "DRIFT_RTOL", "DRIFT_ABS", "RECONSTRUCT_TOL", "WALL_FOLLOW_TOL", "SPLIT_TOL",
+    "SLACK_ABS", "SLACK_REL", "TINY", "LIFT_FLOOR", "WALL_FLOOR", "DRIFT_RTOL",
+    "DRIFT_ABS", "RECONSTRUCT_TOL", "WALL_FOLLOW_TOL", "SPLIT_TOL",
     "SPLIT_RECONSTRUCT_TOL", "SPLIT_WALL_TOL", "SOLVABILITY_TOL", "GAP_DECAY_TOL",
     "NET_SOURCE_TOL", "MASS_TOL", "CONTRACTION_RTOL", "GRAM_TOL", "EIGEN_RESIDUAL_TOL",
     "EIGEN_ORDER_RTOL", "PARITY_RTOL", "DIV_CEILING", "WALL_FOLLOW_RUN_TOL",
@@ -62,7 +62,6 @@ LIFT_FLOOR = 1e-12  # ||div|| at or below is not lifted; x max(1, ||u|| / h)
 WALL_FLOOR = 1e-12  # max|u.n| at or below counts as zero walls; x max(1, max|u|)
 
 # States of both systems (stokes_lift.check_state, the wall checks).
-TIME_RTOL = 1e-12   # |t_component - t|; x max(1, |t|)
 DRIFT_RTOL = 1e-7   # ||div u - g|| (sr: less its mean); x max(||g||, ||u|| / h), + DRIFT_ABS
 DRIFT_ABS = 1e-14
 RECONSTRUCT_TOL = 1e-13  # cache max|u - (v + z)|, and `enslab decompose`; x max(1, max|u|)

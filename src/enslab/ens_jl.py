@@ -41,9 +41,10 @@ from .grid import (
     divergence,
     face_inner,
     grad_inner,
+    integral,
     normal_trace,
 )
-from .heat_oracle import DivergenceState, divergence_state, heat_step
+from .heat_oracle import check_mass, heat_step
 from .linsolve import generalized_stokes, heat_solver
 from .reference import cfl_check, perturbed_heun_step, poincare_constant
 from .stokes_lift import (
@@ -62,7 +63,9 @@ __all__ = [
 class JLState(MeasuredState):
     """Velocity with heat-evolving divergence under no-slip walls.
 
-    The decomposition cache (v, z) is maintained by the decomposed route:
+    g is the divergence field that the Neumann heat equation advances and
+    m0 its mass, frozen at t = 0, which that equation conserves.  The
+    decomposition cache (v, z) is maintained by the decomposed route:
     v is the divergence-free part, z the Stokes lifting of g.
     Direct-route states carry no cache.  The state's measurements
     (``MeasuredState``) are taken once, when it is checked, and read by the
@@ -71,13 +74,15 @@ class JLState(MeasuredState):
 
     time: float
     u: VectorField
-    g: DivergenceState
+    g: ScalarField
+    m0: float
     nu: float
     forcing: VectorField
     v: VectorField | None = None
     z: VectorField | None = None
 
     def __post_init__(self) -> None:
+        check_mass(self.g, self.m0)
         check_state(self, "neumann")
         walls = normal_trace(self.u).max_abs()
         if walls > wall_floor(self.u):
@@ -93,11 +98,12 @@ def jl_state(u: VectorField, nu: float, forcing: VectorField | None = None,
     """Build a consistent state at t = 0 from a velocity field with zero wall faces."""
     forcing = VectorField.zeros(u.grid) if forcing is None else forcing
     with np.errstate(over="ignore", invalid="ignore"):  # the lift or the state judges u
-        g = divergence_state(divergence(u), "neumann", nu)
+        g = divergence(u)
+        m0 = integral(g)
     if not decomposed:
-        return JLState(0.0, u, g, nu, forcing)
+        return JLState(0.0, u, g, m0, nu, forcing)
     dec = decompose(u)
-    return JLState(0.0, u, g, nu, forcing, dec.v, dec.z)
+    return JLState(0.0, u, g, m0, nu, forcing, dec.v, dec.z)
 
 
 def step_decomposed(s: JLState, dt: float) -> JLState:
@@ -111,10 +117,10 @@ def step_decomposed(s: JLState, dt: float) -> JLState:
         raise ValueError("decomposed route requires the decomposition cache; "
                          "build the state with jl_state(u, nu, ...)")
     cfl_check(s.u, dt)
-    gp = heat_step(s.g, dt)
-    zp = lift_or_zero(gp.g, s.u)
+    gp = heat_step(s.g, s.nu, dt, "neumann")
+    zp = lift_or_zero(gp, s.u)
     vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, s.forcing, s.time + dt)
-    return JLState(s.time + dt, vp + zp, gp, s.nu, s.forcing, vp, zp)
+    return JLState(s.time + dt, vp + zp, gp, s.m0, s.nu, s.forcing, vp, zp)
 
 
 def step_direct(s: JLState, dt: float) -> JLState:
@@ -133,8 +139,7 @@ def step_direct(s: JLState, dt: float) -> JLState:
     # update is the next state's fault, judged as its check judges u
     check_finite(s.time + dt, velocity=rhs)
     up = generalized_stokes(grid, 1.0, c).solve(rhs, gp, pressure=False)[0]
-    return JLState(s.time + dt, up, DivergenceState(gp, s.time + dt, "neumann", s.nu, s.g.m0),
-                   s.nu, s.forcing)
+    return JLState(s.time + dt, up, gp, s.m0, s.nu, s.forcing)
 
 
 class EnergyLedger:

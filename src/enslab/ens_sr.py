@@ -52,7 +52,7 @@ from .grid import (
     scalar_norm,
     trace_integral,
 )
-from .heat_oracle import DivergenceState, divergence_state, heat_step
+from .heat_oracle import heat_step
 from .linsolve import NoslipHelmholtz, heat_solver
 from .reference import cfl_check, perturbed_heun_step
 from .stokes_lift import MeasuredState, _remove_gradient, check_finite, check_state, lift_or_zero
@@ -77,7 +77,8 @@ class SRState(MeasuredState):
 
     Tangential wall values are pinned to zero through the operator closures
     (the staggered layout stores no tangential wall unknowns); the wall-normal
-    faces carry h, one outward-signed value per boundary face.  The cache
+    faces carry h, one outward-signed value per boundary face.  g is the
+    divergence field that the Dirichlet heat equation advances.  The cache
     (v, z) is maintained by the constructive route: z lifts (g, h), v is the
     zero-wall divergence-free remainder.
     The state's measurements (``MeasuredState`` and the wall gap) are taken
@@ -86,7 +87,7 @@ class SRState(MeasuredState):
 
     time: float
     u: VectorField
-    g: DivergenceState
+    g: ScalarField
     h: BoundaryTrace
     lam: float
     nu: float
@@ -120,11 +121,11 @@ def sr_state(u: VectorField, lam: float, nu: float, forcing: VectorField | None 
     """Build a consistent state at t = 0 from a velocity field (wall-normal faces free)."""
     forcing = VectorField.zeros(u.grid) if forcing is None else forcing
     with np.errstate(over="ignore", invalid="ignore"):  # the lift or the state judges u
-        g = divergence_state(divergence(u), "dirichlet", nu)
+        g = divergence(u)
     h = normal_trace(u)
     if not decomposed:
         return SRState(0.0, u, g, h, lam, nu, forcing)
-    z = lift_or_zero(g.g, u, h)
+    z = lift_or_zero(g, u, h)
     return SRState(0.0, u, g, h, lam, nu, forcing, u - z, z)
 
 
@@ -152,17 +153,17 @@ def evolve_h(h: BoundaryTrace, m0: float, m1: float, lam: float, dt: float) -> B
     return _adopt(BoundaryTrace, h.grid, *[decay * x + k for x in h.arrays])
 
 
-def solvability_gap(g: DivergenceState, h: BoundaryTrace) -> float:
+def solvability_gap(g: ScalarField, h: BoundaryTrace) -> float:
     """Defect of the lifting solvability condition: oint h - int g."""
-    return trace_integral(h) - integral(g.g)
+    return trace_integral(h) - integral(g)
 
 
-def _advance_gh(g: DivergenceState, h: BoundaryTrace, lam: float,
-                dt: float) -> tuple[DivergenceState, BoundaryTrace]:
+def _advance_gh(g: ScalarField, h: BoundaryTrace, lam: float, nu: float,
+                dt: float) -> tuple[ScalarField, BoundaryTrace]:
     """One step of the (divergence, boundary-data) subsystem: the Dirichlet
     heat step of g, then the closed-form relaxation of h."""
-    gp = heat_step(g, dt)
-    return gp, evolve_h(h, integral(g.g), integral(gp.g), lam, dt)
+    gp = heat_step(g, nu, dt, "dirichlet")
+    return gp, evolve_h(h, integral(g), integral(gp), lam, dt)
 
 
 def step_constructive(s: SRState, dt: float) -> SRState:
@@ -172,13 +173,13 @@ def step_constructive(s: SRState, dt: float) -> SRState:
                          "build the state with sr_state(u, lam, nu, ...)")
     cfl_check(s.u, dt)
     gap = solvability_gap(s.g, s.h)
-    scale = max(1.0, scalar_norm(s.g.g), s.h.max_abs())
+    scale = max(1.0, scalar_norm(s.g), s.h.max_abs())
     if abs(gap) > SOLVABILITY_TOL * scale:
         raise SolvabilityError(
             f"solvability gap {gap:.3e} exceeds tolerance; boundary and "
             "divergence data are inconsistent")
-    gp, hp = _advance_gh(s.g, s.h, s.lam, dt)
-    zp = lift_or_zero(gp.g, s.u, hp)
+    gp, hp = _advance_gh(s.g, s.h, s.lam, s.nu, dt)
+    zp = lift_or_zero(gp, s.u, hp)
     vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, s.forcing, s.time + dt)
     gap_plus = solvability_gap(gp, hp)
     if abs(gap_plus) > math.exp(-s.lam * dt) * abs(gap) + GAP_DECAY_TOL * scale:
@@ -257,30 +258,26 @@ def step_direct_sr(s: SRState, dt: float) -> SRState:
     """
     cfl_check(s.u, dt)
     grid, du = s.u.grid, s.div_u
-    gp_field = _adopt(ScalarField, grid,
-                      heat_solver(grid, s.nu * dt, "dirichlet", theta="be")(du.values))
-    mass = integral(gp_field)
-    hp = evolve_h(s.h, integral(du), mass, s.lam, dt)
+    gp = _adopt(ScalarField, grid,
+                heat_solver(grid, s.nu * dt, "dirichlet", theta="be")(du.values))
+    hp = evolve_h(s.h, integral(du), integral(gp), s.lam, dt)
     ustar = NoslipHelmholtz(grid, s.nu * dt).solve(_explicit_update(s, dt), trace=hp)
     # the repair u+ = u* - grad chi, with chi from div u* - g+, leaves u*'s walls
     up, vp = ustar.u.copy(), ustar.v.copy()
-    _remove_gradient(grid, up, vp, gp_field.values)
-    gp = DivergenceState(gp_field, s.time + dt, "dirichlet", s.nu, mass)
+    _remove_gradient(grid, up, vp, gp.values)
     return SRState(s.time + dt, _adopt(VectorField, grid, up, vp), gp, hp, s.lam, s.nu,
                    s.forcing)
 
 
 def sr_gap_run(g0: ScalarField, h0: BoundaryTrace, lam: float, nu: float,
-               dt: float, nsteps: int) -> list[tuple[DivergenceState, BoundaryTrace]]:
+               dt: float, nsteps: int) -> list[tuple[ScalarField, BoundaryTrace]]:
     """Evolve the (divergence, boundary-data) subsystem alone.
 
     The pair need not satisfy the solvability condition; the run exposes the
     exact per-step decay of the gap  oint h - int g.  Each step is the update
     the constructive route makes.
     """
-    g, h = divergence_state(g0, "dirichlet", nu), h0
-    history = [(g, h)]
+    history = [(g0, h0)]
     for _ in range(nsteps):
-        g, h = _advance_gh(g, h, lam, dt)
-        history.append((g, h))
+        history.append(_advance_gh(*history[-1], lam, nu, dt))
     return history

@@ -44,8 +44,9 @@ once, array by array.  Fields are validated where data enters: public
 construction copies the arrays, checks the shapes, rejects non-finite values
 and freezes.  The operators of this module, of ``linsolve`` and of
 ``advection`` build their results with ``_adopt``, which freezes the arrays
-they have just allocated and trusts them.  Each state of the flow systems
-scans its fields for finiteness once (``stokes_lift.check_state``), so a
+they have just allocated and trusts them.  Each flow state scans its
+fields, its divergence among them, once (``stokes_lift.check_state``), and
+``heat_oracle.heat_step`` builds its field by public construction, so a
 non-finite value is still caught at the step that makes it.
 """
 
@@ -63,7 +64,6 @@ __all__ = [
     "VectorField",
     "BoundaryTrace",
     "divergence",
-    "gradient",
     "vector_laplacian",
     "scalar_inner",
     "scalar_norm",
@@ -264,20 +264,6 @@ def _divergence_values(u: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
     d -= v[..., :, :-1]
     d /= h
     return d
-
-
-def gradient(p: ScalarField) -> VectorField:
-    """Face differences of a cell scalar; wall faces receive 0.
-
-    Boundary conditions are the business of the solvers that use the
-    operator, so wall faces carry the homogeneous-flux convention here.
-    """
-    g = p.grid
-    gu = np.zeros(g.shape_u)
-    gv = np.zeros(g.shape_v)
-    gu[1:-1, :] = (p.values[1:, :] - p.values[:-1, :]) / g.h
-    gv[:, 1:-1] = (p.values[:, 1:] - p.values[:, :-1]) / g.h
-    return _adopt(VectorField, g, gu, gv)
 
 
 # ---------------------------------------------------------------------------

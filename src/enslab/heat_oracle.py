@@ -10,6 +10,8 @@ layered on top.
 Stepping is Crank-Nicolson: second order, unconditionally L2-contractive for
 these symmetric negative semi-definite operators, and exactly
 mass-conservative in the Neumann case (the matrices have zero column sums).
+The flow states hold their divergence as a field and step it by heat_step;
+`enslab heat` marches a DivergenceState, with its own clock, by step_divergence.
 """
 
 from __future__ import annotations
@@ -24,7 +26,16 @@ from .errors import CheckFailure
 from .grid import ScalarField, integral, scalar_grad_inner, scalar_norm
 from .linsolve import heat_solver
 
-__all__ = ["DivergenceState", "divergence_state", "heat_step", "HeatEstimates"]
+__all__ = ["DivergenceState", "divergence_state", "check_mass", "heat_step", "step_divergence",
+           "HeatEstimates"]
+
+
+def check_mass(g: ScalarField, m0: float) -> None:
+    """Raise CheckFailure when the zero-flux divergence g has lost the mass m0."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows: judged where g is measured
+        drift = abs(integral(g) - m0)
+    if drift > MASS_TOL * max(1.0, abs(m0)):
+        raise CheckFailure(f"zero-flux divergence state lost mass: drift {drift:.3e}")
 
 
 @dataclass(frozen=True)
@@ -43,31 +54,31 @@ class DivergenceState:
         if not (self.nu > 0.0 and math.isfinite(self.nu)):
             raise ValueError(f"viscosity must be positive and finite, got {self.nu}")
         if self.bc == "neumann":
-            drift = abs(integral(self.g) - self.m0)
-            if drift > MASS_TOL * max(1.0, abs(self.m0)):
-                raise CheckFailure(
-                    f"zero-flux divergence state lost mass: drift {drift:.3e}")
+            check_mass(self.g, self.m0)
 
 
 def divergence_state(g: ScalarField, bc: str, nu: float) -> DivergenceState:
-    """Build the state at t = 0; the conserved mass is frozen from g.  A mass
-    that overflows is not judged here but where g is measured."""
+    """Build the state at t = 0; the conserved mass is frozen from g."""
     with np.errstate(over="ignore", invalid="ignore"):
         return DivergenceState(g=g, time=0.0, bc=bc, nu=float(nu), m0=integral(g))
 
 
-def heat_step(s: DivergenceState, dt: float) -> DivergenceState:
-    """One Crank-Nicolson step; re-validates mass and L2 contraction."""
+def heat_step(g: ScalarField, nu: float, dt: float, bc: str) -> ScalarField:
+    """One Crank-Nicolson step of g under the closure bc; checks L2 contraction."""
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive, got {dt}")
-    step = heat_solver(s.g.grid, s.nu * dt, s.bc, theta="cn")
-    out = ScalarField(s.g.grid, step(s.g.values))
-    n_old = scalar_norm(s.g)
+    out = ScalarField(g.grid, heat_solver(g.grid, nu * dt, bc, theta="cn")(g.values))
+    n_old = scalar_norm(g)
     n_new = scalar_norm(out)
     if n_new > n_old * (1.0 + CONTRACTION_RTOL) + TINY:
         raise CheckFailure(
             f"heat step expanded the L2 norm: {n_old:.16e} -> {n_new:.16e}")
-    return DivergenceState(g=out, time=s.time + dt, bc=s.bc, nu=s.nu, m0=s.m0)
+    return out
+
+
+def step_divergence(s: DivergenceState, dt: float) -> DivergenceState:
+    """The heat step of a divergence state; re-validates its mass."""
+    return DivergenceState(heat_step(s.g, s.nu, dt, s.bc), s.time + dt, s.bc, s.nu, s.m0)
 
 
 class HeatEstimates:

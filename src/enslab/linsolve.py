@@ -148,12 +148,11 @@ class NeumannPoisson:
 
     The right-hand side is always deflated to mean zero first, so a genuinely
     incompatible source is answered by the solution of its mean-zero part
-    (the leftover constant is the caller's business).  The returned field is
+    (the leftover constant is the caller's business).  The returned array is
     the mean-zero representative.
     """
 
     def __init__(self, grid: Grid):
-        self.grid = grid
         qx, qy, lam = _separable_eigenbasis(grid, "neumann")
         lam[-1, -1] = np.inf                  # the constant mode maps to 0
         self._block = (qx, qy, 1.0 / lam)
@@ -164,9 +163,6 @@ class NeumannPoisson:
         x = _diagonalized_solve(rhs - rhs.mean(axis=(-2, -1), keepdims=True), *self._block)
         x -= x.mean(axis=(-2, -1), keepdims=True)
         return x
-
-    def solve(self, rhs: ScalarField) -> ScalarField:
-        return _adopt(ScalarField, self.grid, self.solve_values(rhs.values))
 
 
 def neumann_poisson(grid: Grid) -> NeumannPoisson:

@@ -8,7 +8,9 @@ evaluate the wall-relaxation Duhamel integral in closed form and by
 quadrature, extrapolate the divergence to the walls, fold the energy
 ledger over a whole history and compose the no-slip direct step from a
 Poisson solve and a divergence-free solve, so that the tests can check the
-package against an independent construction.  They are the only users of
+package against an independent construction.  The face gradient of a cell
+scalar and the zero-flux Poisson solve of a field, which the package forms
+only inside its solvers, are here as whole-field operations.  They are the only users of
 scipy.  The transport is here in its two halves, the advective
 form and its exact transpose, whose half-difference the package evaluates
 in flux-pair form, and the compatibility constant in its Laplacian form,
@@ -30,7 +32,7 @@ from enslab.ens_jl import EnergyLedger, JLState
 from enslab.ens_sr import SRState
 from enslab.grid import (
     BoundaryTrace, Grid, ScalarField, VectorField, _adopt, divergence, face_inner, face_norm,
-    grad_inner, gradient, integral, normal_trace, scalar_norm, vector_laplacian,
+    grad_inner, integral, normal_trace, scalar_norm, vector_laplacian,
     with_normal_trace,
 )
 from enslab.heat_oracle import DivergenceState, HeatEstimates
@@ -39,6 +41,29 @@ from enslab.linsolve import (
     heat_solver, neumann_poisson,
 )
 from enslab.stokes_lift import leray_project, lift_divergence, wall_floor
+
+
+# ---------------------------------------------------------------------------
+# Whole-field operators: the face gradient and the zero-flux Poisson solve
+# ---------------------------------------------------------------------------
+
+def gradient(p: ScalarField) -> VectorField:
+    """Face differences of a cell scalar; wall faces receive 0.
+
+    Boundary conditions are the business of the solvers that use the
+    operator, so wall faces carry the homogeneous-flux convention here.
+    """
+    g = p.grid
+    gu = np.zeros(g.shape_u)
+    gv = np.zeros(g.shape_v)
+    gu[1:-1, :] = (p.values[1:, :] - p.values[:-1, :]) / g.h
+    gv[:, 1:-1] = (p.values[:, 1:] - p.values[:, :-1]) / g.h
+    return _adopt(VectorField, g, gu, gv)
+
+
+def neumann_solve(rhs: ScalarField) -> ScalarField:
+    """The mean-zero zero-flux Poisson solution of a cell field."""
+    return _adopt(ScalarField, rhs.grid, neumann_poisson(rhs.grid).solve_values(rhs.values))
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +325,11 @@ def jl_direct_composed(s: JLState, dt: float) -> JLState:
     """
     grid, u, c = s.u.grid, s.u, s.nu * dt
     gp = ScalarField(grid, heat_solver(grid, c, "neumann", theta="be")(s.div_u.values))
-    gphi = gradient(neumann_poisson(grid).solve(gp))
+    gphi = gradient(neumann_solve(gp))
     rhs = (u + (s.forcing - skew_advect(u, u)) * dt
            + vector_laplacian(gphi) * c)
     y = generalized_stokes(grid, 1.0, c).solve(rhs, pressure=False)[0]
-    gp = DivergenceState(gp, s.time + dt, "neumann", s.nu, s.g.m0)
-    return JLState(s.time + dt, y + gphi, gp, s.nu, s.forcing)
+    return JLState(s.time + dt, y + gphi, gp, s.m0, s.nu, s.forcing)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +546,7 @@ def stokes_pressure(u: VectorField) -> ScalarField:
     if walls > wall_floor(u):
         raise ValueError(f"pressure recovery requires zero wall faces (max {walls:.3e})")
     w = vector_laplacian(u) - gradient(divergence(u))
-    return neumann_poisson(u.grid).solve(divergence(w))
+    return neumann_solve(divergence(w))
 
 
 def check_stokes_pressure(u: VectorField) -> dict:

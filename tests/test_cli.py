@@ -93,9 +93,33 @@ ROUTES = ["route_a", "route_b", "summary.txt"]
 SUBRUNS = ["base", "eps_0", "eps_1", "eps_2", "summary.txt"]
 ROUTES_FAIL, RUNS_FAIL = "margin routes_completed = 0 FAIL\n", "margin runs_completed = 0 FAIL\n"
 
-# accepted configs, at the extremes and a few ordinary ones: (id, command,
-# config, exit code, stderr, the artifacts, a part of summary.txt)
+# configs at the extremes and a few ordinary ones: (id, command, config, exit
+# code, stderr, the artifacts, a part of summary.txt); a config error (exit 1)
+# makes no directory, so it has neither
 EXTREMES = [
+    # non-finite numbers and step counts beyond 64 bits are config errors
+    ("config-nu-inf", "run", SMALL_JL.replace("nu = 0.1", "nu = inf"), 1,
+     "config error: nu must be finite, got inf\n", None, None),
+    ("config-nu-inf-galerkin", "run",
+     SMALL_JL.replace("nu = 0.1", "nu = inf") + "route = galerkin\nic = vortex\n", 1,
+     "config error: nu must be finite, got inf\n", None, None),
+    ("config-lambda-inf", "run", SMALL_SR.replace("lambda = 2", "lambda = inf"), 1,
+     "config error: lambda must be finite, got inf\n", None, None),
+    ("config-dt-and-T-inf", "run",
+     SMALL_JL.replace("dt = 2e-3", "dt = inf").replace("T = 0.02", "T = inf"), 1,
+     "config error: dt must be finite, got inf\n", None, None),
+    ("config-steps-overflow", "run",
+     SMALL_JL.replace("dt = 2e-3", "dt = 1e-300").replace("T = 0.02", "T = 1e300"), 1,
+     "config error: T / dt = inf steps do not fit in a 64-bit integer; lower T or raise dt\n",
+     None, None),
+    ("config-steps-beyond-64-bits", "run", SMALL_JL.replace("T = 0.02", "T = 2e16"), 1,
+     "config error: T / dt = 1e+19 steps do not fit in a 64-bit integer; lower T or raise dt\n",
+     None, None),
+    # rejected before the basis is built (whose own bound at grid 16 is 225)
+    ("config-galerkin-tensor-bound", "run", SMALL_JL + "route = galerkin\nmodes = 257\n", 1,
+     "config error: route = galerkin with modes = 257 needs coupling tensors of "
+     "2 * modes^3 * 8 = 2.72e+08 bytes, above 268435456 (modes <= 256)\n",
+     None, None),
     # the open walls relax in closed form, however small lambda dt is
     ("sr-direct-tiny-dt", "run", SR_TINY_DT + "route = direct\n", 0, "", RUN_FILES,
      "overall PASS\n"),
@@ -418,6 +442,9 @@ class TestExitCodes:
         got, out = run_cli(tmp_path, command, text)
         assert got == code
         assert capsys.readouterr().err == error
+        if code == 1:
+            assert not os.path.exists(out)
+            return
         assert sorted(os.listdir(out)) == files
         verdict = Path(out, "summary.txt").read_text()
         assert summary in verdict

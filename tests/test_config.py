@@ -1,6 +1,7 @@
 """Config-file parsing and validation."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -162,6 +163,29 @@ class TestValidation:
     def test_non_finite_floats_rejected(self):
         with pytest.raises(ConfigError, match="finite"):
             make(ic_eps=float("nan"))
+
+    @pytest.mark.parametrize("key, fields", [
+        ("nu", {"nu": math.inf}), ("lambda", {"lam": math.inf}),
+        ("dt", {"dt": math.inf, "horizon": math.inf}), ("T", {"horizon": math.inf}),
+        ("ic_eps", {"ic_eps": math.inf}), ("ic_amplitude", {"ic_amplitude": -math.inf}),
+        ("forcing_amplitude", {"forcing_amplitude": math.inf})])
+    def test_infinite_numbers_rejected(self, key, fields):
+        with pytest.raises(ConfigError, match=f"^{key} must be finite, got -?inf$"):
+            make(**{"system": "sr", "lam": 1.0, **fields})
+
+    def test_step_count_fits_in_64_bits(self):
+        assert make(dt=1.0, horizon=2.0 ** 62).nsteps == 2 ** 62
+        for horizon, dt in ((2.0 ** 63, 1.0), (1e300, 1e-300)):
+            with pytest.raises(ConfigError, match="T / dt = .* do not fit in a 64-bit integer"):
+                make(dt=dt, horizon=horizon)
+
+    def test_galerkin_coupling_tensor_bound(self):
+        # 2 * k^3 float64 entries: 2^28 bytes at k = 256, more from k = 257
+        assert 2 * 256 ** 3 * 8 == 2 ** 28 < 2 * 257 ** 3 * 8
+        assert make(route="galerkin", ic="vortex", modes=256).modes == 256
+        with pytest.raises(ConfigError, match="modes = 257 needs coupling tensors"):
+            make(route="galerkin", ic="vortex", modes=257)
+        assert make(modes=257).modes == 257  # the field routes build no tensor
 
     def test_nsteps_rounds_to_nearest(self):
         assert make(dt=1e-3, horizon=0.5).nsteps == 500

@@ -24,8 +24,7 @@ from enslab.grid import (
     vector_from_stream,
     with_normal_trace,
 )
-from enslab.heat_oracle import DivergenceState, divergence_state
-from enslab.linsolve import neumann_poisson
+from enslab.heat_oracle import divergence_state
 from enslab.reference import step_nse_projection
 from enslab.scenarios import forcing_field, initial_velocity, march
 from enslab.stokes_lift import lift_divergence
@@ -43,7 +42,7 @@ from enslab.ens_sr import (
 )
 from oracles import (
     apply_cell, boundary_divergence_max, compat_constant_laplacian, duhamel_closed_form,
-    duhamel_quadrature, laplacian_dirichlet_matrix, step_average_constant,
+    duhamel_quadrature, laplacian_dirichlet_matrix, neumann_solve, step_average_constant,
 )
 
 
@@ -197,7 +196,7 @@ class TestSRStateConstruction:
         u0 = vortex(g) + z0
         s = sr_state(u0, 1.0, 0.02)
         assert s.decomposed
-        assert s.g.bc == "dirichlet"
+        assert np.array_equal(s.g.values, divergence(u0).values)
         assert (s.u - (s.v + s.z)).max_abs() <= 1e-13
         assert trace_gap(normal_trace(s.u), s.h) == 0.0
 
@@ -206,58 +205,39 @@ class TestSRStateConstruction:
         s = sr_state(through_flow(g), 1.0, 0.02, decomposed=False)
         assert not s.decomposed
 
-    def test_rejects_neumann_divergence_state(self):
-        g = Grid(16)
-        u = through_flow(g)
-        wrong = divergence_state(divergence(u), "neumann", 0.02)
-        with pytest.raises(ValueError):
-            SRState(0.0, u, wrong, normal_trace(u), 1.0, 0.02,
+    @pytest.mark.parametrize("nu", [0.0, -1.0, np.inf])
+    def test_rejects_viscosity_that_is_not_positive_and_finite(self, nu):
+        u = through_flow(Grid(16))
+        with pytest.raises(ValueError, match="viscosity must be positive and finite"):
+            SRState(0.0, u, divergence(u), normal_trace(u), 1.0, nu,
                     VectorField.zeros(u.grid))
 
     def test_rejects_wall_data_mismatch(self):
         g = Grid(16)
         u = through_flow(g)
-        gs = divergence_state(divergence(u), "dirichlet", 0.02)
         with pytest.raises(CheckFailure):
-            SRState(0.0, u, gs, BoundaryTrace.zeros(g), 1.0, 0.02,
+            SRState(0.0, u, divergence(u), BoundaryTrace.zeros(g), 1.0, 0.02,
                     VectorField.zeros(u.grid))
 
     def test_rejects_divergence_drift(self):
         g = Grid(32)
         _, _, z0 = matched_lift(g, 1e-2)
         u = vortex(g) + z0
-        fake = divergence_state(ScalarField.zeros(g), "dirichlet", 0.02)
         with pytest.raises(CheckFailure):
-            SRState(0.0, u, fake, normal_trace(u), 1.0, 0.02,
+            SRState(0.0, u, ScalarField.zeros(g), normal_trace(u), 1.0, 0.02,
                     VectorField.zeros(u.grid))
 
     def test_rejects_partial_cache(self):
         g = Grid(16)
         u = through_flow(g)
-        gs = divergence_state(divergence(u), "dirichlet", 0.02)
         with pytest.raises(ValueError):
-            SRState(0.0, u, gs, normal_trace(u), 1.0, 0.02,
+            SRState(0.0, u, divergence(u), normal_trace(u), 1.0, 0.02,
                     VectorField.zeros(u.grid), v=u, z=None)
 
     def test_rejects_nonpositive_relaxation_rate(self):
         g = Grid(16)
         with pytest.raises(ValueError):
             sr_state(through_flow(g), 0.0, 0.02)
-
-    def test_rejects_component_time_mismatch(self):
-        u = through_flow(Grid(16))
-        div = divergence(u)
-        gs = DivergenceState(g=div, time=0.5, bc="dirichlet", nu=0.02, m0=integral(div))
-        with pytest.raises(ValueError, match="divergence state time disagrees with the state time"):
-            SRState(0.0, u, gs, normal_trace(u), 1.0, 0.02,
-                    VectorField.zeros(u.grid))
-
-    def test_rejects_divergence_state_of_another_viscosity(self):
-        u = through_flow(Grid(16))
-        other = divergence_state(divergence(u), "dirichlet", 0.04)
-        with pytest.raises(ValueError, match="divergence state carries a different viscosity"):
-            SRState(0.0, u, other, normal_trace(u), 1.0, 0.02,
-                    VectorField.zeros(u.grid))
 
 
 class TestStepConstructive:
@@ -303,7 +283,7 @@ class TestStepConstructive:
         h0 = s.h
         for n in range(1, 101):
             s = step_constructive(s, dt)
-            assert scalar_norm(s.g.g) <= 1e-12
+            assert scalar_norm(s.g) <= 1e-12
             exact = h0 * math.exp(-lam * n * dt)
             assert trace_gap(s.h, exact) <= 1e-12
             assert trace_gap(normal_trace(s.u), s.h) <= 1e-12
@@ -328,8 +308,7 @@ class TestStepConstructive:
         _, _, z0 = matched_lift(g, 1e-2)
         u0 = vortex(g) + z0
         shifted = divergence(u0) - ScalarField(g, np.full(g.shape_cell, 1e-3))
-        gs = divergence_state(shifted, "dirichlet", 0.02)
-        s = SRState(0.0, u0, gs, normal_trace(u0), 1.0, 0.02,
+        s = SRState(0.0, u0, shifted, normal_trace(u0), 1.0, 0.02,
                     VectorField.zeros(g), v=u0, z=VectorField.zeros(g))
         with pytest.raises(SolvabilityError):
             step_constructive(s, 1e-3)
@@ -545,7 +524,7 @@ class TestGapSubsystem:
         h0 = BoundaryTrace(g, *(rng.standard_normal(n) for _ in range(4)))
         hist = sr_gap_run(g0, h0, lam, nu, dt, 4)
         for (gs, hs), (gs1, hs1) in zip(hist, hist[1:]):
-            scale = max(1.0, scalar_norm(gs.g), hs.max_abs())
+            scale = max(1.0, scalar_norm(gs), hs.max_abs())
             excess = solvability_gap(gs1, hs1) - math.exp(-lam * dt) * solvability_gap(gs, hs)
             assert abs(excess) <= GAP_DECAY_TOL * scale
 
@@ -555,10 +534,10 @@ class TestGapSubsystem:
         g = Grid(16)
         _, _, z0 = matched_lift(g, 1e-2)
         s = sr_state(vortex(g) + z0, 1.5, 0.02)
-        hist = sr_gap_run(s.g.g, s.h, s.lam, s.nu, 4e-3, 3)
+        hist = sr_gap_run(s.g, s.h, s.lam, s.nu, 4e-3, 3)
         for gs, hs in hist[1:]:
             s = step_constructive(s, 4e-3)
-            assert np.array_equal(s.g.g.values, gs.g.values)
+            assert np.array_equal(s.g.values, gs.values)
             assert all(np.array_equal(a, b) for a, b in zip(s.h.arrays, hs.arrays))
 
 
@@ -568,7 +547,7 @@ class TestDuhamel:
         lam, nu, dt, n = 2.0, 0.05, 0.02, 10
         h0 = BoundaryTrace.constant(g, 0.3)
         hist = sr_gap_run(sinsin(g), h0, lam, nu, dt, n)
-        cbars = [step_average_constant(integral(hist[k][0].g), integral(hist[k + 1][0].g),
+        cbars = [step_average_constant(integral(hist[k][0]), integral(hist[k + 1][0]),
                                        lam, dt)
                  for k in range(n)]
         closed = duhamel_closed_form(h0, cbars, lam, dt)
@@ -583,7 +562,7 @@ class TestDuhamel:
         dtf = T / nfine
         fine = sr_gap_run(g0, h0, lam, nu, dtf, nfine)
         times = np.array([k * dtf for k in range(nfine + 1)])
-        samples = np.array([constant_of(st, lam) for st, _ in fine])
+        samples = np.array([compat_constant(gs, nu, lam, integral(gs)) for gs, _ in fine])
         href = duhamel_quadrature(h0, times, samples, lam)
 
         def stepped(dt):
@@ -610,7 +589,7 @@ class TestPressurePoisson:
         the Neumann solve of it."""
         fa = s.forcing - skew_advect(s.u, s.u)
         rhs, _, total, scale = ens_sr._pressure_source(s, fa)
-        return neumann_poisson(s.u.grid).solve(rhs), total / scale
+        return neumann_solve(rhs), total / scale
 
     def test_assembled_system_is_compatible(self):
         g = Grid(32)

@@ -21,7 +21,6 @@ from enslab.grid import (
     face_inner,
     face_norm,
     grad_inner,
-    gradient,
     integral,
     normal_trace,
     rescaled_norm,
@@ -36,7 +35,8 @@ from enslab.grid import (
     with_normal_trace,
 )
 from oracles import (
-    apply_cell, boundary_divergence_trace, laplacian_dirichlet_matrix, laplacian_neumann_matrix,
+    apply_cell, boundary_divergence_trace, gradient, laplacian_dirichlet_matrix,
+    laplacian_neumann_matrix,
 )
 
 

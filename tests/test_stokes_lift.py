@@ -20,7 +20,6 @@ from enslab.grid import (
     face_inner,
     face_norm,
     grad_inner,
-    gradient,
     integral,
     scalar_norm,
     vector_from_stream,
@@ -32,7 +31,7 @@ from enslab.stokes_lift import (
     leray_project,
     lift_divergence,
 )
-from oracles import check_weak_lifting_bound, lifting_constant
+from oracles import check_weak_lifting_bound, gradient, lifting_constant
 
 
 def coscos(grid, k=1, m=1):

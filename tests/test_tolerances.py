@@ -28,7 +28,7 @@ ALLOWED = {
 TABLE = {
     "SLACK_ABS": 1e-8, "SLACK_REL": 1e-6, "TINY": 1e-300,
     "LIFT_FLOOR": 1e-12, "WALL_FLOOR": 1e-12,
-    "TIME_RTOL": 1e-12, "DRIFT_RTOL": 1e-7, "DRIFT_ABS": 1e-14,
+    "DRIFT_RTOL": 1e-7, "DRIFT_ABS": 1e-14,
     "RECONSTRUCT_TOL": 1e-13, "WALL_FOLLOW_TOL": 1e-8,
     "SPLIT_TOL": 1e-9, "SPLIT_RECONSTRUCT_TOL": 1e-14, "SPLIT_WALL_TOL": 1e-10,
     "SOLVABILITY_TOL": 1e-7, "GAP_DECAY_TOL": 1e-9, "NET_SOURCE_TOL": 1e-8,
