@@ -13,7 +13,7 @@ import math
 
 from enslab import ens_jl, ens_sr
 from enslab.grid import Grid, divergence, face_norm, scalar_norm
-from enslab.heat_oracle import divergence_state, step_divergence
+from enslab.heat_oracle import heat_march
 from enslab.reference import step_nse_projection
 from enslab.scenarios import eigen_lift, march, stream_vortex
 
@@ -51,7 +51,7 @@ def main() -> None:
     u0 = stream_vortex(grid) + z0
     nsteps = 200
     hist = list(march(ens_jl.step_decomposed, ens_jl.jl_state(u0, nu), dt, nsteps))
-    oracle = list(march(step_divergence, divergence_state(g0, "neumann", nu), dt, nsteps))
+    oracle = list(heat_march(g0, "neumann", nu, dt, nsteps))
     print("     t      ||div u||     heat oracle    rel gap")
     for k in (0, 50, 100, 200):
         d = scalar_norm(divergence(hist[k].u))

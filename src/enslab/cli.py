@@ -39,7 +39,7 @@ from .errors import CheckFailure, SolverError
 from .grid import (
     Grid, VectorField, divergence, face_norm, grad_inner, normal_trace, scalar_norm,
 )
-from .heat_oracle import HeatEstimates, divergence_state, step_divergence
+from .heat_oracle import HeatEstimates, heat_march
 from .stokes_lift import decompose
 
 __all__ = ["main"]
@@ -151,8 +151,12 @@ def _open(out_dir: str, names, margin: str = "run_completed") -> None:
     """Open out_dir for a run or study: the artifacts that an earlier one
     left there (the files that ``names``, names or shell patterns, match) go,
     and a failing summary stands until the verdict overwrites it, so nothing
-    that ends the run early leaves a stale verdict or artifact."""
-    fieldio.ensure_dir(out_dir)
+    that ends the run early leaves a stale verdict or artifact.  A directory
+    that cannot be made (say, out_dir names a file) is a config error."""
+    try:
+        fieldio.ensure_dir(out_dir)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out_dir}: {exc}") from exc
     for name in os.listdir(out_dir):
         if any(fnmatch.fnmatchcase(name, pattern) for pattern in names):
             os.remove(os.path.join(out_dir, name))
@@ -398,7 +402,7 @@ def cmd_heat(cfg: Config, quiet: bool) -> int:
     if cfg.nsteps < 10:
         raise ConfigError("heat study needs at least 10 steps for the rate fit")
     bc = "neumann" if cfg.system == "jl" else "dirichlet"
-    estimates = HeatEstimates()
+    estimates = HeatEstimates(bc, cfg.nu)
 
     def measure(s) -> dict:
         row = norms(s.g, s.time)
@@ -407,8 +411,7 @@ def cmd_heat(cfg: Config, quiet: bool) -> int:
 
     def states():
         g0 = scenarios.eigen_divergence(Grid(cfg.grid), cfg.system, cfg.ic_eps, cfg.ic_mode)
-        return scenarios.march(step_divergence, divergence_state(g0, bc, cfg.nu), cfg.dt,
-                               cfg.nsteps)
+        return heat_march(g0, bc, cfg.nu, cfg.dt, cfg.nsteps)
 
     run = _Run(cfg.out, measure, states).run()
     entries = [run.completed]

@@ -150,7 +150,7 @@ def load_config(path: str, out: str | None = None, seed: int | None = None) -> C
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     cfg = parse_config(text)
     if out is not None:

@@ -11,7 +11,8 @@ Stepping is Crank-Nicolson: second order, unconditionally L2-contractive for
 these symmetric negative semi-definite operators, and exactly
 mass-conservative in the Neumann case (the matrices have zero column sums).
 The flow states hold their divergence as a field and step it by heat_step;
-`enslab heat` marches a DivergenceState, with its own clock, by step_divergence.
+`enslab heat` marches a DivergenceState, a field with its own clock, by
+heat_march, which takes the closure and viscosity once.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .diagnostics import CONTRACTION_RTOL, MASS_TOL, TINY
 from .errors import CheckFailure
 from .grid import ScalarField, integral, scalar_grad_inner, scalar_norm
 from .linsolve import heat_solver
+from .scenarios import march
 
-__all__ = ["DivergenceState", "divergence_state", "check_mass", "heat_step", "step_divergence",
-           "HeatEstimates"]
+__all__ = ["DivergenceState", "check_mass", "heat_step", "heat_march", "HeatEstimates"]
 
 
 def check_mass(g: ScalarField, m0: float) -> None:
@@ -40,27 +41,10 @@ def check_mass(g: ScalarField, m0: float) -> None:
 
 @dataclass(frozen=True)
 class DivergenceState:
-    """Divergence field with its closure, viscosity, and conserved mass."""
+    """Divergence field at its time."""
 
     g: ScalarField
     time: float
-    bc: str
-    nu: float
-    m0: float
-
-    def __post_init__(self):
-        if self.bc not in ("neumann", "dirichlet"):
-            raise ValueError(f"unknown bc {self.bc!r} (expected 'neumann' or 'dirichlet')")
-        if not (self.nu > 0.0 and math.isfinite(self.nu)):
-            raise ValueError(f"viscosity must be positive and finite, got {self.nu}")
-        if self.bc == "neumann":
-            check_mass(self.g, self.m0)
-
-
-def divergence_state(g: ScalarField, bc: str, nu: float) -> DivergenceState:
-    """Build the state at t = 0; the conserved mass is frozen from g."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return DivergenceState(g=g, time=0.0, bc=bc, nu=float(nu), m0=integral(g))
 
 
 def heat_step(g: ScalarField, nu: float, dt: float, bc: str) -> ScalarField:
@@ -76,46 +60,55 @@ def heat_step(g: ScalarField, nu: float, dt: float, bc: str) -> ScalarField:
     return out
 
 
-def step_divergence(s: DivergenceState, dt: float) -> DivergenceState:
-    """The heat step of a divergence state; re-validates its mass."""
-    return DivergenceState(heat_step(s.g, s.nu, dt, s.bc), s.time + dt, s.bc, s.nu, s.m0)
+def heat_march(g: ScalarField, bc: str, nu: float, dt: float, nsteps: int):
+    """The states of g under the closure bc from t = 0 (scenarios.march):
+    nu is checked here, the closure by the first step, and on zero-flux
+    walls each step's mass against that of g."""
+    if not (nu > 0.0 and math.isfinite(nu)):
+        raise ValueError(f"viscosity must be positive and finite, got {nu}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        m0 = integral(g)
+
+    def step(s: DivergenceState, dt: float) -> DivergenceState:
+        g1 = heat_step(s.g, nu, dt, bc)
+        if bc == "neumann":
+            check_mass(g1, m0)
+        return DivergenceState(g1, s.time + dt)
+    return march(step, DivergenceState(g, 0.0), dt, nsteps)
 
 
 class HeatEstimates:
-    """Margins of the a-priori estimates along a fixed-step history.
+    """Margins of the a-priori estimates along a fixed-step history under
+    the closure bc and viscosity nu.
 
     add() states in time order, each with its measured L2 norm, then
     record().  The margins, each >= 0 up to global slack:
       sup-norm:   ||g0|| - max_t ||g(t)||
       gradient:   (2 nu)^{-1/2} ||g0|| - sqrt(integral of the gradient energy)
 
-    add() holds only the previous state and keeps three scalars per state.
+    add() keeps three scalars per state.
     """
 
-    def __init__(self) -> None:
-        self._prev: DivergenceState | None = None
+    def __init__(self, bc: str, nu: float) -> None:
+        self._bc, self._nu = bc, nu
         self._times: list[float] = []
         self._l2: list[float] = []
         self._grad_energy: list[float] = []
 
     def add(self, s: DivergenceState, l2: float) -> None:
-        a, self._prev = self._prev, s
-        if a is not None:
-            if s.bc != a.bc or s.nu != a.nu:
-                raise ValueError("HeatEstimates: mixed bc or viscosity in history")
-            if s.time <= a.time:
-                raise ValueError("HeatEstimates: non-increasing times")
+        if self._times and s.time <= self._times[-1]:
+            raise ValueError("HeatEstimates: non-increasing times")
         self._times.append(s.time)
         self._l2.append(l2)
-        self._grad_energy.append(max(scalar_grad_inner(s.g, s.g, s.bc), 0.0))
+        self._grad_energy.append(max(scalar_grad_inner(s.g, s.g, self._bc), 0.0))
 
     def record(self) -> dict:
-        if self._prev is None:
+        if not self._times:
             raise ValueError("HeatEstimates: empty history")
         g0 = self._l2[0]
         # one state integrates to 0.0
         grad_integral = float(np.trapezoid(self._grad_energy, self._times))
-        grad_margin = g0 / math.sqrt(2.0 * self._prev.nu) - math.sqrt(max(grad_integral, 0.0))
+        grad_margin = g0 / math.sqrt(2.0 * self._nu) - math.sqrt(max(grad_integral, 0.0))
         return {
             "initial_l2": g0,
             "grad_energy_integral": grad_integral,

@@ -90,12 +90,12 @@ def _cached(key, builder):
     return hit
 
 
-def _tridiagonal_eigh(n: int, h: float, kind: str):
+def _tridiagonal_eigh(n: int, kind: str):
     """Eigenpairs, ascending, of the 1-D second difference over n cells of
-    kind "neumann" (zero flux, ghost = interior), "cell" (zero wall value,
-    ghost = -interior) or "node" (the n - 1 interior nodes, zero data at
-    nodes 0 and n), in closed form: the DCT-II, DST-II and DST-I bases
-    (Strang, SIAM Review 41, 1999).
+    width h = 1/n, of kind "neumann" (zero flux, ghost = interior), "cell"
+    (zero wall value, ghost = -interior) or "node" (the n - 1 interior nodes,
+    zero data at nodes 0 and n), in closed form: the DCT-II, DST-II and DST-I
+    bases (Strang, SIAM Review 41, 1999).
 
     lam_k = -(4 / h^2) sin^2(pi k / 2n), and row i of column k of q is
     cos(pi k (i + 1/2) / n) for k = n - 1 ... 0 ("neumann"),
@@ -108,18 +108,19 @@ def _tridiagonal_eigh(n: int, h: float, kind: str):
     is exactly constant, with eigenvalue exactly 0.
     """
     def build():
-        lam, table, k = _tridiagonal_eigvals(n, h, kind)
+        lam, table, k = _tridiagonal_eigvals(n, kind)
         if kind == "node":
             r = 2 * np.outer(np.arange(1, n), k)
         else:                                                # cos x = sin(x + pi / 2)
             r = np.outer(2 * np.arange(n) + 1, k) + (n if kind == "neumann" else 0)
         q = table[r % (4 * n)] * np.where(k % n == 0, math.sqrt(1.0 / n), math.sqrt(2.0 / n))
         return lam, q
-    return _cached(("tridiagonal_eigh", n, h, kind), build)
+    return _cached(("tridiagonal_eigh", n, kind), build)
 
 
-def _tridiagonal_eigvals(n: int, h: float, kind: str):
+def _tridiagonal_eigvals(n: int, kind: str):
     """``_tridiagonal_eigh``'s eigenvalues, sine table and column modes k."""
+    h = 1.0 / n
     table = np.sin((np.pi / (2 * n)) * np.arange(4 * n))
     k = np.arange(n - 1, 0, -1) if kind == "node" else (
         np.arange(n - 1, -1, -1) if kind == "neumann" else np.arange(n, 0, -1))
@@ -128,8 +129,8 @@ def _tridiagonal_eigvals(n: int, h: float, kind: str):
 
 def _separable_eigenbasis(grid: Grid, kind_x: str, kind_y: str | None = None):
     """Eigenbases and eigenvalues lambda_x + lambda_y of a 2-D Kronecker sum."""
-    lx, qx = _tridiagonal_eigh(grid.n, grid.h, kind_x)
-    ly, qy = _tridiagonal_eigh(grid.n, grid.h, kind_y or kind_x)
+    lx, qx = _tridiagonal_eigh(grid.n, kind_x)
+    ly, qy = _tridiagonal_eigh(grid.n, kind_y or kind_x)
     return qx, qy, lx[:, None] + ly[None, :]
 
 
@@ -215,11 +216,11 @@ def _wall_force(c: float, u: np.ndarray, v: np.ndarray, h: float):
     return c * (u[[0, -1]] / h2), c * (v[:, [0, -1]] / h2)
 
 
-def _difference_factors(n: int, h: float) -> np.ndarray:
+def _difference_factors(n: int) -> np.ndarray:
     """sigma_k = sqrt(-lam_k), k < n - 1: the cell differences E map the
     Neumann eigenvectors onto the node eigenvectors, E^T q_k = h sigma_k qn_k
     and E qn_k = h sigma_k q_k (cos a - cos b = 2 sin((a + b) / 2) sin((b - a) / 2))."""
-    return np.sqrt(-_tridiagonal_eigh(n, h, "neumann")[0][:-1])
+    return np.sqrt(-_tridiagonal_eigh(n, "neumann")[0][:-1])
 
 
 def _capacitance(grid: Grid, alpha: float, c: float):
@@ -238,7 +239,7 @@ def _capacitance(grid: Grid, alpha: float, c: float):
     block-inverse formula on the inverted v-side Schur complement.
     """
     n, h = grid.n, grid.h
-    lam, q = _tridiagonal_eigh(n, h, "neumann")
+    lam, q = _tridiagonal_eigh(n, "neumann")
     both = lam[:-1, None] + lam[None, :]                # lam_k + lam_l, k < n - 1
     mult = 1.0 / (both * (alpha - c * both))            # (alpha I - c Lap_N)^{-1} Lap_N^+
     ends = np.stack([q[0] + q[-1], q[0] - q[-1]]) / math.sqrt(2.0)
@@ -246,7 +247,7 @@ def _capacitance(grid: Grid, alpha: float, c: float):
     diag = 1.0 + cw * (ends * ends) @ (lam * mult).T    # [sum or difference, mode]
     odd = np.abs(ends[1, :-1]) > np.abs(ends[0, :-1])
     order = np.argsort(odd, kind="stable")              # the even modes, then the odd
-    e = (_difference_factors(n, h) * np.where(odd, ends[1, :-1], ends[0, :-1]))[order]
+    e = (_difference_factors(n) * np.where(odd, ends[1, :-1], ends[0, :-1]))[order]
     coupling = (cw * e[:, None]) * np.take(mult[order], order, axis=1) * e
     diag, even = diag[:, order], n - 1 - np.count_nonzero(odd)
     modes = (slice(0, even), slice(even, n - 1))
@@ -325,9 +326,9 @@ class GeneralizedStokes:
         if not (self.alpha >= 0.0 and self.c >= 0.0 and 0.0 < self.alpha + self.c < math.inf):
             raise ValueError(f"need alpha, c >= 0 with alpha + c > 0 and finite, "
                              f"got alpha = {alpha!r}, c = {c!r}")
-        n, h = grid.n, grid.h
-        self._q = _tridiagonal_eigh(n, h, "neumann")[1]
-        self._qn = _tridiagonal_eigh(n, h, "node")[1]
+        n = grid.n
+        self._q = _tridiagonal_eigh(n, "neumann")[1]
+        self._qn = _tridiagonal_eigh(n, "node")[1]
         s, lam, inv, mult = self._symbols()
         self._norm_d = math.sqrt(-(lam[0] + lam[0]))          # ||D||_2, as D D^T = -Lap_N
         # u = mult (f_u + s_k p), p = Lap^+ (s_k f_u + s_l f_v) and
@@ -344,10 +345,10 @@ class GeneralizedStokes:
 
     def _symbols(self):
         """sigma, lam, Lap_N^+ and (alpha I + c K_fs)^{-1} on the cell modes."""
-        n, h = self.grid.n, self.grid.h
-        lam = _tridiagonal_eigh(n, h, "neumann")[0]
+        n = self.grid.n
+        lam = _tridiagonal_eigh(n, "neumann")[0]
         lap = lam[:, None] + lam[None, :]                    # Lam; only [-1, -1] is 0
-        return (_difference_factors(n, h), lam, _reciprocal(lap),
+        return (_difference_factors(n), lam, _reciprocal(lap),
                 _reciprocal(self.alpha - self.c * lap))
 
     @cached_property

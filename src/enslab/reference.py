@@ -9,19 +9,16 @@ on the divergence-free subspace (rather than projecting after an
 unconstrained solve) is what makes the discrete energy ledger close exactly:
 pairing the update with the midpoint velocity leaves no uncontrolled O(dt)
 pressure-coupling term.  The no-slip direct step makes the same solve with
-divergence data, div u = g+, in place of div u = 0.  The order-1 reference
-and the tangential-system direct step solve the velocity block alone
-(``NoslipHelmholtz``) and then project or repair the divergence.
+divergence data, div u = g+, in place of div u = 0.  The tangential-system
+direct step solves the velocity block alone (``NoslipHelmholtz``) and then
+repairs the divergence.
 
-Two reference steppers for the *standard*, unforced incompressible equations
-live here:
-
-* ``order=2``: projected trapezoidal viscosity + Heun (midpoint-averaged)
-  transport.  The lifted-flow steppers of the two extended systems reduce to
-  this scheme, call by call, when their divergence data and force vanish.
-* ``order=1``: backward-Euler viscosity, explicit transport, projection last
-  (the classical splitting).  The tangential-system direct stepper reduces to
-  this one.
+The reference stepper for the *standard*, unforced incompressible equations,
+``step_nse_projection``, is projected trapezoidal viscosity + Heun
+(midpoint-averaged) transport.  The lifted-flow steppers of the two extended
+systems reduce to this scheme, call by call, when their divergence data and
+force vanish.  (The classical splitting, to which the tangential-system direct
+stepper reduces, is a test oracle.)
 """
 
 from __future__ import annotations
@@ -29,8 +26,8 @@ from __future__ import annotations
 from .advection import skew_advect
 from .errors import CFLError
 from .grid import Grid, VectorField, vector_laplacian
-from .linsolve import NoslipHelmholtz, _tridiagonal_eigvals, generalized_stokes
-from .stokes_lift import check_finite, leray_project
+from .linsolve import _tridiagonal_eigvals, generalized_stokes
+from .stokes_lift import check_finite
 
 __all__ = [
     "cfl_check",
@@ -66,7 +63,7 @@ def poincare_constant(grid: Grid) -> float:
     tridiagonals on nodes and on cells, alike on the square grid: lambda is
     -(max lambda_node + max lambda_cell), from the closed-form eigenvalues.
     """
-    top = [_tridiagonal_eigvals(grid.n, grid.h, kind)[0].max() for kind in ("node", "cell")]
+    top = [_tridiagonal_eigvals(grid.n, kind)[0].max() for kind in ("node", "cell")]
     return -float(top[0] + top[1])
 
 
@@ -103,20 +100,13 @@ def perturbed_heun_step(v: VectorField, z0: VectorField, z1: VectorField,
     return solve(v + (a1 + a2) * (dt * 0.5) + lap_v * c)
 
 
-def step_nse_projection(u: VectorField, dt: float, nu: float, order: int = 2) -> VectorField:
-    """Reference stepper for the standard unforced incompressible equations.
-
-    Input must be discretely divergence-free with zero wall faces.  order=2
-    is the projected trapezoidal/Heun scheme; order=1 the classical splitting
-    (backward-Euler viscosity, explicit transport, projection last).
+def step_nse_projection(u: VectorField, dt: float, nu: float) -> VectorField:
+    """Reference stepper for the standard unforced incompressible equations:
+    the projected trapezoidal/Heun scheme.  Input must be discretely
+    divergence-free with zero wall faces.
     """
     cfl_check(u, dt)
     g = u.grid
-    if order == 1:
-        w = NoslipHelmholtz(g, nu * dt).solve(u - skew_advect(u, u) * dt)
-        return leray_project(w)
-    if order != 2:
-        raise ValueError(f"unknown order {order!r} (expected 1 or 2)")
     c = 0.5 * nu * dt
     lap_u = vector_laplacian(u)
     a1 = -skew_advect(u, u)

@@ -37,7 +37,7 @@ def lowest_modes(grid: Grid, k: int) -> tuple[np.ndarray, tuple]:
     """The k lowest eigenvalues of the Stokes operator on the grid and their
     modes, in ascending order; see the module docstring."""
     n, h = grid.n, grid.h
-    lam, q = _tridiagonal_eigh(n, h, "node")
+    lam, q = _tridiagonal_eigh(n, "node")
     odd = np.abs(q[0] - q[-1]) > np.abs(q[0] + q[-1])
     parity = (np.flatnonzero(~odd), np.flatnonzero(odd))
     wall = np.outer(q[0], q[0]) + np.outer(q[-1], q[-1])

@@ -5,7 +5,8 @@ functions here stack the interior faces into one vector, build the same
 operators on it as explicit scipy matrices from the dense 1-D second
 differences, solve the Stokes problem through one dense bordered system,
 evaluate the wall-relaxation Duhamel integral in closed form and by
-quadrature, extrapolate the divergence to the walls, fold the energy
+quadrature, extrapolate the divergence to the walls, step the classical
+splitting that the open-wall direct step reduces to, fold the energy
 ledger over a whole history and compose the no-slip direct step from a
 Poisson solve and a divergence-free solve, so that the tests can check the
 package against an independent construction.  The face gradient of a cell
@@ -35,11 +36,12 @@ from enslab.grid import (
     grad_inner, integral, normal_trace, scalar_norm, vector_laplacian,
     with_normal_trace,
 )
-from enslab.heat_oracle import DivergenceState, HeatEstimates
+from enslab.heat_oracle import HeatEstimates
 from enslab.linsolve import (
-    _check_compatibility, _separable_eigenbasis, _tridiagonal_eigh, generalized_stokes,
-    heat_solver, neumann_poisson,
+    NoslipHelmholtz, _check_compatibility, _separable_eigenbasis, _tridiagonal_eigh,
+    generalized_stokes, heat_solver, neumann_poisson,
 )
+from enslab.reference import cfl_check
 from enslab.stokes_lift import leray_project, lift_divergence, wall_floor
 
 
@@ -216,17 +218,18 @@ def dense_stokes_solve(g: ScalarField, boundary_velocity: BoundaryTrace | None =
 # The divergence: the heat estimates over a whole history
 # ---------------------------------------------------------------------------
 
-def fold_heat_estimates(history):
-    """HeatEstimates.record() after add() of every state of history, in order,
-    each with its norm as `enslab heat` measures it."""
-    estimates = HeatEstimates()
+def fold_heat_estimates(history, bc: str, nu: float):
+    """HeatEstimates(bc, nu).record() after add() of every state of history,
+    in order, each with its norm as `enslab heat` measures it."""
+    estimates = HeatEstimates(bc, nu)
     for s in history:
         estimates.add(s, fine_norm(s.g))
     return estimates.record()
 
 
 # ---------------------------------------------------------------------------
-# Open walls: the Duhamel integral and the wall trace of the divergence
+# Open walls: the Duhamel integral, the wall trace of the divergence and the
+# classical splitting that the direct step reduces to
 # ---------------------------------------------------------------------------
 
 def step_average_constant(m0: float, m1: float, lam: float, dt: float) -> float:
@@ -301,6 +304,16 @@ def boundary_divergence_max(s: SRState) -> float:
     return boundary_divergence_trace(s.div_u).max_abs()
 
 
+def step_nse_splitting(u: VectorField, dt: float, nu: float) -> VectorField:
+    """The classical splitting of the standard unforced incompressible
+    equations, to which the open-wall direct step reduces: backward-Euler
+    viscosity, explicit transport, projection last.  Input must be discretely
+    divergence-free with zero wall faces."""
+    cfl_check(u, dt)
+    w = NoslipHelmholtz(u.grid, nu * dt).solve(u - skew_advect(u, u) * dt)
+    return leray_project(w)
+
+
 # ---------------------------------------------------------------------------
 # The no-slip system: the energy ledger over a whole history, the direct step
 # as a chain of solves
@@ -344,7 +357,7 @@ def parity_block_basis(grid: Grid, k: int):
     Returns (lam, nodes): nodes are the stream functions on all nodes,
     divided by h, signed as ``build_basis`` signs them."""
     n, h = grid.n, grid.h
-    lam, q = _tridiagonal_eigh(n, h, "node")
+    lam, q = _tridiagonal_eigh(n, "node")
     odd = np.abs(q[0] - q[-1]) > np.abs(q[0] + q[-1])
     parity = (np.flatnonzero(~odd), np.flatnonzero(odd))
     wall = np.outer(q[0], q[0]) + np.outer(q[-1], q[-1])
@@ -465,11 +478,11 @@ def trilinear(w: VectorField, b: VectorField, c: VectorField) -> float:
 # The compatibility constant in its Laplacian form
 # ---------------------------------------------------------------------------
 
-def compat_constant_laplacian(g: DivergenceState, lam: float) -> float:
+def compat_constant_laplacian(g: ScalarField, nu: float, lam: float) -> float:
     """Mean of (nu Lap g + lambda g) per boundary length, with the volume
     integral of the interior (Dirichlet-closure) Laplacian formed whole."""
-    lap = apply_cell(laplacian_dirichlet_matrix(g.g.grid), g.g)
-    return (integral(lap) * g.nu + integral(g.g) * lam) / 4.0
+    lap = apply_cell(laplacian_dirichlet_matrix(g.grid), g)
+    return (integral(lap) * nu + integral(g) * lam) / 4.0
 
 
 # ---------------------------------------------------------------------------

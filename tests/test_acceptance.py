@@ -23,7 +23,7 @@ from enslab.grid import (
     integral,
     scalar_norm,
 )
-from enslab.heat_oracle import divergence_state, step_divergence
+from enslab.heat_oracle import heat_march
 from enslab.reference import step_nse_projection
 from enslab.scenarios import (
     eigen_divergence,
@@ -84,7 +84,7 @@ def test_criterion_02_divergence_heat_decay_rate():
         started = time.monotonic()
         grid = Grid(64)
         g0 = eigen_divergence(grid, system, 1.0, 1)
-        hist = list(march(step_divergence, divergence_state(g0, bc, nu), 5e-4, 400))
+        hist = list(heat_march(g0, bc, nu, 5e-4, 400))
         rate = fit_decay_rate([s.time for s in hist],
                               [scalar_norm(s.g) for s in hist])
         rels[bc] = abs(rate - analytic) / abs(analytic)
@@ -271,8 +271,7 @@ def test_criterion_11_divergence_estimates_hold():
             for mode in (1, 2):
                 grid = Grid(32)
                 g0 = eigen_divergence(grid, system, 1.0, mode)
-                rec = fold_heat_estimates(
-                    march(step_divergence, divergence_state(g0, bc, nu), 1e-3, 100))
+                rec = fold_heat_estimates(heat_march(g0, bc, nu, 1e-3, 100), bc, nu)
                 worst_sup = min(worst_sup, rec["sup_margin"])
                 worst_grad = min(worst_grad, rec["grad_margin"])
                 runs += 1
@@ -282,8 +281,8 @@ def test_criterion_11_divergence_estimates_hold():
         g0 = eigen_divergence(grid, system, 1.0, 1)
         rough = g0.values + 0.5 * (vals - vals.mean())
         from enslab.grid import ScalarField
-        rough = divergence_state(ScalarField(grid, rough), bc, 0.1)
-        rec = fold_heat_estimates(march(step_divergence, rough, 1e-3, 100))
+        rough = ScalarField(grid, rough)
+        rec = fold_heat_estimates(heat_march(rough, bc, 0.1, 1e-3, 100), bc, 0.1)
         worst_sup = min(worst_sup, rec["sup_margin"])
         worst_grad = min(worst_grad, rec["grad_margin"])
         runs += 1

@@ -95,8 +95,13 @@ ROUTES_FAIL, RUNS_FAIL = "margin routes_completed = 0 FAIL\n", "margin runs_comp
 
 # configs at the extremes and a few ordinary ones: (id, command, config, exit
 # code, stderr, the artifacts, a part of summary.txt); a config error (exit 1)
-# makes no directory, so it has neither
+# makes no directory, so it has neither.  $CONFIG in stderr stands for the
+# config file's path
 EXTREMES = [
+    # a byte that is not UTF-8, even in a comment ("# cafe" saved as Latin-1)
+    ("config-not-utf8", "run", b"# caf\xe9\n" + SMALL_JL.encode(), 1,
+     "config error: cannot read config file $CONFIG: 'utf-8' codec can't decode byte 0xe9 "
+     "in position 5: invalid continuation byte\n", None, None),
     # non-finite numbers and step counts beyond 64 bits are config errors
     ("config-nu-inf", "run", SMALL_JL.replace("nu = 0.1", "nu = inf"), 1,
      "config error: nu must be finite, got inf\n", None, None),
@@ -250,8 +255,12 @@ EXTREMES = [
 
 
 def cfg_file(tmp_path, text, name="run.cfg"):
+    """The config file of text, a str or the raw bytes of the file."""
     path = tmp_path / name
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     return str(path)
 
 
@@ -281,6 +290,19 @@ class TestExitCodes:
         code = main(["run", "--config", str(tmp_path / "absent.cfg")])
         assert code == 1
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "heat", "compare"])
+    def test_out_naming_a_file_exits_one(self, tmp_path, capsys, command):
+        # the file is left as it was, and no directory is made
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        code, _ = run_cli(tmp_path, command, SMALL_JL)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot make output directory {out}")
+        assert err.count("\n") == 1
+        assert out.read_text() == "kept\n"
+        assert sorted(os.listdir(tmp_path)) == ["out", "run.cfg"]
 
     def test_step_size_guard_exits_two(self, tmp_path, capsys):
         text = JL_RUN.replace("dt = 2e-3", "dt = 0.5").replace("T = 0.02", "T = 0.5")
@@ -441,7 +463,7 @@ class TestExitCodes:
                                summary):
         got, out = run_cli(tmp_path, command, text)
         assert got == code
-        assert capsys.readouterr().err == error
+        assert capsys.readouterr().err == error.replace("$CONFIG", str(tmp_path / "run.cfg"))
         if code == 1:
             assert not os.path.exists(out)
             return

@@ -18,7 +18,7 @@ from enslab.grid import (
     vector_from_stream,
     vector_laplacian,
 )
-from enslab.heat_oracle import divergence_state, step_divergence
+from enslab.heat_oracle import heat_march
 from enslab.reference import step_nse_projection
 from enslab.scenarios import forcing_field, initial_velocity, march
 from enslab.stokes_lift import decompose, lift_divergence, leray_project
@@ -100,7 +100,7 @@ class TestStepDecomposed:
         r = u0
         for _ in range(5):
             s = ens_jl.step_decomposed(s, 1e-3)
-            r = step_nse_projection(r, 1e-3, 0.1, order=2)
+            r = step_nse_projection(r, 1e-3, 0.1)
             assert (s.u - r).max_abs() <= 1e-8
             assert scalar_norm(divergence(s.u)) <= 1e-10
 
@@ -110,11 +110,11 @@ class TestStepDecomposed:
         s = ens_jl.jl_state(z0, 0.1)
         assert face_norm(s.v) <= 1e-12
         hist = list(march(ens_jl.step_decomposed, s, 1e-3, 30))
-        oracle = list(march(step_divergence, divergence_state(g0, "neumann", 0.1), 1e-3, 30))
+        oracle = list(heat_march(g0, "neumann", 0.1, 1e-3, 30))
         for st, o in zip(hist, oracle):
             assert scalar_norm(divergence(st.u) - o.g) <= 1e-10
         # the route and `enslab heat` take one Crank-Nicolson step, bit for bit
-        heat = march(step_divergence, divergence_state(s.g, "neumann", 0.1), 1e-3, 30)
+        heat = heat_march(s.g, "neumann", 0.1, 1e-3, 30)
         for st, o in zip(hist, heat, strict=True):
             assert np.array_equal(st.g.values, o.g.values)
 
@@ -259,8 +259,7 @@ class TestStepDirect:
         errs = []
         for dt in (5e-3, 2.5e-3, 1.25e-3):
             s = ens_jl.jl_state(z0, 0.1, decomposed=False)
-            oracle = list(march(step_divergence, divergence_state(g0, "neumann", 0.1), dt,
-                                round(T / dt)))
+            oracle = list(heat_march(g0, "neumann", 0.1, dt, round(T / dt)))
             for _ in range(round(T / dt)):
                 s = ens_jl.step_direct(s, dt)
             errs.append(scalar_norm(divergence(s.u) - oracle[-1].g))

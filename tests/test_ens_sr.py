@@ -24,7 +24,6 @@ from enslab.grid import (
     vector_from_stream,
     with_normal_trace,
 )
-from enslab.heat_oracle import divergence_state
 from enslab.reference import step_nse_projection
 from enslab.scenarios import forcing_field, initial_velocity, march
 from enslab.stokes_lift import lift_divergence
@@ -43,6 +42,7 @@ from enslab.ens_sr import (
 from oracles import (
     apply_cell, boundary_divergence_max, compat_constant_laplacian, duhamel_closed_form,
     duhamel_quadrature, laplacian_dirichlet_matrix, neumann_solve, step_average_constant,
+    step_nse_splitting,
 )
 
 
@@ -81,10 +81,10 @@ def trace_gap(a: BoundaryTrace, b: BoundaryTrace) -> float:
     return (a - b).max_abs()
 
 
-def constant_of(gs, lam):
-    """The compatibility constant of a divergence state, with lambda
+def constant_of(g, nu, lam):
+    """The compatibility constant of the divergence g, with lambda
     multiplying its integral."""
-    return compat_constant(gs.g, gs.nu, lam, integral(gs.g))
+    return compat_constant(g, nu, lam, integral(g))
 
 
 def random_vector(grid, rng):
@@ -97,7 +97,7 @@ def literal_source(s, fa):
     Laplacian, and the wall data folded in as the divergence of a field that
     carries it on its wall faces."""
     grid = s.u.grid
-    cc = constant_of(divergence_state(divergence(s.u), "dirichlet", s.nu), s.lam)
+    cc = constant_of(divergence(s.u), s.nu, s.lam)
     lap = VectorField(grid, *_tangential_laplacian(s.u.u, s.u.v)) * (s.nu / grid.h ** 2)
     b = lap + s.u * s.lam + fa
     btr = normal_trace(b) - BoundaryTrace.constant(grid, cc)
@@ -108,9 +108,9 @@ def literal_source(s, fa):
 class TestCompatConstant:
     def test_zero_divergence_gives_zero(self):
         g = Grid(16)
-        gs = divergence_state(ScalarField.zeros(g), "dirichlet", 0.1)
-        assert constant_of(gs, 1.0) == 0.0
-        assert compat_constant_laplacian(gs, 1.0) == 0.0
+        gs = ScalarField.zeros(g)
+        assert constant_of(gs, 0.1, 1.0) == 0.0
+        assert compat_constant_laplacian(gs, 0.1, 1.0) == 0.0
 
     @settings(max_examples=25, deadline=None)
     @given(n=GRID_SIZES, seed=st.integers(0, 2 ** 32 - 1),
@@ -120,28 +120,25 @@ class TestCompatConstant:
         # size of the terms the oracle's integrals add up
         g = Grid(n)
         rng = np.random.default_rng(seed)
-        gs = divergence_state(ScalarField(g, rng.standard_normal(g.shape_cell)),
-                              "dirichlet", nu)
-        got = constant_of(gs, lam)
-        want = compat_constant_laplacian(gs, lam)
-        lap = apply_cell(laplacian_dirichlet_matrix(g), gs.g)
+        gs = ScalarField(g, rng.standard_normal(g.shape_cell))
+        got = constant_of(gs, nu, lam)
+        want = compat_constant_laplacian(gs, nu, lam)
+        lap = apply_cell(laplacian_dirichlet_matrix(g), gs)
         scale = (nu * integral(ScalarField(g, np.abs(lap.values)))
-                 + lam * integral(ScalarField(g, np.abs(gs.g.values))))
+                 + lam * integral(ScalarField(g, np.abs(gs.values))))
         assert abs(got - want) <= 1e-13 * scale
 
     def test_eigenmode_value_at_64(self):
         g = Grid(64)
         nu, lam = 0.01, 1.0
-        gs = divergence_state(sinsin(g), "dirichlet", nu)
         expected = 0.25 * (lam - 2 * math.pi ** 2 * nu) * (4 / math.pi ** 2)
-        got = constant_of(gs, lam)
+        got = constant_of(sinsin(g), nu, lam)
         assert abs(got - expected) <= 0.01 * abs(expected)
 
     def test_cancellation_when_lam_matches_eigenvalue(self):
         g = Grid(64)
         nu = 0.01
-        gs = divergence_state(sinsin(g), "dirichlet", nu)
-        got = constant_of(gs, 2 * math.pi ** 2 * nu)
+        got = constant_of(sinsin(g), nu, 2 * math.pi ** 2 * nu)
         # discrete-eigenvalue defect only: O(h^2), measured 4.0e-6
         assert abs(got) <= 2e-5
 
@@ -249,7 +246,7 @@ class TestStepConstructive:
         ref = u0
         for _ in range(5):
             s = step_constructive(s, dt)
-            ref = step_nse_projection(ref, dt, nu, order=2)
+            ref = step_nse_projection(ref, dt, nu)
             assert (s.u - ref).max_abs() <= 1e-8
 
     def test_reduction_is_lambda_independent(self):
@@ -338,7 +335,7 @@ class TestStepDirectSR:
         ref = u0
         for _ in range(50):
             s = step_direct_sr(s, dt)
-            ref = step_nse_projection(ref, dt, nu, order=1)
+            ref = step_nse_splitting(ref, dt, nu)
         assert (s.u - ref).max_abs() <= 1e-7
 
     def test_cross_route_gap_is_first_order(self):

@@ -8,13 +8,8 @@ import pytest
 from enslab.diagnostics import convergence_order, fit_decay_rate, passes
 from enslab.errors import CheckFailure
 from enslab.grid import Grid, ScalarField, integral, scalar_inner, scalar_norm
-from enslab.heat_oracle import (
-    DivergenceState,
-    divergence_state,
-    heat_step,
-    step_divergence,
-)
-from enslab.scenarios import march
+from enslab import heat_oracle
+from enslab.heat_oracle import DivergenceState, HeatEstimates, heat_march, heat_step
 from oracles import fold_heat_estimates
 
 NU = 0.1
@@ -32,29 +27,41 @@ def sinsin(grid, k=1, m=1):
     return ScalarField(grid, np.sin(k * np.pi * x) * np.sin(m * np.pi * y))
 
 
+def one_step(g, bc, dt):
+    """The initial state of g and the state one step on."""
+    return list(heat_march(g, bc, NU, dt, 1))
+
+
 class TestStates:
     def test_bad_bc_rejected(self):
-        g = Grid(8)
-        with pytest.raises(ValueError):
-            divergence_state(ScalarField.zeros(g), "robin", NU)
+        # the closure is checked by the first step's solver
+        states = heat_march(ScalarField.zeros(Grid(8)), "robin", NU, 1e-3, 1)
+        assert next(states).time == 0.0
+        with pytest.raises(ValueError, match="unknown bc 'robin'"):
+            next(states)
 
-    def test_bad_nu_rejected(self):
-        g = Grid(8)
-        with pytest.raises(ValueError):
-            divergence_state(ScalarField.zeros(g), "neumann", -1.0)
+    @pytest.mark.parametrize("nu", [0.0, -1.0, math.inf])
+    def test_bad_nu_rejected(self, nu):
+        # raised by the call, before any state is made
+        with pytest.raises(ValueError, match="viscosity must be positive and finite"):
+            heat_march(ScalarField.zeros(Grid(8)), "neumann", nu, 1e-3, 1)
 
-    def test_mass_drift_rejected(self):
+    def test_mass_drift_rejected(self, monkeypatch):
         g = Grid(8)
-        f = ScalarField(g, np.ones(g.shape_cell))
-        with pytest.raises(CheckFailure):
-            DivergenceState(g=f, time=0.0, bc="neumann", nu=NU, m0=2.0)
+        monkeypatch.setattr(heat_oracle, "heat_step",
+                            lambda f, nu, dt, bc: ScalarField(g, f.values + 1.0))
+        states = heat_march(ScalarField(g, np.ones(g.shape_cell)), "neumann", NU, 1e-3, 1)
+        next(states)
+        with pytest.raises(CheckFailure) as exc:
+            next(states)
+        assert str(exc.value).startswith(
+            "step 1, t = 0: zero-flux divergence state lost mass")
 
 
 class TestHeatStep:
     def test_constant_neumann_fixed(self):
         g = Grid(16)
-        s = divergence_state(ScalarField(g, np.full(g.shape_cell, 3.0)), "neumann", NU)
-        s1 = step_divergence(s, 1e-2)
+        s, s1 = one_step(ScalarField(g, np.full(g.shape_cell, 3.0)), "neumann", 1e-2)
         assert np.allclose(s1.g.values, 3.0, atol=1e-13)
         assert s1.time == 1e-2
 
@@ -62,8 +69,7 @@ class TestHeatStep:
         # one step of the first zero-flux mode matches exp(-2 pi^2 nu dt)
         g = Grid(64)
         dt = 1e-3
-        s = divergence_state(coscos(g), "neumann", NU)
-        s1 = step_divergence(s, dt)
+        s, s1 = one_step(coscos(g), "neumann", dt)
         ratio = scalar_inner(s1.g, s.g) / scalar_inner(s.g, s.g)
         exact = math.exp(-2.0 * math.pi ** 2 * NU * dt)
         assert abs(ratio - exact) <= 1e-6 * exact
@@ -71,8 +77,7 @@ class TestHeatStep:
     def test_dirichlet_eigenmode_amplitude_frozen(self):
         g = Grid(64)
         dt = 1e-3
-        s = divergence_state(sinsin(g), "dirichlet", NU)
-        s1 = step_divergence(s, dt)
+        s, s1 = one_step(sinsin(g), "dirichlet", dt)
         ratio = scalar_inner(s1.g, s.g) / scalar_inner(s.g, s.g)
         exact = math.exp(-2.0 * math.pi ** 2 * NU * dt)
         assert abs(ratio - exact) <= 1e-6 * exact
@@ -81,18 +86,17 @@ class TestHeatStep:
     def test_contraction_random_field(self, bc):
         g = Grid(32)
         rng = np.random.default_rng(3)
-        s = divergence_state(ScalarField(g, rng.standard_normal(g.shape_cell)), bc, NU)
-        for _ in range(5):
-            s1 = step_divergence(s, 2e-3)
+        hist = list(heat_march(ScalarField(g, rng.standard_normal(g.shape_cell)), bc, NU,
+                               2e-3, 5))
+        for s, s1 in zip(hist, hist[1:]):
             assert scalar_norm(s1.g) <= scalar_norm(s.g) * (1 + 1e-12)
-            s = s1
 
     def test_neumann_mass_conserved_along_run(self):
         g = Grid(32)
         rng = np.random.default_rng(4)
-        s = divergence_state(ScalarField(g, rng.standard_normal(g.shape_cell)), "neumann", NU)
-        for state in march(step_divergence, s, 1e-3, 100):
-            assert abs(integral(state.g) - s.m0) <= 1e-12
+        g0 = ScalarField(g, rng.standard_normal(g.shape_cell))
+        for state in heat_march(g0, "neumann", NU, 1e-3, 100):
+            assert abs(integral(state.g) - integral(g0)) <= 1e-12
 
     def test_bad_dt_rejected(self):
         g = Grid(8)
@@ -101,8 +105,7 @@ class TestHeatStep:
 
     def test_decay_rate_matches_eigenvalue(self):
         g = Grid(64)
-        s = divergence_state(coscos(g), "neumann", NU)
-        hist = list(march(step_divergence, s, 5e-3, 40))
+        hist = list(heat_march(coscos(g), "neumann", NU, 5e-3, 40))
         rate = fit_decay_rate([h.time for h in hist], [scalar_norm(h.g) for h in hist])
         assert abs(rate + 2.0 * math.pi ** 2 * NU) <= 0.01 * 2.0 * math.pi ** 2 * NU
 
@@ -110,12 +113,20 @@ class TestHeatStep:
 class TestEstimates:
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            fold_heat_estimates([])
+            fold_heat_estimates([], "neumann", NU)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3])
+    def test_non_increasing_time_rejected(self, dt):
+        g = Grid(8)
+        estimates = HeatEstimates("neumann", NU)
+        estimates.add(DivergenceState(ScalarField.zeros(g), 1e-3), 0.0)
+        with pytest.raises(ValueError, match="non-increasing times"):
+            estimates.add(DivergenceState(ScalarField.zeros(g), 1e-3 + dt), 0.0)
 
     def test_single_constant_state(self):
         g = Grid(16)
-        s = divergence_state(ScalarField(g, np.full(g.shape_cell, 2.0)), "neumann", NU)
-        rec = fold_heat_estimates([s])
+        s = DivergenceState(ScalarField(g, np.full(g.shape_cell, 2.0)), 0.0)
+        rec = fold_heat_estimates([s], "neumann", NU)
         assert rec["grad_energy_integral"] == 0.0
         assert rec["sup_margin"] >= 0.0 and rec["grad_margin"] >= 0.0
         assert passes(rec["sup_margin"], rec["initial_l2"])
@@ -123,8 +134,8 @@ class TestEstimates:
 
     def test_zero_initial_data_tight(self):
         g = Grid(16)
-        s = divergence_state(ScalarField.zeros(g), "neumann", NU)
-        rec = fold_heat_estimates(march(step_divergence, s, 1e-3, 3))
+        rec = fold_heat_estimates(heat_march(ScalarField.zeros(g), "neumann", NU, 1e-3, 3),
+                                  "neumann", NU)
         assert rec["initial_l2"] == 0.0
         assert rec["sup_margin"] == 0.0 and rec["grad_margin"] == 0.0
 
@@ -132,8 +143,8 @@ class TestEstimates:
         # `enslab heat` reads the first norm and the two asserted margins,
         # these tests the gradient integral
         g = Grid(16)
-        hist = list(march(step_divergence, divergence_state(coscos(g), "neumann", NU), 1e-3, 4))
-        rec = fold_heat_estimates(hist)
+        hist = list(heat_march(coscos(g), "neumann", NU, 1e-3, 4))
+        rec = fold_heat_estimates(hist, "neumann", NU)
         assert set(rec) == {
             "initial_l2", "grad_energy_integral", "sup_margin", "grad_margin"}
         assert rec["initial_l2"] == scalar_norm(hist[0].g)
@@ -142,8 +153,7 @@ class TestEstimates:
     @pytest.mark.parametrize("bc,mode", [("neumann", coscos), ("dirichlet", sinsin)])
     def test_eigen_decay_margins_nonnegative(self, bc, mode):
         g = Grid(32)
-        s = divergence_state(mode(g), bc, NU)
-        rec = fold_heat_estimates(march(step_divergence, s, 2e-3, 50))
+        rec = fold_heat_estimates(heat_march(mode(g), bc, NU, 2e-3, 50), bc, NU)
         assert passes(rec["sup_margin"], rec["initial_l2"])
         assert passes(rec["grad_margin"], rec["initial_l2"])
 
@@ -152,11 +162,11 @@ class TestSelfConvergence:
     def test_second_order_in_dt(self):
         g = Grid(32)
         T = 0.1
-        s0 = divergence_state(coscos(g), "neumann", NU)
-        ref = list(march(step_divergence, s0, T / 256, 256))[-1].g
+        g0 = coscos(g)
+        ref = list(heat_march(g0, "neumann", NU, T / 256, 256))[-1].g
         errs = []
         for n in (8, 16, 32):
-            got = list(march(step_divergence, s0, T / n, n))[-1].g
+            got = list(heat_march(g0, "neumann", NU, T / n, n))[-1].g
             errs.append(scalar_norm(got - ref))
         est = convergence_order(*errs)
         assert est.monotone and abs(est.mean - 2.0) <= 0.1
@@ -168,8 +178,7 @@ class TestSelfConvergence:
         errs = []
         for n in (16, 32, 64):
             g = Grid(n)
-            s = divergence_state(coscos(g), "neumann", NU)
-            s1 = step_divergence(s, dt)
+            s, s1 = one_step(coscos(g), "neumann", dt)
             ratio = scalar_inner(s1.g, s.g) / scalar_inner(s.g, s.g)
             errs.append(abs(ratio - math.exp(-2.0 * math.pi ** 2 * NU * dt)))
         est = convergence_order(*errs)

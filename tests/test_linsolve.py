@@ -125,7 +125,7 @@ class TestClosedFormEigenbases:
     def test_eigenpairs_of_the_tridiagonal(self, n, kind):
         h = 1.0 / n
         with mock.patch.dict(linsolve._cache):
-            lam, q = linsolve._tridiagonal_eigh(n, h, kind)
+            lam, q = linsolve._tridiagonal_eigh(n, kind)
         t = _tridiagonal(n, h, kind)
         scale = np.abs(lam).max()
         assert np.abs(t @ q - q * lam).max() <= 1e-15 * scale
@@ -142,9 +142,9 @@ class TestClosedFormEigenbases:
         # E^T q_k = h sigma_k qn_k with sigma_k > 0: the Stokes solve relies
         # on the signs of the two bases agreeing
         h = 1.0 / n
-        q = linsolve._tridiagonal_eigh(n, h, "neumann")[1]
-        qn = linsolve._tridiagonal_eigh(n, h, "node")[1]
-        sigma = linsolve._difference_factors(n, h)
+        q = linsolve._tridiagonal_eigh(n, "neumann")[1]
+        qn = linsolve._tridiagonal_eigh(n, "node")[1]
+        sigma = linsolve._difference_factors(n)
         assert np.all(sigma > 0.0)
         assert np.abs(q[:-1, :-1] - q[1:, :-1] - h * sigma * qn).max() <= 1e-14 * np.abs(q).max()
 
