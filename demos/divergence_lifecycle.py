@@ -10,31 +10,35 @@ Run:  python3 demos/divergence_lifecycle.py
 """
 
 import math
+from functools import partial
 
 from enslab import ens_jl, ens_sr
-from enslab.grid import Grid, divergence, face_norm, scalar_norm
+from enslab.grid import Grid, VectorField, divergence, face_norm, scalar_norm
 from enslab.heat_oracle import heat_march
-from enslab.reference import step_nse_projection
+from enslab.reference import Flow, step_nse_projection
 from enslab.scenarios import eigen_lift, march, stream_vortex
 
 
 def main() -> None:
     grid = Grid(32)
     nu, dt = 0.1, 1e-3
+    # each run fixes nu, dt and the (zero) force once; the open walls add lambda
+    jl = Flow(nu, dt, VectorField.zeros(grid))
+    sr = ens_sr.SRFlow(1.0, nu, dt, VectorField.zeros(grid))
 
     print("=== 1. Solenoidal start: every route is a plain flow solver ===")
     u0 = stream_vortex(grid)
     nsteps = 100
     starts = {
-        "no-slip, decomposed   ": (ens_jl.step_decomposed, ens_jl.jl_state(u0, nu)),
-        "no-slip, direct       ": (ens_jl.step_direct,
-                                   ens_jl.jl_state(u0, nu, decomposed=False)),
-        "open-wall, constructive": (ens_sr.step_constructive,
-                                    ens_sr.sr_state(u0, 1.0, nu)),
-        "open-wall, direct      ": (ens_sr.step_direct_sr,
-                                    ens_sr.sr_state(u0, 1.0, nu, decomposed=False)),
+        "no-slip, decomposed   ": (partial(ens_jl.step_decomposed, jl), ens_jl.jl_state(u0)),
+        "no-slip, direct       ": (partial(ens_jl.step_direct, jl),
+                                   ens_jl.jl_state(u0, decomposed=False)),
+        "open-wall, constructive": (partial(ens_sr.step_constructive, sr),
+                                    ens_sr.sr_state(u0)),
+        "open-wall, direct      ": (partial(ens_sr.step_direct_sr, sr),
+                                    ens_sr.sr_state(u0, decomposed=False)),
     }
-    runs = {label: list(march(step, s0, dt, nsteps))
+    runs = {label: list(march(step, s0, nsteps))
             for label, (step, s0) in starts.items()}
     uref = u0
     for _ in range(nsteps):
@@ -50,7 +54,7 @@ def main() -> None:
     g0, z0 = eigen_lift(grid, "jl", eps=0.05, mode=1)
     u0 = stream_vortex(grid) + z0
     nsteps = 200
-    hist = list(march(ens_jl.step_decomposed, ens_jl.jl_state(u0, nu), dt, nsteps))
+    hist = list(march(partial(ens_jl.step_decomposed, jl), ens_jl.jl_state(u0), nsteps))
     oracle = list(heat_march(g0, "neumann", nu, dt, nsteps))
     print("     t      ||div u||     heat oracle    rel gap")
     for k in (0, 50, 100, 200):
@@ -60,7 +64,7 @@ def main() -> None:
     rate = -2.0 * math.pi ** 2 * nu
     print(f"  (the analytic decay rate for this mode is {rate:.4f})")
 
-    ledger = ens_jl.EnergyLedger()
+    ledger = ens_jl.EnergyLedger(jl)
     for s in hist:
         ledger.add(s)
     rec = ledger.record()
@@ -73,7 +77,8 @@ def main() -> None:
     from enslab.grid import BoundaryTrace
     from enslab.scenarios import eigen_divergence
     sub = ens_sr.sr_gap_run(eigen_divergence(grid, "sr", 1.0, 1),
-                            BoundaryTrace.zeros(grid), lam, 0.02, dtg, ng)
+                            BoundaryTrace.zeros(grid),
+                            ens_sr.SRFlow(lam, 0.02, dtg, VectorField.zeros(grid)), ng)
     gap0 = ens_sr.solvability_gap(sub[0][0], sub[0][1])
     gapT = ens_sr.solvability_gap(sub[-1][0], sub[-1][1])
     print(f"  gap(0) = {gap0:.6f}, gap(T) = {gapT:.6f}, "

@@ -29,7 +29,7 @@ from itertools import islice, zip_longest
 
 import numpy as np
 
-from . import ens_jl, ens_sr, fieldio, galerkin, scenarios
+from . import ens_jl, ens_sr, fieldio, galerkin, reference, scenarios
 from .config import Config, ConfigError, load_config
 from .diagnostics import (
     DIV_CEILING, GAP_DECAY_TOL, GRAM_TOL, LEDGER_RATE_TOL, RECONSTRUCT_TOL, SPLIT_TOL,
@@ -96,20 +96,22 @@ _INITIAL = "initial state, t = 0"
 
 
 def _field_states(cfg: Config, initial=None):
-    """The configured route's states from the velocity initial() (by default
-    the configured one): the initial state, then one per step.  Steppers are
-    looked up on their modules at each call, so rebound attributes are used."""
+    """The configured route's Flow and its states from the velocity initial()
+    (by default the configured one), the initial one first.  The stepper is
+    looked up on its module, so a rebound attribute is used, and bound to it."""
     decomposed = cfg.route == "decomposed"
     with scenarios.located(_INITIAL):
         u0 = _initial_velocity(cfg, Grid(cfg.grid)) if initial is None else initial()
         forcing = scenarios.forcing_field(u0.grid, cfg.forcing, cfg.forcing_amplitude, cfg.nu)
         if cfg.system == "jl":
-            state = ens_jl.jl_state(u0, cfg.nu, forcing, decomposed=decomposed)
+            flow = reference.Flow(cfg.nu, cfg.dt, forcing)
+            state = ens_jl.jl_state(u0, decomposed)
             step = ens_jl.step_decomposed if decomposed else ens_jl.step_direct
         else:
-            state = ens_sr.sr_state(u0, cfg.lam, cfg.nu, forcing, decomposed=decomposed)
+            flow = ens_sr.SRFlow(cfg.lam, cfg.nu, cfg.dt, forcing)
+            state = ens_sr.sr_state(u0, decomposed)
             step = ens_sr.step_constructive if decomposed else ens_sr.step_direct_sr
-    return scenarios.march(step, state, cfg.dt, cfg.nsteps)
+    return flow, scenarios.march(functools.partial(step, flow), state, cfg.nsteps)
 
 
 def _field_margins(run: "_FieldRun") -> list:
@@ -221,28 +223,38 @@ class _Run:
 
 
 class _FieldRun(_Run):
-    """A field run from the velocity initial(), built in the fold (see
-    _field_states); on jl decomposed it also folds the energy ledger."""
+    """A field run from the velocity initial(): its Flow and states are built
+    in the fold (see _field_states); on jl decomposed it also folds the energy ledger."""
 
     def __init__(self, cfg: Config, initial=None):
         if cfg.route not in ("decomposed", "direct"):
             raise ConfigError(f"route = {cfg.route} is not a field route; "
                               "use route = decomposed or direct")
-        self.cfg = cfg
-        jl_decomposed = cfg.system == "jl" and cfg.route == "decomposed"
-        ledger = self.ledger = ens_jl.EnergyLedger() if jl_decomposed else None
+        self.cfg, self.ledger = cfg, None
 
-        def measure(state) -> dict:  # not a bound method: no cycle keeps the run
-            if ledger is not None:
-                ledger.add(state)
-            return _field_metrics(cfg, state)
+        def source():  # dropped once called, so no cycle keeps the run
+            flow, states = _field_states(cfg, initial)
+            if cfg.system == "sr" or cfg.route == "direct":
+                return states
+            self.ledger = ledger = ens_jl.EnergyLedger(flow)
+            return (ledger.add(s) or s for s in states)
 
-        super().__init__(cfg.out, measure, lambda: _field_states(cfg, initial))
+        super().__init__(cfg.out, functools.partial(_field_metrics, cfg), source)
 
     def finish(self) -> int:
         """Write the margins and artifacts; returns the exit code."""
         return self.write(_field_margins(self),
                           lambda s: [("final_u", s.u), ("final_g.ensf", s.g)])
+
+
+def _sub_runs(subs) -> list:
+    """A study's field runs from (config, initial) pairs, their paths in the
+    study's directory: one there that is not a directory fails _open, which
+    makes nothing then, before any sub-run opens its directory."""
+    for sub, _ in subs:
+        if os.path.lexists(sub.out) and not os.path.isdir(sub.out):
+            _open(sub.out, ())
+    return [_FieldRun(sub, initial) for sub, initial in subs]
 
 
 def _build_basis_checked(grid: Grid, modes: int):
@@ -307,8 +319,8 @@ def cmd_convergence(cfg: Config, quiet: bool) -> int:
     if cfg.grid > 64:
         raise ConfigError("convergence study refines twice; grid must be <= 64")
     grids = [cfg.grid, cfg.grid * 2, cfg.grid * 4]
-    runs = [_FieldRun(replace(cfg, grid=n, dt=cfg.dt * cfg.grid / n,
-                              out=os.path.join(cfg.out, f"grid_{n:03d}"))) for n in grids]
+    runs = _sub_runs([(replace(cfg, grid=n, dt=cfg.dt * cfg.grid / n,
+                               out=os.path.join(cfg.out, f"grid_{n:03d}")), None) for n in grids])
     _open(cfg.out, ("errors.csv",), "runs_completed")
     codes = [run.run().finish() for run in runs]
     errors = [float("nan") if run.failure
@@ -330,8 +342,8 @@ def cmd_convergence(cfg: Config, quiet: bool) -> int:
 
 def cmd_compare(cfg: Config, quiet: bool) -> int:
     u0 = functools.cache(lambda: _initial_velocity(cfg, Grid(cfg.grid)))
-    run_a = _FieldRun(replace(cfg, route="decomposed", out=os.path.join(cfg.out, "route_a")), u0)
-    run_b = _FieldRun(replace(cfg, route="direct", out=os.path.join(cfg.out, "route_b")), u0)
+    run_a, run_b = _sub_runs([(replace(cfg, route=r, out=os.path.join(cfg.out, name)), u0)
+                              for r, name in (("decomposed", "route_a"), ("direct", "route_b"))])
     del u0  # built in route a's fold, freed once both initial states are built
     _open(cfg.out, ("compare.csv",), "routes_completed")
     rows = []
@@ -363,8 +375,8 @@ def cmd_stability(cfg: Config, quiet: bool) -> int:
     direction = scenarios.perturbation_field(grid)
     fields = [base] + [lambda e=e: base() + direction * e for e in _STABILITY_EPS]
     labels = ["base"] + [f"eps_{i}" for i in range(len(_STABILITY_EPS))]
-    runs = [_FieldRun(replace(cfg, out=os.path.join(cfg.out, label)), initial)
-            for label, initial in zip(labels, fields)]
+    runs = _sub_runs([(replace(cfg, out=os.path.join(cfg.out, label)), initial)
+                      for label, initial in zip(labels, fields)])
     _open(cfg.out, ("ratios.csv",), "runs_completed")
     codes = [run.run().finish() for run in runs]
     entries = [("runs_completed", 1.0 if max(codes) == EXIT_OK else 0.0,

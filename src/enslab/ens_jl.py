@@ -20,9 +20,9 @@ and accumulates a Gronwall-style envelope from measured per-step constants;
 every inequality used in the envelope holds for the measured quantities, so
 the envelope is a true bound for the computed trajectory, not a fit.
 
-The steppers map one state to the next; a run is
-scenarios.march(step_decomposed, jl_state(u, nu), dt, nsteps), which yields
-the states one at a time, and the EnergyLedger folds them pair by pair.
+A run fixes nu, dt and the force in a reference.Flow p; a run is
+scenarios.march(functools.partial(step_decomposed, p), jl_state(u), nsteps),
+which yields the states one at a time, and EnergyLedger(p) folds them.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .grid import (
     normal_trace,
 )
 from .heat_oracle import check_mass, heat_step
-from .linsolve import generalized_stokes, heat_solver
-from .reference import cfl_check, perturbed_heun_step, poincare_constant
+from .linsolve import GeneralizedStokes, heat_solver
+from .reference import Flow, cfl_check, perturbed_heun_step, poincare_constant
 from .stokes_lift import (
     MeasuredState, check_finite, check_state, decompose, lift_or_zero, wall_floor,
 )
@@ -76,8 +76,6 @@ class JLState(MeasuredState):
     u: VectorField
     g: ScalarField
     m0: float
-    nu: float
-    forcing: VectorField
     v: VectorField | None = None
     z: VectorField | None = None
 
@@ -93,20 +91,18 @@ class JLState(MeasuredState):
         return self.v is not None
 
 
-def jl_state(u: VectorField, nu: float, forcing: VectorField | None = None,
-             decomposed: bool = True) -> JLState:
+def jl_state(u: VectorField, decomposed: bool = True) -> JLState:
     """Build a consistent state at t = 0 from a velocity field with zero wall faces."""
-    forcing = VectorField.zeros(u.grid) if forcing is None else forcing
     with np.errstate(over="ignore", invalid="ignore"):  # the lift or the state judges u
         g = divergence(u)
         m0 = integral(g)
     if not decomposed:
-        return JLState(0.0, u, g, m0, nu, forcing)
+        return JLState(0.0, u, g, m0)
     dec = decompose(u)
-    return JLState(0.0, u, g, m0, nu, forcing, dec.v, dec.z)
+    return JLState(0.0, u, g, m0, dec.v, dec.z)
 
 
-def step_decomposed(s: JLState, dt: float) -> JLState:
+def step_decomposed(p: Flow, s: JLState) -> JLState:
     """One step of the constructive route: heat oracle, lift, projected flow.
 
     The divergence-free part is advanced by a trapezoidal-viscosity step with
@@ -115,15 +111,16 @@ def step_decomposed(s: JLState, dt: float) -> JLState:
     """
     if not s.decomposed:
         raise ValueError("decomposed route requires the decomposition cache; "
-                         "build the state with jl_state(u, nu, ...)")
-    cfl_check(s.u, dt)
-    gp = heat_step(s.g, s.nu, dt, "neumann")
+                         "build the state with jl_state(u)")
+    cfl_check(s.u, p.dt)
+    gp = heat_step(s.g, p.solver(heat_solver, p.nu * p.dt, "neumann"))
     zp = lift_or_zero(gp, s.u)
-    vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, s.forcing, s.time + dt)
-    return JLState(s.time + dt, vp + zp, gp, s.m0, s.nu, s.forcing, vp, zp)
+    time = s.time + p.dt
+    vp = perturbed_heun_step(p, s.v, s.z, zp, time)
+    return JLState(time, vp + zp, gp, s.m0, vp, zp)
 
 
-def step_direct(s: JLState, dt: float) -> JLState:
+def step_direct(p: Flow, s: JLState) -> JLState:
     """One step of the direct route: one generalized Stokes solve.
 
     u+ solves (I - nu dt Lap) u+ + grad pi = u + dt (f - a), div u+ = g+
@@ -131,19 +128,20 @@ def step_direct(s: JLState, dt: float) -> JLState:
     f the body force and g+ the backward-Euler Neumann heat
     step of div u; the pressure pi is not formed.
     """
-    cfl_check(s.u, dt)
-    grid, u, c = s.u.grid, s.u, s.nu * dt
-    gp = _adopt(ScalarField, grid, heat_solver(grid, c, "neumann", theta="be")(s.div_u.values))
-    rhs = u + (s.forcing - skew_advect(u, u)) * dt
+    cfl_check(s.u, p.dt)
+    grid, u, c, time = s.u.grid, s.u, p.nu * p.dt, s.time + p.dt
+    gp = _adopt(ScalarField, grid, p.solver(heat_solver, c, "neumann", "be")(s.div_u.values))
+    rhs = u + (p.forcing - skew_advect(u, u)) * p.dt
     # the Stokes solve refuses non-finite data as a solver fault; a blown-up
     # update is the next state's fault, judged as its check judges u
-    check_finite(s.time + dt, velocity=rhs)
-    up = generalized_stokes(grid, 1.0, c).solve(rhs, gp, pressure=False)[0]
-    return JLState(s.time + dt, up, gp, s.m0, s.nu, s.forcing)
+    check_finite(time, velocity=rhs)
+    up = p.solver(GeneralizedStokes, 1.0, c).solve(rhs, gp, pressure=False)[0]
+    return JLState(time, up, gp, s.m0)
 
 
 class EnergyLedger:
-    """Per-step energy ledger and a measured-constant Gronwall envelope.
+    """Per-step energy ledger and a measured-constant Gronwall envelope of
+    the run p, which fixes nu and the force f.
 
     add() decomposed-route states in time order, then record().  For each
     step the exact identity
@@ -173,7 +171,8 @@ class EnergyLedger:
     energies, the worst imbalance and the largest one-step rise of sqrt(E).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, p: Flow) -> None:
+        self._nu, self._forcing = p.nu, p.forcing
         self._prev: JLState | None = None
         self._energies: list[float] = []
         self._steps: list[tuple[float, ...]] = []  # t, dt, imbalance, c, |fhat|^2
@@ -192,10 +191,10 @@ class EnergyLedger:
         vbar = (s0.v + s1.v) * 0.5
         zbar = (s0.z + s1.z) * 0.5
         dz = (s1.z - s0.z) * (1.0 / dt)
-        fhat = s0.forcing - dz
+        fhat = self._forcing - dz
         e0, e1 = self._energies[-2:]
         diss = grad_inner(vbar, vbar)
-        lhs = (e1 - e0) / (2.0 * dt) + s0.nu * diss
+        lhs = (e1 - e0) / (2.0 * dt) + self._nu * diss
         # the zz and vz pairings in one call (linear in the first slot); the
         # zv pairing <S(zbar, vbar), vbar> vanishes by antisymmetry
         adv = face_inner(skew_advect(vbar + zbar, zbar), vbar)
@@ -211,7 +210,6 @@ class EnergyLedger:
         energies, steps = self._energies, self._steps
         if len(energies) < 2:
             raise ValueError("need at least two states to check the ledger")
-        nu = self._prev.nu
         lam = poincare_constant(self._prev.u.grid)
         envelope = [energies[0]]
         for t, dt, d, c, fh2 in steps:
@@ -219,7 +217,7 @@ class EnergyLedger:
                 raise CheckFailure(
                     f"measured advection constant {c:.3e} too large for dt {dt:.3e}; "
                     "the envelope recursion cannot certify this step")
-            q = fh2 / (nu * lam) + 2.0 * abs(d)
+            q = fh2 / (self._nu * lam) + 2.0 * abs(d)
             envelope.append((envelope[-1] * (1.0 + dt * c) + dt * q) / (1.0 - dt * c))
             if not math.isfinite(envelope[-1]):
                 raise CheckFailure(f"non-finite energy envelope at t = {t:.6g}")

@@ -22,9 +22,9 @@ exponentially-weighted step average of the instantaneous constant.  The
 solvability gap then contracts exactly in the masses:
 oint h+ - M+ = e^{-lambda dt} (oint h - M).
 
-The steppers map one state to the next; a run is
-scenarios.march(step_direct_sr, sr_state(u, lam, nu), dt, nsteps), which
-yields the states one at a time.
+A run fixes lambda, nu, dt and the force in an SRFlow p; a run is
+scenarios.march(functools.partial(step_direct_sr, p), sr_state(u), nsteps),
+which yields the states one at a time.
 """
 
 from __future__ import annotations
@@ -54,10 +54,11 @@ from .grid import (
 )
 from .heat_oracle import heat_step
 from .linsolve import NoslipHelmholtz, heat_solver
-from .reference import cfl_check, perturbed_heun_step
+from .reference import Flow, cfl_check, perturbed_heun_step
 from .stokes_lift import MeasuredState, _remove_gradient, check_finite, check_state, lift_or_zero
 
 __all__ = [
+    "SRFlow",
     "SRState",
     "sr_state",
     "compat_constant",
@@ -69,6 +70,16 @@ __all__ = [
 ]
 
 _PERIMETER = 4.0
+
+
+class SRFlow(Flow):
+    """A relaxed-wall run's Flow and its relaxation rate lam, checked here, once."""
+
+    def __init__(self, lam: float, nu: float, dt: float, forcing: VectorField):
+        if not (lam > 0.0 and math.isfinite(lam)):
+            raise ValueError(f"relaxation rate must be positive, got {lam!r}")
+        super().__init__(nu, dt, forcing)
+        self.lam = lam
 
 
 @dataclass(frozen=True)
@@ -89,15 +100,10 @@ class SRState(MeasuredState):
     u: VectorField
     g: ScalarField
     h: BoundaryTrace
-    lam: float
-    nu: float
-    forcing: VectorField
     v: VectorField | None = None
     z: VectorField | None = None
 
     def __post_init__(self) -> None:
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise ValueError(f"relaxation rate must be positive, got {self.lam!r}")
         check_state(self, "dirichlet", self.h)
         # the gap is judged against max(1, max |u|); max |u| is taken only
         # when the gap exceeds the bound at 1
@@ -116,17 +122,15 @@ class SRState(MeasuredState):
         return self.v is not None
 
 
-def sr_state(u: VectorField, lam: float, nu: float, forcing: VectorField | None = None,
-             decomposed: bool = True) -> SRState:
+def sr_state(u: VectorField, decomposed: bool = True) -> SRState:
     """Build a consistent state at t = 0 from a velocity field (wall-normal faces free)."""
-    forcing = VectorField.zeros(u.grid) if forcing is None else forcing
     with np.errstate(over="ignore", invalid="ignore"):  # the lift or the state judges u
         g = divergence(u)
     h = normal_trace(u)
     if not decomposed:
-        return SRState(0.0, u, g, h, lam, nu, forcing)
+        return SRState(0.0, u, g, h)
     z = lift_or_zero(g, u, h)
-    return SRState(0.0, u, g, h, lam, nu, forcing, u - z, z)
+    return SRState(0.0, u, g, h, u - z, z)
 
 
 def compat_constant(g: ScalarField, nu: float, lam: float, mass: float) -> float:
@@ -158,37 +162,38 @@ def solvability_gap(g: ScalarField, h: BoundaryTrace) -> float:
     return trace_integral(h) - integral(g)
 
 
-def _advance_gh(g: ScalarField, h: BoundaryTrace, lam: float, nu: float,
-                dt: float) -> tuple[ScalarField, BoundaryTrace]:
+def _advance_gh(p: SRFlow, g: ScalarField,
+                h: BoundaryTrace) -> tuple[ScalarField, BoundaryTrace]:
     """One step of the (divergence, boundary-data) subsystem: the Dirichlet
     heat step of g, then the closed-form relaxation of h."""
-    gp = heat_step(g, nu, dt, "dirichlet")
-    return gp, evolve_h(h, integral(g), integral(gp), lam, dt)
+    gp = heat_step(g, p.solver(heat_solver, p.nu * p.dt, "dirichlet"))
+    return gp, evolve_h(h, integral(g), integral(gp), p.lam, p.dt)
 
 
-def step_constructive(s: SRState, dt: float) -> SRState:
+def step_constructive(p: SRFlow, s: SRState) -> SRState:
     """One constructive step: Dirichlet heat, boundary ODE, lift, projected flow."""
     if not s.decomposed:
         raise ValueError("constructive route requires the decomposition cache; "
-                         "build the state with sr_state(u, lam, nu, ...)")
-    cfl_check(s.u, dt)
+                         "build the state with sr_state(u)")
+    cfl_check(s.u, p.dt)
     gap = solvability_gap(s.g, s.h)
     scale = max(1.0, scalar_norm(s.g), s.h.max_abs())
     if abs(gap) > SOLVABILITY_TOL * scale:
         raise SolvabilityError(
             f"solvability gap {gap:.3e} exceeds tolerance; boundary and "
             "divergence data are inconsistent")
-    gp, hp = _advance_gh(s.g, s.h, s.lam, s.nu, dt)
+    gp, hp = _advance_gh(p, s.g, s.h)
     zp = lift_or_zero(gp, s.u, hp)
-    vp = perturbed_heun_step(s.v, s.z, zp, dt, s.nu, s.forcing, s.time + dt)
+    time = s.time + p.dt
+    vp = perturbed_heun_step(p, s.v, s.z, zp, time)
     gap_plus = solvability_gap(gp, hp)
-    if abs(gap_plus) > math.exp(-s.lam * dt) * abs(gap) + GAP_DECAY_TOL * scale:
+    if abs(gap_plus) > math.exp(-p.lam * p.dt) * abs(gap) + GAP_DECAY_TOL * scale:
         raise CheckFailure(
             f"solvability gap grew across the step: {gap:.3e} -> {gap_plus:.3e}")
-    return SRState(s.time + dt, vp + zp, gp, hp, s.lam, s.nu, s.forcing, vp, zp)
+    return SRState(time, vp + zp, gp, hp, vp, zp)
 
 
-def _pressure_source(s: SRState, fa: VectorField):
+def _pressure_source(p: SRFlow, s: SRState, fa: VectorField):
     """Assemble the literal pressure source from fa = f - a, forcing less transport.
 
     Interior data div(f - a); each wall datum (b.n - cc) with
@@ -202,23 +207,23 @@ def _pressure_source(s: SRState, fa: VectorField):
     """
     u, grid = s.u, s.u.grid
     h = grid.h
-    cc = compat_constant(s.div_u, s.nu, s.lam, trace_integral(normal_trace(u)))
+    cc = compat_constant(s.div_u, p.nu, p.lam, trace_integral(normal_trace(u)))
     # b.n on the walls x = 0, x = 1, y = 0, y = 1: each component is read
     # through a view whose axis 0 runs along its normal
     lap = np.concatenate([_tangential_wall_rows(u.u), _tangential_wall_rows(u.v.T)])
     a = np.concatenate([u.u[[0, -1]], u.v.T[[0, -1]]])
-    b = lap * (s.nu / (h * h)) + a * s.lam + np.concatenate([fa.u[[0, -1]], fa.v.T[[0, -1]]])
-    b[::2] *= -1.0                                  # x = 0 and y = 0 face -x and -y
-    b -= cc
-    b /= h
-    rhs = _divergence_values(fa.u, fa.v, h)
-    rhs[0] -= b[0]
-    rhs[-1] -= b[1]
-    rhs[:, 0] -= b[2]
-    rhs[:, -1] -= b[3]
-    rhs = _adopt(ScalarField, grid, rhs)
-    # a non-finite net source is judged below; the scale cannot overflow
+    # a non-finite wall datum or net source is judged below; the scale cannot overflow
     with np.errstate(over="ignore", invalid="ignore"):
+        b = lap * (p.nu / (h * h)) + a * p.lam + np.concatenate([fa.u[[0, -1]], fa.v.T[[0, -1]]])
+        b[::2] *= -1.0                              # x = 0 and y = 0 face -x and -y
+        b -= cc
+        b /= h
+        rhs = _divergence_values(fa.u, fa.v, h)
+        rhs[0] -= b[0]
+        rhs[-1] -= b[1]
+        rhs[:, 0] -= b[2]
+        rhs[:, -1] -= b[3]
+        rhs = _adopt(ScalarField, grid, rhs)
         total = integral(rhs)
     scale = max(1.0, rescaled_norm(scalar_norm, rhs))
     if not math.isfinite(total) or abs(total) > NET_SOURCE_TOL * scale:
@@ -228,23 +233,23 @@ def _pressure_source(s: SRState, fa: VectorField):
     return rhs, cc, total, scale
 
 
-def _explicit_update(s: SRState, dt: float) -> VectorField:
+def _explicit_update(p: SRFlow, s: SRState) -> VectorField:
     """u + dt (f - a), once the pressure source of fa = f - a passes its
     compatibility check; a function of its own, so that fa is freed before
     the viscous solve."""
-    fa = s.forcing - skew_advect(s.u, s.u)
-    update = [x * dt for x in fa.arrays]
+    fa = p.forcing - skew_advect(s.u, s.u)
+    update = [x * p.dt for x in fa.arrays]
     for x, u in zip(update, s.u.arrays):
         x += u                                   # u + dt fa, formed in dt fa
     rhs = _adopt(VectorField, s.u.grid, *update)
     # a blown-up update is the next state's fault, judged as its check judges
     # u, before the pressure source and the solve compute with it
-    check_finite(s.time + dt, velocity=rhs)
-    _pressure_source(s, fa)
+    check_finite(s.time + p.dt, velocity=rhs)
+    _pressure_source(p, s, fa)
     return rhs
 
 
-def step_direct_sr(s: SRState, dt: float) -> SRState:
+def step_direct_sr(p: SRFlow, s: SRState) -> SRState:
     """One direct step: pinned implicit viscosity plus divergence repair.
 
     The wall-normal faces are advanced to the relaxed boundary data first and
@@ -256,28 +261,26 @@ def step_direct_sr(s: SRState, dt: float) -> SRState:
     each step and its compatibility is enforced; the pressure itself is not
     needed, so it is not solved for.
     """
-    cfl_check(s.u, dt)
-    grid, du = s.u.grid, s.div_u
-    gp = _adopt(ScalarField, grid,
-                heat_solver(grid, s.nu * dt, "dirichlet", theta="be")(du.values))
-    hp = evolve_h(s.h, integral(du), integral(gp), s.lam, dt)
-    ustar = NoslipHelmholtz(grid, s.nu * dt).solve(_explicit_update(s, dt), trace=hp)
+    cfl_check(s.u, p.dt)
+    grid, du, c = s.u.grid, s.div_u, p.nu * p.dt
+    gp = _adopt(ScalarField, grid, p.solver(heat_solver, c, "dirichlet", "be")(du.values))
+    hp = evolve_h(s.h, integral(du), integral(gp), p.lam, p.dt)
+    ustar = p.solver(NoslipHelmholtz, c).solve(_explicit_update(p, s), trace=hp)
     # the repair u+ = u* - grad chi, with chi from div u* - g+, leaves u*'s walls
     up, vp = ustar.u.copy(), ustar.v.copy()
     _remove_gradient(grid, up, vp, gp.values)
-    return SRState(s.time + dt, _adopt(VectorField, grid, up, vp), gp, hp, s.lam, s.nu,
-                   s.forcing)
+    return SRState(s.time + p.dt, _adopt(VectorField, grid, up, vp), gp, hp)
 
 
-def sr_gap_run(g0: ScalarField, h0: BoundaryTrace, lam: float, nu: float,
-               dt: float, nsteps: int) -> list[tuple[ScalarField, BoundaryTrace]]:
+def sr_gap_run(g0: ScalarField, h0: BoundaryTrace, p: SRFlow,
+               nsteps: int) -> list[tuple[ScalarField, BoundaryTrace]]:
     """Evolve the (divergence, boundary-data) subsystem alone.
 
     The pair need not satisfy the solvability condition; the run exposes the
     exact per-step decay of the gap  oint h - int g.  Each step is the update
-    the constructive route makes.
+    the constructive route makes under the run p.
     """
     history = [(g0, h0)]
     for _ in range(nsteps):
-        history.append(_advance_gh(*history[-1], lam, nu, dt))
+        history.append(_advance_gh(p, *history[-1]))
     return history

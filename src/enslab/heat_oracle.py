@@ -12,7 +12,7 @@ these symmetric negative semi-definite operators, and exactly
 mass-conservative in the Neumann case (the matrices have zero column sums).
 The flow states hold their divergence as a field and step it by heat_step;
 `enslab heat` marches a DivergenceState, a field with its own clock, by
-heat_march, which takes the closure and viscosity once.
+heat_march, which takes the closure, viscosity and time step once.
 """
 
 from __future__ import annotations
@@ -47,11 +47,9 @@ class DivergenceState:
     time: float
 
 
-def heat_step(g: ScalarField, nu: float, dt: float, bc: str) -> ScalarField:
-    """One Crank-Nicolson step of g under the closure bc; checks L2 contraction."""
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be positive, got {dt}")
-    out = ScalarField(g.grid, heat_solver(g.grid, nu * dt, bc, theta="cn")(g.values))
+def heat_step(g: ScalarField, solve) -> ScalarField:
+    """One step of g by the heat_solver ``solve``; checks L2 contraction."""
+    out = ScalarField(g.grid, solve(g.values))
     n_old = scalar_norm(g)
     n_new = scalar_norm(out)
     if n_new > n_old * (1.0 + CONTRACTION_RTOL) + TINY:
@@ -62,19 +60,22 @@ def heat_step(g: ScalarField, nu: float, dt: float, bc: str) -> ScalarField:
 
 def heat_march(g: ScalarField, bc: str, nu: float, dt: float, nsteps: int):
     """The states of g under the closure bc from t = 0 (scenarios.march):
-    nu is checked here, the closure by the first step, and on zero-flux
-    walls each step's mass against that of g."""
+    nu, dt and the closure (by the one solver built) are checked here, and
+    on zero-flux walls each step's mass against that of g."""
     if not (nu > 0.0 and math.isfinite(nu)):
         raise ValueError(f"viscosity must be positive and finite, got {nu}")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive, got {dt}")
+    solve = heat_solver(g.grid, nu * dt, bc)
     with np.errstate(over="ignore", invalid="ignore"):
         m0 = integral(g)
 
-    def step(s: DivergenceState, dt: float) -> DivergenceState:
-        g1 = heat_step(s.g, nu, dt, bc)
+    def step(s: DivergenceState) -> DivergenceState:
+        g1 = heat_step(s.g, solve)
         if bc == "neumann":
             check_mass(g1, m0)
         return DivergenceState(g1, s.time + dt)
-    return march(step, DivergenceState(g, 0.0), dt, nsteps)
+    return march(step, DivergenceState(g, 0.0), nsteps)
 
 
 class HeatEstimates:

@@ -25,9 +25,12 @@ Contents
 Every solve takes and returns the grid's own 2-D cell or face arrays: the
 operators act along each axis, so no stacked vector of unknowns is formed.
 The generalized Stokes solves of a grid share its spectral workspaces; every
-returned array is fresh.  The cache of eigenbases, solvers and workspaces is
-append-only and keyed by immutable tuples; it takes no lock, as nothing in
-the package solves on more than one thread.
+returned array is fresh.  The cache holds what depends on the grid alone
+(eigenbases, the zero-flux Poisson and (I - Lap_N) solvers, workspaces and
+the lift's solver); a solver fixed by a run's nu dt is built by the run
+(``reference.Flow``) and held by it.  The cache is append-only and keyed by
+immutable tuples; it takes no lock, as nothing in the package solves on
+more than one thread.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ __all__ = [
     "STOKES_TOL",
     "COMPAT_TOL",
     "GeneralizedStokes",
-    "generalized_stokes",
+    "lift_solver",
     "NeumannPoisson",
     "neumann_poisson",
     "htilde_solver",
@@ -181,7 +184,7 @@ def htilde_solver(grid: Grid):
 
 
 def heat_solver(grid: Grid, a: float, bc: str, theta: str = "cn"):
-    """Cached step for the heat equation with coefficient a = nu*dt (full step).
+    """Step for the heat equation with coefficient a = nu*dt (full step).
 
     theta="cn":  g+ = (I - a/2 L)^{-1} (I + a/2 L) g      (trapezoidal)
     theta="be":  g+ = (I - a L)^{-1} g                     (backward Euler)
@@ -192,16 +195,12 @@ def heat_solver(grid: Grid, a: float, bc: str, theta: str = "cn"):
         raise ValueError(f"unknown bc {bc!r}")
     if theta not in ("cn", "be"):
         raise ValueError(f"unknown theta {theta!r}")
-
-    def build():
-        qx, qy, lam = _separable_eigenbasis(grid, "neumann" if bc == "neumann" else "cell")
-        if theta == "cn":
-            mult = (1.0 + (a / 2.0) * lam) / (1.0 - (a / 2.0) * lam)
-        else:
-            mult = 1.0 / (1.0 - a * lam)
-        return lambda vals: _diagonalized_solve(vals, qx, qy, mult)
-
-    return _cached(("heat", grid.n, float(a), bc, theta), build)
+    qx, qy, lam = _separable_eigenbasis(grid, "neumann" if bc == "neumann" else "cell")
+    if theta == "cn":
+        mult = (1.0 + (a / 2.0) * lam) / (1.0 - (a / 2.0) * lam)
+    else:
+        mult = 1.0 / (1.0 - a * lam)
+    return lambda vals: _diagonalized_solve(vals, qx, qy, mult)
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +504,9 @@ class GeneralizedStokes:
         return _adopt(ScalarField, self.grid, p)
 
 
-def generalized_stokes(grid: Grid, alpha: float, c: float) -> GeneralizedStokes:
-    return _cached(("generalized_stokes", grid.n, float(alpha), float(c)),
-                   lambda: GeneralizedStokes(grid, alpha, c))
+def lift_solver(grid: Grid) -> GeneralizedStokes:
+    """The stationary Stokes solver (alpha = 0, c = 1) of every lift, cached."""
+    return _cached(("lift", grid.n), lambda: GeneralizedStokes(grid, 0.0, 1.0))
 
 
 class NoslipHelmholtz:
@@ -526,12 +525,9 @@ class NoslipHelmholtz:
         self.grid = grid
         self.c = c = float(c)
         alpha = float(alpha)
-
-        def build():
-            return [(qx, qy, 1.0 / (alpha - c * lam))
-                    for qx, qy, lam in (_separable_eigenbasis(grid, *kinds)
-                                        for kinds in (("node", "cell"), ("cell", "node")))]
-        self._blocks = _cached(("noslip_helmholtz", grid.n, alpha, c), build)
+        self._blocks = [(qx, qy, 1.0 / (alpha - c * lam))
+                        for qx, qy, lam in (_separable_eigenbasis(grid, *kinds)
+                                            for kinds in (("node", "cell"), ("cell", "node")))]
 
     def solve(self, rhs: VectorField, trace: BoundaryTrace | None = None) -> VectorField:
         grid = self.grid

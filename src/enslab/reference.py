@@ -18,23 +18,40 @@ The reference stepper for the *standard*, unforced incompressible equations,
 (midpoint-averaged) transport.  The lifted-flow steppers of the two extended
 systems reduce to this scheme, call by call, when their divergence data and
 force vanish.  (The classical splitting, to which the tangential-system direct
-stepper reduces, is a test oracle.)
+stepper reduces, is a test oracle.)  A run's fixed values are its ``Flow``.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+
 from .advection import skew_advect
 from .errors import CFLError
 from .grid import Grid, VectorField, vector_laplacian
-from .linsolve import _tridiagonal_eigvals, generalized_stokes
+from .linsolve import GeneralizedStokes, _tridiagonal_eigvals
 from .stokes_lift import check_finite
 
 __all__ = [
+    "Flow",
     "cfl_check",
     "poincare_constant",
     "perturbed_heun_step",
     "step_nse_projection",
 ]
+
+
+class Flow:
+    """What a flow run fixes: the viscosity nu, checked here once, the time
+    step dt and the body force ``forcing``; and the solvers they fix:
+    solver(build, *args) is build(grid, *args), built on the first call with
+    these arguments and held for the run."""
+
+    def __init__(self, nu: float, dt: float, forcing: VectorField):
+        if not (nu > 0.0 and math.isfinite(nu)):
+            raise ValueError(f"viscosity must be positive and finite, got {nu}")
+        self.nu, self.dt, self.forcing = nu, dt, forcing
+        self.solver = functools.cache(lambda build, *args: build(forcing.grid, *args))
 
 
 def cfl_check(u: VectorField, dt: float) -> None:
@@ -67,19 +84,19 @@ def poincare_constant(grid: Grid) -> float:
     return -float(top[0] + top[1])
 
 
-def perturbed_heun_step(v: VectorField, z0: VectorField, z1: VectorField,
-                        dt: float, nu: float, forcing: VectorField, time: float) -> VectorField:
-    """One step, reaching ``time``, of the lifted-flow equation for the
-    divergence-free part v.
+def perturbed_heun_step(p: Flow, v: VectorField, z0: VectorField, z1: VectorField,
+                        time: float) -> VectorField:
+    """One step of the run p, reaching ``time``, of the lifted-flow equation
+    for the divergence-free part v.
 
     dv/dt = P[ nu Lap v + f - dz/dt - ((v+z).grad)(v+z) ] with f the body
-    force ``forcing``, z held on the midpoint (z0 + z1)/2 and
+    force, z held on the midpoint (z0 + z1)/2 and
     dz/dt = (z1 - z0)/dt; trapezoidal viscosity with a Heun
     (predictor-averaged) transport term, solved on range(P).  A non-finite
     right-hand side is a CheckFailure naming ``time``, not a solver error.
     """
-    g = v.grid
-    c = 0.5 * nu * dt
+    dt, forcing = p.dt, p.forcing
+    c = 0.5 * p.nu * dt
     zbar = (z0 + z1) * 0.5
     dz = (z1 - z0) * (1.0 / dt)
     lap_v = vector_laplacian(v)
@@ -88,7 +105,7 @@ def perturbed_heun_step(v: VectorField, z0: VectorField, z1: VectorField,
         wz = w + zbar
         return forcing - dz - skew_advect(wz, wz)
 
-    stokes = generalized_stokes(g, 1.0, c)
+    stokes = p.solver(GeneralizedStokes, 1.0, c)
 
     def solve(rhs: VectorField) -> VectorField:
         check_finite(time, velocity=rhs)
@@ -103,14 +120,14 @@ def perturbed_heun_step(v: VectorField, z0: VectorField, z1: VectorField,
 def step_nse_projection(u: VectorField, dt: float, nu: float) -> VectorField:
     """Reference stepper for the standard unforced incompressible equations:
     the projected trapezoidal/Heun scheme.  Input must be discretely
-    divergence-free with zero wall faces.
+    divergence-free with zero wall faces.  Each call builds its own solver.
     """
     cfl_check(u, dt)
     g = u.grid
     c = 0.5 * nu * dt
     lap_u = vector_laplacian(u)
     a1 = -skew_advect(u, u)
-    solve = generalized_stokes(g, 1.0, c).solve
+    solve = GeneralizedStokes(g, 1.0, c).solve
     v1 = solve(u + a1 * dt + lap_u * c, pressure=False)[0]
     a2 = -skew_advect(v1, v1)
     return solve(u + (a1 + a2) * (dt * 0.5) + lap_u * c, pressure=False)[0]

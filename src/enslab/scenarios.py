@@ -2,7 +2,7 @@
 
 Every preset is deterministic given (grid, parameters, seed).  No forcing
 preset depends on time: each is a field sampled once, when a run builds its
-initial state, and held by every state after it.  The
+initial state, and held by the run's Flow.  The
 manufactured steady flow used for spatial-order studies is
 
     u*(x, y) = ( sin^2(pi x) sin(2 pi y), -sin(2 pi x) sin^2(pi y) ),
@@ -226,9 +226,9 @@ def located(where: str):
         raise type(exc)(f"{where}: {exc}") from exc
 
 
-def march(step, state, dt: float, nsteps: int):
-    """Yield state, then each of nsteps states made by state = step(state, dt).
-
+def march(step, state, nsteps: int):
+    """Yield state, then each of nsteps states made by state = step(state),
+    a step that fixes its time step (a stepper bound to its run's Flow).
     Only the current state is held, so a consumer that folds the states as
     they come runs in memory independent of nsteps; list(march(...)) gives
     the whole history.  An EnslabError raised in step k (counted from 1) is
@@ -238,7 +238,7 @@ def march(step, state, dt: float, nsteps: int):
     yield state
     for k in range(1, nsteps + 1):
         try:
-            state = step(state, dt)
+            state = step(state)
         except EnslabError:
             with located(f"step {k}, t = {state.time:.6g}"):  # formatted only when a step fails
                 raise

@@ -40,7 +40,7 @@ from .grid import (
     scalar_norm,
     with_normal_trace,
 )
-from .linsolve import generalized_stokes, neumann_poisson
+from .linsolve import lift_solver, neumann_poisson
 
 __all__ = [
     "Decomposition",
@@ -113,15 +113,13 @@ class MeasuredState:
 def check_state(state: MeasuredState, bc: str, trace: BoundaryTrace | None = None) -> None:
     """Invariants shared by the states of both systems.
 
-    The viscosity is positive and finite; u, the divergence g, the wall data
-    ``trace`` and the cache hold finite values only, the one finiteness scan
-    a state gets; the part of div u - g that the system constrains (with
-    g's closure ``bc`` Dirichlet, less its mean: a solvability gap spreads
-    uniformly) stays within the drift bound; the cache (v, z) is both
-    present or both absent and, when present, reconstructs u.
+    u, the divergence g, the wall data ``trace`` and the cache hold finite
+    values only, the one finiteness scan a state gets; the part of div u - g
+    that the system constrains (with g's closure ``bc`` Dirichlet, less its
+    mean: a solvability gap spreads uniformly) stays within the drift bound;
+    the cache (v, z) is both present or both absent and, when present,
+    reconstructs u.  The run's values (nu, lambda) are checked by its Flow.
     """
-    if not (state.nu > 0.0 and math.isfinite(state.nu)):
-        raise ValueError(f"viscosity must be positive and finite, got {state.nu}")
     check_finite(state.time, velocity=state.u, divergence=state.g, wall_data=trace,
                  divergence_free_part=state.v, lift=state.z)
     u = state.u
@@ -237,7 +235,7 @@ def lift_divergence(g: ScalarField, trace: BoundaryTrace | None = None) -> Vecto
     of the trace (zero without one) to COMPAT_TOL; the solve raises
     CompatibilityError otherwise.
     """
-    return generalized_stokes(g.grid, 0.0, 1.0).solve(g=g, trace=trace, pressure=False)[0]
+    return lift_solver(g.grid).solve(g=g, trace=trace, pressure=False)[0]
 
 
 def decompose(u: VectorField) -> Decomposition:
@@ -257,6 +255,6 @@ def decompose(u: VectorField) -> Decomposition:
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite data fail the solve
         g = divergence(u)                # the one lift that keeps its pressure
     z, q = ((VectorField.zeros(u.grid), ScalarField.zeros(u.grid)) if _negligible(g, u)
-            else generalized_stokes(u.grid, 0.0, 1.0).solve(g=g))
+            else lift_solver(u.grid).solve(g=g))
     dec = Decomposition(v=u - z, z=z, q=q)
     return replace(dec, record=dec.validate(u))

@@ -30,7 +30,7 @@ import scipy.sparse as sp
 from enslab.advection import centered_differences, skew_advect, transport_coefficients
 from enslab.diagnostics import TINY, fine_norm, htilde_norm
 from enslab.ens_jl import EnergyLedger, JLState
-from enslab.ens_sr import SRState
+from enslab.ens_sr import SRFlow, SRState
 from enslab.grid import (
     BoundaryTrace, Grid, ScalarField, VectorField, _adopt, divergence, face_inner, face_norm,
     grad_inner, integral, normal_trace, scalar_norm, vector_laplacian,
@@ -38,11 +38,22 @@ from enslab.grid import (
 )
 from enslab.heat_oracle import HeatEstimates
 from enslab.linsolve import (
-    NoslipHelmholtz, _check_compatibility, _separable_eigenbasis, _tridiagonal_eigh,
-    generalized_stokes, heat_solver, neumann_poisson,
+    GeneralizedStokes, NoslipHelmholtz, _check_compatibility, _separable_eigenbasis,
+    _tridiagonal_eigh, heat_solver, neumann_poisson,
 )
-from enslab.reference import cfl_check
+from enslab.reference import Flow, cfl_check
 from enslab.stokes_lift import leray_project, lift_divergence, wall_floor
+
+
+# ---------------------------------------------------------------------------
+# A run's fixed values, with the zero force most tests step under
+# ---------------------------------------------------------------------------
+
+def flow(grid: Grid, nu: float, dt: float, forcing: VectorField | None = None,
+         lam: float | None = None) -> Flow:
+    """A run's Flow, or its SRFlow when lam is given; no force unless given."""
+    forcing = VectorField.zeros(grid) if forcing is None else forcing
+    return Flow(nu, dt, forcing) if lam is None else SRFlow(lam, nu, dt, forcing)
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +330,15 @@ def step_nse_splitting(u: VectorField, dt: float, nu: float) -> VectorField:
 # as a chain of solves
 # ---------------------------------------------------------------------------
 
-def fold_energy_ledger(history):
-    """EnergyLedger.record() after add() of every state of history, in order."""
-    ledger = EnergyLedger()
+def fold_energy_ledger(p: Flow, history):
+    """EnergyLedger(p).record() after add() of every state of history, in order."""
+    ledger = EnergyLedger(p)
     for s in history:
         ledger.add(s)
     return ledger.record()
 
 
-def jl_direct_composed(s: JLState, dt: float) -> JLState:
+def jl_direct_composed(p: Flow, s: JLState) -> JLState:
     """The no-slip direct step as a chain of solves, with the same g+.
 
     g+ is the backward-Euler Neumann heat step of div u and phi its zero-flux
@@ -336,13 +347,14 @@ def jl_direct_composed(s: JLState, dt: float) -> JLState:
     and u+ = y + grad phi.  As div grad phi = g+ and grad phi is a gradient
     with zero wall faces, u+ solves the step's one generalized Stokes problem.
     """
-    grid, u, c = s.u.grid, s.u, s.nu * dt
+    grid, u, dt = s.u.grid, s.u, p.dt
+    c = p.nu * dt
     gp = ScalarField(grid, heat_solver(grid, c, "neumann", theta="be")(s.div_u.values))
     gphi = gradient(neumann_solve(gp))
-    rhs = (u + (s.forcing - skew_advect(u, u)) * dt
+    rhs = (u + (p.forcing - skew_advect(u, u)) * dt
            + vector_laplacian(gphi) * c)
-    y = generalized_stokes(grid, 1.0, c).solve(rhs, pressure=False)[0]
-    return JLState(s.time + dt, y + gphi, gp, s.m0, s.nu, s.forcing)
+    y = GeneralizedStokes(grid, 1.0, c).solve(rhs, pressure=False)[0]
+    return JLState(s.time + dt, y + gphi, gp, s.m0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ must not be loosened to keep the suite green.
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from enslab.scenarios import (
     stream_vortex,
 )
 from enslab.stokes_lift import decompose, lift_divergence
-from oracles import duhamel_quadrature, fold_energy_ledger, fold_heat_estimates
+from oracles import duhamel_quadrature, flow, fold_energy_ledger, fold_heat_estimates
 
 
 def report(n, detail):
@@ -51,14 +52,15 @@ def test_criterion_01_reduction_to_standard_equations():
     u0 = stream_vortex(grid)
     nu, dt, nsteps = 0.1, 1e-3, 500
 
+    jl, sr = flow(grid, nu, dt), flow(grid, nu, dt, lam=1.0)
     starts = {
-        "jl_decomposed": (ens_jl.step_decomposed, ens_jl.jl_state(u0, nu)),
-        "jl_direct": (ens_jl.step_direct, ens_jl.jl_state(u0, nu, decomposed=False)),
-        "sr_constructive": (ens_sr.step_constructive, ens_sr.sr_state(u0, 1.0, nu)),
-        "sr_direct": (ens_sr.step_direct_sr,
-                      ens_sr.sr_state(u0, 1.0, nu, decomposed=False)),
+        "jl_decomposed": (partial(ens_jl.step_decomposed, jl), ens_jl.jl_state(u0)),
+        "jl_direct": (partial(ens_jl.step_direct, jl), ens_jl.jl_state(u0, decomposed=False)),
+        "sr_constructive": (partial(ens_sr.step_constructive, sr), ens_sr.sr_state(u0)),
+        "sr_direct": (partial(ens_sr.step_direct_sr, sr),
+                      ens_sr.sr_state(u0, decomposed=False)),
     }
-    runs = {label: list(march(step, s0, dt, nsteps))
+    runs = {label: list(march(step, s0, nsteps))
             for label, (step, s0) in starts.items()}
     worst_div = {label: max(scalar_norm(divergence(s.u)) for s in hist)
                  for label, hist in runs.items()}
@@ -135,9 +137,10 @@ def test_criterion_05_energy_ledger_second_order():
     horizon = 0.04
 
     def imbalance(dt):
-        s0 = ens_jl.jl_state(u0, 0.1)
-        hist = list(march(ens_jl.step_decomposed, s0, dt, round(horizon / dt)))
-        return fold_energy_ledger(hist)["imbalance_max"]
+        p = flow(grid, 0.1, dt)
+        hist = list(march(partial(ens_jl.step_decomposed, p), ens_jl.jl_state(u0),
+                          round(horizon / dt)))
+        return fold_energy_ledger(p, hist)["imbalance_max"]
 
     i1, i2, i3 = imbalance(2e-3), imbalance(1e-3), imbalance(5e-4)
     f1, f2 = i1 / i2, i2 / i3
@@ -149,8 +152,9 @@ def test_criterion_05_energy_ledger_second_order():
 def test_criterion_06_growth_envelope_holds():
     grid = Grid(32)
     _, z0 = eigen_lift(grid, "jl", 1e-3, 1)  # v0 = 0, f = 0, small lifted start
-    hist = list(march(ens_jl.step_decomposed, ens_jl.jl_state(z0, 0.1), 1e-3, 500))
-    rec = fold_energy_ledger(hist)
+    p = flow(grid, 0.1, 1e-3)
+    hist = list(march(partial(ens_jl.step_decomposed, p), ens_jl.jl_state(z0), 500))
+    rec = fold_energy_ledger(p, hist)
     margin = rec["envelope_margin_min"]
     assert margin >= -1e-12 * max(1.0, rec["envelope_final"])
     report(6, f"envelope margin min {margin:.2e} over t <= 0.5 (never below)")
@@ -163,8 +167,8 @@ def test_criterion_07_perturbation_response_is_linear():
     nu, dt, nsteps = 0.05, 2e-3, 50
 
     def end_u(u0):
-        s0 = ens_jl.jl_state(u0, nu)
-        return list(march(ens_jl.step_decomposed, s0, dt, nsteps))[-1].u
+        step = partial(ens_jl.step_decomposed, flow(grid, nu, dt))
+        return list(march(step, ens_jl.jl_state(u0), nsteps))[-1].u
 
     end_base = end_u(base)
     ratios = []
@@ -184,15 +188,15 @@ def test_criterion_08_solvability_gap_conserved_and_decaying():
     h0 = BoundaryTrace.constant(grid, integral(g0) / 4.0)
     z0 = lift_divergence(g0, h0)
     u0 = stream_vortex(grid) + z0
-    hist = list(march(ens_sr.step_constructive,
-                      ens_sr.sr_state(u0, 1.0, 0.1), 1e-3, 500))
+    hist = list(march(partial(ens_sr.step_constructive, flow(grid, 0.1, 1e-3, lam=1.0)),
+                      ens_sr.sr_state(u0), 500))
     conserved = max(abs(ens_sr.solvability_gap(s.g, s.h)) for s in hist)
     assert conserved <= 1e-9
 
     # incompatible data: the gap must shed a factor e^{-lam t}
     lam, dt, nsteps = 1.5, 5e-3, 100
     sub = ens_sr.sr_gap_run(eigen_divergence(grid, "sr", 1.0, 1),
-                            BoundaryTrace.zeros(grid), lam, 0.02, dt, nsteps)
+                            BoundaryTrace.zeros(grid), flow(grid, 0.02, dt, lam=lam), nsteps)
     gap0 = ens_sr.solvability_gap(sub[0][0], sub[0][1])
     gapT = ens_sr.solvability_gap(sub[-1][0], sub[-1][1])
     expected = math.exp(-lam * dt * nsteps)
@@ -209,13 +213,13 @@ def test_criterion_09_boundary_update_second_order():
     h0 = BoundaryTrace.constant(grid, 0.3)
     nfine = 160
     dtf = horizon / nfine
-    fine = ens_sr.sr_gap_run(g0, h0, lam, nu, dtf, nfine)
+    fine = ens_sr.sr_gap_run(g0, h0, flow(grid, nu, dtf, lam=lam), nfine)
     times = np.array([k * dtf for k in range(nfine + 1)])
     samples = np.array([ens_sr.compat_constant(g, nu, lam, integral(g)) for g, _ in fine])
     href = duhamel_quadrature(h0, times, samples, lam)
 
     def stepped_error(dt):
-        hist = ens_sr.sr_gap_run(g0, h0, lam, nu, dt, round(horizon / dt))
+        hist = ens_sr.sr_gap_run(g0, h0, flow(grid, nu, dt, lam=lam), round(horizon / dt))
         return (hist[-1][1] - href).max_abs()
 
     e1, e2 = stepped_error(0.02), stepped_error(0.01)
@@ -252,8 +256,8 @@ def test_criterion_10_spectral_system_consistency():
         shared = galerkin.reconstruct(basis, start)
         end = galerkin.integrate_galerkin(basis, start, nu, 1e-3, 100)[-1]
         spectral = galerkin.reconstruct(basis, end)
-        full = list(march(ens_jl.step_decomposed, ens_jl.jl_state(shared, nu),
-                          1e-3, 100))[-1].u
+        full = list(march(partial(ens_jl.step_decomposed, flow(grid, nu, 1e-3)),
+                          ens_jl.jl_state(shared), 100))[-1].u
         gaps[k] = face_norm(spectral - full) / face_norm(full)
     assert gaps[8] <= 0.10
     assert gaps[16] < gaps[8]
@@ -302,9 +306,10 @@ def test_criterion_12_routes_converge_to_each_other():
     gaps = []
     for dt in (4e-3, 2e-3, 1e-3):
         n = round(horizon / dt)
-        sa = list(march(ens_jl.step_decomposed, ens_jl.jl_state(u0, 0.1), dt, n))[-1]
-        sb = list(march(ens_jl.step_direct,
-                        ens_jl.jl_state(u0, 0.1, decomposed=False), dt, n))[-1]
+        p = flow(grid, 0.1, dt)
+        sa = list(march(partial(ens_jl.step_decomposed, p), ens_jl.jl_state(u0), n))[-1]
+        sb = list(march(partial(ens_jl.step_direct, p),
+                        ens_jl.jl_state(u0, decomposed=False), n))[-1]
         gaps.append(face_norm(sa.u - sb.u))
     orders["jl"] = (math.log2(gaps[0] / gaps[1]), math.log2(gaps[1] / gaps[2]))
 
@@ -316,10 +321,10 @@ def test_criterion_12_routes_converge_to_each_other():
     gaps = []
     for dt in (4e-3, 2e-3, 1e-3):
         n = round(horizon / dt)
-        sc = list(march(ens_sr.step_constructive,
-                        ens_sr.sr_state(u0, 1.0, 0.02), dt, n))[-1]
-        sd = list(march(ens_sr.step_direct_sr,
-                        ens_sr.sr_state(u0, 1.0, 0.02, decomposed=False), dt, n))[-1]
+        p = flow(grid, 0.02, dt, lam=1.0)
+        sc = list(march(partial(ens_sr.step_constructive, p), ens_sr.sr_state(u0), n))[-1]
+        sd = list(march(partial(ens_sr.step_direct_sr, p),
+                        ens_sr.sr_state(u0, decomposed=False), n))[-1]
         gaps.append(face_norm(sc.u - sd.u))
     orders["sr"] = (math.log2(gaps[0] / gaps[1]), math.log2(gaps[1] / gaps[2]))
 
@@ -338,9 +343,8 @@ def test_criterion_13_manufactured_solution_order():
     for nx, dt in ((16, 4e-3), (32, 2e-3), (64, 1e-3)):
         grid = Grid(nx)
         ustar = mms_velocity(grid)
-        state = ens_jl.jl_state(ustar, nu, forcing=mms_forcing(grid, nu),
-                                decomposed=False)
-        hist = list(march(ens_jl.step_direct, state, dt, round(horizon / dt)))
+        step = partial(ens_jl.step_direct, flow(grid, nu, dt, mms_forcing(grid, nu)))
+        hist = list(march(step, ens_jl.jl_state(ustar, decomposed=False), round(horizon / dt)))
         errors.append(face_norm(hist[-1].u - ustar))
     o1 = math.log2(errors[0] / errors[1])
     o2 = math.log2(errors[1] / errors[2])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import enslab
-from enslab import ens_jl, ens_sr, reference
+from enslab import ens_jl, ens_sr, linsolve, reference
 from enslab.cli import main
 from enslab.errors import CheckFailure
 from enslab.fieldio import read_scalar, read_vector
@@ -238,6 +238,11 @@ EXTREMES = [
     ("huge-galerkin-forcing", "run", HUGE_GALERKIN.replace("ic_amplitude", "forcing_amplitude")
      + "ic = vortex\nforcing = rotational\n", 3, "check failure: " + BLOW_UP,
      GALERKIN_FILES, INITIAL_FAIL),
+    # wall data of lambda = 1e308 overflow, unwarned; the net source judges them
+    ("sr-direct-boundary-flux-huge-lambda", "run", SMALL_SR.replace("lambda = 2", "lambda = 1e308")
+     + "ic = boundary_flux\nforcing = rotational\nroute = direct\n", 2,
+     "solver error (CompatibilityError): step 1, t = 0: pressure problem incompatible: "
+     "net source nan (compatibility constant mis-assembled)\n", ["summary.txt"], INITIAL_FAIL),
     # ordinary configs, and nu = 1e300 on jl direct, end 0
     ("jl-direct", "run", JL_RUN + "route = direct\n", 0, "", RUN_FILES,
      "margin run_completed = 1 PASS\n"),
@@ -303,6 +308,27 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert out.read_text() == "kept\n"
         assert sorted(os.listdir(tmp_path)) == ["out", "run.cfg"]
+
+    @pytest.mark.parametrize("command, text, blocked", [
+        ("convergence", SMALL_JL.replace("grid = 16", "grid = 8")
+         + "ic = mms\nforcing = mms\nroute = direct\n", "grid_016"),
+        ("compare", SMALL_JL, "route_b"),
+        ("stability", SMALL_JL + "route = direct\n", "eps_0"),
+    ], ids=["convergence", "compare", "stability"])
+    def test_study_with_a_file_at_a_sub_run_path_makes_no_directory(
+            self, tmp_path, capsys, command, text, blocked):
+        # the config error comes before any sub-run opens its directory
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / blocked).write_text("kept\n")
+        code, _ = run_cli(tmp_path, command, text)
+        assert code == 1
+        path = out / blocked
+        assert capsys.readouterr().err == (
+            f"config error: cannot make output directory {path}: "
+            f"[Errno 17] File exists: '{path}'\n")
+        assert os.listdir(out) == [blocked]
+        assert path.read_text() == "kept\n"
 
     def test_step_size_guard_exits_two(self, tmp_path, capsys):
         text = JL_RUN.replace("dt = 2e-3", "dt = 0.5").replace("T = 0.02", "T = 0.5")
@@ -625,6 +651,18 @@ class TestRunArtifacts:
         assert "wall_follow" in summary
         assert "overall PASS" in summary
 
+    @pytest.mark.parametrize("route", ["decomposed", "direct"])
+    def test_runs_leave_no_solver_of_their_own_in_the_cache(self, tmp_path, route):
+        # the solvers that nu dt fixes belong to the run; the process-wide
+        # cache keeps only what the grid fixes, so it stops growing
+        keys = []
+        for k, dt in enumerate(("2e-3", "1e-3", "5e-4")):
+            text = JL_RUN.replace("dt = 2e-3", f"dt = {dt}") + f"route = {route}\n"
+            assert run_cli(tmp_path, "run", text, sub=f"out{k}")[0] == 0
+            keys.append(set(linsolve._cache))
+            assert not [key for key in keys[-1] if any(isinstance(x, float) for x in key)]
+        assert keys[2] == keys[0]
+
     def test_solenoidal_run_claims_divergence_ceiling(self, tmp_path):
         code, out = run_cli(tmp_path, "run", JL_RUN.replace("lift_plus_flow", "vortex"))
         assert code == 0
@@ -775,11 +813,11 @@ class TestStudies:
         calls = []
         real = ens_sr.step_direct_sr
 
-        def fail_fourth(s, dt):
+        def fail_fourth(p, s):
             calls.append(s.time)
             if len(calls) == 4:
                 raise CheckFailure("injected failure on step 4")
-            return real(s, dt)
+            return real(p, s)
 
         monkeypatch.setattr(ens_sr, "step_direct_sr", fail_fourth)
         code, out = run_cli(tmp_path, "compare", SR_RUN)

@@ -1,4 +1,6 @@
+import dataclasses
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,13 +21,13 @@ from enslab.grid import (
     vector_laplacian,
 )
 from enslab.heat_oracle import heat_march
-from enslab.reference import step_nse_projection
+from enslab.reference import Flow, step_nse_projection
 from enslab.scenarios import forcing_field, initial_velocity, march
 from enslab.stokes_lift import decompose, lift_divergence, leray_project
 from enslab import ens_jl, linsolve
 from oracles import (
-    check_stokes_pressure, coercivity_probe, fold_energy_ledger, gradient, jl_direct_composed,
-    stokes_pressure, unflatten_interior,
+    check_stokes_pressure, coercivity_probe, flow, fold_energy_ledger, gradient,
+    jl_direct_composed, stokes_pressure, unflatten_interior,
 )
 
 
@@ -46,60 +48,63 @@ def eigen_lift(grid, eps):
 class TestJLState:
     def test_constructor_builds_consistent_state(self):
         g = Grid(16)
-        s = ens_jl.jl_state(vortex(g), 0.1)
+        s = ens_jl.jl_state(vortex(g))
         assert s.decomposed
         assert s.m0 == integral(s.g)
         assert (s.u - (s.v + s.z)).max_abs() == 0.0
 
     def test_direct_state_has_no_cache(self):
         g = Grid(16)
-        s = ens_jl.jl_state(vortex(g), 0.1, decomposed=False)
+        s = ens_jl.jl_state(vortex(g), decomposed=False)
         assert not s.decomposed
+
+    def test_state_holds_only_what_evolves(self):
+        assert [f.name for f in dataclasses.fields(ens_jl.JLState)] == [
+            "time", "u", "g", "m0", "v", "z"]
 
     @pytest.mark.parametrize("nu", [0.0, -1.0, np.inf])
     def test_rejects_viscosity_that_is_not_positive_and_finite(self, nu):
-        u = vortex(Grid(16))
-        g = divergence(u)
+        # checked once per run, by its Flow
         with pytest.raises(ValueError, match="viscosity must be positive and finite"):
-            ens_jl.JLState(0.0, u, g, integral(g), nu, VectorField.zeros(u.grid))
+            Flow(nu, 1e-3, VectorField.zeros(Grid(16)))
 
     def test_rejects_divergence_that_lost_its_mass(self):
         # the zero-flux divergence keeps the mass it had at t = 0
         u = vortex(Grid(16))
         g = divergence(u)
         with pytest.raises(CheckFailure, match="zero-flux divergence state lost mass"):
-            ens_jl.JLState(0.5, u, g, integral(g) + 1e-6, 0.1, VectorField.zeros(u.grid))
+            ens_jl.JLState(0.5, u, g, integral(g) + 1e-6)
 
     def test_rejects_divergence_drift(self):
         g = Grid(16)
         _, z0 = eigen_lift(g, 1e-2)
         with pytest.raises(CheckFailure):
-            ens_jl.JLState(0.0, z0, ScalarField.zeros(g), 0.0, 0.1, VectorField.zeros(g))
+            ens_jl.JLState(0.0, z0, ScalarField.zeros(g), 0.0)
 
     def test_rejects_partial_cache(self):
         g = Grid(16)
         u = vortex(g)
         div = divergence(u)
         with pytest.raises(ValueError):
-            ens_jl.JLState(0.0, u, div, integral(div), 0.1, VectorField.zeros(u.grid), v=u,
-                           z=None)
+            ens_jl.JLState(0.0, u, div, integral(div), v=u, z=None)
 
     def test_rejects_cache_that_does_not_reconstruct(self):
         g = Grid(16)
         u = vortex(g)
-        s = ens_jl.jl_state(u, 0.1)
+        s = ens_jl.jl_state(u)
         with pytest.raises(CheckFailure):
-            ens_jl.JLState(0.0, u, s.g, s.m0, 0.1, s.forcing, s.v * 0.5, s.z)
+            ens_jl.JLState(0.0, u, s.g, s.m0, s.v * 0.5, s.z)
 
 
 class TestStepDecomposed:
     def test_divergence_free_reduction_matches_reference(self):
         g = Grid(32)
         u0 = vortex(g)
-        s = ens_jl.jl_state(u0, 0.1)
+        p = flow(g, 0.1, 1e-3)
+        s = ens_jl.jl_state(u0)
         r = u0
         for _ in range(5):
-            s = ens_jl.step_decomposed(s, 1e-3)
+            s = ens_jl.step_decomposed(p, s)
             r = step_nse_projection(r, 1e-3, 0.1)
             assert (s.u - r).max_abs() <= 1e-8
             assert scalar_norm(divergence(s.u)) <= 1e-10
@@ -107,9 +112,9 @@ class TestStepDecomposed:
     def test_lift_divergence_tracks_heat_oracle(self):
         g = Grid(32)
         g0, z0 = eigen_lift(g, 1e-3)
-        s = ens_jl.jl_state(z0, 0.1)
+        s = ens_jl.jl_state(z0)
         assert face_norm(s.v) <= 1e-12
-        hist = list(march(ens_jl.step_decomposed, s, 1e-3, 30))
+        hist = list(march(partial(ens_jl.step_decomposed, flow(g, 0.1, 1e-3)), s, 30))
         oracle = list(heat_march(g0, "neumann", 0.1, 1e-3, 30))
         for st, o in zip(hist, oracle):
             assert scalar_norm(divergence(st.u) - o.g) <= 1e-10
@@ -121,16 +126,17 @@ class TestStepDecomposed:
     def test_reconstruction_exact_along_trajectory(self):
         g = Grid(16)
         g0, z0 = eigen_lift(g, 1e-2)
-        s = ens_jl.jl_state(vortex(g, 0.3) + z0, 0.1)
+        p = flow(g, 0.1, 1e-3)
+        s = ens_jl.jl_state(vortex(g, 0.3) + z0)
         for _ in range(5):
-            s = ens_jl.step_decomposed(s, 1e-3)
+            s = ens_jl.step_decomposed(p, s)
             assert (s.u - (s.v + s.z)).max_abs() <= 1e-13 * max(1.0, s.u.max_abs())
 
     def test_lift_forms_no_pressure_and_decompose_keeps_it(self, monkeypatch):
         # every solve of a step passes pressure=False; decompose, whose q
         # becomes pressure_q.ensf, asks for it
         g = Grid(16)
-        s = ens_jl.jl_state(vortex(g, 0.3) + eigen_lift(g, 1e-2)[1], 0.1)
+        s = ens_jl.jl_state(vortex(g, 0.3) + eigen_lift(g, 1e-2)[1])
         calls, real = [], linsolve.GeneralizedStokes.solve
 
         def spy(self, *args, pressure=True, **kwargs):
@@ -138,7 +144,7 @@ class TestStepDecomposed:
             return real(self, *args, pressure=pressure, **kwargs)
 
         monkeypatch.setattr(linsolve.GeneralizedStokes, "solve", spy)
-        ens_jl.step_decomposed(s, 1e-3)
+        ens_jl.step_decomposed(flow(g, 0.1, 1e-3), s)
         assert (0.0, False) in calls and all(not kept for _, kept in calls)
         calls.clear()
         dec = decompose(s.u)
@@ -146,31 +152,31 @@ class TestStepDecomposed:
 
     def test_cfl_violation_raises(self):
         g = Grid(16)
-        s = ens_jl.jl_state(vortex(g), 0.1)
+        s = ens_jl.jl_state(vortex(g))
         with pytest.raises(CFLError):
-            ens_jl.step_decomposed(s, 1.0)
+            ens_jl.step_decomposed(flow(g, 0.1, 1.0), s)
 
     def test_nonpositive_dt_raises(self):
         g = Grid(16)
-        s = ens_jl.jl_state(vortex(g), 0.1)
+        s = ens_jl.jl_state(vortex(g))
         with pytest.raises(ValueError):
-            ens_jl.step_decomposed(s, 0.0)
+            ens_jl.step_decomposed(flow(g, 0.1, 0.0), s)
 
     def test_missing_cache_raises(self):
         g = Grid(16)
-        s = ens_jl.jl_state(vortex(g), 0.1, decomposed=False)
+        s = ens_jl.jl_state(vortex(g), decomposed=False)
         with pytest.raises(ValueError):
-            ens_jl.step_decomposed(s, 1e-3)
+            ens_jl.step_decomposed(flow(g, 0.1, 1e-3), s)
 
     def test_forced_run_carries_forcing(self):
         g = Grid(16)
         f = vector_from_functions(g, lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y),
                                   lambda x, y: 0.0 * x)
-        s = ens_jl.jl_state(vortex(g, 0.1), 0.1, forcing=f)
-        s2 = ens_jl.step_decomposed(s, 1e-3)
-        assert s2.forcing is f
-        s_un = ens_jl.jl_state(vortex(g, 0.1), 0.1)
-        s2_un = ens_jl.step_decomposed(s_un, 1e-3)
+        p = flow(g, 0.1, 1e-3, f)
+        s = ens_jl.jl_state(vortex(g, 0.1))
+        s2 = ens_jl.step_decomposed(p, s)
+        assert p.forcing is f
+        s2_un = ens_jl.step_decomposed(flow(g, 0.1, 1e-3), s)
         assert (s2.u - s2_un.u).max_abs() > 1e-7
 
 
@@ -179,10 +185,10 @@ class TestStepDirect:
     def test_matches_composed_chain_each_step(self, n):
         g = Grid(n)
         u0 = initial_velocity(g, "jl", "lift_plus_flow")
-        s = ens_jl.jl_state(u0, 0.1, forcing_field(g, "rotational"), decomposed=False)
-        dt = 0.25 * g.h / u0.max_abs()
+        s = ens_jl.jl_state(u0, decomposed=False)
+        p = flow(g, 0.1, 0.25 * g.h / u0.max_abs(), forcing_field(g, "rotational"))
         for _ in range(4):
-            got, want = ens_jl.step_direct(s, dt), jl_direct_composed(s, dt)
+            got, want = ens_jl.step_direct(p, s), jl_direct_composed(p, s)
             assert got.time == want.time
             assert np.array_equal(got.g.values, want.g.values)
             assert (got.u - want.u).max_abs() <= 1e-13 * want.u.max_abs()
@@ -190,8 +196,8 @@ class TestStepDirect:
 
     def test_one_generalized_stokes_solve_with_the_heat_step_as_data(self, monkeypatch):
         grid = Grid(16)
-        s = ens_jl.jl_state(initial_velocity(grid, "jl", "lift_plus_flow"), 0.1,
-                            forcing_field(grid, "rotational"), decomposed=False)
+        s = ens_jl.jl_state(initial_velocity(grid, "jl", "lift_plus_flow"), decomposed=False)
+        p = flow(grid, 0.1, 1e-3, forcing_field(grid, "rotational"))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the direct step formed a potential")
@@ -207,7 +213,7 @@ class TestStepDirect:
             calls.append((self.alpha, self.c, f, g, trace, kwargs))
             return solve(self, f, g, trace, **kwargs)
         monkeypatch.setattr(linsolve.GeneralizedStokes, "solve", counted)
-        sp = ens_jl.step_direct(s, 1e-3)
+        sp = ens_jl.step_direct(p, s)
         assert len(calls) == 1
         alpha, c, f, gdata, trace, kwargs = calls[0]
         assert (alpha, c, trace, kwargs) == (1.0, 0.1 * 1e-3, None, {"pressure": False})
@@ -215,24 +221,27 @@ class TestStepDirect:
 
     def test_zero_data_stays_zero(self):
         g = Grid(16)
-        s = ens_jl.jl_state(VectorField.zeros(g), 0.1, decomposed=False)
+        p = flow(g, 0.1, 1e-3)
+        s = ens_jl.jl_state(VectorField.zeros(g), decomposed=False)
         for _ in range(5):
-            s = ens_jl.step_direct(s, 1e-3)
+            s = ens_jl.step_direct(p, s)
             assert s.u.max_abs() <= 1e-15
 
     def test_divergence_matches_state_g_tightly(self):
         g = Grid(32)
         g0, z0 = eigen_lift(g, 1e-2)
-        s = ens_jl.jl_state(vortex(g, 0.5) + z0, 0.1, decomposed=False)
+        p = flow(g, 0.1, 1e-3)
+        s = ens_jl.jl_state(vortex(g, 0.5) + z0, decomposed=False)
         for _ in range(10):
-            s = ens_jl.step_direct(s, 1e-3)
+            s = ens_jl.step_direct(p, s)
             assert scalar_norm(divergence(s.u) - s.g) <= 1e-11
 
     def test_divergence_free_reduction_keeps_divergence(self):
         g = Grid(32)
-        s = ens_jl.jl_state(vortex(g), 0.1, decomposed=False)
+        p = flow(g, 0.1, 1e-3)
+        s = ens_jl.jl_state(vortex(g), decomposed=False)
         for _ in range(10):
-            s = ens_jl.step_direct(s, 1e-3)
+            s = ens_jl.step_direct(p, s)
         assert scalar_norm(divergence(s.u)) <= 1e-10
 
     def test_cross_route_gap_first_order_in_dt(self):
@@ -242,11 +251,12 @@ class TestStepDirect:
         T = 0.08
         gaps = []
         for dt in (4e-3, 2e-3, 1e-3):
-            sa = ens_jl.jl_state(u1, 0.1)
-            sb = ens_jl.jl_state(u1, 0.1, decomposed=False)
+            p = flow(g, 0.1, dt)
+            sa = ens_jl.jl_state(u1)
+            sb = ens_jl.jl_state(u1, decomposed=False)
             for _ in range(round(T / dt)):
-                sa = ens_jl.step_decomposed(sa, dt)
-                sb = ens_jl.step_direct(sb, dt)
+                sa = ens_jl.step_decomposed(p, sa)
+                sb = ens_jl.step_direct(p, sb)
             gaps.append(face_norm(sa.u - sb.u))
         assert gaps[0] > gaps[1] > gaps[2]
         assert np.log2(gaps[0] / gaps[1]) >= 0.9
@@ -258,10 +268,11 @@ class TestStepDirect:
         T = 0.05
         errs = []
         for dt in (5e-3, 2.5e-3, 1.25e-3):
-            s = ens_jl.jl_state(z0, 0.1, decomposed=False)
+            p = flow(g, 0.1, dt)
+            s = ens_jl.jl_state(z0, decomposed=False)
             oracle = list(heat_march(g0, "neumann", 0.1, dt, round(T / dt)))
             for _ in range(round(T / dt)):
-                s = ens_jl.step_direct(s, dt)
+                s = ens_jl.step_direct(p, s)
             errs.append(scalar_norm(divergence(s.u) - oracle[-1].g))
         assert errs[0] > errs[1] > errs[2]
         assert np.log2(errs[0] / errs[1]) >= 0.9
@@ -295,9 +306,9 @@ class TestStokesPressure:
 class TestEnergyLedger:
     def test_unforced_divergence_free_run_decays(self):
         g = Grid(32)
-        s = ens_jl.jl_state(vortex(g), 0.1)
-        hist = list(march(ens_jl.step_decomposed, s, 1e-3, 20))
-        rec = fold_energy_ledger(hist)
+        p = flow(g, 0.1, 1e-3)
+        hist = list(march(partial(ens_jl.step_decomposed, p), ens_jl.jl_state(vortex(g)), 20))
+        rec = fold_energy_ledger(p, hist)
         assert rec["energy_increase_max"] <= 1e-10
         assert rec["envelope_margin_min"] >= -1e-12 * max(1.0, rec["envelope_final"])
 
@@ -307,8 +318,9 @@ class TestEnergyLedger:
         u1 = vortex(g) + z0
 
         def imbalance(dt, n):
-            hist = list(march(ens_jl.step_decomposed, ens_jl.jl_state(u1, 0.1), dt, n))
-            return fold_energy_ledger(hist)["imbalance_max"]
+            p = flow(g, 0.1, dt)
+            hist = list(march(partial(ens_jl.step_decomposed, p), ens_jl.jl_state(u1), n))
+            return fold_energy_ledger(p, hist)["imbalance_max"]
 
         i1 = imbalance(2e-3, 10)
         i2 = imbalance(1e-3, 20)
@@ -317,26 +329,28 @@ class TestEnergyLedger:
     def test_envelope_bounds_energy_for_pure_lift_data(self):
         g = Grid(32)
         g0, z0 = eigen_lift(g, 1e-3)
-        hist = list(march(ens_jl.step_decomposed, ens_jl.jl_state(z0, 0.1), 1e-3, 50))
-        rec = fold_energy_ledger(hist)
+        p = flow(g, 0.1, 1e-3)
+        hist = list(march(partial(ens_jl.step_decomposed, p), ens_jl.jl_state(z0), 50))
+        rec = fold_energy_ledger(p, hist)
         assert rec["energy_final"] <= rec["envelope_final"]
         assert rec["envelope_margin_min"] >= -1e-12 * max(1.0, rec["envelope_final"])
 
     def test_non_finite_envelope_names_its_time(self):
         # a force of 1e6 at nu = 1e-308: ||f||^2 / (nu lambda_P) overflows
         g = Grid(16)
-        s = ens_jl.jl_state(vortex(g), 1e-308, forcing_field(g, "rotational", 1e6))
-        hist = list(march(ens_jl.step_decomposed, s, 1e-12, 2))
+        p = flow(g, 1e-308, 1e-12, forcing_field(g, "rotational", 1e6))
+        hist = list(march(partial(ens_jl.step_decomposed, p), ens_jl.jl_state(vortex(g)), 2))
         with pytest.raises(CheckFailure, match=r"^non-finite energy envelope at t = 1e-12$"):
-            fold_energy_ledger(hist)
+            fold_energy_ledger(p, hist)
 
     def test_record_holds_the_metrics_its_readers_read(self):
         # `enslab run` reads the envelope and the first energy, the lifecycle
         # demo the imbalance and the envelope margin, these tests the rest
         g = Grid(16)
-        s = ens_jl.jl_state(vortex(g) + eigen_lift(g, 1e-2)[1], 0.1)
-        hist = list(march(ens_jl.step_decomposed, s, 1e-3, 5))
-        rec = fold_energy_ledger(hist)
+        p = flow(g, 0.1, 1e-3)
+        s = ens_jl.jl_state(vortex(g) + eigen_lift(g, 1e-2)[1])
+        hist = list(march(partial(ens_jl.step_decomposed, p), s, 5))
+        rec = fold_energy_ledger(p, hist)
         assert set(rec) == {
             "energy_initial", "energy_final", "envelope_final", "envelope_margin_min",
             "imbalance_max", "energy_increase_max"}
@@ -346,12 +360,13 @@ class TestEnergyLedger:
 
     def test_requires_cache_and_two_states(self):
         g = Grid(16)
-        s = ens_jl.jl_state(vortex(g), 0.1, decomposed=False)
+        p = flow(g, 0.1, 1e-3)
+        s = ens_jl.jl_state(vortex(g), decomposed=False)
         with pytest.raises(ValueError):
-            fold_energy_ledger([s, s])
-        s2 = ens_jl.jl_state(vortex(g), 0.1)
+            fold_energy_ledger(p, [s, s])
+        s2 = ens_jl.jl_state(vortex(g))
         with pytest.raises(ValueError):
-            fold_energy_ledger([s2])
+            fold_energy_ledger(p, [s2])
 
 
 class TestCoercivityProbe:

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from enslab.stokes_lift import lift_divergence
 from enslab import cli, ens_sr, grid as grid_module
 from enslab.config import Config
 from enslab.ens_sr import (
+    SRFlow,
     SRState,
     compat_constant,
     evolve_h,
@@ -41,7 +44,7 @@ from enslab.ens_sr import (
 )
 from oracles import (
     apply_cell, boundary_divergence_max, compat_constant_laplacian, duhamel_closed_form,
-    duhamel_quadrature, laplacian_dirichlet_matrix, neumann_solve, step_average_constant,
+    duhamel_quadrature, flow, laplacian_dirichlet_matrix, neumann_solve, step_average_constant,
     step_nse_splitting,
 )
 
@@ -92,14 +95,14 @@ def random_vector(grid, rng):
                        rng.standard_normal(grid.shape_v))
 
 
-def literal_source(s, fa):
-    """The pressure source assembled from whole fields: the tangential vector
-    Laplacian, and the wall data folded in as the divergence of a field that
-    carries it on its wall faces."""
+def literal_source(p, s, fa):
+    """The pressure source of the run p assembled from whole fields: the
+    tangential vector Laplacian, and the wall data folded in as the
+    divergence of a field that carries it on its wall faces."""
     grid = s.u.grid
-    cc = constant_of(divergence(s.u), s.nu, s.lam)
-    lap = VectorField(grid, *_tangential_laplacian(s.u.u, s.u.v)) * (s.nu / grid.h ** 2)
-    b = lap + s.u * s.lam + fa
+    cc = constant_of(divergence(s.u), p.nu, p.lam)
+    lap = VectorField(grid, *_tangential_laplacian(s.u.u, s.u.v)) * (p.nu / grid.h ** 2)
+    b = lap + s.u * p.lam + fa
     btr = normal_trace(b) - BoundaryTrace.constant(grid, cc)
     rhs = divergence(fa) - divergence(with_normal_trace(VectorField.zeros(grid), btr))
     return rhs, integral(rhs)
@@ -191,7 +194,7 @@ class TestSRStateConstruction:
         g = Grid(32)
         _, _, z0 = matched_lift(g, 1e-2)
         u0 = vortex(g) + z0
-        s = sr_state(u0, 1.0, 0.02)
+        s = sr_state(u0)
         assert s.decomposed
         assert np.array_equal(s.g.values, divergence(u0).values)
         assert (s.u - (s.v + s.z)).max_abs() <= 1e-13
@@ -199,42 +202,41 @@ class TestSRStateConstruction:
 
     def test_plain_state_has_no_cache(self):
         g = Grid(16)
-        s = sr_state(through_flow(g), 1.0, 0.02, decomposed=False)
+        s = sr_state(through_flow(g), decomposed=False)
         assert not s.decomposed
+
+    def test_state_holds_only_what_evolves(self):
+        assert [f.name for f in dataclasses.fields(SRState)] == ["time", "u", "g", "h", "v", "z"]
 
     @pytest.mark.parametrize("nu", [0.0, -1.0, np.inf])
     def test_rejects_viscosity_that_is_not_positive_and_finite(self, nu):
-        u = through_flow(Grid(16))
+        # checked once per run, by its SRFlow
         with pytest.raises(ValueError, match="viscosity must be positive and finite"):
-            SRState(0.0, u, divergence(u), normal_trace(u), 1.0, nu,
-                    VectorField.zeros(u.grid))
+            SRFlow(1.0, nu, 1e-3, VectorField.zeros(Grid(16)))
 
     def test_rejects_wall_data_mismatch(self):
         g = Grid(16)
         u = through_flow(g)
         with pytest.raises(CheckFailure):
-            SRState(0.0, u, divergence(u), BoundaryTrace.zeros(g), 1.0, 0.02,
-                    VectorField.zeros(u.grid))
+            SRState(0.0, u, divergence(u), BoundaryTrace.zeros(g))
 
     def test_rejects_divergence_drift(self):
         g = Grid(32)
         _, _, z0 = matched_lift(g, 1e-2)
         u = vortex(g) + z0
         with pytest.raises(CheckFailure):
-            SRState(0.0, u, ScalarField.zeros(g), normal_trace(u), 1.0, 0.02,
-                    VectorField.zeros(u.grid))
+            SRState(0.0, u, ScalarField.zeros(g), normal_trace(u))
 
     def test_rejects_partial_cache(self):
         g = Grid(16)
         u = through_flow(g)
         with pytest.raises(ValueError):
-            SRState(0.0, u, divergence(u), normal_trace(u), 1.0, 0.02,
-                    VectorField.zeros(u.grid), v=u, z=None)
+            SRState(0.0, u, divergence(u), normal_trace(u), v=u, z=None)
 
     def test_rejects_nonpositive_relaxation_rate(self):
-        g = Grid(16)
-        with pytest.raises(ValueError):
-            sr_state(through_flow(g), 0.0, 0.02)
+        # checked once per run, by its SRFlow
+        with pytest.raises(ValueError, match="relaxation rate must be positive, got 0.0"):
+            SRFlow(0.0, 0.02, 1e-3, VectorField.zeros(Grid(16)))
 
 
 class TestStepConstructive:
@@ -242,10 +244,11 @@ class TestStepConstructive:
         g = Grid(32)
         u0 = vortex(g)
         nu, dt = 0.01, 2e-3
-        s = sr_state(u0, 1.0, nu)
+        p = flow(g, nu, dt, lam=1.0)
+        s = sr_state(u0)
         ref = u0
         for _ in range(5):
-            s = step_constructive(s, dt)
+            s = step_constructive(p, s)
             ref = step_nse_projection(ref, dt, nu)
             assert (s.u - ref).max_abs() <= 1e-8
 
@@ -254,9 +257,10 @@ class TestStepConstructive:
         u0 = vortex(g)
         finals = []
         for lam in (0.5, 1.0, 5.0):
-            s = sr_state(u0, lam, 0.01)
+            p = flow(g, 0.01, 2e-3, lam=lam)
+            s = sr_state(u0)
             for _ in range(5):
-                s = step_constructive(s, 2e-3)
+                s = step_constructive(p, s)
             finals.append(s.u)
         assert (finals[0] - finals[1]).max_abs() <= 1e-8
         assert (finals[1] - finals[2]).max_abs() <= 1e-8
@@ -264,10 +268,11 @@ class TestStepConstructive:
     def test_solvability_gap_stays_at_roundoff(self):
         g = Grid(32)
         _, _, z0 = matched_lift(g, 1e-2)
-        s = sr_state(vortex(g) + z0, 1.0, 0.02)
+        p = flow(g, 0.02, 4e-3, lam=1.0)
+        s = sr_state(vortex(g) + z0)
         assert abs(solvability_gap(s.g, s.h)) <= 1e-12
         for _ in range(25):
-            s = step_constructive(s, 4e-3)
+            s = step_constructive(p, s)
             assert abs(solvability_gap(s.g, s.h)) <= 1e-9
             scale = max(1.0, s.u.max_abs())
             assert trace_gap(normal_trace(s.u), s.h) <= 1e-8 * scale
@@ -276,10 +281,11 @@ class TestStepConstructive:
         g = Grid(16)
         u0 = through_flow(g)
         lam, dt = 5.0, 0.02
-        s = sr_state(u0, lam, 0.01)
+        p = flow(g, 0.01, dt, lam=lam)
+        s = sr_state(u0)
         h0 = s.h
         for n in range(1, 101):
-            s = step_constructive(s, dt)
+            s = step_constructive(p, s)
             assert scalar_norm(s.g) <= 1e-12
             exact = h0 * math.exp(-lam * n * dt)
             assert trace_gap(s.h, exact) <= 1e-12
@@ -291,10 +297,11 @@ class TestStepConstructive:
         g = Grid(32)
         _, _, z0 = matched_lift(g, 1e-2)
         nu, T, n = 0.02, 0.2, 100
-        s = sr_state(vortex(g) + z0, 1.0, nu)
+        p = flow(g, nu, T / n, lam=1.0)
+        s = sr_state(vortex(g) + z0)
         d0 = scalar_norm(divergence(s.u))
         for _ in range(n):
-            s = step_constructive(s, T / n)
+            s = step_constructive(p, s)
         ratio = scalar_norm(divergence(s.u)) / d0
         analytic = math.exp(-2 * math.pi ** 2 * nu * T)
         assert abs(ratio / analytic - 1.0) <= 1e-3
@@ -305,25 +312,24 @@ class TestStepConstructive:
         _, _, z0 = matched_lift(g, 1e-2)
         u0 = vortex(g) + z0
         shifted = divergence(u0) - ScalarField(g, np.full(g.shape_cell, 1e-3))
-        s = SRState(0.0, u0, shifted, normal_trace(u0), 1.0, 0.02,
-                    VectorField.zeros(g), v=u0, z=VectorField.zeros(g))
+        s = SRState(0.0, u0, shifted, normal_trace(u0), v=u0, z=VectorField.zeros(g))
         with pytest.raises(SolvabilityError):
-            step_constructive(s, 1e-3)
+            step_constructive(flow(g, 0.02, 1e-3, lam=1.0), s)
 
     def test_requires_cache_and_positive_step(self):
         g = Grid(16)
-        s = sr_state(through_flow(g), 1.0, 0.02, decomposed=False)
+        s = sr_state(through_flow(g), decomposed=False)
         with pytest.raises(ValueError):
-            step_constructive(s, 1e-3)
-        s2 = sr_state(through_flow(g), 1.0, 0.02)
+            step_constructive(flow(g, 0.02, 1e-3, lam=1.0), s)
+        s2 = sr_state(through_flow(g))
         with pytest.raises(ValueError):
-            step_constructive(s2, 0.0)
+            step_constructive(flow(g, 0.02, 0.0, lam=1.0), s2)
 
     def test_cfl_violation_raises(self):
         g = Grid(16)
-        s = sr_state(through_flow(g), 1.0, 0.02)
+        s = sr_state(through_flow(g))
         with pytest.raises(CFLError):
-            step_constructive(s, 1.0)
+            step_constructive(flow(g, 0.02, 1.0, lam=1.0), s)
 
 
 class TestStepDirectSR:
@@ -331,10 +337,11 @@ class TestStepDirectSR:
         g = Grid(32)
         u0 = vortex(g)
         nu, dt = 0.01, 2e-3
-        s = sr_state(u0, 1.0, nu, decomposed=False)
+        p = flow(g, nu, dt, lam=1.0)
+        s = sr_state(u0, decomposed=False)
         ref = u0
         for _ in range(50):
-            s = step_direct_sr(s, dt)
+            s = step_direct_sr(p, s)
             ref = step_nse_splitting(ref, dt, nu)
         assert (s.u - ref).max_abs() <= 1e-7
 
@@ -346,11 +353,12 @@ class TestStepDirectSR:
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
             n = round(T / dt)
-            sc = sr_state(u0, 1.0, 0.02)
-            sd = sr_state(u0, 1.0, 0.02, decomposed=False)
+            p = flow(g, 0.02, dt, lam=1.0)
+            sc = sr_state(u0)
+            sd = sr_state(u0, decomposed=False)
             for _ in range(n):
-                sc = step_constructive(sc, dt)
-                sd = step_direct_sr(sd, dt)
+                sc = step_constructive(p, sc)
+                sd = step_direct_sr(p, sd)
             errs.append(face_norm(sc.u - sd.u))
         assert math.log2(errs[0] / errs[1]) >= 0.9
         assert math.log2(errs[1] / errs[2]) >= 0.9
@@ -358,40 +366,43 @@ class TestStepDirectSR:
     def test_boundary_divergence_small_in_example_run(self):
         g = Grid(32)
         _, _, z0 = matched_lift(g, 1e-3)
-        s = sr_state(vortex(g) + z0, 1.0, 0.02, decomposed=False)
+        p = flow(g, 0.02, 1e-3, lam=1.0)
+        s = sr_state(vortex(g) + z0, decomposed=False)
         worst = boundary_divergence_max(s)
         for _ in range(100):
-            s = step_direct_sr(s, 1e-3)
+            s = step_direct_sr(p, s)
             worst = max(worst, boundary_divergence_max(s))
         assert worst <= 1e-6
 
     def test_boundary_divergence_strict_at_fine_grid(self):
         g = Grid(64)
         _, _, z0 = matched_lift(g, 1e-3)
-        s = sr_state(vortex(g) + z0, 1.0, 0.02, decomposed=False)
+        p = flow(g, 0.02, 1e-3, lam=1.0)
+        s = sr_state(vortex(g) + z0, decomposed=False)
         worst = boundary_divergence_max(s)
         for _ in range(100):
-            s = step_direct_sr(s, 1e-3)
+            s = step_direct_sr(p, s)
             worst = max(worst, boundary_divergence_max(s))
         assert worst <= 1e-7
 
     def test_walls_follow_relaxed_boundary_data(self):
         g = Grid(32)
         _, _, z0 = matched_lift(g, 1e-2)
-        s = sr_state(vortex(g) + z0, 2.0, 0.02, decomposed=False)
+        p = flow(g, 0.02, 1e-3, lam=2.0)
+        s = sr_state(vortex(g) + z0, decomposed=False)
         for _ in range(10):
-            s = step_direct_sr(s, 1e-3)
+            s = step_direct_sr(p, s)
             assert trace_gap(normal_trace(s.u), s.h) == 0.0
 
     def test_misassembled_constant_is_detected(self, monkeypatch):
         g = Grid(32)
         _, _, z0 = matched_lift(g, 1e-2)
-        s = sr_state(vortex(g) + z0, 1.0, 0.02, decomposed=False)
+        s = sr_state(vortex(g) + z0, decomposed=False)
         real = ens_sr.compat_constant
         monkeypatch.setattr(ens_sr, "compat_constant",
                             lambda *args: real(*args) + 0.1)
         with pytest.raises(CompatibilityError):
-            step_direct_sr(s, 1e-3)
+            step_direct_sr(flow(g, 0.02, 1e-3, lam=1.0), s)
 
     @pytest.mark.parametrize("lam", [2.0, 1e12])
     def test_misassembled_constant_is_detected_on_flux_free_walls(self, lam, monkeypatch):
@@ -399,24 +410,26 @@ class TestStepDirectSR:
         # wall data and of the constant cancel to round-off at lambda = 1e12
         # too: the step passes, and an offset of 0.1 is the net source 4 * 0.1
         g = Grid(32)
-        s = step_direct_sr(sr_state(vortex(g), lam, 0.02, decomposed=False), 1e-3)
+        p = flow(g, 0.02, 1e-3, lam=lam)
+        s = step_direct_sr(p, sr_state(vortex(g), decomposed=False))
         real = ens_sr.compat_constant
         monkeypatch.setattr(ens_sr, "compat_constant", lambda *args: real(*args) + 0.1)
         with pytest.raises(CompatibilityError, match="net source 4.000e-01"):
-            step_direct_sr(s, 1e-3)
+            step_direct_sr(p, s)
 
     def test_constant_off_by_one_is_detected(self, monkeypatch):
         # the step assembles the pressure source with its own transport and
         # forcing and must still reject a compatibility constant that is off
         g = Grid(16)
         _, _, z0 = matched_lift(g, 1e-2)
-        s = sr_state(vortex(g) + z0, 1.0, 0.02, decomposed=False)
-        step_direct_sr(s, 1e-3)
+        p = flow(g, 0.02, 1e-3, lam=1.0)
+        s = sr_state(vortex(g) + z0, decomposed=False)
+        step_direct_sr(p, s)
         real = ens_sr.compat_constant
         monkeypatch.setattr(ens_sr, "compat_constant",
                             lambda *args: real(*args) + 1.0)
         with pytest.raises(CompatibilityError):
-            step_direct_sr(s, 1e-3)
+            step_direct_sr(p, s)
 
 
 class TestPressureSource:
@@ -425,10 +438,11 @@ class TestPressureSource:
     def test_wall_row_assembly_matches_literal(self, n, seed):
         g = Grid(n)
         rng = np.random.default_rng(seed)
-        s = sr_state(random_vector(g, rng), 1.5, 0.03, decomposed=False)
+        p = flow(g, 0.03, 1e-3, lam=1.5)
+        s = sr_state(random_vector(g, rng), decomposed=False)
         fa = random_vector(g, rng)
-        rhs, _, total, scale = ens_sr._pressure_source(s, fa)
-        ref, ref_total = literal_source(s, fa)
+        rhs, _, total, scale = ens_sr._pressure_source(p, s, fa)
+        ref, ref_total = literal_source(p, s, fa)
         assert scalar_norm(rhs - ref) <= 1e-13 * scalar_norm(ref)
         assert abs(total - ref_total) <= 1e-13 * scale
         assert scale == max(1.0, scalar_norm(rhs))
@@ -439,31 +453,32 @@ class TestPressureSource:
         # the norm of the source, with no numpy warning on the way
         g = Grid(n)
         rng = np.random.default_rng(n)
-        s = sr_state(random_vector(g, rng), 1.5, 0.03, decomposed=False)
+        s = sr_state(random_vector(g, rng), decomposed=False)
         fa = random_vector(g, rng) * 1e200
-        rhs, _, total, scale = ens_sr._pressure_source(s, fa)
+        rhs, _, total, scale = ens_sr._pressure_source(flow(g, 0.03, 1e-3, lam=1.5), s, fa)
         assert scale == pytest.approx(g.h * math.hypot(*rhs.values.ravel()), rel=1e-13)
         assert abs(total) <= 1e-8 * scale
 
     @pytest.mark.parametrize("cc", [math.inf, math.nan])
     def test_non_finite_net_source_is_incompatible(self, cc, monkeypatch):
         g = Grid(16)
-        s = sr_state(vortex(g), 1.0, 0.02, decomposed=False)
+        s = sr_state(vortex(g), decomposed=False)
         monkeypatch.setattr(ens_sr, "compat_constant", lambda *args: cc)
         with pytest.raises(CompatibilityError, match="net source"):
-            ens_sr._pressure_source(s, VectorField.zeros(g))
+            ens_sr._pressure_source(flow(g, 0.02, 1e-3, lam=1.0), s, VectorField.zeros(g))
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_off_constant_is_detected_with_wall_flux_and_forcing(self, n, monkeypatch):
         g = Grid(n)
         u0 = initial_velocity(g, "sr", "boundary_flux")
-        s = sr_state(u0, 2.0, 0.1, forcing_field(g, "rotational", 1.0, 0.1), decomposed=False)
-        step_direct_sr(s, 1e-3)
+        p = flow(g, 0.1, 1e-3, forcing_field(g, "rotational", 1.0, 0.1), lam=2.0)
+        s = sr_state(u0, decomposed=False)
+        step_direct_sr(p, s)
         real = ens_sr.compat_constant
         monkeypatch.setattr(ens_sr, "compat_constant",
                             lambda *args: real(*args) + 1.0)
         with pytest.raises(CompatibilityError, match="net source"):
-            step_direct_sr(s, 1e-3)
+            step_direct_sr(p, s)
 
     def test_direct_run_takes_three_divergences_a_step(self, monkeypatch):
         # a direct step needs div(f - a) for the pressure source, div u* for
@@ -482,8 +497,8 @@ class TestPressureSource:
         cfg = Config(system="sr", nu=0.1, dt=1e-3, horizon=n * 1e-3, grid=16,
                      route="direct", lam=2.0)
         u0 = initial_velocity(g, "sr", "boundary_flux")
-        s0 = sr_state(u0, 2.0, 0.1, forcing_field(g, "rotational", 1.0, 0.1), decomposed=False)
-        for s in march(step_direct_sr, s0, 1e-3, n):
+        p = flow(g, 0.1, 1e-3, forcing_field(g, "rotational", 1.0, 0.1), lam=2.0)
+        for s in march(partial(step_direct_sr, p), sr_state(u0, decomposed=False), n):
             cli._field_metrics(cfg, s)
             boundary_divergence_max(s)
         assert len(calls) <= 3 * n + 2
@@ -492,8 +507,8 @@ class TestPressureSource:
 class TestIntegrateSR:
     def test_history_includes_initial_state(self):
         g = Grid(16)
-        s = sr_state(through_flow(g), 1.0, 0.02)
-        hist = list(march(step_constructive, s, 1e-2, 3))
+        s = sr_state(through_flow(g))
+        hist = list(march(partial(step_constructive, flow(g, 0.02, 1e-2, lam=1.0)), s, 3))
         assert len(hist) == 4
         assert hist[0] is s
         assert abs(hist[-1].time - 3e-2) <= 1e-12
@@ -503,7 +518,7 @@ class TestGapSubsystem:
     def test_unbalanced_gap_decays_by_exact_factor(self):
         g = Grid(32)
         lam, dt = 1.5, 5e-3
-        hist = sr_gap_run(sinsin(g), BoundaryTrace.zeros(g), lam, 0.02, dt, 40)
+        hist = sr_gap_run(sinsin(g), BoundaryTrace.zeros(g), flow(g, 0.02, dt, lam=lam), 40)
         gap0 = solvability_gap(hist[0][0], hist[0][1])
         assert abs(gap0) > 0.1
         for n, (gs, hs) in enumerate(hist):
@@ -519,7 +534,7 @@ class TestGapSubsystem:
         rng = np.random.default_rng(seed)
         g0 = ScalarField(g, rng.standard_normal(g.shape_cell))
         h0 = BoundaryTrace(g, *(rng.standard_normal(n) for _ in range(4)))
-        hist = sr_gap_run(g0, h0, lam, nu, dt, 4)
+        hist = sr_gap_run(g0, h0, flow(g, nu, dt, lam=lam), 4)
         for (gs, hs), (gs1, hs1) in zip(hist, hist[1:]):
             scale = max(1.0, scalar_norm(gs), hs.max_abs())
             excess = solvability_gap(gs1, hs1) - math.exp(-lam * dt) * solvability_gap(gs, hs)
@@ -530,10 +545,11 @@ class TestGapSubsystem:
         # constructive route's own, bit for bit
         g = Grid(16)
         _, _, z0 = matched_lift(g, 1e-2)
-        s = sr_state(vortex(g) + z0, 1.5, 0.02)
-        hist = sr_gap_run(s.g, s.h, s.lam, s.nu, 4e-3, 3)
+        p = flow(g, 0.02, 4e-3, lam=1.5)
+        s = sr_state(vortex(g) + z0)
+        hist = sr_gap_run(s.g, s.h, p, 3)
         for gs, hs in hist[1:]:
-            s = step_constructive(s, 4e-3)
+            s = step_constructive(p, s)
             assert np.array_equal(s.g.values, gs.values)
             assert all(np.array_equal(a, b) for a, b in zip(s.h.arrays, hs.arrays))
 
@@ -543,7 +559,7 @@ class TestDuhamel:
         g = Grid(32)
         lam, nu, dt, n = 2.0, 0.05, 0.02, 10
         h0 = BoundaryTrace.constant(g, 0.3)
-        hist = sr_gap_run(sinsin(g), h0, lam, nu, dt, n)
+        hist = sr_gap_run(sinsin(g), h0, flow(g, nu, dt, lam=lam), n)
         cbars = [step_average_constant(integral(hist[k][0]), integral(hist[k + 1][0]),
                                        lam, dt)
                  for k in range(n)]
@@ -557,14 +573,14 @@ class TestDuhamel:
         h0 = BoundaryTrace.constant(g, 0.3)
         nfine = 160
         dtf = T / nfine
-        fine = sr_gap_run(g0, h0, lam, nu, dtf, nfine)
+        fine = sr_gap_run(g0, h0, flow(g, nu, dtf, lam=lam), nfine)
         times = np.array([k * dtf for k in range(nfine + 1)])
         samples = np.array([compat_constant(gs, nu, lam, integral(gs)) for gs, _ in fine])
         href = duhamel_quadrature(h0, times, samples, lam)
 
         def stepped(dt):
             n = round(T / dt)
-            hist = sr_gap_run(g0, h0, lam, nu, dt, n)
+            hist = sr_gap_run(g0, h0, flow(g, nu, dt, lam=lam), n)
             return hist[-1][1]
 
         e1 = trace_gap(stepped(0.02), href)
@@ -581,26 +597,27 @@ class TestDuhamel:
 
 class TestPressurePoisson:
     @staticmethod
-    def solve(s):
-        """The pressure source of the state's own forcing and transport, and
-        the Neumann solve of it."""
-        fa = s.forcing - skew_advect(s.u, s.u)
-        rhs, _, total, scale = ens_sr._pressure_source(s, fa)
+    def solve(p, s):
+        """The pressure source of the run's forcing and the state's
+        transport, and the Neumann solve of it."""
+        fa = p.forcing - skew_advect(s.u, s.u)
+        rhs, _, total, scale = ens_sr._pressure_source(p, s, fa)
         return neumann_solve(rhs), total / scale
 
     def test_assembled_system_is_compatible(self):
         g = Grid(32)
         _, _, z0 = matched_lift(g, 1e-2)
-        s = sr_state(vortex(g) + z0, 1.0, 0.02, decomposed=False)
-        p, relative = self.solve(s)
+        s = sr_state(vortex(g) + z0, decomposed=False)
+        q, relative = self.solve(flow(g, 0.02, 1e-3, lam=1.0), s)
         assert abs(relative) <= 1e-10
-        assert abs(integral(p)) <= 1e-12
-        assert math.isfinite(scalar_norm(p))
+        assert abs(integral(q)) <= 1e-12
+        assert math.isfinite(scalar_norm(q))
 
     def test_compatibility_holds_along_direct_run(self):
         g = Grid(32)
         _, _, z0 = matched_lift(g, 1e-2)
-        s = sr_state(vortex(g) + z0, 1.0, 0.02, decomposed=False)
+        p = flow(g, 0.02, 1e-3, lam=1.0)
+        s = sr_state(vortex(g) + z0, decomposed=False)
         for _ in range(5):
-            s = step_direct_sr(s, 1e-3)
-            assert abs(self.solve(s)[1]) <= 1e-10
+            s = step_direct_sr(p, s)
+            assert abs(self.solve(p, s)[1]) <= 1e-10

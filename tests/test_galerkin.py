@@ -2,6 +2,7 @@
 import math
 import tokenize
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from enslab.stokes_modes import lowest_modes
 from enslab import ens_jl, galerkin, grid as grid_module, linsolve
 from enslab.scenarios import march
 from oracles import (
-    advect, curl_matrix, divergence_matrix, eigen_residual_loop, flatten_interior,
+    advect, curl_matrix, divergence_matrix, eigen_residual_loop, flatten_interior, flow,
     noslip_viscous_matrix, parity_block_basis, trilinear,
 )
 
@@ -616,8 +617,8 @@ class TestCrossValidation:
             shared = galerkin.reconstruct(basis, start)
             hist = galerkin.integrate_galerkin(basis, start, nu, dt, round(horizon / dt))
             spectral = galerkin.reconstruct(basis, hist[-1])
-            full = list(march(ens_jl.step_decomposed, ens_jl.jl_state(shared, nu),
-                              dt, round(horizon / dt)))[-1].u
+            full = list(march(partial(ens_jl.step_decomposed, flow(grid, nu, dt)),
+                              ens_jl.jl_state(shared), round(horizon / dt)))[-1].u
             gaps[k] = face_norm(spectral - full) / face_norm(full)
         assert gaps[8] <= 0.10
         assert gaps[16] < gaps[8]

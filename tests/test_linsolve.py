@@ -33,7 +33,6 @@ from enslab.linsolve import (
     STOKES_TOL,
     GeneralizedStokes,
     NoslipHelmholtz,
-    generalized_stokes,
     heat_solver,
     htilde_solver,
     neumann_poisson,
@@ -386,7 +385,7 @@ def coscos(grid, k=1, m=1):
 
 def lift(gsrc, trace=None):
     """The stationary Stokes lift: the generalized-Stokes solve at alpha = 0."""
-    return generalized_stokes(gsrc.grid, 0.0, 1.0).solve(g=gsrc, trace=trace)
+    return GeneralizedStokes(gsrc.grid, 0.0, 1.0).solve(g=gsrc, trace=trace)
 
 
 class TestStokesSolve:
@@ -468,7 +467,7 @@ class TestStokesSolve:
         # the returned z
         g = Grid(n)
         _, gsrc, tr = random_stokes_data(g, np.random.default_rng(n), True)
-        stokes = generalized_stokes(g, 0.0, 1.0)
+        stokes = GeneralizedStokes(g, 0.0, 1.0)
         z, q = stokes.solve(g=gsrc, trace=tr)
         terms = (flatten_interior(gradient(q)), flatten_interior(vector_laplacian(z)),
                  wall_rhs(g, tr))
@@ -525,7 +524,7 @@ class TestGeneralizedStokes:
         P = np.eye(D.shape[1]) - D.T @ np.linalg.pinv(D @ D.T) @ D
         K = noslip_viscous_matrix(g).toarray()
         x = np.linalg.solve(np.eye(D.shape[1]) + c * P @ K @ P, P @ flatten_interior(f))
-        u, _ = generalized_stokes(g, 1.0, c).solve(f)
+        u, _ = GeneralizedStokes(g, 1.0, c).solve(f)
         assert np.abs(flatten_interior(u) - x).max() <= 1e-11 * np.abs(x).max()
         assert np.all(u.u[0, :] == 0.0) and np.all(u.v[:, -1] == 0.0)
 
@@ -534,20 +533,20 @@ class TestGeneralizedStokes:
         # Leray projection
         g = Grid(16)
         f = random_field(g, np.random.default_rng(22), walls=True)
-        u, _ = generalized_stokes(g, 1.0, 0.0).solve(f)
+        u, _ = GeneralizedStokes(g, 1.0, 0.0).solve(f)
         ref = leray_project(f)
         assert np.abs(flatten_interior(u) - flatten_interior(ref)).max() <= 1e-12 * ref.max_abs()
 
     def test_zero_data_returns_zero_without_iterating(self):
         g = Grid(8)
-        u, p = generalized_stokes(g, 1.0, 0.01).solve(VectorField.zeros(g))
+        u, p = GeneralizedStokes(g, 1.0, 0.01).solve(VectorField.zeros(g))
         assert u.max_abs() == 0.0 and np.all(p.values == 0.0)
 
     @pytest.mark.parametrize("alpha,c", [(1.0, 1e-3), (0.0, 1.0)])
     def test_passing_solve_makes_no_u0_solve(self, alpha, c, monkeypatch):
         g = Grid(32)
         f, gsrc, tr = random_stokes_data(g, np.random.default_rng(26), True)
-        stokes = generalized_stokes(g, alpha, c)
+        stokes = GeneralizedStokes(g, alpha, c)
         calls = count_u0_solves(stokes, monkeypatch)
         for data in ((f,), (f, gsrc, tr)):
             stokes.solve(*data)
@@ -569,7 +568,7 @@ class TestGeneralizedStokes:
         # velocity u0 at p = 0, can pass the solve
         g = Grid(16)
         phi = coscos(g, 2, 3)
-        stokes = generalized_stokes(g, 1.0, 0.02)
+        stokes = GeneralizedStokes(g, 1.0, 0.02)
         calls = count_u0_solves(stokes, monkeypatch)
         u, p = stokes.solve(gradient(phi))
         assert len(calls) == 1
@@ -581,7 +580,7 @@ class TestGeneralizedStokes:
         g = Grid(256)
         c = 5e-3
         f = random_field(g, np.random.default_rng(23))
-        u, p = generalized_stokes(g, 1.0, c).solve(f)
+        u, p = GeneralizedStokes(g, 1.0, c).solve(f)
         x = flatten_interior(u)
         mom = x + c * (noslip_viscous_matrix(g) @ x) + flatten_interior(gradient(p)) - flatten_interior(f)
         assert np.linalg.norm(mom) <= 1e-12 * np.linalg.norm(flatten_interior(f))
@@ -592,7 +591,7 @@ class TestGeneralizedStokes:
     def test_nonfinite_data_raises(self):
         # fields built by the package's own operators may hold non-finite values
         g = Grid(8)
-        solve = generalized_stokes(g, 1.0, 0.01).solve
+        solve = GeneralizedStokes(g, 1.0, 0.01).solve
         for bad in (np.inf, -np.inf, np.nan):
             u = np.zeros(g.shape_u)
             u[3, 4] = bad
@@ -605,7 +604,7 @@ class TestGeneralizedStokes:
 
     def test_finite_data_whose_measure_overflows_raises(self):
         g = Grid(8)
-        solve = generalized_stokes(g, 1.0, 0.01).solve
+        solve = GeneralizedStokes(g, 1.0, 0.01).solve
         overflows = "the measure of finite data overflows (largest entry {})"
         with pytest.raises(SolverError, match=re.escape(overflows.format("1.000e+308"))):
             solve(VectorField(g, np.full(g.shape_u, 1e308), np.zeros(g.shape_v)))
@@ -620,7 +619,7 @@ class TestGeneralizedStokes:
 
     def test_consecutive_solves_share_no_memory_with_the_workspaces(self):
         g = Grid(16)
-        stokes = generalized_stokes(g, 1.0, 0.02)
+        stokes = GeneralizedStokes(g, 1.0, 0.02)
         f1, g1, tr = random_stokes_data(g, np.random.default_rng(27), True)
         u1, p1 = stokes.solve(f1, g1, tr)
         kept = [a.copy() for a in (*u1.arrays, p1.values)]
@@ -637,7 +636,7 @@ class TestGeneralizedStokes:
         monkeypatch.setattr(linsolve, "STOKES_TOL", 0.0)
         g = Grid(16)
         f = random_field(g, np.random.default_rng(24))
-        stokes = generalized_stokes(g, 1.0, 0.01)
+        stokes = GeneralizedStokes(g, 1.0, 0.01)
         calls = count_u0_solves(stokes, monkeypatch)
         with pytest.raises(SolverError, match=r"divergence residual \d\.\d+e-\d+ above tol"):
             stokes.solve(f)
@@ -645,7 +644,7 @@ class TestGeneralizedStokes:
 
     def test_rejects_degenerate_coefficients(self):
         with pytest.raises(ValueError):
-            generalized_stokes(Grid(8), 0.0, 0.0)
+            GeneralizedStokes(Grid(8), 0.0, 0.0)
 
 
 def random_stokes_data(g, rng, walls):
@@ -723,7 +722,7 @@ class TestDirectStokes:
     def test_matches_dense_oracle(self, n, alpha, c, walls, seed):
         g = Grid(n)
         f, gsrc, tr = random_stokes_data(g, np.random.default_rng(seed), walls)
-        u, p = generalized_stokes(g, alpha, c).solve(f, gsrc, tr)
+        u, p = GeneralizedStokes(g, alpha, c).solve(f, gsrc, tr)
         z, q = dense_stokes_solve(gsrc, tr, alpha, c, f)
         assert rel_err(np.concatenate([u.u.ravel(), u.v.ravel()]),
                        np.concatenate([z.u.ravel(), z.v.ravel()])) <= 1e-11
@@ -735,7 +734,7 @@ class TestDirectStokes:
     def test_reflected_data_give_reflected_solution(self, n, alpha, c, seed, reflect):
         g = Grid(n)
         f, gsrc, tr = random_stokes_data(g, np.random.default_rng(seed), True)
-        solve = generalized_stokes(g, alpha, c).solve
+        solve = GeneralizedStokes(g, alpha, c).solve
         u, p = solve(f, gsrc, tr)
         u2, p2 = solve(reflect(f), reflect(gsrc), reflect(tr))
         ref_u = reflect(u)
@@ -779,7 +778,7 @@ class TestDirectStokes:
         g = Grid(16)
         c = 0.01
         f, gsrc, tr = random_stokes_data(g, np.random.default_rng(25), walls)
-        u, _ = generalized_stokes(g, alpha, c).solve(f, gsrc, tr if walls else None)
+        u, _ = GeneralizedStokes(g, alpha, c).solve(f, gsrc, tr if walls else None)
         fold = divergence(unflatten_interior(g, np.zeros(flatten_interior(u).size), tr)).values
         gprime = (gsrc.values - fold).ravel()
         D = divergence_matrix(g)

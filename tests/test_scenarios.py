@@ -1,5 +1,6 @@
 """Initial-condition and forcing presets."""
 
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,28 +34,28 @@ GRID = Grid(16)
 
 class TestMarch:
     def test_yields_initial_state_then_each_step(self):
-        assert list(march(lambda s, dt: s + dt, 1.0, 0.25, 3)) == [1.0, 1.25, 1.5, 1.75]
-        assert list(march(lambda s, dt: s + dt, 1.0, 0.25, 0)) == [1.0]
+        assert list(march(lambda s: s + 0.25, 1.0, 3)) == [1.0, 1.25, 1.5, 1.75]
+        assert list(march(lambda s: s + 0.25, 1.0, 0)) == [1.0]
 
     def test_steps_only_when_asked(self):
         calls = []
 
-        def step(s, dt):
+        def step(s):
             calls.append(s)
             return s + 1
 
-        states = march(step, 0, 1.0, 5)
+        states = march(step, 0, 5)
         assert next(states) == 0 and calls == []
         assert next(states) == 1 and calls == [0]
 
     @pytest.mark.parametrize("error", [CFLError, CheckFailure, SolverError])
     def test_step_error_names_the_step_and_its_start_time(self, error):
-        def step(s, dt):
+        def step(s):
             if s.time >= 0.2:
                 raise error("dt too large")
-            return SimpleNamespace(time=s.time + dt)
+            return SimpleNamespace(time=s.time + 0.1)
 
-        states = march(step, SimpleNamespace(time=0.0), 0.1, 5)
+        states = march(step, SimpleNamespace(time=0.0), 5)
         assert [next(states).time for _ in range(3)] == pytest.approx([0.0, 0.1, 0.2])
         with pytest.raises(error, match=r"^step 3, t = 0\.2: dt too large$") as caught:
             next(states)
@@ -62,11 +63,11 @@ class TestMarch:
         assert type(caught.value.__cause__) is error
 
     def test_other_errors_pass_unchanged(self):
-        def step(s, dt):
+        def step(s):
             raise ValueError("not a package error")
 
         with pytest.raises(ValueError, match="^not a package error$"):
-            list(march(step, SimpleNamespace(time=0.0), 0.1, 2))
+            list(march(step, SimpleNamespace(time=0.0), 2))
 
 
 class TestRegistry:
@@ -202,12 +203,13 @@ class TestManufactured:
     def test_forcing_holds_flow_steady(self):
         # one viscous-advective step of the governed flow barely moves it
         from enslab.ens_jl import jl_state, step_direct
+        from enslab.reference import Flow
 
         grid = Grid(32)
         u0 = mms_velocity(grid)
         nu = 0.05
-        state = jl_state(u0, nu, forcing=mms_forcing(grid, nu), decomposed=False)
-        hist = list(march(step_direct, state, 1e-3, 10))
+        step = partial(step_direct, Flow(nu, 1e-3, mms_forcing(grid, nu)))
+        hist = list(march(step, jl_state(u0, decomposed=False), 10))
         drift = face_norm(hist[-1].u - u0)
         assert drift <= 5e-3 * face_norm(u0)
 

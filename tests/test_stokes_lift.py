@@ -24,7 +24,7 @@ from enslab.grid import (
     scalar_norm,
     vector_from_stream,
 )
-from enslab.linsolve import generalized_stokes, neumann_poisson
+from enslab.linsolve import GeneralizedStokes, neumann_poisson
 from enslab.stokes_lift import (
     _remove_gradient,
     decompose,
@@ -42,7 +42,7 @@ def coscos(grid, k=1, m=1):
 
 def lift_pressure(g, trace=None):
     """The pressure of the lift of (g, trace), which the lift helpers do not form."""
-    return generalized_stokes(g.grid, 0.0, 1.0).solve(g=g, trace=trace)[1]
+    return GeneralizedStokes(g.grid, 0.0, 1.0).solve(g=g, trace=trace)[1]
 
 
 def random_zero_wall_vector(grid, rng):
